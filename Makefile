@@ -1,9 +1,9 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race bench bench-smoke reproduce ablations chaos chaos-nic chaos-fabric chaos-restart overload audit drain metrics corescale examples verify record
+.PHONY: test race bench bench-smoke reproduce ablations chaos overload audit drain metrics corescale examples verify record
 
 # test is the everyday gate; `make verify` is the full pre-merge chain
-# (build + vet + race tests + the chaos-NIC self-healing smoke).
+# (gofmt + build + vet + race tests + the gates + the quick chaos matrix).
 test:
 	go vet ./...
 	go test -race ./...
@@ -28,38 +28,17 @@ reproduce:
 ablations:
 	go run ./cmd/reproduce -ablations
 
-# chaos runs every workload under randomized fault plans and the
-# node-crash scenario, failing if any run does not recover or leaves a
-# resource-audit finding behind.
+# chaos runs the fault-domain matrix (internal/bench/chaos.go) for every
+# domain: link (every workload under randomized link plans plus the
+# node-crash scenario), nic (web and kvstore over sessions under NIC
+# faults and a server link flap), fabric (every single trunk and spine
+# of a 2x2 spine-leaf fabric killed in turn) and restart (every host
+# crash-restarted in turn). Each run must finish with exact output,
+# recovery recorded and a clean leak audit; each domain's control run,
+# with the recovery disabled, must fail. Any unexpected outcome fails
+# the target.
 chaos:
-	go run ./cmd/reproduce -chaos
-
-# chaos-nic runs the NIC-fault self-healing matrix: web and kvstore
-# over reconnecting sessions while seeded plans drop doorbells, stall
-# DMA, flip descriptors, lose credit updates, wedge firmware, and flap
-# the server's substrate link — plus a no-recovery control that must
-# fail. Any unexpected outcome fails the target.
-chaos-nic:
-	go run ./cmd/reproduce -chaos-nic
-
-# chaos-fabric runs the fabric single-failure survivability matrix:
-# web and kvstore over sessions on a 2-leaf/2-spine fabric while every
-# single trunk link and every single spine is killed in turn — each run
-# must finish with exact output, zero app-visible errors, at least one
-# recorded reroute, and a clean leak audit — plus a no-reroute control
-# that must fail. Any unexpected outcome fails the target.
-chaos-fabric:
-	go run ./cmd/reproduce -chaos-fabric
-
-# chaos-restart runs the crash-restart recovery matrix: web and
-# replicated kvstore over sessions while every host — server, backup,
-# and each client — is crash-restarted in turn with seed-phased kill
-# instants. Every run must finish with exact output, zero app-visible
-# errors, at least one session resumed against the reborn incarnation
-# when a server-side host is the target, and a clean leak audit — plus
-# a sessions-disabled control that must fail with a connection reset.
-chaos-restart:
-	go run ./cmd/reproduce -chaos-restart
+	go run ./cmd/reproduce -chaos all
 
 # overload runs the flood/starvation resilience suite under the race
 # detector: connect floods beyond the backlog, credit/buffer starvation
@@ -101,26 +80,23 @@ examples:
 	go run ./examples/matmul
 	go run ./examples/kvstore
 
-# verify is the full pre-merge chain: build, vet, the race-enabled test
-# suite, the connscale demux regression gate (1024-conn all-active
-# per-dispatch lookup cost must stay within a pinned multiple of the
-# 8-conn cost in hashed mode), the chaos-NIC self-healing smoke (the
-# quick matrix: every NIC fault kind on both workloads plus the
-# no-recovery control), the chaos-fabric smoke (single trunk kill +
-# single spine kill on both workloads plus the no-reroute control),
-# the chaos-restart smoke (server and one client of each workload
-# crash-restarted plus the sessions-disabled control), and the quick
+# verify is the full pre-merge chain: the gofmt check, build, vet, the
+# race-enabled test suite, the connscale demux regression gate
+# (1024-conn all-active per-dispatch lookup cost must stay within a
+# pinned multiple of the 8-conn cost in hashed mode), the quick
 # core-scaling gate (worker monotonicity plus the 4-core/4-worker
-# >= 2x web bar on both transports).
+# >= 2x web bar on both transports), and the quick chaos matrix of
+# every fault domain (link plans and the crash scenario, every NIC
+# fault kind, one trunk and one spine kill, the server and one client
+# of each workload crash-restarted, plus each domain's control).
 verify:
+	test -z "$$(gofmt -l .)"
 	go build ./...
 	go vet ./...
 	go test -race ./...
 	go test -run TestConnScaleDispatchGate -count=1 ./internal/bench
 	go test -run TestCoreScaleGate -count=1 ./internal/bench
-	go run ./cmd/reproduce -chaos-nic -quick
-	go run ./cmd/reproduce -chaos-fabric -quick
-	go run ./cmd/reproduce -chaos-restart -quick
+	go run ./cmd/reproduce -chaos all -quick
 
 # record regenerates the committed experiment record artifacts.
 record:

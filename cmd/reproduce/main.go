@@ -8,6 +8,8 @@
 //	reproduce -fig fig13   # one figure (fig11, fig12, fig13, fig14,
 //	                       # fig15, fig16, fig17)
 //	reproduce -ablations   # the design-choice studies
+//	reproduce -chaos nic   # one fault-domain chaos matrix (link, nic,
+//	                       # fabric, restart, all)
 //	reproduce -quick       # smaller sweeps (CI-speed)
 package main
 
@@ -25,11 +27,8 @@ import (
 func main() {
 	figFlag := flag.String("fig", "all", "which figure to reproduce (all, fig11..fig17)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations instead")
-	chaos := flag.Bool("chaos", false, "run the fault-injection chaos suite instead")
-	chaosNIC := flag.Bool("chaos-nic", false, "run the NIC-fault self-healing matrix instead")
-	chaosFabric := flag.Bool("chaos-fabric", false, "run the fabric single-failure survivability matrix instead")
-	chaosRestart := flag.Bool("chaos-restart", false, "run the crash-restart recovery matrix instead")
-	chaosSeeds := flag.Int("chaos-seeds", 5, "randomized fault plans per chaos workload")
+	chaos := flag.String("chaos", "", "run a fault-domain chaos matrix instead (link, nic, fabric, restart or all)")
+	chaosSeeds := flag.Int("chaos-seeds", 5, "seeded fault plans per chaos workload (-quick uses 1)")
 	auditFlag := flag.Bool("audit", false, "run the descriptor-leak audit sweep instead")
 	metrics := flag.Bool("metrics", false, "run the hot-path latency decomposition instead")
 	metricsOut := flag.String("metrics-out", "BENCH_metrics.json", "machine-readable output for -metrics")
@@ -212,58 +211,29 @@ func main() {
 		return
 	}
 
-	if *chaos {
-		runs := bench.Chaos(*chaosSeeds, *quick)
-		bench.FprintChaos(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
+	if *chaos != "" {
+		domains := []string{*chaos}
+		if *chaos == "all" {
+			domains = bench.ChaosDomains
 		}
-		return
-	}
-
-	if *chaosNIC {
 		seeds := *chaosSeeds
 		if *quick {
 			seeds = 1
 		}
-		runs := bench.ChaosNIC(seeds, *quick)
-		bench.FprintChaosNIC(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
+		ok := true
+		for _, d := range domains {
+			rep, err := bench.Chaos(d, seeds, *quick)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+				os.Exit(2)
+			}
+			bench.FprintChaos(os.Stdout, rep)
+			for _, r := range rep.Runs {
+				ok = ok && r.OK
 			}
 		}
-		return
-	}
-
-	if *chaosFabric {
-		seeds := *chaosSeeds
-		if *quick {
-			seeds = 1
-		}
-		runs := bench.ChaosFabric(seeds, *quick)
-		bench.FprintChaosFabric(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *chaosRestart {
-		seeds := *chaosSeeds
-		if *quick {
-			seeds = 1
-		}
-		runs := bench.ChaosRestart(seeds, *quick)
-		bench.FprintChaosRestart(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
+		if !ok {
+			os.Exit(1)
 		}
 		return
 	}

@@ -64,10 +64,6 @@ type KVConfig struct {
 	Keys int
 	// Port is the server's listen port.
 	Port int
-	// EventLoop serves every connection from one process multiplexed
-	// by a readiness poller instead of one handler process per
-	// connection. Off by default so the measured workload is unchanged.
-	EventLoop bool
 	// Drain makes the server gracefully quiesce its host transport
 	// after the last client disconnects. Off by default so the measured
 	// workload is unchanged.
@@ -78,7 +74,7 @@ type KVConfig struct {
 	// layer: transports that die mid-operation are redialed (failing
 	// over from the substrate to kernel TCP on Failover clusters) and
 	// the byte stream resumes where the peer left off. Incompatible
-	// with EventLoop (sessions are not pollable). Off by default.
+	// with Workers (sessions are not pollable). Off by default.
 	Sessions bool
 	// Think pauses each client for this long after every completed
 	// operation. Zero (the default) keeps the measured workload
@@ -98,9 +94,9 @@ type KVConfig struct {
 	ReadYourWrites bool
 	// Workers > 0 serves with a pool of that many event-loop worker
 	// processes sharing one poller (exclusive per-event delivery),
-	// worker i pinned to host core i%Cores. Zero keeps the legacy
-	// single-process servers byte-for-byte unchanged. Incompatible with
-	// Sessions, like EventLoop.
+	// worker i pinned to host core i%Cores. Zero keeps the
+	// process-per-connection server byte-for-byte unchanged.
+	// Incompatible with Sessions.
 	Workers int
 	// ServiceTime is per-operation compute charged through the host's
 	// core scheduler by the worker pool (hashing, serialization). Zero
@@ -144,8 +140,6 @@ func kvServer(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int, lis
 	switch {
 	case cfg.Workers > 0:
 		err = kvServerWorkers(p, node, cfg, totalConns)
-	case cfg.EventLoop:
-		err = kvServerEvented(p, node, cfg, totalConns)
 	default:
 		err = kvServerForked(p, node, cfg, totalConns, listen)
 	}
@@ -216,133 +210,6 @@ func kvServerForked(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns in
 	}
 	wg.Wait(p)
 	return nil
-}
-
-// kvConnState is one connection's framing state machine in the evented
-// server: phase 0 accumulates the request header (whose final byte
-// carries the kvRequest object), phase 1 accumulates the body.
-type kvConnState struct {
-	c         sock.Conn
-	phase     int // 0 = header, 1 = body
-	remaining int
-	req       *kvRequest
-}
-
-// kvServerEvented multiplexes every persistent connection through one
-// edge-triggered poller on a single process. Requests may arrive split
-// across segments, so each connection carries an explicit header/body
-// state machine instead of the blocking ReadFull the per-connection
-// handlers use.
-func kvServerEvented(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int) error {
-	l, err := node.Net.Listen(p, cfg.Port, totalConns)
-	if err != nil {
-		return err
-	}
-	lp, ok := l.(sock.Pollable)
-	if !ok {
-		l.Close(p)
-		return fmt.Errorf("kv: listener %T is not pollable", l)
-	}
-	store := make(map[string]*kvResponse, cfg.Keys)
-	po := sock.NewPoller(p.Engine(), "kv.evented")
-	defer po.Close()
-	node.Tel.RegisterSource("poller", po.TelemetryStats)
-	po.Register(lp, sock.PollIn|sock.PollErr, nil)
-	accepted, finished := 0, 0
-	var loopErr error
-	closeConn := func(st *kvConnState) {
-		po.Deregister(st.c.(sock.Pollable))
-		st.c.Close(p)
-		finished++
-	}
-	serve := func(st *kvConnState) error {
-		resp := &kvResponse{}
-		switch st.req.Op {
-		case kvSet:
-			store[st.req.Key] = &kvResponse{OK: true, ValLen: st.req.ValLen, Val: st.req.Val}
-			resp.OK = true
-		case kvGet:
-			if v, ok := store[st.req.Key]; ok {
-				resp = v
-			}
-		}
-		if _, err := st.c.Write(p, kvHeaderBytes, resp); err != nil {
-			return err
-		}
-		if resp.ValLen > 0 {
-			if _, err := st.c.Write(p, resp.ValLen, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	drain := func(st *kvConnState) {
-		for {
-			pc := st.c.(sock.Pollable)
-			if pc.PollState()&(sock.PollIn|sock.PollErr) == 0 {
-				return
-			}
-			n, objs, err := st.c.Read(p, st.remaining)
-			if err != nil || n == 0 {
-				closeConn(st)
-				return
-			}
-			st.remaining -= n
-			if st.phase == 0 {
-				for _, o := range objs {
-					if r, ok := o.(*kvRequest); ok {
-						st.req = r
-					}
-				}
-			}
-			if st.remaining > 0 {
-				continue
-			}
-			if st.phase == 0 {
-				if st.req == nil {
-					closeConn(st) // malformed framing
-					return
-				}
-				body := len(st.req.Key)
-				if st.req.Op == kvSet {
-					body += st.req.ValLen
-				}
-				if body > 0 {
-					st.phase, st.remaining = 1, body
-					continue
-				}
-			}
-			if err := serve(st); err != nil {
-				closeConn(st)
-				return
-			}
-			st.phase, st.remaining, st.req = 0, kvHeaderBytes, nil
-		}
-	}
-	for finished < totalConns && loopErr == nil {
-		for _, ev := range po.Wait(p, -1) {
-			if ev.Data == nil { // the listener
-				for accepted < totalConns && lp.PollState()&sock.PollIn != 0 {
-					c, err := l.Accept(p)
-					if err != nil {
-						loopErr = err
-						break
-					}
-					setNoDelay(c)
-					accepted++
-					st := &kvConnState{c: c, remaining: kvHeaderBytes}
-					po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, st)
-				}
-				if accepted == totalConns {
-					po.Deregister(lp)
-				}
-				continue
-			}
-			drain(ev.Data.(*kvConnState))
-		}
-	}
-	l.Close(p)
-	return loopErr
 }
 
 // kvClient issues the configured mix over one persistent connection.
@@ -453,8 +320,8 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	// arbitrary number of operations without retaining one value each.
 	// Registered so the cluster telemetry snapshot carries it too.
 	lat := c.Nodes[0].Tel.Histogram("apps", "kv_latency_ns", telemetry.LatencyBounds())
-	if cfg.Sessions && (cfg.EventLoop || cfg.Workers > 0) {
-		return KVResult{Err: fmt.Errorf("kv: Sessions and EventLoop/Workers are incompatible")}
+	if cfg.Sessions && cfg.Workers > 0 {
+		return KVResult{Err: fmt.Errorf("kv: Sessions and Workers are incompatible")}
 	}
 	listen := netListen(c.Nodes[0])
 	if cfg.Sessions {

@@ -38,12 +38,6 @@ type WebConfig struct {
 	// name". Responses then pay file-system overhead through the
 	// fd-tracking layer like the FTP experiment.
 	FileBacked bool
-	// EventLoop serves every connection from one process multiplexed
-	// by a readiness poller instead of forking a handler per
-	// connection. Off by default: the paper's figures were measured
-	// with the fork-per-connection server, and the default keeps their
-	// outputs bit-for-bit unchanged.
-	EventLoop bool
 	// Drain makes the server gracefully quiesce its host transport
 	// after the last handler finishes (refusing late connects, draining
 	// live sockets, auditing for leaks). Off by default so the paper's
@@ -56,7 +50,7 @@ type WebConfig struct {
 	// from the substrate to kernel TCP on Failover clusters) and the
 	// byte stream resumes where the peer left off, so the workload
 	// completes under NIC faults and link flaps. Incompatible with
-	// EventLoop (sessions are not pollable). Off by default.
+	// Workers (sessions are not pollable). Off by default.
 	Sessions bool
 	// Think pauses each client for this long after every completed
 	// request. Zero (the default) keeps the paper's measured workload
@@ -65,9 +59,9 @@ type WebConfig struct {
 	Think sim.Duration
 	// Workers > 0 serves with a pool of that many event-loop worker
 	// processes sharing one poller (exclusive per-event delivery),
-	// worker i pinned to host core i%Cores. Zero keeps the legacy
-	// single-process servers byte-for-byte unchanged. Incompatible with
-	// Sessions, like EventLoop.
+	// worker i pinned to host core i%Cores. Zero keeps the
+	// fork-per-connection server byte-for-byte unchanged. Incompatible
+	// with Sessions.
 	Workers int
 	// ServiceTime is per-request compute charged through the host's
 	// core scheduler by the worker pool (request parsing, page
@@ -120,8 +114,6 @@ func webServer(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns int, l
 	switch {
 	case cfg.Workers > 0:
 		err = webServerWorkers(p, node, cfg, totalConns)
-	case cfg.EventLoop:
-		err = webServerEvented(p, node, cfg, totalConns)
 	default:
 		err = webServerForked(p, node, cfg, totalConns, listen)
 	}
@@ -178,106 +170,6 @@ func webServerForked(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns 
 	return nil
 }
 
-// webConnState is one connection's progress through its keep-alive
-// request sequence in the evented server.
-type webConnState struct {
-	c      sock.Conn
-	need   int // request bytes still unread for the in-flight request
-	served int // responses already sent on this connection
-}
-
-// webServerEvented is the event-loop server: one process multiplexes
-// the listener and every accepted connection through a single
-// edge-triggered poller, so per-connection state lives in a small
-// struct instead of a blocked process. Each readiness event drains its
-// object completely (accept until empty, read until the stream runs
-// dry), which is what the edge-triggered contract requires.
-func webServerEvented(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns int) error {
-	l, err := node.Net.Listen(p, cfg.Port, totalConns)
-	if err != nil {
-		return err
-	}
-	lp, ok := l.(sock.Pollable)
-	if !ok {
-		l.Close(p)
-		return fmt.Errorf("web: listener %T is not pollable", l)
-	}
-	po := sock.NewPoller(p.Engine(), "web.evented")
-	defer po.Close()
-	node.Tel.RegisterSource("poller", po.TelemetryStats)
-	po.Register(lp, sock.PollIn|sock.PollErr, nil)
-	accepted, finished := 0, 0
-	var loopErr error
-	closeConn := func(st *webConnState) {
-		po.Deregister(st.c.(sock.Pollable))
-		st.c.Close(p)
-		finished++
-	}
-	// drain serves the connection until it would block: requests are
-	// accumulated byte-wise (a request may arrive split), and each
-	// completed request is answered in-line. Responses use the ordinary
-	// blocking Write — readiness tokens that fire meanwhile queue in
-	// the poller and are re-checked on the next Wait.
-	drain := func(st *webConnState) {
-		for {
-			pc := st.c.(sock.Pollable)
-			if pc.PollState()&(sock.PollIn|sock.PollErr) == 0 {
-				return // would block; edge re-arms on the next arrival
-			}
-			n, _, err := st.c.Read(p, st.need)
-			if err != nil || n == 0 {
-				closeConn(st) // client closed or reset
-				return
-			}
-			st.need -= n
-			if st.need > 0 {
-				continue
-			}
-			if cfg.FileBacked {
-				err = serveFile(p, node, st.c, "index.html")
-			} else {
-				_, err = st.c.Write(p, cfg.ResponseBytes, "response")
-			}
-			if err != nil {
-				closeConn(st)
-				return
-			}
-			st.served++
-			if st.served == cfg.RequestsPerConn {
-				closeConn(st)
-				return
-			}
-			st.need = webRequestBytes
-		}
-	}
-	for finished < totalConns && loopErr == nil {
-		for _, ev := range po.Wait(p, -1) {
-			if ev.Data == nil { // the listener
-				for accepted < totalConns && lp.PollState()&sock.PollIn != 0 {
-					c, err := l.Accept(p)
-					if err != nil {
-						loopErr = err
-						break
-					}
-					if nd, ok := c.(interface{ SetNoDelay(bool) }); ok {
-						nd.SetNoDelay(true)
-					}
-					accepted++
-					st := &webConnState{c: c, need: webRequestBytes}
-					po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, st)
-				}
-				if accepted == totalConns {
-					po.Deregister(lp)
-				}
-				continue
-			}
-			drain(ev.Data.(*webConnState))
-		}
-	}
-	l.Close(p)
-	return loopErr
-}
-
 // webClient issues cfg.RequestsPerClient requests, opening a new
 // connection every cfg.RequestsPerConn requests, and records the
 // client-observed response time of each (connection establishment is
@@ -321,8 +213,8 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 	if len(c.Nodes) < cfg.Clients+1 {
 		return WebResult{Err: fmt.Errorf("web: need %d nodes, have %d", cfg.Clients+1, len(c.Nodes))}
 	}
-	if cfg.Sessions && (cfg.EventLoop || cfg.Workers > 0) {
-		return WebResult{Err: fmt.Errorf("web: Sessions and EventLoop/Workers are incompatible")}
+	if cfg.Sessions && cfg.Workers > 0 {
+		return WebResult{Err: fmt.Errorf("web: Sessions and Workers are incompatible")}
 	}
 	total := cfg.Clients * cfg.RequestsPerClient
 	connsPerClient := (cfg.RequestsPerClient + cfg.RequestsPerConn - 1) / cfg.RequestsPerConn

@@ -1,10 +1,9 @@
 // Worker-pool servers: N event-loop workers sharing one poller.
 //
-// The legacy servers come in two shapes — fork-per-connection (a
-// blocked process per client) and a single evented process multiplexing
-// everything. The pool is the SMP shape in between: K worker processes,
-// each pinned to a host core, all blocked in PollWaiter.Wait on one
-// shared poller. The poller delivers each readiness event to exactly
+// The default servers fork a blocked process per client. The pool is
+// the event-loop shape instead (one worker is a single-process event
+// loop): K worker processes, each pinned to a host core, all blocked in
+// PollWaiter.Wait on one shared poller. The poller delivers each readiness event to exactly
 // one worker (no thundering herd), the claimed connection stays masked
 // until the worker calls Done (so two workers never interleave reads on
 // one connection), and per-request ServiceTime is charged through the
@@ -135,6 +134,14 @@ func newWorkerPool(p *sim.Proc, node *cluster.Node, label string, port, workers,
 	return &workerPool{node: node, po: po, l: l, lp: lp, total: total, workers: workers}, nil
 }
 
+// webConnState is one connection's progress through its keep-alive
+// request sequence.
+type webConnState struct {
+	c      sock.Conn
+	need   int // request bytes still unread for the in-flight request
+	served int // responses already sent on this connection
+}
+
 // webServerWorkers is the worker-pool web server: cfg.Workers workers
 // over one shared poller, worker i pinned to core i%Cores, charging
 // cfg.ServiceTime of core-scheduled compute per request.
@@ -183,9 +190,21 @@ func webServerWorkers(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns
 	return pool.run(p, "web")
 }
 
-// kvServerWorkers is the worker-pool kvstore server, mirroring the
-// evented server's header/body state machine with per-operation
-// core-scheduled ServiceTime.
+// kvConnState is one connection's framing state machine: phase 0
+// accumulates the request header (whose final byte carries the
+// kvRequest object), phase 1 accumulates the body. Requests may arrive
+// split across segments, so the workers cannot use the blocking
+// ReadFull of the per-connection handlers.
+type kvConnState struct {
+	c         sock.Conn
+	phase     int // 0 = header, 1 = body
+	remaining int
+	req       *kvRequest
+}
+
+// kvServerWorkers is the worker-pool kvstore server: the kvConnState
+// header/body state machine with per-operation core-scheduled
+// ServiceTime.
 func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int) error {
 	pool, err := newWorkerPool(p, node, "kv", cfg.Port, cfg.Workers, totalConns)
 	if err != nil {

@@ -30,14 +30,18 @@ func TestWebWorkerPoolCompletesAllRequests(t *testing.T) {
 }
 
 func TestWebWorkerPoolKeepAlive(t *testing.T) {
-	cfg := DefaultWebConfig(4096, 8)
-	cfg.Workers = 4
-	res := RunWeb(workerCluster(cluster.TransportSubstrate, 4, 4), cfg)
-	if res.Err != nil {
-		t.Fatalf("worker-pool keep-alive web: %v", res.Err)
-	}
-	if res.Requests != 72 {
-		t.Fatalf("completed %d of 72 requests", res.Requests)
+	// HTTP/1.1: eight requests ride each connection, so the state
+	// machine must reset between requests instead of closing.
+	for _, tr := range []cluster.Transport{cluster.TransportTCP, cluster.TransportSubstrate} {
+		cfg := DefaultWebConfig(4096, 8)
+		cfg.Workers = 4
+		res := RunWeb(workerCluster(tr, 4, 4), cfg)
+		if res.Err != nil {
+			t.Fatalf("worker-pool keep-alive web (%v): %v", tr, res.Err)
+		}
+		if res.Requests != 72 {
+			t.Fatalf("completed %d of 72 requests (%v)", res.Requests, tr)
+		}
 	}
 }
 

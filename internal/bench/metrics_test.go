@@ -110,7 +110,7 @@ func TestMetricsDecomposition(t *testing.T) {
 // flight-recorder dump for the reset connection — the artifact the
 // chaos report prints for post-mortems.
 func TestChaosFlightDump(t *testing.T) {
-	r := chaosCrash(1)
+	r := linkChaos.run(linkCrash, "crash", 1, linkChaos.full, nil)
 	if !r.OK {
 		t.Fatalf("crash scenario failed: %s", r.Detail)
 	}

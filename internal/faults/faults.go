@@ -593,7 +593,7 @@ func Flap(node int, from, period, downFor sim.Duration, count int) []Clause {
 // of the outage windows against the workload without losing
 // reproducibility.
 func FlapPhased(seed uint64, node int, from, period, downFor sim.Duration, count int) []Clause {
-	phase := sim.NewRand(seed ^ 0x9e3779b97f4a7c15 ^ uint64(node)).Duration(0, period)
+	phase := sim.NewRand(seed^0x9e3779b97f4a7c15^uint64(node)).Duration(0, period)
 	return Flap(node, from+phase, period, downFor, count)
 }
 
@@ -612,7 +612,7 @@ func RestartAt(node int, at, downtime sim.Duration) Restart {
 // alignments of the reboot against the workload without losing
 // reproducibility.
 func RestartPhased(seed uint64, node int, from, span, downtime sim.Duration) Restart {
-	phase := sim.NewRand(seed ^ 0xb007b007b007 ^ uint64(node)).Duration(0, span)
+	phase := sim.NewRand(seed^0xb007b007b007^uint64(node)).Duration(0, span)
 	return Restart{Node: node, At: from + phase, Downtime: downtime}
 }
 

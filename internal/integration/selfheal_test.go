@@ -332,9 +332,9 @@ func creditLossTransfer(c *cluster.Cluster, total int) (got int, wrErr error) {
 				return
 			}
 			// The pace must exceed the message+ack round trip: only then can
-		// the grant that would unblock the writer's NEXT stall fly (and
-		// be lost) before the stall posts its descriptor.
-		p.Sleep(100 * sim.Microsecond)
+			// the grant that would unblock the writer's NEXT stall fly (and
+			// be lost) before the stall posts its descriptor.
+			p.Sleep(100 * sim.Microsecond)
 		}
 	})
 	c.Run(2 * sim.Second)

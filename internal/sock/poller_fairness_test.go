@@ -14,8 +14,8 @@ type stubPollable struct {
 	state PollEvents
 }
 
-func (s *stubPollable) Ready() bool               { return s.state != 0 }
-func (s *stubPollable) PollState() PollEvents     { return s.state }
+func (s *stubPollable) Ready() bool                 { return s.state != 0 }
+func (s *stubPollable) PollState() PollEvents       { return s.state }
 func (s *stubPollable) PollSource() *sim.NoteSource { return &s.src }
 
 // fire marks the stub ready and publishes the edge.
