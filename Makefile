@@ -81,7 +81,9 @@ examples:
 	go run ./examples/kvstore
 
 # verify is the full pre-merge chain: the gofmt check, build, vet, the
-# race-enabled test suite, the connscale demux regression gate
+# race-enabled test suite, vet and short tests of the nested benchmark
+# module (outside the root module's ./..., so a renamed telemetry key
+# or API it reads is caught here), the connscale demux regression gate
 # (1024-conn all-active per-dispatch lookup cost must stay within a
 # pinned multiple of the 8-conn cost in hashed mode), the quick
 # core-scaling gate (worker monotonicity plus the 4-core/4-worker
@@ -94,6 +96,7 @@ verify:
 	go build ./...
 	go vet ./...
 	go test -race ./...
+	cd benchmark && go vet . && go test -short .
 	go test -run TestConnScaleDispatchGate -count=1 ./internal/bench
 	go test -run TestCoreScaleGate -count=1 ./internal/bench
 	go run ./cmd/reproduce -chaos all -quick

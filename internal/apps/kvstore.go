@@ -43,6 +43,15 @@ type kvRequest struct {
 	Val    any
 }
 
+// bodyLen is the byte count that follows a request's header: the key,
+// plus the value for ops that carry one.
+func (r *kvRequest) bodyLen() int {
+	if r.Op == kvSet || r.Op == kvSyncEnt {
+		return len(r.Key) + r.ValLen
+	}
+	return len(r.Key)
+}
+
 // kvResponse is the response payload object.
 type kvResponse struct {
 	OK     bool
@@ -169,41 +178,12 @@ func kvServerForked(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns in
 			defer wg.Done()
 			defer c.Close(hp)
 			for {
-				// Request: header + key (+ value for SET).
-				n, objs, err := sock.ReadFull(hp, c, kvHeaderBytes)
-				if err != nil || n < kvHeaderBytes || len(objs) == 0 {
+				req, err := kvRecvRequest(hp, c)
+				if err != nil {
 					return // client closed
 				}
-				req, ok := objs[0].(*kvRequest)
-				if !ok {
+				if err := kvSendResponse(hp, c, kvApply(store, req)); err != nil {
 					return
-				}
-				body := len(req.Key)
-				if req.Op == kvSet {
-					body += req.ValLen
-				}
-				if body > 0 {
-					if _, _, err := sock.ReadFull(hp, c, body); err != nil {
-						return
-					}
-				}
-				resp := &kvResponse{}
-				switch req.Op {
-				case kvSet:
-					store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-					resp.OK = true
-				case kvGet:
-					if v, ok := store[req.Key]; ok {
-						resp = v
-					}
-				}
-				if _, err := c.Write(hp, kvHeaderBytes, resp); err != nil {
-					return
-				}
-				if resp.ValLen > 0 {
-					if _, err := c.Write(hp, resp.ValLen, nil); err != nil {
-						return
-					}
 				}
 			}
 		})
@@ -230,30 +210,12 @@ func kvClient(p *sim.Proc, cfg KVConfig, dial dialFn, id int, lat *telemetry.His
 			req.Val = "value-object"
 		}
 		start := p.Now()
-		body := len(req.Key)
-		if req.Op == kvSet {
-			body += req.ValLen
-		}
-		if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
+		if err := kvSendRequest(p, c, req); err != nil {
 			return err
 		}
-		if body > 0 {
-			if _, err := c.Write(p, body, nil); err != nil {
-				return err
-			}
-		}
-		_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
-		if err != nil || len(objs) == 0 {
-			return fmt.Errorf("kv: response header: %w", err)
-		}
-		resp, ok := objs[0].(*kvResponse)
-		if !ok {
-			return fmt.Errorf("kv: malformed response")
-		}
-		if resp.ValLen > 0 {
-			if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
-				return err
-			}
+		resp, err := kvRecvResponse(p, c)
+		if err != nil {
+			return err
 		}
 		if req.Op == kvGet && !resp.OK && i >= cfg.Keys {
 			return fmt.Errorf("kv: get miss on a primed key %q", key)
@@ -284,21 +246,108 @@ func kvReadYourWrites(p *sim.Proc, cfg KVConfig, c sock.Conn, id int) error {
 	if err := kvSendRequest(p, c, &kvRequest{Op: kvGet, Key: key}); err != nil {
 		return err
 	}
-	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	resp, err := kvRecvResponse(p, c)
 	if err != nil {
-		return fmt.Errorf("kv: read-your-writes header: %w", err)
-	}
-	resp := findKVResponse(objs)
-	if resp == nil {
-		return fmt.Errorf("kv: malformed read-your-writes response")
-	}
-	if resp.ValLen > 0 {
-		if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
-			return err
-		}
+		return fmt.Errorf("kv: read-your-writes: %w", err)
 	}
 	if !resp.OK || resp.ValLen != cfg.ValueBytes {
 		return fmt.Errorf("kv: lost acknowledged write %q across restart", key)
+	}
+	return nil
+}
+
+// kvApply runs one GET or SET against store and returns the response:
+// a SET is acknowledged, a GET answers with the stored entry, and a
+// miss (or any other op) gets an empty, not-OK response.
+func kvApply(store map[string]*kvResponse, req *kvRequest) *kvResponse {
+	switch req.Op {
+	case kvSet:
+		store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
+		return &kvResponse{OK: true}
+	case kvGet:
+		if v, ok := store[req.Key]; ok {
+			return v
+		}
+	}
+	return &kvResponse{}
+}
+
+// kvRecvRequest reads one framed request (header plus key and, for ops
+// that carry one, value body).
+func kvRecvRequest(p *sim.Proc, c sock.Conn) (*kvRequest, error) {
+	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	if err != nil {
+		return nil, err
+	}
+	var req *kvRequest
+	for _, o := range objs {
+		if r, ok := o.(*kvRequest); ok {
+			req = r
+		}
+	}
+	if req == nil {
+		return nil, fmt.Errorf("kv: malformed request framing")
+	}
+	if body := req.bodyLen(); body > 0 {
+		if _, _, err := sock.ReadFull(p, c, body); err != nil {
+			return nil, err
+		}
+	}
+	return req, nil
+}
+
+// kvSendRequest writes one framed request.
+func kvSendRequest(p *sim.Proc, c sock.Conn, req *kvRequest) error {
+	if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
+		return err
+	}
+	if body := req.bodyLen(); body > 0 {
+		if _, err := c.Write(p, body, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kvSendResponse writes one framed response with its value body.
+func kvSendResponse(p *sim.Proc, c sock.Conn, resp *kvResponse) error {
+	if _, err := c.Write(p, kvHeaderBytes, resp); err != nil {
+		return err
+	}
+	if resp.ValLen > 0 {
+		if _, err := c.Write(p, resp.ValLen, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kvRecvResponse reads one framed response (header plus value body).
+// A sync summary, whose ValLen counts entries rather than body bytes,
+// is read by kvRecover instead.
+func kvRecvResponse(p *sim.Proc, c sock.Conn) (*kvResponse, error) {
+	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	if err != nil {
+		return nil, fmt.Errorf("kv: response header: %w", err)
+	}
+	resp := findKVResponse(objs)
+	if resp == nil {
+		return nil, fmt.Errorf("kv: malformed response")
+	}
+	if resp.ValLen > 0 {
+		if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// findKVResponse pulls the response object out of a framed header read.
+func findKVResponse(objs []any) *kvResponse {
+	for _, o := range objs {
+		if r, ok := o.(*kvResponse); ok {
+			return r
+		}
 	}
 	return nil
 }
@@ -316,9 +365,9 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	if cfg.Replicate && !cfg.Sessions {
 		return KVResult{Err: fmt.Errorf("kv: Replicate requires Sessions")}
 	}
-	// Bounded histogram, not sim.Sample: the run can absorb an
-	// arbitrary number of operations without retaining one value each.
-	// Registered so the cluster telemetry snapshot carries it too.
+	// Bounded histogram: the run can absorb an arbitrary number of
+	// operations without retaining one value each. Registered so the
+	// cluster telemetry snapshot carries it too.
 	lat := c.Nodes[0].Tel.Histogram("apps", "kv_latency_ns", telemetry.LatencyBounds())
 	if cfg.Sessions && cfg.Workers > 0 {
 		return KVResult{Err: fmt.Errorf("kv: Sessions and Workers are incompatible")}

@@ -139,9 +139,9 @@ func kvBackupBoot(c *cluster.Cluster, cfg KVConfig, idx int, errOut *error) func
 					}
 					switch req.Op {
 					case kvSet:
-						store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
+						resp := kvApply(store, req)
 						beginResponse(conn)
-						werr := kvSendResponse(hp, conn, &kvResponse{OK: true})
+						werr := kvSendResponse(hp, conn, resp)
 						if cerr := commitResponse(hp, conn); werr == nil {
 							werr = cerr
 						}
@@ -213,25 +213,17 @@ func kvPrimaryBoot(c *cluster.Cluster, cfg KVConfig, backupIdx int, errOut *erro
 					if err != nil {
 						return
 					}
-					resp := &kvResponse{}
-					switch req.Op {
-					case kvSet:
-						store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-						if repl != nil {
-							// Synchronous replication: the backup's ack
-							// must land before this response commits, or
-							// the write is not acknowledged at all.
-							if err := kvReplicate(hp, repl, replMu, req); err != nil {
-								return
-							}
-						}
-						resp.OK = true
-					case kvGet:
-						if v, ok := store[req.Key]; ok {
-							resp = v
-						}
-					default:
+					if req.Op != kvGet && req.Op != kvSet {
 						return
+					}
+					resp := kvApply(store, req)
+					if req.Op == kvSet && repl != nil {
+						// Synchronous replication: the backup's ack must
+						// land before this response commits, or the write
+						// is not acknowledged at all.
+						if err := kvReplicate(hp, repl, replMu, req); err != nil {
+							return
+						}
 					}
 					beginResponse(conn)
 					werr := kvSendResponse(hp, conn, resp)
@@ -245,74 +237,6 @@ func kvPrimaryBoot(c *cluster.Cluster, cfg KVConfig, backupIdx int, errOut *erro
 			})
 		}
 	}
-}
-
-// kvRecvRequest reads one framed request (header plus key and, for ops
-// that carry one, value body).
-func kvRecvRequest(p *sim.Proc, c sock.Conn) (*kvRequest, error) {
-	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
-	if err != nil {
-		return nil, err
-	}
-	var req *kvRequest
-	for _, o := range objs {
-		if r, ok := o.(*kvRequest); ok {
-			req = r
-		}
-	}
-	if req == nil {
-		return nil, fmt.Errorf("kv: malformed request framing")
-	}
-	body := len(req.Key)
-	if req.Op == kvSet || req.Op == kvSyncEnt {
-		body += req.ValLen
-	}
-	if body > 0 {
-		if _, _, err := sock.ReadFull(p, c, body); err != nil {
-			return nil, err
-		}
-	}
-	return req, nil
-}
-
-// kvSendRequest writes one framed request.
-func kvSendRequest(p *sim.Proc, c sock.Conn, req *kvRequest) error {
-	if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
-		return err
-	}
-	body := len(req.Key)
-	if req.Op == kvSet || req.Op == kvSyncEnt {
-		body += req.ValLen
-	}
-	if body > 0 {
-		if _, err := c.Write(p, body, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// kvSendResponse writes one framed response with its value body.
-func kvSendResponse(p *sim.Proc, c sock.Conn, resp *kvResponse) error {
-	if _, err := c.Write(p, kvHeaderBytes, resp); err != nil {
-		return err
-	}
-	if resp.ValLen > 0 {
-		if _, err := c.Write(p, resp.ValLen, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// findKVResponse pulls the response object out of a framed header read.
-func findKVResponse(objs []any) *kvResponse {
-	for _, o := range objs {
-		if r, ok := o.(*kvResponse); ok {
-			return r
-		}
-	}
-	return nil
 }
 
 // kvSendTable streams the replica's whole table: a bare summary header
@@ -375,11 +299,11 @@ func kvReplicate(p *sim.Proc, repl sock.Conn, mu *procMutex, req *kvRequest) err
 	if err := kvSendRequest(p, repl, fwd); err != nil {
 		return err
 	}
-	_, objs, err := sock.ReadFull(p, repl, kvHeaderBytes)
+	ack, err := kvRecvResponse(p, repl)
 	if err != nil {
 		return err
 	}
-	if ack := findKVResponse(objs); ack == nil || !ack.OK {
+	if !ack.OK {
 		return fmt.Errorf("kv: replica rejected set")
 	}
 	return nil

@@ -218,8 +218,8 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 	}
 	total := cfg.Clients * cfg.RequestsPerClient
 	connsPerClient := (cfg.RequestsPerClient + cfg.RequestsPerConn - 1) / cfg.RequestsPerConn
-	// Bounded histogram, not sim.Sample: response collection is the
-	// long-running path, so memory must not scale with request count.
+	// Bounded histogram: response collection is the long-running path,
+	// so memory must not scale with request count.
 	lat := c.Nodes[0].Tel.Histogram("apps", "web_response_ns", telemetry.LatencyBounds())
 	listen := netListen(c.Nodes[0])
 	if cfg.Sessions {

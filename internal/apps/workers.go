@@ -211,27 +211,6 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 		return err
 	}
 	store := make(map[string]*kvResponse, cfg.Keys)
-	serve := func(wp *sim.Proc, st *kvConnState) error {
-		resp := &kvResponse{}
-		switch st.req.Op {
-		case kvSet:
-			store[st.req.Key] = &kvResponse{OK: true, ValLen: st.req.ValLen, Val: st.req.Val}
-			resp.OK = true
-		case kvGet:
-			if v, ok := store[st.req.Key]; ok {
-				resp = v
-			}
-		}
-		if _, err := st.c.Write(wp, kvHeaderBytes, resp); err != nil {
-			return err
-		}
-		if resp.ValLen > 0 {
-			if _, err := st.c.Write(wp, resp.ValLen, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	pool.newConn = func(c sock.Conn) any { return &kvConnState{c: c, remaining: kvHeaderBytes} }
 	pool.drain = func(wp *sim.Proc, worker int, data any) bool {
 		st := data.(*kvConnState)
@@ -261,11 +240,7 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 					pool.closeConn(wp, st.c) // malformed framing
 					return false
 				}
-				body := len(st.req.Key)
-				if st.req.Op == kvSet {
-					body += st.req.ValLen
-				}
-				if body > 0 {
+				if body := st.req.bodyLen(); body > 0 {
 					st.phase, st.remaining = 1, body
 					continue
 				}
@@ -273,7 +248,7 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if err := serve(wp, st); err != nil {
+			if err := kvSendResponse(wp, st.c, kvApply(store, st.req)); err != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}

@@ -7,22 +7,18 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
 // smpRunReport runs a web workload with a 4-worker pool on hosts with
 // the given core count and returns the cluster's full Report() plus the
 // workload result, the complete observable surface of one run.
-func smpRunReport(t *testing.T, cores, workers, fwUnits int) string {
+func smpRunReport(t *testing.T, cores, workers int) string {
 	t.Helper()
-	nc := nic.DefaultConfig()
-	nc.FirmwareUnits = fwUnits
 	c := cluster.New(cluster.Config{
 		Nodes:     5,
 		Transport: cluster.TransportSubstrate,
 		Cores:     cores,
-		NIC:       &nc,
 		Seed:      7,
 	})
 	cfg := apps.DefaultWebConfig(1024, 8)
@@ -40,29 +36,28 @@ func smpRunReport(t *testing.T, cores, workers, fwUnits int) string {
 }
 
 // TestSMPSchedulerDeterministic: two independent runs with a 4-worker
-// pool on 4-core hosts and pipelined firmware produce byte-identical
-// reports. Worker competition on the shared poller and the per-core run
+// pool on 4-core hosts produce byte-identical reports. Worker competition on the shared poller and the per-core run
 // queues must be resolved by simulated time alone, never by host
 // goroutine scheduling.
 func TestSMPSchedulerDeterministic(t *testing.T) {
-	a := smpRunReport(t, 4, 4, 4)
-	b := smpRunReport(t, 4, 4, 4)
+	a := smpRunReport(t, 4, 4)
+	b := smpRunReport(t, 4, 4)
 	if a != b {
 		t.Fatalf("SMP runs diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
 }
 
 // TestSMPZeroCostOff: explicitly setting every SMP knob to its off
-// value — Cores(1), serial firmware (FirmwareUnits 1), the legacy
-// Workers-0 server — is byte-identical to leaving them all unset. The
-// subsystem charges nothing when disabled; the committed goldens
+// value — Cores(1) and the legacy Workers-0 server — is
+// byte-identical to leaving them all unset. The subsystem charges
+// nothing when disabled; the committed goldens
 // (which run with the knobs unset) therefore also pin the disabled
 // configuration. Workers deliberately stays 0 on both sides: per the
 // WebConfig contract, 0 is the legacy server and any Workers>0 —
 // including 1 — is the structurally different pool path.
 func TestSMPZeroCostOff(t *testing.T) {
-	explicit := smpRunReport(t, 1, 0, 1)
-	defaulted := smpRunReport(t, 0, 0, 0)
+	explicit := smpRunReport(t, 1, 0)
+	defaulted := smpRunReport(t, 0, 0)
 	if explicit != defaulted {
 		t.Fatalf("explicit off-values diverged from defaults:\n--- explicit ---\n%s--- default ---\n%s",
 			explicit, defaulted)
@@ -70,12 +65,11 @@ func TestSMPZeroCostOff(t *testing.T) {
 }
 
 // TestSMPPoolOfOneDeterministic pins the remaining corner: a single
-// pool worker on a single core with serial firmware — the minimal
-// configuration of the new path — reproduces byte-for-byte across
-// independent runs.
+// pool worker on a single core — the minimal configuration of the
+// pool path — reproduces byte-for-byte across independent runs.
 func TestSMPPoolOfOneDeterministic(t *testing.T) {
-	a := smpRunReport(t, 1, 1, 1)
-	b := smpRunReport(t, 1, 1, 1)
+	a := smpRunReport(t, 1, 1)
+	b := smpRunReport(t, 1, 1)
 	if a != b {
 		t.Fatalf("pool-of-one runs diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}

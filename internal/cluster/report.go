@@ -6,8 +6,8 @@ import (
 )
 
 // Report summarizes the cluster's counters after a run: per-node host
-// and protocol activity plus fabric totals. The per-experiment CLIs
-// print it under -stats; tests use it to assert resource accounting.
+// and protocol activity plus fabric totals. Tests use it to assert
+// resource accounting and to pin whole runs byte-for-byte.
 func (c *Cluster) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: %d nodes, transport %v\n", len(c.Nodes), c.Cfg.Transport)

@@ -301,7 +301,6 @@ func (s *Substrate) SetTelemetry(tel *telemetry.Registry) {
 		}
 	})
 	tel.ReplaceSource("emp", s.EP.TelemetryStats)
-	s.EP.SetTelemetry(tel)
 	s.EP.SetUnexpectedEvictNotify(func(src ethernet.Addr, tag emp.Tag, length int) {
 		if c, ok := s.chans[chanKey{src, tag}]; ok {
 			c.flight().Recordf(s.Eng.Now(), "uq-evict", "tag=%d len=%d", tag, length)

@@ -343,6 +343,29 @@ func TestUnexpectedQueueSlotExhaustion(t *testing.T) {
 	}
 }
 
+func TestUnexpectedQueueClaimFreesSlot(t *testing.T) {
+	// Claiming a parked message rings the slot-free doorbell; with one
+	// slot, the next unexpected message needs the freed slot.
+	b := newBed(withUQ(1))
+	var got Message
+	var ok bool
+	b.eng.Spawn("send", func(p *sim.Proc) {
+		b.eps[0].Send(p, b.eps[1].Addr(), 9, 32, "parked", 1)
+	})
+	b.eng.Spawn("claim", func(p *sim.Proc) {
+		p.Sleep(500 * sim.Microsecond)
+		got, ok = b.eps[1].PollUnexpected(p, b.eps[0].Addr(), 9, 64)
+		b.eps[0].Send(p, b.eps[1].Addr(), 12, 32, "second", 2)
+	})
+	b.eng.RunUntil(sim.Time(sim.Second))
+	if !ok || got.Data != "parked" {
+		t.Fatalf("claim = %v, %v", got.Data, ok)
+	}
+	if !b.eps[1].PeekUnexpected(b.eps[0].Addr(), 12) {
+		t.Fatal("slot freed by claim was not reusable")
+	}
+}
+
 func TestLossRecovery(t *testing.T) {
 	// 5% frame loss: every message must still be delivered, via NACK or
 	// RTO-driven retransmission.

@@ -685,15 +685,6 @@ func (ep *Endpoint) TelemetryStats() []telemetry.Stat {
 	}
 }
 
-// SetTelemetry attaches a telemetry registry to the firmware: in
-// pipelined mode (nic.Config.FirmwareUnits >= 2) every stage queue
-// registers an occupancy histogram observed at each enqueue. Serial
-// firmware registers nothing, so snapshots gain no keys unless the
-// pipeline is actually running.
-func (ep *Endpoint) SetTelemetry(tel *telemetry.Registry) {
-	ep.fw.setTelemetry(tel)
-}
-
 // SetUnexpectedEvictNotify registers a callback invoked (in event
 // context, must not block) when the unexpected-queue byte cap evicts a
 // parked message; the substrate routes it to the owning connection's

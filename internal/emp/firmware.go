@@ -85,12 +85,6 @@ type reassembly struct {
 	h        *RecvHandle
 	uq       bool
 	sink     bool
-	// dmaNext is the pipelined receive path's copy of the in-order
-	// frontier: the DMA stage runs ahead of the delivery stage, so it
-	// keeps its own counter of which fragment lands next. Both stages
-	// see the same fragment sequence in the same order and apply the
-	// same in-order rule, so dmaNext tracks expected exactly.
-	dmaNext int
 }
 
 type uqEntry struct {
@@ -148,20 +142,6 @@ type firmware struct {
 	sendProc *sim.Proc
 	recvProc *sim.Proc
 
-	// Pipelined mode (nic.Config.FirmwareUnits >= 2): the stage queues
-	// connecting the firmware processes. txWork/rxWork remain the input
-	// queues of the first stages; each stage queue is closed only by its
-	// single producer after that producer's loop exits, so closure
-	// cascades cleanly on shutdown.
-	pipelined bool
-	txFragQ   *sim.FIFO[*txFragWork]
-	txDMAQ    *sim.FIFO[*txFragWork]
-	txMACQ    *sim.FIFO[*txFragWork]
-	rxMatchQ  *sim.FIFO[rxStageWork]
-	rxDMAQ    *sim.FIFO[rxStageWork]
-	rxDelivQ  *sim.FIFO[rxStageWork]
-	stageHist map[string]*telemetry.Histogram
-
 	// Stats.
 	msgsDelivered sim.Counter
 	unexpectedHit sim.Counter
@@ -201,12 +181,8 @@ func newFirmware(ep *Endpoint) *firmware {
 	}
 	fw.txWindow = sim.NewCond(ep.Eng, ep.NIC.Name+".txwindow")
 	fw.n.SetSink(func(f *ethernet.Frame) { fw.rxWork.TryPut(rxOp{frame: f}) })
-	if ep.NIC.Cfg.FirmwareUnits >= 2 {
-		fw.startPipeline()
-	} else {
-		fw.sendProc = ep.Eng.Spawn(ep.NIC.Name+".sendcpu", fw.sendLoop)
-		fw.recvProc = ep.Eng.Spawn(ep.NIC.Name+".recvcpu", fw.recvLoop)
-	}
+	fw.sendProc = ep.Eng.Spawn(ep.NIC.Name+".sendcpu", fw.sendLoop)
+	fw.recvProc = ep.Eng.Spawn(ep.NIC.Name+".recvcpu", fw.recvLoop)
 	return fw
 }
 
@@ -289,7 +265,21 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 		h.complete(StatusFailed)
 		return
 	}
-	rec := fw.newTxRecord(p, h, post.data)
+	if sp, ok := post.data.(telemetry.Spanned); ok {
+		sp.TelemetrySpan().MarkOnce("post", p.Now())
+	}
+	// The transmission record (the paper's T3 step).
+	rec := &txRecord{
+		msgID:  h.msgID,
+		dst:    h.dst,
+		tag:    h.tag,
+		length: h.length,
+		data:   post.data,
+		nfrag:  fragCountFor(h.length, fw.maxFrag()),
+		rto:    fw.ep.Cfg.Rel.RTO,
+		cond:   sim.NewCond(fw.eng, "emp.txwindow"),
+	}
+	fw.records[rec.msgID] = rec
 
 	window := fw.ep.Cfg.Rel.SendWindow
 	for rec.sent < rec.nfrag && !rec.failed {
@@ -324,39 +314,11 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 	}
 }
 
-// newTxRecord builds and registers the transmission record for a
-// picked-up send post (the paper's T3 step), shared by the serial and
-// pipelined fetch stages.
-func (fw *firmware) newTxRecord(p *sim.Proc, h *SendHandle, data any) *txRecord {
-	if sp, ok := data.(telemetry.Spanned); ok {
-		sp.TelemetrySpan().MarkOnce("post", p.Now())
-	}
-	rec := &txRecord{
-		msgID:  h.msgID,
-		dst:    h.dst,
-		tag:    h.tag,
-		length: h.length,
-		data:   data,
-		nfrag:  fragCountFor(h.length, fw.maxFrag()),
-		rto:    fw.ep.Cfg.Rel.RTO,
-		cond:   sim.NewCond(fw.eng, "emp.txwindow"),
-	}
-	fw.records[rec.msgID] = rec
-	return rec
-}
-
 func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
 	fw.n.WaitTxRoom(p)
 	p.Sleep(fw.n.Cfg.TxPerFrame)
 	fl := fragLen(rec.length, seq, fw.maxFrag())
 	fw.n.DMA(p, fl) // host memory -> NIC, zero-copy from the user buffer
-	fw.transmitFrag(p, rec, seq, fl)
-}
-
-// transmitFrag hands one already-fragmented, already-DMAed payload to
-// the MAC: the tail of the serial sendFrag and the whole of the
-// pipelined MAC stage's per-frame work.
-func (fw *firmware) transmitFrag(p *sim.Proc, rec *txRecord, seq, fl int) {
 	wf := &WireFrame{
 		Kind:    DataFrame,
 		Src:     fw.ep.addr,
@@ -556,16 +518,14 @@ func (fw *firmware) handleData(p *sim.Proc, wf *WireFrame) {
 			return
 		}
 	}
-	fw.deliverFrag(p, wf, r, true)
+	fw.deliverFrag(p, wf, r)
 }
 
 // deliverFrag runs the per-fragment sequencing machine for one
 // classified data fragment: duplicates re-ack cumulative state, gaps
 // request retransmission once, in-order fragments advance the
-// reassembly and complete the message. dma selects whether this stage
-// also pays the NIC->host DMA: the serial receive processor does, the
-// pipelined path has already paid it at the DMA stage.
-func (fw *firmware) deliverFrag(p *sim.Proc, wf *WireFrame, r *reassembly, dma bool) {
+// reassembly, pay the NIC->host DMA and complete the message.
+func (fw *firmware) deliverFrag(p *sim.Proc, wf *WireFrame, r *reassembly) {
 	switch {
 	case wf.Seq < r.expected:
 		// Duplicate fragment: re-ack cumulative state to resync sender.
@@ -583,7 +543,7 @@ func (fw *firmware) deliverFrag(p *sim.Proc, wf *WireFrame, r *reassembly, dma b
 	// In-order fragment.
 	r.expected++
 	r.lastNack = -1
-	if dma && !r.sink {
+	if !r.sink {
 		fw.n.DMA(p, wf.FragLen) // NIC -> host buffer
 	}
 	r.data = wf.Data

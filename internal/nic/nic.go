@@ -74,23 +74,12 @@ type Config struct {
 	// receive-frame processing. The CLUSTER'02 system dedicates one;
 	// the companion IPDPS'02 study ("Can User Level Protocols Take
 	// Advantage of Multi-CPU NICs?") parallelizes it — modeled here as
-	// pipelined per-frame processing cost divided across the CPUs.
+	// the per-frame processing cost divided across the CPUs.
 	RxCPUs int
 	// DoorbellRetry is how long the host driver's doorbell watchdog
 	// waits before re-ringing a mailbox write the NIC never observed
 	// (fault injection only: healthy rings are never dropped).
 	DoorbellRetry sim.Duration
-	// FirmwareUnits selects how the firmware's data path is scheduled
-	// across the NIC's processing units. 0 or 1 keeps the measured
-	// Tigon2 arrangement: one send processor and one receive processor,
-	// each running its half of the protocol to completion per work item.
-	// 2 or more pipelines each half FlexTOE-style into fixed stages
-	// (doorbell fetch -> fragment/window -> DMA -> MAC on transmit, and
-	// the receive mirror fetch -> tag match -> DMA -> deliver) run by
-	// separate firmware processes connected by bounded stage queues, so
-	// the per-frame costs of consecutive frames overlap instead of
-	// serializing.
-	FirmwareUnits int
 }
 
 // DefaultConfig returns the Tigon2 calibration.

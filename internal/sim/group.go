@@ -36,37 +36,3 @@ func (wg *WaitGroup) Count() int { return wg.count }
 func (wg *WaitGroup) Wait(p *Proc) {
 	wg.cond.WaitFor(p, func() bool { return wg.count == 0 })
 }
-
-// Barrier releases waiting processes in batches of n: each Arrive blocks
-// until n processes have arrived, then all n proceed (a new generation
-// begins automatically). The classic building block for lock-step
-// parallel phases.
-type Barrier struct {
-	n       int
-	arrived int
-	gen     int
-	cond    *Cond
-}
-
-// NewBarrier returns a barrier for groups of n processes (n >= 1).
-func NewBarrier(e *Engine, label string, n int) *Barrier {
-	if n < 1 {
-		n = 1
-	}
-	return &Barrier{n: n, cond: NewCond(e, label)}
-}
-
-// Arrive blocks p until the current generation has n arrivals. It
-// returns the generation number that was completed.
-func (b *Barrier) Arrive(p *Proc) int {
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return gen
-	}
-	b.cond.WaitFor(p, func() bool { return b.gen != gen })
-	return gen
-}

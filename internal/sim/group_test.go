@@ -45,52 +45,3 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	}()
 	wg.Done()
 }
-
-func TestBarrierReleasesInGenerations(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(e, "phase", 3)
-	var releases []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn("w", func(p *Proc) {
-			p.Sleep(Duration((i + 1) * 100))
-			b.Arrive(p)
-			releases = append(releases, p.Now())
-		})
-	}
-	e.Run()
-	if len(releases) != 3 {
-		t.Fatalf("released %d, want 3", len(releases))
-	}
-	for _, r := range releases {
-		if r != 300 {
-			t.Fatalf("releases %v: all must leave when the last arrives at 300", releases)
-		}
-	}
-}
-
-func TestBarrierMultipleGenerations(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(e, "phase", 2)
-	gens := make([][]int, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		e.Spawn("w", func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				p.Sleep(Duration((i + 1) * 10))
-				gens[i] = append(gens[i], b.Arrive(p))
-			}
-		})
-	}
-	e.Run()
-	for i := 0; i < 2; i++ {
-		if len(gens[i]) != 3 {
-			t.Fatalf("proc %d completed %d rounds", i, len(gens[i]))
-		}
-		for round, g := range gens[i] {
-			if g != round {
-				t.Fatalf("proc %d saw generations %v", i, gens[i])
-			}
-		}
-	}
-}

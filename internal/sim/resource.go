@@ -23,8 +23,9 @@ func NewResource(e *Engine, label string) *Resource {
 
 // Reserve books d of service time starting no earlier than now and no
 // earlier than the previous reservation's completion. It returns the
-// completion instant. Use this for pipelined facilities where the caller
-// continues immediately (e.g. handing a frame to a busy output port).
+// completion instant. Use this for facilities that queue work back to
+// back while the caller continues immediately (e.g. handing a frame to
+// a busy output port).
 func (r *Resource) Reserve(d Duration) (done Time) {
 	start := r.eng.Now()
 	if r.freeAt > start {

@@ -91,35 +91,6 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestSampleStats(t *testing.T) {
-	s := NewSample()
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
-	}
-	if s.Count() != 5 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("stats wrong: %s", s)
-	}
-	if p := s.Percentile(50); p != 3 {
-		t.Fatalf("p50 = %v, want 3", p)
-	}
-	if p := s.Percentile(100); p != 5 {
-		t.Fatalf("p100 = %v, want 5", p)
-	}
-	if p := s.Percentile(0); p != 1 {
-		t.Fatalf("p0 = %v, want 1", p)
-	}
-	if sd := s.Stddev(); sd < 1.41 || sd > 1.42 {
-		t.Fatalf("stddev = %v, want ~1.414", sd)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	s := NewSample()
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty sample should report zeros")
-	}
-}
-
 func TestRandDeterministic(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {

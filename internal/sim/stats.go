@@ -1,112 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Sample accumulates scalar observations and reports summary statistics.
-// The benchmark harness uses it for latency distributions and response
-// times.
-type Sample struct {
-	vals  []float64
-	sum   float64
-	min   float64
-	max   float64
-	count int
-}
-
-// NewSample returns an empty accumulator.
-func NewSample() *Sample {
-	return &Sample{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records one observation.
-func (s *Sample) Add(v float64) {
-	s.vals = append(s.vals, v)
-	s.sum += v
-	s.count++
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
-}
-
-// AddDuration records a duration observation in microseconds.
-func (s *Sample) AddDuration(d Duration) { s.Add(d.Micros()) }
-
-// Count reports the number of observations.
-func (s *Sample) Count() int { return s.count }
-
-// Mean reports the arithmetic mean (0 for an empty sample).
-func (s *Sample) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / float64(s.count)
-}
-
-// Min reports the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max reports the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Stddev reports the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	if s.count < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(s.count))
-}
-
-// Percentile reports the p-th percentile (0 <= p <= 100) by
-// nearest-rank on a sorted copy.
-func (s *Sample) Percentile(p float64) float64 {
-	if s.count == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(s.vals))
-	copy(sorted, s.vals)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// String summarizes the sample.
-func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.2f max=%.2f sd=%.2f",
-		s.count, s.Mean(), s.Min(), s.Max(), s.Stddev())
-}
-
 // Counter is a named monotonically-increasing event counter.
 type Counter struct {
 	Name  string

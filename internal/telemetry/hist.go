@@ -2,10 +2,9 @@ package telemetry
 
 import "repro/internal/sim"
 
-// Histogram is a fixed-bucket histogram with bounded memory: unlike
-// sim.Sample, which retains every observation, a Histogram holds one
-// int64 per bucket regardless of how many values it absorbs, so it is
-// safe on long-running paths. Buckets are defined by ascending upper
+// Histogram is a fixed-bucket histogram with bounded memory: it holds
+// one int64 per bucket regardless of how many values it absorbs, so it
+// is safe on long-running paths. Buckets are defined by ascending upper
 // bounds; one implicit overflow bucket catches values above the last
 // bound. Exact Sum/Min/Max are tracked alongside so means are exact and
 // interpolated percentiles can be clamped to the observed range.
