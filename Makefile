@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race bench bench-smoke reproduce ablations chaos overload audit drain metrics corescale examples verify record
+.PHONY: test bench bench-smoke reproduce ablations chaos overload audit drain metrics corescale examples verify record
 
 # test is the everyday gate; `make verify` is the full pre-merge chain
 # (gofmt + build + vet + race tests + the gates + the quick chaos matrix).
@@ -8,15 +8,12 @@ test:
 	go vet ./...
 	go test -race ./...
 
-race:
-	go test -race ./...
-
 bench:
 	go test -bench=. -benchmem ./...
 
-# bench-smoke is the single CI gate: vet, race-enabled short tests, and
+# bench-smoke is a quick smoke run: vet, race-enabled short tests, and
 # the short-mode benchmarks (including the connection-scaling poller
-# study) each running exactly once.
+# study) each running exactly once. The pre-merge chain is `verify`.
 bench-smoke:
 	go vet ./...
 	go test -race -short ./...

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/ethernet"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/sock"
@@ -47,9 +46,7 @@ func main() {
 	}
 	switch *scenario {
 	case "lossy":
-		sw := ethernet.DefaultSwitchConfig()
-		sw.LossRate = 0.1
-		cfg.Switch = &sw
+		cfg.Faults = &faults.Plan{Clauses: []faults.Clause{faults.Uniform(0.1, 0, 0, 0)}}
 		cfg.Seed = 7
 	case "chaos":
 		// A randomized plan plus heavy uniform rates so a single

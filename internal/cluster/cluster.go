@@ -56,7 +56,7 @@ type Config struct {
 	Substrate *core.Options
 	// TCP overrides the stack config for the TCP transports.
 	TCP *tcpip.StackConfig
-	// Switch overrides the fabric parameters.
+	// Switch overrides every switch's timing parameters.
 	Switch *ethernet.SwitchConfig
 	// Hosts overrides the host cost model.
 	Hosts *kernel.Costs
@@ -66,9 +66,11 @@ type Config struct {
 	NIC *nic.Config
 	// Seed seeds the engine's deterministic random source.
 	Seed uint64
-	// Faults, when non-nil, injects the plan's link faults at the
-	// switch, its NIC/firmware faults at each substrate node's NIC, and
-	// schedules its node crashes. Node indices in the plan refer to
+	// Faults, when non-nil, injects the plan's frame faults at every
+	// switch (once per frame, at the ingress switch), its trunk and
+	// switch clauses on the fabric (a single-switch cluster's switch is
+	// switch 0), its NIC/firmware faults at each substrate node's NIC,
+	// and schedules its node crashes. Node indices in the plan refer to
 	// positions in Nodes; fabric port indices coincide with node
 	// indices because New attaches nodes in order (on Failover
 	// clusters, where each node attaches twice, the substrate NIC
@@ -82,20 +84,23 @@ type Config struct {
 	// recovery-friendly values (SyncConnect, a dial deadline, the
 	// credit-reconciliation sweep) unless Substrate overrides them.
 	Failover bool
-	// Topology, when non-nil, replaces the single switch with a
-	// multi-switch spine-leaf fabric. Station addressing is unchanged
-	// (attach order is still node order), so fault-plan node indices
-	// and the even/odd Failover port convention carry over.
+	// Topology, when non-nil, replaces the single switch (a fabric of
+	// one leaf and no spines) with a multi-switch spine-leaf fabric.
+	// Station addressing is unchanged (attach order is still node
+	// order), so fault-plan node indices and the even/odd Failover port
+	// convention carry over.
 	Topology *Topology
 }
 
 // Topology describes a spine-leaf fabric: Leaves edge switches hosting
 // the stations, Spines core switches, and a trunk from every leaf to
 // every spine (trunk ids run leaf-major: leaf l's trunk to spine s is
-// l*Spines+s). Node i's NIC attaches to leaf i%Leaves; on Failover
-// clusters the node's TCP stack attaches to leaf (i+1)%Leaves, so a
-// node's two transports enter the fabric on different leaves and even a
-// leaf failure leaves the node reachable.
+// l*Spines+s). Leaves below 1 count as 1, and more than one leaf gets
+// at least one spine, so every pair of leaves is connected. Node i's
+// NIC attaches to leaf i%Leaves; on Failover clusters the node's TCP
+// stack attaches to leaf (i+1)%Leaves, so a node's two transports enter
+// the fabric on different leaves and even a leaf failure leaves the
+// node reachable.
 type Topology struct {
 	Spines int
 	Leaves int
@@ -157,8 +162,10 @@ func (n *Node) Down() bool {
 	return false
 }
 
-// Cluster is an assembled testbed. Exactly one of Switch (single-switch
-// clusters, the default) and Fabric (Topology clusters) is non-nil.
+// Cluster is an assembled testbed. Every cluster forwards through one
+// ethernet.Fabric; Switch is the only switch of a single-switch cluster
+// (the default, a one-leaf fabric) and Fabric is exposed on Topology
+// clusters. Exactly one of the two is non-nil.
 type Cluster struct {
 	Eng    *sim.Engine
 	Switch *ethernet.Switch
@@ -187,56 +194,52 @@ func New(cfg Config) *Cluster {
 	if cfg.Hosts != nil {
 		hostCosts = *cfg.Hosts
 	}
-	var (
-		sw     *ethernet.Switch
-		fb     *ethernet.Fabric
-		leaves []*ethernet.Switch
-	)
+	// Every cluster forwards through one fabric. Without a Topology it
+	// holds a single switch (the paper's testbed); with one, a
+	// spine-leaf fabric.
+	topo := Topology{Leaves: 1}
 	if cfg.Topology != nil {
-		topo := *cfg.Topology
-		if topo.Leaves < 1 {
-			topo.Leaves = 1
+		topo = *cfg.Topology
+	}
+	if topo.Leaves < 1 {
+		topo.Leaves = 1
+	}
+	if topo.Leaves > 1 && topo.Spines < 1 {
+		// Leaves with no spine have no trunk between them.
+		topo.Spines = 1
+	}
+	seed := topo.ECMPSeed
+	if seed == 0 {
+		seed = cfg.Seed
+	}
+	fb := ethernet.NewFabric(eng, ethernet.FabricConfig{
+		Seed:        seed,
+		DetectDelay: topo.DetectDelay,
+		NoReroute:   topo.NoReroute,
+	})
+	var leaves, spines []*ethernet.Switch
+	for l := 0; l < topo.Leaves; l++ {
+		leaves = append(leaves, fb.AddSwitch(fmt.Sprintf("leaf%d", l), swCfg))
+	}
+	for s := 0; s < topo.Spines; s++ {
+		spines = append(spines, fb.AddSwitch(fmt.Sprintf("spine%d", s), swCfg))
+	}
+	for _, lf := range leaves {
+		for _, sp := range spines {
+			fb.Connect(lf, sp)
 		}
-		seed := topo.ECMPSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		fb = ethernet.NewFabric(eng, ethernet.FabricConfig{
-			Seed:        seed,
-			DetectDelay: topo.DetectDelay,
-			NoReroute:   topo.NoReroute,
-		})
-		for l := 0; l < topo.Leaves; l++ {
-			leaves = append(leaves, fb.AddSwitch(fmt.Sprintf("leaf%d", l), swCfg))
-		}
-		var spines []*ethernet.Switch
-		for s := 0; s < topo.Spines; s++ {
-			spines = append(spines, fb.AddSwitch(fmt.Sprintf("spine%d", s), swCfg))
-		}
-		for _, lf := range leaves {
-			for _, sp := range spines {
-				fb.Connect(lf, sp)
-			}
-		}
+	}
+	// nicAt/tcpAt pick each attachment's edge switch: the node's leaf,
+	// with the Failover TCP stack one leaf over, so a node's transports
+	// enter on different leaves.
+	nicAt := func(i int) *ethernet.Switch { return leaves[i%len(leaves)] }
+	tcpAt := func(i int) *ethernet.Switch { return leaves[(i+1)%len(leaves)] }
+	c := &Cluster{Eng: eng, Cfg: cfg}
+	if cfg.Topology != nil {
+		c.Fabric = fb
 	} else {
-		sw = ethernet.NewSwitch(eng, swCfg)
+		c.Switch = leaves[0]
 	}
-	// nicAt/tcpAt pick each attachment's edge switch: the single switch,
-	// or on a fabric the node's leaf — with the Failover TCP stack one
-	// leaf over, so a node's transports enter on different leaves.
-	nicAt := func(i int) *ethernet.Switch {
-		if fb == nil {
-			return sw
-		}
-		return leaves[i%len(leaves)]
-	}
-	tcpAt := func(i int) *ethernet.Switch {
-		if fb == nil {
-			return sw
-		}
-		return leaves[(i+1)%len(leaves)]
-	}
-	c := &Cluster{Eng: eng, Switch: sw, Fabric: fb, Cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		host := kernel.NewHost(eng, "host", cfg.Cores, hostCosts)
 		n := &Node{Host: host, FS: ramfs.New(host), Tel: telemetry.New(),
@@ -276,16 +279,12 @@ func New(cfg Config) *Cluster {
 		c.Nodes = append(c.Nodes, n)
 	}
 	if cfg.Faults != nil {
-		if fb != nil {
-			// Frame-level clauses evaluate once per frame at the ingress
-			// leaf; link and switch clauses land on the fabric itself.
-			for _, s := range fb.Switches() {
-				s.SetFaults(cfg.Faults)
-			}
-			fb.ApplyFaults(cfg.Faults)
-		} else {
-			sw.SetFaults(cfg.Faults)
+		// Frame-level clauses evaluate once per frame at the ingress
+		// switch; link and switch clauses land on the fabric itself.
+		for _, s := range fb.Switches() {
+			s.SetFaults(cfg.Faults)
 		}
+		fb.ApplyFaults(cfg.Faults)
 		for _, cr := range cfg.Faults.Crashes {
 			cr := cr
 			eng.At(sim.Time(cr.At), func() { c.Kill(cr.Node) })
@@ -302,7 +301,7 @@ func New(cfg Config) *Cluster {
 			})
 		}
 	}
-	if fb != nil {
+	if c.Fabric != nil {
 		c.watchRoutes()
 	}
 	return c

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/sock"
 )
@@ -116,5 +117,51 @@ func TestSeedPropagates(t *testing.T) {
 	b := New(Config{Nodes: 1, Transport: TransportTCP, Seed: 7})
 	if a.Eng.Rand().Uint64() != b.Eng.Rand().Uint64() {
 		t.Fatal("same seed should produce the same stream")
+	}
+}
+
+func TestTwoLeavesWithoutSpinesStillConnect(t *testing.T) {
+	// Spines defaults to 0; two leaves need at least one spine between
+	// them or every cross-leaf frame is dropped as NO-ROUTE.
+	c := New(Config{Nodes: 2, Transport: TransportSubstrate, Topology: &Topology{Leaves: 2}})
+	if n := len(c.Fabric.Switches()); n != 3 {
+		t.Fatalf("fabric has %d switches, want 2 leaves + 1 spine", n)
+	}
+	if rtt := echo(t, c); rtt <= 0 {
+		t.Fatal("cross-leaf echo did not complete")
+	}
+	if c.Fabric.RouteDrops() != 0 {
+		t.Fatalf("%d frames dropped for want of a route", c.Fabric.RouteDrops())
+	}
+}
+
+func TestSwitchDownCrashesTheOnlySwitch(t *testing.T) {
+	const at = 1 * sim.Millisecond
+	c := New(Config{Nodes: 2, Transport: TransportTCP,
+		Faults: &faults.Plan{SwitchCrashes: []faults.SwitchCrash{faults.SwitchDown(0, at)}}})
+	var before, segsBefore int64
+	c.Eng.At(sim.Time(at)-1, func() {
+		before = c.Switch.Forwards()
+		segsBefore = c.Nodes[1].Stack.SegsOut.Value
+	})
+	c.Eng.Spawn("client", func(p *sim.Proc) {
+		// Keep dialing past the crash so frames keep arriving.
+		for p.Now() < sim.Time(3*at) {
+			c.Nodes[1].Net.Dial(p, c.Addr(0), 7)
+			p.Sleep(100 * sim.Microsecond)
+		}
+	})
+	c.Run(10 * sim.Second)
+	if !c.Switch.Dead() {
+		t.Fatal("SwitchDown(0) left the only switch alive")
+	}
+	if before == 0 {
+		t.Fatal("no frames forwarded before the crash")
+	}
+	if got := c.Switch.Forwards(); got != before {
+		t.Fatalf("switch forwarded %d frames after its crash", got-before)
+	}
+	if c.Nodes[1].Stack.SegsOut.Value == segsBefore {
+		t.Fatal("client sent nothing after the crash")
 	}
 }

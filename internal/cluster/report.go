@@ -14,8 +14,9 @@ func (c *Cluster) Report() string {
 	if c.Fabric != nil {
 		c.fabricReport(&b)
 	} else {
-		fmt.Fprintf(&b, "fabric: %d frames forwarded, %d dropped\n", c.Switch.Forwards(), c.Switch.Drops())
-		if fs := c.Switch.FaultStats(); fs.Total() > 0 {
+		fs := c.Switch.FaultStats()
+		fmt.Fprintf(&b, "fabric: %d frames forwarded, %d dropped\n", c.Switch.Forwards(), fs.Drops)
+		if fs.Total() > 0 {
 			fmt.Fprintf(&b, "fabric faults: %v\n", fs)
 		}
 	}
@@ -91,9 +92,10 @@ func (c *Cluster) fabricReport(b *strings.Builder) {
 		if s.Dead() {
 			state = " DEAD"
 		}
+		fs := s.FaultStats()
 		fmt.Fprintf(b, "  switch %s: %d forwarded, %d dropped, %d no-route%s",
-			s.Name(), s.Forwards(), s.Drops(), s.RouteDrops(), state)
-		if fs := s.FaultStats(); fs.Total() > 0 {
+			s.Name(), s.Forwards(), fs.Drops, s.RouteDrops(), state)
+		if fs.Total() > 0 {
 			fmt.Fprintf(b, ", faults: %v", fs)
 		}
 		fmt.Fprintf(b, "\n")

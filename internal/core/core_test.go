@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -30,20 +31,17 @@ func selectWait(p *sim.Proc, eng *sim.Engine, items []sock.Waitable, timeout sim
 }
 
 type bed struct {
-	eng   *sim.Engine
-	sw    *ethernet.Switch
-	subs  []*Substrate
-	swCfg ethernet.SwitchConfig
+	eng  *sim.Engine
+	sw   *ethernet.Switch
+	subs []*Substrate
 }
 
 // newBedWithLoss builds a two-node bed on a lossy fabric with a seed.
 func newBedWithLoss(opts Options, loss float64, seed uint64) *bed {
 	b := &bed{eng: sim.NewEngine()}
 	b.eng.Seed(seed)
-	swCfg := ethernet.DefaultSwitchConfig()
-	swCfg.LossRate = loss
-	b.swCfg = swCfg
-	b.sw = ethernet.NewSwitch(b.eng, swCfg)
+	b.sw = ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	b.sw.SetFaults(&faults.Plan{Clauses: []faults.Clause{faults.Uniform(loss, 0, 0, 0)}})
 	for i := 0; i < 2; i++ {
 		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())

@@ -152,10 +152,7 @@ func TestLossSeedConservationProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		opts := DefaultOptions()
 		opts.Credits = 4
-		b := newBed(2, opts)
-		b.swCfg.LossRate = 0.02
-		// Rebuild with loss (newBed already built; construct fresh).
-		b = newBedWithLoss(opts, 0.02, uint64(seed)+1)
+		b := newBedWithLoss(opts, 0.02, uint64(seed)+1)
 		const total = 256 << 10
 		got := 0
 		b.eng.Spawn("server", func(p *sim.Proc) {

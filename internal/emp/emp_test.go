@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -16,7 +17,7 @@ type testbed struct {
 	hosts  [2]*kernel.Host
 	nics   [2]*nic.NIC
 	eps    [2]*Endpoint
-	swCfg  ethernet.SwitchConfig
+	plan   *faults.Plan
 	epCfg  Config
 	nicCfg nic.Config
 }
@@ -24,7 +25,9 @@ type testbed struct {
 type bedOpt func(*testbed)
 
 func withLoss(rate float64) bedOpt {
-	return func(b *testbed) { b.swCfg.LossRate = rate }
+	return func(b *testbed) {
+		b.plan = &faults.Plan{Clauses: []faults.Clause{faults.Uniform(rate, 0, 0, 0)}}
+	}
 }
 
 func withUQ(slots int) bedOpt {
@@ -34,14 +37,14 @@ func withUQ(slots int) bedOpt {
 func newBed(opts ...bedOpt) *testbed {
 	b := &testbed{
 		eng:    sim.NewEngine(),
-		swCfg:  ethernet.DefaultSwitchConfig(),
 		epCfg:  DefaultEndpointConfig(),
 		nicCfg: nic.DefaultConfig(),
 	}
 	for _, o := range opts {
 		o(b)
 	}
-	b.sw = ethernet.NewSwitch(b.eng, b.swCfg)
+	b.sw = ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	b.sw.SetFaults(b.plan)
 	for i := 0; i < 2; i++ {
 		b.hosts[i] = kernel.NewHost(b.eng, "host", 4, kernel.DefaultCosts())
 		b.nics[i] = nic.New(b.eng, "nic", b.nicCfg)

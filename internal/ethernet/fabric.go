@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Fabric composes switches into a multi-switch topology: switches are
+// Fabric composes switches into a topology: switches are
 // interconnected by full-duplex trunk links, stations attach to any
 // switch under one fabric-wide address space, and frames between
 // stations on different switches are routed hop by hop along shortest
@@ -25,19 +25,19 @@ import (
 // across the detection window, so a single link or spine failure is
 // survivable without any application-visible error.
 //
-// The classic standalone Switch (NewSwitch) is untouched by all of
-// this: a fabric is only in play when switches are created through
-// AddSwitch and joined with Connect.
+// Every switch is a fabric member: NewSwitch builds a one-switch fabric
+// (the paper's testbed), where every frame is local and the same
+// forwarding path simply never reaches a trunk.
 type Fabric struct {
 	eng *sim.Engine
 	cfg FabricConfig
 
 	switches []*Switch
 	trunks   []*Trunk
-	// stationAt maps a global station address to the switch it is
-	// attached to; addresses are allocated densely in attach order.
-	stationAt []*Switch
-	nextAddr  Addr
+	// stations maps a global station address to its port (and so to
+	// the switch it is attached to); addresses are allocated densely in
+	// attach order.
+	stations []*Port
 
 	plan *faults.Plan
 
@@ -101,12 +101,12 @@ func NewFabric(e *sim.Engine, cfg FabricConfig) *Fabric {
 // AddSwitch creates a switch as a fabric member. The name appears in
 // traces and reports ("leaf0", "spine1", ...).
 func (fb *Fabric) AddSwitch(name string, cfg SwitchConfig) *Switch {
-	s := NewSwitch(fb.eng, cfg)
-	s.fab = fb
-	s.id = len(fb.switches)
-	s.name = name
-	s.local = make(map[Addr]*Port)
+	s := &Switch{eng: fb.eng, cfg: cfg, fab: fb, id: len(fb.switches), name: name}
 	fb.switches = append(fb.switches, s)
+	// Switches join at build time, before traffic; rebuilding here keeps
+	// Path usable immediately without a separate "seal" call.
+	fb.routes = fb.compute()
+	fb.prevRoutes = fb.routes
 	return s
 }
 
@@ -115,26 +115,6 @@ func (fb *Fabric) Switches() []*Switch { return fb.switches }
 
 // Trunks reports the fabric's trunk links in id order.
 func (fb *Fabric) Trunks() []*Trunk { return fb.trunks }
-
-// allocAddr hands out the next fabric-wide station address.
-func (fb *Fabric) allocAddr() Addr {
-	a := fb.nextAddr
-	fb.nextAddr++
-	return a
-}
-
-// noteStation records which switch owns a newly attached station and
-// keeps the forwarding tables current.
-func (fb *Fabric) noteStation(a Addr, s *Switch) {
-	for Addr(len(fb.stationAt)) <= a {
-		fb.stationAt = append(fb.stationAt, nil)
-	}
-	fb.stationAt[a] = s
-	// Stations attach at build time, before traffic; rebuilding here
-	// keeps Path usable immediately without a separate "seal" call.
-	fb.routes = fb.compute()
-	fb.prevRoutes = fb.routes
-}
 
 // Trunk is one full-duplex switch-to-switch interconnect. Each
 // direction serializes on its own resource at line rate, like a station
@@ -301,13 +281,9 @@ func (fb *Fabric) compute() [][][]int {
 	return routes
 }
 
-// nextHop picks the trunk a frame leaves switch s on, or nil when no
-// live route to the destination exists.
-func (fb *Fabric) nextHop(s *Switch, f *Frame) *Trunk {
-	ds := fb.switchOf(f.Dst)
-	if ds == nil {
-		return nil
-	}
+// nextHop picks the trunk a frame leaves switch s on toward the
+// destination's switch ds, or nil when no live route exists.
+func (fb *Fabric) nextHop(s, ds *Switch, f *Frame) *Trunk {
 	nh := fb.routes[s.id][ds.id]
 	if len(nh) == 0 {
 		return nil
@@ -315,12 +291,12 @@ func (fb *Fabric) nextHop(s *Switch, f *Frame) *Trunk {
 	return fb.trunks[nh[ecmpHash(fb.cfg.Seed, s.id, f.Src, f.Dst, f.Flow)%uint64(len(nh))]]
 }
 
-// switchOf reports the switch a station is attached to, nil if unknown.
-func (fb *Fabric) switchOf(a Addr) *Switch {
-	if int(a) < 0 || int(a) >= len(fb.stationAt) {
+// portOf reports a station's port, nil if the address is unknown.
+func (fb *Fabric) portOf(a Addr) *Port {
+	if int(a) < 0 || int(a) >= len(fb.stations) {
 		return nil
 	}
-	return fb.stationAt[a]
+	return fb.stations[a]
 }
 
 // ecmpHash is the deterministic path-selection hash: FNV-1a over the
@@ -360,10 +336,11 @@ func (fb *Fabric) PathBefore(src, dst Addr, flow uint32) ([]int, bool) {
 }
 
 func (fb *Fabric) pathUnder(routes [][][]int, src, dst Addr, flow uint32) ([]int, bool) {
-	ss, ds := fb.switchOf(src), fb.switchOf(dst)
-	if ss == nil || ds == nil {
+	sp, dp := fb.portOf(src), fb.portOf(dst)
+	if sp == nil || dp == nil {
 		return nil, false
 	}
+	ss, ds := sp.sw, dp.sw
 	if ss == ds {
 		return nil, true
 	}

@@ -71,7 +71,7 @@ func TestFabricCrossLeafDelivery(t *testing.T) {
 }
 
 func TestFabricSameLeafDeliveryMatchesStandalone(t *testing.T) {
-	// Two stations on one leaf must see exactly the standalone switch's
+	// Two stations on one leaf must see exactly a lone switch's
 	// latency: the fabric machinery adds nothing to local traffic.
 	e, _, ports, sinks := buildFabric(t, 1, 2, 2, FabricConfig{Seed: 1})
 	f := &Frame{Src: 0, Dst: 1, PayloadLen: 1000}
@@ -83,7 +83,7 @@ func TestFabricSameLeafDeliveryMatchesStandalone(t *testing.T) {
 	cfg := DefaultSwitchConfig()
 	want := f.WireTime() + cfg.PropDelay + cfg.ForwardLatency + f.WireTime() + cfg.PropDelay
 	if got := sinks[1].times[0]; got != sim.Time(want) {
-		t.Fatalf("delivery at %v, want standalone latency %v", got, want)
+		t.Fatalf("delivery at %v, want single-switch latency %v", got, want)
 	}
 }
 

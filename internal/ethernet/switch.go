@@ -8,6 +8,8 @@ import (
 )
 
 // SwitchConfig holds the timing parameters of the switch and its links.
+// Frame faults are not configured here: they come from a faults.Plan
+// installed with Switch.SetFaults.
 type SwitchConfig struct {
 	// ForwardLatency is the store-and-forward processing delay between
 	// full reception on an input port and the start of transmission on
@@ -15,23 +17,6 @@ type SwitchConfig struct {
 	ForwardLatency sim.Duration
 	// PropDelay is the one-way cable propagation delay per link.
 	PropDelay sim.Duration
-	// LossRate is the probability that a forwarded frame is dropped,
-	// for exercising protocol retransmission paths. Zero in the
-	// performance experiments (switched full-duplex GigE does not drop
-	// under these loads).
-	LossRate float64
-	// DupRate is the probability that a forwarded frame is delivered
-	// twice, for exercising duplicate-suppression paths.
-	DupRate float64
-	// CorruptRate is the probability that a forwarded frame has bits
-	// flipped in flight; the receiving MAC's FCS check discards it.
-	CorruptRate float64
-	// ReorderRate is the probability that a forwarded frame is held
-	// back by ReorderDelay so later frames overtake it.
-	ReorderRate float64
-	// ReorderDelay is the extra delivery delay of a reordered frame;
-	// zero selects a default of a few full-MTU frame times.
-	ReorderDelay sim.Duration
 }
 
 // DefaultSwitchConfig reflects a Packet Engines-class Gigabit switch:
@@ -40,22 +25,7 @@ func DefaultSwitchConfig() SwitchConfig {
 	return SwitchConfig{
 		ForwardLatency: 3 * sim.Microsecond,
 		PropDelay:      500 * sim.Nanosecond,
-		LossRate:       0,
 	}
-}
-
-// defaultReorderDelay gives a reordered frame enough lag for several
-// subsequent full-MTU frames to overtake it.
-const defaultReorderDelay = 40 * sim.Microsecond
-
-// sanitize clamps the fault rates into [0, 1] (NaN becomes 0) so a
-// malformed configuration cannot make the forwarding path misbehave.
-func (c SwitchConfig) sanitize() SwitchConfig {
-	c.LossRate = faults.ClampRate(c.LossRate)
-	c.DupRate = faults.ClampRate(c.DupRate)
-	c.CorruptRate = faults.ClampRate(c.CorruptRate)
-	c.ReorderRate = faults.ClampRate(c.ReorderRate)
-	return c
 }
 
 // FaultStats aggregates every fault-injection counter of the fabric.
@@ -87,44 +57,42 @@ func (fs FaultStats) String() string {
 		fs.Drops, fs.PartitionDrops, fs.Dups, fs.Corruptions, fs.Reorders)
 }
 
-// Switch is a store-and-forward Ethernet switch. Each attached station
-// gets a full-duplex port: the station→switch direction is serialized by
-// the station's own transmitter (see Port.Transmit); the switch→station
-// direction is serialized by a per-output-port resource, which produces
-// output queueing when multiple senders converge on one receiver.
+// Switch is a store-and-forward Ethernet switch, always a member of a
+// Fabric. Each attached station gets a full-duplex port: the
+// station→switch direction is serialized by the station's own
+// transmitter (see Port.Transmit); the switch→station direction is
+// serialized by a per-output-port resource, which produces output
+// queueing when multiple senders converge on one receiver.
 type Switch struct {
 	eng      *sim.Engine
 	cfg      SwitchConfig
-	ports    []*Port
 	plan     *faults.Plan
 	stats    FaultStats
 	forwards int64
 
-	// Fabric membership: nil for the classic standalone switch (the
-	// paper's testbed). On a multi-switch fabric the switch carries a
-	// fabric-wide id and name, indexes its locally attached stations by
-	// their global addresses, and hands frames for remote stations to
-	// the fabric's router.
-	fab   *Fabric
-	id    int
-	name  string
-	local map[Addr]*Port
-	dead  bool
+	// The switch carries a fabric-wide id and name and hands frames for
+	// stations attached elsewhere to the fabric's router.
+	fab  *Fabric
+	id   int
+	name string
+	dead bool
 	// routeDrops counts frames dropped because no live route to their
-	// destination existed (a disconnected fabric, or a dead leaf).
+	// destination existed (a disconnected fabric, a dead leaf, or an
+	// unknown station).
 	routeDrops int64
 }
 
-// NewSwitch returns a switch with no ports attached. Fault rates in cfg
-// are clamped into [0, 1].
+// NewSwitch returns the only switch of a private one-switch fabric —
+// the paper's testbed, with no trunks and nothing to route.
 func NewSwitch(e *sim.Engine, cfg SwitchConfig) *Switch {
-	return &Switch{eng: e, cfg: cfg.sanitize()}
+	return NewFabric(e, FabricConfig{}).AddSwitch("switch", cfg)
 }
 
-// SetFaults installs a fault plan evaluated per forwarded frame, on top
-// of the uniform config rates. The plan is normalized (rates clamped);
-// nil removes any installed plan. A plan whose rates are all zero and
-// whose windows never match draws no randomness and adds no delay.
+// SetFaults installs the fault plan evaluated once per frame entering
+// the fabric at this switch; it is the only source of frame faults. The
+// plan is normalized (rates clamped); nil removes any installed plan. A
+// plan whose rates are all zero and whose windows never match draws no
+// randomness and adds no delay.
 func (s *Switch) SetFaults(pl *faults.Plan) { s.plan = pl.Normalized() }
 
 // Port is one full-duplex switch port with its attached station.
@@ -137,21 +105,17 @@ type Port struct {
 	// out serializes the switch's transmitter on this port
 	// (switch → station).
 	out *sim.Resource
-	// queued counts frames waiting on or in flight through the output
-	// resource, for congestion observability.
+
 	txFrames, rxFrames int64
 	txBytes, rxBytes   int64
 }
 
-// Attach connects a station to the next free port and returns the port.
-// The station learns its address via the returned port's Addr method.
-// On a fabric member the address comes from the fabric-wide space, so
-// stations on different switches never collide.
+// Attach connects a station to a new port and returns the port. The
+// station learns its address via the returned port's Addr method.
+// Addresses come from the fabric-wide space, so stations on different
+// switches never collide.
 func (s *Switch) Attach(st Station) *Port {
-	addr := Addr(len(s.ports))
-	if s.fab != nil {
-		addr = s.fab.allocAddr()
-	}
+	addr := Addr(len(s.fab.stations))
 	p := &Port{
 		sw:      s,
 		addr:    addr,
@@ -159,11 +123,7 @@ func (s *Switch) Attach(st Station) *Port {
 		tx:      sim.NewResource(s.eng, fmt.Sprintf("port%d.tx", addr)),
 		out:     sim.NewResource(s.eng, fmt.Sprintf("port%d.out", addr)),
 	}
-	s.ports = append(s.ports, p)
-	if s.fab != nil {
-		s.local[addr] = p
-		s.fab.noteStation(addr, s)
-	}
+	s.fab.stations = append(s.fab.stations, p)
 	return p
 }
 
@@ -178,34 +138,25 @@ func (p *Port) Addr() Addr { return p.addr }
 // station (which drops them) — the blackhole a power cycle leaves.
 func (p *Port) Rebind(st Station) { p.station = st }
 
-// Ports reports the number of attached stations.
-func (s *Switch) Ports() int { return len(s.ports) }
-
-// Drops reports frames dropped by loss injection.
-func (s *Switch) Drops() int64 { return s.stats.Drops }
-
-// Dups reports frames duplicated by duplication injection.
-func (s *Switch) Dups() int64 { return s.stats.Dups }
-
 // Forwards reports frames successfully forwarded.
 func (s *Switch) Forwards() int64 { return s.forwards }
 
 // FaultStats reports the consolidated fault-injection counters.
 func (s *Switch) FaultStats() FaultStats { return s.stats }
 
-// ID reports the switch's fabric id (creation order); zero for a
-// standalone switch.
+// ID reports the switch's fabric id (creation order).
 func (s *Switch) ID() int { return s.id }
 
-// Name reports the switch's fabric name ("leaf0", "spine1", ...); empty
-// for a standalone switch.
+// Name reports the switch's fabric name ("switch" for NewSwitch;
+// "leaf0", "spine1", ... on a spine-leaf fabric).
 func (s *Switch) Name() string { return s.name }
 
-// Dead reports whether a fabric fault plan has crashed this switch.
+// Dead reports whether a fault plan's SwitchCrash has killed this
+// switch.
 func (s *Switch) Dead() bool { return s.dead }
 
 // RouteDrops reports frames this switch dropped for want of a live
-// route to their destination (fabric members only).
+// route to their destination.
 func (s *Switch) RouteDrops() int64 { return s.routeDrops }
 
 // Transmit sends a frame from this port's station into the fabric. The
@@ -241,21 +192,13 @@ func (p *Port) TxBacklog() sim.Duration {
 
 // forward runs when a frame has been fully received by the switch from
 // one of its attached stations (fabric ingress). Frames arriving over a
-// trunk enter through transit instead, so the fault plan's link clauses
-// are evaluated exactly once per frame, at the ingress switch.
+// trunk enter through transit instead, so the fault plan's frame
+// clauses are evaluated exactly once per frame, at the ingress switch.
 func (s *Switch) forward(f *Frame) {
 	if s.dead {
 		return
 	}
-	if s.cfg.LossRate > 0 && s.eng.Rand().Bool(s.cfg.LossRate) {
-		s.stats.Drops++
-		s.eng.Tracef("switch", "DROP %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
-		return
-	}
-	var act faults.Action
-	if s.plan != nil {
-		act = s.plan.Eval(s.eng.Rand(), sim.Duration(s.eng.Now()), int(f.Src), int(f.Dst))
-	}
+	act := s.plan.Eval(s.eng.Rand(), sim.Duration(s.eng.Now()), int(f.Src), int(f.Dst))
 	if act.Drop {
 		if act.Partition {
 			s.stats.PartitionDrops++
@@ -267,59 +210,26 @@ func (s *Switch) forward(f *Frame) {
 		return
 	}
 	out := f
-	if act.Corrupt || (s.cfg.CorruptRate > 0 && s.eng.Rand().Bool(s.cfg.CorruptRate)) {
-		if !f.Corrupt {
-			// Corrupt a copy: a retransmission of the same payload must
-			// arrive clean.
-			cf := *f
-			cf.Corrupt = true
-			out = &cf
-			s.stats.Corruptions++
-			s.eng.Tracef("switch", "CORRUPT %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
-		}
+	if act.Corrupt && !f.Corrupt {
+		// Corrupt a copy: a retransmission of the same payload must
+		// arrive clean.
+		cf := *f
+		cf.Corrupt = true
+		out = &cf
+		s.stats.Corruptions++
+		s.eng.Tracef("switch", "CORRUPT %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 	}
-	delay := act.Delay
-	if s.cfg.ReorderRate > 0 && s.eng.Rand().Bool(s.cfg.ReorderRate) {
-		d := s.cfg.ReorderDelay
-		if d <= 0 {
-			d = defaultReorderDelay
-		}
-		if d > delay {
-			delay = d
-		}
-	}
-	if delay > 0 {
+	if act.Delay > 0 {
 		s.stats.Reorders++
-		s.eng.Tracef("switch", "REORDER %d->%d len=%d delay=%v", f.Src, f.Dst, f.PayloadLen, delay)
+		s.eng.Tracef("switch", "REORDER %d->%d len=%d delay=%v", f.Src, f.Dst, f.PayloadLen, act.Delay)
 	}
 	if f.Dst == Broadcast {
-		if s.fab != nil {
-			panic("ethernet: broadcast frames are not supported on a multi-switch fabric")
-		}
-		for _, p := range s.ports {
-			if p.addr != f.Src {
-				s.deliverVia(p, out, delay)
-			}
-		}
-		return
+		panic("ethernet: broadcast frames are not supported")
 	}
-	dup := act.Dup || (s.cfg.DupRate > 0 && s.eng.Rand().Bool(s.cfg.DupRate))
-	if dup {
+	if act.Dup {
 		s.stats.Dups++
 	}
-	if s.fab != nil {
-		s.egress(out, delay, dup)
-		return
-	}
-	if int(f.Dst) < 0 || int(f.Dst) >= len(s.ports) {
-		// Unknown destination: a real switch would flood; for the model
-		// this is a wiring bug.
-		panic(fmt.Sprintf("ethernet: frame to unknown station %d", f.Dst))
-	}
-	s.deliverVia(s.ports[f.Dst], out, delay)
-	if dup {
-		s.deliverVia(s.ports[f.Dst], out, 0)
-	}
+	s.egress(out, act.Delay, act.Dup)
 }
 
 // transit runs when a frame arrives over a trunk link: store-and-forward
@@ -333,18 +243,23 @@ func (s *Switch) transit(f *Frame) {
 
 // egress moves a frame one hop closer to its destination: local delivery
 // if the station is attached here, otherwise the ECMP-selected trunk
-// toward the destination's switch. Frames with no live route are
-// dropped — the upper layers' reliability machinery (EMP
-// retransmission, TCP RTO) carries them across the reroute window.
+// toward the destination's switch. Frames with no live route, or to an
+// unknown station, are dropped — the upper layers' reliability
+// machinery (EMP retransmission, TCP RTO) carries them across the
+// reroute window.
 func (s *Switch) egress(f *Frame, extraDelay sim.Duration, dup bool) {
-	if p, ok := s.local[f.Dst]; ok {
+	p := s.fab.portOf(f.Dst)
+	if p != nil && p.sw == s {
 		s.deliverVia(p, f, extraDelay)
 		if dup {
 			s.deliverVia(p, f, 0)
 		}
 		return
 	}
-	t := s.fab.nextHop(s, f)
+	var t *Trunk
+	if p != nil {
+		t = s.fab.nextHop(s, p.sw, f)
+	}
 	if t == nil {
 		s.routeDrops++
 		s.fab.routeDrops++

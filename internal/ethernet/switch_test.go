@@ -4,8 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
+
+// uniformPlan applies the given loss and duplication rates to every
+// frame.
+func uniformPlan(loss, dup float64) *faults.Plan {
+	return &faults.Plan{Clauses: []faults.Clause{faults.Uniform(loss, dup, 0, 0)}}
+}
 
 // sink records delivered frames with timestamps.
 type sink struct {
@@ -91,23 +98,6 @@ func TestUnicastDelivery(t *testing.T) {
 	}
 }
 
-func TestBroadcastReachesAllButSender(t *testing.T) {
-	e, _, ports, sinks := build(t, 4, DefaultSwitchConfig())
-	e.After(0, func() {
-		ports[2].Transmit(&Frame{Src: 2, Dst: Broadcast, PayloadLen: 64})
-	})
-	e.Run()
-	for i, s := range sinks {
-		want := 1
-		if i == 2 {
-			want = 0
-		}
-		if len(s.frames) != want {
-			t.Fatalf("station %d received %d frames, want %d", i, len(s.frames), want)
-		}
-	}
-}
-
 func TestOutputPortQueueing(t *testing.T) {
 	// Two senders converge on one receiver at the same instant: the
 	// second frame must queue behind the first on the output port.
@@ -173,9 +163,8 @@ func TestWrongSourcePanics(t *testing.T) {
 }
 
 func TestLossInjection(t *testing.T) {
-	cfg := DefaultSwitchConfig()
-	cfg.LossRate = 0.5
-	e, sw, ports, sinks := build(t, 2, cfg)
+	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	sw.SetFaults(uniformPlan(0.5, 0))
 	e.Seed(123)
 	const n = 200
 	e.After(0, func() {
@@ -188,8 +177,8 @@ func TestLossInjection(t *testing.T) {
 	if got == 0 || got == n {
 		t.Fatalf("loss rate 0.5 delivered %d/%d frames", got, n)
 	}
-	if sw.Drops()+int64(got) != n {
-		t.Fatalf("drops %d + delivered %d != sent %d", sw.Drops(), got, n)
+	if drops := sw.FaultStats().Drops; drops+int64(got) != n {
+		t.Fatalf("drops %d + delivered %d != sent %d", drops, got, n)
 	}
 }
 
@@ -267,15 +256,15 @@ func TestDeliveryConservationProperty(t *testing.T) {
 
 func TestSwitchAccessors(t *testing.T) {
 	e, sw, ports, _ := build(t, 3, DefaultSwitchConfig())
-	if sw.Ports() != 3 {
-		t.Fatalf("ports = %d", sw.Ports())
+	if sw.ID() != 0 || sw.Name() != "switch" || sw.Dead() {
+		t.Fatalf("id=%d name=%q dead=%v", sw.ID(), sw.Name(), sw.Dead())
 	}
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 1500})
 	})
 	e.Run()
-	if sw.Forwards() != 1 || sw.Dups() != 0 {
-		t.Fatalf("forwards=%d dups=%d", sw.Forwards(), sw.Dups())
+	if sw.Forwards() != 1 || sw.FaultStats().Dups != 0 {
+		t.Fatalf("forwards=%d faults=%v", sw.Forwards(), sw.FaultStats())
 	}
 	if MaxFrameWireTime() != (&Frame{PayloadLen: MTU}).WireTime() {
 		t.Fatal("MaxFrameWireTime mismatch")
@@ -300,17 +289,32 @@ func TestTxBacklogReflectsQueuedFrames(t *testing.T) {
 }
 
 func TestDuplicationInjectionCountsAndDelivers(t *testing.T) {
-	cfg := DefaultSwitchConfig()
-	cfg.DupRate = 1.0 // every frame duplicated
-	e, sw, ports, sinks := build(t, 2, cfg)
+	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	sw.SetFaults(uniformPlan(0, 1)) // every frame duplicated
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 100})
 	})
 	e.Run()
-	if sw.Dups() != 1 {
-		t.Fatalf("dups = %d", sw.Dups())
+	if dups := sw.FaultStats().Dups; dups != 1 {
+		t.Fatalf("dups = %d", dups)
 	}
 	if len(sinks[1].frames) != 2 {
 		t.Fatalf("delivered %d frames, want the original plus one duplicate", len(sinks[1].frames))
+	}
+}
+
+func TestUnknownStationDroppedAsNoRoute(t *testing.T) {
+	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	e.After(0, func() {
+		ports[0].Transmit(&Frame{Src: 0, Dst: 5, PayloadLen: 100})
+	})
+	e.Run()
+	if sw.RouteDrops() != 1 || sw.Forwards() != 0 {
+		t.Fatalf("route drops=%d forwards=%d, want 1 and 0", sw.RouteDrops(), sw.Forwards())
+	}
+	for i, sk := range sinks {
+		if len(sk.frames) != 0 {
+			t.Fatalf("station %d received a frame addressed to nobody", i)
+		}
 	}
 }

@@ -162,9 +162,10 @@ type Plan struct {
 	NIC     []NICClause
 	Crashes []Crash
 	// Links and SwitchCrashes wound the fabric itself (trunk links and
-	// switches); they apply only on multi-switch fabrics, where the
-	// ethernet.Fabric schedules the Down windows and crashes and
-	// evaluates the degrade rates per trunk crossing.
+	// switches): the ethernet.Fabric schedules the Down windows and
+	// crashes and evaluates the degrade rates per trunk crossing. Link
+	// clauses need trunks, so they touch only multi-switch fabrics; a
+	// single-switch cluster's only switch is switch 0.
 	Links         []LinkClause
 	SwitchCrashes []SwitchCrash
 	// Restarts schedules whole-host crash–restart cycles: each entry
@@ -505,27 +506,27 @@ func (pl *Plan) Normalized() *Plan {
 	}
 	for i := range out.Clauses {
 		c := &out.Clauses[i]
-		c.Loss = ClampRate(c.Loss)
-		c.Dup = ClampRate(c.Dup)
-		c.Corrupt = ClampRate(c.Corrupt)
-		c.Reorder = ClampRate(c.Reorder)
+		c.Loss = clampRate(c.Loss)
+		c.Dup = clampRate(c.Dup)
+		c.Corrupt = clampRate(c.Corrupt)
+		c.Reorder = clampRate(c.Reorder)
 		if c.Until > 0 && c.Until < c.From {
 			c.Until = c.From
 		}
 	}
 	for i := range out.NIC {
 		c := &out.NIC[i]
-		c.DropDoorbell = ClampRate(c.DropDoorbell)
-		c.DMAStall = ClampRate(c.DMAStall)
-		c.FlipDesc = ClampRate(c.FlipDesc)
-		c.LoseUnexpected = ClampRate(c.LoseUnexpected)
+		c.DropDoorbell = clampRate(c.DropDoorbell)
+		c.DMAStall = clampRate(c.DMAStall)
+		c.FlipDesc = clampRate(c.FlipDesc)
+		c.LoseUnexpected = clampRate(c.LoseUnexpected)
 		if c.Until > 0 && c.Until < c.From {
 			c.Until = c.From
 		}
 	}
 	for i := range out.Links {
 		c := &out.Links[i]
-		c.Loss = ClampRate(c.Loss)
+		c.Loss = clampRate(c.Loss)
 		if c.Until > 0 && c.Until < c.From {
 			c.Until = c.From
 		}
@@ -533,8 +534,8 @@ func (pl *Plan) Normalized() *Plan {
 	return out
 }
 
-// ClampRate clamps a probability into [0, 1], mapping NaN to 0.
-func ClampRate(v float64) float64 {
+// clampRate clamps a probability into [0, 1], mapping NaN to 0.
+func clampRate(v float64) float64 {
 	switch {
 	case math.IsNaN(v), v < 0:
 		return 0

@@ -5,15 +5,15 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/sock"
 )
 
-func dupSwitch(rate float64) *ethernet.SwitchConfig {
-	cfg := ethernet.DefaultSwitchConfig()
-	cfg.DupRate = rate
-	return &cfg
+// dupPlan delivers every forwarded frame twice with the given
+// probability.
+func dupPlan(rate float64) *faults.Plan {
+	return &faults.Plan{Clauses: []faults.Clause{faults.Uniform(0, rate, 0, 0)}}
 }
 
 // TestSubstrateSurvivesDuplication: duplicated frames must be suppressed
@@ -23,7 +23,7 @@ func TestSubstrateSurvivesDuplication(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,
-		Switch:    dupSwitch(0.1),
+		Faults:    dupPlan(0.1),
 		Seed:      5,
 	})
 	var objs []any
@@ -67,7 +67,7 @@ func TestSubstrateSurvivesDuplication(t *testing.T) {
 		}
 	})
 	c.Run(30 * sim.Second)
-	if c.Switch.Dups() == 0 {
+	if c.Switch.FaultStats().Dups == 0 {
 		t.Fatal("duplication injection did not fire")
 	}
 	if gotN != 20*1024 {
@@ -90,7 +90,7 @@ func TestTCPSurvivesDuplication(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportTCP,
-		Switch:    dupSwitch(0.05),
+		Faults:    dupPlan(0.05),
 		Seed:      9,
 	})
 	const total = 1 << 20
@@ -136,7 +136,7 @@ func TestTCPSurvivesDuplication(t *testing.T) {
 	if got != total {
 		t.Fatalf("received %d bytes, want exactly %d", got, total)
 	}
-	if c.Switch.Dups() == 0 {
+	if c.Switch.FaultStats().Dups == 0 {
 		t.Fatal("duplication injection did not fire")
 	}
 }
@@ -144,13 +144,10 @@ func TestTCPSurvivesDuplication(t *testing.T) {
 // TestCombinedLossAndDuplication stresses both fault paths at once
 // through a full application.
 func TestCombinedLossAndDuplication(t *testing.T) {
-	swCfg := ethernet.DefaultSwitchConfig()
-	swCfg.LossRate = 0.01
-	swCfg.DupRate = 0.02
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,
-		Switch:    &swCfg,
+		Faults:    &faults.Plan{Clauses: []faults.Clause{faults.Uniform(0.01, 0.02, 0, 0)}},
 		Seed:      77,
 	})
 	res := apps.RunFTP(c, 4<<20)
@@ -168,7 +165,7 @@ func TestKVStoreOverLossyTCP(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Nodes:     4,
 		Transport: cluster.TransportTCP,
-		Switch:    lossySwitch(0.005),
+		Faults:    lossyPlan(0.005),
 		Seed:      3,
 	})
 	cfg := apps.DefaultKVConfig(1024)

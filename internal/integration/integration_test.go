@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emp"
 	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -18,10 +19,9 @@ import (
 	"repro/internal/tcpip"
 )
 
-func lossySwitch(rate float64) *ethernet.SwitchConfig {
-	cfg := ethernet.DefaultSwitchConfig()
-	cfg.LossRate = rate
-	return &cfg
+// lossyPlan drops every forwarded frame with the given probability.
+func lossyPlan(rate float64) *faults.Plan {
+	return &faults.Plan{Clauses: []faults.Clause{faults.Uniform(rate, 0, 0, 0)}}
 }
 
 func TestFTPOverLossyFabric(t *testing.T) {
@@ -31,7 +31,7 @@ func TestFTPOverLossyFabric(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,
-		Switch:    lossySwitch(0.01),
+		Faults:    lossyPlan(0.01),
 		Seed:      41,
 	})
 	res := apps.RunFTP(c, 8<<20)
@@ -42,7 +42,7 @@ func TestFTPOverLossyFabric(t *testing.T) {
 		t.Fatalf("client copy = %d bytes", size)
 	}
 	// Loss must actually have been exercised.
-	if c.Switch.Drops() == 0 {
+	if c.Switch.FaultStats().Drops == 0 {
 		t.Fatal("loss injection did not fire")
 	}
 }
@@ -51,7 +51,7 @@ func TestWebOverLossyFabricTCP(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Nodes:     4,
 		Transport: cluster.TransportTCP,
-		Switch:    lossySwitch(0.005),
+		Faults:    lossyPlan(0.005),
 		Seed:      13,
 	})
 	cfg := apps.DefaultWebConfig(1024, 1)
@@ -134,14 +134,14 @@ func TestWholeAppDeterminism(t *testing.T) {
 		c := cluster.New(cluster.Config{
 			Nodes:     4,
 			Transport: cluster.TransportSubstrate,
-			Switch:    lossySwitch(0.01),
+			Faults:    lossyPlan(0.01),
 			Seed:      99,
 		})
 		web := apps.RunWeb(c, apps.DefaultWebConfig(1024, 1))
 		c2 := cluster.New(cluster.Config{
 			Nodes:     2,
 			Transport: cluster.TransportSubstrate,
-			Switch:    lossySwitch(0.01),
+			Faults:    lossyPlan(0.01),
 			Seed:      99,
 		})
 		ftp := apps.RunFTP(c2, 4<<20)

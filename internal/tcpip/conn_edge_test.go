@@ -3,7 +3,6 @@ package tcpip
 import (
 	"testing"
 
-	"repro/internal/ethernet"
 	"repro/internal/sim"
 	"repro/internal/sock"
 )
@@ -142,9 +141,7 @@ func TestEmissionOrderMonotonic(t *testing.T) {
 func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 	// Light loss on a long stream should mostly recover via fast
 	// retransmit rather than RTO.
-	swCfg := ethernet.DefaultSwitchConfig()
-	swCfg.LossRate = 0.005
-	b := newBed(2, DefaultStackConfig(), swCfg)
+	b := lossyBed(2, DefaultStackConfig(), 0.005)
 	b.eng.Seed(23)
 	if mbps := tcpStream(b, 8<<20); mbps == 0 {
 		t.Fatal("stream did not finish")
@@ -157,9 +154,7 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 func TestFINRetransmission(t *testing.T) {
 	// Drop-prone link: the close handshake must still complete (FIN is
 	// retransmitted by the RTO path).
-	swCfg := ethernet.DefaultSwitchConfig()
-	swCfg.LossRate = 0.15
-	b := newBed(2, DefaultStackConfig(), swCfg)
+	b := lossyBed(2, DefaultStackConfig(), 0.15)
 	b.eng.Seed(3)
 	sawEOF := false
 	b.eng.Spawn("server", func(p *sim.Proc) {

@@ -3,7 +3,6 @@ package tcpip
 import (
 	"testing"
 
-	"repro/internal/ethernet"
 	"repro/internal/sim"
 	"repro/internal/sock"
 )
@@ -54,9 +53,7 @@ func TestAdaptiveRTOSpeedsRecoveryWithLowFloor(t *testing.T) {
 	run := func(floor sim.Duration) sim.Duration {
 		cfg := DefaultStackConfig()
 		cfg.RTO = floor
-		swCfg := ethernet.DefaultSwitchConfig()
-		swCfg.LossRate = 0.02
-		b := newBed(2, cfg, swCfg)
+		b := lossyBed(2, cfg, 0.02)
 		b.eng.Seed(7)
 		var done sim.Time
 		b.eng.Spawn("server", func(p *sim.Proc) {

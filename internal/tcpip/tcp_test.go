@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/sock"
@@ -41,6 +42,14 @@ func newBed(n int, cfg StackConfig, swCfg ethernet.SwitchConfig) *bed {
 		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
 		b.stacks = append(b.stacks, NewStack(b.eng, h, b.sw, cfg))
 	}
+	return b
+}
+
+// lossyBed is a default bed whose switch drops each frame with the
+// given probability.
+func lossyBed(n int, cfg StackConfig, loss float64) *bed {
+	b := newBed(n, cfg, ethernet.DefaultSwitchConfig())
+	b.sw.SetFaults(&faults.Plan{Clauses: []faults.Clause{faults.Uniform(loss, 0, 0, 0)}})
 	return b
 }
 
@@ -292,9 +301,7 @@ func TestConnectionTime200to250us(t *testing.T) {
 }
 
 func TestRetransmissionUnderLoss(t *testing.T) {
-	swCfg := ethernet.DefaultSwitchConfig()
-	swCfg.LossRate = 0.02
-	b := newBed(2, DefaultStackConfig(), swCfg)
+	b := lossyBed(2, DefaultStackConfig(), 0.02)
 	b.eng.Seed(11)
 	const total = 2 << 20
 	got := 0
