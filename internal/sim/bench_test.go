@@ -32,6 +32,18 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcSpawn measures one proc lifetime: spawn, first step,
+// finish.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := NewEngine()
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Spawn("p", body)
+		e.Run()
+	}
+}
+
 func BenchmarkFIFOHandoff(b *testing.B) {
 	e := NewEngine()
 	q := NewFIFO[int](e, "q", 4)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // event is a scheduled callback. Events with equal fire times run in the
 // order they were scheduled (seq breaks ties), which keeps the simulation
@@ -16,33 +13,68 @@ type event struct {
 	dead  bool // cancelled
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// container/heap's algorithm on the concrete type, which spares the
+// interface calls on the engine's hottest path.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (h *eventHeap) push(ev *event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	old.swap(0, n)
+	old[:n].down(0)
+	ev := old[n]
+	old[n] = nil
+	ev.index = -1
+	*h = old[:n]
+	return ev
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h eventHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		i = j
+	}
 }
 
 // Engine owns the virtual clock and the event queue. All simulation state
@@ -115,7 +147,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	ev := &event{at: t, seq: e.seq, fire: fn}
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return Event{eng: e, ev: ev}
 }
 
@@ -148,7 +180,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		if next.at > limit {
 			break
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		if next.dead {
 			continue
 		}

@@ -1,17 +1,27 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23 for
+// iter.Pull; the module's go line stays at 1.22 so the nested benchmark
+// module, which requires this one, builds unchanged.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that runs under the engine's
-// run-to-yield discipline. Exactly one Proc executes at a time; a Proc
-// gives up control only by calling a blocking primitive (Sleep, Wait on a
-// queue, Get/Put on a FIFO, ...). Model code inside a Proc therefore never
-// races with other model code.
+// Proc is a simulated process: an iter.Pull coroutine that runs under the
+// engine's run-to-yield discipline. Exactly one Proc executes at a time; a
+// Proc gives up control only by calling a blocking primitive (Sleep, Wait
+// on a queue, Get/Put on a FIFO, ...). Model code inside a Proc therefore
+// never races with other model code.
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	parked chan struct{}
+	next   func() (struct{}, bool) // resumes the body; nil once done
+	park   func(struct{}) bool     // suspends the body; nil once done
+	wake   func()                  // steps p; shared by every wakeup, so none allocates
 	done   bool
 	killed bool
 
@@ -25,14 +35,11 @@ type procKilled struct{ name string }
 
 // Spawn creates a process running body and schedules its first step at the
 // current instant. The body runs with the engine's clock alternating
-// between it and other events.
+// between it and other events. The coroutine itself is created at that
+// first step, so building a model that spawns many processes stays cheap.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.wake = func() { e.step(p) }
 	e.liveProc++
 	e.procs = append(e.procs, p)
 	if len(e.procs) > 64 && len(e.procs) > 4*e.liveProc {
@@ -45,34 +52,36 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		}
 		e.procs = live
 	}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					// Re-panic on the engine side with context.
-					p.done = true
-					p.eng.liveProc--
-					p.parked <- struct{}{}
-					panic(r)
-				}
-			}
-			if !p.done {
-				p.done = true
-				p.eng.liveProc--
-				p.parked <- struct{}{}
-			}
-		}()
-		body(p)
-		p.done = true
-		p.eng.liveProc--
-		p.parked <- struct{}{}
-	}()
-	e.After(0, func() { e.step(p) })
+	e.After(0, func() {
+		// stop is unused: a proc still parked when its run ends stays
+		// parked.
+		p.next, _ = iter.Pull(func(park func(struct{}) bool) {
+			p.park = park
+			defer p.finish()
+			body(p)
+		})
+		e.step(p)
+	})
 	return p
 }
 
-// step transfers control to p and blocks until p yields or finishes.
+// finish runs deferred at the end of p's body, inside the coroutine. It
+// swallows the Kill unwind and re-panics anything else, which iter.Pull
+// then raises from step on the engine's side. Dropping next and park makes
+// the finished coroutine, and everything its body captured, collectable
+// even while p itself is still referenced.
+func (p *Proc) finish() {
+	p.done = true
+	p.eng.liveProc--
+	p.next, p.park = nil, nil
+	if r := recover(); r != nil {
+		if _, ok := r.(procKilled); !ok {
+			panic(r)
+		}
+	}
+}
+
+// step transfers control to p and returns when p yields or finishes.
 // It must be called only from the engine's event loop context.
 func (e *Engine) step(p *Proc) {
 	if p.done {
@@ -80,16 +89,14 @@ func (e *Engine) step(p *Proc) {
 	}
 	prev := e.cur
 	e.cur = p
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 	e.cur = prev
 }
 
 // yield parks the calling process until the engine steps it again.
-// Must be called from p's own goroutine.
+// Must be called from p's own body.
 func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	<-p.resume
+	p.park(struct{}{})
 	if p.killed {
 		panic(procKilled{p.name})
 	}
@@ -110,7 +117,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) Sleep(d Duration) {
 	p.checkCurrent("Sleep")
 	p.blockedOn = "sleep"
-	p.eng.After(d, func() { p.eng.step(p) })
+	p.eng.After(d, p.wake)
 	p.yield()
 	p.blockedOn = ""
 }
@@ -126,18 +133,14 @@ func (p *Proc) Kill() {
 	// If the process is parked on a wait queue it will be resumed either
 	// by its waker or by this event, whichever fires first; the killed
 	// flag makes resumption unwind immediately.
-	p.eng.After(0, func() {
-		if !p.done {
-			p.eng.step(p)
-		}
-	})
+	p.eng.After(0, p.wake)
 }
 
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.done }
 
-// checkCurrent panics if the calling goroutine is not the engine's
-// currently running process — i.e. a blocking primitive was invoked from
+// checkCurrent panics if the caller is not the engine's currently
+// running process — i.e. a blocking primitive was invoked from
 // event-callback context, which would deadlock the engine.
 func (p *Proc) checkCurrent(op string) {
 	if p.eng.cur != p {

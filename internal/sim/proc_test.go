@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestProcSleepAdvancesClock(t *testing.T) {
@@ -62,6 +65,82 @@ func TestProcKillUnwindsDefers(t *testing.T) {
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d, want 0", e.LiveProcs())
 	}
+}
+
+func TestProcKillRightAfterSpawn(t *testing.T) {
+	e := NewEngine()
+	var reached, cleaned bool
+	p := e.Spawn("victim", func(p *Proc) {
+		defer func() { cleaned = true }()
+		reached = true
+		p.Sleep(100)
+		t.Error("body ran past its first yield after Kill")
+	})
+	p.Kill()
+	e.Run()
+	if !reached {
+		t.Fatal("Kill before the first step kept the body from running to its first yield")
+	}
+	if !cleaned {
+		t.Fatal("deferred cleanup did not run on Kill")
+	}
+	if !p.Done() || e.LiveProcs() != 0 {
+		t.Fatalf("done = %v, live procs = %d after Kill", p.Done(), e.LiveProcs())
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	boom := errors.New("boom")
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
+	p := e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(10)
+		panic(boom)
+	})
+	live := e.LiveProcs()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("recovered %v from Run, want the body's own panic value", got)
+	}
+	if !p.Done() {
+		t.Fatal("panicked proc not done")
+	}
+	if e.LiveProcs() != live-1 {
+		t.Fatalf("live procs = %d, want %d", e.LiveProcs(), live-1)
+	}
+}
+
+// A finished proc that is still referenced (by the registry, a test, a
+// struct field) must not keep its body's captures reachable.
+func TestFinishedProcReleasesCaptures(t *testing.T) {
+	e := NewEngine()
+	freed := make(chan struct{})
+	p := func() *Proc {
+		captured := new([64]byte)
+		runtime.SetFinalizer(captured, func(*[64]byte) { close(freed) })
+		return e.Spawn("holder", func(p *Proc) {
+			p.Sleep(1)
+			captured[0]++
+		})
+	}()
+	e.Run()
+	if !p.Done() {
+		t.Fatal("proc did not finish")
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(p)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("finished proc still pins the values its body captured")
 }
 
 func TestProcKillFinishedIsNoop(t *testing.T) {

@@ -79,7 +79,7 @@ func (w *WaitQueue) WakeOne() bool {
 		wt.woken = true
 		wt.timeout.Cancel()
 		w.eng.wakeups++
-		w.eng.After(0, func() { w.eng.step(wt.p) })
+		w.eng.After(0, wt.p.wake)
 		return true
 	}
 	return false
