@@ -73,12 +73,6 @@ type KVConfig struct {
 	Keys int
 	// Port is the server's listen port.
 	Port int
-	// Drain makes the server gracefully quiesce its host transport
-	// after the last client disconnects. Off by default so the measured
-	// workload is unchanged.
-	Drain bool
-	// DrainTimeout bounds the quiesce; zero uses a 50 ms default.
-	DrainTimeout sim.Duration
 	// Sessions runs every connection through the self-healing session
 	// layer: transports that die mid-operation are redialed (failing
 	// over from the substrate to kernel TCP on Failover clusters) and
@@ -142,54 +136,77 @@ func (r KVResult) OpsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// kvServer serves totalConns persistent connections, each handled by
-// its own process, until every client disconnects.
-func kvServer(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int, listen listenFn) error {
-	var err error
-	switch {
-	case cfg.Workers > 0:
-		err = kvServerWorkers(p, node, cfg, totalConns)
-	default:
-		err = kvServerForked(p, node, cfg, totalConns, listen)
+// kvServer serves the workload on node: the worker pool when
+// cfg.Workers > 0, otherwise a handler process per connection, until
+// all conns clients disconnect.
+func kvServer(p *sim.Proc, node *cluster.Node, cfg KVConfig, conns int, listen listenFn) error {
+	if cfg.Workers > 0 {
+		return kvServerWorkers(p, node, cfg, conns)
 	}
-	if err == nil && cfg.Drain {
-		err = drainNode(p, node, cfg.DrainTimeout)
-	}
-	return err
-}
-
-// kvServerForked is the handler-process-per-connection server.
-func kvServerForked(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int, listen listenFn) error {
-	l, err := listen(p, cfg.Port, totalConns)
+	l, err := listen(p, cfg.Port, conns)
 	if err != nil {
 		return err
 	}
-	defer l.Close(p)
-	store := make(map[string]*kvResponse, cfg.Keys)
-	wg := sim.NewWaitGroup(p.Engine(), "kv.handlers")
-	for i := 0; i < totalConns; i++ {
-		c, err := l.Accept(p)
-		if err != nil {
-			return err
-		}
-		setNoDelay(c)
-		wg.Add(1)
-		p.Engine().Spawn("kv-handler", func(hp *sim.Proc) {
-			defer wg.Done()
-			defer c.Close(hp)
-			for {
-				req, err := kvRecvRequest(hp, c)
-				if err != nil {
-					return // client closed
-				}
-				if err := kvSendResponse(hp, c, kvApply(store, req)); err != nil {
-					return
-				}
+	return forkServe(p, l, conns, "kv", kvHandle(newKVTable(cfg)))
+}
+
+// kvTable is one server's in-memory table and, on a replicating
+// primary, its session to the backup.
+type kvTable struct {
+	store map[string]*kvResponse
+	// repl carries every SET to the backup before it is acknowledged;
+	// nil when the server has no backup. It is shared by every handler
+	// process, so replMu serializes its request/ack exchanges.
+	repl   sock.Conn
+	replMu *sim.Semaphore
+}
+
+func newKVTable(cfg KVConfig) *kvTable {
+	return &kvTable{store: make(map[string]*kvResponse, cfg.Keys)}
+}
+
+// kvHandle serves one connection's requests until the client closes,
+// its session detaches, or a request fails.
+func kvHandle(t *kvTable) func(hp *sim.Proc, c sock.Conn) {
+	return func(hp *sim.Proc, c sock.Conn) {
+		for {
+			req, err := kvRecvRequest(hp, c)
+			if err != nil || kvRespond(hp, t, c, req) != nil {
+				return
 			}
-		})
+		}
 	}
-	wg.Wait(p)
-	return nil
+}
+
+// kvRespond answers one request. A SET is acknowledged (after the
+// backup has applied it, when the table replicates), a GET answers with
+// the stored entry or an empty, not-OK miss, and kvSyncReq streams the
+// whole table. Any other op is an error, on which the caller closes the
+// connection.
+func kvRespond(p *sim.Proc, t *kvTable, c sock.Conn, req *kvRequest) error {
+	var resp *kvResponse
+	switch req.Op {
+	case kvGet:
+		if resp = t.store[req.Key]; resp == nil {
+			resp = &kvResponse{}
+		}
+	case kvSet:
+		t.store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
+		resp = &kvResponse{OK: true}
+		// Synchronous replication: the backup's ack must land before
+		// this response commits, or the write is not acknowledged at
+		// all.
+		if t.repl != nil {
+			if err := kvReplicate(p, t, req); err != nil {
+				return err
+			}
+		}
+	case kvSyncReq:
+		return respond(p, c, func() error { return kvSendTable(p, c, t.store) })
+	default:
+		return fmt.Errorf("kv: unknown op %d", req.Op)
+	}
+	return respond(p, c, func() error { return kvSendResponse(p, c, resp) })
 }
 
 // kvClient issues the configured mix over one persistent connection.
@@ -254,22 +271,6 @@ func kvReadYourWrites(p *sim.Proc, cfg KVConfig, c sock.Conn, id int) error {
 		return fmt.Errorf("kv: lost acknowledged write %q across restart", key)
 	}
 	return nil
-}
-
-// kvApply runs one GET or SET against store and returns the response:
-// a SET is acknowledged, a GET answers with the stored entry, and a
-// miss (or any other op) gets an empty, not-OK response.
-func kvApply(store map[string]*kvResponse, req *kvRequest) *kvResponse {
-	switch req.Op {
-	case kvSet:
-		store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-		return &kvResponse{OK: true}
-	case kvGet:
-		if v, ok := store[req.Key]; ok {
-			return v
-		}
-	}
-	return &kvResponse{}
 }
 
 // kvRecvRequest reads one framed request (header plus key and, for ops
@@ -379,30 +380,21 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	var srvErr error
 	cliErrs := make([]error, cfg.Clients)
 	var start, end sim.Time
-	if cfg.Sessions && (cfg.Replicate || restartPlanned(c)) {
-		// Crash-surviving harness: bootstraps registered with SetBoot so
-		// a restarted host re-runs them, server completion measured by
-		// the clients' exact operation count.
+	if cfg.Sessions && (cfg.Replicate || c.Cfg.Faults.HasRestarts()) {
+		// Crash-surviving harness: the servers are their nodes'
+		// bootstraps, so a restarted host re-runs them, and server
+		// completion is measured by the clients' exact operation count.
+		backupIdx := -1
 		if cfg.Replicate {
-			backupIdx := len(c.Nodes) - 1
-			bak := kvBackupBoot(c, cfg, backupIdx, &srvErr)
-			c.SetBoot(backupIdx, bak)
-			c.Eng.Spawn("kv-backup", bak)
-			boot := kvPrimaryBoot(c, cfg, backupIdx, &srvErr)
-			c.SetBoot(0, boot)
-			c.Eng.Spawn("kv-server", boot)
-		} else {
-			boot := kvPrimaryBoot(c, cfg, -1, &srvErr)
-			c.SetBoot(0, boot)
-			c.Eng.Spawn("kv-server", boot)
+			backupIdx = len(c.Nodes) - 1
+			spawnServer(c, backupIdx, "kv-backup", true, &srvErr, kvBoot(c, cfg, backupIdx, -1))
 		}
+		spawnServer(c, 0, "kv-server", true, &srvErr, kvBoot(c, cfg, 0, backupIdx))
 	} else {
-		c.Eng.Spawn("kv-server", func(p *sim.Proc) {
-			srvErr = kvServer(p, c.Nodes[0], cfg, cfg.Clients, listen)
+		spawnServer(c, 0, "kv-server", false, &srvErr, func(p *sim.Proc) error {
+			return kvServer(p, c.Nodes[0], cfg, cfg.Clients, listen)
 		})
 	}
-	done := sim.NewWaitGroup(c.Eng, "kv.clients")
-	done.Add(cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
 		dial := netDial(c.Nodes[i+1], c.Addr(0), cfg.Port)
@@ -410,7 +402,6 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 			dial = sessionDial(c, i+1, 0, cfg.Port, "kv")
 		}
 		c.Eng.Spawn("kv-client", func(p *sim.Proc) {
-			defer done.Done()
 			p.Sleep(sim.Duration(20+10*i) * sim.Microsecond)
 			if start == 0 {
 				start = p.Now()

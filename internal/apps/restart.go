@@ -9,233 +9,50 @@ import (
 	"repro/internal/sock"
 )
 
-// Crash–restart server harness. The classic workload servers accept a
-// fixed connection count and return when the last handler finishes —
-// fine while hosts are immortal, useless once the fault plan reboots
-// the server mid-run. The bootstraps here are installed with
-// Cluster.SetBoot, so a reborn incarnation re-listens at the same
-// address, adopts committed sessions from the node's resume store, and
-// keeps serving: the accept loop is infinite (the run ends at the
-// engine's time limit) and every response is bracketed in Cork/Uncork
-// so resume state commits before any byte a client could acknowledge
-// reaches the wire.
+// Crash–restart server harness. The workload servers accept a fixed
+// connection count and return when the last handler finishes — fine
+// while hosts are immortal, useless once the fault plan reboots the
+// server mid-run. Under such a plan the servers run as bootstraps
+// (spawnServer with boot set), so a reborn incarnation re-listens at
+// the same address, adopts committed sessions from the node's resume
+// store, and keeps serving: forkServe's accept loop is unbounded (the
+// run ends at the engine's time limit) and respond corks every session
+// response so resume state commits before any byte a client could
+// acknowledge reaches the wire. The web bootstrap is the forked web
+// server itself; the kvstore's is kvBoot.
 
-// restartPlanned reports whether the cluster's fault plan schedules
-// whole-host crash–restart cycles, which is what forces the rebooting
-// server harness.
-func restartPlanned(c *cluster.Cluster) bool {
-	return c.Cfg.Faults.HasRestarts()
-}
-
-// beginResponse suspends flushing on a session connection so the
-// response about to be written commits before it hits the wire. No-op
-// on plain transport connections.
-func beginResponse(c sock.Conn) {
-	if s, ok := c.(*sock.Session); ok {
-		s.Cork()
+// kvBoot is the kvstore bootstrap for node idx: the primary on node 0,
+// or the backup replica, which applies replicated SETs and streams its
+// whole table to a recovering primary on kvSyncReq. With a backup
+// (backupIdx >= 0) each primary incarnation first recovers its table
+// from the replica over a session, then listens; every SET is
+// synchronously replicated before its response commits, so no
+// acknowledged write is lost to a primary crash. The table lives in
+// the incarnation, so a backup reboot starts empty — safe under the
+// single-failure model, where the primary's copy is intact whenever
+// the backup is reborn.
+func kvBoot(c *cluster.Cluster, cfg KVConfig, idx, backupIdx int) func(p *sim.Proc) error {
+	label, backlog := "kv", cfg.Clients
+	if idx != 0 {
+		label, backlog = "kv-bak", 4
 	}
-}
-
-// commitResponse commits the session's resume state and flushes the
-// corked response. No-op on plain transport connections.
-func commitResponse(p *sim.Proc, c sock.Conn) error {
-	if s, ok := c.(*sock.Session); ok {
-		return s.Uncork(p)
-	}
-	return nil
-}
-
-// procMutex serializes simulated processes over a shared resource (the
-// primary's single replication session) the way a kernel mutex would.
-type procMutex struct {
-	cond *sim.Cond
-	held bool
-}
-
-func newProcMutex(eng *sim.Engine, name string) *procMutex {
-	return &procMutex{cond: sim.NewCond(eng, name)}
-}
-
-func (m *procMutex) lock(p *sim.Proc) {
-	m.cond.WaitFor(p, func() bool { return !m.held })
-	m.held = true
-}
-
-func (m *procMutex) unlock() {
-	m.held = false
-	m.cond.Broadcast()
-}
-
-// webBoot is the crash-surviving web server bootstrap. Each incarnation
-// listens on the workload port and serves every accepted session until
-// it drains; a listen failure means the host died again mid-boot, which
-// the next incarnation handles. Completion is measured client-side (the
-// exact request count), so the boot never "finishes".
-func webBoot(c *cluster.Cluster, cfg WebConfig, errOut *error) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		node := c.Nodes[0]
-		l, err := sessionListen(c, 0, "web")(p, cfg.Port, 16)
-		if err != nil {
-			if *errOut == nil && !node.Down() {
-				*errOut = err
-			}
-			return
-		}
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return // listener died with the host
-			}
-
-			p.Engine().Spawn("web-handler", func(hp *sim.Proc) {
-				defer conn.Close(hp)
-				for {
-					n, _, err := sock.ReadFull(hp, conn, webRequestBytes)
-					if err != nil || n < webRequestBytes {
-						return // client closed, or the session detached
-					}
-					beginResponse(conn)
-					_, werr := conn.Write(hp, cfg.ResponseBytes, "response")
-					if cerr := commitResponse(hp, conn); werr == nil {
-						werr = cerr
-					}
-					if werr != nil {
-						return
-					}
-				}
-			})
-		}
-	}
-}
-
-// kvBackupBoot runs the kvstore's backup replica on node idx: it
-// applies replicated SETs and streams its whole table to a recovering
-// primary on kvSyncReq. The table lives in the boot closure, so a
-// backup reboot starts empty — safe under the single-failure model,
-// where the primary's copy is intact whenever the backup is reborn.
-func kvBackupBoot(c *cluster.Cluster, cfg KVConfig, idx int, errOut *error) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		node := c.Nodes[idx]
-		store := make(map[string]*kvResponse, cfg.Keys)
-		l, err := sessionListen(c, idx, "kv-bak")(p, cfg.Port, 4)
-		if err != nil {
-			if *errOut == nil && !node.Down() {
-				*errOut = err
-			}
-			return
-		}
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-
-			p.Engine().Spawn("kv-bak-handler", func(hp *sim.Proc) {
-				defer conn.Close(hp)
-				for {
-					req, err := kvRecvRequest(hp, conn)
-					if err != nil {
-						return
-					}
-					switch req.Op {
-					case kvSet:
-						resp := kvApply(store, req)
-						beginResponse(conn)
-						werr := kvSendResponse(hp, conn, resp)
-						if cerr := commitResponse(hp, conn); werr == nil {
-							werr = cerr
-						}
-						if werr != nil {
-							return
-						}
-					case kvSyncReq:
-						beginResponse(conn)
-						werr := kvSendTable(hp, conn, store)
-						if cerr := commitResponse(hp, conn); werr == nil {
-							werr = cerr
-						}
-						if werr != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			})
-		}
-	}
-}
-
-// kvPrimaryBoot runs the kvstore primary on node 0. With a backup
-// (backupIdx >= 0) each incarnation first recovers its table from the
-// replica over a session, then listens; every SET is synchronously
-// replicated before the response commits, so no acknowledged write can
-// be lost to a primary crash.
-func kvPrimaryBoot(c *cluster.Cluster, cfg KVConfig, backupIdx int, errOut *error) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		node := c.Nodes[0]
-		store := make(map[string]*kvResponse, cfg.Keys)
-		var repl sock.Conn
-		var replMu *procMutex
+	return func(p *sim.Proc) error {
+		t := newKVTable(cfg)
 		if backupIdx >= 0 {
-			conn, err := sessionDial(c, 0, backupIdx, cfg.Port, "kv-repl")(p)
+			conn, err := sessionDial(c, idx, backupIdx, cfg.Port, "kv-repl")(p)
 			if err != nil {
-				if *errOut == nil && !node.Down() {
-					*errOut = fmt.Errorf("kv: replica dial: %w", err)
-				}
-				return
+				return fmt.Errorf("kv: replica dial: %w", err)
 			}
-			if err := kvRecover(p, conn, store); err != nil {
-				if *errOut == nil && !node.Down() {
-					*errOut = fmt.Errorf("kv: replica sync: %w", err)
-				}
-				return
+			if err := kvRecover(p, conn, t.store); err != nil {
+				return fmt.Errorf("kv: replica sync: %w", err)
 			}
-			repl, replMu = conn, newProcMutex(c.Eng, "kv.repl")
+			t.repl, t.replMu = conn, sim.NewSemaphore(c.Eng, "kv.repl", 1)
 		}
-		l, err := sessionListen(c, 0, "kv")(p, cfg.Port, cfg.Clients)
+		l, err := sessionListen(c, idx, label)(p, cfg.Port, backlog)
 		if err != nil {
-			if *errOut == nil && !node.Down() {
-				*errOut = err
-			}
-			return
+			return err
 		}
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-
-			p.Engine().Spawn("kv-handler", func(hp *sim.Proc) {
-				defer conn.Close(hp)
-				for {
-					req, err := kvRecvRequest(hp, conn)
-					if err != nil {
-						return
-					}
-					if req.Op != kvGet && req.Op != kvSet {
-						return
-					}
-					resp := kvApply(store, req)
-					if req.Op == kvSet && repl != nil {
-						// Synchronous replication: the backup's ack must
-						// land before this response commits, or the write
-						// is not acknowledged at all.
-						if err := kvReplicate(hp, repl, replMu, req); err != nil {
-							return
-						}
-					}
-					beginResponse(conn)
-					werr := kvSendResponse(hp, conn, resp)
-					if cerr := commitResponse(hp, conn); werr == nil {
-						werr = cerr
-					}
-					if werr != nil {
-						return
-					}
-				}
-			})
-		}
+		return forkServe(p, l, 0, label, kvHandle(t))
 	}
 }
 
@@ -289,17 +106,16 @@ func kvRecover(p *sim.Proc, repl sock.Conn, store map[string]*kvResponse) error 
 	return nil
 }
 
-// kvReplicate forwards one SET to the backup and waits for its ack.
-// The single replication session is shared by every handler process,
-// so request/ack exchanges are serialized under the mutex.
-func kvReplicate(p *sim.Proc, repl sock.Conn, mu *procMutex, req *kvRequest) error {
-	mu.lock(p)
-	defer mu.unlock()
+// kvReplicate forwards one SET to the backup and waits for its ack,
+// holding the table's replication session for the exchange.
+func kvReplicate(p *sim.Proc, t *kvTable, req *kvRequest) error {
+	t.replMu.Acquire(p)
+	defer t.replMu.Release()
 	fwd := &kvRequest{Op: kvSet, Key: req.Key, ValLen: req.ValLen, Val: req.Val}
-	if err := kvSendRequest(p, repl, fwd); err != nil {
+	if err := kvSendRequest(p, t.repl, fwd); err != nil {
 		return err
 	}
-	ack, err := kvRecvResponse(p, repl)
+	ack, err := kvRecvResponse(p, t.repl)
 	if err != nil {
 		return err
 	}

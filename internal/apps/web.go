@@ -38,13 +38,6 @@ type WebConfig struct {
 	// name". Responses then pay file-system overhead through the
 	// fd-tracking layer like the FTP experiment.
 	FileBacked bool
-	// Drain makes the server gracefully quiesce its host transport
-	// after the last handler finishes (refusing late connects, draining
-	// live sockets, auditing for leaks). Off by default so the paper's
-	// figures stay bit-for-bit unchanged.
-	Drain bool
-	// DrainTimeout bounds the quiesce; zero uses a 50 ms default.
-	DrainTimeout sim.Duration
 	// Sessions runs every connection through the self-healing session
 	// layer: transports that die mid-request are redialed (failing over
 	// from the substrate to kernel TCP on Failover clusters) and the
@@ -102,72 +95,56 @@ func (r WebResult) ReqPerSec() float64 {
 	return float64(r.Requests) / r.Elapsed.Seconds()
 }
 
-// webServer accepts exactly totalConns connections, handling each in its
-// own process (a fork-per-connection server, so one client's keep-alive
-// connection does not head-of-line-block the others), and returns once
-// every handler finishes.
-func webServer(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns int, listen listenFn) error {
-	if cfg.FileBacked {
-		node.FS.Create("index.html", cfg.ResponseBytes, "document")
+// webServer serves the workload on node: the worker pool when
+// cfg.Workers > 0, otherwise the paper's fork-per-connection server.
+// That one accepts conns connections and closes each after
+// cfg.RequestsPerConn responses, which fixes the timing Figs 15/16
+// measure; conns == 0 is the crash-restart bootstrap, which serves
+// every connection until its client closes, since a server that closed
+// first would drop the committed session record a client cut off
+// mid-response needs to resume.
+func webServer(p *sim.Proc, node *cluster.Node, cfg WebConfig, conns int, listen listenFn) error {
+	if cfg.Workers > 0 {
+		return webServerWorkers(p, node, cfg, conns)
 	}
-	var err error
-	switch {
-	case cfg.Workers > 0:
-		err = webServerWorkers(p, node, cfg, totalConns)
-	default:
-		err = webServerForked(p, node, cfg, totalConns, listen)
-	}
-	if err == nil && cfg.Drain {
-		err = drainNode(p, node, cfg.DrainTimeout)
-	}
-	return err
-}
-
-// webServerForked is the fork-per-connection server.
-func webServerForked(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns int, listen listenFn) error {
 	l, err := listen(p, cfg.Port, 16)
 	if err != nil {
 		return err
 	}
-	defer l.Close(p)
-	done := sim.NewCond(p.Engine(), "web.done")
-	live := 0
-	for i := 0; i < totalConns; i++ {
-		c, err := l.Accept(p)
-		if err != nil {
-			return err
-		}
-		live++
-		// Web servers set TCP_NODELAY so partial response segments are
-		// not held hostage by the Nagle/delayed-ack interaction.
-		if nd, ok := c.(interface{ SetNoDelay(bool) }); ok {
-			nd.SetNoDelay(true)
-		}
-		p.Engine().Spawn("web-handler", func(hp *sim.Proc) {
-			defer func() {
-				live--
-				done.Broadcast()
-			}()
-			for k := 0; k < cfg.RequestsPerConn; k++ {
-				n, _, err := sock.ReadFull(hp, c, webRequestBytes)
-				if err != nil || n < webRequestBytes {
-					break // client closed the keep-alive connection early
-				}
-				if cfg.FileBacked {
-					if err := serveFile(hp, node, c, "index.html"); err != nil {
-						break
-					}
-					continue
-				}
-				if _, err := c.Write(hp, cfg.ResponseBytes, "response"); err != nil {
-					break
-				}
-			}
-			c.Close(hp)
-		})
+	perConn := cfg.RequestsPerConn
+	if conns == 0 {
+		perConn = 0
 	}
-	done.WaitFor(p, func() bool { return live == 0 })
-	return nil
+	return forkServe(p, l, conns, "web", webHandle(node, cfg, perConn))
+}
+
+// webHandle serves one connection: every 16-byte request gets one
+// response, until the client closes or, with perConn > 0, perConn
+// responses have been sent.
+func webHandle(node *cluster.Node, cfg WebConfig, perConn int) func(hp *sim.Proc, c sock.Conn) {
+	return func(hp *sim.Proc, c sock.Conn) {
+		for k := 0; perConn == 0 || k < perConn; k++ {
+			n, _, err := sock.ReadFull(hp, c, webRequestBytes)
+			if err != nil || n < webRequestBytes {
+				return // client closed the keep-alive connection early, or the session detached
+			}
+			if webRespond(hp, node, cfg, c) != nil {
+				return
+			}
+		}
+	}
+}
+
+// webRespond answers one request: S bytes from memory or, with
+// FileBacked, the requested file from the node's RAM disk.
+func webRespond(p *sim.Proc, node *cluster.Node, cfg WebConfig, c sock.Conn) error {
+	return respond(p, c, func() error {
+		if cfg.FileBacked {
+			return serveFile(p, node, c, "index.html")
+		}
+		_, err := c.Write(p, cfg.ResponseBytes, "response")
+		return err
+	})
 }
 
 // webClient issues cfg.RequestsPerClient requests, opening a new
@@ -225,21 +202,22 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 	if cfg.Sessions {
 		listen = sessionListen(c, 0, "web")
 	}
-	var srvErr error
-	cliErrs := make([]error, cfg.Clients)
-	if cfg.Sessions && !cfg.FileBacked && restartPlanned(c) {
-		// Crash-surviving harness: the bootstrap is registered with
-		// SetBoot so a restarted server host re-listens and resumes
-		// committed sessions; completion is measured by the clients'
-		// exact request count.
-		boot := webBoot(c, cfg, &srvErr)
-		c.SetBoot(0, boot)
-		c.Eng.Spawn("web-server", boot)
-	} else {
-		c.Eng.Spawn("web-server", func(p *sim.Proc) {
-			srvErr = webServer(p, c.Nodes[0], cfg, cfg.Clients*connsPerClient, listen)
-		})
+	if cfg.FileBacked {
+		c.Nodes[0].FS.Create("index.html", cfg.ResponseBytes, "document")
 	}
+	// Under a restart plan the server is the node's bootstrap: a
+	// restarted host re-listens and resumes committed sessions, and
+	// completion is measured by the clients' exact request count.
+	boot := cfg.Sessions && c.Cfg.Faults.HasRestarts()
+	conns := cfg.Clients * connsPerClient
+	if boot {
+		conns = 0
+	}
+	var srvErr error
+	spawnServer(c, 0, "web-server", boot, &srvErr, func(p *sim.Proc) error {
+		return webServer(p, c.Nodes[0], cfg, conns, listen)
+	})
+	cliErrs := make([]error, cfg.Clients)
 	var start, end sim.Time
 	for i := 0; i < cfg.Clients; i++ {
 		i := i

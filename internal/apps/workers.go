@@ -170,12 +170,7 @@ func webServerWorkers(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if cfg.FileBacked {
-				err = serveFile(wp, node, st.c, "index.html")
-			} else {
-				_, err = st.c.Write(wp, cfg.ResponseBytes, "response")
-			}
-			if err != nil {
+			if webRespond(wp, node, cfg, st.c) != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}
@@ -210,7 +205,7 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 	if err != nil {
 		return err
 	}
-	store := make(map[string]*kvResponse, cfg.Keys)
+	table := newKVTable(cfg)
 	pool.newConn = func(c sock.Conn) any { return &kvConnState{c: c, remaining: kvHeaderBytes} }
 	pool.drain = func(wp *sim.Proc, worker int, data any) bool {
 		st := data.(*kvConnState)
@@ -248,7 +243,7 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if err := kvSendResponse(wp, st.c, kvApply(store, st.req)); err != nil {
+			if kvRespond(wp, table, st.c, st.req) != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}

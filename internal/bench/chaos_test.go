@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -16,7 +17,13 @@ import (
 // crash scenario, every NIC fault kind, one trunk kill and one spine
 // kill, the server and one client of each workload rebooted, each on
 // both session workloads plus the domain's control.
+//
+// The concatenated reports of every domain are pinned byte-for-byte in
+// testdata/chaos.golden (rerun with -update after intentional model
+// changes); the comparison runs only when every domain's subtest did.
 func TestChaosQuick(t *testing.T) {
+	var all strings.Builder
+	rendered := 0
 	for _, name := range ChaosDomains {
 		t.Run(name, func(t *testing.T) {
 			rep, err := Chaos(name, 1, true)
@@ -28,12 +35,16 @@ func TestChaosQuick(t *testing.T) {
 					t.Errorf("%s/%s seed %d: %s", r.Workload, r.Point, r.Seed, r.Detail)
 				}
 			}
-			var w io.Writer = io.Discard
+			var w io.Writer = &all
 			if testing.Verbose() || t.Failed() {
-				w = os.Stdout
+				w = io.MultiWriter(&all, os.Stdout)
 			}
 			FprintChaos(w, rep)
+			rendered++
 		})
+	}
+	if rendered == len(ChaosDomains) {
+		checkGolden(t, "chaos.golden", all.String())
 	}
 	t.Run("unknown", func(t *testing.T) {
 		if _, err := Chaos("disk", 1, true); err == nil {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,23 +26,5 @@ func quickApps() string {
 // TestGoldenApps pins the end-to-end application results byte-for-byte;
 // rerun with -update after intentional model changes.
 func TestGoldenApps(t *testing.T) {
-	got := quickApps()
-	path := filepath.Join("testdata", "apps.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden file rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("application results diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "apps.golden", quickApps())
 }

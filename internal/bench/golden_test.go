@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden figure file")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 
 // quickFigures renders the CI-sized sweep of every figure to one string.
 func quickFigures() string {
@@ -29,8 +29,14 @@ func quickFigures() string {
 // figure — intentionally or not — fails here. Recalibrations rerun with
 // `go test ./internal/bench -run TestGoldenFigures -update`.
 func TestGoldenFigures(t *testing.T) {
-	got := quickFigures()
-	path := filepath.Join("testdata", "figures.golden")
+	checkGolden(t, "figures.golden", quickFigures())
+}
+
+// checkGolden compares got with testdata/<name> byte-for-byte, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -46,6 +52,6 @@ func TestGoldenFigures(t *testing.T) {
 		t.Fatalf("golden file missing (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("figures diverged from golden file (rerun with -update if the change is intentional)\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("%s diverged (rerun with -update if the change is intentional)\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

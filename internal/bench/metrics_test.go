@@ -3,8 +3,6 @@ package bench
 import (
 	gobytes "bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,22 +37,7 @@ func TestGoldenCounters(t *testing.T) {
 			fmt.Fprintf(&sb, "%s %s/%s %d\n", tc.name, c.Layer, c.Metric, c.Value)
 		}
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "counters.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden file rewritten: %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("telemetry counters diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "counters.golden", sb.String())
 }
 
 // TestSnapshotDeterminism runs the same seeded workload twice per
