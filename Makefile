@@ -77,8 +77,9 @@ examples:
 	go run ./examples/matmul
 	go run ./examples/kvstore
 
-# verify is the full pre-merge chain: the gofmt check, build, vet, the
-# race-enabled test suite, vet and short tests of the nested benchmark
+# verify is the full pre-merge chain: the gofmt check, build, the
+# golden tests (a few seconds, so a drifted golden fails before the long
+# legs), vet, the race-enabled test suite, vet and short tests of the nested benchmark
 # module (outside the root module's ./..., so a renamed telemetry key
 # or API it reads is caught here), the connscale demux regression gate
 # (1024-conn all-active per-dispatch lookup cost must stay within a
@@ -91,6 +92,7 @@ examples:
 verify:
 	test -z "$$(gofmt -l .)"
 	go build ./...
+	go test -count=1 -run Golden ./...
 	go vet ./...
 	go test -race ./...
 	cd benchmark && go vet . && go test -short .

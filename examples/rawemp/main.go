@@ -71,9 +71,17 @@ func main() {
 		h := b.PostRecv(p, a.Addr(), 42, 4096, 6)
 		msg, st := b.WaitRecv(p, h)
 		fmt.Printf("unexpected-queue claim: %v %q (uq hits: %d)\n",
-			st, msg.Data, b.Stats().UnexpectedHit)
+			st, msg.Data, b.UnexpectedHits.Value)
 	})
 	eng.RunUntil(sim.Time(sim.Second))
-	fmt.Printf("A stats: %v\n", a.Stats())
-	fmt.Printf("B stats: %v\n", b.Stats())
+	printStats("A", a)
+	printStats("B", b)
+}
+
+// printStats summarizes an endpoint's protocol counters on one line.
+func printStats(name string, ep *emp.Endpoint) {
+	fmt.Printf("%s stats: sends=%d recvs=%d delivered=%d uqhits=%d drops=%d rexmit=%d acks=%d nacks=%d failed=%d\n",
+		name, ep.SendsPosted.Value, ep.RecvsPosted.Value, ep.MsgsDelivered.Value,
+		ep.UnexpectedHits.Value, ep.FramesDropped.Value, ep.Retransmits.Value,
+		ep.AcksSent.Value, ep.NacksSent.Value, ep.SendsFailed.Value)
 }

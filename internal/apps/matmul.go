@@ -39,15 +39,6 @@ type MatmulResult struct {
 	Err     error
 }
 
-// MFlops reports the achieved rate.
-func (r MatmulResult) MFlops() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	flops := 2 * float64(r.N) * float64(r.N) * float64(r.N)
-	return flops / r.Elapsed.Seconds() / 1e6
-}
-
 // matmulWorker serves one work unit: receive B and a block of A rows,
 // compute, return the C block.
 func matmulWorker(p *sim.Proc, node *cluster.Node, master sock.Addr, port int) error {
@@ -120,7 +111,7 @@ func matmulMaster(p *sim.Proc, node *cluster.Node, port, n, workers int) (sim.Du
 	// reading the full result.
 	po := sock.NewPoller(p.Engine(), "matmul.gather")
 	defer po.Close()
-	node.Tel.RegisterSource("poller", po.TelemetryStats)
+	node.Tel.ReplaceSource("poller", po.TelemetryStats)
 	pending := workers
 	for idx, c := range conns {
 		cp, ok := c.(sock.Pollable)

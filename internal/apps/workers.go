@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/sock"
-	"repro/internal/telemetry"
 )
 
 // workerPool is the shared harness: listener acceptance, worker
@@ -70,7 +69,7 @@ func (w *workerPool) run(p *sim.Proc, label string) error {
 }
 
 // work is one worker's loop: claim an event, serve it, release it.
-func (w *workerPool) work(wp *sim.Proc, worker int, waiter *sock.PollWaiter, served *telemetry.Counter) {
+func (w *workerPool) work(wp *sim.Proc, worker int, waiter *sock.PollWaiter, served *sim.Counter) {
 	for w.finished < w.total && w.loopErr == nil {
 		ev, ok := waiter.Wait(wp, -1)
 		if !ok {

@@ -305,7 +305,7 @@ func nodeCol(f func(n *cluster.Node) int64) func(*cluster.Cluster) int64 {
 
 // sessionCount sums one session-layer counter across the nodes.
 func sessionCount(name string) func(*cluster.Cluster) int64 {
-	return nodeCol(func(n *cluster.Node) int64 { return n.Tel.Counter("session", name).Value() })
+	return nodeCol(func(n *cluster.Node) int64 { return n.Tel.Counter("session", name).Value })
 }
 
 // FprintChaos renders one domain's report, with the flight recordings of
@@ -386,7 +386,7 @@ var linkChaos = &chaosDomain{
 		// retransmissions on the kernel stack.
 		{"rexmits", 7, nodeCol(func(n *cluster.Node) int64 {
 			if n.Sub != nil {
-				return int64(n.Sub.EP.Stats().Retransmits)
+				return n.Sub.EP.Retransmits.Value
 			}
 			return n.Stack.Rexmits.Value + n.Stack.FastRetransmits.Value
 		})},

@@ -179,7 +179,7 @@ func connScaleRun(transport cluster.Transport, conns, pacers, reqs int, active, 
 		}
 		lp := l.(sock.Pollable)
 		po := sock.NewPoller(p.Engine(), "connscale")
-		c.Nodes[0].Tel.RegisterSource("poller", po.TelemetryStats)
+		c.Nodes[0].Tel.ReplaceSource("poller", po.TelemetryStats)
 		po.Register(lp, sock.PollIn|sock.PollErr, nil)
 		accepted, finished := 0, 0
 		for finished < conns && pt.Err == "" {
@@ -446,28 +446,4 @@ func DescScaleSweep(counts []int) []DescScalePoint {
 		}
 	}
 	return out
-}
-
-// ConnScaleFigure renders the sweep as a harness figure (scanned-per-
-// wait vs registered connections, one series per stack).
-func ConnScaleFigure(counts []int) Figure {
-	f := Figure{
-		ID:     "connscale",
-		Title:  "Poller work vs registered connections (evented echo server)",
-		XLabel: "connections",
-		YLabel: "scanned per Wait",
-		PaperNote: "extension: per-event poller work must stay flat as idle " +
-			"connections grow (ready-list delivery, not full re-scan)",
-	}
-	sub := Series{Name: "Substrate"}
-	tcp := Series{Name: "TCP"}
-	for _, pt := range ConnScaleSweep(counts) {
-		s := &tcp
-		if pt.Transport == cluster.TransportSubstrate.String() {
-			s = &sub
-		}
-		s.Points = append(s.Points, Point{X: float64(pt.Conns), Y: pt.ScannedPerWait})
-	}
-	f.Series = []Series{sub, tcp}
-	return f
 }

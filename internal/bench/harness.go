@@ -141,21 +141,6 @@ func (f Figure) Value(series string, x float64) float64 {
 	return 0
 }
 
-// All runs every figure in order; the cmd/reproduce binary and the
-// go-test benchmark harness both call through here.
-func All() []Figure {
-	return []Figure{
-		Fig11LatencyAlternatives(DefaultLatencySizes()),
-		Fig12CreditSweep(DefaultCredits()),
-		Fig13Latency(DefaultLatencySizes()),
-		Fig13Bandwidth(DefaultBandwidthSizes()),
-		Fig14FTP(DefaultFileSizes()),
-		Fig15WebHTTP10(DefaultResponseSizes()),
-		Fig16WebHTTP11(DefaultResponseSizes()),
-		Fig17Matmul(DefaultMatrixSizes()),
-	}
-}
-
 // Ablations runs the design-choice studies DESIGN.md section 5 lists.
 func Ablations() []Figure {
 	return []Figure{

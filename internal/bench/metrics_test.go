@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -18,13 +21,40 @@ func pingPongRegistry(tr cluster.Transport) *telemetry.Registry {
 	return c.TelemetryAggregate()
 }
 
+// failoverRegistry runs a short kvstore over sessions on a Failover
+// cluster whose node 0 (the server) is crash-restarted once, and
+// returns the cluster-wide aggregated registry: the one golden input
+// that builds both transports on every node and re-registers a reborn
+// incarnation's layers.
+func failoverRegistry(t *testing.T) *telemetry.Registry {
+	pl := &faults.Plan{Restarts: []faults.Restart{
+		faults.RestartAt(0, 12*sim.Millisecond, 30*sim.Millisecond)}}
+	c := cluster.New(cluster.Config{Nodes: 2, Failover: true, Seed: 1, Faults: pl})
+	cfg := apps.DefaultKVConfig(64)
+	cfg.Clients, cfg.OpsPerClient = 1, 8
+	cfg.Sessions = true
+	cfg.Think = 8 * sim.Millisecond
+	if res := apps.RunKVStore(c, cfg); res.Err != nil {
+		t.Fatalf("failover kvstore: %v", res.Err)
+	}
+	if inc := c.Nodes[0].Incarnation; inc != 2 {
+		t.Fatalf("node 0 at incarnation %d, want 2", inc)
+	}
+	return c.TelemetryAggregate()
+}
+
 // TestGoldenCounters pins the telemetry counter values of the
-// deterministic pingpong on both transports byte-for-byte. A drift here
-// means either the protocol model changed (rerun with -update and
-// explain the diff) or instrumentation was accidentally made
-// workload-visible.
+// deterministic pingpong on both transports, and of one crash-restarted
+// Failover run, byte-for-byte. A drift here means either the protocol
+// model changed (rerun with -update and explain the diff) or
+// instrumentation was accidentally made workload-visible.
 func TestGoldenCounters(t *testing.T) {
 	var sb strings.Builder
+	emit := func(name string, ms []telemetry.MetricSnap) {
+		for _, c := range ms {
+			fmt.Fprintf(&sb, "%s %s/%s %d\n", name, c.Layer, c.Metric, c.Value)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		tr   cluster.Transport
@@ -32,11 +62,9 @@ func TestGoldenCounters(t *testing.T) {
 		{"substrate", cluster.TransportSubstrate},
 		{"tcp", cluster.TransportTCP},
 	} {
-		snap := pingPongRegistry(tc.tr).Snapshot()
-		for _, c := range snap.Counters {
-			fmt.Fprintf(&sb, "%s %s/%s %d\n", tc.name, c.Layer, c.Metric, c.Value)
-		}
+		emit(tc.name, pingPongRegistry(tc.tr).Snapshot().Counters)
 	}
+	emit("failover", failoverRegistry(t).Snapshot().Counters)
 	checkGolden(t, "counters.golden", sb.String())
 }
 

@@ -181,24 +181,6 @@ func empStream(total, msgSize int) float64 {
 	return float64(msgs*msgSize) * 8 / end.Sub(start).Seconds() / 1e6
 }
 
-// SockPingPong measures mean one-way latency for n-byte messages over
-// the cluster's transport (exported for the per-experiment CLIs).
-func SockPingPong(c *cluster.Cluster, n int) sim.Duration {
-	return sockPingPong(c, n, latencyIters)
-}
-
-// SockStream measures streaming bandwidth in Mbps (exported for the
-// per-experiment CLIs).
-func SockStream(c *cluster.Cluster, total, chunk int) float64 {
-	return sockStream(c, total, chunk)
-}
-
-// EMPPingPong measures raw EMP one-way latency for n-byte messages.
-func EMPPingPong(n int) sim.Duration { return empPingPong(n, latencyIters) }
-
-// EMPStream measures raw EMP streaming bandwidth in Mbps.
-func EMPStream(total, msgSize int) float64 { return empStream(total, msgSize) }
-
 // substrate option sets for the figure legends.
 func dsBasic() *core.Options {
 	o := core.BasicDSOptions()

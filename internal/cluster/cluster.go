@@ -142,8 +142,9 @@ type Node struct {
 
 	// Incarnation counts the node's boots, starting at 1. A
 	// crash–restart bumps it; the session handshake carries it so peers
-	// can tell a reboot from a transient fault.
-	Incarnation int
+	// can tell a reboot from a transient fault. A reborn node publishes
+	// it under layer "node".
+	Incarnation int `metric:"incarnation"`
 
 	// boot is the node's registered app bootstrap, re-spawned after
 	// every rebirth so listeners resurrect.
@@ -242,41 +243,20 @@ func New(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		host := kernel.NewHost(eng, "host", cfg.Cores, hostCosts)
-		n := &Node{Host: host, FS: ramfs.New(host), Tel: telemetry.New(),
-			Resume: sock.NewSessionStore(), Incarnation: 1}
-		// Host objects survive Rebirth, so one registration covers the
-		// node's whole lifetime. The source stays silent until the core
-		// scheduler is actually exercised, keeping compute-free runs'
-		// snapshots unchanged.
-		n.Tel.RegisterSource("cpu", cpuTelemetry(host))
+		c.Nodes = append(c.Nodes, &Node{Host: host, FS: ramfs.New(host), Tel: telemetry.New(),
+			Resume: sock.NewSessionStore(), Incarnation: 1})
+		// Attach order fixes the fabric addresses: a node's substrate
+		// NIC before its Failover TCP stack, node after node.
+		var nicPort, tcpPort *ethernet.Port
 		switch {
 		case cfg.Failover:
-			nc := nic.New(eng, "nic", c.nicConfig())
-			nc.Attach(nicAt(i))
-			if cfg.Faults != nil {
-				nc.SetFaults(cfg.Faults, i)
-			}
-			n.Sub = core.New(eng, host, nc, c.subOptions())
-			n.Sub.SetTelemetry(n.Tel)
-			n.Net = n.Sub
-			n.Stack = tcpip.NewStack(eng, host, tcpAt(i), c.stackConfig())
-			n.Stack.SetTelemetry(n.Tel)
+			nicPort, tcpPort = nicAt(i).Attach(nil), tcpAt(i).Attach(nil)
 		case cfg.Transport == TransportSubstrate:
-			nc := nic.New(eng, "nic", c.nicConfig())
-			nc.Attach(nicAt(i))
-			if cfg.Faults != nil {
-				nc.SetFaults(cfg.Faults, i)
-			}
-			n.Sub = core.New(eng, host, nc, c.subOptions())
-			n.Sub.SetTelemetry(n.Tel)
-			n.Net = n.Sub
+			nicPort = nicAt(i).Attach(nil)
 		default:
-			n.Stack = tcpip.NewStack(eng, host, nicAt(i), c.stackConfig())
-			n.Stack.SetTelemetry(n.Tel)
-			n.Net = n.Stack
+			tcpPort = nicAt(i).Attach(nil)
 		}
-		n.FD = fdtable.New(n.Net, n.FS)
-		c.Nodes = append(c.Nodes, n)
+		c.buildNode(i, nicPort, tcpPort)
 	}
 	if cfg.Faults != nil {
 		// Frame-level clauses evaluate once per frame at the ingress
@@ -441,24 +421,18 @@ func (c *Cluster) SetBoot(i int, fn func(p *sim.Proc)) {
 	c.Nodes[i].boot = fn
 }
 
-// Rebirth rebuilds crashed node i from scratch at the same fabric
-// address under a bumped incarnation number: a fresh NIC takes over the
-// dead incarnation's switch port, fresh EMP endpoint, substrate and TCP
-// stack are built on it, telemetry sources re-register on the node's
-// surviving registry (replacing the dead ledger), the descriptor space
-// is rebuilt, and the registered app bootstrap is re-spawned. The
-// host's RAM disk and telemetry history survive, as disk and a
-// monitoring plane would.
-func (c *Cluster) Rebirth(i int) {
-	if i < 0 || i >= len(c.Nodes) {
-		return
-	}
+// buildNode builds node i's current incarnation on the given fabric
+// ports — fresh ones at New, the dead incarnation's at Rebirth, so a
+// reborn node keeps its addresses: a NIC, EMP endpoint and substrate on
+// nicPort, a kernel TCP stack on tcpPort (either may be nil), then the
+// descriptor space over the primary transport. Every layer registers its
+// telemetry here, replacing the dead incarnation's sources on the
+// node's surviving registry.
+func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 	n := c.Nodes[i]
-	n.Incarnation++
-	if n.Sub != nil {
-		port := n.Sub.EP.NIC.Port()
+	if nicPort != nil {
 		nc := nic.New(c.Eng, "nic", c.nicConfig())
-		nc.AttachPort(port)
+		nc.AttachPort(nicPort)
 		if c.Cfg.Faults != nil {
 			nc.SetFaults(c.Cfg.Faults, i)
 		}
@@ -470,18 +444,44 @@ func (c *Cluster) Rebirth(i int) {
 		so.BootEpoch = uint64(n.Incarnation - 1)
 		n.Sub = core.New(c.Eng, n.Host, nc, so)
 		n.Sub.SetTelemetry(n.Tel)
-	}
-	if n.Stack != nil {
-		n.Stack = tcpip.NewStackOnPort(c.Eng, n.Host, n.Stack.Port(), c.stackConfig())
-		n.Stack.SetTelemetry(n.Tel)
-	}
-	if n.Sub != nil {
 		n.Net = n.Sub
-	} else {
-		n.Net = n.Stack
+	}
+	if tcpPort != nil {
+		n.Stack = tcpip.NewStackOnPort(c.Eng, n.Host, tcpPort, c.stackConfig())
+		n.Stack.SetTelemetry(n.Tel)
+		if n.Sub == nil {
+			n.Net = n.Stack
+		}
 	}
 	n.FD = fdtable.New(n.Net, n.FS)
-	n.Tel.Gauge("node", "incarnation").Set(int64(n.Incarnation))
+	// The cpu source stays silent until the core scheduler is exercised
+	// and the node source appears only after a restart, so compute-free,
+	// restart-free runs keep their snapshots unchanged.
+	n.Tel.ReplaceSource("cpu", cpuTelemetry(n.Host))
+	if n.Incarnation > 1 {
+		n.Tel.ReplaceSource("node", func() []telemetry.Stat { return telemetry.Fields(n) })
+	}
+}
+
+// Rebirth rebuilds crashed node i from scratch at the same fabric
+// addresses under a bumped incarnation number: fresh transports are
+// built on the dead incarnation's switch ports (buildNode) and the
+// registered app bootstrap is re-spawned. The host's RAM disk and
+// telemetry history survive, as disk and a monitoring plane would.
+func (c *Cluster) Rebirth(i int) {
+	if i < 0 || i >= len(c.Nodes) {
+		return
+	}
+	n := c.Nodes[i]
+	n.Incarnation++
+	var nicPort, tcpPort *ethernet.Port
+	if n.Sub != nil {
+		nicPort = n.Sub.EP.NIC.Port()
+	}
+	if n.Stack != nil {
+		tcpPort = n.Stack.Port()
+	}
+	c.buildNode(i, nicPort, tcpPort)
 	if n.boot != nil {
 		boot := n.boot
 		c.Eng.Spawn(fmt.Sprintf("boot%d", i), boot)
@@ -637,37 +637,21 @@ func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 	for _, n := range c.Nodes {
 		agg.Merge(n.Tel)
 	}
-	agg.RegisterSource("sim", func() []telemetry.Stat {
+	agg.ReplaceSource("sim", func() []telemetry.Stat {
 		return []telemetry.Stat{{Name: "wakeups", Value: c.Eng.Wakeups()}}
 	})
 	if c.Switch != nil {
-		agg.RegisterSource("switch", func() []telemetry.Stat {
+		agg.ReplaceSource("switch", func() []telemetry.Stat {
 			fs := c.Switch.FaultStats()
-			return []telemetry.Stat{
-				{Name: "fault_drops", Value: fs.Drops},
-				{Name: "fault_partition_drops", Value: fs.PartitionDrops},
-				{Name: "fault_dups", Value: fs.Dups},
-				{Name: "fault_corruptions", Value: fs.Corruptions},
-				{Name: "fault_reorders", Value: fs.Reorders},
-			}
+			return telemetry.Fields(&fs)
 		})
 	}
 	if c.Fabric != nil {
-		agg.RegisterSource("fabric", func() []telemetry.Stat {
+		agg.ReplaceSource("fabric", func() []telemetry.Stat {
 			fb := c.Fabric
 			fs := fb.FaultStats()
-			stats := []telemetry.Stat{
-				{Name: "forwards", Value: fb.Forwards()},
-				{Name: "reroutes", Value: fb.Reroutes()},
-				{Name: "link_downs", Value: fb.LinkDowns()},
-				{Name: "switch_deaths", Value: fb.SwitchDeaths()},
-				{Name: "route_drops", Value: fb.RouteDrops()},
-				{Name: "fault_drops", Value: fs.Drops},
-				{Name: "fault_partition_drops", Value: fs.PartitionDrops},
-				{Name: "fault_dups", Value: fs.Dups},
-				{Name: "fault_corruptions", Value: fs.Corruptions},
-				{Name: "fault_reorders", Value: fs.Reorders},
-			}
+			stats := append(telemetry.Fields(fb), telemetry.Fields(&fs)...)
+			stats = append(stats, telemetry.Stat{Name: "forwards", Value: fb.Forwards()})
 			for _, t := range fb.Trunks() {
 				fab, fba := t.Forwards()
 				dab, dba := t.Drops()

@@ -29,10 +29,10 @@ func (c *Cluster) Report() string {
 			n.Host.Syscalls.Value, n.Host.Interrupts.Value,
 			n.Host.CtxSwitches.Value, n.Host.CopiedBytes.Value)
 		if n.Sub != nil {
-			s := n.Sub.EP.Stats()
+			ep := n.Sub.EP
 			fmt.Fprintf(&b, "  emp: %d sends, %d recvs, %d delivered, %d uq hits, %d drops, %d rexmits, %d failed\n",
-				s.SendsPosted, s.RecvsPosted, s.MsgsDelivered, s.UnexpectedHit,
-				s.FramesDropped, s.Retransmits, s.SendsFailed)
+				ep.SendsPosted.Value, ep.RecvsPosted.Value, ep.MsgsDelivered.Value, ep.UnexpectedHits.Value,
+				ep.FramesDropped.Value, ep.Retransmits.Value, ep.SendsFailed.Value)
 			fmt.Fprintf(&b, "  substrate: %d connects, %d accepts, %d msgs, %d explicit acks, %d piggybacked, %d credit stalls, %d rendezvous, %d closes\n",
 				n.Sub.ConnectsSent.Value, n.Sub.ConnsAccepted.Value,
 				n.Sub.MsgsSent.Value, n.Sub.ExplicitAcks.Value,

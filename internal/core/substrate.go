@@ -78,31 +78,31 @@ type Substrate struct {
 	// Streaming receive buffers across all connections, and the FIFO of
 	// connections whose descriptor reposts are deferred while the pool
 	// is over budget.
-	eagerBytes int
-	eagerHW    int
+	eagerBytes int `metric:"eager_bytes"`
+	eagerHW    int `metric:"eager_high_water"`
 	deferredQ  []*Conn
 
-	// Stats.
-	ConnectsSent   sim.Counter
-	ConnsAccepted  sim.Counter
-	MsgsSent       sim.Counter
-	ExplicitAcks   sim.Counter
-	PiggybackAcks  sim.Counter
-	CreditStalls   sim.Counter
-	RendezvousOps  sim.Counter
-	ClosesSent     sim.Counter
-	DGramTruncated sim.Counter
-	ConnsFailed    sim.Counter
-	KeepalivesSent sim.Counter
-	DialRetries    sim.Counter
-	RefusedConns   sim.Counter
-	EagerDeferrals sim.Counter
+	// Stats, published under layer "core" by SetTelemetry.
+	ConnectsSent   sim.Counter `metric:"connects_sent"`
+	ConnsAccepted  sim.Counter `metric:"conns_accepted"`
+	MsgsSent       sim.Counter `metric:"msgs_sent"`
+	ExplicitAcks   sim.Counter `metric:"explicit_acks"`
+	PiggybackAcks  sim.Counter `metric:"piggyback_acks"`
+	CreditStalls   sim.Counter `metric:"credit_stalls"`
+	RendezvousOps  sim.Counter `metric:"rendezvous_ops"`
+	ClosesSent     sim.Counter `metric:"closes_sent"`
+	DGramTruncated sim.Counter `metric:"dgram_truncated"`
+	ConnsFailed    sim.Counter `metric:"conns_failed"`
+	KeepalivesSent sim.Counter `metric:"keepalives_sent"`
+	DialRetries    sim.Counter `metric:"dial_retries"`
+	RefusedConns   sim.Counter `metric:"refused_conns"`
+	EagerDeferrals sim.Counter `metric:"eager_deferrals"`
 	// LingerExpired counts lingering closes that hit their deadline and
 	// fell back to the abort path (tail delivery unconfirmed).
-	LingerExpired sim.Counter
+	LingerExpired sim.Counter `metric:"linger_expired"`
 	// CreditSyncs counts credit-reconciliation probes sent on behalf of
 	// writers stalled past Options.CreditSyncAfter.
-	CreditSyncs sim.Counter
+	CreditSyncs sim.Counter `metric:"credit_syncs"`
 
 	// Tel is the host's telemetry registry: latency-decomposition
 	// histograms and per-connection flight recorders feed it. Nil (the
@@ -263,44 +263,25 @@ func (s *Substrate) creditSweep(p *sim.Proc) {
 }
 
 // SetTelemetry attaches a telemetry registry to the substrate: the
-// substrate's protocol counters and the EMP endpoint's stats register
-// as pull-through sources, and connections start feeding latency spans
+// substrate's tagged counters publish under layer "core" and the EMP
+// endpoint's under "emp", and connections start feeding latency spans
 // and flight recorders. Unexpected-queue evictions are routed to the
-// affected connection's recorder.
+// affected connection's recorder. A substrate rebuilt after a
+// crash–restart calls this on the node registry that survived the
+// crash; its fresh counters replace the dead incarnation's.
 func (s *Substrate) SetTelemetry(tel *telemetry.Registry) {
 	s.Tel = tel
 	if tel == nil {
 		return
 	}
-	// ReplaceSource rather than RegisterSource: when a crashed host is
-	// rebuilt, the reborn substrate re-registers on the node registry
-	// that survived the crash, and its fresh ledger must replace — not
-	// add to — the dead incarnation's (no gauge bleed across
-	// incarnations). First registration behaves identically.
 	tel.ReplaceSource("core", func() []telemetry.Stat {
-		return []telemetry.Stat{
-			{Name: "connects_sent", Value: s.ConnectsSent.Value},
-			{Name: "conns_accepted", Value: s.ConnsAccepted.Value},
-			{Name: "msgs_sent", Value: s.MsgsSent.Value},
-			{Name: "explicit_acks", Value: s.ExplicitAcks.Value},
-			{Name: "piggyback_acks", Value: s.PiggybackAcks.Value},
-			{Name: "credit_stalls", Value: s.CreditStalls.Value},
-			{Name: "rendezvous_ops", Value: s.RendezvousOps.Value},
-			{Name: "closes_sent", Value: s.ClosesSent.Value},
-			{Name: "dgram_truncated", Value: s.DGramTruncated.Value},
-			{Name: "conns_failed", Value: s.ConnsFailed.Value},
-			{Name: "keepalives_sent", Value: s.KeepalivesSent.Value},
-			{Name: "dial_retries", Value: s.DialRetries.Value},
-			{Name: "refused_conns", Value: s.RefusedConns.Value},
-			{Name: "eager_deferrals", Value: s.EagerDeferrals.Value},
-			{Name: "linger_expired", Value: s.LingerExpired.Value},
-			{Name: "credit_syncs", Value: s.CreditSyncs.Value},
-			{Name: "active_sockets", Value: int64(s.active.size())},
-			{Name: "eager_bytes", Value: int64(s.eagerBytes)},
-			{Name: "eager_high_water", Value: int64(s.eagerHW)},
-		}
+		return append(telemetry.Fields(s),
+			telemetry.Stat{Name: "active_sockets", Value: int64(s.active.size())})
 	})
-	tel.ReplaceSource("emp", s.EP.TelemetryStats)
+	tel.ReplaceSource("emp", func() []telemetry.Stat {
+		return append(telemetry.Fields(&s.EP.Counters),
+			telemetry.Stat{Name: "uq_entries", Value: int64(s.EP.UnexpectedQueued())})
+	})
 	s.EP.SetUnexpectedEvictNotify(func(src ethernet.Addr, tag emp.Tag, length int) {
 		if c, ok := s.chans[chanKey{src, tag}]; ok {
 			c.flight().Recordf(s.Eng.Now(), "uq-evict", "tag=%d len=%d", tag, length)

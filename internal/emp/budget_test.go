@@ -38,7 +38,7 @@ func TestPostRecvBeyondBudgetFailsFast(t *testing.T) {
 		if got := ep.DescriptorsInUse(); got != 2 {
 			t.Errorf("descriptors in use = %d, want 2", got)
 		}
-		if got := ep.Stats().DescDenied; got != 1 {
+		if got := ep.DescDenied.Value; got != 1 {
 			t.Errorf("DescDenied = %d, want 1", got)
 		}
 		// Unposting frees budget; the next post succeeds.
@@ -72,7 +72,7 @@ func TestPostSendBeyondBudgetFailsFast(t *testing.T) {
 		if st := ep.WaitSend(p, h); st != StatusNoDescriptors {
 			t.Errorf("send status %v, want StatusNoDescriptors", st)
 		}
-		if got := ep.Stats().DescDenied; got != 1 {
+		if got := ep.DescDenied.Value; got != 1 {
 			t.Errorf("DescDenied = %d, want 1", got)
 		}
 	})
@@ -141,8 +141,7 @@ func TestUQByteCapEvictsOldestNonSetup(t *testing.T) {
 	if !ep.PeekUnexpected(AnySource, setupTag) {
 		t.Fatal("protected setup message was evicted")
 	}
-	st := ep.Stats()
-	if st.UQDropped == 0 {
+	if ep.UQDropped.Value == 0 {
 		t.Fatal("byte cap never dropped anything")
 	}
 	// Eviction is oldest-first among unprotected entries: the survivors
@@ -175,7 +174,7 @@ func TestUQByteCapFreesNICSlots(t *testing.T) {
 	if got := b.eps[1].UnexpectedQueued(); got != 1 {
 		t.Fatalf("queued %d entries at quiescence, want 1 survivor", got)
 	}
-	if got := b.eps[1].Stats().UQDropped; got != msgs-1 {
+	if got := b.eps[1].UQDropped.Value; got != msgs-1 {
 		t.Fatalf("UQDropped = %d, want %d", got, msgs-1)
 	}
 }

@@ -73,8 +73,8 @@ func TestSingleMessageDelivery(t *testing.T) {
 	if got.Len != 1000 || got.Tag != 7 || got.Src != b.eps[0].Addr() || got.Data != "payload" {
 		t.Fatalf("message %+v", got)
 	}
-	if s := b.eps[1].Stats(); s.MsgsDelivered != 1 {
-		t.Fatalf("stats %v", s)
+	if n := b.eps[1].MsgsDelivered.Value; n != 1 {
+		t.Fatalf("msgs delivered = %d, want 1", n)
 	}
 }
 
@@ -293,11 +293,10 @@ func TestUnexpectedMessageDroppedAndRetransmitted(t *testing.T) {
 	if st != StatusOK {
 		t.Fatalf("message never delivered via retransmission: %v", st)
 	}
-	s := b.eps[1].Stats()
-	if s.FramesDropped == 0 {
+	if b.eps[1].FramesDropped.Value == 0 {
 		t.Fatal("expected the first arrival to be dropped")
 	}
-	if b.eps[0].Stats().Retransmits == 0 {
+	if b.eps[0].Retransmits.Value == 0 {
 		t.Fatal("expected sender retransmissions")
 	}
 }
@@ -320,11 +319,10 @@ func TestUnexpectedQueueAbsorbsEarlyMessage(t *testing.T) {
 	if st != StatusOK || got.Data != "early" {
 		t.Fatalf("UQ claim failed: %v %v", st, got.Data)
 	}
-	s := b.eps[1].Stats()
-	if s.UnexpectedHit != 1 {
-		t.Fatalf("unexpected hits = %d, want 1", s.UnexpectedHit)
+	if n := b.eps[1].UnexpectedHits.Value; n != 1 {
+		t.Fatalf("unexpected hits = %d, want 1", n)
 	}
-	if b.eps[0].Stats().Retransmits != 0 {
+	if b.eps[0].Retransmits.Value != 0 {
 		t.Fatal("UQ path should not need retransmission")
 	}
 }
@@ -341,7 +339,7 @@ func TestUnexpectedQueueSlotExhaustion(t *testing.T) {
 	if b.eps[1].UnexpectedQueued() != 1 {
 		t.Fatalf("UQ holds %d messages, want 1", b.eps[1].UnexpectedQueued())
 	}
-	if b.eps[1].Stats().FramesDropped == 0 {
+	if b.eps[1].FramesDropped.Value == 0 {
 		t.Fatal("overflow message should have been dropped")
 	}
 }
@@ -395,10 +393,10 @@ func TestLossRecovery(t *testing.T) {
 	if delivered != msgs {
 		t.Fatalf("delivered %d/%d under loss", delivered, msgs)
 	}
-	if b.eps[0].Stats().Retransmits == 0 {
+	if b.eps[0].Retransmits.Value == 0 {
 		t.Fatal("expected retransmissions under 5%% loss")
 	}
-	if b.eps[0].Stats().SendsFailed != 0 {
+	if b.eps[0].SendsFailed.Value != 0 {
 		t.Fatal("no send should fail at 5% loss")
 	}
 }
@@ -472,12 +470,12 @@ func TestTranslationCache(t *testing.T) {
 		b.eps[0].PostSend(p, b.eps[1].Addr(), 1, 64, nil, 43)
 	})
 	b.eng.RunUntil(sim.Time(10 * sim.Millisecond))
-	s := b.eps[0].Stats()
-	if s.CacheMisses != 2 {
-		t.Fatalf("cache misses = %d, want 2 (keys 42 and 43)", s.CacheMisses)
+	s := &b.eps[0].Counters
+	if s.CacheMisses.Value != 2 {
+		t.Fatalf("cache misses = %d, want 2 (keys 42 and 43)", s.CacheMisses.Value)
 	}
-	if s.CacheHits != 4 {
-		t.Fatalf("cache hits = %d, want 4", s.CacheHits)
+	if s.CacheHits.Value != 4 {
+		t.Fatalf("cache hits = %d, want 4", s.CacheHits.Value)
 	}
 }
 
@@ -505,9 +503,9 @@ func TestKeyNoneNeverPins(t *testing.T) {
 		}
 	})
 	b.eng.RunUntil(sim.Time(10 * sim.Millisecond))
-	s := b.eps[0].Stats()
-	if s.CacheMisses != 0 || s.CacheHits != 0 {
-		t.Fatalf("KeyNone touched the cache: %+v", s)
+	s := &b.eps[0].Counters
+	if s.CacheMisses.Value != 0 || s.CacheHits.Value != 0 {
+		t.Fatalf("KeyNone touched the cache: %+v", *s)
 	}
 }
 
@@ -525,7 +523,7 @@ func TestAckWindowEveryFourFrames(t *testing.T) {
 		b.eps[0].Send(p, b.eps[1].Addr(), 2, size, nil, 10)
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
-	acks := b.eps[1].Stats().AcksSent
+	acks := b.eps[1].AcksSent.Value
 	if acks != 3 {
 		t.Fatalf("acks sent = %d for 12 fragments, want 3 (window of 4)", acks)
 	}
@@ -562,11 +560,11 @@ func TestBidirectionalTrafficNoDeadlock(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func() (sim.Duration, Stats) {
+	run := func() (sim.Duration, Counters) {
 		b := newBed(withLoss(0.02))
 		b.eng.Seed(99)
 		lat := pingPong(b, 1024, 20)
-		return lat, b.eps[0].Stats()
+		return lat, b.eps[0].Counters
 	}
 	l1, s1 := run()
 	l2, s2 := run()

@@ -1,8 +1,6 @@
 package emp
 
 import (
-	"fmt"
-
 	"repro/internal/ethernet"
 	"repro/internal/kernel"
 	"repro/internal/nic"
@@ -74,6 +72,41 @@ func DefaultEndpointConfig() Config {
 	}
 }
 
+// Counters are one endpoint's protocol counters and resource-pool
+// levels, shared by the host-side library and its NIC firmware. The
+// sockets substrate publishes the tagged fields under layer "emp".
+type Counters struct {
+	SendsPosted    sim.Counter `metric:"sends_posted"`
+	RecvsPosted    sim.Counter `metric:"recvs_posted"`
+	CacheHits      sim.Counter `metric:"cache_hits"`
+	CacheMisses    sim.Counter `metric:"cache_misses"`
+	MsgsDelivered  sim.Counter `metric:"msgs_delivered"`
+	UnexpectedHits sim.Counter `metric:"unexpected_hits"`
+	FramesDropped  sim.Counter `metric:"frames_dropped"`
+	Retransmits    sim.Counter `metric:"retransmits"`
+	AcksSent       sim.Counter `metric:"acks_sent"`
+	NacksSent      sim.Counter `metric:"nacks_sent"`
+	SendsFailed    sim.Counter `metric:"sends_failed"`
+	Truncated      sim.Counter `metric:"truncated"`
+	// Unposts counts descriptors reclaimed by Unpost — the teardown and
+	// drain paths' "used or unposted" accounting (Section 5.3).
+	Unposts sim.Counter `metric:"unposts"`
+
+	// Descriptor-budget accounting (Config.MaxDescriptors): posted
+	// receive descriptors plus live send transmission records, the most
+	// ever in use, and acquisitions refused at the budget.
+	descInUse  int         `metric:"desc_in_use"`
+	descHW     int         `metric:"desc_high_water"`
+	DescDenied sim.Counter `metric:"desc_denied"`
+
+	// Unexpected-queue occupancy for the byte cap
+	// (Config.UnexpectedBytes): bytes parked, the most entries ever
+	// parked, and entries the cap evicted.
+	uqBytes       int         `metric:"uq_bytes"`
+	uqPeakEntries int         `metric:"uq_peak_entries"`
+	UQDropped     sim.Counter `metric:"uq_dropped"`
+}
+
 // Endpoint is the host-side EMP library instance bound to one NIC.
 type Endpoint struct {
 	Eng  *sim.Engine
@@ -99,20 +132,7 @@ type Endpoint struct {
 	tcache     map[BufKey]struct{}
 	tcacheFIFO []BufKey
 
-	// Descriptor-budget accounting (Config.MaxDescriptors): posted
-	// receive descriptors plus live send transmission records.
-	descInUse int
-	descHW    int
-
-	// Stats.
-	CacheHits   sim.Counter
-	CacheMisses sim.Counter
-	SendsPosted sim.Counter
-	RecvsPosted sim.Counter
-	DescDenied  sim.Counter
-	// Unposts counts descriptors reclaimed by Unpost — the teardown and
-	// drain paths' "used or unposted" accounting (Section 5.3).
-	Unposts sim.Counter
+	Counters
 }
 
 // descAcquire claims one descriptor-budget slot, reporting false when
@@ -508,7 +528,7 @@ func (ep *Endpoint) PurgeUnexpected(keep func(src ethernet.Addr, tag Tag) bool) 
 	})
 	for _, e := range drop {
 		ep.fw.uq.remove(e)
-		ep.fw.uqBytes -= e.msg.Len
+		ep.uqBytes -= e.msg.Len
 	}
 	purged := len(drop)
 	if purged > 0 {
@@ -612,92 +632,12 @@ func (ep *Endpoint) Quiescent() bool {
 	return ep.descInUse == 0 && ep.fw.posted.len() == 0 && ep.fw.uq.len() == 0
 }
 
-// Stats is a snapshot of the endpoint's protocol counters and
-// resource-pool gauges.
-type Stats struct {
-	SendsPosted, RecvsPosted     int64
-	CacheHits, CacheMisses       int64
-	MsgsDelivered, UnexpectedHit int64
-	FramesDropped, Retransmits   int64
-	AcksSent, NacksSent          int64
-	SendsFailed                  int64
-	Truncated                    int64
-	Unposts                      int64
-	// Pool gauges (Config.MaxDescriptors / Config.UnexpectedBytes).
-	DescInUse, DescHighWater int64
-	DescDenied               int64
-	UQEntries, UQBytes       int64
-	UQPeakEntries, UQDropped int64
-}
-
-// Stats returns the current counter snapshot.
-func (ep *Endpoint) Stats() Stats {
-	return Stats{
-		SendsPosted:   ep.SendsPosted.Value,
-		RecvsPosted:   ep.RecvsPosted.Value,
-		CacheHits:     ep.CacheHits.Value,
-		CacheMisses:   ep.CacheMisses.Value,
-		MsgsDelivered: ep.fw.msgsDelivered.Value,
-		UnexpectedHit: ep.fw.unexpectedHit.Value,
-		FramesDropped: ep.fw.framesDropped.Value,
-		Retransmits:   ep.fw.retransmits.Value,
-		AcksSent:      ep.fw.acksSent.Value,
-		NacksSent:     ep.fw.nacksSent.Value,
-		SendsFailed:   ep.fw.sendsFailed.Value,
-		Truncated:     ep.fw.truncated.Value,
-		Unposts:       ep.Unposts.Value,
-		DescInUse:     int64(ep.descInUse),
-		DescHighWater: int64(ep.descHW),
-		DescDenied:    ep.DescDenied.Value,
-		UQEntries:     int64(ep.fw.uq.len()),
-		UQBytes:       int64(ep.fw.uqBytes),
-		UQPeakEntries: int64(ep.fw.uqPeakEntries),
-		UQDropped:     ep.fw.uqDropped.Value,
-	}
-}
-
-// TelemetryStats exposes the endpoint's counters as a telemetry
-// source: the registry pulls these at snapshot time, so the endpoint
-// stays the single owner of its stats and nothing is double-counted.
-func (ep *Endpoint) TelemetryStats() []telemetry.Stat {
-	s := ep.Stats()
-	return []telemetry.Stat{
-		{Name: "sends_posted", Value: s.SendsPosted},
-		{Name: "recvs_posted", Value: s.RecvsPosted},
-		{Name: "cache_hits", Value: s.CacheHits},
-		{Name: "cache_misses", Value: s.CacheMisses},
-		{Name: "msgs_delivered", Value: s.MsgsDelivered},
-		{Name: "unexpected_hits", Value: s.UnexpectedHit},
-		{Name: "frames_dropped", Value: s.FramesDropped},
-		{Name: "retransmits", Value: s.Retransmits},
-		{Name: "acks_sent", Value: s.AcksSent},
-		{Name: "nacks_sent", Value: s.NacksSent},
-		{Name: "sends_failed", Value: s.SendsFailed},
-		{Name: "truncated", Value: s.Truncated},
-		{Name: "unposts", Value: s.Unposts},
-		{Name: "desc_in_use", Value: s.DescInUse},
-		{Name: "desc_high_water", Value: s.DescHighWater},
-		{Name: "desc_denied", Value: s.DescDenied},
-		{Name: "uq_entries", Value: s.UQEntries},
-		{Name: "uq_bytes", Value: s.UQBytes},
-		{Name: "uq_peak_entries", Value: s.UQPeakEntries},
-		{Name: "uq_dropped", Value: s.UQDropped},
-	}
-}
-
 // SetUnexpectedEvictNotify registers a callback invoked (in event
 // context, must not block) when the unexpected-queue byte cap evicts a
 // parked message; the substrate routes it to the owning connection's
 // flight recorder.
 func (ep *Endpoint) SetUnexpectedEvictNotify(fn func(src ethernet.Addr, tag Tag, length int)) {
 	ep.fw.uqEvict = fn
-}
-
-// String summarizes the stats.
-func (s Stats) String() string {
-	return fmt.Sprintf("sends=%d recvs=%d delivered=%d uqhits=%d drops=%d rexmit=%d acks=%d nacks=%d failed=%d",
-		s.SendsPosted, s.RecvsPosted, s.MsgsDelivered, s.UnexpectedHit,
-		s.FramesDropped, s.Retransmits, s.AcksSent, s.NacksSent, s.SendsFailed)
 }
 
 // PrepostedDescriptors reports how many receive descriptors are currently
@@ -711,8 +651,8 @@ func (ep *Endpoint) UnexpectedQueued() int { return ep.fw.uq.len() }
 
 // UnexpectedBytes reports the payload bytes currently parked in the
 // unexpected queue.
-func (ep *Endpoint) UnexpectedBytes() int { return ep.fw.uqBytes }
+func (ep *Endpoint) UnexpectedBytes() int { return ep.uqBytes }
 
 // UnexpectedPeakEntries reports the most entries the unexpected queue
 // ever held — the occupancy high-water mark overload tests assert on.
-func (ep *Endpoint) UnexpectedPeakEntries() int { return ep.fw.uqPeakEntries }
+func (ep *Endpoint) UnexpectedPeakEntries() int { return ep.uqPeakEntries }

@@ -54,8 +54,8 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 	if notifyDst != b.eps[1].Addr() || notifyTag != 9 {
 		t.Fatalf("notification for dst=%d tag=%d, want dst=%d tag=9", notifyDst, notifyTag, b.eps[1].Addr())
 	}
-	if s := b.eps[0].Stats(); s.SendsFailed == 0 {
-		t.Fatalf("SendsFailed = 0 after retry exhaustion: %v", s)
+	if b.eps[0].SendsFailed.Value == 0 {
+		t.Fatalf("SendsFailed = 0 after retry exhaustion: %+v", b.eps[0].Counters)
 	}
 	// The retry budget bounds detection: MaxRetries timeouts each capped
 	// at MaxRTO.

@@ -99,6 +99,8 @@ const completedRingCap = 4096
 // firmware holds the NIC-resident EMP state and runs the send/receive
 // processors as simulated processes on the two Tigon2 CPUs.
 type firmware struct {
+	*Counters // the endpoint's, shared
+
 	ep  *Endpoint
 	n   *nic.NIC
 	eng *sim.Engine
@@ -119,13 +121,9 @@ type firmware struct {
 	resendStreak map[ethernet.Addr]int
 	txWindow     *sim.Cond
 	uqSlots      int
-	// uqBytes / uqPeakEntries account the unexpected queue's occupancy
-	// for the byte cap (Config.UnexpectedBytes) and the pool gauges.
-	uqBytes       int
-	uqPeakEntries int
-	uq            *uqTable
-	reasm         map[reasmKey]*reassembly
-	records       map[uint64]*txRecord
+	uq           *uqTable
+	reasm        map[reasmKey]*reassembly
+	records      map[uint64]*txRecord
 
 	completed     map[reasmKey]bool
 	completedRing []reasmKey
@@ -141,17 +139,6 @@ type firmware struct {
 
 	sendProc *sim.Proc
 	recvProc *sim.Proc
-
-	// Stats.
-	msgsDelivered sim.Counter
-	unexpectedHit sim.Counter
-	framesDropped sim.Counter
-	retransmits   sim.Counter
-	acksSent      sim.Counter
-	nacksSent     sim.Counter
-	sendsFailed   sim.Counter
-	truncated     sim.Counter
-	uqDropped     sim.Counter
 }
 
 // maxFrag is the per-fragment payload this NIC's MTU allows.
@@ -165,6 +152,7 @@ func (fw *firmware) maxFrag() int {
 
 func newFirmware(ep *Endpoint) *firmware {
 	fw := &firmware{
+		Counters:     &ep.Counters,
 		ep:           ep,
 		n:            ep.NIC,
 		eng:          ep.Eng,
@@ -364,7 +352,7 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 	rec.retries++
 	if rec.retries > fw.ep.Cfg.Rel.MaxRetries {
 		rec.failed = true
-		fw.sendsFailed.Inc()
+		fw.SendsFailed.Inc()
 		fw.eng.Tracef(fw.n.Name, "SEND FAILED dst=%d tag=%d msg=%d after %d retries",
 			rec.dst, rec.tag, rec.msgID, rec.retries-1)
 		fw.ep.notifyEvent(ProtoEvent{Kind: "emp-send-failed", Dst: rec.dst, Tag: rec.tag,
@@ -384,7 +372,7 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 		Retries: rec.retries, Frags: rec.sent - rec.acked})
 	fw.eng.Tracef(fw.n.Name, "REXMIT dst=%d msg=%d frags %d..%d retry=%d", rec.dst, rec.msgID, rec.acked, rec.sent, rec.retries)
 	for seq := rec.acked; seq < rec.sent; seq++ {
-		fw.retransmits.Inc()
+		fw.Retransmits.Inc()
 		fw.sendFrag(p, rec, seq)
 	}
 	rec.rto *= sim.Duration(fw.ep.Cfg.Rel.RTOBackoff)
@@ -439,7 +427,7 @@ func (fw *firmware) recvLoop(p *sim.Proc) {
 func (fw *firmware) handleFrame(p *sim.Proc, f *ethernet.Frame) {
 	wf, ok := f.Payload.(*WireFrame)
 	if !ok {
-		fw.framesDropped.Inc()
+		fw.FramesDropped.Inc()
 		return
 	}
 	switch wf.Kind {
@@ -514,7 +502,7 @@ func (fw *firmware) handleData(p *sim.Proc, wf *WireFrame) {
 	if r == nil {
 		r = fw.startReassembly(p, wf, key)
 		if r == nil {
-			fw.framesDropped.Inc()
+			fw.FramesDropped.Inc()
 			return
 		}
 	}
@@ -632,11 +620,11 @@ func (fw *firmware) finish(r *reassembly) {
 	notify := fw.n.Cfg.HostNotify
 	switch {
 	case r.sink:
-		fw.truncated.Inc()
+		fw.Truncated.Inc()
 		h := r.h
 		fw.eng.After(notify, func() { h.complete(StatusTruncated, Message{}) })
 	case r.h != nil:
-		fw.msgsDelivered.Inc()
+		fw.MsgsDelivered.Inc()
 		h := r.h
 		fw.eng.After(notify, func() { h.complete(StatusOK, msg) })
 	default:
@@ -644,8 +632,8 @@ func (fw *firmware) finish(r *reassembly) {
 		// been posted while the message was arriving.
 		if h := fw.matchDescriptor(msg); h != nil {
 			fw.uqSlots++
-			fw.unexpectedHit.Inc()
-			fw.msgsDelivered.Inc()
+			fw.UnexpectedHits.Inc()
+			fw.MsgsDelivered.Inc()
 			// The claim pays the temp-buffer -> user-buffer copy; it is
 			// modeled as completion delay (the host thread is blocked in
 			// WaitRecv, not doing other work).
@@ -660,7 +648,7 @@ func (fw *firmware) finish(r *reassembly) {
 			// queue are the classic victim; only the substrate's
 			// credit-reconciliation sweep repairs the resulting drift.
 			fw.uqSlots++
-			fw.uqDropped.Inc()
+			fw.UQDropped.Inc()
 			fw.eng.Tracef(fw.n.Name, "UQ delivery lost (fault) src=%d tag=%d len=%d", msg.Src, msg.Tag, msg.Len)
 			return
 		}
@@ -700,7 +688,7 @@ func (fw *firmware) enforceUQBytes() {
 		fw.uq.remove(e)
 		fw.uqBytes -= e.msg.Len
 		fw.uqSlots++
-		fw.uqDropped.Inc()
+		fw.UQDropped.Inc()
 		if fw.uqEvict != nil {
 			fw.uqEvict(e.msg.Src, e.msg.Tag, e.msg.Len)
 		}
@@ -748,8 +736,8 @@ func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
 		fw.uq.remove(e)
 		fw.uqBytes -= m.Len
 		fw.uqSlots++
-		fw.unexpectedHit.Inc()
-		fw.msgsDelivered.Inc()
+		fw.UnexpectedHits.Inc()
+		fw.MsgsDelivered.Inc()
 		delay := fw.n.Cfg.HostNotify + fw.ep.Host.CopyTime(m.Len)
 		fw.eng.After(delay, func() { h.complete(StatusOK, m) })
 		return
@@ -783,8 +771,8 @@ func (fw *firmware) claimUnexpected(src ethernet.Addr, tag Tag, maxLen int) (Mes
 	m := e.msg
 	fw.uq.remove(e)
 	fw.uqBytes -= m.Len
-	fw.unexpectedHit.Inc()
-	fw.msgsDelivered.Inc()
+	fw.UnexpectedHits.Inc()
+	fw.MsgsDelivered.Inc()
 	// Tell the NIC to free the slot (a host doorbell write).
 	fw.n.Ring(func() {
 		fw.rxWork.TryPut(rxOp{uqFree: 1})
@@ -794,7 +782,7 @@ func (fw *firmware) claimUnexpected(src ethernet.Addr, tag Tag, maxLen int) (Mes
 
 func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq int) {
 	p.Sleep(fw.ep.Cfg.AckTxCost)
-	fw.acksSent.Inc()
+	fw.AcksSent.Inc()
 	fw.n.Transmit(&ethernet.Frame{
 		Src:        fw.ep.addr,
 		Dst:        dst,
@@ -810,7 +798,7 @@ func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq
 
 func (fw *firmware) sendNack(p *sim.Proc, dst ethernet.Addr, msgID uint64, from int) {
 	p.Sleep(fw.ep.Cfg.AckTxCost)
-	fw.nacksSent.Inc()
+	fw.NacksSent.Inc()
 	fw.n.Transmit(&ethernet.Frame{
 		Src:        fw.ep.addr,
 		Dst:        dst,

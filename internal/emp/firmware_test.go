@@ -111,8 +111,8 @@ func TestDestinationWindowBoundsInflight(t *testing.T) {
 	if maxSeen > 8 {
 		t.Fatalf("destination inflight reached %d, window is 8", maxSeen)
 	}
-	if b.eps[0].Stats().Retransmits != 0 {
-		t.Fatalf("lossless stream retransmitted %d frames", b.eps[0].Stats().Retransmits)
+	if b.eps[0].Retransmits.Value != 0 {
+		t.Fatalf("lossless stream retransmitted %d frames", b.eps[0].Retransmits.Value)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestNackTriggersFastRecovery(t *testing.T) {
 	if done == 0 {
 		t.Fatal("message not delivered under loss")
 	}
-	if b.eps[1].Stats().NacksSent == 0 {
+	if b.eps[1].NacksSent.Value == 0 {
 		t.Fatal("expected NACKs for dropped fragments at 8% loss on a 45-fragment message")
 	}
 }
@@ -197,7 +197,7 @@ func TestDuplicateCompletedMessageReAcked(t *testing.T) {
 	if first.Data != "original" {
 		t.Fatalf("original not delivered: %v", first.Data)
 	}
-	acksBefore := b.eps[1].Stats().AcksSent
+	acksBefore := b.eps[1].AcksSent.Value
 	// Replay the data frame (late duplicate after a lost final ack).
 	dup := &ethernet.Frame{
 		Src: b.eps[0].Addr(), Dst: b.eps[1].Addr(),
@@ -209,12 +209,12 @@ func TestDuplicateCompletedMessageReAcked(t *testing.T) {
 	}
 	b.eng.After(0, func() { b.nics[1].Deliver(dup) })
 	b.eng.RunUntil(sim.Time(200 * sim.Millisecond))
-	if b.eps[1].Stats().AcksSent != acksBefore+1 {
+	if b.eps[1].AcksSent.Value != acksBefore+1 {
 		t.Fatalf("duplicate frame should trigger exactly one re-ack (%d -> %d)",
-			acksBefore, b.eps[1].Stats().AcksSent)
+			acksBefore, b.eps[1].AcksSent.Value)
 	}
-	if b.eps[1].Stats().MsgsDelivered != 1 {
-		t.Fatalf("duplicate delivered twice: %d", b.eps[1].Stats().MsgsDelivered)
+	if b.eps[1].MsgsDelivered.Value != 1 {
+		t.Fatalf("duplicate delivered twice: %d", b.eps[1].MsgsDelivered.Value)
 	}
 }
 
@@ -293,8 +293,8 @@ func TestSendFailureAfterRetriesExhausted(t *testing.T) {
 	if st != StatusOK {
 		t.Fatalf("local send completion should be OK, got %v", st)
 	}
-	if b.eps[0].Stats().SendsFailed != 1 {
-		t.Fatalf("sendsFailed = %d, want 1", b.eps[0].Stats().SendsFailed)
+	if b.eps[0].SendsFailed.Value != 1 {
+		t.Fatalf("sendsFailed = %d, want 1", b.eps[0].SendsFailed.Value)
 	}
 	if len(b.eps[0].fw.destInflight) != 0 {
 		t.Fatalf("failed send leaked window slots: %v", b.eps[0].fw.destInflight)
@@ -370,9 +370,6 @@ func TestHandleAccessorsAndStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Fatal("empty status string")
 		}
-	}
-	if b.eps[0].Stats().String() == "" {
-		t.Fatal("stats string empty")
 	}
 }
 

@@ -55,11 +55,11 @@ type Fabric struct {
 
 	onRoute []func(RouteEvent)
 
-	// Counters.
-	reroutes     int64
-	linkDowns    int64
-	switchDeaths int64
-	routeDrops   int64
+	// Counters, published by the cluster's "fabric" source.
+	reroutes     int64 `metric:"reroutes"`
+	linkDowns    int64 `metric:"link_downs"`
+	switchDeaths int64 `metric:"switch_deaths"`
+	routeDrops   int64 `metric:"route_drops"`
 }
 
 // FabricConfig parameterizes the fabric-wide machinery.

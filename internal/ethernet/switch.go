@@ -30,11 +30,11 @@ func DefaultSwitchConfig() SwitchConfig {
 
 // FaultStats aggregates every fault-injection counter of the fabric.
 type FaultStats struct {
-	Drops          int64 // frames dropped by loss injection
-	PartitionDrops int64 // frames dropped by partition/link-down clauses
-	Dups           int64 // frames delivered twice
-	Corruptions    int64 // frames with flipped bits (dropped at FCS check)
-	Reorders       int64 // frames delayed past their successors
+	Drops          int64 `metric:"fault_drops"`           // frames dropped by loss injection
+	PartitionDrops int64 `metric:"fault_partition_drops"` // frames dropped by partition/link-down clauses
+	Dups           int64 `metric:"fault_dups"`            // frames delivered twice
+	Corruptions    int64 `metric:"fault_corruptions"`     // frames with flipped bits (dropped at FCS check)
+	Reorders       int64 `metric:"fault_reorders"`        // frames delayed past their successors
 }
 
 // Total reports all injected fault events.
@@ -113,7 +113,8 @@ type Port struct {
 // Attach connects a station to a new port and returns the port. The
 // station learns its address via the returned port's Addr method.
 // Addresses come from the fabric-wide space, so stations on different
-// switches never collide.
+// switches never collide. st may be nil when the station is built after
+// its port; it must then be bound with Rebind before any frame arrives.
 func (s *Switch) Attach(st Station) *Port {
 	addr := Addr(len(s.fab.stations))
 	p := &Port{

@@ -406,12 +406,6 @@ func (pl *Plan) DownWindows(link int) []LinkClause {
 	return out
 }
 
-// HasFabric reports whether the plan wounds the fabric itself (trunk
-// links or switches).
-func (pl *Plan) HasFabric() bool {
-	return pl != nil && (len(pl.Links) > 0 || len(pl.SwitchCrashes) > 0)
-}
-
 // Validate reports the first malformed rate or window in the plan:
 // NaN, negative or >1 probabilities, and inverted time windows.
 func (pl *Plan) Validate() error {

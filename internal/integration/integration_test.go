@@ -246,7 +246,7 @@ func TestUnknownPayloadIgnoredByEMP(t *testing.T) {
 		n.Deliver(&ethernet.Frame{Src: 0, Dst: 0, PayloadLen: 64, Payload: "garbage"})
 	})
 	eng.RunUntil(sim.Time(sim.Millisecond))
-	if ep.Stats().FramesDropped != 1 {
-		t.Fatalf("foreign frame not dropped cleanly: %+v", ep.Stats())
+	if ep.FramesDropped.Value != 1 {
+		t.Fatalf("foreign frame not dropped cleanly: %+v", ep.Counters)
 	}
 }

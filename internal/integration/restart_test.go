@@ -345,3 +345,98 @@ func TestCrashThenAuditThenRebirth(t *testing.T) {
 		t.Errorf("audit after rebirth: %d finding(s): %v", len(rep.Findings), rep.Findings)
 	}
 }
+
+// TestRebirthReplacesLayerCounters: after a crash–restart, node 0's
+// registry must publish the reborn incarnation's substrate, EMP and TCP
+// counters, not the sum of both incarnations. Both incarnations carry
+// traffic on both transports, so registration that appended instead of
+// replacing would show in every checked key.
+func TestRebirthReplacesLayerCounters(t *testing.T) {
+	pl := &faults.Plan{Restarts: []faults.Restart{
+		faults.RestartAt(0, 10*sim.Millisecond, 20*sim.Millisecond)}}
+	c := cluster.New(cluster.Config{Nodes: 2, Failover: true, Seed: 5, Faults: pl})
+	boot := func(p *sim.Proc) {
+		n := c.Nodes[0]
+		for _, net := range []sock.Network{n.Sub, n.Stack} {
+			l, err := net.Listen(p, 80, 4)
+			if err != nil {
+				return
+			}
+			c.Eng.Spawn("echo-accept", func(q *sim.Proc) {
+				for {
+					conn, err := l.Accept(q)
+					if err != nil {
+						return
+					}
+					if n, _, err := conn.Read(q, 64); err == nil && n > 0 {
+						conn.Write(q, n, nil)
+					}
+					conn.Close(q)
+				}
+			})
+		}
+	}
+	c.SetBoot(0, boot)
+	c.Eng.Spawn("boot0", boot)
+
+	// echoAll exchanges one byte with node 0 over every transport,
+	// retrying while the reborn listeners come up.
+	echoAll := func(p *sim.Proc) {
+		for _, tg := range c.Targets(1, 0, 80) {
+			for try := 0; ; try++ {
+				conn, err := tg.Net.Dial(p, tg.Addr, tg.Port)
+				if err == nil {
+					_, err = conn.Write(p, 1, nil)
+					if err == nil {
+						_, _, err = conn.Read(p, 64)
+					}
+					conn.Close(p)
+				}
+				if err == nil {
+					break
+				}
+				if try == 20 {
+					t.Errorf("%s echo: %v", tg.Name, err)
+					return
+				}
+				p.Sleep(5 * sim.Millisecond)
+			}
+		}
+	}
+	var dead *cluster.Node
+	c.Eng.Spawn("client", func(p *sim.Proc) {
+		echoAll(p)
+		n := *c.Nodes[0]
+		dead = &n
+		p.Sleep(50 * sim.Millisecond) // node 0 is dark [10ms, 30ms)
+		echoAll(p)
+	})
+	c.Run(2 * sim.Second)
+
+	n := c.Nodes[0]
+	if dead == nil || n.Incarnation != 2 {
+		t.Fatalf("node 0 at incarnation %d, want a completed restart", n.Incarnation)
+	}
+	got := map[string]int64{}
+	for _, m := range n.Tel.Snapshot().Counters {
+		got[m.Layer+"/"+m.Metric] = m.Value
+	}
+	for _, k := range []struct {
+		key        string
+		dead, live int64
+	}{
+		{"core/msgs_sent", dead.Sub.MsgsSent.Value, n.Sub.MsgsSent.Value},
+		{"emp/sends_posted", dead.Sub.EP.SendsPosted.Value, n.Sub.EP.SendsPosted.Value},
+		{"tcp/segs_out", dead.Stack.SegsOut.Value, n.Stack.SegsOut.Value},
+	} {
+		if k.dead == 0 || k.live == 0 {
+			t.Errorf("%s: dead incarnation %d, reborn %d; want traffic on both", k.key, k.dead, k.live)
+		}
+		if got[k.key] != k.live {
+			t.Errorf("%s = %d, want the reborn incarnation's %d (dead one had %d)", k.key, got[k.key], k.live, k.dead)
+		}
+	}
+	if got["node/incarnation"] != 2 {
+		t.Errorf("node/incarnation = %d, want 2", got["node/incarnation"])
+	}
+}

@@ -76,7 +76,7 @@ func TestSixteenNodeAllToAll(t *testing.T) {
 		if n.Sub.ActiveSockets() != 0 {
 			t.Fatalf("node %d leaked %d sockets", i, n.Sub.ActiveSockets())
 		}
-		if n.Sub.EP.Stats().SendsFailed != 0 {
+		if n.Sub.EP.SendsFailed.Value != 0 {
 			t.Fatalf("node %d had failed sends under the all-to-all load", i)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 // sessionCounter reads a "session"-layer counter off a node's registry.
 func sessionCounter(n *cluster.Node, metric string) int64 {
-	return n.Tel.Counter("session", metric).Value()
+	return n.Tel.Counter("session", metric).Value
 }
 
 // echoServer accepts one session and echoes everything it reads until

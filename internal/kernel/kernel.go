@@ -72,7 +72,7 @@ func DefaultCosts() Costs {
 // Host models one machine: a CPU cost-charging facility plus interrupt
 // delivery. The paper's hosts are quad-processor machines; Cores sets how
 // many independent CPU contexts exist, backed by a sim.CPU whose per-core
-// run queues serialize compute charged through ChargeCompute/CPU(). The
+// run queues serialize compute charged through ChargeComputeOn/CPU(). The
 // fixed-cost charge methods (Syscall, Copy, MMIO, ...) model kernel-path
 // latencies and deliberately bypass the run queues — they stay
 // schedule-identical regardless of core count, so workloads that never
@@ -113,14 +113,8 @@ func (h *Host) Cores() int { return h.cpu.N() }
 // charge core-scheduled compute directly.
 func (h *Host) CPU() *sim.CPU { return h.cpu }
 
-// ChargeCompute charges p with d of core-scheduled compute on the
-// deterministically least-loaded core: concurrent charges serialize once
-// all cores are busy, and overlap otherwise.
-func (h *Host) ChargeCompute(p *sim.Proc, d sim.Duration) {
-	h.cpu.Compute(p, d)
-}
-
-// ChargeComputeOn is ChargeCompute pinned to a core (modulo Cores()).
+// ChargeComputeOn charges p with d of core-scheduled compute pinned to
+// a core (modulo Cores()): concurrent charges on one core serialize.
 func (h *Host) ChargeComputeOn(p *sim.Proc, core int, d sim.Duration) {
 	h.cpu.ComputeOn(p, core, d)
 }

@@ -417,12 +417,6 @@ func (n *NIC) StallIfWedged(p *sim.Proc) {
 	}
 }
 
-// WedgedNow reports whether a wedge window currently covers this NIC
-// (event-context callers that cannot sleep use it to defer work).
-func (n *NIC) WedgedNow() bool {
-	return n.fplan != nil && n.fplan.NICWedgeRemaining(sim.Duration(n.Eng.Now()), n.fnode) > 0
-}
-
 func (n *NIC) faultDMAStall() sim.Duration {
 	if n.fplan == nil {
 		return 0

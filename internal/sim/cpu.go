@@ -121,12 +121,3 @@ func (c *CPU) Utilization(i int) float64 {
 	}
 	return float64(c.cores[i].busy) / float64(c.eng.Now())
 }
-
-// QueueLen reports how many processes are running or queued on core i
-// right now (diagnostics).
-func (c *CPU) QueueLen(i int) int {
-	if c == nil || i < 0 || i >= len(c.cores) {
-		return 0
-	}
-	return c.cores[i].load
-}

@@ -195,17 +195,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 // complete (or deadlocked — see BlockedProcs).
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
-// PendingEvents reports how many live events are queued.
-func (e *Engine) PendingEvents() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // LiveProcs reports how many spawned processes have not yet finished.
 // A nonzero count with an idle queue indicates blocked (deadlocked or
 // simply never-signalled) processes.

@@ -146,9 +146,6 @@ func (ns *NoteSource) Unsubscribe(sink *NoteSink) {
 	}
 }
 
-// Subscribers reports how many sinks are subscribed.
-func (ns *NoteSource) Subscribers() int { return len(ns.subs) }
-
 // Fire publishes an event of the given class mask to every subscriber
 // whose interest intersects it. Unlike a Cond broadcast it wakes only
 // consumers registered on this object.

@@ -1,8 +1,9 @@
 package sim
 
-// Counter is a named monotonically-increasing event counter.
+// Counter is a monotonically-increasing event count. A layer publishes
+// its counters by tagging the fields `metric:"name"` (see
+// telemetry.Fields); increments stay plain field adds.
 type Counter struct {
-	Name  string
 	Value int64
 }
 

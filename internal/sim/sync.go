@@ -270,13 +270,6 @@ func (s *Semaphore) Release() {
 	s.waiters.WakeOne()
 }
 
-// ReleaseN increments the count by n and wakes up to n waiters.
-func (s *Semaphore) ReleaseN(n int) {
-	for i := 0; i < n; i++ {
-		s.Release()
-	}
-}
-
 // Cond couples a predicate with a wait queue: processes wait until the
 // predicate holds, and mutators Broadcast after changing state.
 type Cond struct {

@@ -139,9 +139,9 @@ type Poller struct {
 	// and Scanned the per-object readiness checks performed. Scanned
 	// tracking Delivered rather than the registered-set size is the
 	// poller's reason to exist.
-	Waits     int64
-	Delivered int64
-	Scanned   int64
+	Waits     int64 `metric:"poll_waits"`
+	Delivered int64 `metric:"poll_delivered"`
+	Scanned   int64 `metric:"poll_scanned"`
 }
 
 // NewPoller returns an empty poller. The label names its wait queue in
@@ -444,14 +444,10 @@ func (po *Poller) claimOne(w *PollWaiter) (PollEvent, bool) {
 }
 
 // TelemetryStats reports the poller's scalability counters as a
-// telemetry source: stable order, snake-case names. Register with
-// Registry.RegisterSource under a layer like "poller".
+// telemetry source: the tagged fields, then each named waiter's three.
+// Register with Registry.ReplaceSource under a layer like "poller".
 func (po *Poller) TelemetryStats() []telemetry.Stat {
-	out := []telemetry.Stat{
-		{Name: "poll_waits", Value: po.Waits},
-		{Name: "poll_delivered", Value: po.Delivered},
-		{Name: "poll_scanned", Value: po.Scanned},
-	}
+	out := telemetry.Fields(po)
 	for _, w := range po.waiters {
 		out = append(out,
 			telemetry.Stat{Name: "poll_waiter_" + w.Name + "_waits", Value: w.Waits},

@@ -261,13 +261,13 @@ type Session struct {
 
 	lastLocal, lastRemote Addr
 
-	ctrReconnects *telemetry.Counter
-	ctrReattaches *telemetry.Counter
-	ctrFailovers  *telemetry.Counter
-	ctrReplayed   *telemetry.Counter
-	ctrWatchdog   *telemetry.Counter
-	ctrFailed     *telemetry.Counter
-	ctrDetached   *telemetry.Counter
+	ctrReconnects *sim.Counter
+	ctrReattaches *sim.Counter
+	ctrFailovers  *sim.Counter
+	ctrReplayed   *sim.Counter
+	ctrWatchdog   *sim.Counter
+	ctrFailed     *sim.Counter
+	ctrDetached   *sim.Counter
 }
 
 var _ Conn = (*Session)(nil)
@@ -702,10 +702,6 @@ func (s *Session) commitRecord() {
 	}, s.lis)
 }
 
-// Detached reports whether this server-side session gave up waiting
-// for its client to reattach (reads return EOF, writes ErrClosed).
-func (s *Session) Detached() bool { return s.detached }
-
 // flush pushes [flushed, logicalEnd) to the live transport, one replay
 // span (or span remainder) at a time. A recoverable transport error
 // repairs and continues — the handshake rewinds flushed so replay is
@@ -800,10 +796,6 @@ func (s *Session) RemoteAddr() Addr { return s.lastRemote }
 // ID reports the server-assigned session identity (0 until the first
 // handshake completes).
 func (s *Session) ID() uint64 { return s.id }
-
-// Generation reports how many transports the session has consumed; it
-// starts at 1 and grows by one per reconnect or reattach.
-func (s *Session) Generation() int { return s.gen }
 
 // SetDeadline sets both deadlines, forwarding to the live transport and
 // re-applying across reconnects.

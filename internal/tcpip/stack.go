@@ -53,64 +53,40 @@ type Stack struct {
 	rxIntr  sim.Event
 	rxFirst sim.Time
 
-	// Stats.
-	SegsIn, SegsOut   sim.Counter
-	Rexmits           sim.Counter
-	DelayedAcks       sim.Counter
-	Interrupts        sim.Counter
-	FastRetransmits   sim.Counter
-	DroppedNoListener sim.Counter
-	DroppedSegs       sim.Counter
-	ChecksumDrops     sim.Counter
+	// Stats, published under layer "tcp" by SetTelemetry.
+	SegsIn            sim.Counter `metric:"segs_in"`
+	SegsOut           sim.Counter `metric:"segs_out"`
+	Rexmits           sim.Counter `metric:"rexmits"`
+	DelayedAcks       sim.Counter `metric:"delayed_acks"`
+	Interrupts        sim.Counter `metric:"interrupts"`
+	FastRetransmits   sim.Counter `metric:"fast_rexmits"`
+	DroppedNoListener sim.Counter `metric:"dropped_no_listener"`
+	DroppedSegs       sim.Counter `metric:"dropped_segs"`
+	ChecksumDrops     sim.Counter `metric:"checksum_drops"`
 	// LingerExpired counts lingering closes that hit their deadline and
 	// degraded to a reset (tail delivery unconfirmed).
-	LingerExpired sim.Counter
+	LingerExpired sim.Counter `metric:"linger_expired"`
 
 	// Tel is the host's telemetry registry; nil outside a cluster (all
 	// instrumentation no-ops).
 	Tel *telemetry.Registry
 }
 
-// SetTelemetry attaches the host's registry and registers the stack's
-// counters as a pull-through source under layer "tcp".
+// SetTelemetry attaches the host's registry and publishes the stack's
+// tagged counters under layer "tcp". A reborn incarnation's stack
+// re-registers on the surviving node registry, replacing the dead
+// incarnation's counters.
 func (st *Stack) SetTelemetry(tel *telemetry.Registry) {
 	st.Tel = tel
 	if tel == nil {
 		return
 	}
-	// ReplaceSource: a reborn incarnation's stack re-registers on the
-	// surviving node registry, replacing the dead incarnation's ledger.
-	tel.ReplaceSource("tcp", func() []telemetry.Stat {
-		return []telemetry.Stat{
-			{Name: "segs_in", Value: st.SegsIn.Value},
-			{Name: "segs_out", Value: st.SegsOut.Value},
-			{Name: "rexmits", Value: st.Rexmits.Value},
-			{Name: "delayed_acks", Value: st.DelayedAcks.Value},
-			{Name: "interrupts", Value: st.Interrupts.Value},
-			{Name: "fast_rexmits", Value: st.FastRetransmits.Value},
-			{Name: "dropped_no_listener", Value: st.DroppedNoListener.Value},
-			{Name: "dropped_segs", Value: st.DroppedSegs.Value},
-			{Name: "checksum_drops", Value: st.ChecksumDrops.Value},
-			{Name: "linger_expired", Value: st.LingerExpired.Value},
-		}
-	})
+	tel.ReplaceSource("tcp", func() []telemetry.Stat { return telemetry.Fields(st) })
 }
 
-// NewStack creates a stack on host and attaches it to sw.
+// NewStack creates a stack on host and attaches it to a new port of sw.
 func NewStack(e *sim.Engine, host *kernel.Host, sw *ethernet.Switch, cfg StackConfig) *Stack {
-	st := &Stack{
-		Eng:       e,
-		Host:      host,
-		Cfg:       cfg,
-		conns:     newConnTable(),
-		listeners: make(map[int]*Listener),
-		udps:      make(map[int]*UDPSocket),
-		nextPort:  32768,
-		nextISS:   1 << 20,
-	}
-	st.port = sw.Attach(st)
-	st.addr = st.port.Addr()
-	return st
+	return NewStackOnPort(e, host, sw.Attach(nil), cfg)
 }
 
 // NewStackOnPort builds a stack on an existing switch port, rebinding

@@ -1,5 +1,5 @@
 // Package telemetry is the host-scoped observability layer: a registry
-// of counters, gauges, and fixed-bucket histograms keyed by
+// of counters and fixed-bucket histograms keyed by
 // layer/metric/connection, latency-decomposition spans stamped at layer
 // crossings, and per-connection flight recorders dumped when a
 // connection dies unexpectedly.
@@ -13,8 +13,12 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"reflect"
 	"sort"
+
+	"repro/internal/sim"
 )
 
 // Key identifies one metric within a registry. Conn is empty for
@@ -36,65 +40,51 @@ func keyLess(a, b Key) bool {
 	return a.Conn < b.Conn
 }
 
-// Counter is a monotonically increasing event count.
-type Counter struct{ v int64 }
-
-// Inc adds one to the counter. Safe on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n to the counter. Safe on a nil receiver.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value reports the current count. Zero on a nil receiver.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous level (queue depth, bytes staged).
-type Gauge struct{ v int64 }
-
-// Set replaces the gauge value. Safe on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v = n
-	}
-}
-
-// Add moves the gauge by n (negative to decrease). Safe on a nil
-// receiver.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v += n
-	}
-}
-
-// Value reports the current level. Zero on a nil receiver.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Stat is one named value pulled from an external source at snapshot
-// time. Sources let the scattered pre-existing stat structs
-// (emp.Endpoint.Stats, tcpip.Stack counters, sock.Poller counters,
-// sim.Engine.Wakeups, faults.FaultStats) feed the registry without
-// double-counting: they stay the owners, the registry reads through.
+// Stat is one named value pulled from a source at snapshot time. A
+// layer stays the owner of its counters and the registry reads through,
+// so nothing is double-counted: most stats come from the layer's tagged
+// fields (Fields), the rest from method calls (live table sizes,
+// per-core and per-trunk series).
 type Stat struct {
 	Name  string
 	Value int64
+}
+
+var counterType = reflect.TypeOf(sim.Counter{})
+
+// Fields reads the metrics a struct declares, in declaration order:
+// every field tagged `metric:"name"`, either a sim.Counter (its Value)
+// or an integer. Unexported fields are read too, so a layer can publish
+// a private level without an accessor; untagged fields are skipped. v
+// must be a pointer to a struct, and a tagged field of any other type
+// panics: both are programming errors. Reflection runs only when a
+// snapshot is taken, never on the paths that increment.
+func Fields(v any) []Stat {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() || rv.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("telemetry.Fields: %T is not a pointer to a struct", v))
+	}
+	rv = rv.Elem()
+	rt := rv.Type()
+	var out []Stat
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		name, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		fv := rv.Field(i)
+		if f.Type == counterType {
+			fv = fv.Field(0)
+		}
+		switch fv.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			out = append(out, Stat{Name: name, Value: fv.Int()})
+		default:
+			panic(fmt.Sprintf("telemetry.Fields: %T.%s is %s, not a counter or integer", v, f.Name, f.Type))
+		}
+	}
+	return out
 }
 
 type source struct {
@@ -106,8 +96,7 @@ type source struct {
 // call New. A nil *Registry is a valid "telemetry off" value: every
 // method no-ops.
 type Registry struct {
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
+	counters map[Key]*sim.Counter
 	hists    map[Key]*Histogram
 	sources  []source
 
@@ -119,41 +108,26 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]*Gauge),
+		counters: make(map[Key]*sim.Counter),
 		hists:    make(map[Key]*Histogram),
 		flights:  make(map[string]*Recorder),
 	}
 }
 
 // Counter returns the counter for (layer, metric), creating it on first
-// use. Returns nil (a valid no-op counter) on a nil registry.
-func (r *Registry) Counter(layer, metric string) *Counter {
+// use. On a nil registry it returns a fresh detached counter, so callers
+// increment unconditionally and nothing is recorded.
+func (r *Registry) Counter(layer, metric string) *sim.Counter {
 	if r == nil {
-		return nil
+		return &sim.Counter{}
 	}
 	k := Key{Layer: layer, Metric: metric}
 	c := r.counters[k]
 	if c == nil {
-		c = &Counter{}
+		c = &sim.Counter{}
 		r.counters[k] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge for (layer, metric), creating it on first
-// use. Returns nil (a valid no-op gauge) on a nil registry.
-func (r *Registry) Gauge(layer, metric string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := Key{Layer: layer, Metric: metric}
-	g := r.gauges[k]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram for (layer, metric), creating it with
@@ -172,22 +146,14 @@ func (r *Registry) Histogram(layer, metric string, bounds []float64) *Histogram 
 	return h
 }
 
-// RegisterSource registers a pull-through stat source under the given
-// layer name. fn runs at Snapshot time and must return stats in a
-// deterministic order. No-op on a nil registry.
-func (r *Registry) RegisterSource(layer string, fn func() []Stat) {
-	if r == nil {
-		return
-	}
-	r.sources = append(r.sources, source{layer: layer, fn: fn})
-}
-
-// ReplaceSource registers fn under the given layer name, first removing
-// any source already registered under that layer. Per-node layers use
-// this when a host is rebuilt after a crash–restart: the reborn
-// incarnation's stats replace the dead incarnation's, so gauges do not
-// bleed across incarnations. Aggregation paths (Merge) keep using the
-// additive append semantics. No-op on a nil registry.
+// ReplaceSource registers a pull-through stat source under the given
+// layer name, first removing any source already registered under that
+// layer. fn runs at Snapshot time and must return stats in a
+// deterministic order. Each layer registers once per node and
+// incarnation: a host rebuilt after a crash–restart re-registers, and
+// the reborn incarnation's stats replace the dead one's rather than
+// adding to them. Merge appends sources, so a cluster-wide registry
+// sums the nodes' layers. No-op on a nil registry.
 func (r *Registry) ReplaceSource(layer string, fn func() []Stat) {
 	if r == nil {
 		return
@@ -201,7 +167,7 @@ func (r *Registry) ReplaceSource(layer string, fn func() []Stat) {
 	r.sources = append(kept, source{layer: layer, fn: fn})
 }
 
-// MetricSnap is one counter or gauge in a snapshot.
+// MetricSnap is one counter in a snapshot.
 type MetricSnap struct {
 	Layer  string `json:"layer"`
 	Metric string `json:"metric"`
@@ -230,7 +196,6 @@ type HistSnap struct {
 // sorted by (layer, metric, conn), source stats folded in as counters.
 type Snapshot struct {
 	Counters []MetricSnap `json:"counters"`
-	Gauges   []MetricSnap `json:"gauges,omitempty"`
 	Hists    []HistSnap   `json:"histograms,omitempty"`
 }
 
@@ -245,7 +210,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	merged := make(map[Key]int64, len(r.counters))
 	for k, c := range r.counters {
-		merged[k] = c.Value()
+		merged[k] = c.Value
 	}
 	for _, src := range r.sources {
 		for _, st := range src.fn() {
@@ -259,15 +224,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	for _, k := range keys {
 		s.Counters = append(s.Counters, MetricSnap{Layer: k.Layer, Metric: k.Metric, Conn: k.Conn, Value: merged[k]})
-	}
-
-	gkeys := make([]Key, 0, len(r.gauges))
-	for k := range r.gauges {
-		gkeys = append(gkeys, k)
-	}
-	sort.Slice(gkeys, func(i, j int) bool { return keyLess(gkeys[i], gkeys[j]) })
-	for _, k := range gkeys {
-		s.Gauges = append(s.Gauges, MetricSnap{Layer: k.Layer, Metric: k.Metric, Conn: k.Conn, Value: r.gauges[k].Value()})
 	}
 
 	hkeys := make([]Key, 0, len(r.hists))
@@ -297,7 +253,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// Merge folds other's counters, gauges, histograms, and flight dumps
+// Merge folds other's counters, sources, histograms, and flight dumps
 // into r (cross-node aggregation for cluster-wide reports). Histograms
 // merge bucket-wise; mismatched bounds are skipped. No-op if either
 // side is nil.
@@ -308,18 +264,10 @@ func (r *Registry) Merge(other *Registry) {
 	for k, c := range other.counters {
 		rc := r.counters[k]
 		if rc == nil {
-			rc = &Counter{}
+			rc = &sim.Counter{}
 			r.counters[k] = rc
 		}
-		rc.Add(c.Value())
-	}
-	for k, g := range other.gauges {
-		rg := r.gauges[k]
-		if rg == nil {
-			rg = &Gauge{}
-			r.gauges[k] = rg
-		}
-		rg.Add(g.Value())
+		rc.Add(c.Value)
 	}
 	for k, h := range other.hists {
 		rh := r.hists[k]
@@ -333,7 +281,5 @@ func (r *Registry) Merge(other *Registry) {
 	if len(r.dumps) > maxDumps {
 		r.dumps = r.dumps[:maxDumps]
 	}
-	for _, src := range other.sources {
-		r.sources = append(r.sources, src)
-	}
+	r.sources = append(r.sources, other.sources...)
 }

@@ -139,9 +139,8 @@ func TestNilSafety(t *testing.T) {
 	// Every path must be a no-op, not a panic, when telemetry is off.
 	r.Counter("l", "m").Inc()
 	r.Counter("l", "m").Add(3)
-	r.Gauge("l", "m").Set(7)
 	r.Histogram("l", "m", nil).Observe(1)
-	r.RegisterSource("l", func() []Stat { return nil })
+	r.ReplaceSource("l", func() []Stat { return nil })
 	sp := r.NewSpan("eager", 64, "write", 0)
 	if sp != nil {
 		t.Fatal("nil registry must yield nil span")
@@ -264,9 +263,8 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 		r.Counter("core", "msgs_sent").Add(5)
 		r.Counter("emp", "retransmits").Add(2)
 		r.Counter("core", "credit_stalls").Inc()
-		r.Gauge("emp", "uq_bytes").Set(4096)
 		r.Histogram("latency", "eager/64B/e2e", LatencyBounds()).Observe(12e3)
-		r.RegisterSource("sim", func() []Stat { return []Stat{{Name: "wakeups", Value: 17}} })
+		r.ReplaceSource("sim", func() []Stat { return []Stat{{Name: "wakeups", Value: 17}} })
 		return r
 	}
 	var a, b bytes.Buffer
@@ -318,5 +316,48 @@ func TestRegistryMerge(t *testing.T) {
 	}
 	if len(a.Dumps()) != 1 {
 		t.Fatalf("merged dumps = %d", len(a.Dumps()))
+	}
+}
+
+func TestFields(t *testing.T) {
+	v := struct {
+		A      sim.Counter `metric:"a"`
+		skip   sim.Counter
+		b      int32 `metric:"b"`
+		Plain  int64
+		c      sim.Counter `metric:"c"`
+		D      int         `metric:"d"`
+		Ignore string
+	}{}
+	v.A.Add(3)
+	v.skip.Inc()
+	v.b = -2
+	v.Plain = 9
+	v.c.Inc()
+	v.D = 7
+	got := Fields(&v)
+	want := []Stat{{"a", 3}, {"b", -2}, {"c", 1}, {"d", 7}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Fields = %v, want %v (declaration order, tagged only)", got, want)
+	}
+
+	type badTag struct {
+		S string `metric:"s"`
+	}
+	for name, arg := range map[string]any{
+		"struct value":   v,
+		"int pointer":    new(int),
+		"nil pointer":    (*badTag)(nil),
+		"untyped nil":    nil,
+		"non-int tagged": &badTag{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fields(%s) did not panic", name)
+				}
+			}()
+			Fields(arg)
+		}()
 	}
 }
