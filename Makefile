@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test bench bench-smoke reproduce ablations chaos overload audit drain metrics corescale examples verify record
+.PHONY: test bench bench-smoke reproduce ablations chaos overload audit drain metrics corescale examples verify identity record
 
 # test is the everyday gate; `make verify` is the full pre-merge chain
 # (gofmt + build + vet + race tests + the gates + the quick chaos matrix).
@@ -99,6 +99,16 @@ verify:
 	go test -run TestConnScaleDispatchGate -count=1 ./internal/bench
 	go test -run TestCoreScaleGate -count=1 ./internal/bench
 	go run ./cmd/reproduce -chaos all -quick
+
+# identity checks that a change leaves every quick report unchanged: it
+# builds cmd/reproduce at PARENT (in a temporary git worktree) and from
+# the working tree, runs both with -fig all, -ablations, -metrics,
+# -audit, -corescale and -chaos all (each with -quick, each in its own
+# temporary directory), and fails if stdout, the exit status or any
+# BENCH_*.json written differs. Usage: make identity PARENT=<rev>.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
+	bash scripts/identity.sh $(PARENT)
 
 # record regenerates the committed experiment record artifacts.
 record:

@@ -105,14 +105,15 @@ func matmulMaster(p *sim.Proc, node *cluster.Node, port, n, workers int) (sim.Du
 	node.Host.Compute(p, int64(2*selfRows*n*n))
 	// Gather with the readiness poller: multiplexing the workers' result
 	// sockets is the paper's stated reason for needing select() support
-	// in the substrate. Each worker sends exactly one result, so its
-	// socket is consumed whole on its first readable event and then
-	// deregistered — the edge-triggered drain obligation is discharged by
-	// reading the full result.
+	// in the substrate. The master is the poller's one waiter. Each
+	// worker sends exactly one result, so its socket is consumed whole
+	// on its first readable event and then deregistered — the
+	// edge-triggered drain obligation is discharged by reading the full
+	// result.
 	po := sock.NewPoller(p.Engine(), "matmul.gather")
 	defer po.Close()
 	node.Tel.ReplaceSource("poller", po.TelemetryStats)
-	pending := workers
+	gather := po.Waiter("gather")
 	for idx, c := range conns {
 		cp, ok := c.(sock.Pollable)
 		if !ok {
@@ -120,21 +121,19 @@ func matmulMaster(p *sim.Proc, node *cluster.Node, port, n, workers int) (sim.Du
 		}
 		po.Register(cp, sock.PollIn|sock.PollErr, idx)
 	}
-	for pending > 0 {
-		for _, ev := range po.Wait(p, -1) {
-			idx := ev.Data.(int)
-			c := conns[idx]
-			_, objs, err := sock.ReadFull(p, c, matmulHeaderBytes)
-			if err != nil || len(objs) == 0 {
-				return 0, fmt.Errorf("matmul: result header from %d: %v", idx, err)
-			}
-			hdr := objs[0].(*matmulHeader)
-			if _, _, err := sock.ReadFull(p, c, hdr.Rows*hdr.N*8); err != nil {
-				return 0, err
-			}
-			po.Deregister(c.(sock.Pollable))
-			pending--
+	for pending := workers; pending > 0; pending-- {
+		ev, _ := gather.Wait(p, -1)
+		idx := ev.Data.(int)
+		c := conns[idx]
+		_, objs, err := sock.ReadFull(p, c, matmulHeaderBytes)
+		if err != nil || len(objs) == 0 {
+			return 0, fmt.Errorf("matmul: result header from %d: %v", idx, err)
 		}
+		hdr := objs[0].(*matmulHeader)
+		if _, _, err := sock.ReadFull(p, c, hdr.Rows*hdr.N*8); err != nil {
+			return 0, err
+		}
+		po.Deregister(ev.Item)
 	}
 	elapsed := p.Now().Sub(start)
 	for _, c := range conns {

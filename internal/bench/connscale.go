@@ -181,48 +181,50 @@ func connScaleRun(transport cluster.Transport, conns, pacers, reqs int, active, 
 		po := sock.NewPoller(p.Engine(), "connscale")
 		c.Nodes[0].Tel.ReplaceSource("poller", po.TelemetryStats)
 		po.Register(lp, sock.PollIn|sock.PollErr, nil)
+		server := po.Waiter("server")
 		accepted, finished := 0, 0
 		for finished < conns && pt.Err == "" {
-			for _, ev := range po.Wait(p, -1) {
-				if ev.Data == nil {
-					for accepted < conns && lp.PollState()&sock.PollIn != 0 {
-						cn, err := l.Accept(p)
-						if err != nil {
-							fail(err)
-							break
-						}
-						accepted++
-						po.Register(cn.(sock.Pollable),
-							sock.PollIn|sock.PollErr,
-							&connScaleState{c: cn, need: connScaleReqBytes})
+			ev, _ := server.Wait(p, -1)
+			if ev.Data == nil {
+				for accepted < conns && lp.PollState()&sock.PollIn != 0 {
+					cn, err := l.Accept(p)
+					if err != nil {
+						fail(err)
+						break
 					}
-					if accepted == conns {
-						po.Deregister(lp)
-					}
+					accepted++
+					po.Register(cn.(sock.Pollable),
+						sock.PollIn|sock.PollErr,
+						&connScaleState{c: cn, need: connScaleReqBytes})
+				}
+				if accepted == conns {
+					po.Deregister(lp)
+				}
+				po.Done(lp)
+				continue
+			}
+			st := ev.Data.(*connScaleState)
+			for ev.Item.PollState()&(sock.PollIn|sock.PollErr) != 0 {
+				n, _, err := st.c.Read(p, st.need)
+				if err != nil || n == 0 {
+					po.Deregister(ev.Item)
+					st.c.Close(p)
+					finished++
+					break
+				}
+				st.need -= n
+				if st.need > 0 {
 					continue
 				}
-				st := ev.Data.(*connScaleState)
-				for st.c.(sock.Pollable).PollState()&(sock.PollIn|sock.PollErr) != 0 {
-					n, _, err := st.c.Read(p, st.need)
-					if err != nil || n == 0 {
-						po.Deregister(st.c.(sock.Pollable))
-						st.c.Close(p)
-						finished++
-						break
-					}
-					st.need -= n
-					if st.need > 0 {
-						continue
-					}
-					if _, err := st.c.Write(p, connScaleReqBytes, "echo"); err != nil {
-						po.Deregister(st.c.(sock.Pollable))
-						st.c.Close(p)
-						finished++
-						break
-					}
-					st.need = connScaleReqBytes
+				if _, err := st.c.Write(p, connScaleReqBytes, "echo"); err != nil {
+					po.Deregister(ev.Item)
+					st.c.Close(p)
+					finished++
+					break
 				}
+				st.need = connScaleReqBytes
 			}
+			po.Done(ev.Item)
 		}
 		l.Close(p)
 		pt.Waits = po.Waits
@@ -416,16 +418,7 @@ func DescScale(n int, hashed bool, iters int) DescScalePoint {
 	if pt.Lookups > 0 {
 		pt.MeanLookup = float64(pt.Walked) / float64(pt.Lookups)
 	}
-	base, per := nicCfg.TagMatchBase, nicCfg.TagMatchPerDesc
-	if hashed {
-		if nicCfg.TagMatchHashBase != 0 {
-			base = nicCfg.TagMatchHashBase
-		}
-		if nicCfg.TagMatchHashPerProbe != 0 {
-			per = nicCfg.TagMatchHashPerProbe
-		}
-	}
-	pt.MatchNs = float64(base) + pt.MeanLookup*float64(per)
+	pt.MatchNs = float64(nicCfg.TagMatchBase) + pt.MeanLookup*float64(nicCfg.TagMatchPerDesc)
 	return pt
 }
 

@@ -58,13 +58,12 @@ type Config struct {
 	TCP *tcpip.StackConfig
 	// Switch overrides every switch's timing parameters.
 	Switch *ethernet.SwitchConfig
-	// Hosts overrides the host cost model.
-	Hosts *kernel.Costs
 	// Cores per host (the paper's testbed machines are quads).
 	Cores int
 	// NIC overrides the programmable NIC cost table (substrate only).
 	NIC *nic.Config
-	// Seed seeds the engine's deterministic random source.
+	// Seed seeds the engine's deterministic random source and the
+	// fabric's ECMP path-selection hash.
 	Seed uint64
 	// Faults, when non-nil, injects the plan's frame faults at every
 	// switch (once per frame, at the ingress switch), its trunk and
@@ -104,9 +103,6 @@ type Config struct {
 type Topology struct {
 	Spines int
 	Leaves int
-	// ECMPSeed seeds the fabric's path-selection hash; zero borrows the
-	// cluster Seed so runs stay reproducible by default.
-	ECMPSeed uint64
 	// DetectDelay overrides how long failures blackhole before the
 	// fabric reroutes (zero: ethernet.DefaultDetectDelay).
 	DetectDelay sim.Duration
@@ -191,10 +187,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Switch != nil {
 		swCfg = *cfg.Switch
 	}
-	hostCosts := kernel.DefaultCosts()
-	if cfg.Hosts != nil {
-		hostCosts = *cfg.Hosts
-	}
 	// Every cluster forwards through one fabric. Without a Topology it
 	// holds a single switch (the paper's testbed); with one, a
 	// spine-leaf fabric.
@@ -209,12 +201,8 @@ func New(cfg Config) *Cluster {
 		// Leaves with no spine have no trunk between them.
 		topo.Spines = 1
 	}
-	seed := topo.ECMPSeed
-	if seed == 0 {
-		seed = cfg.Seed
-	}
 	fb := ethernet.NewFabric(eng, ethernet.FabricConfig{
-		Seed:        seed,
+		Seed:        cfg.Seed,
 		DetectDelay: topo.DetectDelay,
 		NoReroute:   topo.NoReroute,
 	})
@@ -242,7 +230,7 @@ func New(cfg Config) *Cluster {
 		c.Switch = leaves[0]
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		host := kernel.NewHost(eng, "host", cfg.Cores, hostCosts)
+		host := kernel.NewHost(eng, "host", cfg.Cores, kernel.DefaultCosts())
 		c.Nodes = append(c.Nodes, &Node{Host: host, FS: ramfs.New(host), Tel: telemetry.New(),
 			Resume: sock.NewSessionStore(), Incarnation: 1})
 		// Attach order fixes the fabric addresses: a node's substrate

@@ -114,7 +114,7 @@ type Conn struct {
 	// stalls, descriptor completions, control arrivals); src feeds
 	// registered pollers. Both wake only this connection's consumers.
 	ready *sim.Cond
-	src   sim.NoteSource
+	src   sock.NoteSource
 	// lastIO is when the connection last saw application activity; the
 	// keepalive loop probes only connections idle past the interval.
 	lastIO sim.Time
@@ -291,7 +291,7 @@ func (c *Conn) waitDeadline(p *sim.Proc, dl sim.Time, pred func() bool) bool {
 func (c *Conn) Notify() {
 	c.sub.sweepNote(c)
 	c.ready.Broadcast()
-	c.src.Fire(uint32(sock.PollIn | sock.PollOut | sock.PollErr))
+	c.src.Fire(sock.PollIn | sock.PollOut | sock.PollErr)
 }
 
 // connOptions derives the per-connection options both sides agree on
@@ -352,7 +352,7 @@ func newConn(s *Substrate, peer ethernet.Addr, req *connRequest, isClient bool) 
 	return c
 }
 
-// fail marks the connection failed: blocked Read/Write/Select callers
+// fail marks the connection failed: blocked Read/Write callers
 // wake with err on their next predicate check. Safe to call from event
 // context (the EMP send-failure notification path).
 func (c *Conn) fail(err error) {
@@ -495,9 +495,6 @@ func (c *Conn) Readable() bool {
 	return len(c.dgq) > 0 || c.sub.EP.PeekUnexpected(c.peer, c.dataInTag)
 }
 
-// Ready implements sock.Waitable.
-func (c *Conn) Ready() bool { return c.Readable() }
-
 // Writable reports whether Write would make progress without a credit
 // stall: a send credit is in hand, the mode has no credit flow control
 // (Datagram), or Write would return immediately with an error.
@@ -527,7 +524,7 @@ func (c *Conn) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (c *Conn) PollSource() *sim.NoteSource { return &c.src }
+func (c *Conn) PollSource() *sock.NoteSource { return &c.src }
 
 // --- Acknowledgment plumbing ---------------------------------------------
 

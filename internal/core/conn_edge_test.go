@@ -203,11 +203,11 @@ func TestSelectMixesListenerAndConn(t *testing.T) {
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.subs[0].Listen(p, 80, 4)
 		// First readiness: the listener (client 1 connects).
-		firstReady = selectWait(p, b.eng, []sock.Waitable{l}, -1)
+		firstReady = selectWait(p, b.eng, []any{l}, -1)
 		c, _ := l.Accept(p)
 		// Second readiness: data on the accepted conn beats a second
 		// (never-arriving) connection.
-		secondReady = selectWait(p, b.eng, []sock.Waitable{l, c}, -1)
+		secondReady = selectWait(p, b.eng, []any{l, c}, -1)
 		c.Read(p, 64)
 	})
 	b.eng.Spawn("client", func(p *sim.Proc) {
@@ -233,7 +233,7 @@ func TestDGSelectReadinessViaUnexpectedQueue(t *testing.T) {
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.subs[0].Listen(p, 80, 4)
 		c, _ := l.Accept(p)
-		ready = selectWait(p, b.eng, []sock.Waitable{c}, -1)
+		ready = selectWait(p, b.eng, []any{c}, -1)
 		n, _, _ := c.Read(p, 1024)
 		if n != 100 {
 			t.Errorf("read %d, want 100", n)

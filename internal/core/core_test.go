@@ -12,18 +12,19 @@ import (
 	"repro/internal/sock"
 )
 
-// selectWait emulates the retired level-triggered Select call over an
-// ephemeral Poller: register everything (registration queues an event
-// for already-ready items), wait once, and report the ready indices in
-// ascending order.
-func selectWait(p *sim.Proc, eng *sim.Engine, items []sock.Waitable, timeout sim.Duration) []int {
+// selectWait emulates a level-triggered select() over an ephemeral
+// Poller: register everything (registration queues an event for
+// already-ready items), wait for the first event, drain the rest with
+// Wait(0), and report the ready indices in ascending order.
+func selectWait(p *sim.Proc, eng *sim.Engine, items []any, timeout sim.Duration) []int {
 	po := sock.NewPoller(eng, "test.select")
 	defer po.Close()
 	for i, it := range items {
 		po.Register(it.(sock.Pollable), sock.PollIn|sock.PollErr, i)
 	}
+	w := po.Waiter("select")
 	var out []int
-	for _, ev := range po.Wait(p, timeout) {
+	for ev, ok := w.Wait(p, timeout); ok; ev, ok = w.Wait(p, 0) {
 		out = append(out, ev.Data.(int))
 	}
 	sort.Ints(out)
@@ -496,7 +497,7 @@ func TestSubstrateSelect(t *testing.T) {
 		c1, _ := l.Accept(p)
 		c2, _ := l.Accept(p)
 		conns := []sock.Conn{c1, c2}
-		items := []sock.Waitable{c1, c2}
+		items := []any{c1, c2}
 		for len(order) < 2 {
 			for _, i := range selectWait(p, b.eng, items, -1) {
 				conns[i].Read(p, 4096)
@@ -528,7 +529,7 @@ func TestSelectTimeout(t *testing.T) {
 	var ready []int
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.subs[0].Listen(p, 80, 4)
-		ready = selectWait(p, b.eng, []sock.Waitable{l}, 200*sim.Microsecond)
+		ready = selectWait(p, b.eng, []any{l}, 200*sim.Microsecond)
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
 	if ready != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/sock"
+	"repro/internal/telemetry"
 )
 
 // failureBound is how much simulated time peer-death detection may take
@@ -185,5 +187,60 @@ func TestAcceptWakesOnLocalKill(t *testing.T) {
 	}
 	if acceptErr != sock.ErrClosed {
 		t.Fatalf("Accept on killed substrate returned %v, want sock.ErrClosed", acceptErr)
+	}
+}
+
+// TestKillFailsConnsInDeterministicOrder: Kill fails every live
+// connection, and each failure wakes that connection's blocked readers
+// and dumps its flight ring. With several readers blocked, repeated runs
+// under one seed must record the dumps in the same order — the walk
+// must not follow map iteration order.
+func TestKillFailsConnsInDeterministicOrder(t *testing.T) {
+	const readers = 4
+	kill := func() []string {
+		b := newBed(3, DefaultOptions())
+		b.eng.Seed(7)
+		b.subs[0].SetTelemetry(telemetry.New())
+		b.eng.Spawn("server", func(p *sim.Proc) {
+			l, err := b.subs[0].Listen(p, 80, readers)
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			for i := 0; i < readers; i++ {
+				c, err := l.Accept(p)
+				if err != nil {
+					return
+				}
+				p.Engine().Spawn("reader", func(p *sim.Proc) {
+					c.Read(p, 64) // blocked until the kill
+				})
+			}
+		})
+		for i := 0; i < readers; i++ {
+			i := i
+			b.eng.Spawn("client", func(p *sim.Proc) {
+				p.Sleep(sim.Duration(10+10*i) * sim.Microsecond)
+				if _, err := b.subs[1+i%2].Dial(p, b.subs[0].Addr(), 80); err != nil {
+					t.Errorf("dial %d: %v", i, err)
+				}
+			})
+		}
+		b.eng.At(sim.Time(5*sim.Millisecond), b.subs[0].Kill)
+		b.eng.RunUntil(sim.Time(10 * sim.Millisecond))
+		var order []string
+		for _, d := range b.subs[0].Tel.Dumps() {
+			order = append(order, d.Conn)
+		}
+		return order
+	}
+	want := kill()
+	if len(want) != readers {
+		t.Fatalf("kill dumped %d flight rings %v, want %d", len(want), want, readers)
+	}
+	for run := 1; run < 20; run++ {
+		if got := kill(); !slices.Equal(got, want) {
+			t.Fatalf("run %d dumped %v, run 0 dumped %v", run, got, want)
+		}
 	}
 }

@@ -413,11 +413,12 @@ func (s *Substrate) eagerRelease(p *sim.Proc, n int) {
 func (s *Substrate) EagerBytes() (now, highWater int) { return s.eagerBytes, s.eagerHW }
 
 // peerUnreachable fails every active connection to dst with
-// sock.ErrReset, waking blocked Read/Write/Select callers. Runs in event
-// context.
+// sock.ErrReset, in (peer, localPort, remotePort) order, waking blocked
+// Read/Write callers. Runs in event context.
 func (s *Substrate) peerUnreachable(dst ethernet.Addr) {
 	var failed []*Conn
 	s.active.peerConns(dst, func(c *Conn) { failed = append(failed, c) })
+	sortConns(failed)
 	for _, c := range failed {
 		c.fail(sock.ErrReset)
 	}
@@ -432,9 +433,7 @@ func (s *Substrate) Kill() {
 		return
 	}
 	s.dead = true
-	var failing []*Conn
-	s.active.forEach(func(c *Conn) { failing = append(failing, c) })
-	for _, c := range failing {
+	for _, c := range s.active.snapshotSorted() {
 		c.fail(sock.ErrReset)
 	}
 	dying := s.listeners
@@ -886,8 +885,8 @@ type Listener struct {
 	handles []*emp.RecvHandle
 	closed  bool
 
-	ready *sim.Cond      // procs blocked on this listener's events
-	src   sim.NoteSource // registered pollers
+	ready *sim.Cond       // procs blocked on this listener's events
+	src   sock.NoteSource // registered pollers
 	// headDone caches the head-of-backlog completion check so repeated
 	// Acceptable calls don't redo TryRecv work; headKnown is invalidated
 	// by completions (Notify) and by Accept consuming the head.
@@ -904,7 +903,7 @@ var _ sock.Pollable = (*Listener)(nil)
 func (l *Listener) Notify() {
 	l.headKnown = false
 	l.ready.Broadcast()
-	l.src.Fire(uint32(sock.PollIn | sock.PollErr))
+	l.src.Fire(sock.PollIn | sock.PollErr)
 }
 
 // post adds one backlog descriptor. Its completion hook registers the
@@ -945,9 +944,6 @@ func (l *Listener) Acceptable() bool {
 	return l.headDone
 }
 
-// Ready implements sock.Waitable.
-func (l *Listener) Ready() bool { return l.Acceptable() }
-
 // PollState implements sock.Pollable.
 func (l *Listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
@@ -961,7 +957,7 @@ func (l *Listener) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (l *Listener) PollSource() *sim.NoteSource { return &l.src }
+func (l *Listener) PollSource() *sock.NoteSource { return &l.src }
 
 // Accept implements sock.Listener: block on the head-of-backlog
 // descriptor (the paper's Section 5.1 design), build the connection from

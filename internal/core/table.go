@@ -7,12 +7,6 @@ import (
 	"repro/internal/ethernet"
 )
 
-// activeShards stripes the active-socket table (Section 5.3) so walks
-// over one bucket — teardown of one peer's sockets, audit slices —
-// don't serialize on a single map, and single-socket churn touches one
-// small shard.
-const activeShards = 64
-
 // connTable is the substrate's active-socket table plus the two demux
 // indexes the hot paths need:
 //
@@ -27,41 +21,21 @@ const activeShards = 64
 //
 // The table itself charges no simulated time; it is host bookkeeping.
 type connTable struct {
-	shards [activeShards]map[*Conn]struct{}
-	n      int
-
+	conns    map[*Conn]struct{}
 	byPeer   map[ethernet.Addr]map[*Conn]struct{}
 	outbound map[chanKey]*Conn
 }
 
 func newConnTable() *connTable {
-	t := &connTable{
+	return &connTable{
+		conns:    make(map[*Conn]struct{}),
 		byPeer:   make(map[ethernet.Addr]map[*Conn]struct{}),
 		outbound: make(map[chanKey]*Conn),
 	}
-	for i := range t.shards {
-		t.shards[i] = make(map[*Conn]struct{})
-	}
-	return t
-}
-
-// shardOf stripes by the connection 4-tuple (the local address is
-// constant per table). FNV-1a over the identifying fields.
-func (t *connTable) shardOf(c *Conn) int {
-	h := uint32(2166136261)
-	mix := func(v uint32) {
-		h ^= v
-		h *= 16777619
-	}
-	mix(uint32(c.peer))
-	mix(uint32(c.localPort))
-	mix(uint32(c.remotePort))
-	return int(h % activeShards)
 }
 
 func (t *connTable) add(c *Conn) {
-	t.shards[t.shardOf(c)][c] = struct{}{}
-	t.n++
+	t.conns[c] = struct{}{}
 	peers := t.byPeer[c.peer]
 	if peers == nil {
 		peers = make(map[*Conn]struct{})
@@ -73,12 +47,10 @@ func (t *connTable) add(c *Conn) {
 }
 
 func (t *connTable) remove(c *Conn) {
-	sh := t.shards[t.shardOf(c)]
-	if _, ok := sh[c]; !ok {
+	if _, ok := t.conns[c]; !ok {
 		return
 	}
-	delete(sh, c)
-	t.n--
+	delete(t.conns, c)
 	if peers := t.byPeer[c.peer]; peers != nil {
 		delete(peers, c)
 		if len(peers) == 0 {
@@ -95,15 +67,13 @@ func (t *connTable) remove(c *Conn) {
 	}
 }
 
-func (t *connTable) size() int { return t.n }
+func (t *connTable) size() int { return len(t.conns) }
 
-// forEach visits every active socket, shard by shard, in no particular
-// order. The visitor must not add or remove sockets.
+// forEach visits every active socket in no particular order. The
+// visitor must not add or remove sockets.
 func (t *connTable) forEach(f func(*Conn)) {
-	for i := range t.shards {
-		for c := range t.shards[i] {
-			f(c)
-		}
+	for c := range t.conns {
+		f(c)
 	}
 }
 
@@ -123,7 +93,7 @@ func (t *connTable) lookupOutbound(dst ethernet.Addr, tag emp.Tag) *Conn {
 // localPort, remotePort) — the deterministic walk order the sweep,
 // Drain, and Kill use so map iteration never leaks into simulated time.
 func (t *connTable) snapshotSorted() []*Conn {
-	conns := make([]*Conn, 0, t.n)
+	conns := make([]*Conn, 0, len(t.conns))
 	t.forEach(func(c *Conn) { conns = append(conns, c) })
 	sortConns(conns)
 	return conns

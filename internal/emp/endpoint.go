@@ -625,13 +625,6 @@ func (ep *Endpoint) Unpost(p *sim.Proc, h *RecvHandle) bool {
 	return false
 }
 
-// Quiescent reports whether the endpoint holds no resources at all: no
-// descriptors in use, nothing preposted at the NIC, nothing parked in
-// the unexpected queue. The post-drain state the auditor expects.
-func (ep *Endpoint) Quiescent() bool {
-	return ep.descInUse == 0 && ep.fw.posted.len() == 0 && ep.fw.uq.len() == 0
-}
-
 // SetUnexpectedEvictNotify registers a callback invoked (in event
 // context, must not block) when the unexpected-queue byte cap evicts a
 // parked message; the substrate routes it to the owning connection's

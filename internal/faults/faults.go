@@ -547,12 +547,6 @@ func Uniform(loss, dup, corrupt, reorder float64) Clause {
 	return Clause{Src: Any, Dst: Any, Loss: loss, Dup: dup, Corrupt: corrupt, Reorder: reorder}
 }
 
-// Window bounds a clause to [from, until).
-func (c Clause) Window(from, until sim.Duration) Clause {
-	c.From, c.Until = from, until
-	return c
-}
-
 // LinkPartition cuts both directions between nodes a and b during
 // [from, until).
 func LinkPartition(a, b int, from, until sim.Duration) []Clause {

@@ -12,7 +12,6 @@ package fdtable
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ramfs"
 	"repro/internal/sim"
@@ -55,14 +54,13 @@ type entry struct {
 type Space struct {
 	net  sock.Network
 	fs   *ramfs.FS
-	eng  *sim.Engine
 	ents map[int]*entry
 	next int
 }
 
 // New returns an empty descriptor space.
 func New(net sock.Network, fs *ramfs.FS) *Space {
-	return &Space{net: net, fs: fs, eng: fs.Host().Eng, ents: make(map[int]*entry), next: 3}
+	return &Space{net: net, fs: fs, ents: make(map[int]*entry), next: 3}
 }
 
 // Network exposes the underlying socket layer (for select on raw
@@ -210,49 +208,6 @@ func (s *Space) Conn(fd int) (sock.Conn, error) {
 		return nil, fmt.Errorf("fdtable: descriptor %d is a %s", fd, e.kind)
 	}
 	return e.conn, nil
-}
-
-// Select blocks until one of the given descriptors (connections or
-// listeners) is ready, returning the ready descriptors in ascending fd
-// order (POSIX select's bitmap semantics). It is a level-triggered shim
-// over the edge-triggered readiness poller: each call registers the
-// descriptors' sockets on an ephemeral poller — registration queues an
-// immediate event for anything already ready, so no edge can be missed —
-// waits for the first batch, and tears the registrations down again.
-// Long-running multiplexers should hold a sock.Poller directly instead
-// of paying the per-call registration churn.
-func (s *Space) Select(p *sim.Proc, fds []int, timeout sim.Duration) ([]int, error) {
-	po := sock.NewPoller(s.eng, "fdtable.select")
-	defer po.Close()
-	for _, fd := range fds {
-		e, err := s.lookup(fd)
-		if err != nil {
-			return nil, err
-		}
-		var item sock.Pollable
-		switch e.kind {
-		case KindConn:
-			item, _ = e.conn.(sock.Pollable)
-		case KindListener:
-			item, _ = e.lst.(sock.Pollable)
-		default:
-			return nil, fmt.Errorf("fdtable: select on %s descriptor %d", e.kind, fd)
-		}
-		if item == nil {
-			return nil, fmt.Errorf("fdtable: descriptor %d's socket is not pollable", fd)
-		}
-		po.Register(item, sock.PollIn|sock.PollErr, fd)
-	}
-	evs := po.Wait(p, timeout)
-	if len(evs) == 0 {
-		return nil, nil
-	}
-	ready := make([]int, 0, len(evs))
-	for _, ev := range evs {
-		ready = append(ready, ev.Data.(int))
-	}
-	sort.Ints(ready)
-	return ready, nil
 }
 
 // OpenCount reports live descriptors (leak checks in tests).

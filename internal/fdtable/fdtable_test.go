@@ -17,16 +17,14 @@ type bed struct {
 	spaces []*Space
 }
 
-func newBed(n int) *bed { return newBedOpts(n, core.DefaultOptions()) }
-
-func newBedOpts(n int, opts core.Options) *bed {
+func newBed(n int) *bed {
 	b := &bed{eng: sim.NewEngine()}
 	sw := ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
 	for i := 0; i < n; i++ {
 		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(sw)
-		sub := core.New(b.eng, h, nc, opts)
+		sub := core.New(b.eng, h, nc, core.DefaultOptions())
 		b.spaces = append(b.spaces, New(sub, ramfs.New(h)))
 	}
 	return b
@@ -133,52 +131,6 @@ func TestCloseRemovesDescriptor(t *testing.T) {
 		}
 	})
 	b.eng.Run()
-}
-
-func TestSelectOverDescriptors(t *testing.T) {
-	b := newBed(2)
-	var ready []int
-	b.eng.Spawn("server", func(p *sim.Proc) {
-		s := b.spaces[0]
-		lfd, _ := s.Listen(p, 80, 4)
-		r, err := s.Select(p, []int{lfd}, -1)
-		if err != nil {
-			t.Errorf("select: %v", err)
-			return
-		}
-		ready = r
-		cfd, _ := s.Accept(p, lfd)
-		s.Read(p, cfd, 64)
-		s.Close(p, cfd)
-		s.Close(p, lfd)
-	})
-	b.eng.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(50 * sim.Microsecond)
-		s := b.spaces[1]
-		fd, _ := s.Connect(p, b.spaces[0].Network().Addr(), 80)
-		s.Write(p, fd, 16, nil)
-		s.Close(p, fd)
-	})
-	b.eng.RunUntil(sim.Time(10 * sim.Second))
-	if len(ready) != 1 {
-		t.Fatalf("select returned %v", ready)
-	}
-}
-
-func TestSelectOnFileErrors(t *testing.T) {
-	b := newBed(1)
-	b.spaces[0].FS().Create("f", 10, nil)
-	var err error
-	b.eng.Spawn("p", func(p *sim.Proc) {
-		s := b.spaces[0]
-		fd, _ := s.Open(p, "f")
-		_, err = s.Select(p, []int{fd}, 0)
-		s.Close(p, fd)
-	})
-	b.eng.Run()
-	if err == nil {
-		t.Fatal("select on a file descriptor must error")
-	}
 }
 
 func TestCreateAndConnAccessors(t *testing.T) {

@@ -201,9 +201,10 @@ func TestPollerUnderChurnDoesNotMissWakeups(t *testing.T) {
 		po := sock.NewPoller(c.Eng, "churn")
 		defer po.Close()
 		po.Register(conn.(sock.Pollable), sock.PollIn|sock.PollErr, nil)
+		w := po.Waiter("server")
 		got := 0
 		for got < rounds*100 {
-			if evs := po.Wait(p, 100*sim.Millisecond); len(evs) == 0 {
+			if _, ok := w.Wait(p, 100*sim.Millisecond); !ok {
 				return // timed out: a wakeup was missed
 			}
 			// Edge-triggered: drain until the socket stops being readable.
@@ -214,6 +215,7 @@ func TestPollerUnderChurnDoesNotMissWakeups(t *testing.T) {
 				}
 				got += n
 			}
+			po.Done(conn.(sock.Pollable))
 		}
 		served = got / 100
 	})

@@ -26,7 +26,7 @@ type mixEnd struct {
 // user-level substrate and the kernel TCP stack — on one fabric. The
 // readiness contract is stack-agnostic, so a single event loop can
 // front both; each side must deliver its accept and its data through
-// the same Wait.
+// the same waiter.
 func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
@@ -59,18 +59,16 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 		for _, e := range ends {
 			po.Register(e.l.(sock.Pollable), sock.PollIn|sock.PollErr, e)
 		}
+		w := po.Waiter("front-end")
 		for ends[0].n < want || ends[1].n < want {
-			evs := po.Wait(p, 5*sim.Second)
-			if evs == nil {
+			ev, ok := w.Wait(p, 5*sim.Second)
+			if !ok {
 				t.Error("mixed poller timed out")
 				break
 			}
-			for _, ev := range evs {
-				e := ev.Data.(*mixEnd)
-				if e.c == nil {
-					if e.l.(sock.Pollable).PollState()&sock.PollIn == 0 {
-						continue
-					}
+			e := ev.Data.(*mixEnd)
+			if e.c == nil {
+				if e.l.(sock.Pollable).PollState()&sock.PollIn != 0 {
 					c, err := e.l.Accept(p)
 					if err != nil {
 						t.Errorf("%s accept: %v", e.name, err)
@@ -78,8 +76,8 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 					}
 					e.c = c
 					po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, e)
-					continue
 				}
+			} else {
 				for e.n < want && e.c.(sock.Pollable).PollState()&sock.PollIn != 0 {
 					n, _, err := e.c.Read(p, want-e.n)
 					if err != nil || n == 0 {
@@ -88,6 +86,7 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 					e.n += n
 				}
 			}
+			po.Done(ev.Item)
 		}
 		po.Close()
 		for _, e := range ends {
@@ -124,5 +123,187 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 		if e.n != want {
 			t.Fatalf("%s delivered %d of %d bytes through the mixed poller", e.name, e.n, want)
 		}
+	}
+}
+
+// TestPollerDeliversErrAfterPeerCrash: when the peer substrate dies, the
+// keepalive detects it and the abort path fails the connection with
+// sock.ErrReset; a poller holding that connection must wake with
+// PollErr, and Read must surface the reset.
+func TestPollerDeliversErrAfterPeerCrash(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.KeepaliveIdle = 5 * sim.Millisecond
+	eng, subs := substratePair(opts)
+	var gotErr bool
+	var rdErr error
+	eng.Spawn("server", func(p *sim.Proc) {
+		l, err := subs[0].Listen(p, 80, 4)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		c, err := l.Accept(p)
+		if err != nil {
+			return
+		}
+		po := sock.NewPoller(eng, "reset")
+		po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, nil)
+		w := po.Waiter("server")
+		for !gotErr {
+			ev, ok := w.Wait(p, sim.Second)
+			if !ok {
+				break // timed out: detection never happened; fail below
+			}
+			if ev.Events&sock.PollErr != 0 {
+				gotErr = true
+				_, _, rdErr = c.Read(p, 64)
+			}
+			po.Done(ev.Item)
+		}
+		po.Close()
+		c.Close(p)
+		l.Close(p)
+	})
+	eng.Spawn("client", func(p *sim.Proc) {
+		p.Sleep(50 * sim.Microsecond)
+		c, err := subs[1].Dial(p, subs[0].Addr(), 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		c.Read(p, 64) // idle until the crash kills us
+	})
+	eng.At(sim.Time(20*sim.Millisecond), func() { subs[1].Kill() })
+	eng.RunUntil(sim.Time(5 * sim.Second))
+	if !gotErr {
+		t.Fatal("poller never delivered PollErr after the peer crash")
+	}
+	if rdErr != sock.ErrReset {
+		t.Fatalf("read on the reset connection returned %v, want sock.ErrReset", rdErr)
+	}
+}
+
+// substratePair builds two substrate hosts with opts on one switch.
+func substratePair(opts core.Options) (*sim.Engine, [2]*core.Substrate) {
+	eng := sim.NewEngine()
+	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	var subs [2]*core.Substrate
+	for i := range subs {
+		h := kernel.NewHost(eng, "host", 4, kernel.DefaultCosts())
+		n := nic.New(eng, "nic", nic.DefaultConfig())
+		n.Attach(sw)
+		subs[i] = core.New(eng, h, n, opts)
+	}
+	return eng, subs
+}
+
+// TestPollerZeroTimeoutPolls: Wait with a zero timeout is a pure poll —
+// it must return nothing immediately when nothing is pending and
+// deliver without blocking once a connect request has landed.
+func TestPollerZeroTimeoutPolls(t *testing.T) {
+	eng, subs := substratePair(core.DefaultOptions())
+	var before, after bool
+	var afterEv sock.PollEvents
+	served := false
+	eng.Spawn("server", func(p *sim.Proc) {
+		l, err := subs[0].Listen(p, 80, 4)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		po := sock.NewPoller(eng, "zero")
+		po.Register(l.(sock.Pollable), sock.PollIn|sock.PollErr, nil)
+		w := po.Waiter("server")
+		_, before = w.Wait(p, 0) // nothing has happened yet
+		p.Sleep(5 * sim.Millisecond)
+		var ev sock.PollEvent
+		ev, after = w.Wait(p, 0) // the client's connect request landed
+		afterEv = ev.Events
+		c, err := l.Accept(p)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		c.Read(p, 64)
+		served = true
+		c.Close(p)
+		l.Close(p)
+		po.Close()
+	})
+	eng.Spawn("client", func(p *sim.Proc) {
+		p.Sleep(50 * sim.Microsecond)
+		c, err := subs[1].Dial(p, subs[0].Addr(), 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		c.Write(p, 64, nil)
+		c.Close(p)
+	})
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	if !served {
+		t.Fatal("server did not finish")
+	}
+	if before {
+		t.Fatal("zero-timeout Wait with nothing pending returned an event")
+	}
+	if !after || afterEv&sock.PollIn == 0 {
+		t.Fatalf("zero-timeout Wait after connect = (%v, %v), want PollIn", afterEv, after)
+	}
+}
+
+// TestPollerDeregisterWhileWaiterBlocked: removing a connection from the
+// interest set while a waiter is blocked must suppress its later events
+// — the waiter times out empty even though data arrives — and the data
+// stays readable directly.
+func TestPollerDeregisterWhileWaiterBlocked(t *testing.T) {
+	eng, subs := substratePair(core.DefaultOptions())
+	var got, waited bool
+	var n int
+	eng.Spawn("server", func(p *sim.Proc) {
+		l, err := subs[0].Listen(p, 80, 4)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		c, err := l.Accept(p)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		po := sock.NewPoller(eng, "dereg")
+		po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, nil)
+		eng.Spawn("deregister", func(q *sim.Proc) {
+			q.Sleep(1 * sim.Millisecond)     // after the Wait below blocks,
+			po.Deregister(c.(sock.Pollable)) // before the client's 5ms write
+		})
+		_, got = po.Waiter("server").Wait(p, 20*sim.Millisecond)
+		waited = true
+		n, _, _ = c.Read(p, 64) // arrival was suppressed, not lost
+		c.Close(p)
+		l.Close(p)
+		po.Close()
+	})
+	eng.Spawn("client", func(p *sim.Proc) {
+		p.Sleep(50 * sim.Microsecond)
+		c, err := subs[1].Dial(p, subs[0].Addr(), 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		p.Sleep(5 * sim.Millisecond)
+		c.Write(p, 64, nil)
+		p.Sleep(30 * sim.Millisecond)
+		c.Close(p)
+	})
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	if !waited {
+		t.Fatal("Wait never returned")
+	}
+	if got {
+		t.Fatal("deregistered connection still delivered an event")
+	}
+	if n != 64 {
+		t.Fatalf("read after deregister = %d, want 64", n)
 	}
 }

@@ -188,18 +188,19 @@ func TestPollerHalfCloseFiresEOFOnce(t *testing.T) {
 			}
 			po := sock.NewPoller(c.Eng, "teardown-eof")
 			po.Register(conn.(sock.Pollable), sock.PollIn|sock.PollErr, nil)
-			if evs := po.Wait(p, sim.Second); evs == nil {
+			w := po.Waiter("server")
+			if _, ok := w.Wait(p, sim.Second); !ok {
 				t.Errorf("%v: poller never fired on peer half-close", tr)
 			} else if n, _, err := conn.Read(p, 4096); err != nil || n != 0 {
 				t.Errorf("%v: read after half-close = (%d, %v), want 0-length EOF", tr, n, err)
 			}
-			// Drain any further tokens: the EOF edge must not re-fire.
+			// Drain any further events: the EOF edge must not re-fire.
 			for {
-				evs := po.Wait(p, 2*sim.Millisecond)
-				if evs == nil {
+				po.Done(conn.(sock.Pollable))
+				if _, ok := w.Wait(p, 2*sim.Millisecond); !ok {
 					break
 				}
-				extra += len(evs)
+				extra++
 			}
 			po.Close()
 			conn.Close(p)

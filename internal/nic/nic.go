@@ -39,20 +39,12 @@ type Config struct {
 	TagMatchPerDesc sim.Duration
 	// HashedMatch selects the hashed descriptor-lookup cost model: the
 	// firmware indexes its posted descriptors by (src, tag) and each
-	// arrival pays TagMatchHashBase plus TagMatchHashPerProbe per bucket
-	// entry examined, instead of the paper's linear walk. Off by default
+	// arrival pays TagMatchBase plus TagMatchPerDesc per bucket entry
+	// examined, instead of the paper's linear walk: the win comes from
+	// probing an expected O(1) chain, not from a cheaper compare. Off by default
 	// — the linear walk is what the paper measures and what the figure
 	// reproduction calibrates against.
 	HashedMatch bool
-	// TagMatchHashBase is the fixed cost of one hashed descriptor
-	// lookup (hash computation plus two bucket-head fetches from NIC
-	// SRAM). Zero means TagMatchBase.
-	TagMatchHashBase sim.Duration
-	// TagMatchHashPerProbe is the cost of examining one bucket entry
-	// during a hashed lookup. Comparable to TagMatchPerDesc — the win
-	// comes from probing an expected O(1) chain, not from a cheaper
-	// per-entry compare. Zero means TagMatchPerDesc.
-	TagMatchHashPerProbe sim.Duration
 	// DMASetup is the fixed cost of programming one DMA transfer.
 	DMASetup sim.Duration
 	// DMABandwidth is the host-NIC DMA rate in bytes/sec (64-bit/66 MHz
@@ -307,15 +299,7 @@ func (n *NIC) TagMatchHashed(p *sim.Proc, probed int) sim.Duration {
 	}
 	n.TagLookups.Inc()
 	n.TagWalked.Add(int64(probed))
-	base := n.Cfg.TagMatchHashBase
-	if base == 0 {
-		base = n.Cfg.TagMatchBase
-	}
-	per := n.Cfg.TagMatchHashPerProbe
-	if per == 0 {
-		per = n.Cfg.TagMatchPerDesc
-	}
-	d := base + sim.Duration(probed)*per
+	d := n.Cfg.TagMatchBase + sim.Duration(probed)*n.Cfg.TagMatchPerDesc
 	p.Sleep(d)
 	return d
 }

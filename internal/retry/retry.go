@@ -95,9 +95,6 @@ func New(pol Policy, rnd *sim.Rand, deadline sim.Time) *Loop {
 // Attempt reports how many retries have been granted so far.
 func (l *Loop) Attempt() int { return l.attempt }
 
-// Deadline reports the loop's absolute deadline (zero if none).
-func (l *Loop) Deadline() sim.Time { return l.deadline }
-
 // Expired reports whether the deadline has passed at time now.
 func (l *Loop) Expired(now sim.Time) bool {
 	return l.deadline != 0 && now >= l.deadline

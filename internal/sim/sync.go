@@ -120,9 +120,6 @@ func NewFIFO[T any](e *Engine, label string, capacity int) *FIFO[T] {
 // Len reports the number of queued items.
 func (f *FIFO[T]) Len() int { return len(f.items) }
 
-// Closed reports whether Close has been called.
-func (f *FIFO[T]) Closed() bool { return f.closed }
-
 // Put appends v, blocking while the queue is at capacity. Putting into a
 // closed queue panics: it indicates a protocol bug in the model.
 func (f *FIFO[T]) Put(p *Proc, v T) {
@@ -306,6 +303,3 @@ func (c *Cond) WaitForTimeout(p *Proc, d Duration, pred func() bool) bool {
 
 // Broadcast wakes all waiters so they re-evaluate their predicates.
 func (c *Cond) Broadcast() { c.wq.WakeAll() }
-
-// Signal wakes one waiter.
-func (c *Cond) Signal() { c.wq.WakeOne() }

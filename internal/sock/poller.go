@@ -1,32 +1,22 @@
-// Readiness poller: an epoll-style completion-queue interface over the
-// sim notification primitive. Each pollable object owns a
-// sim.NoteSource and fires it on state transitions (data arrival,
-// credit return, backlog growth, error); a Poller subscribes one
-// sim.NoteSink to every registered object and wakes on the first
-// matching event. Wait's work is proportional to the number of objects
-// that became ready — a ready-list, not a re-scan of the interest set —
-// which is what lets one proc multiplex hundreds of connections.
+// Readiness poller: an epoll-style completion queue. Each pollable
+// object owns a NoteSource and fires it on state transitions (data
+// arrival, credit return, backlog growth, error); a Poller subscribes
+// to every registered object and keeps one deduplicated ready list of
+// their tokens. Claiming an event re-checks only the objects on that
+// list — a ready-list, not a re-scan of the interest set — which is what
+// lets one proc multiplex hundreds of connections.
 //
-// A poller is consumed in one of two modes:
-//
-//   - Batch mode: a single proc calls Wait and receives every pending
-//     event at once. This is the original single-waiter interface.
-//   - Waiter mode: K worker procs each hold a PollWaiter (from
-//     Poller.Waiter) and block in PollWaiter.Wait, which delivers
-//     exactly one event to exactly one worker per call
-//     (EPOLLEXCLUSIVE+EPOLLONESHOT style): each event wakes one
-//     waiter, a claimed object is masked until the worker calls Done,
-//     and an edge that fires while the object is claimed re-arms it at
-//     Done. FIFO wakeups and the shared round-robin cursor keep
-//     delivery fair across both waiters and objects.
-//
-// The two modes must not be mixed on one poller: batch Wait drains the
-// shared sink wholesale and would swallow events the waiters are
-// parked for.
+// Events are consumed through PollWaiters (from Poller.Waiter): each
+// PollWaiter.Wait delivers exactly one event to exactly one waiter
+// (EPOLLEXCLUSIVE+EPOLLONESHOT style). Each event wakes one waiter, a
+// claimed object is masked until the worker calls Done, and an edge
+// that fires while the object is claimed re-arms it at Done. FIFO
+// wakeups and the round-robin cursor keep delivery fair across both
+// waiters and objects. A single-process event loop is one waiter.
 package sock
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -69,18 +59,68 @@ func (e PollEvents) String() string {
 	return s
 }
 
+// noteSub is one poller's subscription on a NoteSource.
+type noteSub struct {
+	po    *Poller
+	token uint64
+	mask  PollEvents
+}
+
+// NoteSource is the publication side of per-object readiness: each
+// pollable object (connection, listener, UDP socket) embeds one and
+// Fires it on state transitions. Subscribed pollers whose interest
+// intersects the fired classes queue the subscriber's token. The zero
+// value is ready to use; an object with no subscribers pays one
+// nil-slice check per Fire.
+type NoteSource struct {
+	subs []noteSub
+}
+
+// subscribe routes events matching mask to po, tagged with token.
+// Subscribing the same poller again replaces its token and mask.
+func (ns *NoteSource) subscribe(po *Poller, token uint64, mask PollEvents) {
+	for i := range ns.subs {
+		if ns.subs[i].po == po {
+			ns.subs[i].token = token
+			ns.subs[i].mask = mask
+			return
+		}
+	}
+	ns.subs = append(ns.subs, noteSub{po: po, token: token, mask: mask})
+}
+
+// unsubscribe removes po's subscription, if any.
+func (ns *NoteSource) unsubscribe(po *Poller) {
+	for i := range ns.subs {
+		if ns.subs[i].po == po {
+			ns.subs = append(ns.subs[:i], ns.subs[i+1:]...)
+			return
+		}
+	}
+}
+
+// Fire publishes an event of the given classes to every subscribed
+// poller whose interest intersects them. Unlike a Cond broadcast it
+// wakes only consumers registered on this object.
+func (ns *NoteSource) Fire(mask PollEvents) {
+	for _, sub := range ns.subs {
+		if sub.mask&mask != 0 {
+			sub.po.post(sub.token)
+		}
+	}
+}
+
 // Pollable is an object a Poller can register: it exposes its current
 // readiness state and the notification source it fires on transitions.
 type Pollable interface {
-	Waitable
 	// PollState reports the object's current readiness mask.
 	PollState() PollEvents
 	// PollSource returns the object's notification source. It must
 	// return the same source for the object's whole lifetime.
-	PollSource() *sim.NoteSource
+	PollSource() *NoteSource
 }
 
-// PollEvent is one ready object delivered by Wait.
+// PollEvent is one ready object delivered by PollWaiter.Wait.
 type PollEvent struct {
 	Item   Pollable
 	Events PollEvents // current readiness, masked by the registered interest
@@ -91,7 +131,6 @@ type pollReg struct {
 	item     Pollable
 	interest PollEvents
 	data     any
-	token    uint64
 	// busy marks an object claimed by a PollWaiter and not yet released
 	// with Done; events for a busy object are deferred, not delivered to
 	// a second waiter.
@@ -105,38 +144,29 @@ type pollReg struct {
 // with a level-triggered kick at Register: registering an object that is
 // already ready queues an immediate event, and subsequent events arrive
 // only on state transitions. Consumers must therefore drain an object
-// (read until not Readable, write until blocked) before calling Wait
-// again, as with EPOLLET.
+// (read until not Readable, write until blocked) before calling Done,
+// as with EPOLLET.
 type Poller struct {
-	eng   *sim.Engine
-	sink  *sim.NoteSink
 	regs  map[uint64]*pollReg
 	items map[Pollable]uint64
 	next  uint64
-	// cursor is the token of the last event delivered: each Wait starts
-	// delivery just past it (round-robin over registration order), so a
-	// hot object that refires on every Wait cannot permanently occupy
-	// the front of the ready list and starve consumers that only handle
-	// a prefix of each batch. Waiter-mode claims share the same cursor.
+	// ready holds the tokens of objects that fired and are not yet
+	// claimed, deduplicated and in ascending (registration) order.
+	ready []uint64
+	// cursor is the token of the last claimed event: each claim starts
+	// just past it, wrapping, so a hot object that refires on every Wait
+	// cannot starve the rest of the interest set.
 	cursor uint64
-
-	// Waiter-mode state: tokens drained from the sink but not yet
-	// claimed live in ready/readyIn, blocked PollWaiters park on mwq
-	// (FIFO, one wakeup per event), and closeGen bumps on Close so every
-	// parked waiter unblocks with ok=false exactly once.
-	ready    []uint64
-	readyIn  map[uint64]bool
-	mwq      *sim.WaitQueue
+	// Blocked PollWaiters park on wq (FIFO, one wakeup per event), and
+	// closeGen bumps on Close so every parked waiter unblocks with
+	// ok=false exactly once.
+	wq       *sim.WaitQueue
 	waiters  []*PollWaiter
 	closeGen int
 
-	// WaitCost, if set, is charged once per Wait call before blocking
-	// (e.g. a library-call or syscall entry cost).
-	WaitCost func(p *sim.Proc)
-
 	// Counters for scalability accounting: Waits is the number of Wait
-	// calls that returned events, Delivered the total events returned,
-	// and Scanned the per-object readiness checks performed. Scanned
+	// calls that returned an event, Delivered the events returned, and
+	// Scanned the per-object readiness checks performed. Scanned
 	// tracking Delivered rather than the registered-set size is the
 	// poller's reason to exist.
 	Waits     int64 `metric:"poll_waits"`
@@ -147,23 +177,12 @@ type Poller struct {
 // NewPoller returns an empty poller. The label names its wait queue in
 // deadlock diagnostics.
 func NewPoller(e *sim.Engine, label string) *Poller {
-	po := &Poller{
-		eng:     e,
-		sink:    sim.NewNoteSink(e, label),
-		regs:    make(map[uint64]*pollReg),
-		items:   make(map[Pollable]uint64),
-		readyIn: make(map[uint64]bool),
-		mwq:     sim.NewWaitQueue(e, label+".waiters"),
+	return &Poller{
+		regs:  make(map[uint64]*pollReg),
+		items: make(map[Pollable]uint64),
+		wq:    sim.NewWaitQueue(e, label),
 	}
-	// Route each effective event post to exactly one parked waiter.
-	// With no waiters (batch mode) this is a no-op and the sink's own
-	// WaitAny wakeup serves the single consumer.
-	po.sink.SetNotify(func() { po.mwq.WakeOne() })
-	return po
 }
-
-// Len reports how many objects are registered.
-func (po *Poller) Len() int { return len(po.regs) }
 
 // Register adds item to the interest set. data rides back on every
 // delivered event. Registering an already-registered item updates its
@@ -171,27 +190,22 @@ func (po *Poller) Len() int { return len(po.regs) }
 // class, an event is queued immediately so the caller cannot miss an
 // edge that fired before registration.
 func (po *Poller) Register(item Pollable, interest PollEvents, data any) {
-	if tok, ok := po.items[item]; ok {
+	tok, ok := po.items[item]
+	if ok {
 		reg := po.regs[tok]
 		reg.interest = interest
 		reg.data = data
-		item.PollSource().Subscribe(po.sink, tok, uint32(interest))
-		if item.PollState()&interest != 0 {
-			po.sink.Post(tok)
-		} else {
-			po.sink.Remove(tok)
-			po.dropReady(tok)
-		}
-		return
+	} else {
+		po.next++
+		tok = po.next
+		po.regs[tok] = &pollReg{item: item, interest: interest, data: data}
+		po.items[item] = tok
 	}
-	po.next++
-	tok := po.next
-	reg := &pollReg{item: item, interest: interest, data: data, token: tok}
-	po.regs[tok] = reg
-	po.items[item] = tok
-	item.PollSource().Subscribe(po.sink, tok, uint32(interest))
+	item.PollSource().subscribe(po, tok, interest)
 	if item.PollState()&interest != 0 {
-		po.sink.Post(tok)
+		po.post(tok)
+	} else {
+		po.unpost(tok)
 	}
 }
 
@@ -206,95 +220,28 @@ func (po *Poller) Deregister(item Pollable) {
 	if !ok {
 		return
 	}
-	item.PollSource().Unsubscribe(po.sink)
-	po.sink.Remove(tok)
-	po.dropReady(tok)
+	item.PollSource().unsubscribe(po)
+	po.unpost(tok)
 	delete(po.regs, tok)
 	delete(po.items, item)
 }
 
-// dropReady removes tok from the waiter-mode claimable list, if present.
-func (po *Poller) dropReady(tok uint64) {
-	if !po.readyIn[tok] {
+// post queues tok on the ready list and wakes one parked waiter. A
+// token already queued coalesces, so a burst of events on one object
+// costs one entry and one wakeup.
+func (po *Poller) post(tok uint64) {
+	i, queued := slices.BinarySearch(po.ready, tok)
+	if queued {
 		return
 	}
-	delete(po.readyIn, tok)
-	for i, t := range po.ready {
-		if t == tok {
-			po.ready = append(po.ready[:i], po.ready[i+1:]...)
-			return
-		}
-	}
+	po.ready = slices.Insert(po.ready, i, tok)
+	po.wq.WakeOne()
 }
 
-// postReady queues tok for waiter-mode claiming and wakes one parked
-// waiter.
-func (po *Poller) postReady(tok uint64) {
-	if po.readyIn[tok] {
-		return
-	}
-	po.readyIn[tok] = true
-	po.ready = append(po.ready, tok)
-	po.mwq.WakeOne()
-}
-
-// Wait blocks p until at least one registered object has a pending
-// event or the timeout elapses (negative timeout waits forever; zero
-// polls). It returns the ready objects with their current readiness,
-// or nil on timeout. Spurious tokens — an object that fired but is no
-// longer ready by delivery time — are filtered out, and Wait re-blocks
-// rather than return an empty slice before the deadline.
-func (po *Poller) Wait(p *sim.Proc, timeout sim.Duration) []PollEvent {
-	if po.WaitCost != nil {
-		po.WaitCost(p)
-	}
-	deadline := sim.Time(0)
-	if timeout >= 0 {
-		deadline = p.Now().Add(timeout)
-	}
-	for {
-		if po.sink.Pending() == 0 {
-			if timeout == 0 {
-				return nil
-			}
-			if timeout < 0 {
-				po.sink.WaitAny(p, -1)
-			} else {
-				remain := deadline.Sub(p.Now())
-				if remain <= 0 || !po.sink.WaitAny(p, remain) {
-					return nil
-				}
-			}
-		}
-		toks := po.sink.Drain()
-		// Round-robin fairness: deliver in token (registration) order,
-		// starting just past the last token served by the previous Wait.
-		sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-		start := sort.Search(len(toks), func(i int) bool { return toks[i] > po.cursor })
-		var out []PollEvent
-		for i := 0; i < len(toks); i++ {
-			tok := toks[(start+i)%len(toks)]
-			reg, ok := po.regs[tok]
-			if !ok {
-				continue
-			}
-			po.Scanned++
-			ev := reg.item.PollState() & reg.interest
-			if ev == 0 {
-				continue
-			}
-			out = append(out, PollEvent{Item: reg.item, Events: ev, Data: reg.data})
-		}
-		if len(out) > 0 {
-			po.cursor = po.items[out[0].Item]
-			po.Waits++
-			po.Delivered += int64(len(out))
-			return out
-		}
-		// Every queued token was stale; block again unless polling.
-		if timeout == 0 {
-			return nil
-		}
+// unpost removes tok from the ready list, if present.
+func (po *Poller) unpost(tok uint64) {
+	if i, queued := slices.BinarySearch(po.ready, tok); queued {
+		po.ready = slices.Delete(po.ready, i, i+1)
 	}
 }
 
@@ -303,20 +250,18 @@ func (po *Poller) Wait(p *sim.Proc, timeout sim.Duration) []PollEvent {
 // poller can be reused afterwards (waiters included).
 func (po *Poller) Close() {
 	for item := range po.items {
-		item.PollSource().Unsubscribe(po.sink)
+		item.PollSource().unsubscribe(po)
 	}
-	po.sink.Drain()
 	po.regs = make(map[uint64]*pollReg)
 	po.items = make(map[Pollable]uint64)
 	po.ready = nil
-	po.readyIn = make(map[uint64]bool)
 	po.closeGen++
-	po.mwq.WakeAll()
+	po.wq.WakeAll()
 }
 
-// PollWaiter is one consumer slot of a shared poller: K workers each
-// hold one and block in Wait, and the poller delivers each event to
-// exactly one of them. Create with Poller.Waiter.
+// PollWaiter is one consumer slot of a poller: K workers each hold one
+// and block in Wait, and the poller delivers each event to exactly one
+// of them. Create with Poller.Waiter.
 type PollWaiter struct {
 	po   *Poller
 	Name string
@@ -327,7 +272,7 @@ type PollWaiter struct {
 	Scanned   int64
 }
 
-// Waiter returns a new consumer slot for waiter-mode use of the poller.
+// Waiter returns a new consumer slot on the poller.
 func (po *Poller) Waiter(name string) *PollWaiter {
 	w := &PollWaiter{po: po, Name: name}
 	po.waiters = append(po.waiters, w)
@@ -340,43 +285,37 @@ func (po *Poller) Waiter(name string) *PollWaiter {
 // masked from other waiters until Done releases it.
 func (w *PollWaiter) Wait(p *sim.Proc, timeout sim.Duration) (PollEvent, bool) {
 	po := w.po
-	if po.WaitCost != nil {
-		po.WaitCost(p)
-	}
 	gen := po.closeGen
 	deadline := sim.Time(0)
 	if timeout >= 0 {
 		deadline = p.Now().Add(timeout)
 	}
 	for {
-		if ev, ok := po.claimOne(w); ok {
+		if ev, ok := po.claim(w); ok {
 			return ev, true
 		}
 		if po.closeGen != gen || timeout == 0 {
 			return PollEvent{}, false
 		}
 		if timeout < 0 {
-			po.mwq.Wait(p)
+			po.wq.Wait(p)
 			continue
 		}
 		remain := deadline.Sub(p.Now())
 		if remain <= 0 {
 			return PollEvent{}, false
 		}
-		if !po.mwq.WaitTimeout(p, remain) {
+		if !po.wq.WaitTimeout(p, remain) {
 			// Timed out; an event may still have landed exactly now.
-			if ev, ok := po.claimOne(w); ok {
-				return ev, true
-			}
-			return PollEvent{}, false
+			return po.claim(w)
 		}
 	}
 }
 
-// Done releases an object claimed by a waiter-mode Wait. If an edge
-// fired while the object was claimed, it is re-queued (and one waiter
-// woken) provided it is still ready — the EPOLLONESHOT re-arm. Calling
-// Done on a deregistered or unknown item is a no-op.
+// Done releases an object claimed by Wait. If an edge fired while the
+// object was claimed, it is re-queued (and one waiter woken) provided
+// it is still ready — the EPOLLONESHOT re-arm. Calling Done on a
+// deregistered or unknown item is a no-op.
 func (po *Poller) Done(item Pollable) {
 	tok, ok := po.items[item]
 	if !ok {
@@ -390,48 +329,33 @@ func (po *Poller) Done(item Pollable) {
 	if reg.repost {
 		reg.repost = false
 		if reg.item.PollState()&reg.interest != 0 {
-			po.postReady(tok)
+			po.post(tok)
 		}
 	}
 }
 
-// claimOne moves sink tokens onto the claimable list and claims the
-// first live, unclaimed event past the shared cursor for w. Stale and
-// deregistered tokens are discarded; tokens for busy objects are
-// deferred via the repost flag.
-func (po *Poller) claimOne(w *PollWaiter) (PollEvent, bool) {
-	for _, tok := range po.sink.Drain() {
-		if !po.readyIn[tok] {
-			po.readyIn[tok] = true
-			po.ready = append(po.ready, tok)
+// claim takes the first live, unclaimed event past the cursor for w,
+// wrapping to the lowest token. Stale tokens are discarded; tokens for
+// busy objects are deferred via the repost flag.
+func (po *Poller) claim(w *PollWaiter) (PollEvent, bool) {
+	for len(po.ready) > 0 {
+		i, _ := slices.BinarySearch(po.ready, po.cursor+1)
+		if i == len(po.ready) {
+			i = 0
 		}
-	}
-	if len(po.ready) == 0 {
-		return PollEvent{}, false
-	}
-	toks := append([]uint64(nil), po.ready...)
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-	start := sort.Search(len(toks), func(i int) bool { return toks[i] > po.cursor })
-	for i := 0; i < len(toks); i++ {
-		tok := toks[(start+i)%len(toks)]
-		reg, ok := po.regs[tok]
-		if !ok {
-			po.dropReady(tok)
-			continue
-		}
+		tok := po.ready[i]
+		po.ready = slices.Delete(po.ready, i, i+1)
+		reg := po.regs[tok]
 		if reg.busy {
 			reg.repost = true
-			po.dropReady(tok)
 			continue
 		}
 		w.Scanned++
 		po.Scanned++
 		ev := reg.item.PollState() & reg.interest
 		if ev == 0 {
-			po.dropReady(tok)
 			continue
 		}
-		po.dropReady(tok)
 		reg.busy = true
 		po.cursor = tok
 		w.Waits++

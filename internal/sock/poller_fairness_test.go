@@ -10,70 +10,71 @@ import (
 // directly.
 type stubPollable struct {
 	id    int
-	src   sim.NoteSource
+	src   NoteSource
 	state PollEvents
 }
 
-func (s *stubPollable) Ready() bool                 { return s.state != 0 }
-func (s *stubPollable) PollState() PollEvents       { return s.state }
-func (s *stubPollable) PollSource() *sim.NoteSource { return &s.src }
+func (s *stubPollable) PollState() PollEvents   { return s.state }
+func (s *stubPollable) PollSource() *NoteSource { return &s.src }
 
 // fire marks the stub ready and publishes the edge.
 func (s *stubPollable) fire(ev PollEvents) {
 	s.state |= ev
-	s.src.Fire(uint32(ev))
+	s.src.Fire(ev)
 }
 
-// TestPollerRoundRobinRotation: when every registered object is ready on
-// every Wait, the head of each delivered batch must rotate through the
-// registration order rather than always being the lowest token.
+// TestPollerRoundRobinRotation: a consumer that claims only a prefix of
+// the ready objects each round, with every object refiring every round,
+// must still be served in registration order rotated past the last
+// claimed object — the claim sequence cycles 0,1,2,3,0,... across
+// rounds, and every object is served equally often.
 func TestPollerRoundRobinRotation(t *testing.T) {
 	run(t, func(p *sim.Proc) {
-		e := p.Engine()
-		po := NewPoller(e, "fair")
+		po := NewPoller(p.Engine(), "fair")
+		w := po.Waiter("w")
 		const n = 4
 		stubs := make([]*stubPollable, n)
 		for i := range stubs {
 			stubs[i] = &stubPollable{id: i}
 			po.Register(stubs[i], PollIn, i)
 		}
-		const rounds = 2 * n
-		var heads []int
-		for r := 0; r < rounds; r++ {
+		var order []int
+		for r := 0; r < n; r++ {
 			for _, s := range stubs {
 				s.fire(PollIn)
 			}
-			evs := po.Wait(p, 0)
-			if len(evs) != n {
-				t.Fatalf("round %d: %d events, want %d", r, len(evs), n)
-			}
-			heads = append(heads, evs[0].Data.(int))
-		}
-		// The head must cycle 0,1,2,3,0,1,... — each object leads exactly
-		// rounds/n times.
-		lead := make([]int, n)
-		for r, h := range heads {
-			lead[h]++
-			if r > 0 && h != (heads[r-1]+1)%n {
-				t.Fatalf("head sequence %v does not rotate", heads)
+			for k := 0; k < n-1; k++ {
+				ev, ok := w.Wait(p, 0)
+				if !ok {
+					t.Fatalf("round %d: no event with every object ready", r)
+				}
+				order = append(order, ev.Data.(int))
+				po.Done(ev.Item)
 			}
 		}
-		for i, c := range lead {
-			if c != rounds/n {
-				t.Fatalf("object %d led %d/%d batches; heads %v", i, c, rounds, heads)
+		served := make([]int, n)
+		for i, id := range order {
+			served[id]++
+			if i > 0 && id != (order[i-1]+1)%n {
+				t.Fatalf("claim sequence %v does not rotate", order)
+			}
+		}
+		for id, c := range served {
+			if c != n-1 {
+				t.Fatalf("object %d served %d times, want %d; order %v", id, c, n-1, order)
 			}
 		}
 	})
 }
 
-// TestPollerHotItemDoesNotStarve: a consumer that only services the
-// first event of every batch must still reach every ready object, even
-// with one object refiring on every round — the starvation scenario the
-// rotation cursor exists for.
+// TestPollerHotItemDoesNotStarve: a consumer that services one event per
+// round must still reach every ready object, even with one object
+// refiring on every round — the starvation scenario the rotation cursor
+// exists for.
 func TestPollerHotItemDoesNotStarve(t *testing.T) {
 	run(t, func(p *sim.Proc) {
-		e := p.Engine()
-		po := NewPoller(e, "hot")
+		po := NewPoller(p.Engine(), "hot")
+		w := po.Waiter("w")
 		const n = 5
 		stubs := make([]*stubPollable, n)
 		for i := range stubs {
@@ -83,17 +84,18 @@ func TestPollerHotItemDoesNotStarve(t *testing.T) {
 		}
 		serviced := make(map[int]bool)
 		for r := 0; r < 2*n && len(serviced) < n; r++ {
-			evs := po.Wait(p, 0)
-			if len(evs) == 0 {
-				t.Fatalf("round %d: no events with all objects ready", r)
+			ev, ok := w.Wait(p, 0)
+			if !ok {
+				t.Fatalf("round %d: no event with all objects ready", r)
 			}
-			head := evs[0].Data.(int)
+			head := ev.Data.(int)
 			serviced[head] = true
-			stubs[head].state = 0 // consume only the head...
+			stubs[head].state = 0 // consume only the claimed object...
+			po.Done(ev.Item)
 			stubs[0].fire(PollIn) // ...while object 0 stays hot
 			for _, s := range stubs {
 				if s.state != 0 {
-					s.src.Fire(uint32(s.state)) // unconsumed objects refire
+					s.src.Fire(s.state) // unconsumed objects refire
 				}
 			}
 		}
@@ -109,22 +111,24 @@ func TestPollerHotItemDoesNotStarve(t *testing.T) {
 func TestPollerRegisterKickWhileReady(t *testing.T) {
 	run(t, func(p *sim.Proc) {
 		po := NewPoller(p.Engine(), "kick")
+		w := po.Waiter("w")
 		s := &stubPollable{}
 		s.state = PollIn // ready before registration, no Fire observed
 		po.Register(s, PollIn|PollErr, "x")
-		evs := po.Wait(p, 0)
-		if len(evs) != 1 || evs[0].Data.(string) != "x" || evs[0].Events != PollIn {
-			t.Fatalf("register kick: %+v", evs)
+		ev, ok := w.Wait(p, 0)
+		if !ok || ev.Data.(string) != "x" || ev.Events != PollIn {
+			t.Fatalf("register kick: %+v, %v", ev, ok)
 		}
+		po.Done(s)
 		// No new edge: a poll must come back empty even though the object
 		// is still ready (EPOLLET semantics).
-		if evs := po.Wait(p, 0); len(evs) != 0 {
-			t.Fatalf("spurious level-triggered delivery: %+v", evs)
+		if ev, ok := w.Wait(p, 0); ok {
+			t.Fatalf("spurious level-triggered delivery: %+v", ev)
 		}
 		s.fire(PollErr)
-		evs = po.Wait(p, 0)
-		if len(evs) != 1 || evs[0].Events != (PollIn|PollErr) {
-			t.Fatalf("edge after consume: %+v", evs)
+		ev, ok = w.Wait(p, 0)
+		if !ok || ev.Events != (PollIn|PollErr) {
+			t.Fatalf("edge after consume: %+v, %v", ev, ok)
 		}
 	})
 }

@@ -303,8 +303,8 @@ func TestWaiterRoundRobinAcrossObjects(t *testing.T) {
 }
 
 // TestWaiterRegisterKickWhileParked: registering an already-ready
-// object must wake a parked waiter (the level-triggered kick crosses
-// into waiter mode).
+// object must wake a parked waiter (the level-triggered kick reaches
+// a waiter that is already blocked).
 func TestWaiterRegisterKickWhileParked(t *testing.T) {
 	e := sim.NewEngine()
 	po := NewPoller(e, "kickw")

@@ -787,9 +787,6 @@ func (s *Session) Readable() bool {
 	return s.inner != nil && s.inner.Readable()
 }
 
-// Ready mirrors Readable, satisfying Waitable for select().
-func (s *Session) Ready() bool { return s.Readable() }
-
 func (s *Session) LocalAddr() Addr  { return s.lastLocal }
 func (s *Session) RemoteAddr() Addr { return s.lastRemote }
 
@@ -1044,9 +1041,6 @@ func (l *SessionListener) Close(p *sim.Proc) error {
 
 // Acceptable reports whether Accept would return without blocking.
 func (l *SessionListener) Acceptable() bool { return len(l.backlog) > 0 || l.closed }
-
-// Ready mirrors Acceptable, satisfying Waitable for select().
-func (l *SessionListener) Ready() bool { return l.Acceptable() }
 
 func (l *SessionListener) Addr() Addr {
 	if len(l.inner) > 0 {

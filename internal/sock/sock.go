@@ -48,8 +48,6 @@ type Conn interface {
 	Close(p *sim.Proc) error
 	// Readable reports whether Read would return without blocking.
 	Readable() bool
-	// Ready mirrors Readable, satisfying Waitable for select().
-	Ready() bool
 	LocalAddr() Addr
 	RemoteAddr() Addr
 }
@@ -60,17 +58,8 @@ type Listener interface {
 	Close(p *sim.Proc) error
 	// Acceptable reports whether Accept would return without blocking.
 	Acceptable() bool
-	// Ready mirrors Acceptable, satisfying Waitable for select().
-	Ready() bool
 	Addr() Addr
 	Port() int
-}
-
-// Waitable is anything select() can poll: a Conn (readable) or a
-// Listener (acceptable).
-type Waitable interface {
-	// Ready reports whether the pending operation would not block.
-	Ready() bool
 }
 
 // Health is a connection's liveness state as judged by its transport's
@@ -128,8 +117,8 @@ func HealthOf(c Conn) Health {
 }
 
 // Network is one host's socket layer: the entry point applications use.
-// Readiness multiplexing is the Poller's job (or, at the POSIX layer,
-// fdtable's select()); transports only provide pollable objects.
+// Readiness multiplexing is the Poller's job; transports only provide
+// pollable objects.
 type Network interface {
 	// Listen binds and listens on a port with the given backlog.
 	Listen(p *sim.Proc, port, backlog int) (Listener, error)

@@ -84,7 +84,7 @@ type Conn struct {
 	established *sim.Cond
 	// src feeds registered pollers: readiness transitions fire it with
 	// the event class, waking only consumers registered on this socket.
-	src sim.NoteSource
+	src sock.NoteSource
 
 	// Round-trip estimation (Jacobson/Karels, with Karn's rule: samples
 	// from retransmitted data are discarded). srtt == 0 means no sample
@@ -203,13 +203,10 @@ func (c *Conn) LocalAddr() sock.Addr { return c.st.addr }
 // RemoteAddr implements sock.Conn.
 func (c *Conn) RemoteAddr() sock.Addr { return c.raddr }
 
-// Readable implements sock.Waitable: data buffered, EOF, or error.
+// Readable implements sock.Conn: data buffered, EOF, or error.
 func (c *Conn) Readable() bool {
 	return c.rcvbuf != nil && (c.rcvbuf.Len() > 0 || c.err != nil || (c.eof && !c.eofSeen))
 }
-
-// Ready implements sock.Waitable.
-func (c *Conn) Ready() bool { return c.Readable() }
 
 // Writable reports whether Write would queue bytes without blocking on
 // socket-buffer space (or return immediately with an error).
@@ -239,7 +236,7 @@ func (c *Conn) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (c *Conn) PollSource() *sim.NoteSource { return &c.src }
+func (c *Conn) PollSource() *sock.NoteSource { return &c.src }
 
 // advWindow is the receive window to advertise.
 func (c *Conn) advWindow() int {
@@ -320,7 +317,7 @@ func (c *Conn) input(seg *Segment) {
 			c.state = stateEstablished
 			c.ackNow()
 			c.established.Broadcast()
-			c.src.Fire(uint32(sock.PollIn | sock.PollOut))
+			c.src.Fire(sock.PollIn | sock.PollOut)
 		}
 		return
 	case stateSynRcvd:
@@ -373,7 +370,7 @@ func (c *Conn) input(seg *Segment) {
 				c.cwnd += MSS * MSS / c.cwnd // congestion avoidance
 			}
 			c.sndReady.Broadcast()
-			c.src.Fire(uint32(sock.PollOut))
+			c.src.Fire(sock.PollOut)
 		} else if seg.Len == 0 && c.inflight() > 0 && seg.Ack == una && seg.Wnd == c.rwnd {
 			c.dupAcks++
 			if c.dupAcks == 3 {
@@ -392,7 +389,7 @@ func (c *Conn) input(seg *Segment) {
 			}
 			// A lingering Close blocks on sndReady until the FIN is acked.
 			c.sndReady.Broadcast()
-			c.src.Fire(uint32(sock.PollOut))
+			c.src.Fire(sock.PollOut)
 		}
 		if c.inflight() == 0 && !(c.finSent && !c.finAcked) {
 			c.rtoTimer.Cancel()
@@ -430,7 +427,7 @@ func (c *Conn) input(seg *Segment) {
 			}
 			c.scheduleAck(seg.Flags&flagPSH != 0)
 			c.rcvReady.Broadcast()
-			c.src.Fire(uint32(sock.PollIn))
+			c.src.Fire(sock.PollIn)
 		default:
 			// Out of order, duplicate, or no buffer space: drop and
 			// send an immediate duplicate ack.
@@ -458,7 +455,7 @@ func (c *Conn) input(seg *Segment) {
 			}
 			c.ackNow()
 			c.rcvReady.Broadcast()
-			c.src.Fire(uint32(sock.PollIn))
+			c.src.Fire(sock.PollIn)
 		} else if c.peerFinSeq >= 0 && finSeq == c.peerFinSeq {
 			c.ackNow() // retransmitted FIN: our ack was lost
 		}
@@ -742,7 +739,7 @@ func (c *Conn) fail(err error) {
 	c.rcvReady.Broadcast()
 	c.sndReady.Broadcast()
 	c.established.Broadcast()
-	c.src.Fire(uint32(sock.PollIn | sock.PollOut | sock.PollErr))
+	c.src.Fire(sock.PollIn | sock.PollOut | sock.PollErr)
 	if was != stateClosed {
 		c.st.conns.remove(c.key())
 	}
@@ -904,7 +901,7 @@ func (c *Conn) CloseRead(p *sim.Proc) error {
 	}
 	c.rcvSpanQ = nil // discarded bytes retire their spans unrecorded
 	c.rcvReady.Broadcast()
-	c.src.Fire(uint32(sock.PollIn))
+	c.src.Fire(sock.PollIn)
 	return nil
 }
 

@@ -274,7 +274,7 @@ func TestSelectIncludesUDP(t *testing.T) {
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		u, _ := b.stacks[0].UDPOpen(p, 5000)
 		l, _ := b.stacks[0].Listen(p, 80, 2)
-		readyIdx = selectWait(p, b.eng, []sock.Waitable{l, u}, -1)
+		readyIdx = selectWait(p, b.eng, []any{l, u}, -1)
 	})
 	b.eng.Spawn("client", func(p *sim.Proc) {
 		p.Sleep(50 * sim.Microsecond)

@@ -15,7 +15,7 @@ type Listener struct {
 	queue   *sim.FIFO[*Conn]
 	closed  bool
 	// src feeds registered pollers on backlog growth and close.
-	src sim.NoteSource
+	src sock.NoteSource
 }
 
 func newListener(st *Stack, port, backlog int) *Listener {
@@ -36,9 +36,6 @@ func (l *Listener) Port() int { return l.port }
 // Acceptable implements sock.Listener.
 func (l *Listener) Acceptable() bool { return l.queue.Len() > 0 }
 
-// Ready implements sock.Waitable.
-func (l *Listener) Ready() bool { return l.Acceptable() }
-
 // PollState implements sock.Pollable.
 func (l *Listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
@@ -52,7 +49,7 @@ func (l *Listener) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (l *Listener) PollSource() *sim.NoteSource { return &l.src }
+func (l *Listener) PollSource() *sock.NoteSource { return &l.src }
 
 // inputSYN handles a connection request: create the embryonic connection
 // and reply SYN-ACK from kernel context.
@@ -91,7 +88,7 @@ func (l *Listener) connEstablished(c *Conn) {
 		c.fail(sock.ErrRefused)
 		return
 	}
-	l.src.Fire(uint32(sock.PollIn))
+	l.src.Fire(sock.PollIn)
 }
 
 // Accept implements sock.Listener: block for the next established
@@ -126,6 +123,6 @@ func (l *Listener) Close(p *sim.Proc) error {
 		c.fail(sock.ErrClosed)
 	}
 	l.queue.Close()
-	l.src.Fire(uint32(sock.PollErr))
+	l.src.Fire(sock.PollErr)
 	return nil
 }

@@ -244,7 +244,7 @@ func (st *Stack) Kill() {
 		l.closed = true
 		l.queue.Close() // wakes blocked Accept with ErrClosed
 		delete(st.listeners, port)
-		l.src.Fire(uint32(sock.PollErr))
+		l.src.Fire(sock.PollErr)
 	}
 }
 

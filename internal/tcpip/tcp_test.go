@@ -11,18 +11,19 @@ import (
 	"repro/internal/sock"
 )
 
-// selectWait emulates the retired level-triggered Select call over an
-// ephemeral Poller: register everything (registration queues an event
-// for already-ready items), wait once, and report the ready indices in
-// ascending order.
-func selectWait(p *sim.Proc, eng *sim.Engine, items []sock.Waitable, timeout sim.Duration) []int {
+// selectWait emulates a level-triggered select() over an ephemeral
+// Poller: register everything (registration queues an event for
+// already-ready items), wait for the first event, drain the rest with
+// Wait(0), and report the ready indices in ascending order.
+func selectWait(p *sim.Proc, eng *sim.Engine, items []any, timeout sim.Duration) []int {
 	po := sock.NewPoller(eng, "test.select")
 	defer po.Close()
 	for i, it := range items {
 		po.Register(it.(sock.Pollable), sock.PollIn|sock.PollErr, i)
 	}
+	w := po.Waiter("select")
 	var out []int
-	for _, ev := range po.Wait(p, timeout) {
+	for ev, ok := w.Wait(p, timeout); ok; ev, ok = w.Wait(p, 0) {
 		out = append(out, ev.Data.(int))
 	}
 	sort.Ints(out)
@@ -347,7 +348,7 @@ func TestSelectAcrossConnections(t *testing.T) {
 		c1, _ := l.Accept(p)
 		c2, _ := l.Accept(p)
 		conns := []sock.Conn{c1, c2}
-		items := []sock.Waitable{c1, c2}
+		items := []any{c1, c2}
 		for len(readyOrder) < 2 {
 			ready := selectWait(p, b.eng, items, -1)
 			for _, idx := range ready {
@@ -382,7 +383,7 @@ func TestSelectTimeout(t *testing.T) {
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.stacks[0].Listen(p, 80, 5)
 		start := p.Now()
-		ready = selectWait(p, b.eng, []sock.Waitable{l}, 500*sim.Microsecond)
+		ready = selectWait(p, b.eng, []any{l}, 500*sim.Microsecond)
 		elapsed = p.Now().Sub(start)
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
@@ -399,7 +400,7 @@ func TestSelectOnListener(t *testing.T) {
 	accepted := false
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.stacks[0].Listen(p, 80, 5)
-		ready := selectWait(p, b.eng, []sock.Waitable{l}, -1)
+		ready := selectWait(p, b.eng, []any{l}, -1)
 		if len(ready) == 1 && ready[0] == 0 {
 			l.Accept(p)
 			accepted = true

@@ -16,7 +16,7 @@ type UDPSocket struct {
 	reasm  map[reasmID]*dgramReasm
 	closed bool
 	// src feeds registered pollers on datagram arrival and close.
-	src sim.NoteSource
+	src sock.NoteSource
 	// Drops counts datagrams discarded because the socket buffer was
 	// full or reassembly failed.
 	Drops sim.Counter
@@ -69,9 +69,6 @@ func (st *Stack) UDPOpen(p *sim.Proc, port int) (*UDPSocket, error) {
 // Port reports the bound port.
 func (u *UDPSocket) Port() int { return u.port }
 
-// Ready implements sock.Waitable.
-func (u *UDPSocket) Ready() bool { return u.queue.Len() > 0 }
-
 // PollState implements sock.Pollable. UDP sends never block, so a live
 // socket is always writable.
 func (u *UDPSocket) PollState() sock.PollEvents {
@@ -86,7 +83,7 @@ func (u *UDPSocket) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (u *UDPSocket) PollSource() *sim.NoteSource { return &u.src }
+func (u *UDPSocket) PollSource() *sock.NoteSource { return &u.src }
 
 // SendTo transmits one datagram of n bytes to dst:port, fragmenting at
 // the IP layer if needed. It is unreliable: frames lost on the fabric
@@ -162,7 +159,7 @@ func (u *UDPSocket) Close(p *sim.Proc) error {
 	u.closed = true
 	delete(u.st.udps, u.port)
 	u.queue.Close()
-	u.src.Fire(uint32(sock.PollErr))
+	u.src.Fire(sock.PollErr)
 	return nil
 }
 
@@ -208,5 +205,5 @@ func (u *UDPSocket) deliver(d recvDgram) {
 		u.Drops.Inc() // socket buffer full: drop, as real UDP does
 		return
 	}
-	u.src.Fire(uint32(sock.PollIn))
+	u.src.Fire(sock.PollIn)
 }
