@@ -101,7 +101,7 @@ verify:
 	go run ./cmd/reproduce -chaos all -quick
 
 # identity checks that a change leaves every quick report unchanged: it
-# builds cmd/reproduce at PARENT (in a temporary git worktree) and from
+# builds cmd/reproduce at PARENT (from a temporary git archive export) and from
 # the working tree, runs both with -fig all, -ablations, -metrics,
 # -audit, -corescale and -chaos all (each with -quick, each in its own
 # temporary directory), and fails if stdout, the exit status or any

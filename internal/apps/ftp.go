@@ -286,7 +286,7 @@ func RunFTP(c *cluster.Cluster, fileSize int) FTPResult {
 		p.Sleep(20 * sim.Microsecond)
 		res = FTPGet(p, c.Nodes[1], c.Addr(0), ctrlPort, "data.bin", "copy.bin", 5000)
 	})
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	if res.Err == nil && srvErr != nil {
 		res.Err = srvErr
 	}

@@ -354,7 +354,11 @@ func findKVResponse(objs []any) *kvResponse {
 }
 
 // RunKVStore runs the workload on a cluster of at least cfg.Clients+1
-// nodes (node 0 serves).
+// nodes (node 0 serves). With Replicate, once every client has
+// returned the harness closes the primary's replication session, so
+// the backup handler reads EOF and the session's keepalives and
+// watchdogs stop; the run then ends at quiescence rather than at
+// cluster.RunLimit.
 func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	needNodes := cfg.Clients + 1
 	if cfg.Replicate {
@@ -380,21 +384,22 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	var srvErr error
 	cliErrs := make([]error, cfg.Clients)
 	var start, end sim.Time
+	var repl *kvReplica
 	if cfg.Sessions && (cfg.Replicate || c.Cfg.Faults.HasRestarts()) {
 		// Crash-surviving harness: the servers are their nodes'
 		// bootstraps, so a restarted host re-runs them, and server
 		// completion is measured by the clients' exact operation count.
-		backupIdx := -1
 		if cfg.Replicate {
-			backupIdx = len(c.Nodes) - 1
-			spawnServer(c, backupIdx, "kv-backup", true, &srvErr, kvBoot(c, cfg, backupIdx, -1))
+			repl = &kvReplica{backup: len(c.Nodes) - 1}
+			spawnServer(c, repl.backup, "kv-backup", true, &srvErr, kvBoot(c, cfg, repl.backup, nil))
 		}
-		spawnServer(c, 0, "kv-server", true, &srvErr, kvBoot(c, cfg, 0, backupIdx))
+		spawnServer(c, 0, "kv-server", true, &srvErr, kvBoot(c, cfg, 0, repl))
 	} else {
 		spawnServer(c, 0, "kv-server", false, &srvErr, func(p *sim.Proc) error {
 			return kvServer(p, c.Nodes[0], cfg, cfg.Clients, listen)
 		})
 	}
+	done := 0
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
 		dial := netDial(c.Nodes[i+1], c.Addr(0), cfg.Port)
@@ -408,9 +413,12 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 			}
 			cliErrs[i] = kvClient(p, cfg, dial, i, lat)
 			end = p.Now()
+			if done++; done == cfg.Clients && repl != nil {
+				c.Eng.Spawn("kv-repl-close", repl.shutdown)
+			}
 		})
 	}
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	res := KVResult{
 		Ops:        int(lat.Count()),
 		AvgLatency: sim.Duration(lat.Mean()),

@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/sock"
@@ -116,5 +118,29 @@ func TestKVUnknownOpClosesConnection(t *testing.T) {
 				t.Fatalf("server did not finish cleanly: done=%v err=%v", srvDone, srvErr)
 			}
 		})
+	}
+}
+
+func TestReplicatedKVStoreEndsWhenClientsDo(t *testing.T) {
+	cfg := DefaultKVConfig(512)
+	cfg.OpsPerClient = 12
+	cfg.Sessions, cfg.Replicate, cfg.ReadYourWrites = true, true, true
+	c := cluster.New(cluster.Config{Nodes: cfg.Clients + 2, Failover: true})
+	res := RunKVStore(c, cfg)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// The first client starts after its 20µs stagger.
+	end := sim.Time(20 * sim.Microsecond).Add(res.Elapsed)
+	if tail := c.Eng.Now().Sub(end); tail > 10*sim.Millisecond {
+		t.Fatalf("run ended %v after the last client", tail)
+	}
+	for _, b := range c.Eng.BlockedProcs() {
+		if strings.HasPrefix(b, "keepalive ") || strings.Contains(b, "-watchdog-") {
+			t.Errorf("still live after the run: %s", b)
+		}
+	}
+	if rep := audit.Cluster(c); !rep.Clean() {
+		t.Fatalf("audit: %v", rep.Findings)
 	}
 }

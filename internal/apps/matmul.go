@@ -163,7 +163,7 @@ func RunMatmul(c *cluster.Cluster, n int) MatmulResult {
 			workerErrs[i] = matmulWorker(p, c.Nodes[i+1], c.Addr(0), port)
 		})
 	}
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	res := MatmulResult{N: n, Elapsed: elapsed, Err: masterErr}
 	for _, e := range workerErrs {
 		if res.Err == nil && e != nil {

@@ -15,31 +15,33 @@ import (
 // server mid-run. Under such a plan the servers run as bootstraps
 // (spawnServer with boot set), so a reborn incarnation re-listens at
 // the same address, adopts committed sessions from the node's resume
-// store, and keeps serving: forkServe's accept loop is unbounded (the
-// run ends at the engine's time limit) and respond corks every session
-// response so resume state commits before any byte a client could
-// acknowledge reaches the wire. The web bootstrap is the forked web
-// server itself; the kvstore's is kvBoot.
+// store, and keeps serving: forkServe's accept loop is unbounded (a
+// parked accept keeps nothing going, so the run still ends once its
+// work does) and respond corks every session response so resume state
+// commits before any byte a client could acknowledge reaches the wire.
+// The web bootstrap is the forked web server itself; the kvstore's is
+// kvBoot.
 
 // kvBoot is the kvstore bootstrap for node idx: the primary on node 0,
 // or the backup replica, which applies replicated SETs and streams its
-// whole table to a recovering primary on kvSyncReq. With a backup
-// (backupIdx >= 0) each primary incarnation first recovers its table
-// from the replica over a session, then listens; every SET is
+// whole table to a recovering primary on kvSyncReq. With a replica
+// (repl non-nil) each primary incarnation first recovers its table
+// from the backup over a session, then listens; every SET is
 // synchronously replicated before its response commits, so no
 // acknowledged write is lost to a primary crash. The table lives in
 // the incarnation, so a backup reboot starts empty — safe under the
 // single-failure model, where the primary's copy is intact whenever
-// the backup is reborn.
-func kvBoot(c *cluster.Cluster, cfg KVConfig, idx, backupIdx int) func(p *sim.Proc) error {
+// the backup is reborn. An incarnation that boots after the replica
+// was shut down serves without one: no client is left to write.
+func kvBoot(c *cluster.Cluster, cfg KVConfig, idx int, repl *kvReplica) func(p *sim.Proc) error {
 	label, backlog := "kv", cfg.Clients
 	if idx != 0 {
 		label, backlog = "kv-bak", 4
 	}
 	return func(p *sim.Proc) error {
 		t := newKVTable(cfg)
-		if backupIdx >= 0 {
-			conn, err := sessionDial(c, idx, backupIdx, cfg.Port, "kv-repl")(p)
+		if repl != nil && !repl.shut {
+			conn, err := sessionDial(c, idx, repl.backup, cfg.Port, "kv-repl")(p)
 			if err != nil {
 				return fmt.Errorf("kv: replica dial: %w", err)
 			}
@@ -47,12 +49,37 @@ func kvBoot(c *cluster.Cluster, cfg KVConfig, idx, backupIdx int) func(p *sim.Pr
 				return fmt.Errorf("kv: replica sync: %w", err)
 			}
 			t.repl, t.replMu = conn, sim.NewSemaphore(c.Eng, "kv.repl", 1)
+			repl.conn = conn
+			if repl.shut {
+				repl.shutdown(p)
+			}
 		}
 		l, err := sessionListen(c, idx, label)(p, cfg.Port, backlog)
 		if err != nil {
 			return err
 		}
 		return forkServe(p, l, 0, label, kvHandle(t))
+	}
+}
+
+// kvReplica is the replicated harness's hold on the primary's session
+// to its backup. Its keepalives and health watchdogs tick until the
+// session closes, so once every client is done the harness shuts it
+// down and the run can end.
+type kvReplica struct {
+	backup int       // the backup's node index
+	conn   sock.Conn // the latest primary incarnation's session, nil before the first
+	shut   bool      // replication is over; no incarnation dials the backup again
+}
+
+// shutdown ends replication: the live session closes, its backup
+// handler reads EOF, and both ends' keepalive and watchdog procs exit
+// at their next tick.
+func (r *kvReplica) shutdown(p *sim.Proc) {
+	r.shut = true
+	if r.conn != nil {
+		r.conn.Close(p)
+		r.conn = nil
 	}
 }
 

@@ -234,7 +234,7 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 			end = p.Now()
 		})
 	}
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	res := WebResult{
 		Requests:    int(lat.Count()),
 		AvgResponse: sim.Duration(lat.Mean()),

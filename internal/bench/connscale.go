@@ -278,7 +278,7 @@ func connScaleRun(transport cluster.Transport, conns, pacers, reqs int, active, 
 			cn.Close(p)
 		})
 	}
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	pt.Requests = done
 	if pt.Err == "" && done != pacers*reqs {
 		pt.Err = fmt.Sprintf("connscale: %d of %d echoes", done, pacers*reqs)
@@ -412,7 +412,7 @@ func DescScale(n int, hashed bool, iters int) DescScalePoint {
 			eps[0].Send(p, eps[1].Addr(), 2, 64, nil, 2)
 		}
 	})
-	e.RunUntil(sim.Time(600 * sim.Second))
+	e.RunUntil(sim.Time(cluster.RunLimit))
 	pt.Lookups = recvNIC.TagLookups.Value
 	pt.Walked = recvNIC.TagWalked.Value
 	if pt.Lookups > 0 {

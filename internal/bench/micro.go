@@ -99,7 +99,7 @@ func sockStream(c *cluster.Cluster, total, chunk int) float64 {
 			sent += w
 		}
 	})
-	c.Run(600 * sim.Second)
+	c.Run(cluster.RunLimit)
 	if end <= start {
 		return 0
 	}

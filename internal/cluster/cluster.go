@@ -712,8 +712,14 @@ func NewSubstrate(n int, opts *core.Options) *Cluster {
 	return New(Config{Nodes: n, Transport: TransportSubstrate, Substrate: opts})
 }
 
-// Run executes the simulation until the event queue drains or limit is
-// reached, returning the final virtual time.
+// RunLimit is the simulated-time bound every workload driver passes to
+// Run. It is a safety net, not a schedule: a run ends at quiescence,
+// once no busy event is left (see sim.Engine.Idle), so only a livelocked
+// or runaway model reaches it.
+const RunLimit = 600 * sim.Second
+
+// Run executes the simulation until it is quiescent (sim.Engine.Idle)
+// or limit is reached, returning the final virtual time.
 func (c *Cluster) Run(limit sim.Duration) sim.Time {
 	return c.Eng.RunUntil(sim.Time(limit))
 }

@@ -165,3 +165,15 @@ func TestSwitchDownCrashesTheOnlySwitch(t *testing.T) {
 		t.Fatal("client sent nothing after the crash")
 	}
 }
+
+func TestIdleFailoverClusterEndsAtOnce(t *testing.T) {
+	c := New(Config{Nodes: 2, Failover: true})
+	end := c.Run(RunLimit)
+	if end >= sim.Time(sim.Millisecond) {
+		t.Fatalf("idle Failover cluster ran to %v, want under 1ms", end)
+	}
+	// Only start-up: each node's procs take their first step and park.
+	if n := c.Eng.Events(); n > 16*int64(len(c.Nodes)) {
+		t.Fatalf("idle Failover cluster fired %d events, want O(nodes)", n)
+	}
+}

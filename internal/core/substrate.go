@@ -222,6 +222,11 @@ func (s *Substrate) sweepForget(c *Conn) {
 	}
 }
 
+// sweepPending reports whether the credit sweep's next tick has work.
+func (s *Substrate) sweepPending() bool {
+	return s.dead || len(s.sweepMark) > 0 || len(s.sweepStalled) > 0
+}
+
 // creditSweep is the credit-reconciliation process (enabled by
 // Options.CreditSyncAfter): every interval it visits, in deterministic
 // order, the sockets needing attention — those notified since the last
@@ -231,11 +236,14 @@ func (s *Substrate) sweepForget(c *Conn) {
 // drift from a lost grant; this sweep is what repairs it. Sockets in
 // neither set have nothing to harvest and nothing to probe, so
 // skipping them charges the same (zero) simulated time the old
-// full-table walk charged for them.
+// full-table walk charged for them. With both sets empty a tick does
+// nothing, so the sweep sleeps on an idle timer and an idle substrate
+// does not keep a run going; a dead one still has the tick that ends
+// the process.
 func (s *Substrate) creditSweep(p *sim.Proc) {
-	interval := s.Opts.CreditSyncAfter
+	interval, pending := s.Opts.CreditSyncAfter, s.sweepPending
 	for {
-		p.Sleep(interval)
+		p.SleepIdle(interval, pending)
 		if s.dead {
 			return
 		}

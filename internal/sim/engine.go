@@ -11,6 +11,13 @@ type event struct {
 	fire  func()
 	index int  // heap index
 	dead  bool // cancelled
+	idle  bool // an idle timer (see Proc.SleepIdle), not a busy event
+}
+
+// idler is a queued idle timer and its owner's pending-work test.
+type idler struct {
+	ev      *event
+	pending func() bool
 }
 
 // eventHeap is a binary min-heap of events ordered by (at, seq). It is
@@ -84,6 +91,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
+	busy    int     // queued busy events not yet fired or cancelled
+	idlers  []idler // queued idle timers
 	running bool
 	stopped bool
 
@@ -95,7 +104,9 @@ type Engine struct {
 	rand     *Rand
 	deadline Time
 
-	wakeups int64 // processes resumed from wait queues (herd diagnostics)
+	wakeups  int64 // processes resumed from wait queues (herd diagnostics)
+	fired    int64 // events fired
+	switches int64 // proc steps
 }
 
 // Wakeups reports how many processes have been resumed from wait queues
@@ -103,6 +114,14 @@ type Engine struct {
 // assert that an operation's wakeup cost does not scale with the number
 // of unrelated blocked processes.
 func (e *Engine) Wakeups() int64 { return e.wakeups }
+
+// Events reports how many events have fired since the engine was
+// created; cancelled events are not counted.
+func (e *Engine) Events() int64 { return e.fired }
+
+// Switches reports how many times a process has been stepped (started or
+// resumed) since the engine was created.
+func (e *Engine) Switches() int64 { return e.switches }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
@@ -127,10 +146,14 @@ type Event struct {
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event is a no-op. A cancelled event no longer keeps
+// a run going, although it stays queued until its time comes.
 func (ev Event) Cancel() {
 	if ev.ev != nil && !ev.ev.dead {
 		ev.ev.dead = true
+		if ev.ev.index >= 0 {
+			ev.eng.busy-- // idle timers have no handle, so this is a busy one
+		}
 	}
 }
 
@@ -142,13 +165,28 @@ func (ev Event) Pending() bool {
 // At schedules fn to run at instant t. Scheduling in the past panics: it
 // indicates a model bug that would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) Event {
+	ev := e.schedule(t, fn, false)
+	e.busy++
+	return Event{eng: e, ev: ev}
+}
+
+// atIdle queues fn at t as an idle timer whose owner reports pending
+// work through pending.
+func (e *Engine) atIdle(t Time, fn func(), pending func() bool) {
+	e.idlers = append(e.idlers, idler{e.schedule(t, fn, true), pending})
+}
+
+// schedule queues fn at t. Busy events and idle timers draw from the
+// same seq counter, so an idle timer ties with other same-instant
+// events exactly as a busy one would.
+func (e *Engine) schedule(t Time, fn func(), idle bool) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, fire: fn}
+	ev := &event{at: t, seq: e.seq, fire: fn, idle: idle}
 	e.seq++
 	e.events.push(ev)
-	return Event{eng: e, ev: ev}
+	return ev
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -166,8 +204,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // It returns the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
-// RunUntil executes events with fire times <= limit. The clock never
-// advances past the last fired event.
+// RunUntil executes events with fire times <= limit, and returns early
+// once the run is quiescent (see Idle). The clock never advances past
+// the last fired event. Quiescence ends a run without changing what it
+// computes: the idle timers left queued would only have ticked with
+// nothing to do, and they stay queued, so a later RunUntil resumes them
+// on their original schedule. Cancelled events at the head of the queue
+// are discarded before the test, so a queue of them still drains.
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -177,23 +220,52 @@ func (e *Engine) RunUntil(limit Time) Time {
 	defer func() { e.running = false }()
 	for !e.stopped && len(e.events) > 0 {
 		next := e.events[0]
-		if next.at > limit {
+		if next.at > limit || !next.dead && e.busy == 0 && e.Idle() {
 			break
 		}
 		e.events.pop()
 		if next.dead {
 			continue
 		}
+		if next.idle {
+			e.dropIdler(next)
+		} else {
+			e.busy--
+		}
 		e.now = next.at
+		e.fired++
 		next.fire()
 	}
 	return e.now
 }
 
-// Idle reports whether no events remain. Blocked processes may still
-// exist; with an empty queue they can never resume, so the simulation is
-// complete (or deadlocked — see BlockedProcs).
-func (e *Engine) Idle() bool { return len(e.events) == 0 }
+// Idle reports whether the run is quiescent: every queued event is a
+// cancelled one or an idle timer whose owner reports no pending work.
+// Blocked processes may still exist; with no busy event left they can
+// never resume, so the simulation is complete (or deadlocked — see
+// BlockedProcs). The test costs nothing while any busy event is queued;
+// otherwise it asks each queued idle timer's owner.
+func (e *Engine) Idle() bool { return e.busy == 0 && !e.idleWork() }
+
+// idleWork reports whether any queued idle timer's owner has work.
+func (e *Engine) idleWork() bool {
+	for _, it := range e.idlers {
+		if it.pending() {
+			return true
+		}
+	}
+	return false
+}
+
+// dropIdler forgets a fired idle timer.
+func (e *Engine) dropIdler(ev *event) {
+	for i, it := range e.idlers {
+		if it.ev == ev {
+			e.idlers = append(e.idlers[:i], e.idlers[i+1:]...)
+			return
+		}
+	}
+}
 
 // LiveProcs reports how many spawned processes have not yet finished.
 // A nonzero count with an idle queue indicates blocked (deadlocked or

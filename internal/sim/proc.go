@@ -89,6 +89,7 @@ func (e *Engine) step(p *Proc) {
 	}
 	prev := e.cur
 	e.cur = p
+	e.switches++
 	p.next()
 	e.cur = prev
 }
@@ -118,6 +119,21 @@ func (p *Proc) Sleep(d Duration) {
 	p.checkCurrent("Sleep")
 	p.blockedOn = "sleep"
 	p.eng.After(d, p.wake)
+	p.yield()
+	p.blockedOn = ""
+}
+
+// SleepIdle is Sleep on an idle timer: the wakeup does not by itself
+// keep a run going. A periodic housekeeping loop sleeps this way, with
+// pending reporting whether it has work for its next tick; once every
+// queued event is such a timer with no work, the run is quiescent and
+// RunUntil returns. The timer is scheduled exactly as Sleep's would be,
+// so while the run goes on it fires at the same instant and breaks ties
+// with other same-instant events the same way.
+func (p *Proc) SleepIdle(d Duration, pending func() bool) {
+	p.checkCurrent("SleepIdle")
+	p.blockedOn = "sleep"
+	p.eng.atIdle(p.eng.now.Add(max(d, 0)), p.wake, pending)
 	p.yield()
 	p.blockedOn = ""
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# identity.sh PARENT: build cmd/reproduce at the git revision PARENT (in a
-# temporary worktree) and from the working tree, run both with each
+# identity.sh PARENT: build cmd/reproduce at the git revision PARENT (from
+# a temporary `git archive` export) and from the working tree, run both with each
 # quick-mode report flag in its own temporary directory, and compare
 # stdout, exit status and every BENCH_*.json written. Exits non-zero on
 # any difference. Run from the repository root: make identity PARENT=<rev>.
@@ -9,13 +9,10 @@ set -euo pipefail
 parent=${1:?usage: identity.sh PARENT}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent-src" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git -C "$root" worktree add --quiet --detach "$tmp/parent-src" "$parent"
+mkdir "$tmp/parent-src"
+git -C "$root" archive "$parent" | tar -x -C "$tmp/parent-src"
 (cd "$tmp/parent-src" && go build -o "$tmp/reproduce.parent" ./cmd/reproduce)
 (cd "$root" && go build -o "$tmp/reproduce.change" ./cmd/reproduce)
 
