@@ -100,12 +100,15 @@ verify:
 	go test -run TestCoreScaleGate -count=1 ./internal/bench
 	go run ./cmd/reproduce -chaos all -quick
 
-# identity checks that a change leaves every quick report unchanged: it
-# builds cmd/reproduce at PARENT (from a temporary git archive export) and from
-# the working tree, runs both with -fig all, -ablations, -metrics,
-# -audit, -corescale and -chaos all (each with -quick, each in its own
-# temporary directory), and fails if stdout, the exit status or any
-# BENCH_*.json written differs. Usage: make identity PARENT=<rev>.
+# identity checks that a change leaves every quick report and every
+# trace unchanged: it builds cmd/reproduce and cmd/trace at PARENT (from
+# a temporary git archive export) and from the working tree, runs
+# reproduce with -fig all, -ablations, -metrics, -audit, -corescale,
+# -connscale and -chaos all (each with -quick) and trace with the
+# pingpong scenario on both transports, connect-race, lossy, chaos and
+# drain (each case in its own temporary directory), and fails if stdout,
+# the exit status or any BENCH_*.json written differs. Usage: make
+# identity PARENT=<rev>.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh $(PARENT)

@@ -74,7 +74,7 @@ func main() {
 			hashedCounts = []int{8, 128}
 			descCounts = []int{1024, 4096}
 		}
-		pts := bench.ConnScaleSweep(counts)
+		pts := bench.ConnScaleSweep(counts, false, false)
 		fmt.Printf("%12s  %8s  %8s  %10s  %10s  %14s  %12s\n",
 			"transport", "conns", "waits", "delivered", "scanned", "scanned/wait", "sim-ms")
 		for _, pt := range pts {
@@ -86,7 +86,7 @@ func main() {
 				pt.Transport, pt.Conns, pt.Waits, pt.Delivered, pt.Scanned,
 				pt.ScannedPerWait, pt.Elapsed.Seconds()*1e3)
 		}
-		active := bench.ConnScaleActiveSweep(activeCounts)
+		active := bench.ConnScaleSweep(activeCounts, true, false)
 		fmt.Printf("\nall-active variant (every connection pacing):\n")
 		fmt.Printf("%12s  %8s  %8s  %14s  %12s  %12s\n",
 			"transport", "conns", "reqs", "scanned/wait", "req/s", "sim-ms")
@@ -105,14 +105,14 @@ func main() {
 		// expected tag matching, reaching populations the linear walk
 		// cannot serve, with the server's charged per-dispatch lookup
 		// cost alongside the poller counters.
-		hashed := bench.ConnScaleHashedSweep(hashedCounts)
+		hashed := bench.ConnScaleSweep(hashedCounts, false, true)
 		// All-active endpoints of the acceptance sweep: every
 		// connection pacing, per-dispatch cost still flat to 16k.
 		activeHashedCounts := []int{8, 1024, 16384}
 		if *quick {
 			activeHashedCounts = []int{8, 64}
 		}
-		hashed = append(hashed, bench.ConnScaleActiveHashedSweep(activeHashedCounts)...)
+		hashed = append(hashed, bench.ConnScaleSweep(activeHashedCounts, true, true)...)
 		fmt.Printf("\nhashed demux (extended sweep, per-dispatch lookup cost):\n")
 		fmt.Printf("%12s  %8s  %8s  %8s  %14s  %12s  %12s\n",
 			"transport", "conns", "active", "clients", "demux lookups", "cost/lookup", "sim-ms")

@@ -17,10 +17,10 @@ import (
 
 func main() {
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 
 	build := func() *emp.Endpoint {
-		host := kernel.NewHost(eng, "host", 4, kernel.DefaultCosts())
+		host := kernel.NewHost(eng, "host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
 		cfg := emp.DefaultEndpointConfig()

@@ -146,3 +146,33 @@ func TestRestartFreePlanReportUnchanged(t *testing.T) {
 		t.Errorf("empty fault plan changed the report\n--- nil plan ---\n%s\n--- empty plan ---\n%s", a, b)
 	}
 }
+
+// TestChaosInjectedCountsTheWorkload replays the nic domain's mixed web
+// run at full scale, seed 2, whose fault plan drops the doorbell of the
+// audit's stale-entry purge: the injected column must equal the NIC
+// fault counters as the workload left them, not count that purge.
+func TestChaosInjectedCountsTheWorkload(t *testing.T) {
+	d := nicChaos
+	pt := chaosPoint{name: "mixed"}
+	const seed = 2
+	nodes := chaosNodes["web"]
+	cfg := d.cluster
+	cfg.Nodes, cfg.Seed = nodes, seed
+	cfg.Faults = d.plan(pt, "web", seed, nodes)
+	c := cluster.New(cfg)
+	r := ChaosRun{Workload: "web", Point: pt.name, Seed: seed}
+	r.OK, r.Detail = d.web(c, d.full, nil)
+	var want int64
+	for _, n := range c.Nodes {
+		want += n.Sub.EP.NIC.FaultInjected()
+	}
+	d.fold(c, pt, &r)
+	if !r.OK {
+		t.Fatalf("run failed: %s", r.Detail)
+	}
+	for i, col := range d.cols {
+		if col.header == "injected" && r.Counters[i] != want {
+			t.Fatalf("injected column %d, want the workload's %d NIC faults", r.Counters[i], want)
+		}
+	}
+}

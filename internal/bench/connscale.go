@@ -107,34 +107,18 @@ type connScaleState struct {
 	need int
 }
 
-// ConnScale runs one data point: conns connections from one client node
-// to a single-process evented echo server, connScalePacers of them
-// active. It reports the server poller's counters.
-func ConnScale(transport cluster.Transport, conns int) ConnScalePoint {
-	return connScaleRun(transport, conns, connScalePacers, connScaleReqs, false, false)
-}
-
-// ConnScaleActive runs the all-active variant: every registered
-// connection paces requests, so the point measures the poller's
-// dispatch throughput instead of the idle scan cost.
-func ConnScaleActive(transport cluster.Transport, conns int) ConnScalePoint {
-	return connScaleRun(transport, conns, conns, connScaleActiveReqs, true, false)
-}
-
-// ConnScaleHashed is the idle-population point under the hashed demux
-// cost model (nic.HashedConfig on the substrate NIC).
-func ConnScaleHashed(transport cluster.Transport, conns int) ConnScalePoint {
-	return connScaleRun(transport, conns, connScalePacers, connScaleReqs, false, true)
-}
-
-// ConnScaleActiveHashed is the all-active point under the hashed demux
-// cost model.
-func ConnScaleActiveHashed(transport cluster.Transport, conns int) ConnScalePoint {
-	return connScaleRun(transport, conns, conns, connScaleActiveReqs, true, true)
-}
-
-// connScaleRun is the shared harness behind all variants.
-func connScaleRun(transport cluster.Transport, conns, pacers, reqs int, active, hashed bool) ConnScalePoint {
+// ConnScale runs one data point: conns connections to a single-process
+// evented echo server and reports the server poller's counters. Idle
+// points (active false) have connScalePacers of the connections send
+// requests while the rest sit registered, measuring the idle-population
+// scan cost; active points have every connection pace requests,
+// measuring dispatch throughput. Hashed points run the substrate NIC
+// under the hashed demux cost model (nic.HashedConfig).
+func ConnScale(transport cluster.Transport, conns int, active, hashed bool) ConnScalePoint {
+	pacers, reqs := connScalePacers, connScaleReqs
+	if active {
+		pacers, reqs = conns, connScaleActiveReqs
+	}
 	pt := ConnScalePoint{Transport: transport.String(), Conns: conns, Active: active, Hashed: hashed}
 	if pacers > conns {
 		pacers = conns
@@ -303,47 +287,12 @@ func connScaleRun(transport cluster.Transport, conns, pacers, reqs int, active, 
 	return pt
 }
 
-// ConnScaleSweep runs the sweep on both stacks.
-func ConnScaleSweep(counts []int) []ConnScalePoint {
+// ConnScaleSweep runs ConnScale at every count on both stacks.
+func ConnScaleSweep(counts []int, active, hashed bool) []ConnScalePoint {
 	var out []ConnScalePoint
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		for _, n := range counts {
-			out = append(out, ConnScale(tr, n))
-		}
-	}
-	return out
-}
-
-// ConnScaleActiveSweep runs the all-active variant on both stacks.
-func ConnScaleActiveSweep(counts []int) []ConnScalePoint {
-	var out []ConnScalePoint
-	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
-		for _, n := range counts {
-			out = append(out, ConnScaleActive(tr, n))
-		}
-	}
-	return out
-}
-
-// ConnScaleHashedSweep runs the extended idle sweep under the hashed
-// demux cost model on both stacks.
-func ConnScaleHashedSweep(counts []int) []ConnScalePoint {
-	var out []ConnScalePoint
-	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
-		for _, n := range counts {
-			out = append(out, ConnScaleHashed(tr, n))
-		}
-	}
-	return out
-}
-
-// ConnScaleActiveHashedSweep runs all-active hashed points on both
-// stacks (the acceptance sweep's every-connection-pacing endpoints).
-func ConnScaleActiveHashedSweep(counts []int) []ConnScalePoint {
-	var out []ConnScalePoint
-	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
-		for _, n := range counts {
-			out = append(out, ConnScaleActiveHashed(tr, n))
+			out = append(out, ConnScale(tr, n, active, hashed))
 		}
 	}
 	return out
@@ -377,7 +326,7 @@ func DefaultDescScaleCounts() []int { return []int{1024, 16384, 262144} }
 func DescScale(n int, hashed bool, iters int) DescScalePoint {
 	pt := DescScalePoint{Descriptors: n, Hashed: hashed}
 	e := sim.NewEngine()
-	sw := ethernet.NewSwitch(e, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(e)
 	nicCfg := nic.DefaultConfig()
 	if hashed {
 		nicCfg = nic.HashedConfig()
@@ -386,7 +335,7 @@ func DescScale(n int, hashed bool, iters int) DescScalePoint {
 	epCfg.MaxDescriptors = 0 // the population under test IS the budget
 	var eps [2]*emp.Endpoint
 	for i := range eps {
-		h := kernel.NewHost(e, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(e, "h", 4)
 		nc := nic.New(e, "n", nicCfg)
 		nc.Attach(sw)
 		eps[i] = emp.NewEndpoint(e, h, nc, epCfg)
@@ -418,7 +367,7 @@ func DescScale(n int, hashed bool, iters int) DescScalePoint {
 	if pt.Lookups > 0 {
 		pt.MeanLookup = float64(pt.Walked) / float64(pt.Lookups)
 	}
-	pt.MatchNs = float64(nicCfg.TagMatchBase) + pt.MeanLookup*float64(nicCfg.TagMatchPerDesc)
+	pt.MatchNs = float64(nic.TagMatchBase) + pt.MeanLookup*float64(nic.TagMatchPerDesc)
 	return pt
 }
 

@@ -20,8 +20,8 @@ func TestConnScalePollerWorkStaysFlat(t *testing.T) {
 	}
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScale(tr, 8)
-			big := ConnScale(tr, hi)
+			base := ConnScale(tr, 8, false, false)
+			big := ConnScale(tr, hi, false, false)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -57,8 +57,8 @@ func TestConnScaleDispatchFlat(t *testing.T) {
 	}
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScaleHashed(tr, 8)
-			big := ConnScaleHashed(tr, hi)
+			base := ConnScale(tr, 8, false, true)
+			big := ConnScale(tr, hi, false, true)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -88,8 +88,8 @@ func TestConnScaleDispatchFlat(t *testing.T) {
 func TestConnScaleDispatchGate(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScaleActiveHashed(tr, 8)
-			big := ConnScaleActiveHashed(tr, 1024)
+			base := ConnScale(tr, 8, true, true)
+			big := ConnScale(tr, 1024, true, true)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -142,7 +142,7 @@ func BenchmarkConnScale(b *testing.B) {
 		for _, n := range counts {
 			b.Run(tr.String()+"/"+strconv.Itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pt := ConnScale(tr, n)
+					pt := ConnScale(tr, n, false, false)
 					if pt.Err != "" {
 						b.Fatal(pt.Err)
 					}

@@ -109,10 +109,10 @@ func sockStream(c *cluster.Cluster, total, chunk int) float64 {
 // empBed builds a raw two-endpoint EMP fabric (the paper's "EMP" curve).
 func empBed() (*sim.Engine, [2]*emp.Endpoint) {
 	e := sim.NewEngine()
-	sw := ethernet.NewSwitch(e, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(e)
 	var eps [2]*emp.Endpoint
 	for i := range eps {
-		h := kernel.NewHost(e, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(e, "h", 4)
 		n := nic.New(e, "n", nic.DefaultConfig())
 		n.Attach(sw)
 		eps[i] = emp.NewEndpoint(e, h, n, emp.DefaultEndpointConfig())

@@ -56,11 +56,10 @@ type Config struct {
 	Substrate *core.Options
 	// TCP overrides the stack config for the TCP transports.
 	TCP *tcpip.StackConfig
-	// Switch overrides every switch's timing parameters.
-	Switch *ethernet.SwitchConfig
 	// Cores per host (the paper's testbed machines are quads).
 	Cores int
-	// NIC overrides the programmable NIC cost table (substrate only).
+	// NIC overrides the NIC's lookup model, MTU and receive CPUs
+	// (substrate only).
 	NIC *nic.Config
 	// Seed seeds the engine's deterministic random source and the
 	// fabric's ECMP path-selection hash.
@@ -183,10 +182,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Seed != 0 {
 		eng.Seed(cfg.Seed)
 	}
-	swCfg := ethernet.DefaultSwitchConfig()
-	if cfg.Switch != nil {
-		swCfg = *cfg.Switch
-	}
 	// Every cluster forwards through one fabric. Without a Topology it
 	// holds a single switch (the paper's testbed); with one, a
 	// spine-leaf fabric.
@@ -208,10 +203,10 @@ func New(cfg Config) *Cluster {
 	})
 	var leaves, spines []*ethernet.Switch
 	for l := 0; l < topo.Leaves; l++ {
-		leaves = append(leaves, fb.AddSwitch(fmt.Sprintf("leaf%d", l), swCfg))
+		leaves = append(leaves, fb.AddSwitch(fmt.Sprintf("leaf%d", l)))
 	}
 	for s := 0; s < topo.Spines; s++ {
-		spines = append(spines, fb.AddSwitch(fmt.Sprintf("spine%d", s), swCfg))
+		spines = append(spines, fb.AddSwitch(fmt.Sprintf("spine%d", s)))
 	}
 	for _, lf := range leaves {
 		for _, sp := range spines {
@@ -230,7 +225,7 @@ func New(cfg Config) *Cluster {
 		c.Switch = leaves[0]
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		host := kernel.NewHost(eng, "host", cfg.Cores, kernel.DefaultCosts())
+		host := kernel.NewHost(eng, "host", cfg.Cores)
 		c.Nodes = append(c.Nodes, &Node{Host: host, FS: ramfs.New(host), Tel: telemetry.New(),
 			Resume: sock.NewSessionStore(), Incarnation: 1})
 		// Attach order fixes the fabric addresses: a node's substrate
@@ -368,7 +363,7 @@ func FailoverOptions() core.Options {
 	return o
 }
 
-// nicConfig resolves the NIC cost table a (re)built node uses.
+// nicConfig resolves the NIC config a (re)built node uses.
 func (c *Cluster) nicConfig() nic.Config {
 	if c.Cfg.NIC != nil {
 		return *c.Cfg.NIC

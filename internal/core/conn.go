@@ -835,7 +835,7 @@ func (c *Conn) applyDS(p *sim.Proc, hdr *header) {
 		// Rejected alternative (Section 5.2): the polling communication
 		// thread hands the message to the application thread, costing
 		// the measured synchronization latency.
-		p.Sleep(c.opts.CommThreadSync)
+		p.Sleep(commThreadSync)
 	}
 	if hdr.Piggy > 0 {
 		c.sub.PiggybackAcks.Add(int64(hdr.Piggy))
@@ -843,7 +843,7 @@ func (c *Conn) applyDS(p *sim.Proc, hdr *header) {
 	}
 	switch hdr.Kind {
 	case kindData:
-		p.Sleep(c.opts.StreamRecvCost)
+		p.Sleep(streamRecvCost)
 		if c.rdShut {
 			// CloseRead discards the payload but still recycles the
 			// descriptor and returns the credit: the read side is gone,
@@ -956,7 +956,7 @@ func (c *Conn) pumpDS(p *sim.Proc, block bool) bool {
 
 // Read implements sock.Conn.
 func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.err != nil {
 		c.abort(p)
 		return 0, nil, c.err
@@ -1014,7 +1014,7 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 // Write implements sock.Conn: eager with credit-based flow control in
 // Data Streaming mode; direct or rendezvous in Datagram mode.
 func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.err != nil {
 		c.abort(p)
 		return 0, c.err
@@ -1057,7 +1057,7 @@ func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 			o = obj
 		}
 		c.sub.MsgsSent.Inc()
-		p.Sleep(c.opts.StreamSendCost)
+		p.Sleep(streamSendCost)
 		seq := c.txSeq
 		c.txSeq++
 		st := c.send(p, c.dataOutTag, headerBytes+chunk,
@@ -1122,7 +1122,7 @@ func (c *Conn) shutdownWrite(p *sim.Proc, deadline sim.Time) error {
 // subsequent Writes here return sock.ErrClosed while Reads keep
 // draining the reverse direction.
 func (c *Conn) CloseWrite(p *sim.Proc) error {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.err != nil {
 		return c.err
 	}
@@ -1146,7 +1146,7 @@ func (c *Conn) CloseWrite(p *sim.Proc) error {
 // are consumed-and-dropped with their credits returned, so a peer
 // mid-write is never wedged by our disinterest.
 func (c *Conn) CloseRead(p *sim.Proc) error {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.cleaned || c.closeSent {
 		return sock.ErrClosed
 	}
@@ -1216,7 +1216,7 @@ func (c *Conn) closeLinger(p *sim.Proc, deadline sim.Time) error {
 // drainClose is Close via the linger path regardless of Options.Linger,
 // bounded by an explicit deadline: the host-wide quiesce path.
 func (c *Conn) drainClose(p *sim.Proc, deadline sim.Time) error {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.cleaned || c.closeSent {
 		return nil
 	}
@@ -1232,7 +1232,7 @@ func (c *Conn) drainClose(p *sim.Proc, deadline sim.Time) error {
 // Options.Linger set, Close first drains via closeLinger so the tail is
 // confirmed delivered before the closed message goes out.
 func (c *Conn) Close(p *sim.Proc) error {
-	p.Sleep(c.opts.LibCall)
+	p.Sleep(libCall)
 	if c.cleaned || c.closeSent {
 		return nil
 	}

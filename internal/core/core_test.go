@@ -41,10 +41,10 @@ type bed struct {
 func newBedWithLoss(opts Options, loss float64, seed uint64) *bed {
 	b := &bed{eng: sim.NewEngine()}
 	b.eng.Seed(seed)
-	b.sw = ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	b.sw = ethernet.NewSwitch(b.eng)
 	b.sw.SetFaults(&faults.Plan{Clauses: []faults.Clause{faults.Uniform(loss, 0, 0, 0)}})
 	for i := 0; i < 2; i++ {
-		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(b.sw)
 		b.subs = append(b.subs, New(b.eng, h, nc, opts))
@@ -54,9 +54,9 @@ func newBedWithLoss(opts Options, loss float64, seed uint64) *bed {
 
 func newBed(n int, opts Options) *bed {
 	b := &bed{eng: sim.NewEngine()}
-	b.sw = ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	b.sw = ethernet.NewSwitch(b.eng)
 	for i := 0; i < n; i++ {
-		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(b.sw)
 		b.subs = append(b.subs, New(b.eng, h, nc, opts))

@@ -11,7 +11,7 @@ import (
 
 // failureBound is how much simulated time peer-death detection may take
 // after the crash: the EMP retry budget (MaxRetries timeouts, each at
-// most MaxRTO) plus generous slack for keepalive scheduling.
+// most the 5 ms RTO cap) plus generous slack for keepalive scheduling.
 const failureBound = 500 * sim.Millisecond
 
 // TestWriterGetsResetAfterPeerCrash: a client streaming data to a peer
@@ -140,7 +140,6 @@ func TestDialRetriesThenTimesOut(t *testing.T) {
 	opts.SyncConnect = true
 	opts.CloseTimeout = 2 * sim.Millisecond // per-attempt reply deadline
 	opts.DialRetries = 2
-	opts.DialBackoff = 1 * sim.Millisecond
 	b := newBed(2, opts)
 
 	var dialErr error

@@ -49,6 +49,25 @@ func (m Mode) String() string {
 	return "DS"
 }
 
+// The substrate's host-side costs, calibrated so its measured overhead
+// over raw EMP matches the paper's ~9 us gap (37 us DS_DA_UQ vs 28 us
+// EMP at 4 bytes), and the connect retry backoff.
+const (
+	// libCall is the user-level library overhead charged per substrate
+	// call (socket table lookup, credit accounting, header marshaling).
+	libCall = 1200 * sim.Nanosecond
+	// streamSendCost and streamRecvCost are the additional per-message
+	// bookkeeping of the Data Streaming machinery (temp-buffer
+	// management, credit/ack accounting) on each side.
+	streamSendCost = 3 * sim.Microsecond
+	streamRecvCost = 3 * sim.Microsecond
+	// commThreadSync is the ~20 us thread synchronization cost every
+	// delivery pays under Options.CommThread.
+	commThreadSync = 20 * sim.Microsecond
+	// dialBackoff is the delay before the first connect retry.
+	dialBackoff = 1 * sim.Millisecond
+)
+
 // Options configures a substrate instance. The paper's evaluation
 // configurations map as:
 //
@@ -92,18 +111,6 @@ type Options struct {
 	// application's critical path but every delivery pays the measured
 	// ~20 us thread synchronization cost.
 	CommThread bool
-	// CommThreadSync is that synchronization cost.
-	CommThreadSync sim.Duration
-	// LibCall is the user-level library overhead charged per substrate
-	// call (socket table lookup, credit accounting, header marshaling).
-	LibCall sim.Duration
-	// StreamSendCost and StreamRecvCost are the additional per-message
-	// bookkeeping of the Data Streaming machinery (temp-buffer
-	// management, credit/ack accounting) on each side, calibrated so
-	// the substrate's measured overhead over raw EMP matches the
-	// paper's ~9 us gap (37 us DS_DA_UQ vs 28 us EMP at 4 bytes).
-	StreamSendCost sim.Duration
-	StreamRecvCost sim.Duration
 	// CloseTimeout bounds how long close() waits for the peer's
 	// close acknowledgment before reclaiming descriptors anyway.
 	CloseTimeout sim.Duration
@@ -114,11 +121,9 @@ type Options struct {
 	// the application never writes. Zero disables probing.
 	KeepaliveIdle sim.Duration
 	// DialRetries is how many times connect() retries a timed-out or
-	// reset connection attempt before giving up.
+	// reset connection attempt before giving up; the first retry waits
+	// dialBackoff and each later one twice as long as the last.
 	DialRetries int
-	// DialBackoff is the delay before the first connect retry; it
-	// doubles on each subsequent attempt.
-	DialBackoff sim.Duration
 	// DialDeadline bounds the whole connect() — every attempt plus the
 	// backoff between attempts — surfacing sock.ErrTimeout on expiry.
 	// Zero keeps the retry-budget-only bound.
@@ -180,13 +185,8 @@ func DefaultOptions() Options {
 		UQAcks:              true,
 		Piggyback:           true,
 		RendezvousThreshold: 64 << 10,
-		CommThreadSync:      20 * sim.Microsecond,
-		LibCall:             1200 * sim.Nanosecond,
-		StreamSendCost:      3 * sim.Microsecond,
-		StreamRecvCost:      3 * sim.Microsecond,
 		CloseTimeout:        50 * sim.Millisecond,
 		DialRetries:         2,
-		DialBackoff:         1 * sim.Millisecond,
 	}
 }
 
@@ -223,9 +223,6 @@ func (o Options) normalize() Options {
 	}
 	if o.DialRetries < 0 {
 		o.DialRetries = 0
-	}
-	if o.DialBackoff <= 0 {
-		o.DialBackoff = 1 * sim.Millisecond
 	}
 	if o.KeepaliveIdle < 0 {
 		o.KeepaliveIdle = 0

@@ -509,43 +509,54 @@ type chanKey struct {
 // side had already cleaned up), freeing their NIC slots. Called on
 // connection churn.
 func (s *Substrate) purgeStaleUQ() {
-	// Channels announced by completed-but-unaccepted requests are looked
-	// up in the awaiting-accept registry (O(1) per entry); requests still
-	// parked in the queue itself need one pre-pass so early data from the
-	// same peer survives until the request is claimed. One walk over the
-	// queue, map lookups per entry — the old implementation re-walked
-	// every listener's backlog handles for every queue entry.
-	var parkedReq map[ethernet.Addr]bool
+	parked := s.parkedRequests()
+	s.EP.PurgeUnexpected(func(src ethernet.Addr, tag emp.Tag) bool {
+		return s.uqLive(parked, src, tag)
+	})
+}
+
+// parkedRequests reports the peers whose connection requests to a live
+// listener are parked in the unexpected queue (nil if none), for uqLive.
+func (s *Substrate) parkedRequests() map[ethernet.Addr]bool {
+	var parked map[ethernet.Addr]bool
 	for _, e := range s.EP.UnexpectedSnapshot() {
 		if e.Tag < listenTagBase {
 			continue
 		}
 		if _, ok := s.listeners[int(e.Tag&^listenTagBase)]; ok {
-			if parkedReq == nil {
-				parkedReq = make(map[ethernet.Addr]bool)
+			if parked == nil {
+				parked = make(map[ethernet.Addr]bool)
 			}
-			parkedReq[e.Src] = true
+			parked[e.Src] = true
 		}
 	}
-	s.EP.PurgeUnexpected(func(src ethernet.Addr, tag emp.Tag) bool {
-		if tag >= listenTagBase {
-			_, ok := s.listeners[int(tag&^listenTagBase)]
-			return ok
-		}
-		if _, ok := s.chans[chanKey{src, tag}]; ok {
-			return true
-		}
-		// Not stale if the channel is merely early: a data message can
-		// outrun its own connection's Accept (the paper's one-message
-		// setup lets the client transmit immediately), so a channel
-		// announced by a still-queued connection request — or from a
-		// peer whose request itself is still parked here — will exist
-		// as soon as Accept runs and must survive the purge.
-		if _, ok := s.awaiting[chanKey{src, tag}]; ok {
-			return true
-		}
-		return parkedReq[src]
-	})
+	return parked
+}
+
+// uqLive is the unexpected-queue liveness test, shared by the purge and
+// the audit so the audit flags exactly what the purge drops. A parked
+// message is live when it is addressed to a live listener's port, a
+// live channel, a channel awaiting accept, or is early data from a peer
+// whose connection request is itself still parked (parked, from
+// parkedRequests). Each test is a map lookup.
+func (s *Substrate) uqLive(parked map[ethernet.Addr]bool, src ethernet.Addr, tag emp.Tag) bool {
+	if tag >= listenTagBase {
+		_, ok := s.listeners[int(tag&^listenTagBase)]
+		return ok
+	}
+	if _, ok := s.chans[chanKey{src, tag}]; ok {
+		return true
+	}
+	// Not stale if the channel is merely early: a data message can
+	// outrun its own connection's Accept (the paper's one-message setup
+	// lets the client transmit immediately), so a channel announced by a
+	// still-queued connection request — or from a peer whose request
+	// itself is still parked here — will exist as soon as Accept runs
+	// and must survive the purge.
+	if _, ok := s.awaiting[chanKey{src, tag}]; ok {
+		return true
+	}
+	return parked[src]
 }
 
 // allocKey reserves a translation-cache key for a registered buffer
@@ -559,7 +570,7 @@ func (s *Substrate) allocKey() emp.BufKey {
 // port's connection tag (the paper's data-message-exchange connection
 // management).
 func (s *Substrate) Listen(p *sim.Proc, port, backlog int) (sock.Listener, error) {
-	p.Sleep(s.Opts.LibCall)
+	p.Sleep(libCall)
 	if s.dead || s.draining {
 		return nil, sock.ErrClosed
 	}
@@ -606,7 +617,7 @@ func (s *Substrate) ephemeralPort() int {
 // single message and lets data flow at once, with EMP reliability (or
 // the unexpected queue) covering the race with the server's accept.
 func (s *Substrate) Dial(p *sim.Proc, addr sock.Addr, port int) (sock.Conn, error) {
-	p.Sleep(s.Opts.LibCall)
+	p.Sleep(libCall)
 	if s.draining {
 		return nil, sock.ErrRefused
 	}
@@ -622,7 +633,7 @@ func (s *Substrate) Dial(p *sim.Proc, addr sock.Addr, port int) (sock.Conn, erro
 	}
 	loop := retry.New(retry.Policy{
 		Max:    s.Opts.DialRetries,
-		Base:   s.Opts.DialBackoff,
+		Base:   dialBackoff,
 		Factor: 2,
 		Jitter: s.Opts.DialJitter,
 	}, rnd, deadline)
@@ -732,7 +743,7 @@ func (s *Substrate) dialOnce(p *sim.Proc, addr sock.Addr, port int, deadline sim
 // deadline is aborted — "used or unposted" holds on both outcomes — so
 // Drain always terminates and the audit must come back clean.
 func (s *Substrate) Drain(p *sim.Proc, deadline sim.Time) error {
-	p.Sleep(s.Opts.LibCall)
+	p.Sleep(libCall)
 	if s.dead {
 		return nil
 	}
@@ -853,34 +864,16 @@ func (s *Substrate) AuditResources(add func(kind, detail string)) {
 		add("desc-gauge", fmt.Sprintf("endpoint accounts %d descriptors but %d receives are posted", n, len(posted)))
 	}
 	// Unexpected-queue entries must be addressed to something that still
-	// exists: a live listener's port, a live channel, a channel awaiting
-	// accept, or early data from a peer whose request is still parked.
-	parkedReq := make(map[ethernet.Addr]bool)
+	// exists.
+	parked := s.parkedRequests()
 	for _, e := range s.EP.UnexpectedSnapshot() {
-		if e.Tag >= listenTagBase {
-			if _, ok := s.listeners[int(e.Tag&^listenTagBase)]; ok {
-				parkedReq[e.Src] = true
-			}
+		switch {
+		case s.uqLive(parked, e.Src, e.Tag):
+		case e.Tag >= listenTagBase:
+			add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", e.Src, int(e.Tag&^listenTagBase)))
+		default:
+			add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", e.Len, e.Src, e.Tag))
 		}
-	}
-	for _, e := range s.EP.UnexpectedSnapshot() {
-		if e.Tag >= listenTagBase {
-			if _, ok := s.listeners[int(e.Tag&^listenTagBase)]; !ok {
-				add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", e.Src, int(e.Tag&^listenTagBase)))
-			}
-			continue
-		}
-		k := chanKey{e.Src, e.Tag}
-		if _, ok := s.chans[k]; ok {
-			continue
-		}
-		if _, ok := s.awaiting[k]; ok {
-			continue
-		}
-		if parkedReq[e.Src] {
-			continue
-		}
-		add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", e.Len, e.Src, e.Tag))
 	}
 }
 
@@ -971,7 +964,7 @@ func (l *Listener) PollSource() *sock.NoteSource { return &l.src }
 // descriptor (the paper's Section 5.1 design), build the connection from
 // the request's tag assignments, and replenish the backlog.
 func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
-	p.Sleep(l.sub.Opts.LibCall)
+	p.Sleep(libCall)
 	if l.closed {
 		return nil, sock.ErrClosed
 	}
@@ -1011,7 +1004,7 @@ func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
 // each unpost cancels its descriptor, whose completion notifies the
 // listener — unrelated blocked sockets on the host see nothing.
 func (l *Listener) Close(p *sim.Proc) error {
-	p.Sleep(l.sub.Opts.LibCall)
+	p.Sleep(libCall)
 	if l.closed {
 		return nil
 	}

@@ -43,10 +43,10 @@ func newBed(opts ...bedOpt) *testbed {
 	for _, o := range opts {
 		o(b)
 	}
-	b.sw = ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	b.sw = ethernet.NewSwitch(b.eng)
 	b.sw.SetFaults(b.plan)
 	for i := 0; i < 2; i++ {
-		b.hosts[i] = kernel.NewHost(b.eng, "host", 4, kernel.DefaultCosts())
+		b.hosts[i] = kernel.NewHost(b.eng, "host", 4)
 		b.nics[i] = nic.New(b.eng, "nic", b.nicCfg)
 		b.nics[i].Attach(b.sw)
 		b.eps[i] = NewEndpoint(b.eng, b.hosts[i], b.nics[i], b.epCfg)
@@ -244,12 +244,12 @@ func TestSourceSpecificMatching(t *testing.T) {
 	// Three endpoints: receiver posts a descriptor for a specific
 	// source; a message from the other source must not match it.
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 	var eps [3]*Endpoint
 	cfg := DefaultEndpointConfig()
 	cfg.UnexpectedSlots = 4
 	for i := range eps {
-		h := kernel.NewHost(eng, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "h", 4)
 		n := nic.New(eng, "n", nic.DefaultConfig())
 		n.Attach(sw)
 		eps[i] = NewEndpoint(eng, h, n, cfg)

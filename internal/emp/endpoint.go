@@ -20,16 +20,20 @@ type BufKey int64
 // it never pays pinning cost.
 const KeyNone BufKey = 0
 
-// Config tunes the endpoint beyond the NIC's hardware cost table.
+// The EMP costs beyond the NIC's hardware table.
+const (
+	// ackTxCost is receive-CPU work to generate one ack/nack frame.
+	ackTxCost = 2 * sim.Microsecond
+	// ackRxCost is receive-CPU work to consume one ack/nack frame.
+	ackRxCost = 1 * sim.Microsecond
+	// hostPostCPU is the host-side cost of building one descriptor.
+	hostPostCPU = 300 * sim.Nanosecond
+)
+
+// Config tunes the endpoint.
 type Config struct {
 	// Rel is the sender-side reliability configuration.
 	Rel ReliabilityConfig
-	// AckTxCost is receive-CPU work to generate one ack/nack frame.
-	AckTxCost sim.Duration
-	// AckRxCost is receive-CPU work to consume one ack/nack frame.
-	AckRxCost sim.Duration
-	// HostPostCPU is the host-side cost of building one descriptor.
-	HostPostCPU sim.Duration
 	// TCacheCap bounds the translation cache (registered areas).
 	TCacheCap int
 	// UnexpectedSlots is the size of the NIC unexpected-message queue;
@@ -63,9 +67,6 @@ type Config struct {
 func DefaultEndpointConfig() Config {
 	return Config{
 		Rel:             DefaultReliability(),
-		AckTxCost:       2 * sim.Microsecond,
-		AckRxCost:       1 * sim.Microsecond,
-		HostPostCPU:     300 * sim.Nanosecond,
 		TCacheCap:       1024,
 		UnexpectedSlots: 0,
 		MaxDescriptors:  8192,
@@ -322,7 +323,7 @@ func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int
 		h.complete(StatusNoDescriptors)
 		return h
 	}
-	p.Sleep(ep.Cfg.HostPostCPU)
+	p.Sleep(hostPostCPU)
 	ep.translate(p, key)
 	ep.Host.MMIO(p)
 	post := &txPost{h: h, data: data}
@@ -440,7 +441,7 @@ func (ep *Endpoint) PostRecv(p *sim.Proc, src ethernet.Addr, tag Tag, maxLen int
 		h.complete(StatusCancelled, Message{})
 		return h
 	}
-	p.Sleep(ep.Cfg.HostPostCPU)
+	p.Sleep(hostPostCPU)
 	// The library checks the unexpected queue in user space before
 	// troubling the NIC.
 	if m, ok := ep.fw.claimUnexpected(src, tag, maxLen); ok {
@@ -470,7 +471,7 @@ func (ep *Endpoint) PostRecv(p *sim.Proc, src ethernet.Addr, tag Tag, maxLen int
 func (ep *Endpoint) WaitRecv(p *sim.Proc, h *RecvHandle) (Message, Status) {
 	h.cond.WaitFor(p, func() bool { return h.status != StatusPending })
 	if h.status == StatusOK {
-		p.Sleep(ep.NIC.Cfg.HostPollGap)
+		p.Sleep(nic.HostPollGap)
 	}
 	return h.msg, h.status
 }
@@ -490,7 +491,7 @@ func (ep *Endpoint) TryRecv(h *RecvHandle) (Message, Status, bool) {
 // acknowledgments without keeping descriptors in the NIC's tag-match
 // list.
 func (ep *Endpoint) PollUnexpected(p *sim.Proc, src ethernet.Addr, tag Tag, maxLen int) (Message, bool) {
-	p.Sleep(ep.Cfg.HostPostCPU)
+	p.Sleep(hostPostCPU)
 	m, ok := ep.fw.claimUnexpected(src, tag, maxLen)
 	if ok {
 		ep.Host.Copy(p, m.Len)
@@ -500,11 +501,6 @@ func (ep *Endpoint) PollUnexpected(p *sim.Proc, src ethernet.Addr, tag Tag, maxL
 	}
 	return m, ok
 }
-
-// SetUnexpectedNotify registers a notification fired whenever a message
-// lands in the host-visible unexpected queue; pollers (the substrate's
-// control channels) block on it instead of spinning.
-func (ep *Endpoint) SetUnexpectedNotify(n sim.Notifiable) { ep.fw.uqNotify = n }
 
 // SetUnexpectedRoute registers a per-arrival callback invoked (in event
 // context, must not block) with the source and tag of each message that
@@ -607,7 +603,7 @@ func (ep *Endpoint) Unpost(p *sim.Proc, h *RecvHandle) bool {
 		ep.Unposts.Inc()
 		return true
 	}
-	p.Sleep(ep.Cfg.HostPostCPU)
+	p.Sleep(hostPostCPU)
 	ep.Host.MMIO(p)
 	op := &unpostOp{h: h, done: sim.NewCond(ep.Eng, "emp.unpost")}
 	ep.NIC.Ring(func() {

@@ -58,9 +58,9 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		t.Fatalf("SendsFailed = 0 after retry exhaustion: %+v", b.eps[0].Counters)
 	}
 	// The retry budget bounds detection: MaxRetries timeouts each capped
-	// at MaxRTO.
+	// at maxRTO.
 	rel := b.eps[0].Cfg.Rel
-	bound := sim.Duration(rel.MaxRetries+2) * rel.MaxRTO
+	bound := sim.Duration(rel.MaxRetries+2) * maxRTO
 	if sim.Duration(sendDoneAt) > bound || sim.Duration(notifyAt) > bound {
 		t.Fatalf("failure detection took %v (notify %v), budget bound %v",
 			sim.Duration(sendDoneAt), sim.Duration(notifyAt), bound)

@@ -127,7 +127,6 @@ type firmware struct {
 
 	completed     map[reasmKey]bool
 	completedRing []reasmKey
-	uqNotify      sim.Notifiable
 	uqRoute       func(src ethernet.Addr, tag Tag)
 	// uqEvict reports byte-cap evictions to the host layer (event
 	// context, must not block) so the owning connection's flight
@@ -206,9 +205,6 @@ func (fw *firmware) kill() {
 	fw.reasm = make(map[reasmKey]*reassembly)
 	fw.uq.reset()
 	fw.uqBytes = 0
-	if fw.uqNotify != nil {
-		fw.uqNotify.Notify()
-	}
 	fw.shutdown()
 }
 
@@ -246,7 +242,7 @@ func (fw *firmware) scheduleResend(id uint64) {
 }
 
 func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
-	p.Sleep(fw.n.Cfg.TxPostHandle)
+	p.Sleep(nic.TxPostHandle)
 	h := post.h
 	if fw.ep.dead {
 		fw.ep.descRelease() // no record will be created
@@ -294,7 +290,7 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 	}
 	// Local completion: all fragments handed to the MAC. Reliability
 	// continues via the record until the receiver NIC acks everything.
-	fw.eng.After(fw.n.Cfg.HostNotify, func() { h.complete(StatusOK) })
+	fw.eng.After(nic.HostNotify, func() { h.complete(StatusOK) })
 	if rec.acked >= rec.nfrag {
 		fw.retire(rec)
 	} else {
@@ -304,7 +300,7 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 
 func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
 	fw.n.WaitTxRoom(p)
-	p.Sleep(fw.n.Cfg.TxPerFrame)
+	p.Sleep(nic.TxPerFrame)
 	fl := fragLen(rec.length, seq, fw.maxFrag())
 	fw.n.DMA(p, fl) // host memory -> NIC, zero-copy from the user buffer
 	wf := &WireFrame{
@@ -363,7 +359,7 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 		fw.txWindow.Broadcast()
 		if fn := fw.ep.onSendFailure; fn != nil {
 			dst, tag, id := rec.dst, rec.tag, rec.msgID
-			fw.eng.After(fw.n.Cfg.HostNotify, func() { fn(dst, tag, id) })
+			fw.eng.After(nic.HostNotify, func() { fn(dst, tag, id) })
 		}
 		return
 	}
@@ -375,9 +371,9 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 		fw.Retransmits.Inc()
 		fw.sendFrag(p, rec, seq)
 	}
-	rec.rto *= sim.Duration(fw.ep.Cfg.Rel.RTOBackoff)
-	if rec.rto > fw.ep.Cfg.Rel.MaxRTO {
-		rec.rto = fw.ep.Cfg.Rel.MaxRTO
+	rec.rto *= rtoBackoff
+	if rec.rto > maxRTO {
+		rec.rto = maxRTO
 	}
 	if rec.sent >= rec.nfrag {
 		fw.armTimer(rec)
@@ -441,7 +437,7 @@ func (fw *firmware) handleFrame(p *sim.Proc, f *ethernet.Frame) {
 }
 
 func (fw *firmware) handleAck(p *sim.Proc, wf *WireFrame) {
-	p.Sleep(fw.ep.Cfg.AckRxCost)
+	p.Sleep(ackRxCost)
 	rec := fw.records[wf.MsgID]
 	if rec == nil {
 		return
@@ -474,7 +470,7 @@ func (fw *firmware) releaseInflight(dst ethernet.Addr, n int) {
 }
 
 func (fw *firmware) handleNack(p *sim.Proc, wf *WireFrame) {
-	p.Sleep(fw.ep.Cfg.AckRxCost)
+	p.Sleep(ackRxCost)
 	rec := fw.records[wf.MsgID]
 	if rec == nil {
 		return
@@ -617,7 +613,7 @@ func (fw *firmware) finish(r *reassembly) {
 	delete(fw.reasm, r.key)
 	fw.markCompleted(r.key)
 	msg := Message{Src: r.key.src, Tag: r.tag, Len: r.msgLen, Data: r.data}
-	notify := fw.n.Cfg.HostNotify
+	notify := nic.HostNotify
 	switch {
 	case r.sink:
 		fw.Truncated.Inc()
@@ -661,9 +657,6 @@ func (fw *firmware) finish(r *reassembly) {
 			fw.uqPeakEntries = fw.uq.len()
 		}
 		fw.enforceUQBytes()
-		if fw.uqNotify != nil {
-			fw.uqNotify.Notify()
-		}
 		if fw.uqRoute != nil {
 			fw.uqRoute(msg.Src, msg.Tag)
 		}
@@ -720,7 +713,7 @@ func (fw *firmware) markCompleted(key reasmKey) {
 }
 
 func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
-	p.Sleep(fw.n.Cfg.RxPostHandle)
+	p.Sleep(nic.RxPostHandle)
 
 	if h.status != StatusPending {
 		return // completed host-side (unexpected-queue claim) in the meantime
@@ -738,7 +731,7 @@ func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
 		fw.uqSlots++
 		fw.UnexpectedHits.Inc()
 		fw.MsgsDelivered.Inc()
-		delay := fw.n.Cfg.HostNotify + fw.ep.Host.CopyTime(m.Len)
+		delay := nic.HostNotify + fw.ep.Host.CopyTime(m.Len)
 		fw.eng.After(delay, func() { h.complete(StatusOK, m) })
 		return
 	}
@@ -748,7 +741,7 @@ func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
 }
 
 func (fw *firmware) handleUnpost(p *sim.Proc, op *unpostOp) {
-	p.Sleep(fw.n.Cfg.RxPostHandle)
+	p.Sleep(nic.RxPostHandle)
 	// h.desc links back to the live table entry; a descriptor already
 	// consumed by a match has been unlinked (tbl cleared) and must not
 	// be cancelled.
@@ -781,7 +774,7 @@ func (fw *firmware) claimUnexpected(src ethernet.Addr, tag Tag, maxLen int) (Mes
 }
 
 func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq int) {
-	p.Sleep(fw.ep.Cfg.AckTxCost)
+	p.Sleep(ackTxCost)
 	fw.AcksSent.Inc()
 	fw.n.Transmit(&ethernet.Frame{
 		Src:        fw.ep.addr,
@@ -797,7 +790,7 @@ func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq
 }
 
 func (fw *firmware) sendNack(p *sim.Proc, dst ethernet.Addr, msgID uint64, from int) {
-	p.Sleep(fw.ep.Cfg.AckTxCost)
+	p.Sleep(ackTxCost)
 	fw.NacksSent.Inc()
 	fw.n.Transmit(&ethernet.Frame{
 		Src:        fw.ep.addr,

@@ -256,7 +256,14 @@ func TestPeekAndPurgeUnexpected(t *testing.T) {
 func TestUnexpectedNotifyFires(t *testing.T) {
 	b := newBed(withUQ(4))
 	cond := sim.NewCond(b.eng, "uq-notify")
-	b.eps[1].SetUnexpectedNotify(cond)
+	var routed []Tag
+	b.eps[1].SetUnexpectedRoute(func(src ethernet.Addr, tag Tag) {
+		if src != b.eps[0].Addr() {
+			t.Errorf("arrival routed from %v, want %v", src, b.eps[0].Addr())
+		}
+		routed = append(routed, tag)
+		cond.Broadcast()
+	})
 	var wokenAt sim.Time
 	b.eng.Spawn("waiter", func(p *sim.Proc) {
 		cond.WaitFor(p, func() bool {
@@ -271,6 +278,9 @@ func TestUnexpectedNotifyFires(t *testing.T) {
 	b.eng.RunUntil(sim.Time(sim.Second))
 	if wokenAt == 0 {
 		t.Fatal("unexpected-queue arrival did not wake the waiter")
+	}
+	if len(routed) != 1 || routed[0] != 5 {
+		t.Fatalf("routed tags %v, want one arrival on tag 5", routed)
 	}
 	if us := wokenAt.Micros(); us > 300 {
 		t.Fatalf("waiter woke at %v, long after the arrival", wokenAt)

@@ -176,14 +176,18 @@ func (s Status) String() string {
 // out-of-resources error rather than treating it as a peer failure.
 var ErrNoDescriptors = errors.New("emp: descriptor budget exhausted")
 
+// The fixed shape of the retransmission backoff.
+const (
+	// rtoBackoff multiplies the retransmission timeout after each retry.
+	rtoBackoff = 2
+	// maxRTO caps the backed-off timeout.
+	maxRTO = 5 * sim.Millisecond
+)
+
 // ReliabilityConfig tunes the sender-side retransmission machinery.
 type ReliabilityConfig struct {
 	// RTO is the initial retransmission timeout.
 	RTO sim.Duration
-	// RTOBackoff multiplies the timeout after each retry.
-	RTOBackoff int
-	// MaxRTO caps the backed-off timeout.
-	MaxRTO sim.Duration
 	// MaxRetries bounds consecutive retransmission attempts without
 	// any acknowledgment progress before the send fails.
 	MaxRetries int
@@ -197,8 +201,6 @@ type ReliabilityConfig struct {
 func DefaultReliability() ReliabilityConfig {
 	return ReliabilityConfig{
 		RTO:        500 * sim.Microsecond,
-		RTOBackoff: 2,
-		MaxRTO:     5 * sim.Millisecond,
 		MaxRetries: 40,
 		SendWindow: 16,
 	}

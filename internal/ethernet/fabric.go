@@ -77,9 +77,6 @@ type FabricConfig struct {
 	// them. This is the chaos-fabric control proving the reroute
 	// machinery is what makes single failures survivable.
 	NoReroute bool
-	// TrunkPropDelay is the per-trunk cable propagation delay; zero
-	// selects the standard 500 ns used for station links.
-	TrunkPropDelay sim.Duration
 }
 
 // DefaultDetectDelay models loss-of-light detection plus control-plane
@@ -92,16 +89,13 @@ func NewFabric(e *sim.Engine, cfg FabricConfig) *Fabric {
 	if cfg.DetectDelay <= 0 {
 		cfg.DetectDelay = DefaultDetectDelay
 	}
-	if cfg.TrunkPropDelay <= 0 {
-		cfg.TrunkPropDelay = 500 * sim.Nanosecond
-	}
 	return &Fabric{eng: e, cfg: cfg}
 }
 
 // AddSwitch creates a switch as a fabric member. The name appears in
 // traces and reports ("leaf0", "spine1", ...).
-func (fb *Fabric) AddSwitch(name string, cfg SwitchConfig) *Switch {
-	s := &Switch{eng: fb.eng, cfg: cfg, fab: fb, id: len(fb.switches), name: name}
+func (fb *Fabric) AddSwitch(name string) *Switch {
+	s := &Switch{eng: fb.eng, fab: fb, id: len(fb.switches), name: name}
 	fb.switches = append(fb.switches, s)
 	// Switches join at build time, before traffic; rebuilding here keeps
 	// Path usable immediately without a separate "seal" call.
@@ -202,9 +196,9 @@ func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 	}
 	t.forwards[dir]++
 	from.forwards++
-	start := t.fb.eng.Now().Add(from.cfg.ForwardLatency)
+	start := t.fb.eng.Now().Add(forwardLatency)
 	done := t.res[dir].ReserveAt(start, f.WireTime())
-	arrive := done.Add(t.fb.cfg.TrunkPropDelay + extraDelay)
+	arrive := done.Add(propDelay + extraDelay)
 	t.fb.eng.At(arrive, func() {
 		if t.down() {
 			t.drops[dir]++

@@ -17,10 +17,10 @@ func buildFabric(t *testing.T, leaves, spines, perLeaf int, cfg FabricConfig) (*
 	fb := NewFabric(e, cfg)
 	var lf, sp []*Switch
 	for i := 0; i < leaves; i++ {
-		lf = append(lf, fb.AddSwitch(fmt.Sprintf("leaf%d", i), DefaultSwitchConfig()))
+		lf = append(lf, fb.AddSwitch(fmt.Sprintf("leaf%d", i)))
 	}
 	for i := 0; i < spines; i++ {
-		sp = append(sp, fb.AddSwitch(fmt.Sprintf("spine%d", i), DefaultSwitchConfig()))
+		sp = append(sp, fb.AddSwitch(fmt.Sprintf("spine%d", i)))
 	}
 	for _, l := range lf {
 		for _, s := range sp {
@@ -52,12 +52,10 @@ func TestFabricCrossLeafDelivery(t *testing.T) {
 	}
 	// Two trunk hops: station wire+prop, (fwd + trunk wire + trunk prop)
 	// per trunk, then fwd + wire + prop at the destination leaf.
-	cfg := DefaultSwitchConfig()
 	wire := f.WireTime()
-	tprop := 500 * sim.Nanosecond
-	want := (wire + cfg.PropDelay) +
-		2*(cfg.ForwardLatency+wire+tprop) +
-		(cfg.ForwardLatency + wire + cfg.PropDelay)
+	want := (wire + propDelay) +
+		2*(forwardLatency+wire+propDelay) +
+		(forwardLatency + wire + propDelay)
 	if got := sinks[1].times[0]; got != sim.Time(want) {
 		t.Fatalf("delivery at %v, want %v", got, want)
 	}
@@ -80,8 +78,7 @@ func TestFabricSameLeafDeliveryMatchesStandalone(t *testing.T) {
 	if len(sinks[1].frames) != 1 {
 		t.Fatalf("received %d frames, want 1", len(sinks[1].frames))
 	}
-	cfg := DefaultSwitchConfig()
-	want := f.WireTime() + cfg.PropDelay + cfg.ForwardLatency + f.WireTime() + cfg.PropDelay
+	want := f.WireTime() + propDelay + forwardLatency + f.WireTime() + propDelay
 	if got := sinks[1].times[0]; got != sim.Time(want) {
 		t.Fatalf("delivery at %v, want single-switch latency %v", got, want)
 	}

@@ -7,26 +7,18 @@ import (
 	"repro/internal/sim"
 )
 
-// SwitchConfig holds the timing parameters of the switch and its links.
-// Frame faults are not configured here: they come from a faults.Plan
-// installed with Switch.SetFaults.
-type SwitchConfig struct {
-	// ForwardLatency is the store-and-forward processing delay between
+// The timing of a Packet Engines-class Gigabit switch and its links: a
+// few microseconds of store-and-forward latency and a short cable.
+// Frame faults come from a faults.Plan installed with Switch.SetFaults.
+const (
+	// forwardLatency is the store-and-forward processing delay between
 	// full reception on an input port and the start of transmission on
 	// the output port (lookup + crossbar).
-	ForwardLatency sim.Duration
-	// PropDelay is the one-way cable propagation delay per link.
-	PropDelay sim.Duration
-}
-
-// DefaultSwitchConfig reflects a Packet Engines-class Gigabit switch:
-// a few microseconds of store-and-forward latency and a short cable.
-func DefaultSwitchConfig() SwitchConfig {
-	return SwitchConfig{
-		ForwardLatency: 3 * sim.Microsecond,
-		PropDelay:      500 * sim.Nanosecond,
-	}
-}
+	forwardLatency = 3 * sim.Microsecond
+	// propDelay is the one-way cable propagation delay of every link,
+	// station links and trunks alike.
+	propDelay = 500 * sim.Nanosecond
+)
 
 // FaultStats aggregates every fault-injection counter of the fabric.
 type FaultStats struct {
@@ -65,7 +57,6 @@ func (fs FaultStats) String() string {
 // queueing when multiple senders converge on one receiver.
 type Switch struct {
 	eng      *sim.Engine
-	cfg      SwitchConfig
 	plan     *faults.Plan
 	stats    FaultStats
 	forwards int64
@@ -84,8 +75,8 @@ type Switch struct {
 
 // NewSwitch returns the only switch of a private one-switch fabric —
 // the paper's testbed, with no trunks and nothing to route.
-func NewSwitch(e *sim.Engine, cfg SwitchConfig) *Switch {
-	return NewFabric(e, FabricConfig{}).AddSwitch("switch", cfg)
+func NewSwitch(e *sim.Engine) *Switch {
+	return NewFabric(e, FabricConfig{}).AddSwitch("switch")
 }
 
 // SetFaults installs the fault plan evaluated once per frame entering
@@ -175,7 +166,7 @@ func (p *Port) Transmit(f *Frame) (txDone sim.Time) {
 	txDone = p.tx.Reserve(wire)
 	p.txFrames++
 	p.txBytes += int64(f.PayloadLen)
-	arrive := txDone.Add(p.sw.cfg.PropDelay)
+	arrive := txDone.Add(propDelay)
 	p.sw.eng.At(arrive, func() { p.sw.forward(f) })
 	return txDone
 }
@@ -280,9 +271,9 @@ func (s *Switch) deliverVia(p *Port, f *Frame, extraDelay sim.Duration) {
 	s.forwards++
 	// Forwarding latency, then serialization on the (possibly busy)
 	// output port, then propagation to the station.
-	start := s.eng.Now().Add(s.cfg.ForwardLatency)
+	start := s.eng.Now().Add(forwardLatency)
 	done := p.out.ReserveAt(start, f.WireTime())
-	arrive := done.Add(s.cfg.PropDelay + extraDelay)
+	arrive := done.Add(propDelay + extraDelay)
 	p.rxFrames++
 	p.rxBytes += int64(f.PayloadLen)
 	s.eng.At(arrive, func() { p.station.Deliver(f) })

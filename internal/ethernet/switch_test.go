@@ -26,10 +26,10 @@ func (s *sink) Deliver(f *Frame) {
 	s.times = append(s.times, s.eng.Now())
 }
 
-func build(t *testing.T, n int, cfg SwitchConfig) (*sim.Engine, *Switch, []*Port, []*sink) {
+func build(t *testing.T, n int) (*sim.Engine, *Switch, []*Port, []*sink) {
 	t.Helper()
 	e := sim.NewEngine()
-	sw := NewSwitch(e, cfg)
+	sw := NewSwitch(e)
 	ports := make([]*Port, n)
 	sinks := make([]*sink, n)
 	for i := 0; i < n; i++ {
@@ -77,8 +77,7 @@ func TestJumboFrameAccepted(t *testing.T) {
 }
 
 func TestUnicastDelivery(t *testing.T) {
-	cfg := DefaultSwitchConfig()
-	e, _, ports, sinks := build(t, 2, cfg)
+	e, _, ports, sinks := build(t, 2)
 	f := &Frame{Src: 0, Dst: 1, PayloadLen: 1000, Payload: "hello"}
 	e.After(0, func() { ports[0].Transmit(f) })
 	e.Run()
@@ -92,7 +91,7 @@ func TestUnicastDelivery(t *testing.T) {
 		t.Fatal("payload not preserved")
 	}
 	// Expected latency: wire + prop + fwd + wire + prop.
-	want := f.WireTime() + cfg.PropDelay + cfg.ForwardLatency + f.WireTime() + cfg.PropDelay
+	want := f.WireTime() + propDelay + forwardLatency + f.WireTime() + propDelay
 	if got := sinks[1].times[0]; got != sim.Time(want) {
 		t.Fatalf("delivery at %v, want %v", got, want)
 	}
@@ -101,8 +100,7 @@ func TestUnicastDelivery(t *testing.T) {
 func TestOutputPortQueueing(t *testing.T) {
 	// Two senders converge on one receiver at the same instant: the
 	// second frame must queue behind the first on the output port.
-	cfg := DefaultSwitchConfig()
-	e, _, ports, sinks := build(t, 3, cfg)
+	e, _, ports, sinks := build(t, 3)
 	f1 := &Frame{Src: 0, Dst: 2, PayloadLen: 1500}
 	f2 := &Frame{Src: 1, Dst: 2, PayloadLen: 1500}
 	e.After(0, func() {
@@ -122,8 +120,7 @@ func TestOutputPortQueueing(t *testing.T) {
 func TestSenderPipelining(t *testing.T) {
 	// Back-to-back transmissions from one sender are spaced by wire time
 	// on the sender's transmitter, giving line-rate streaming.
-	cfg := DefaultSwitchConfig()
-	e, _, ports, sinks := build(t, 2, cfg)
+	e, _, ports, sinks := build(t, 2)
 	const n = 10
 	e.After(0, func() {
 		for i := 0; i < n; i++ {
@@ -150,7 +147,7 @@ func TestSenderPipelining(t *testing.T) {
 }
 
 func TestWrongSourcePanics(t *testing.T) {
-	e, _, ports, _ := build(t, 2, DefaultSwitchConfig())
+	e, _, ports, _ := build(t, 2)
 	e.After(0, func() {
 		defer func() {
 			if recover() == nil {
@@ -163,7 +160,7 @@ func TestWrongSourcePanics(t *testing.T) {
 }
 
 func TestLossInjection(t *testing.T) {
-	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	e, sw, ports, sinks := build(t, 2)
 	sw.SetFaults(uniformPlan(0.5, 0))
 	e.Seed(123)
 	const n = 200
@@ -183,7 +180,7 @@ func TestLossInjection(t *testing.T) {
 }
 
 func TestPortStats(t *testing.T) {
-	e, _, ports, _ := build(t, 2, DefaultSwitchConfig())
+	e, _, ports, _ := build(t, 2)
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 700})
 	})
@@ -208,7 +205,7 @@ func TestDeliveryConservationProperty(t *testing.T) {
 			dests = dests[:100]
 		}
 		e := sim.NewEngine()
-		sw := NewSwitch(e, DefaultSwitchConfig())
+		sw := NewSwitch(e)
 		const n = 4
 		sinks := make([]*sink, n)
 		ports := make([]*Port, n)
@@ -255,7 +252,7 @@ func TestDeliveryConservationProperty(t *testing.T) {
 }
 
 func TestSwitchAccessors(t *testing.T) {
-	e, sw, ports, _ := build(t, 3, DefaultSwitchConfig())
+	e, sw, ports, _ := build(t, 3)
 	if sw.ID() != 0 || sw.Name() != "switch" || sw.Dead() {
 		t.Fatalf("id=%d name=%q dead=%v", sw.ID(), sw.Name(), sw.Dead())
 	}
@@ -272,7 +269,7 @@ func TestSwitchAccessors(t *testing.T) {
 }
 
 func TestTxBacklogReflectsQueuedFrames(t *testing.T) {
-	e, _, ports, _ := build(t, 2, DefaultSwitchConfig())
+	e, _, ports, _ := build(t, 2)
 	e.After(0, func() {
 		if ports[0].TxBacklog() != 0 {
 			t.Error("idle port has backlog")
@@ -289,7 +286,7 @@ func TestTxBacklogReflectsQueuedFrames(t *testing.T) {
 }
 
 func TestDuplicationInjectionCountsAndDelivers(t *testing.T) {
-	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	e, sw, ports, sinks := build(t, 2)
 	sw.SetFaults(uniformPlan(0, 1)) // every frame duplicated
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 100})
@@ -304,7 +301,7 @@ func TestDuplicationInjectionCountsAndDelivers(t *testing.T) {
 }
 
 func TestUnknownStationDroppedAsNoRoute(t *testing.T) {
-	e, sw, ports, sinks := build(t, 2, DefaultSwitchConfig())
+	e, sw, ports, sinks := build(t, 2)
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 5, PayloadLen: 100})
 	})

@@ -122,7 +122,7 @@ type NICClause struct {
 	Node        int
 	// DropDoorbell is the per-ring probability that a host mailbox
 	// write is lost; the host's doorbell watchdog re-rings it after
-	// nic.Config.DoorbellRetry, so the cost is latency, not loss.
+	// a 100 µs retry, so the cost is latency, not loss.
 	DropDoorbell float64
 	// DMAStall is the per-transfer probability that the DMA engine
 	// stalls for DMAStallFor before moving the data.

@@ -19,9 +19,9 @@ type bed struct {
 
 func newBed(n int) *bed {
 	b := &bed{eng: sim.NewEngine()}
-	sw := ethernet.NewSwitch(b.eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(b.eng)
 	for i := 0; i < n; i++ {
-		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(sw)
 		sub := core.New(b.eng, h, nc, core.DefaultOptions())

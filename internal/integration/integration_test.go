@@ -69,18 +69,18 @@ func TestMixedProtocolFabric(t *testing.T) {
 	// EMP endpoints and kernel TCP stacks share one switch: each
 	// protocol must ignore the other's frames and both must work.
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 
 	// Two TCP hosts.
 	var stacks [2]*tcpip.Stack
 	for i := range stacks {
-		h := kernel.NewHost(eng, "tcp-host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "tcp-host", 4)
 		stacks[i] = tcpip.NewStack(eng, h, sw, tcpip.DefaultStackConfig())
 	}
 	// Two substrate hosts on the same fabric.
 	var subs [2]*core.Substrate
 	for i := range subs {
-		h := kernel.NewHost(eng, "emp-host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "emp-host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
 		subs[i] = core.New(eng, h, n, core.DefaultOptions())
@@ -237,8 +237,8 @@ func TestUnknownPayloadIgnoredByEMP(t *testing.T) {
 	// A raw (non-EMP) frame delivered to an EMP NIC must be counted and
 	// dropped, not crash the firmware.
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
-	h := kernel.NewHost(eng, "h", 4, kernel.DefaultCosts())
+	sw := ethernet.NewSwitch(eng)
+	h := kernel.NewHost(eng, "h", 4)
 	n := nic.New(eng, "n", nic.DefaultConfig())
 	n.Attach(sw)
 	ep := emp.NewEndpoint(eng, h, n, emp.DefaultEndpointConfig())

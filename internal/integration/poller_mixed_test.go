@@ -29,15 +29,15 @@ type mixEnd struct {
 // the same waiter.
 func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 	var stacks [2]*tcpip.Stack
 	for i := range stacks {
-		h := kernel.NewHost(eng, "tcp-host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "tcp-host", 4)
 		stacks[i] = tcpip.NewStack(eng, h, sw, tcpip.DefaultStackConfig())
 	}
 	var subs [2]*core.Substrate
 	for i := range subs {
-		h := kernel.NewHost(eng, "emp-host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "emp-host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
 		subs[i] = core.New(eng, h, n, core.DefaultOptions())
@@ -186,10 +186,10 @@ func TestPollerDeliversErrAfterPeerCrash(t *testing.T) {
 // substratePair builds two substrate hosts with opts on one switch.
 func substratePair(opts core.Options) (*sim.Engine, [2]*core.Substrate) {
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 	var subs [2]*core.Substrate
 	for i := range subs {
-		h := kernel.NewHost(eng, "host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
 		subs[i] = core.New(eng, h, n, opts)

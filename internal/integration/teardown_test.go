@@ -235,7 +235,6 @@ func TestDialDeadlineSubstrate(t *testing.T) {
 	opts.SyncConnect = true
 	opts.DialDeadline = 4 * sim.Millisecond
 	opts.DialRetries = 10
-	opts.DialBackoff = sim.Millisecond
 	c := cluster.NewSubstrate(2, &opts)
 	var dialErr error
 	var took sim.Duration
@@ -265,7 +264,7 @@ func TestDialDeadlineSubstrate(t *testing.T) {
 
 // TestDialDeadlineTCP: the kernel stack's DialTimeout bounds the whole
 // SYN handshake; a partitioned target resolves with sock.ErrTimeout at
-// the deadline rather than after SynRetries full RTOs.
+// the deadline rather than after five full SYN-retry RTOs.
 func TestDialDeadlineTCP(t *testing.T) {
 	cfg := tcpip.DefaultStackConfig()
 	cfg.DialTimeout = 4 * sim.Millisecond
@@ -490,9 +489,9 @@ func TestTCPLingerExpiryOnPartition(t *testing.T) {
 // findings surface as the Drain error) come back clean.
 func TestDrainQuiesceMixedConns(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := ethernet.NewSwitch(eng, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(eng)
 	newSub := func(opts core.Options) *core.Substrate {
-		h := kernel.NewHost(eng, "host", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(eng, "host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
 		return core.New(eng, h, n, opts)

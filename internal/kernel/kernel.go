@@ -3,71 +3,49 @@
 // user/kernel memory copies, hardware interrupts (with coalescing, as in
 // the Acenic driver), context switches, and scheduler wakeup latency.
 //
-// The numbers default to a Linux 2.4.18 / Pentium III 700 MHz class
-// machine, matching the paper's testbed, and are all adjustable so the
-// benchmark harness can run sensitivity sweeps.
+// The costs are one calibration, a Linux 2.4.18 / Pentium III 700 MHz
+// class machine matching the paper's testbed.
 package kernel
 
 import (
 	"repro/internal/sim"
 )
 
-// Costs holds the host cost model. All fields are per-operation virtual
-// durations except the bandwidth fields.
-type Costs struct {
-	// Syscall is the user→kernel→user crossing cost of a trivial system
-	// call (trap, register save/restore, dispatch).
-	Syscall sim.Duration
-	// ContextSwitch is a full process context switch (used when a
+// The PIII-700 / Linux 2.4 host cost model: per-operation virtual
+// durations except the two rates. The 2.4.18 baseline did
+// copy-and-checksum, so the software checksum is folded into copies.
+const (
+	// syscallCost is the user→kernel→user crossing cost of a trivial
+	// system call (trap, register save/restore, dispatch).
+	syscallCost = 700 * sim.Nanosecond
+	// contextSwitch is a full process context switch (used when a
 	// blocked process is rescheduled onto the CPU).
-	ContextSwitch sim.Duration
-	// WakeupLatency is the scheduler latency between an event making a
+	contextSwitch = 4 * sim.Microsecond
+	// wakeupLatency is the scheduler latency between an event making a
 	// process runnable and the process actually running, beyond the
 	// context switch itself (run-queue placement, priority checks).
-	WakeupLatency sim.Duration
-	// Interrupt is the cost of taking one hardware interrupt (vector
+	wakeupLatency = 6 * sim.Microsecond
+	// interruptCost is the cost of taking one hardware interrupt (vector
 	// dispatch + handler prologue + IRQ ack), charged to the host CPU.
-	Interrupt sim.Duration
-	// SoftIRQ is the protocol-processing trampoline cost per batch of
+	interruptCost = 9 * sim.Microsecond
+	// softIRQ is the protocol-processing trampoline cost per batch of
 	// received frames (bottom half / softirq scheduling).
-	SoftIRQ sim.Duration
-	// CopyBandwidth is user↔kernel memory copy throughput in bytes/sec.
+	softIRQ = 2 * sim.Microsecond
+	// copyBandwidth is user↔kernel memory copy throughput in bytes/sec.
 	// PC133-era hardware copies at a few hundred MB/s.
-	CopyBandwidth int64
+	copyBandwidth int64 = 350 << 20
 	// CopySetup is the fixed cost of starting a copy (cache warmup,
 	// call overhead).
-	CopySetup sim.Duration
-	// ChecksumBandwidth is the software Internet-checksum rate. The
-	// Acenic hardware could offload this; the 2.4.18 baseline did
-	// copy-and-checksum, so the cost is folded into copies when
-	// ChecksumBandwidth is zero.
-	ChecksumBandwidth int64
-	// PinPages is the cost of the EMP descriptor-post system call that
+	CopySetup = 200 * sim.Nanosecond
+	// pinPages is the cost of the EMP descriptor-post system call that
 	// translates and pins user pages (one syscall + page-table walk).
-	PinPages sim.Duration
-	// MMIOWrite is one uncached PCI write (doorbell/mailbox poke).
-	MMIOWrite sim.Duration
-	// FlopsRate is the sustained floating-point rate in FLOP/s used by
+	pinPages = 2 * sim.Microsecond
+	// mmioWrite is one uncached PCI write (doorbell/mailbox poke).
+	mmioWrite = 400 * sim.Nanosecond
+	// flopsRate is the sustained floating-point rate in FLOP/s used by
 	// compute-bound application phases (PIII-700 DGEMM class).
-	FlopsRate int64
-}
-
-// DefaultCosts returns the PIII-700 / Linux 2.4 calibration.
-func DefaultCosts() Costs {
-	return Costs{
-		Syscall:           700 * sim.Nanosecond,
-		ContextSwitch:     4 * sim.Microsecond,
-		WakeupLatency:     6 * sim.Microsecond,
-		Interrupt:         9 * sim.Microsecond,
-		SoftIRQ:           2 * sim.Microsecond,
-		CopyBandwidth:     350 << 20, // ~350 MB/s
-		CopySetup:         200 * sim.Nanosecond,
-		ChecksumBandwidth: 0, // folded into copy (copy-and-checksum)
-		PinPages:          2 * sim.Microsecond,
-		MMIOWrite:         400 * sim.Nanosecond,
-		FlopsRate:         350_000_000,
-	}
-}
+	flopsRate int64 = 350_000_000
+)
 
 // Host models one machine: a CPU cost-charging facility plus interrupt
 // delivery. The paper's hosts are quad-processor machines; Cores sets how
@@ -79,9 +57,8 @@ func DefaultCosts() Costs {
 // opt into core-scheduled compute reproduce single-threaded-era runs
 // byte for byte.
 type Host struct {
-	Eng   *sim.Engine
-	Costs Costs
-	Name  string
+	Eng  *sim.Engine
+	Name string
 
 	cpu *sim.CPU
 	// intr serializes interrupt handling (one interrupt at a time per
@@ -96,11 +73,11 @@ type Host struct {
 }
 
 // NewHost returns a host with the given number of cores.
-func NewHost(e *sim.Engine, name string, cores int, costs Costs) *Host {
+func NewHost(e *sim.Engine, name string, cores int) *Host {
 	if cores < 1 {
 		cores = 1
 	}
-	h := &Host{Eng: e, Costs: costs, Name: name}
+	h := &Host{Eng: e, Name: name}
 	h.cpu = sim.NewCPU(e, name+".cpu", cores)
 	h.intrBusy = sim.NewResource(e, name+".irq")
 	return h
@@ -122,13 +99,13 @@ func (h *Host) ChargeComputeOn(p *sim.Proc, core int, d sim.Duration) {
 // Syscall charges p with one trivial system call.
 func (h *Host) Syscall(p *sim.Proc) {
 	h.Syscalls.Inc()
-	p.Sleep(h.Costs.Syscall)
+	p.Sleep(syscallCost)
 }
 
 // SyscallD charges p with a system call plus extra in-kernel work.
 func (h *Host) SyscallD(p *sim.Proc, extra sim.Duration) {
 	h.Syscalls.Inc()
-	p.Sleep(h.Costs.Syscall + extra)
+	p.Sleep(syscallCost + extra)
 }
 
 // CopyTime reports the duration of copying n bytes between user and
@@ -137,7 +114,7 @@ func (h *Host) CopyTime(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return h.Costs.CopySetup + sim.BytesToDuration(n, h.Costs.CopyBandwidth*8)
+	return CopySetup + sim.BytesToDuration(n, copyBandwidth*8)
 }
 
 // Copy charges p with copying n bytes.
@@ -149,20 +126,11 @@ func (h *Host) Copy(p *sim.Proc, n int) {
 	p.Sleep(h.CopyTime(n))
 }
 
-// ChecksumTime reports the duration of software-checksumming n bytes;
-// zero if checksumming is folded into the copy.
-func (h *Host) ChecksumTime(n int) sim.Duration {
-	if h.Costs.ChecksumBandwidth <= 0 || n <= 0 {
-		return 0
-	}
-	return sim.BytesToDuration(n, h.Costs.ChecksumBandwidth*8)
-}
-
 // Wakeup returns the delay between an in-kernel event making a process
 // runnable and that process running user code again.
 func (h *Host) Wakeup() sim.Duration {
 	h.CtxSwitches.Inc()
-	return h.Costs.WakeupLatency + h.Costs.ContextSwitch
+	return wakeupLatency + contextSwitch
 }
 
 // Interrupt charges interrupt-handling time on the host's IRQ context,
@@ -170,7 +138,7 @@ func (h *Host) Wakeup() sim.Duration {
 // provided by the caller as extra) completes. Event-context safe.
 func (h *Host) Interrupt(extra sim.Duration) sim.Time {
 	h.Interrupts.Inc()
-	return h.intrBusy.Reserve(h.Costs.Interrupt + h.Costs.SoftIRQ + extra)
+	return h.intrBusy.Reserve(interruptCost + softIRQ + extra)
 }
 
 // ChargeIRQ books extra time on the IRQ context (protocol processing in
@@ -183,12 +151,12 @@ func (h *Host) ChargeIRQ(extra sim.Duration) sim.Time {
 // descriptor posts on a translation-cache miss.
 func (h *Host) Pin(p *sim.Proc) {
 	h.Syscalls.Inc()
-	p.Sleep(h.Costs.Syscall + h.Costs.PinPages)
+	p.Sleep(syscallCost + pinPages)
 }
 
 // MMIO charges p with one doorbell write to the NIC.
 func (h *Host) MMIO(p *sim.Proc) {
-	p.Sleep(h.Costs.MMIOWrite)
+	p.Sleep(mmioWrite)
 }
 
 // Compute charges p with a floating-point workload of the given
@@ -196,8 +164,8 @@ func (h *Host) MMIO(p *sim.Proc) {
 // core: concurrent compute phases on one host serialize once all cores
 // are busy.
 func (h *Host) Compute(p *sim.Proc, flops int64) {
-	if flops <= 0 || h.Costs.FlopsRate <= 0 {
+	if flops <= 0 {
 		return
 	}
-	h.cpu.Compute(p, sim.Duration(flops*int64(sim.Second)/h.Costs.FlopsRate))
+	h.cpu.Compute(p, sim.Duration(flops*int64(sim.Second)/flopsRate))
 }

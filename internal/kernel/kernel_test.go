@@ -8,7 +8,7 @@ import (
 
 func TestSyscallCharges(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 4, DefaultCosts())
+	h := NewHost(e, "h", 4)
 	var elapsed sim.Duration
 	e.Spawn("p", func(p *sim.Proc) {
 		start := p.Now()
@@ -16,8 +16,8 @@ func TestSyscallCharges(t *testing.T) {
 		elapsed = p.Now().Sub(start)
 	})
 	e.Run()
-	if elapsed != DefaultCosts().Syscall {
-		t.Fatalf("syscall took %v, want %v", elapsed, DefaultCosts().Syscall)
+	if elapsed != syscallCost {
+		t.Fatalf("syscall took %v, want %v", elapsed, syscallCost)
 	}
 	if h.Syscalls.Value != 1 {
 		t.Fatalf("syscall counter = %d", h.Syscalls.Value)
@@ -26,7 +26,7 @@ func TestSyscallCharges(t *testing.T) {
 
 func TestCopyTimeScalesWithSize(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	small := h.CopyTime(1000)
 	big := h.CopyTime(1000000)
 	if big <= small {
@@ -43,7 +43,7 @@ func TestCopyTimeScalesWithSize(t *testing.T) {
 
 func TestCopyChargesProcess(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	var end sim.Time
 	e.Spawn("p", func(p *sim.Proc) {
 		h.Copy(p, 64<<10)
@@ -60,10 +60,10 @@ func TestCopyChargesProcess(t *testing.T) {
 
 func TestInterruptSerializes(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 4, DefaultCosts())
+	h := NewHost(e, "h", 4)
 	d1 := h.Interrupt(0)
 	d2 := h.Interrupt(0)
-	per := DefaultCosts().Interrupt + DefaultCosts().SoftIRQ
+	per := interruptCost + softIRQ
 	if d1 != sim.Time(per) {
 		t.Fatalf("first interrupt done at %v, want %v", d1, per)
 	}
@@ -77,7 +77,7 @@ func TestInterruptSerializes(t *testing.T) {
 
 func TestHostMinimumOneCore(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 0, DefaultCosts())
+	h := NewHost(e, "h", 0)
 	if h.Cores() != 1 {
 		t.Fatalf("cores = %d, want clamped to 1", h.Cores())
 	}
@@ -85,9 +85,8 @@ func TestHostMinimumOneCore(t *testing.T) {
 
 func TestWakeupIncludesContextSwitch(t *testing.T) {
 	e := sim.NewEngine()
-	c := DefaultCosts()
-	h := NewHost(e, "h", 1, c)
-	if w := h.Wakeup(); w != c.WakeupLatency+c.ContextSwitch {
+	h := NewHost(e, "h", 1)
+	if w := h.Wakeup(); w != wakeupLatency+contextSwitch {
 		t.Fatalf("wakeup = %v", w)
 	}
 	if h.CtxSwitches.Value != 1 {
@@ -95,23 +94,9 @@ func TestWakeupIncludesContextSwitch(t *testing.T) {
 	}
 }
 
-func TestChecksumFoldedByDefault(t *testing.T) {
-	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
-	if h.ChecksumTime(1500) != 0 {
-		t.Fatal("default model should fold checksum into copy")
-	}
-	c := DefaultCosts()
-	c.ChecksumBandwidth = 700 << 20
-	h2 := NewHost(e, "h2", 1, c)
-	if h2.ChecksumTime(1500) == 0 {
-		t.Fatal("explicit checksum bandwidth should cost time")
-	}
-}
-
 func TestPinCostsMoreThanSyscall(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	var pinT, sysT sim.Duration
 	e.Spawn("p", func(p *sim.Proc) {
 		s := p.Now()
@@ -129,7 +114,7 @@ func TestPinCostsMoreThanSyscall(t *testing.T) {
 
 func TestSyscallDChargesExtra(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	var elapsed sim.Duration
 	e.Spawn("p", func(p *sim.Proc) {
 		start := p.Now()
@@ -137,14 +122,14 @@ func TestSyscallDChargesExtra(t *testing.T) {
 		elapsed = p.Now().Sub(start)
 	})
 	e.Run()
-	if elapsed != DefaultCosts().Syscall+5*sim.Microsecond {
+	if elapsed != syscallCost+5*sim.Microsecond {
 		t.Fatalf("SyscallD charged %v", elapsed)
 	}
 }
 
 func TestChargeIRQExtendsReservation(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	d1 := h.ChargeIRQ(10 * sim.Microsecond)
 	d2 := h.ChargeIRQ(10 * sim.Microsecond)
 	if d2 != d1.Add(10*sim.Microsecond) {
@@ -154,21 +139,21 @@ func TestChargeIRQExtendsReservation(t *testing.T) {
 
 func TestMMIOCharges(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	var end sim.Time
 	e.Spawn("p", func(p *sim.Proc) {
 		h.MMIO(p)
 		end = p.Now()
 	})
 	e.Run()
-	if end != sim.Time(DefaultCosts().MMIOWrite) {
+	if end != sim.Time(mmioWrite) {
 		t.Fatalf("MMIO charged %v", end)
 	}
 }
 
 func TestComputeChargesAtFlopsRate(t *testing.T) {
 	e := sim.NewEngine()
-	h := NewHost(e, "h", 1, DefaultCosts())
+	h := NewHost(e, "h", 1)
 	var end sim.Time
 	e.Spawn("p", func(p *sim.Proc) {
 		h.Compute(p, 350_000_000) // exactly one second of FLOPs
@@ -180,7 +165,7 @@ func TestComputeChargesAtFlopsRate(t *testing.T) {
 	}
 	// Zero and negative work cost nothing.
 	e2 := sim.NewEngine()
-	h2 := NewHost(e2, "h", 1, DefaultCosts())
+	h2 := NewHost(e2, "h", 1)
 	e2.Spawn("p", func(p *sim.Proc) {
 		h2.Compute(p, 0)
 		h2.Compute(p, -5)

@@ -12,31 +12,55 @@ import (
 	"repro/internal/sim"
 )
 
-// Config is the NIC's per-operation cost table. Defaults are calibrated
-// so that raw EMP 4-byte one-way latency lands near the paper's 28 us and
-// streaming peaks in the mid-800 Mbps range (see EXPERIMENTS.md).
-type Config struct {
-	// MailboxLatency is the delay between a host MMIO doorbell write
+// The Tigon2 per-operation cost table, calibrated so that raw EMP
+// 4-byte one-way latency lands near the paper's 28 us and streaming
+// peaks in the mid-800 Mbps range (see EXPERIMENTS.md).
+const (
+	// mailboxLatency is the delay between a host MMIO doorbell write
 	// and the firmware observing the new descriptor.
-	MailboxLatency sim.Duration
+	mailboxLatency = 1 * sim.Microsecond
 	// TxPostHandle is send-CPU work to pick up one new transmit
 	// descriptor (read mailbox, fetch descriptor via DMA, set up the
 	// transmission record).
-	TxPostHandle sim.Duration
+	TxPostHandle = 2 * sim.Microsecond
 	// TxPerFrame is send-CPU work per outgoing frame (build header,
 	// program DMA, hand to MAC, update the transmission record).
-	TxPerFrame sim.Duration
+	TxPerFrame = 5 * sim.Microsecond
 	// RxPostHandle is receive-CPU work to pick up one new receive
 	// descriptor post.
-	RxPostHandle sim.Duration
-	// RxPerFrame is receive-CPU work per incoming frame (classify,
-	// reliability bookkeeping, program DMA).
-	RxPerFrame sim.Duration
+	RxPostHandle = 1500 * sim.Nanosecond
+	// rxPerFrame is receive-CPU work per incoming frame (classify,
+	// reliability bookkeeping, program DMA) on one processor; see
+	// Config.EffectiveRxPerFrame.
+	rxPerFrame = 9500 * sim.Nanosecond
 	// TagMatchBase is the fixed cost of starting a tag-matching walk.
-	TagMatchBase sim.Duration
+	TagMatchBase = 500 * sim.Nanosecond
 	// TagMatchPerDesc is the cost of examining one posted descriptor
 	// during the walk. The paper measures this at about 550 ns.
-	TagMatchPerDesc sim.Duration
+	TagMatchPerDesc = 550 * sim.Nanosecond
+	// dmaSetup is the fixed cost of programming one DMA transfer.
+	dmaSetup = 1 * sim.Microsecond
+	// dmaBandwidth is the host-NIC DMA rate in bytes/sec (64-bit/66 MHz
+	// PCI peaks at 528 MB/s).
+	dmaBandwidth int64 = 528 << 20
+	// HostNotify is the cost of the NIC writing a completion word into
+	// host memory.
+	HostNotify = 500 * sim.Nanosecond
+	// HostPollGap is the mean delay before a spinning host thread
+	// observes a completion word (cache transfer + poll loop spacing).
+	HostPollGap = 500 * sim.Nanosecond
+	// macQueueFrames bounds how many frames the firmware keeps queued
+	// ahead of the wire before it stalls (MAC FIFO depth).
+	macQueueFrames = 8
+	// doorbellRetry is how long the host driver's doorbell watchdog
+	// waits before re-ringing a mailbox write the NIC never observed
+	// (fault injection only: healthy rings are never dropped).
+	doorbellRetry = 100 * sim.Microsecond
+)
+
+// Config holds the NIC properties the experiments vary: the descriptor
+// lookup model, the frame size and the receive processor count.
+type Config struct {
 	// HashedMatch selects the hashed descriptor-lookup cost model: the
 	// firmware indexes its posted descriptors by (src, tag) and each
 	// arrival pays TagMatchBase plus TagMatchPerDesc per bucket entry
@@ -45,20 +69,6 @@ type Config struct {
 	// — the linear walk is what the paper measures and what the figure
 	// reproduction calibrates against.
 	HashedMatch bool
-	// DMASetup is the fixed cost of programming one DMA transfer.
-	DMASetup sim.Duration
-	// DMABandwidth is the host-NIC DMA rate in bytes/sec (64-bit/66 MHz
-	// PCI peaks at 528 MB/s).
-	DMABandwidth int64
-	// HostNotify is the cost of the NIC writing a completion word into
-	// host memory.
-	HostNotify sim.Duration
-	// HostPollGap is the mean delay before a spinning host thread
-	// observes a completion word (cache transfer + poll loop spacing).
-	HostPollGap sim.Duration
-	// MACQueueFrames bounds how many frames the firmware keeps queued
-	// ahead of the wire before it stalls (MAC FIFO depth).
-	MACQueueFrames int
 	// MTU is the Ethernet payload size this NIC frames for; Alteon
 	// hardware supports 9000-byte jumbo frames (ethernet.JumboMTU).
 	MTU int
@@ -68,30 +78,14 @@ type Config struct {
 	// Advantage of Multi-CPU NICs?") parallelizes it — modeled here as
 	// the per-frame processing cost divided across the CPUs.
 	RxCPUs int
-	// DoorbellRetry is how long the host driver's doorbell watchdog
-	// waits before re-ringing a mailbox write the NIC never observed
-	// (fault injection only: healthy rings are never dropped).
-	DoorbellRetry sim.Duration
 }
 
-// DefaultConfig returns the Tigon2 calibration.
+// DefaultConfig returns the paper's Tigon2: standard frames, one
+// receive processor and the linear tag-match walk.
 func DefaultConfig() Config {
 	return Config{
-		MailboxLatency:  1 * sim.Microsecond,
-		TxPostHandle:    2 * sim.Microsecond,
-		TxPerFrame:      5 * sim.Microsecond,
-		RxPostHandle:    1500 * sim.Nanosecond,
-		RxPerFrame:      9500 * sim.Nanosecond,
-		TagMatchBase:    500 * sim.Nanosecond,
-		TagMatchPerDesc: 550 * sim.Nanosecond,
-		DMASetup:        1 * sim.Microsecond,
-		DMABandwidth:    528 << 20,
-		HostNotify:      500 * sim.Nanosecond,
-		HostPollGap:     500 * sim.Nanosecond,
-		MACQueueFrames:  8,
-		MTU:             ethernet.MTU,
-		RxCPUs:          1,
-		DoorbellRetry:   100 * sim.Microsecond,
+		MTU:    ethernet.MTU,
+		RxCPUs: 1,
 	}
 }
 
@@ -118,7 +112,7 @@ func (c Config) EffectiveRxPerFrame() sim.Duration {
 	if k < 1 {
 		k = 1
 	}
-	return c.RxPerFrame / sim.Duration(k)
+	return rxPerFrame / sim.Duration(k)
 }
 
 // NIC is one programmable NIC instance. The firmware package spawns its
@@ -247,7 +241,7 @@ func (n *NIC) WaitTxRoom(p *sim.Proc) {
 		mtu = ethernet.MTU
 	}
 	frameTime := (&ethernet.Frame{PayloadLen: mtu}).WireTime()
-	maxBacklog := sim.Duration(n.Cfg.MACQueueFrames) * frameTime
+	maxBacklog := sim.Duration(macQueueFrames) * frameTime
 	for {
 		b := n.port.TxBacklog()
 		if b <= maxBacklog {
@@ -271,7 +265,7 @@ func (n *NIC) DMA(p *sim.Proc, bytes int) {
 		p.Sleep(stall)
 	}
 	n.DMABytes.Add(int64(bytes))
-	d := n.Cfg.DMASetup + sim.BytesToDuration(bytes, n.Cfg.DMABandwidth*8)
+	d := dmaSetup + sim.BytesToDuration(bytes, dmaBandwidth*8)
 	n.dma.Use(p, d)
 }
 
@@ -284,7 +278,7 @@ func (n *NIC) TagMatch(p *sim.Proc, walked int) sim.Duration {
 	}
 	n.TagLookups.Inc()
 	n.TagWalked.Add(int64(walked))
-	d := n.Cfg.TagMatchBase + sim.Duration(walked)*n.Cfg.TagMatchPerDesc
+	d := TagMatchBase + sim.Duration(walked)*TagMatchPerDesc
 	p.Sleep(d)
 	return d
 }
@@ -299,7 +293,7 @@ func (n *NIC) TagMatchHashed(p *sim.Proc, probed int) sim.Duration {
 	}
 	n.TagLookups.Inc()
 	n.TagWalked.Add(int64(probed))
-	d := n.Cfg.TagMatchBase + sim.Duration(probed)*n.Cfg.TagMatchPerDesc
+	d := TagMatchBase + sim.Duration(probed)*TagMatchPerDesc
 	p.Sleep(d)
 	return d
 }
@@ -339,22 +333,18 @@ func (n *NIC) SetFaults(pl *faults.Plan, node int) {
 }
 
 // Ring models the host writing a NIC mailbox ("ringing the doorbell"):
-// fn observes the write MailboxLatency later. Under a doorbell-drop
+// fn observes the write mailboxLatency later. Under a doorbell-drop
 // fault the write is lost and the host driver's watchdog re-rings it
-// after DoorbellRetry — the descriptor is delayed, never lost, so the
+// after doorbellRetry — the descriptor is delayed, never lost, so the
 // resource audit stays clean while the latency is very visible.
 func (n *NIC) Ring(fn func()) {
 	if n.fplan != nil && !n.dead && n.fplan.NICDropDoorbell(n.Eng.Rand(), sim.Duration(n.Eng.Now()), n.fnode) {
 		n.DoorbellsDropped.Inc()
-		n.Eng.Tracef(n.Name, "doorbell dropped (fault), re-ring in %v", n.Cfg.DoorbellRetry)
-		retry := n.Cfg.DoorbellRetry
-		if retry <= 0 {
-			retry = 100 * sim.Microsecond
-		}
-		n.Eng.After(retry, func() { n.Ring(fn) })
+		n.Eng.Tracef(n.Name, "doorbell dropped (fault), re-ring in %v", doorbellRetry)
+		n.Eng.After(doorbellRetry, func() { n.Ring(fn) })
 		return
 	}
-	n.Eng.After(n.Cfg.MailboxLatency, fn)
+	n.Eng.After(mailboxLatency, fn)
 }
 
 // FaultFlipDesc reports whether the next transmit descriptor is

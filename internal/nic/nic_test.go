@@ -8,7 +8,7 @@ import (
 )
 
 func pair(e *sim.Engine) (*NIC, *NIC, *ethernet.Switch) {
-	sw := ethernet.NewSwitch(e, ethernet.DefaultSwitchConfig())
+	sw := ethernet.NewSwitch(e)
 	a := New(e, "nicA", DefaultConfig())
 	b := New(e, "nicB", DefaultConfig())
 	a.Attach(sw)
@@ -51,7 +51,7 @@ func TestDMAChargesAndSerializes(t *testing.T) {
 		t2 = p.Now()
 	})
 	e.Run()
-	per := DefaultConfig().DMASetup + sim.BytesToDuration(1500, DefaultConfig().DMABandwidth*8)
+	per := dmaSetup + sim.BytesToDuration(1500, dmaBandwidth*8)
 	if t1 != sim.Time(per) {
 		t.Fatalf("first DMA done at %v, want %v", t1, per)
 	}
@@ -75,24 +75,23 @@ func TestDMANegativeClamped(t *testing.T) {
 
 func TestTagMatchWalkCost(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := DefaultConfig()
-	n := New(e, "n", cfg)
+	n := New(e, "n", DefaultConfig())
 	var d0, d10 sim.Duration
 	e.Spawn("fw", func(p *sim.Proc) {
 		d0 = n.TagMatch(p, 0)
 		d10 = n.TagMatch(p, 10)
 	})
 	e.Run()
-	if d0 != cfg.TagMatchBase {
-		t.Fatalf("walk(0) = %v, want base %v", d0, cfg.TagMatchBase)
+	if d0 != TagMatchBase {
+		t.Fatalf("walk(0) = %v, want base %v", d0, TagMatchBase)
 	}
-	want := cfg.TagMatchBase + 10*cfg.TagMatchPerDesc
+	want := TagMatchBase + 10*TagMatchPerDesc
 	if d10 != want {
 		t.Fatalf("walk(10) = %v, want %v", d10, want)
 	}
 	// The paper's number: each extra descriptor costs 550 ns.
-	if cfg.TagMatchPerDesc != 550*sim.Nanosecond {
-		t.Fatalf("per-descriptor cost %v, want 550 ns", cfg.TagMatchPerDesc)
+	if TagMatchPerDesc != 550*sim.Nanosecond {
+		t.Fatalf("per-descriptor cost %v, want 550 ns", TagMatchPerDesc)
 	}
 	if n.TagWalked.Value != 10 {
 		t.Fatalf("walked counter = %d", n.TagWalked.Value)
@@ -119,7 +118,7 @@ func TestWaitTxRoomStallsOnBacklog(t *testing.T) {
 	}
 	// After resuming, the backlog must be within the FIFO bound.
 	backlog := (20 * ethernet.MaxFrameWireTime()) - sim.Duration(resumedAt)
-	limit := sim.Duration(DefaultConfig().MACQueueFrames) * ethernet.MaxFrameWireTime()
+	limit := sim.Duration(macQueueFrames) * ethernet.MaxFrameWireTime()
 	if backlog > limit {
 		t.Fatalf("backlog %v still exceeds limit %v", backlog, limit)
 	}
@@ -147,23 +146,23 @@ func TestJumboConfig(t *testing.T) {
 	if cfg.MTU != ethernet.JumboMTU {
 		t.Fatalf("jumbo MTU = %d", cfg.MTU)
 	}
-	// Only the framing changes; the cost table stays calibrated.
-	if cfg.RxPerFrame != DefaultConfig().RxPerFrame {
-		t.Fatal("jumbo config altered per-frame costs")
+	// Only the framing changes.
+	if cfg.HashedMatch || cfg.RxCPUs != DefaultConfig().RxCPUs {
+		t.Fatal("jumbo config altered more than the frame size")
 	}
 }
 
 func TestEffectiveRxPerFrame(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.EffectiveRxPerFrame() != cfg.RxPerFrame {
+	if cfg.EffectiveRxPerFrame() != rxPerFrame {
 		t.Fatal("one CPU should charge the full cost")
 	}
 	cfg.RxCPUs = 2
-	if cfg.EffectiveRxPerFrame() != cfg.RxPerFrame/2 {
+	if cfg.EffectiveRxPerFrame() != rxPerFrame/2 {
 		t.Fatal("two CPUs should halve the charge")
 	}
 	cfg.RxCPUs = 0
-	if cfg.EffectiveRxPerFrame() != cfg.RxPerFrame {
+	if cfg.EffectiveRxPerFrame() != rxPerFrame {
 		t.Fatal("zero CPUs should clamp to one")
 	}
 }

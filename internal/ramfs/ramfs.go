@@ -46,7 +46,7 @@ func (fs *FS) copyTime(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return fs.host.Costs.CopySetup + sim.BytesToDuration(n, fs.Bandwidth*8)
+	return kernel.CopySetup + sim.BytesToDuration(n, fs.Bandwidth*8)
 }
 
 // Create installs a file of the given size with an opaque payload

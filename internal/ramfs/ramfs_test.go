@@ -9,7 +9,7 @@ import (
 
 func newFS() (*sim.Engine, *FS) {
 	e := sim.NewEngine()
-	h := kernel.NewHost(e, "h", 4, kernel.DefaultCosts())
+	h := kernel.NewHost(e, "h", 4)
 	return e, New(h)
 }
 

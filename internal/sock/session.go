@@ -15,7 +15,7 @@
 // hello{ID, RecvOff}; the server answers welcome{ID, RecvOff, OK}. Each
 // side then rewinds its send cursor to the peer's RecvOff and replays
 // from its replay buffer, which retains every byte written since the
-// last handshake (bounded by ReplayLimit — spans dropped past the bound
+// last handshake (bounded by replayCap — spans dropped past the bound
 // make resume impossible and the session fails rather than deliver a
 // gap). ID zero in a hello asks the server to create a new session; the
 // server allocates the ID and the listener surfaces the session via
@@ -24,7 +24,7 @@
 // Division of labor: the client owns reconnection (it dials); the
 // server side of a broken session parks in awaitReattach until the
 // client's new transport arrives via the listener's greeter, or
-// ReattachTimeout expires — after which reads return EOF and writes
+// reattachWait expires — after which reads return EOF and writes
 // ErrClosed, deliberately never ErrReset.
 package sock
 
@@ -78,6 +78,33 @@ type Target struct {
 	Port int
 }
 
+// The session timing every deployment shares.
+const (
+	// replayCap bounds the replay buffer in bytes. Bytes dropped past
+	// the bound make a later resume needing them impossible (the
+	// session fails instead of delivering a gap).
+	replayCap = 1 << 20
+	// helloTimeout bounds each hello/welcome exchange.
+	helloTimeout = 20 * sim.Millisecond
+	// reattachWait is how long a server-side session with a dead
+	// transport waits for the client to reattach before detaching:
+	// reads then return EOF and writes ErrClosed.
+	reattachWait = 100 * sim.Millisecond
+	// watchdogPeriod is the watchdog poll period; the watchdog aborts
+	// the transport when its health reads Wedged.
+	watchdogPeriod = 1 * sim.Millisecond
+)
+
+// dialRetry is the per-target dial retry policy; its jitter draws from
+// the engine's random source.
+var dialRetry = retry.Policy{
+	Max:        3,
+	Base:       500 * sim.Microsecond,
+	Factor:     2,
+	MaxBackoff: 5 * sim.Millisecond,
+	Jitter:     0.5,
+}
+
 // SessionConfig configures both DialSession and NewSessionListener.
 // Zero values get sensible defaults from normalize; only Eng (and, for
 // DialSession, Targets) are mandatory.
@@ -89,32 +116,13 @@ type SessionConfig struct {
 	// Targets is the ordered dial list (client side only). Index 0 is
 	// the preferred transport; later indexes are failover paths.
 	Targets []Target
-	// Retry is the per-target dial retry policy. The zero value becomes
-	// {Max: 3, Base: 500us, Factor: 2, MaxBackoff: 5ms, Jitter: 0.5}.
-	Retry retry.Policy
 	// Rounds is how many full passes over the target list a reconnect
 	// makes before the session fails (default 3). Pass n sleeps
-	// Retry.Backoff(n) before starting, so rounds back off too.
+	// dialRetry.Backoff(n) before starting, so rounds back off too.
 	Rounds int
-	// ReplayLimit bounds the replay buffer in bytes (default 1 MiB).
-	// Bytes dropped past the bound make a later resume needing them
-	// impossible (the session fails instead of delivering a gap).
-	ReplayLimit int
-	// HandshakeTimeout bounds each hello/welcome exchange (default 20ms).
-	HandshakeTimeout sim.Duration
-	// ReattachTimeout is how long a server-side session with a dead
-	// transport waits for the client to reattach before detaching:
-	// reads then return EOF and writes ErrClosed (default 100ms).
-	ReattachTimeout sim.Duration
-	// HealthInterval is the watchdog poll period (default 1ms); the
-	// watchdog aborts the transport when its health reads Wedged.
-	// Negative disables the watchdog.
-	HealthInterval sim.Duration
 	// Tel receives session counters (layer "session") and flight
 	// events; nil disables instrumentation.
 	Tel *telemetry.Registry
-	// Rand supplies retry jitter; nil uses Eng.Rand().
-	Rand *sim.Rand
 	// Store, on the server side, is the node's durable session-resume
 	// ledger: ids are allocated from it and Cork/Uncork commits resume
 	// state into it, so a listener reborn after a crash–restart (handed
@@ -134,35 +142,8 @@ func (c SessionConfig) normalize() SessionConfig {
 	if c.Name == "" {
 		c.Name = "session"
 	}
-	if c.Retry == (retry.Policy{}) {
-		c.Retry = retry.Policy{
-			Max:        3,
-			Base:       500 * sim.Microsecond,
-			Factor:     2,
-			MaxBackoff: 5 * sim.Millisecond,
-			Jitter:     0.5,
-		}
-	}
 	if c.Rounds <= 0 {
 		c.Rounds = 3
-	}
-	if c.ReplayLimit <= 0 {
-		c.ReplayLimit = 1 << 20
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 20 * sim.Millisecond
-	}
-	if c.ReattachTimeout <= 0 {
-		c.ReattachTimeout = 100 * sim.Millisecond
-	}
-	if c.HealthInterval == 0 {
-		c.HealthInterval = 1 * sim.Millisecond
-	}
-	if c.HealthInterval < 0 {
-		c.HealthInterval = 0 // disabled
-	}
-	if c.Rand == nil {
-		c.Rand = c.Eng.Rand()
 	}
 	return c
 }
@@ -281,7 +262,7 @@ func newSession(cfg SessionConfig, client bool, lis *SessionListener) *Session {
 		cond:   sim.NewCond(cfg.Eng, "session"),
 		lis:    lis,
 		client: client,
-		replay: replayBuf{limit: int64(cfg.ReplayLimit)},
+		replay: replayBuf{limit: replayCap},
 	}
 	tel := cfg.Tel
 	s.ctrReconnects = tel.Counter("session", "reconnects")
@@ -314,9 +295,6 @@ func (s *Session) flight() *telemetry.Recorder {
 }
 
 func (s *Session) startWatchdog() {
-	if s.cfg.HealthInterval <= 0 {
-		return
-	}
 	s.eng.Spawn(fmt.Sprintf("%s-watchdog-%d", s.cfg.Name, s.id), s.watchdog)
 }
 
@@ -326,7 +304,7 @@ func (s *Session) startWatchdog() {
 // inner just means a repair is already in flight.
 func (s *Session) watchdog(p *sim.Proc) {
 	for {
-		p.Sleep(s.cfg.HealthInterval)
+		p.Sleep(watchdogPeriod)
 		if s.closed || s.failed || s.detached {
 			return
 		}
@@ -377,10 +355,10 @@ func (s *Session) connect(p *sim.Proc) error {
 	lastErr := error(ErrRefused)
 	for round := 0; round < s.cfg.Rounds; round++ {
 		if round > 0 {
-			p.Sleep(s.cfg.Retry.Backoff(round, s.cfg.Rand))
+			p.Sleep(dialRetry.Backoff(round, s.eng.Rand()))
 		}
 		for idx, t := range s.cfg.Targets {
-			loop := retry.New(s.cfg.Retry, s.cfg.Rand, 0)
+			loop := retry.New(dialRetry, s.eng.Rand(), 0)
 			for {
 				if s.closed {
 					return ErrClosed
@@ -417,7 +395,7 @@ func (s *Session) connect(p *sim.Proc) error {
 func (s *Session) shake(p *sim.Proc, c Conn, idx int) error {
 	d, hasDL := c.(Deadliner)
 	if hasDL {
-		d.SetDeadline(p.Now().Add(s.cfg.HandshakeTimeout))
+		d.SetDeadline(p.Now().Add(helloTimeout))
 	}
 	if err := WriteFull(p, c, helloBytes, &sessionHello{ID: s.id, RecvOff: s.recvOff}); err != nil {
 		return err
@@ -529,9 +507,9 @@ func (s *Session) repair(p *sim.Proc, gen int) {
 
 // awaitReattach (server side) parks until the listener's greeter
 // installs the client's replacement transport, bounded by
-// ReattachTimeout.
+// reattachWait.
 func (s *Session) awaitReattach(p *sim.Proc) error {
-	s.cond.WaitForTimeout(p, s.cfg.ReattachTimeout, func() bool {
+	s.cond.WaitForTimeout(p, reattachWait, func() bool {
 		return s.closed || s.failed || s.inner != nil
 	})
 	switch {
@@ -903,7 +881,7 @@ func (l *SessionListener) acceptLoop(p *sim.Proc, in Listener) {
 // refusing welcome (best effort) and the transport closed.
 func (l *SessionListener) greet(p *sim.Proc, c Conn) {
 	if d, ok := c.(Deadliner); ok {
-		d.SetDeadline(p.Now().Add(l.cfg.HandshakeTimeout))
+		d.SetDeadline(p.Now().Add(helloTimeout))
 	}
 	_, objs, err := ReadFull(p, c, helloBytes)
 	if err != nil {

@@ -180,7 +180,7 @@ func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 		rport:       rport,
 		sndbuf:      stream.NewBuffer(iss + 1), // +1: SYN consumes iss
 		sndNxt:      iss + 1,
-		cwnd:        st.Cfg.InitialCwnd * MSS,
+		cwnd:        initialCwnd * MSS,
 		ssthresh:    64 << 10,
 		rwnd:        MSS, // until the peer advertises
 		finSeq:      -1,
@@ -286,10 +286,10 @@ func (c *Conn) sendSYN(p *sim.Proc, synAck bool) {
 		Flags: flags, Seq: c.sndbuf.Base() - 1, Ack: ack, Wnd: c.st.Cfg.RcvBuf,
 	}
 	if p != nil {
-		p.Sleep(c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx)
+		p.Sleep(txSegCost + driverTx)
 		c.st.transmitAt(p.Now(), seg)
 	} else {
-		done := c.st.Host.ChargeIRQ(c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx)
+		done := c.st.Host.ChargeIRQ(txSegCost + driverTx)
 		c.st.transmitAt(done, seg)
 	}
 }
@@ -468,12 +468,12 @@ func (c *Conn) input(seg *Segment) {
 // scheduleAck implements delayed acknowledgments.
 func (c *Conn) scheduleAck(push bool) {
 	c.pendingAcks++
-	if c.pendingAcks >= c.st.Cfg.DelAckSegs {
+	if c.pendingAcks >= delAckSegs {
 		c.ackNow()
 		return
 	}
 	if !c.delAck.Pending() {
-		c.delAck = c.st.Eng.After(c.st.Cfg.DelAckTimeout, func() {
+		c.delAck = c.st.Eng.After(delAckTimeout, func() {
 			if c.pendingAcks > 0 {
 				c.st.DelayedAcks.Inc()
 				c.ackNow()
@@ -486,7 +486,7 @@ func (c *Conn) scheduleAck(push bool) {
 func (c *Conn) ackNow() {
 	c.pendingAcks = 0
 	c.delAck.Cancel()
-	done := c.st.Host.ChargeIRQ(c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx)
+	done := c.st.Host.ChargeIRQ(txSegCost + driverTx)
 	ack := int64(0)
 	if c.rcvbuf != nil {
 		ack = c.rcvbuf.End()
@@ -527,7 +527,7 @@ func (c *Conn) output(p *sim.Proc) {
 		if segLen <= 0 || avail <= 0 {
 			break
 		}
-		if c.st.Cfg.Nagle && !c.noDelay && segLen < MSS && c.inflight() > 0 {
+		if !c.noDelay && segLen < MSS && c.inflight() > 0 {
 			break // Nagle: don't send a partial segment while data is unacked
 		}
 		// Reserve the sequence range before emit's cost charge can yield
@@ -569,7 +569,7 @@ func (c *Conn) peerAck() int64 {
 }
 
 func (c *Conn) chargeOutput(p *sim.Proc) sim.Time {
-	cost := c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx
+	cost := txSegCost + driverTx
 	if p != nil {
 		p.Sleep(cost)
 		return p.Now()
@@ -583,7 +583,7 @@ func (c *Conn) chargeOutput(p *sim.Proc) sim.Time {
 // and softirq) whose completion times can interleave, and the receiver
 // is in-order-only, so emission must stay monotonic per connection.
 func (c *Conn) reserveEmit(p *sim.Proc) sim.Time {
-	cost := c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx
+	cost := txSegCost + driverTx
 	var done sim.Time
 	if p != nil {
 		done = p.Now().Add(sim.Duration(cost))
@@ -660,8 +660,8 @@ func (c *Conn) rto() sim.Duration {
 	if v < c.st.Cfg.RTO {
 		v = c.st.Cfg.RTO
 	}
-	if c.st.Cfg.MaxRTO > 0 && v > c.st.Cfg.MaxRTO {
-		v = c.st.Cfg.MaxRTO
+	if v > maxRTO {
+		v = maxRTO
 	}
 	return v
 }
@@ -678,7 +678,7 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.rexmits++
-	if c.st.Cfg.MaxRexmits > 0 && c.rexmits > c.st.Cfg.MaxRexmits {
+	if c.rexmits > maxRexmits {
 		// The peer has been unreachable for the whole backoff sequence:
 		// give up and reset the connection so blocked callers wake.
 		c.st.Eng.Tracef("tcp", "conn %d:%d->%d:%d failed after %d rexmits",
@@ -795,7 +795,7 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 	// Window update: if the window was effectively shut and has now
 	// opened, tell the sender (avoids stalls with small buffers).
 	if wasFull && c.advWindow() >= MSS && c.state != stateClosed {
-		p.Sleep(c.st.Cfg.TxSegCost + c.st.Cfg.DriverTx)
+		p.Sleep(txSegCost + driverTx)
 		c.pendingAcks = 0
 		c.delAck.Cancel()
 		c.st.transmitAt(p.Now(), &Segment{
@@ -911,7 +911,7 @@ var _ sock.Aborter = (*Conn)(nil)
 // Health thresholds for the kernel TCP monitor: consecutive RTO fires
 // without ack progress. Two timeouts mean more than an isolated loss;
 // six mean the go-back-N recovery itself is not landing — the path or
-// the peer is gone for all practical purposes, long before MaxRexmits
+// the peer is gone for all practical purposes, long before maxRexmits
 // resets the connection on its own.
 const (
 	tcpDegradeRexmits = 2

@@ -79,7 +79,7 @@ func (l *Listener) connEstablished(c *Conn) {
 		// Backlog overflow (or racing close): reset the peer — it
 		// already believes the connection is established, so its next
 		// operation must observe the refusal.
-		done := l.st.Host.ChargeIRQ(l.st.Cfg.TxSegCost)
+		done := l.st.Host.ChargeIRQ(txSegCost)
 		l.st.transmitAt(done, &Segment{
 			Src: l.st.addr, Dst: c.raddr,
 			SrcPort: c.lport, DstPort: c.rport,

@@ -94,7 +94,7 @@ func TestRTOClampedToFloorAndCeiling(t *testing.T) {
 	}
 	c.rttSample(3 * sim.Second)
 	c.rttSample(3 * sim.Second)
-	if got := c.rto(); got != b.stacks[0].Cfg.MaxRTO {
+	if got := c.rto(); got != maxRTO {
 		t.Fatalf("huge samples should clamp to the ceiling: %v", got)
 	}
 	c2 := newConn(b.stacks[0], 1, 0, 3)

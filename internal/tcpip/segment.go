@@ -103,50 +103,52 @@ type Datagram struct {
 
 func (d *Datagram) wireLen() int { return udpIPHeaderBytes + d.FragLen }
 
+// The Linux 2.4.18 / Acenic calibration of the kernel stack.
+const (
+	// copyBandwidth is the user<->kernel copy-and-checksum rate in
+	// bytes/sec. It is lower than the raw memcpy rate because the 2.4
+	// kernel checksums while copying and the data is uncached.
+	copyBandwidth int64 = 100 << 20
+	// txSegCost is kernel CPU per transmitted segment (TCP output, IP,
+	// routing, driver queueing).
+	txSegCost = 4 * sim.Microsecond
+	// rxSegCost is kernel CPU per received segment in the softirq path.
+	rxSegCost = 4 * sim.Microsecond
+	// driverTx is the driver+DMA cost to hand one frame to the NIC.
+	driverTx = 1 * sim.Microsecond
+	// coalesceDelay is the receive interrupt coalescing timer: the NIC
+	// raises the interrupt this long after the first unclaimed frame.
+	coalesceDelay = 78 * sim.Microsecond
+	// coalesceFrames raises the interrupt early once this many frames
+	// have accumulated.
+	coalesceFrames = 4
+	// delAckSegs acknowledges every n-th full segment immediately.
+	delAckSegs = 2
+	// delAckTimeout bounds how long an ack may be delayed.
+	delAckTimeout = 40 * sim.Millisecond
+	// maxRTO caps the adaptive retransmission timeout.
+	maxRTO = 2 * sim.Second
+	// initialCwnd is the initial congestion window in segments.
+	initialCwnd = 2
+	// synRetries bounds connection-attempt retransmissions.
+	synRetries = 5
+	// maxRexmits bounds consecutive retransmission timeouts on one
+	// connection before it is failed with a reset error (Linux 2.4's
+	// tcp_retries2 behavior).
+	maxRexmits = 15
+)
+
 // StackConfig tunes the kernel stack.
 type StackConfig struct {
 	// SndBuf and RcvBuf are the per-connection socket buffer sizes.
 	// The paper's baseline uses the era default of 16 KB and also
 	// evaluates enlarged buffers (the 340 -> 550 Mbps jump).
 	SndBuf, RcvBuf int
-	// CopyBandwidth is the user<->kernel copy-and-checksum rate in
-	// bytes/sec. It is lower than the raw memcpy rate because the 2.4
-	// kernel checksums while copying and the data is uncached.
-	CopyBandwidth int64
-	// TxSegCost is kernel CPU per transmitted segment (TCP output, IP,
-	// routing, driver queueing).
-	TxSegCost sim.Duration
-	// RxSegCost is kernel CPU per received segment in the softirq path.
-	RxSegCost sim.Duration
-	// DriverTx is the driver+DMA cost to hand one frame to the NIC.
-	DriverTx sim.Duration
-	// CoalesceDelay is the receive interrupt coalescing timer: the NIC
-	// raises the interrupt this long after the first unclaimed frame.
-	CoalesceDelay sim.Duration
-	// CoalesceFrames raises the interrupt early once this many frames
-	// have accumulated.
-	CoalesceFrames int
-	// DelAckSegs acknowledges every n-th full segment immediately.
-	DelAckSegs int
-	// DelAckTimeout bounds how long an ack may be delayed.
-	DelAckTimeout sim.Duration
 	// RTO is the minimum (and initial) retransmission timeout. The
 	// effective timeout adapts to the measured round trip via the
 	// Jacobson/Karels estimator but never drops below this floor —
 	// Linux 2.4's floor was about 200 ms.
 	RTO sim.Duration
-	// MaxRTO caps the adaptive timeout.
-	MaxRTO sim.Duration
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd int
-	// Nagle enables the Nagle algorithm.
-	Nagle bool
-	// SynRetries bounds connection-attempt retransmissions.
-	SynRetries int
-	// MaxRexmits bounds consecutive retransmission timeouts on one
-	// connection before it is failed with a reset error (Linux 2.4's
-	// tcp_retries2 behavior, default 15). Zero disables the bound.
-	MaxRexmits int
 	// Linger gives Close SO_LINGER-with-timeout semantics: it blocks
 	// until the FIN is acknowledged (every queued byte proven delivered)
 	// or the deadline expires, in which case the connection is reset and
@@ -154,30 +156,17 @@ type StackConfig struct {
 	Linger sim.Duration
 	// DialTimeout bounds the whole connect() — handshake plus SYN
 	// retries — surfacing sock.ErrTimeout. Zero keeps the
-	// SynRetries-only bound.
+	// SYN-retry-only bound.
 	DialTimeout sim.Duration
 }
 
-// DefaultStackConfig returns the Linux 2.4.18 / Acenic calibration with
-// the era-default 16 KB socket buffers.
+// DefaultStackConfig returns the era-default 16 KB socket buffers and
+// the 2.4 kernel's 200 ms RTO floor.
 func DefaultStackConfig() StackConfig {
 	return StackConfig{
-		SndBuf:         16 << 10,
-		RcvBuf:         16 << 10,
-		CopyBandwidth:  100 << 20,
-		TxSegCost:      4 * sim.Microsecond,
-		RxSegCost:      4 * sim.Microsecond,
-		DriverTx:       1 * sim.Microsecond,
-		CoalesceDelay:  78 * sim.Microsecond,
-		CoalesceFrames: 4,
-		DelAckSegs:     2,
-		DelAckTimeout:  40 * sim.Millisecond,
-		RTO:            200 * sim.Millisecond,
-		MaxRTO:         2 * sim.Second,
-		InitialCwnd:    2,
-		Nagle:          true,
-		SynRetries:     5,
-		MaxRexmits:     15,
+		SndBuf: 16 << 10,
+		RcvBuf: 16 << 10,
+		RTO:    200 * sim.Millisecond,
 	}
 }
 

@@ -124,7 +124,7 @@ func (st *Stack) copyTime(n int) sim.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return st.Host.Costs.CopySetup + sim.BytesToDuration(n, st.Cfg.CopyBandwidth*8)
+	return kernel.CopySetup + sim.BytesToDuration(n, copyBandwidth*8)
 }
 
 // ephemeralPort allocates a local port.
@@ -153,9 +153,9 @@ func (st *Stack) Deliver(f *ethernet.Frame) {
 	st.rxRing = append(st.rxRing, f)
 	if len(st.rxRing) == 1 {
 		st.rxFirst = st.Eng.Now()
-		st.rxIntr = st.Eng.After(st.Cfg.CoalesceDelay, st.interrupt)
+		st.rxIntr = st.Eng.After(coalesceDelay, st.interrupt)
 	}
-	if len(st.rxRing) >= st.Cfg.CoalesceFrames {
+	if len(st.rxRing) >= coalesceFrames {
 		st.rxIntr.Cancel()
 		st.interrupt()
 	}
@@ -175,7 +175,7 @@ func (st *Stack) interrupt() {
 	done := st.Host.Interrupt(0)
 	for _, f := range batch {
 		f := f
-		done = st.Host.ChargeIRQ(st.Cfg.RxSegCost)
+		done = st.Host.ChargeIRQ(rxSegCost)
 		st.Eng.At(done, func() { st.dispatch(f) })
 	}
 }
@@ -312,9 +312,9 @@ func (st *Stack) Dial(p *sim.Proc, addr ethernet.Addr, port int) (sock.Conn, err
 	c.sendSYN(p, false)
 	// Block until established or refused, retrying the SYN. SYN
 	// retransmission is the fixed-interval shape of the shared retry
-	// policy: SynRetries retries of one RTO each, bounded overall by the
+	// policy: synRetries retries of one RTO each, bounded overall by the
 	// dial deadline.
-	pol := retry.Policy{Max: st.Cfg.SynRetries, Base: st.Cfg.RTO, Factor: 1}
+	pol := retry.Policy{Max: synRetries, Base: st.Cfg.RTO, Factor: 1}
 	loop := retry.New(pol, nil, deadline)
 	for c.state == stateSynSent {
 		wait := pol.Backoff(loop.Attempt()+1, nil)

@@ -36,11 +36,11 @@ type bed struct {
 	stacks []*Stack
 }
 
-func newBed(n int, cfg StackConfig, swCfg ethernet.SwitchConfig) *bed {
+func newBed(n int, cfg StackConfig) *bed {
 	b := &bed{eng: sim.NewEngine()}
-	b.sw = ethernet.NewSwitch(b.eng, swCfg)
+	b.sw = ethernet.NewSwitch(b.eng)
 	for i := 0; i < n; i++ {
-		h := kernel.NewHost(b.eng, "h", 4, kernel.DefaultCosts())
+		h := kernel.NewHost(b.eng, "h", 4)
 		b.stacks = append(b.stacks, NewStack(b.eng, h, b.sw, cfg))
 	}
 	return b
@@ -49,13 +49,13 @@ func newBed(n int, cfg StackConfig, swCfg ethernet.SwitchConfig) *bed {
 // lossyBed is a default bed whose switch drops each frame with the
 // given probability.
 func lossyBed(n int, cfg StackConfig, loss float64) *bed {
-	b := newBed(n, cfg, ethernet.DefaultSwitchConfig())
+	b := newBed(n, cfg)
 	b.sw.SetFaults(&faults.Plan{Clauses: []faults.Clause{faults.Uniform(loss, 0, 0, 0)}})
 	return b
 }
 
 func defaultBed(n int) *bed {
-	return newBed(n, DefaultStackConfig(), ethernet.DefaultSwitchConfig())
+	return newBed(n, DefaultStackConfig())
 }
 
 func TestConnectAcceptRoundTrip(t *testing.T) {
@@ -265,7 +265,7 @@ func TestTCPBandwidthDefaultBuffers(t *testing.T) {
 
 func TestTCPBandwidthBigBuffers(t *testing.T) {
 	// The paper's anchor: ~550 Mbps with enlarged buffers (CPU-limited).
-	b := newBed(2, BigBufferConfig(), ethernet.DefaultSwitchConfig())
+	b := newBed(2, BigBufferConfig())
 	mbps := tcpStream(b, 16<<20)
 	if mbps < 450 || mbps > 650 {
 		t.Fatalf("TCP bandwidth (big buffers) = %.0f Mbps, want ~550", mbps)
@@ -274,7 +274,7 @@ func TestTCPBandwidthBigBuffers(t *testing.T) {
 
 func TestBigBuffersBeatDefault(t *testing.T) {
 	small := tcpStream(defaultBed(2), 16<<20)
-	big := tcpStream(newBed(2, BigBufferConfig(), ethernet.DefaultSwitchConfig()), 16<<20)
+	big := tcpStream(newBed(2, BigBufferConfig()), 16<<20)
 	if big <= small {
 		t.Fatalf("big buffers (%.0f Mbps) should beat 16KB buffers (%.0f Mbps)", big, small)
 	}

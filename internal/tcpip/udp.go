@@ -107,7 +107,7 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any)
 			fl = MaxUDPFragPayload
 		}
 		remaining -= fl
-		p.Sleep(u.st.Cfg.TxSegCost + u.st.Cfg.DriverTx)
+		p.Sleep(txSegCost + driverTx)
 		var o any
 		if i == nfrags-1 {
 			o = obj

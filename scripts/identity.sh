@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# identity.sh PARENT: build cmd/reproduce at the git revision PARENT (from
-# a temporary `git archive` export) and from the working tree, run both with each
-# quick-mode report flag in its own temporary directory, and compare
-# stdout, exit status and every BENCH_*.json written. Exits non-zero on
-# any difference. Run from the repository root: make identity PARENT=<rev>.
+# identity.sh PARENT: build cmd/reproduce and cmd/trace at the git
+# revision PARENT (from a temporary `git archive` export) and from the
+# working tree, run both sides of every case below in its own temporary
+# directory, and compare stdout, exit status and every BENCH_*.json
+# written. The reproduce cases are each quick-mode report flag; the
+# trace cases print every model event with its virtual timestamp, the
+# strictest check that a timing constant kept its value. Exits non-zero
+# on any difference. Run from the repository root: make identity
+# PARENT=<rev>.
 set -euo pipefail
 
 parent=${1:?usage: identity.sh PARENT}
@@ -13,31 +17,48 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/parent-src"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent-src"
-(cd "$tmp/parent-src" && go build -o "$tmp/reproduce.parent" ./cmd/reproduce)
-(cd "$root" && go build -o "$tmp/reproduce.change" ./cmd/reproduce)
+for cmd in reproduce trace; do
+	(cd "$tmp/parent-src" && go build -o "$tmp/$cmd.parent" ./cmd/$cmd)
+	(cd "$root" && go build -o "$tmp/$cmd.change" ./cmd/$cmd)
+done
 
-runs=("-fig all" "-ablations" "-metrics" "-audit" "-corescale" "-chaos all")
+# Each case is the command followed by its arguments.
+runs=(
+	"reproduce -fig all -quick"
+	"reproduce -ablations -quick"
+	"reproduce -metrics -quick"
+	"reproduce -audit -quick"
+	"reproduce -corescale -quick"
+	"reproduce -connscale -quick"
+	"reproduce -chaos all -quick"
+	"trace -scenario pingpong -transport substrate"
+	"trace -scenario pingpong -transport tcp"
+	"trace -scenario connect-race"
+	"trace -scenario lossy"
+	"trace -scenario chaos"
+	"trace -scenario drain"
+)
 fail=0
 for i in "${!runs[@]}"; do
-	args=${runs[$i]}
+	read -r cmd args <<<"${runs[$i]}"
 	for side in parent change; do
 		dir="$tmp/run$i.$side"
 		mkdir -p "$dir"
 		status=0
-		# shellcheck disable=SC2086 # args holds a flag and its value
-		(cd "$dir" && "$tmp/reproduce.$side" $args -quick >stdout 2>stderr) || status=$?
+		# shellcheck disable=SC2086 # args holds flags and their values
+		(cd "$dir" && "$tmp/$cmd.$side" $args >stdout 2>stderr) || status=$?
 		echo "$status" >"$dir/status"
 	done
 	a="$tmp/run$i.parent" b="$tmp/run$i.change"
 	same=1
 	for f in stdout status; do
-		cmp -s "$a/$f" "$b/$f" || { echo "identity: $args -quick: $f differs"; same=0; }
+		cmp -s "$a/$f" "$b/$f" || { echo "identity: $cmd $args: $f differs"; same=0; }
 	done
 	for f in $(cd "$tmp" && ls "run$i.parent" "run$i.change" | grep '^BENCH_.*\.json$' | sort -u); do
-		cmp -s "$a/$f" "$b/$f" || { echo "identity: $args -quick: $f differs"; same=0; }
+		cmp -s "$a/$f" "$b/$f" || { echo "identity: $cmd $args: $f differs"; same=0; }
 	done
 	if [ "$same" = 1 ]; then
-		echo "identity: $args -quick: identical"
+		echo "identity: $cmd $args: identical"
 	else
 		diff "$a/stdout" "$b/stdout" | head -20 || true
 		fail=1
