@@ -60,12 +60,31 @@ type chaosScale struct {
 	reqs, ops, ftp int
 }
 
-// chaosCol is one counter column of a domain's report. A nil get
-// makes it the run's leak-audit finding count.
+// chaosCol is one counter column of a domain's report: the sum of the
+// named cluster-snapshot counters ("layer/metric"), or with perNode the
+// highest such sum over the nodes' own snapshots. Nil keys make it the
+// run's leak-audit finding count.
 type chaosCol struct {
-	header string
-	width  int
-	get    func(*cluster.Cluster) int64
+	header  string
+	width   int
+	keys    []string
+	perNode bool
+}
+
+// col is a column summing the named counters.
+func col(header string, width int, keys ...string) chaosCol {
+	return chaosCol{header: header, width: width, keys: keys}
+}
+
+// value reads the column from the run's cluster snapshot.
+func (cc chaosCol) value(c *cluster.Cluster, snap *telemetry.Snapshot) (v int64) {
+	if !cc.perNode {
+		return snap.Sum(cc.keys...)
+	}
+	for _, n := range c.Nodes {
+		v = max(v, n.Tel.Snapshot().Sum(cc.keys...))
+	}
+	return v
 }
 
 // chaosControl reruns one point's plan with the web workload and the
@@ -89,7 +108,7 @@ type chaosDomain struct {
 	sessions    bool           // web and kvstore run over sessions, 8 ms think time
 	replicate   bool           // kvstore adds a backup node and a read-your-writes probe
 	// pass says why a completed session run fails, or "".
-	pass        func(c *cluster.Cluster, pt chaosPoint) string
+	pass        func(c *cluster.Cluster, snap *telemetry.Snapshot, pt chaosPoint) string
 	cols        []chaosCol
 	control     *chaosControl
 	faultTotals bool // the footer sums the injected link faults
@@ -264,24 +283,22 @@ func (ctl *chaosControl) judge(err error, got, want int) (bool, string) {
 
 // fold reads the counter columns, applies the pass rules, and runs the
 // resource audit: surviving a fault plan with a leak is still a failure.
-// The counters are read before the audit's purge of stale
-// unexpected-queue entries, whose doorbell a NIC fault plan may drop:
-// the columns count what the workload did, not what the audit did.
+// The columns and the pass rules read one cluster snapshot, taken
+// before the audit's purge of stale unexpected-queue entries, whose
+// doorbell a NIC fault plan may drop: the columns count what the
+// workload did, not what the audit did.
 func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
+	snap := c.TelemetrySnapshot()
 	for _, col := range d.cols {
-		var v int64
-		if col.get != nil {
-			v = col.get(c)
-		}
-		r.Counters = append(r.Counters, v)
+		r.Counters = append(r.Counters, col.value(c, snap))
 	}
 	if d.faultTotals {
 		r.Faults = c.Switch.FaultStats()
 	}
 	if r.OK && r.Workload != "control" && d.sessions {
-		if n := sessionCount("failed")(c); n > 0 {
+		if n := snap.Sum("session/failed"); n > 0 {
 			r.OK, r.Detail = false, fmt.Sprintf("%d session(s) surfaced an error to the app", n)
-		} else if why := d.pass(c, pt); why != "" {
+		} else if why := d.pass(c, snap, pt); why != "" {
 			r.OK, r.Detail = false, why
 		}
 	}
@@ -292,7 +309,7 @@ func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 	}
 	rep := audit.Cluster(c)
 	for i, col := range d.cols {
-		if col.get == nil {
+		if col.keys == nil {
 			r.Counters[i] = int64(len(rep.Findings))
 		}
 	}
@@ -305,21 +322,6 @@ func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 		}
 	}
 	r.FlightDumps = c.FlightDumps()
-}
-
-// nodeCol is a counter column summing f over the cluster's nodes.
-func nodeCol(f func(n *cluster.Node) int64) func(*cluster.Cluster) int64 {
-	return func(c *cluster.Cluster) (sum int64) {
-		for _, n := range c.Nodes {
-			sum += f(n)
-		}
-		return sum
-	}
-}
-
-// sessionCount sums one session-layer counter across the nodes.
-func sessionCount(name string) func(*cluster.Cluster) int64 {
-	return nodeCol(func(n *cluster.Node) int64 { return n.Tel.Counter("session", name).Value })
 }
 
 // FprintChaos renders one domain's report, with the flight recordings of
@@ -395,24 +397,18 @@ var linkChaos = &chaosDomain{
 		}
 		return pl
 	},
+	// A link cluster is not a Failover cluster: each node runs exactly
+	// one transport, so a column may sum the substrate's counter with the
+	// kernel stack's and reads the one the run's transport feeds.
 	cols: []chaosCol{
 		// Recovery work: EMP retransmits on the substrate, TCP (fast)
 		// retransmissions on the kernel stack.
-		{"rexmits", 7, nodeCol(func(n *cluster.Node) int64 {
-			if n.Sub != nil {
-				return n.Sub.EP.Retransmits.Value
-			}
-			return n.Stack.Rexmits.Value + n.Stack.FastRetransmits.Value
-		})},
+		col("rexmits", 7, "emp/retransmits", "tcp/rexmits", "tcp/fast_rexmits"),
 		// Corrupted frames rejected before any payload reached EMP or TCP
 		// (NIC FCS check / stack checksum check).
-		{"fcsdrops", 8, nodeCol(func(n *cluster.Node) int64 {
-			if n.Sub != nil {
-				return n.Sub.EP.NIC.FCSErrors.Value
-			}
-			return n.Stack.ChecksumDrops.Value
-		})},
-		{"injected", 8, func(c *cluster.Cluster) int64 { return c.Switch.FaultStats().Total() }},
+		col("fcsdrops", 8, "nic/fcs_errors", "tcp/checksum_drops"),
+		col("injected", 8, "switch/fault_drops", "switch/fault_partition_drops",
+			"switch/fault_dups", "switch/fault_corruptions", "switch/fault_reorders"),
 	},
 	faultTotals: true,
 }
@@ -457,18 +453,19 @@ var nicChaos = &chaosDomain{
 	},
 	cluster:  cluster.Config{Failover: true},
 	sessions: true,
-	pass: func(c *cluster.Cluster, _ chaosPoint) string {
-		if sessionCount("reconnects")(c)+sessionCount("failovers")(c)+sessionCount("reattaches")(c) == 0 {
+	pass: func(_ *cluster.Cluster, snap *telemetry.Snapshot, _ chaosPoint) string {
+		if snap.Sum("session/reconnects", "session/failovers", "session/reattaches") == 0 {
 			return "no reconnect or failover recorded — the plan never bit the session layer"
 		}
 		return ""
 	},
 	cols: []chaosCol{
 		// NIC fault firings: doorbell, DMA, descriptor, UQ and wedge.
-		{"injected", 8, nodeCol(func(n *cluster.Node) int64 { return n.Sub.EP.NIC.FaultInjected() })},
-		{"reconnect", 9, sessionCount("reconnects")},
-		{"failover", 9, sessionCount("failovers")},
-		{"reattach", 10, sessionCount("reattaches")},
+		col("injected", 8, "nic/doorbells_dropped", "nic/dma_stalls", "nic/desc_flips",
+			"nic/uq_lost", "nic/wedge_stalls"),
+		col("reconnect", 9, "session/reconnects"),
+		col("failover", 9, "session/failovers"),
+		col("reattach", 10, "session/reattaches"),
 	},
 	// Bare transports under the wedge+flap plan must fail.
 	control: &chaosControl{
@@ -505,25 +502,20 @@ var fabricChaos = &chaosDomain{
 		Topology: &cluster.Topology{Leaves: 2, Spines: 2, DetectDelay: 5 * sim.Millisecond},
 	},
 	sessions: true,
-	pass: func(c *cluster.Cluster, _ chaosPoint) string {
-		if c.Fabric.Reroutes() == 0 {
+	pass: func(_ *cluster.Cluster, snap *telemetry.Snapshot, _ chaosPoint) string {
+		if snap.Sum("fabric/reroutes") == 0 {
 			return "no reroute recorded — the failure never tripped the fabric's detector"
 		}
 		return ""
 	},
 	cols: []chaosCol{
-		{"reroutes", 8, func(c *cluster.Cluster) int64 { return c.Fabric.Reroutes() }},
-		// Frames dropped on dead trunks or for want of a live route.
-		{"blackholed", 10, func(c *cluster.Cluster) int64 {
-			v := c.Fabric.RouteDrops()
-			for _, t := range c.Fabric.Trunks() {
-				ab, ba := t.Drops()
-				v += ab + ba
-			}
-			return v
-		}},
-		{"reconnect", 9, sessionCount("reconnects")},
-		{"failover", 8, sessionCount("failovers")},
+		col("reroutes", 8, "fabric/reroutes"),
+		// Frames dropped for want of a live route or on one of the 2x2
+		// fabric's four dead-able trunks.
+		col("blackholed", 10, "fabric/route_drops", "fabric/trunk0_drops", "fabric/trunk1_drops",
+			"fabric/trunk2_drops", "fabric/trunk3_drops"),
+		col("reconnect", 9, "session/reconnects"),
+		col("failover", 8, "session/failovers"),
 	},
 	// A spine kill with rerouting frozen: flows hashed through the dead
 	// spine blackhole until the transports' retry budgets run dry.
@@ -576,32 +568,28 @@ var restartChaos = &chaosDomain{
 	cluster:   cluster.Config{Failover: true},
 	sessions:  true,
 	replicate: true,
-	pass: func(c *cluster.Cluster, pt chaosPoint) string {
+	pass: func(c *cluster.Cluster, snap *telemetry.Snapshot, pt chaosPoint) string {
 		client := strings.HasPrefix(pt.name, "client")
 		switch inc := c.Nodes[rebootNode(pt.name)].Incarnation; {
 		case inc != 2:
 			return fmt.Sprintf("restarted node at incarnation %d, want 2", inc)
-		case !client && sessionCount("resumes_reborn")(c) == 0:
+		case !client && snap.Sum("session/resumes_reborn") == 0:
 			return "no session resumed against the reborn incarnation"
-		case client && sessionCount("reconnects")(c) == 0:
+		case client && snap.Sum("session/reconnects") == 0:
 			return "no session reconnected across the client reboot"
 		}
 		return ""
 	},
 	cols: []chaosCol{
-		// One host reboots once, so the highest incarnation is its own.
-		{"inc", 4, func(c *cluster.Cluster) (inc int64) {
-			for _, n := range c.Nodes {
-				inc = max(inc, int64(n.Incarnation))
-			}
-			return inc
-		}},
-		{"reconnect", 9, sessionCount("reconnects")},
+		// One host reboots once, so the highest incarnation is its own
+		// (the cluster snapshot would add the nodes' incarnations up).
+		{header: "inc", width: 4, keys: []string{"node/incarnation"}, perNode: true},
+		col("reconnect", 9, "session/reconnects"),
 		// Resumes accepted by a listener incarnation other than the one
 		// that opened the stream, and rejected for want of committed state.
-		{"reborn", 7, sessionCount("resumes_reborn")},
-		{"stale", 7, sessionCount("resumes_stale")},
-		{"leaks", 5, nil},
+		col("reborn", 7, "session/resumes_reborn"),
+		col("stale", 7, "session/resumes_stale"),
+		{header: "leaks", width: 5},
 	},
 	// A client reboot without sessions: the raw transport connection
 	// dies with the host and stays dead.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -53,9 +54,26 @@ func TestChaosQuick(t *testing.T) {
 	})
 }
 
+// runReport renders a finished run: every counter of the cluster
+// snapshot, one "layer/metric value" line each, then the processes
+// still blocked at the end.
+func runReport(c *cluster.Cluster) string {
+	var b strings.Builder
+	for _, m := range c.TelemetrySnapshot().Counters {
+		fmt.Fprintf(&b, "%s/%s %d\n", m.Layer, m.Metric, m.Value)
+	}
+	if blocked := c.Eng.BlockedProcs(); len(blocked) > 0 {
+		fmt.Fprintf(&b, "blocked processes (%d):\n", len(blocked))
+		for _, s := range blocked {
+			fmt.Fprintf(&b, "  %s\n", s)
+		}
+	}
+	return b.String()
+}
+
 // webRunReport runs the web workload over sessions on a fresh Failover
 // cluster (spine-leaf when topo is set) under the given fault plan and
-// returns the cluster's full run report. Every call builds its own
+// returns its run report. Every call builds its own
 // engine and cluster, so two calls with the same seed share no state —
 // only the seed.
 func webRunReport(t *testing.T, seed uint64, pl *faults.Plan, topo *cluster.Topology) string {
@@ -72,7 +90,7 @@ func webRunReport(t *testing.T, seed uint64, pl *faults.Plan, topo *cluster.Topo
 	if want := cfg.Clients * cfg.RequestsPerClient; res.Requests != want {
 		t.Fatalf("seed %d: %d of %d requests", seed, res.Requests, want)
 	}
-	return c.Report()
+	return runReport(c)
 }
 
 // fabricRunReport is webRunReport on a 2x2 spine-leaf fabric.
@@ -164,7 +182,9 @@ func TestChaosInjectedCountsTheWorkload(t *testing.T) {
 	r.OK, r.Detail = d.web(c, d.full, nil)
 	var want int64
 	for _, n := range c.Nodes {
-		want += n.Sub.EP.NIC.FaultInjected()
+		nc := n.Sub.EP.NIC
+		want += nc.DoorbellsDropped.Value + nc.DMAStalls.Value + nc.DescFlips.Value +
+			nc.UQLost.Value + nc.WedgeStalls.Value
 	}
 	d.fold(c, pt, &r)
 	if !r.OK {

@@ -11,8 +11,9 @@ import (
 )
 
 // smpRunReport runs a web workload with a 4-worker pool on hosts with
-// the given core count and returns the cluster's full Report() plus the
-// workload result, the complete observable surface of one run.
+// the given core count and returns its run report (every counter and
+// the blocked processes) plus the workload result, the complete
+// observable surface of one run.
 func smpRunReport(t *testing.T, cores, workers int) string {
 	t.Helper()
 	c := cluster.New(cluster.Config{
@@ -31,7 +32,7 @@ func smpRunReport(t *testing.T, cores, workers int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "web: %d reqs avg %v p99 %v elapsed %v\n",
 		res.Requests, res.AvgResponse, res.P99Response, res.Elapsed)
-	sb.WriteString(c.Report())
+	sb.WriteString(runReport(c))
 	return sb.String()
 }
 

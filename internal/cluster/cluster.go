@@ -410,7 +410,8 @@ func (c *Cluster) SetBoot(i int, fn func(p *sim.Proc)) {
 // nicPort, a kernel TCP stack on tcpPort (either may be nil), then the
 // descriptor space over the primary transport. Every layer registers its
 // telemetry here, replacing the dead incarnation's sources on the
-// node's surviving registry.
+// node's surviving registry; the host and its RAM disk survive a
+// restart, so their sources re-register the same counters.
 func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 	n := c.Nodes[i]
 	if nicPort != nil {
@@ -428,6 +429,7 @@ func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 		n.Sub = core.New(c.Eng, n.Host, nc, so)
 		n.Sub.SetTelemetry(n.Tel)
 		n.Net = n.Sub
+		n.Tel.ReplaceSource("nic", func() []telemetry.Stat { return telemetry.Fields(nc) })
 	}
 	if tcpPort != nil {
 		n.Stack = tcpip.NewStackOnPort(c.Eng, n.Host, tcpPort, c.stackConfig())
@@ -437,6 +439,8 @@ func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 		}
 	}
 	n.FD = fdtable.New(n.Net, n.FS)
+	n.Tel.ReplaceSource("kernel", func() []telemetry.Stat { return telemetry.Fields(n.Host) })
+	n.Tel.ReplaceSource("fs", func() []telemetry.Stat { return telemetry.Fields(n.FS) })
 	// The cpu source stays silent until the core scheduler is exercised
 	// and the node source appears only after a restart, so compute-free,
 	// restart-free runs keep their snapshots unchanged.
@@ -605,8 +609,9 @@ func (c *Cluster) Targets(client, server, port int) []sock.Target {
 }
 
 // TelemetrySnapshot merges every node's registry (in node-index order)
-// with the engine's scheduler counter and the switch's fault-injection
-// counters into one cluster-wide deterministic snapshot.
+// with the cluster-scoped sources into one cluster-wide deterministic
+// snapshot. It is the one rendering of a run's counters: reports, the
+// chaos table's columns and the benchmark all read it.
 func (c *Cluster) TelemetrySnapshot() *telemetry.Snapshot {
 	agg := c.TelemetryAggregate()
 	return agg.Snapshot()
@@ -614,7 +619,9 @@ func (c *Cluster) TelemetrySnapshot() *telemetry.Snapshot {
 
 // TelemetryAggregate folds the per-node registries into a fresh
 // cluster-level registry (node order, so the result is deterministic)
-// and adds the cluster-scoped sources: sim wakeups and switch faults.
+// and adds the cluster-scoped sources: sim wakeups, and the switch's
+// forwards and fault counters or the fabric's per-switch and per-trunk
+// rows.
 func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 	agg := telemetry.New()
 	for _, n := range c.Nodes {
@@ -626,7 +633,7 @@ func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 	if c.Switch != nil {
 		agg.ReplaceSource("switch", func() []telemetry.Stat {
 			fs := c.Switch.FaultStats()
-			return telemetry.Fields(&fs)
+			return append(telemetry.Fields(&fs), telemetry.Stat{Name: "forwards", Value: c.Switch.Forwards()})
 		})
 	}
 	if c.Fabric != nil {
@@ -635,6 +642,12 @@ func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 			fs := fb.FaultStats()
 			stats := append(telemetry.Fields(fb), telemetry.Fields(&fs)...)
 			stats = append(stats, telemetry.Stat{Name: "forwards", Value: fb.Forwards()})
+			for _, s := range fb.Switches() {
+				stats = append(stats,
+					telemetry.Stat{Name: s.Name() + "_forwards", Value: s.Forwards()},
+					telemetry.Stat{Name: s.Name() + "_no_route", Value: s.RouteDrops()},
+				)
+			}
 			for _, t := range fb.Trunks() {
 				fab, fba := t.Forwards()
 				dab, dba := t.Drops()

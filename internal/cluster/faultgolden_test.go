@@ -68,8 +68,8 @@ func echoRounds(c *Cluster, rounds, size int) int {
 	return done
 }
 
-// TestGoldenFaultReport pins the cluster report and the telemetry
-// counters of a 2-node echo on both transports under a seeded
+// TestGoldenFaultReport pins the run report (every telemetry counter
+// and the blocked processes) of a 2-node echo on both transports under a seeded
 // frame-fault plan on the single switch. A drift means the switch's
 // fault path (draw order, counters, delivery timing) changed.
 func TestGoldenFaultReport(t *testing.T) {
@@ -83,10 +83,7 @@ func TestGoldenFaultReport(t *testing.T) {
 		if fs := c.Switch.FaultStats(); fs.PartitionDrops == 0 || fs.Total() == fs.PartitionDrops {
 			t.Fatalf("%v: plan injected too little to pin anything: %v", tr, fs)
 		}
-		fmt.Fprintf(&sb, "== %v\n%s", tr, c.Report())
-		for _, ct := range c.TelemetrySnapshot().Counters {
-			fmt.Fprintf(&sb, "%s/%s %d\n", ct.Layer, ct.Metric, ct.Value)
-		}
+		fmt.Fprintf(&sb, "== %v\n%s", tr, runReport(c))
 	}
 	got := sb.String()
 	path := filepath.Join("testdata", "faults.golden")

@@ -519,17 +519,17 @@ func (s *Substrate) purgeStaleUQ() {
 // listener are parked in the unexpected queue (nil if none), for uqLive.
 func (s *Substrate) parkedRequests() map[ethernet.Addr]bool {
 	var parked map[ethernet.Addr]bool
-	for _, e := range s.EP.UnexpectedSnapshot() {
-		if e.Tag < listenTagBase {
-			continue
+	s.EP.VisitUnexpected(func(src ethernet.Addr, tag emp.Tag, _ int) {
+		if tag < listenTagBase {
+			return
 		}
-		if _, ok := s.listeners[int(e.Tag&^listenTagBase)]; ok {
+		if _, ok := s.listeners[int(tag&^listenTagBase)]; ok {
 			if parked == nil {
 				parked = make(map[ethernet.Addr]bool)
 			}
-			parked[e.Src] = true
+			parked[src] = true
 		}
-	}
+	})
 	return parked
 }
 
@@ -866,15 +866,15 @@ func (s *Substrate) AuditResources(add func(kind, detail string)) {
 	// Unexpected-queue entries must be addressed to something that still
 	// exists.
 	parked := s.parkedRequests()
-	for _, e := range s.EP.UnexpectedSnapshot() {
+	s.EP.VisitUnexpected(func(src ethernet.Addr, tag emp.Tag, length int) {
 		switch {
-		case s.uqLive(parked, e.Src, e.Tag):
-		case e.Tag >= listenTagBase:
-			add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", e.Src, int(e.Tag&^listenTagBase)))
+		case s.uqLive(parked, src, tag):
+		case tag >= listenTagBase:
+			add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", src, int(tag&^listenTagBase)))
 		default:
-			add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", e.Len, e.Src, e.Tag))
+			add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", length, src, tag))
 		}
-	}
+	})
 }
 
 // Listener is a substrate passive socket: backlog pre-posted connection

@@ -3,6 +3,7 @@ package emp
 import (
 	"testing"
 
+	"repro/internal/ethernet"
 	"repro/internal/sim"
 )
 
@@ -146,10 +147,11 @@ func TestUQByteCapEvictsOldestNonSetup(t *testing.T) {
 	}
 	// Eviction is oldest-first among unprotected entries: the survivors
 	// must be the most recently sent data tags.
-	snap := ep.UnexpectedSnapshot()
-	for _, e := range snap {
-		if e.Tag != setupTag && e.Tag < 3 {
-			t.Fatalf("old entry tag=%d survived; snapshot %+v", e.Tag, snap)
+	var tags []Tag
+	ep.VisitUnexpected(func(_ ethernet.Addr, tag Tag, _ int) { tags = append(tags, tag) })
+	for _, tag := range tags {
+		if tag != setupTag && tag < 3 {
+			t.Fatalf("old entry tag=%d survived; queued tags %v", tag, tags)
 		}
 	}
 }

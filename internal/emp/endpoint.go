@@ -557,23 +557,12 @@ func (ep *Endpoint) CountUnexpected(src ethernet.Addr, tag Tag) int {
 // retransmitted once the NIC has acknowledged them.
 func (ep *Endpoint) SetUnexpectedSetupClass(fn func(tag Tag) bool) { ep.fw.uqSetup = fn }
 
-// UnexpectedInfo describes one parked unexpected-queue entry for
-// auditing and purge planning.
-type UnexpectedInfo struct {
-	Src ethernet.Addr
-	Tag Tag
-	Len int
-}
-
-// UnexpectedSnapshot lists the parked unexpected-queue entries in
-// arrival order. The leak auditor and the substrate's purge use it; it
-// charges no simulated time.
-func (ep *Endpoint) UnexpectedSnapshot() []UnexpectedInfo {
-	out := make([]UnexpectedInfo, 0, ep.fw.uq.len())
-	ep.fw.uq.forEach(func(e *uqEntry) {
-		out = append(out, UnexpectedInfo{Src: e.msg.Src, Tag: e.msg.Tag, Len: e.msg.Len})
-	})
-	return out
+// VisitUnexpected calls f with the source, tag and length of every
+// parked unexpected-queue entry, in arrival order, walking the queue in
+// place. The leak auditor and the substrate's purge use it; it charges
+// no simulated time, and f must not claim or purge entries.
+func (ep *Endpoint) VisitUnexpected(f func(src ethernet.Addr, tag Tag, length int)) {
+	ep.fw.uq.forEach(func(e *uqEntry) { f(e.msg.Src, e.msg.Tag, e.msg.Len) })
 }
 
 // PostedRecvs lists the receive handles currently in the NIC's

@@ -249,9 +249,10 @@ func (pl *Plan) Eval(r *sim.Rand, now sim.Duration, src, dst int) Action {
 // all-zero rates) never perturbs the random sequence, so the happy path
 // stays byte-identical with a plan installed.
 
-// NICDropDoorbell reports whether a host mailbox write to the given
-// node's NIC is lost at time now.
-func (pl *Plan) NICDropDoorbell(r *sim.Rand, now sim.Duration, node int) bool {
+// nicFires walks the clauses covering node at now in plan order and
+// reports whether one of them fires, drawing r.Bool at the clause's rate
+// (read by rate) only when that rate is positive.
+func (pl *Plan) nicFires(r *sim.Rand, now sim.Duration, node int, rate func(*NICClause) float64) bool {
 	if pl == nil {
 		return false
 	}
@@ -260,11 +261,17 @@ func (pl *Plan) NICDropDoorbell(r *sim.Rand, now sim.Duration, node int) bool {
 		if !c.active(now) || !c.matches(node) {
 			continue
 		}
-		if c.DropDoorbell > 0 && r.Bool(c.DropDoorbell) {
+		if p := rate(c); p > 0 && r.Bool(p) {
 			return true
 		}
 	}
 	return false
+}
+
+// NICDropDoorbell reports whether a host mailbox write to the given
+// node's NIC is lost at time now.
+func (pl *Plan) NICDropDoorbell(r *sim.Rand, now sim.Duration, node int) bool {
+	return pl.nicFires(r, now, node, func(c *NICClause) float64 { return c.DropDoorbell })
 }
 
 // NICDMAStall reports the extra stall charged to one DMA transfer on the
@@ -289,37 +296,13 @@ func (pl *Plan) NICDMAStall(r *sim.Rand, now sim.Duration, node int) sim.Duratio
 // NICFlipDesc reports whether one transmit descriptor on the given
 // node's NIC is corrupted at time now.
 func (pl *Plan) NICFlipDesc(r *sim.Rand, now sim.Duration, node int) bool {
-	if pl == nil {
-		return false
-	}
-	for i := range pl.NIC {
-		c := &pl.NIC[i]
-		if !c.active(now) || !c.matches(node) {
-			continue
-		}
-		if c.FlipDesc > 0 && r.Bool(c.FlipDesc) {
-			return true
-		}
-	}
-	return false
+	return pl.nicFires(r, now, node, func(c *NICClause) float64 { return c.FlipDesc })
 }
 
 // NICLoseUnexpected reports whether one completed unexpected-queue
 // delivery on the given node's NIC is lost at time now.
 func (pl *Plan) NICLoseUnexpected(r *sim.Rand, now sim.Duration, node int) bool {
-	if pl == nil {
-		return false
-	}
-	for i := range pl.NIC {
-		c := &pl.NIC[i]
-		if !c.active(now) || !c.matches(node) {
-			continue
-		}
-		if c.LoseUnexpected > 0 && r.Bool(c.LoseUnexpected) {
-			return true
-		}
-	}
-	return false
+	return pl.nicFires(r, now, node, func(c *NICClause) float64 { return c.LoseUnexpected })
 }
 
 // NICWedgeRemaining reports how long the given node's firmware stays
@@ -352,7 +335,8 @@ func (pl *Plan) NICWedgeRemaining(now sim.Duration, node int) sim.Duration {
 }
 
 // HasNIC reports whether the plan has any NIC-domain clauses (used by
-// reports to decide whether to print NIC fault counters).
+// nic.NIC.SetFaults to leave a NIC without clauses on the healthy path,
+// where no fault hook runs).
 func (pl *Plan) HasNIC() bool { return pl != nil && len(pl.NIC) > 0 }
 
 // --- Fabric-domain evaluation ----------------------------------------------

@@ -65,11 +65,11 @@ type Host struct {
 	// host; IRQs are routed to CPU0 on the era's kernels).
 	intrBusy *sim.Resource
 
-	// Counters for reports.
-	Syscalls    sim.Counter
-	Interrupts  sim.Counter
-	CopiedBytes sim.Counter
-	CtxSwitches sim.Counter
+	// Counters, published by the cluster under layer "kernel".
+	Syscalls    sim.Counter `metric:"syscalls"`
+	Interrupts  sim.Counter `metric:"interrupts"`
+	CopiedBytes sim.Counter `metric:"copied_bytes"`
+	CtxSwitches sim.Counter `metric:"ctx_switches"`
 }
 
 // NewHost returns a host with the given number of cores.

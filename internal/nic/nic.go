@@ -137,9 +137,12 @@ type NIC struct {
 	fplan *faults.Plan
 	fnode int
 
-	// Counters.
+	// Counters, published by the cluster under layer "nic". The four
+	// data-path counters TxFrames, DMABytes, TagWalked and TagLookups
+	// stay untagged: the repository benchmark adds them to its counter
+	// map by hand, and a registered copy would count them twice.
 	TxFrames  sim.Counter
-	RxFrames  sim.Counter
+	RxFrames  sim.Counter `metric:"rx_frames"`
 	DMABytes  sim.Counter
 	TagWalked sim.Counter
 	// TagLookups counts descriptor lookups (one per first-seen message);
@@ -147,13 +150,13 @@ type NIC struct {
 	// model — entries probed in hashed mode, descriptors walked in
 	// linear mode. The connscale bench gate asserts on this ratio.
 	TagLookups sim.Counter
-	FCSErrors  sim.Counter
+	FCSErrors  sim.Counter `metric:"fcs_errors"`
 	// Fault-injection counters (all zero on a healthy NIC).
-	DoorbellsDropped sim.Counter
-	DMAStalls        sim.Counter
-	DescFlips        sim.Counter
-	UQLost           sim.Counter
-	WedgeStalls      sim.Counter
+	DoorbellsDropped sim.Counter `metric:"doorbells_dropped"`
+	DMAStalls        sim.Counter `metric:"dma_stalls"`
+	DescFlips        sim.Counter `metric:"desc_flips"`
+	UQLost           sim.Counter `metric:"uq_lost"`
+	WedgeStalls      sim.Counter `metric:"wedge_stalls"`
 }
 
 // New returns a NIC not yet attached to a switch.
@@ -396,10 +399,4 @@ func (n *NIC) faultDMAStall() sim.Duration {
 		return 0
 	}
 	return n.fplan.NICDMAStall(n.Eng.Rand(), sim.Duration(n.Eng.Now()), n.fnode)
-}
-
-// FaultInjected totals the NIC-domain fault counters for reports.
-func (n *NIC) FaultInjected() int64 {
-	return n.DoorbellsDropped.Value + n.DMAStalls.Value + n.DescFlips.Value +
-		n.UQLost.Value + n.WedgeStalls.Value
 }

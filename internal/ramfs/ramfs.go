@@ -21,10 +21,11 @@ type FS struct {
 	// testbed's memory system.
 	Bandwidth int64
 
-	// Stats.
-	Reads, Writes sim.Counter
-	BytesRead     sim.Counter
-	BytesWritten  sim.Counter
+	// Counters, published by the cluster under layer "fs".
+	Reads        sim.Counter `metric:"reads"`
+	Writes       sim.Counter `metric:"writes"`
+	BytesRead    sim.Counter `metric:"bytes_read"`
+	BytesWritten sim.Counter `metric:"bytes_written"`
 }
 
 type file struct {

@@ -17,6 +17,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -241,6 +242,21 @@ func (r *Registry) Snapshot() *Snapshot {
 		})
 	}
 	return s
+}
+
+// Sum adds up the host-wide counters named by keys, each "layer/metric";
+// a key the snapshot lacks counts zero.
+func (s *Snapshot) Sum(keys ...string) int64 {
+	var v int64
+	for _, k := range keys {
+		layer, metric, _ := strings.Cut(k, "/")
+		for _, m := range s.Counters {
+			if m.Layer == layer && m.Metric == metric && m.Conn == "" {
+				v += m.Value
+			}
+		}
+	}
+	return v
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -5,8 +5,9 @@
 # directory, and compare stdout, exit status and every BENCH_*.json
 # written. The reproduce cases are each quick-mode report flag; the
 # trace cases print every model event with its virtual timestamp, the
-# strictest check that a timing constant kept its value. Exits non-zero
-# on any difference. Run from the repository root: make identity
+# strictest check that a timing constant kept its value. Prints the head
+# of the diff of every differing stdout and BENCH file, and exits
+# non-zero on any difference. Run from the repository root: make identity
 # PARENT=<rev>.
 set -euo pipefail
 
@@ -51,16 +52,17 @@ for i in "${!runs[@]}"; do
 	done
 	a="$tmp/run$i.parent" b="$tmp/run$i.change"
 	same=1
-	for f in stdout status; do
-		cmp -s "$a/$f" "$b/$f" || { echo "identity: $cmd $args: $f differs"; same=0; }
-	done
-	for f in $(cd "$tmp" && ls "run$i.parent" "run$i.change" | grep '^BENCH_.*\.json$' | sort -u); do
-		cmp -s "$a/$f" "$b/$f" || { echo "identity: $cmd $args: $f differs"; same=0; }
+	bench=$(cd "$tmp" && ls "run$i.parent" "run$i.change" | grep '^BENCH_.*\.json$' | sort -u || true)
+	for f in stdout status $bench; do
+		cmp -s "$a/$f" "$b/$f" && continue
+		echo "identity: $cmd $args: $f differs"
+		same=0
+		# The head of the diff shows whether a difference only adds rows.
+		[ "$f" = status ] || diff "$a/$f" "$b/$f" | head -20 || true
 	done
 	if [ "$same" = 1 ]; then
 		echo "identity: $cmd $args: identical"
 	else
-		diff "$a/stdout" "$b/stdout" | head -20 || true
 		fail=1
 	fi
 done
