@@ -61,30 +61,17 @@ type chaosScale struct {
 }
 
 // chaosCol is one counter column of a domain's report: the sum of the
-// named cluster-snapshot counters ("layer/metric"), or with perNode the
-// highest such sum over the nodes' own snapshots. Nil keys make it the
+// named cluster-snapshot counters ("layer/metric"). Nil keys make it the
 // run's leak-audit finding count.
 type chaosCol struct {
-	header  string
-	width   int
-	keys    []string
-	perNode bool
+	header string
+	width  int
+	keys   []string
 }
 
 // col is a column summing the named counters.
 func col(header string, width int, keys ...string) chaosCol {
 	return chaosCol{header: header, width: width, keys: keys}
-}
-
-// value reads the column from the run's cluster snapshot.
-func (cc chaosCol) value(c *cluster.Cluster, snap *telemetry.Snapshot) (v int64) {
-	if !cc.perNode {
-		return snap.Sum(cc.keys...)
-	}
-	for _, n := range c.Nodes {
-		v = max(v, n.Tel.Snapshot().Sum(cc.keys...))
-	}
-	return v
 }
 
 // chaosControl reruns one point's plan with the web workload and the
@@ -290,7 +277,7 @@ func (ctl *chaosControl) judge(err error, got, want int) (bool, string) {
 func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 	snap := c.TelemetrySnapshot()
 	for _, col := range d.cols {
-		r.Counters = append(r.Counters, col.value(c, snap))
+		r.Counters = append(r.Counters, snap.Sum(col.keys...))
 	}
 	if d.faultTotals {
 		r.Faults = c.Switch.FaultStats()
@@ -482,6 +469,21 @@ func fabricKillAt(seed uint64) sim.Duration {
 	return 10*sim.Millisecond + sim.NewRand(seed^0xfab41c).Duration(0, 8*sim.Millisecond)
 }
 
+// fabricTopo is the fabric domain's 2x2 spine-leaf fabric, with a
+// deliberately slow detector: live traffic dies on the dead element and
+// retransmission must carry connections across it.
+var fabricTopo = &cluster.Topology{Leaves: 2, Spines: 2, DetectDelay: 5 * sim.Millisecond}
+
+// blackholeKeys names the fabric's no-route drops and the drops of each
+// of t's trunks.
+func blackholeKeys(t *cluster.Topology) []string {
+	keys := []string{"fabric/route_drops"}
+	for i := range t.Leaves * t.Spines {
+		keys = append(keys, fmt.Sprintf("fabric/trunk%d_drops", i))
+	}
+	return keys
+}
+
 var fabricChaos = &chaosDomain{
 	title: "chaos-fabric: single-failure survivability on a 2x2 spine-leaf fabric",
 	point: "failure", width: 7,
@@ -497,9 +499,7 @@ var fabricChaos = &chaosDomain{
 	},
 	cluster: cluster.Config{
 		Failover: true,
-		// A deliberately slow detector: live traffic dies on the dead
-		// element and retransmission must carry connections across it.
-		Topology: &cluster.Topology{Leaves: 2, Spines: 2, DetectDelay: 5 * sim.Millisecond},
+		Topology: fabricTopo,
 	},
 	sessions: true,
 	pass: func(_ *cluster.Cluster, snap *telemetry.Snapshot, _ chaosPoint) string {
@@ -510,10 +510,8 @@ var fabricChaos = &chaosDomain{
 	},
 	cols: []chaosCol{
 		col("reroutes", 8, "fabric/reroutes"),
-		// Frames dropped for want of a live route or on one of the 2x2
-		// fabric's four dead-able trunks.
-		col("blackholed", 10, "fabric/route_drops", "fabric/trunk0_drops", "fabric/trunk1_drops",
-			"fabric/trunk2_drops", "fabric/trunk3_drops"),
+		// Frames dropped for want of a live route or on a dead trunk.
+		col("blackholed", 10, blackholeKeys(fabricTopo)...),
 		col("reconnect", 9, "session/reconnects"),
 		col("failover", 8, "session/failovers"),
 	},
@@ -581,9 +579,9 @@ var restartChaos = &chaosDomain{
 		return ""
 	},
 	cols: []chaosCol{
-		// One host reboots once, so the highest incarnation is its own
-		// (the cluster snapshot would add the nodes' incarnations up).
-		{header: "inc", width: 4, keys: []string{"node/incarnation"}, perNode: true},
+		// Only a rebooted node publishes a node row, and one host reboots
+		// once, so the sum is that host's incarnation.
+		col("inc", 4, "node/incarnation"),
 		col("reconnect", 9, "session/reconnects"),
 		// Resumes accepted by a listener incarnation other than the one
 		// that opened the stream, and rejected for want of committed state.

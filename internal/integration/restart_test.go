@@ -350,7 +350,8 @@ func TestCrashThenAuditThenRebirth(t *testing.T) {
 // registry must publish the reborn incarnation's substrate, EMP and TCP
 // counters, not the sum of both incarnations. Both incarnations carry
 // traffic on both transports, so registration that appended instead of
-// replacing would show in every checked key.
+// replacing would show in every checked key. The host survives the
+// restart, so its kernel counters keep counting across incarnations.
 func TestRebirthReplacesLayerCounters(t *testing.T) {
 	pl := &faults.Plan{Restarts: []faults.Restart{
 		faults.RestartAt(0, 10*sim.Millisecond, 20*sim.Millisecond)}}
@@ -404,10 +405,12 @@ func TestRebirthReplacesLayerCounters(t *testing.T) {
 		}
 	}
 	var dead *cluster.Node
+	var deadSyscalls int64
 	c.Eng.Spawn("client", func(p *sim.Proc) {
 		echoAll(p)
 		n := *c.Nodes[0]
 		dead = &n
+		deadSyscalls = n.Host.Syscalls.Value
 		p.Sleep(50 * sim.Millisecond) // node 0 is dark [10ms, 30ms)
 		echoAll(p)
 	})
@@ -438,5 +441,9 @@ func TestRebirthReplacesLayerCounters(t *testing.T) {
 	}
 	if got["node/incarnation"] != 2 {
 		t.Errorf("node/incarnation = %d, want 2", got["node/incarnation"])
+	}
+	if sc := got["kernel/syscalls"]; deadSyscalls == 0 || sc <= deadSyscalls || sc != n.Host.Syscalls.Value {
+		t.Errorf("kernel/syscalls = %d, want the host's %d, above the %d counted before the restart",
+			sc, n.Host.Syscalls.Value, deadSyscalls)
 	}
 }
