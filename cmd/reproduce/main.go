@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -144,9 +143,9 @@ func main() {
 			Hashed    []bench.ConnScalePoint `json:"hashed"`
 			DescScale []bench.DescScalePoint `json:"desc_scale"`
 		}{Linear: pts, Hashed: hashed, DescScale: desc}
-		blob, err := json.MarshalIndent(record, "", "  ")
+		blob, err := bench.RecordJSON(record)
 		if err == nil {
-			err = os.WriteFile(*connscaleOut, append(blob, '\n'), 0o644)
+			err = os.WriteFile(*connscaleOut, blob, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
@@ -180,9 +179,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-		blob, err := json.MarshalIndent(pts, "", "  ")
+		blob, err := bench.RecordJSON(pts)
 		if err == nil {
-			err = os.WriteFile(*corescaleOut, append(blob, '\n'), 0o644)
+			err = os.WriteFile(*corescaleOut, blob, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
@@ -199,9 +198,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
+		blob, err := bench.RecordJSON(rep)
 		if err == nil {
-			err = os.WriteFile(*metricsOut, append(blob, '\n'), 0o644)
+			err = os.WriteFile(*metricsOut, blob, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)

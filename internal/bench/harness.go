@@ -6,10 +6,19 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
+
+// RecordJSON renders a BENCH_*.json record: two-space indented and
+// newline-terminated, the bytes cmd/reproduce writes and the committed
+// files hold.
+func RecordJSON(v any) ([]byte, error) {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	return append(blob, '\n'), err
+}
 
 // Point is one (x, y) measurement.
 type Point struct {

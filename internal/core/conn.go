@@ -35,6 +35,9 @@ type Conn struct {
 
 	localPort, remotePort int
 	isClient              bool
+	// id names this connection for telemetry: local addr:port to peer
+	// addr:port, stable for the connection's lifetime.
+	id string
 
 	dataInTag, ackInTag   emp.Tag
 	dataOutTag, ackOutTag emp.Tag
@@ -139,16 +142,10 @@ type Conn struct {
 	spanQ []stagedSpan
 }
 
-// id names this connection for telemetry: local addr:port to peer
-// addr:port, stable for the connection's lifetime.
-func (c *Conn) id() string {
-	return fmt.Sprintf("%d:%d-%d:%d", c.sub.addr, c.localPort, c.peer, c.remotePort)
-}
-
 // flight returns the connection's flight recorder (nil-safe no-op when
 // telemetry is off).
 func (c *Conn) flight() *telemetry.Recorder {
-	return c.sub.Tel.Flight(c.id())
+	return c.sub.Tel.Flight(c.id)
 }
 
 // popReadSpans retires latency spans whose payload the reader has fully
@@ -331,6 +328,7 @@ func newConn(s *Substrate, peer ethernet.Addr, req *connRequest, isClient bool) 
 		c.dataInTag, c.ackInTag = req.ServerDataTag, req.ServerAckTag
 		c.dataOutTag, c.ackOutTag = req.ClientDataTag, req.ClientAckTag
 	}
+	c.id = fmt.Sprintf("%d:%d-%d:%d", s.addr, c.localPort, peer, c.remotePort)
 	c.dataBufKey = s.allocKey()
 	c.sendKey = s.allocKey()
 	c.userKey = s.allocKey()
@@ -368,7 +366,7 @@ func (c *Conn) fail(err error) {
 		if err == sock.ErrReset {
 			// The connection died under the application: capture the
 			// event history as a failure artifact.
-			c.sub.Tel.DumpFlight(c.id(), "reset")
+			c.sub.Tel.DumpFlight(c.id, "reset")
 		}
 	}
 	c.Notify()

@@ -475,7 +475,7 @@ func (s *Substrate) ActiveSockets() int { return s.active.size() }
 // attribute fabric route changes to connections.
 func (s *Substrate) VisitConns(fn func(id string, local, peer ethernet.Addr, flow uint32)) {
 	for _, c := range s.active.snapshotSorted() {
-		fn(c.id(), s.addr, c.peer, uint32(c.dataOutTag))
+		fn(c.id, s.addr, c.peer, uint32(c.dataOutTag))
 	}
 }
 

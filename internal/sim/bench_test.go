@@ -7,6 +7,7 @@ import "testing"
 // afford.
 
 func BenchmarkEventThroughput(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	var tick func()
 	n := 0
@@ -22,6 +23,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	e.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -45,6 +47,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 }
 
 func BenchmarkFIFOHandoff(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	q := NewFIFO[int](e, "q", 4)
 	e.Spawn("producer", func(p *Proc) {
@@ -65,6 +68,7 @@ func BenchmarkFIFOHandoff(b *testing.B) {
 }
 
 func BenchmarkTimerCancel(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
 		ev := e.At(Time(i+1), func() {})

@@ -2,86 +2,81 @@ package sim
 
 import "fmt"
 
-// event is a scheduled callback. Events with equal fire times run in the
-// order they were scheduled (seq breaks ties), which keeps the simulation
-// deterministic.
+// event is a scheduled callback in the engine's slot table. A slot is
+// recycled once its event leaves the queue, fired or discarded; gen counts
+// the recycles, so a handle taken before one no longer matches the slot.
 type event struct {
-	at    Time
-	seq   uint64
-	fire  func()
-	index int  // heap index
-	dead  bool // cancelled
-	idle  bool // an idle timer (see Proc.SleepIdle), not a busy event
+	fire func()
+	gen  uint64
+	dead bool // cancelled
+	idle bool // an idle timer (see Proc.SleepIdle), not a busy event
+}
+
+// entry is a queued event's heap key. Events with equal fire times run in
+// the order they were scheduled (seq breaks ties), which keeps the
+// simulation deterministic. Entries are held by value, so ordering the
+// heap never dereferences an event.
+type entry struct {
+	at  Time
+	seq uint64
+	ref int32 // slot index
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // idler is a queued idle timer and its owner's pending-work test.
 type idler struct {
-	ev      *event
+	ref     int32
 	pending func() bool
 }
 
-// eventHeap is a binary min-heap of events ordered by (at, seq). It is
-// container/heap's algorithm on the concrete type, which spares the
-// interface calls on the engine's hottest path.
-type eventHeap []*event
+// eventHeap is a binary min-heap of entries ordered by (at, seq). Both
+// sifts move a hole rather than swapping, so each level costs one copy.
+type eventHeap []entry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.index)
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	old.swap(0, n)
-	old[:n].down(0)
-	ev := old[n]
-	old[n] = nil
-	ev.index = -1
-	*h = old[:n]
-	return ev
-}
-
-func (h eventHeap) up(j int) {
+func (h *eventHeap) push(x entry) {
+	q := append(*h, x)
+	j := len(q) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !h.less(j, i) {
-			return
+		if !x.before(q[i]) {
+			break
 		}
-		h.swap(i, j)
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = x
+	*h = q
 }
 
-func (h eventHeap) down(i int) {
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
+func (h *eventHeap) pop() entry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if r := j + 1; r < n && q[r].before(q[j]) {
+				j = r
+			}
+			if !q[j].before(x) {
+				break
+			}
+			q[i] = q[j]
+			i = j
 		}
-		if r := j + 1; r < len(h) && h.less(r, j) {
-			j = r
-		}
-		if !h.less(j, i) {
-			return
-		}
-		h.swap(i, j)
-		i = j
+		q[i] = x
 	}
+	*h = q
+	return top
 }
 
 // Engine owns the virtual clock and the event queue. All simulation state
@@ -91,6 +86,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
+	slots   []event // every event slot, queued or free
+	free    []int32 // recycled slots, reused last-in first-out
 	busy    int     // queued busy events not yet fired or cancelled
 	idlers  []idler // queued idle timers
 	running bool
@@ -139,35 +136,47 @@ func (e *Engine) Rand() *Rand { return e.rand }
 // Seed reseeds the engine's random source.
 func (e *Engine) Seed(s uint64) { e.rand = NewRand(s) }
 
-// Event is a handle to a scheduled callback; it can be cancelled.
+// Event is a handle to a scheduled callback; it can be cancelled. It
+// names the event's slot and the slot's generation, so once the event has
+// fired or been discarded the handle matches nothing.
 type Event struct {
 	eng *Engine
-	ev  *event
+	ref int32
+	gen uint64
+}
+
+// queued returns the handle's event if it is still queued and not
+// cancelled, else nil.
+func (h Event) queued() *event {
+	if h.eng == nil {
+		return nil
+	}
+	if ev := &h.eng.slots[h.ref]; ev.gen == h.gen && !ev.dead {
+		return ev
+	}
+	return nil
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. A cancelled event no longer keeps
 // a run going, although it stays queued until its time comes.
-func (ev Event) Cancel() {
-	if ev.ev != nil && !ev.ev.dead {
-		ev.ev.dead = true
-		if ev.ev.index >= 0 {
-			ev.eng.busy-- // idle timers have no handle, so this is a busy one
-		}
+func (h Event) Cancel() {
+	if ev := h.queued(); ev != nil {
+		ev.dead = true
+		ev.fire = nil
+		h.eng.busy-- // idle timers have no handle, so this is a busy one
 	}
 }
 
 // Pending reports whether the event is still scheduled to fire.
-func (ev Event) Pending() bool {
-	return ev.ev != nil && !ev.ev.dead && ev.ev.index >= 0
-}
+func (h Event) Pending() bool { return h.queued() != nil }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it
 // indicates a model bug that would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) Event {
-	ev := e.schedule(t, fn, false)
+	ref := e.schedule(t, fn, false)
 	e.busy++
-	return Event{eng: e, ev: ev}
+	return Event{eng: e, ref: ref, gen: e.slots[ref].gen}
 }
 
 // atIdle queues fn at t as an idle timer whose owner reports pending
@@ -176,17 +185,37 @@ func (e *Engine) atIdle(t Time, fn func(), pending func() bool) {
 	e.idlers = append(e.idlers, idler{e.schedule(t, fn, true), pending})
 }
 
-// schedule queues fn at t. Busy events and idle timers draw from the
-// same seq counter, so an idle timer ties with other same-instant
-// events exactly as a busy one would.
-func (e *Engine) schedule(t Time, fn func(), idle bool) *event {
+// schedule queues fn at t in a free slot and returns the slot. Busy
+// events and idle timers draw from the same seq counter, so an idle timer
+// ties with other same-instant events exactly as a busy one would. The
+// slot table grows only when every slot is queued, so it never holds
+// more slots than the run's longest queue.
+func (e *Engine) schedule(t Time, fn func(), idle bool) int32 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, fire: fn, idle: idle}
+	var ref int32
+	if n := len(e.free); n > 0 {
+		ref = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ref = int32(len(e.slots))
+		e.slots = append(e.slots, event{})
+	}
+	ev := &e.slots[ref]
+	ev.fire, ev.idle = fn, idle
+	e.events.push(entry{at: t, seq: e.seq, ref: ref})
 	e.seq++
-	e.events.push(ev)
-	return ev
+	return ref
+}
+
+// recycle returns a slot that has left the queue to the free list; the
+// generation bump disarms every handle to the event it held.
+func (e *Engine) recycle(ref int32) {
+	ev := &e.slots[ref]
+	ev.fire, ev.dead, ev.idle = nil, false, false
+	ev.gen++
+	e.free = append(e.free, ref)
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -220,21 +249,24 @@ func (e *Engine) RunUntil(limit Time) Time {
 	defer func() { e.running = false }()
 	for !e.stopped && len(e.events) > 0 {
 		next := e.events[0]
-		if next.at > limit || !next.dead && e.busy == 0 && e.Idle() {
+		ev := e.slots[next.ref]
+		if next.at > limit || !ev.dead && e.busy == 0 && e.Idle() {
 			break
 		}
 		e.events.pop()
-		if next.dead {
+		if ev.idle {
+			e.dropIdler(next.ref)
+		}
+		e.recycle(next.ref)
+		if ev.dead {
 			continue
 		}
-		if next.idle {
-			e.dropIdler(next)
-		} else {
+		if !ev.idle {
 			e.busy--
 		}
 		e.now = next.at
 		e.fired++
-		next.fire()
+		ev.fire()
 	}
 	return e.now
 }
@@ -257,10 +289,11 @@ func (e *Engine) idleWork() bool {
 	return false
 }
 
-// dropIdler forgets a fired idle timer.
-func (e *Engine) dropIdler(ev *event) {
+// dropIdler forgets a fired idle timer; it runs before the timer's slot
+// is recycled and can be reused by another idle timer.
+func (e *Engine) dropIdler(ref int32) {
 	for i, it := range e.idlers {
-		if it.ev == ev {
+		if it.ref == ref {
 			e.idlers = append(e.idlers[:i], e.idlers[i+1:]...)
 			return
 		}

@@ -24,6 +24,7 @@ type Proc struct {
 	wake   func()                  // steps p; shared by every wakeup, so none allocates
 	done   bool
 	killed bool
+	w      waiter // p's parking on a wait queue; a proc waits on one at a time
 
 	// blockedOn is a human-readable description of what the process is
 	// waiting for; used by deadlock diagnostics.
@@ -98,6 +99,9 @@ func (e *Engine) step(p *Proc) {
 // Must be called from p's own body.
 func (p *Proc) yield() {
 	p.park(struct{}{})
+	// Whatever resumed p ends its wait, so a queue entry or timeout left
+	// behind by a Kill cannot resume p from a later, unrelated park.
+	p.w.q = nil
 	if p.killed {
 		panic(procKilled{p.name})
 	}

@@ -5,16 +5,31 @@ package sim
 // primitives (FIFO, Semaphore, Cond) are built on it.
 type WaitQueue struct {
 	eng     *Engine
-	waiters []*waiter
+	waiters queue[parked]
 	label   string
 }
 
+// waiter is a proc's parking on a wait queue. It lives in the Proc: a proc
+// waits on at most one queue at a time, so a wait allocates nothing.
 type waiter struct {
-	p     *Proc
-	woken bool
+	q      *WaitQueue // the queue p is parked on; nil once woken
+	ticket uint64     // counts p's parkings, so a stale queue entry is told apart
 	// timeout, if pending, is cancelled when the waiter is woken.
 	timeout  Event
 	timedOut bool
+}
+
+// parked is a queue entry: a proc and the parking it was queued for.
+type parked struct {
+	p      *Proc
+	ticket uint64
+}
+
+// parkedOn reports whether p is still parked on w under the given ticket.
+// Once that parking has ended — p was woken, timed out, or resumed by a
+// Kill — its queue entry and its timeout are stale and do nothing.
+func (p *Proc) parkedOn(w *WaitQueue, ticket uint64) bool {
+	return p.w.q == w && p.w.ticket == ticket
 }
 
 // NewWaitQueue returns an empty wait queue. The label is used in deadlock
@@ -24,14 +39,22 @@ func NewWaitQueue(e *Engine, label string) *WaitQueue {
 }
 
 // Len reports how many processes are parked.
-func (w *WaitQueue) Len() int { return len(w.waiters) }
+func (w *WaitQueue) Len() int { return w.waiters.len() }
+
+// park queues p on w and records the parking in p's waiter.
+func (w *WaitQueue) park(p *Proc, timeout Event) {
+	p.blockedOn = w.label
+	p.w.q = w
+	p.w.ticket++
+	p.w.timeout = timeout
+	p.w.timedOut = false
+	w.waiters.push(parked{p, p.w.ticket})
+}
 
 // Wait parks p until a Wake call resumes it.
 func (w *WaitQueue) Wait(p *Proc) {
 	p.checkCurrent("WaitQueue.Wait")
-	p.blockedOn = w.label
-	wt := &waiter{p: p}
-	w.waiters = append(w.waiters, wt)
+	w.park(p, Event{})
 	p.yield()
 	p.blockedOn = ""
 }
@@ -40,27 +63,27 @@ func (w *WaitQueue) Wait(p *Proc) {
 // It reports whether the process was woken (true) or timed out (false).
 func (w *WaitQueue) WaitTimeout(p *Proc, d Duration) bool {
 	p.checkCurrent("WaitQueue.WaitTimeout")
-	p.blockedOn = w.label
-	wt := &waiter{p: p}
-	wt.timeout = w.eng.After(d, func() {
-		if wt.woken || wt.p.done {
+	ticket := p.w.ticket + 1
+	w.park(p, w.eng.After(d, func() {
+		if !p.parkedOn(w, ticket) {
 			return
 		}
-		wt.woken = true
-		wt.timedOut = true
-		w.remove(wt)
-		w.eng.step(wt.p)
-	})
-	w.waiters = append(w.waiters, wt)
+		p.w.q = nil
+		p.w.timedOut = true
+		w.remove(p)
+		w.eng.step(p)
+	}))
 	p.yield()
 	p.blockedOn = ""
-	return !wt.timedOut
+	return !p.w.timedOut
 }
 
-func (w *WaitQueue) remove(target *waiter) {
-	for i, wt := range w.waiters {
-		if wt == target {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
+// remove drops p's current entry from the queue.
+func (w *WaitQueue) remove(p *Proc) {
+	q := &w.waiters
+	for i := q.head; i < len(q.buf); i++ {
+		if q.buf[i] == (parked{p, p.w.ticket}) {
+			q.removeAt(i)
 			return
 		}
 	}
@@ -70,16 +93,15 @@ func (w *WaitQueue) remove(target *waiter) {
 // process was woken. The resumed process runs at the current instant,
 // after the caller yields or returns to the event loop.
 func (w *WaitQueue) WakeOne() bool {
-	for len(w.waiters) > 0 {
-		wt := w.waiters[0]
-		w.waiters = w.waiters[1:]
-		if wt.p.done || wt.woken {
+	for w.waiters.len() > 0 {
+		e := w.waiters.pop()
+		if !e.p.parkedOn(w, e.ticket) {
 			continue
 		}
-		wt.woken = true
-		wt.timeout.Cancel()
+		e.p.w.q = nil
+		e.p.w.timeout.Cancel()
 		w.eng.wakeups++
-		w.eng.After(0, wt.p.wake)
+		w.eng.After(0, e.p.wake)
 		return true
 	}
 	return false
@@ -94,14 +116,60 @@ func (w *WaitQueue) WakeAll() int {
 	return n
 }
 
+// queue is a first-in first-out slice queue: buf[head:] are queued,
+// oldest first. It pops by advancing head and resets to the start of its
+// array once drained, so a queue that empties between uses stops
+// allocating. A push onto a full array first slides the queue down over
+// the popped prefix, so a queue that never drains stays within twice its
+// longest length.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (q *queue[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
+// removeAt drops the entry at buf index i, head <= i < len(buf).
+func (q *queue[T]) removeAt(i int) {
+	var zero T
+	n := len(q.buf) - 1
+	copy(q.buf[i:], q.buf[i+1:])
+	q.buf[n] = zero
+	q.buf = q.buf[:n]
+	if q.head == n {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 // FIFO is a blocking queue of values with optional capacity. Capacity 0
 // means unbounded (Put never blocks).
 type FIFO[T any] struct {
 	eng     *Engine
-	items   []T
+	items   queue[T]
 	cap     int
-	getters *WaitQueue
-	putters *WaitQueue
+	getters WaitQueue
+	putters WaitQueue
 	closed  bool
 	label   string
 }
@@ -111,35 +179,35 @@ func NewFIFO[T any](e *Engine, label string, capacity int) *FIFO[T] {
 	return &FIFO[T]{
 		eng:     e,
 		cap:     capacity,
-		getters: NewWaitQueue(e, label+".get"),
-		putters: NewWaitQueue(e, label+".put"),
+		getters: WaitQueue{eng: e, label: label + ".get"},
+		putters: WaitQueue{eng: e, label: label + ".put"},
 		label:   label,
 	}
 }
 
 // Len reports the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.items) }
+func (f *FIFO[T]) Len() int { return f.items.len() }
 
 // Put appends v, blocking while the queue is at capacity. Putting into a
 // closed queue panics: it indicates a protocol bug in the model.
 func (f *FIFO[T]) Put(p *Proc, v T) {
-	for f.cap > 0 && len(f.items) >= f.cap && !f.closed {
+	for f.cap > 0 && f.Len() >= f.cap && !f.closed {
 		f.putters.Wait(p)
 	}
 	if f.closed {
 		panic("sim: Put on closed FIFO " + f.label)
 	}
-	f.items = append(f.items, v)
+	f.items.push(v)
 	f.getters.WakeOne()
 }
 
 // TryPut appends v without blocking; it reports false if the queue is
 // full or closed.
 func (f *FIFO[T]) TryPut(v T) bool {
-	if f.closed || (f.cap > 0 && len(f.items) >= f.cap) {
+	if f.closed || (f.cap > 0 && f.Len() >= f.cap) {
 		return false
 	}
-	f.items = append(f.items, v)
+	f.items.push(v)
 	f.getters.WakeOne()
 	return true
 }
@@ -147,60 +215,44 @@ func (f *FIFO[T]) TryPut(v T) bool {
 // Get removes and returns the head item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
 func (f *FIFO[T]) Get(p *Proc) (v T, ok bool) {
-	for len(f.items) == 0 && !f.closed {
+	for f.Len() == 0 && !f.closed {
 		f.getters.Wait(p)
 	}
-	if len(f.items) == 0 {
-		return v, false
-	}
-	v = f.items[0]
-	f.items = f.items[1:]
-	f.putters.WakeOne()
-	return v, true
+	return f.TryGet()
 }
 
 // GetTimeout is Get with a deadline; ok is false on timeout or closure.
 func (f *FIFO[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 	deadline := f.eng.Now().Add(d)
-	for len(f.items) == 0 && !f.closed {
+	for f.Len() == 0 && !f.closed {
 		remain := deadline.Sub(f.eng.Now())
 		if remain <= 0 {
 			return v, false
 		}
 		if !f.getters.WaitTimeout(p, remain) {
 			// Timed out; an item may still have landed exactly now.
-			if len(f.items) == 0 {
-				return v, false
-			}
 			break
 		}
 	}
-	if len(f.items) == 0 {
-		return v, false
-	}
-	v = f.items[0]
-	f.items = f.items[1:]
-	f.putters.WakeOne()
-	return v, true
+	return f.TryGet()
 }
 
 // TryGet removes the head item without blocking.
 func (f *FIFO[T]) TryGet() (v T, ok bool) {
-	if len(f.items) == 0 {
+	if f.Len() == 0 {
 		return v, false
 	}
-	v = f.items[0]
-	f.items = f.items[1:]
+	v = f.items.pop()
 	f.putters.WakeOne()
 	return v, true
 }
 
 // Peek returns the head item without removing it.
 func (f *FIFO[T]) Peek() (v T, ok bool) {
-	if len(f.items) == 0 {
+	if f.Len() == 0 {
 		return v, false
 	}
-	return f.items[0], true
+	return f.items.buf[f.items.head], true
 }
 
 // Close marks the queue closed and wakes all blocked getters and putters.
@@ -217,12 +269,12 @@ func (f *FIFO[T]) Close() {
 // Semaphore is a counting semaphore.
 type Semaphore struct {
 	count   int
-	waiters *WaitQueue
+	waiters WaitQueue
 }
 
 // NewSemaphore returns a semaphore with the given initial count.
 func NewSemaphore(e *Engine, label string, initial int) *Semaphore {
-	return &Semaphore{count: initial, waiters: NewWaitQueue(e, label)}
+	return &Semaphore{count: initial, waiters: WaitQueue{eng: e, label: label}}
 }
 
 // Count reports the current count (may be observed between operations).
@@ -270,12 +322,12 @@ func (s *Semaphore) Release() {
 // Cond couples a predicate with a wait queue: processes wait until the
 // predicate holds, and mutators Broadcast after changing state.
 type Cond struct {
-	wq *WaitQueue
+	wq WaitQueue
 }
 
 // NewCond returns a condition variable.
 func NewCond(e *Engine, label string) *Cond {
-	return &Cond{wq: NewWaitQueue(e, label)}
+	return &Cond{wq: WaitQueue{eng: e, label: label}}
 }
 
 // WaitFor blocks p until pred() reports true. pred is evaluated before the

@@ -216,8 +216,9 @@ type Session struct {
 	lis    *SessionListener // server side only
 	client bool
 
-	id  uint64
-	gen int // transport generation; bumped on every (re)install
+	id       uint64
+	flightID string // the flight-recorder name for id; see setID
+	gen      int    // transport generation; bumped on every (re)install
 
 	inner     Conn
 	target    int // index into cfg.Targets of the live transport
@@ -264,6 +265,7 @@ func newSession(cfg SessionConfig, client bool, lis *SessionListener) *Session {
 		client: client,
 		replay: replayBuf{limit: replayCap},
 	}
+	s.setID(0)
 	tel := cfg.Tel
 	s.ctrReconnects = tel.Counter("session", "reconnects")
 	s.ctrReattaches = tel.Counter("session", "reattaches")
@@ -291,7 +293,13 @@ func DialSession(p *sim.Proc, cfg SessionConfig) (*Session, error) {
 }
 
 func (s *Session) flight() *telemetry.Recorder {
-	return s.cfg.Tel.Flight(fmt.Sprintf("%s/%d", s.cfg.Name, s.id))
+	return s.cfg.Tel.Flight(s.flightID)
+}
+
+// setID gives the session its id and names its flight recorder after it.
+func (s *Session) setID(id uint64) {
+	s.id = id
+	s.flightID = fmt.Sprintf("%s/%d", s.cfg.Name, id)
 }
 
 func (s *Session) startWatchdog() {
@@ -415,7 +423,7 @@ func (s *Session) shake(p *sim.Proc, c Conn, idx int) error {
 		return ErrSessionResume
 	}
 	if s.id == 0 {
-		s.id = w.ID
+		s.setID(w.ID)
 	} else if w.ID != s.id {
 		return ErrReset
 	}
@@ -942,7 +950,7 @@ func (l *SessionListener) greet(p *sim.Proc, c Conn) {
 // reattach handshake as for any known session.
 func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
 	s := newSession(l.cfg, false, l)
-	s.id = rec.ID
+	s.setID(rec.ID)
 	s.recvOff = rec.RecvOff
 	s.logicalEnd = rec.SendEnd
 	s.flushed = rec.SendEnd // install rewinds to the client's offset
@@ -971,10 +979,10 @@ func (l *SessionListener) greetNew(p *sim.Proc, c Conn) {
 		// Durable allocation: ids never repeat across the node's
 		// incarnations, and the empty committed record marks the stream
 		// resumable from offset zero should the host reboot at once.
-		s.id = l.cfg.Store.AllocID()
+		s.setID(l.cfg.Store.AllocID())
 		s.commitRecord()
 	} else {
-		s.id = l.nextID
+		s.setID(l.nextID)
 		l.nextID++
 	}
 	if err := WriteFull(p, c, welcomeBytes, &sessionWelcome{

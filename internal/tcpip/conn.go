@@ -40,6 +40,9 @@ type Conn struct {
 	lport int
 	raddr ethernet.Addr
 	rport int
+	// id names this connection for telemetry: local addr:port to peer
+	// addr:port.
+	id    string
 	state int
 	err   error
 
@@ -119,16 +122,10 @@ type Conn struct {
 	rcvSpanQ []connSpan
 }
 
-// id names this connection for telemetry: local addr:port to peer
-// addr:port.
-func (c *Conn) id() string {
-	return fmt.Sprintf("%d:%d-%d:%d", c.st.addr, c.lport, c.raddr, c.rport)
-}
-
 // flight returns the connection's flight recorder (nil-safe no-op when
 // telemetry is off).
 func (c *Conn) flight() *telemetry.Recorder {
-	return c.st.Tel.Flight(c.id())
+	return c.st.Tel.Flight(c.id)
 }
 
 // popReadSpans retires latency spans whose payload the reader has fully
@@ -178,6 +175,7 @@ func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 		lport:       lport,
 		raddr:       raddr,
 		rport:       rport,
+		id:          fmt.Sprintf("%d:%d-%d:%d", st.addr, lport, raddr, rport),
 		sndbuf:      stream.NewBuffer(iss + 1), // +1: SYN consumes iss
 		sndNxt:      iss + 1,
 		cwnd:        initialCwnd * MSS,
@@ -727,7 +725,7 @@ func (c *Conn) fail(err error) {
 		if err == sock.ErrReset {
 			// The connection died under the application: capture the
 			// event history as a failure artifact.
-			c.st.Tel.DumpFlight(c.id(), "reset")
+			c.st.Tel.DumpFlight(c.id, "reset")
 		}
 	}
 	c.spanQ = nil

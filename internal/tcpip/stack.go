@@ -478,7 +478,7 @@ func (st *Stack) VisitConns(fn func(id string, local, peer ethernet.Addr, flow u
 		if c == nil {
 			continue
 		}
-		fn(c.id(), st.addr, k.raddr, flowLabel(k.lport, k.rport))
+		fn(c.id, st.addr, k.raddr, flowLabel(k.lport, k.rport))
 	}
 }
 

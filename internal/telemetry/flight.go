@@ -35,6 +35,9 @@ type Recorder struct {
 	ring  []FlightEvent
 	next  int
 	total int64
+
+	// older and newer link the registry's live recorders in recency order.
+	older, newer *Recorder
 }
 
 // Record appends an event, overwriting the oldest once the ring is
@@ -108,27 +111,47 @@ func (r *Registry) Flight(conn string) *Recorder {
 		return nil
 	}
 	if rec := r.flights[conn]; rec != nil {
-		r.flightTouch(conn)
+		if rec != r.newest {
+			r.unlinkFlight(rec)
+			r.pushFlight(rec)
+		}
 		return rec
 	}
 	rec := &Recorder{id: conn}
 	r.flights[conn] = rec
-	r.flightLR = append(r.flightLR, conn)
-	if len(r.flightLR) > maxFlights {
-		evict := r.flightLR[0]
-		r.flightLR = r.flightLR[1:]
-		delete(r.flights, evict)
+	r.pushFlight(rec)
+	if len(r.flights) > maxFlights {
+		evict := r.oldest
+		r.unlinkFlight(evict)
+		delete(r.flights, evict.id)
 	}
 	return rec
 }
 
-func (r *Registry) flightTouch(conn string) {
-	for i, id := range r.flightLR {
-		if id == conn {
-			r.flightLR = append(append(r.flightLR[:i:i], r.flightLR[i+1:]...), conn)
-			return
-		}
+// pushFlight links rec in as the most recently used recorder.
+func (r *Registry) pushFlight(rec *Recorder) {
+	rec.older = r.newest
+	if r.newest != nil {
+		r.newest.newer = rec
+	} else {
+		r.oldest = rec
 	}
+	r.newest = rec
+}
+
+// unlinkFlight takes rec out of the recency list.
+func (r *Registry) unlinkFlight(rec *Recorder) {
+	if rec.older != nil {
+		rec.older.newer = rec.newer
+	} else {
+		r.oldest = rec.newer
+	}
+	if rec.newer != nil {
+		rec.newer.older = rec.older
+	} else {
+		r.newest = rec.older
+	}
+	rec.older, rec.newer = nil, nil
 }
 
 // FlightIDs lists the live recorder ids, sorted.

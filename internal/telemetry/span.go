@@ -32,13 +32,18 @@ type Spanned interface {
 	TelemetrySpan() *Span
 }
 
+// spanMarks is the most marks a path stamps: the eager path's write,
+// post, wire, match, uq, deliver, stage and read. NewSpan reserves room
+// for all of them, so marking never regrows the slice.
+const spanMarks = 8
+
 // NewSpan starts a span on the given path with an initial mark. Returns
 // nil — a valid, free-to-mark span — when the registry is nil.
 func (r *Registry) NewSpan(path string, size int, mark string, at sim.Time) *Span {
 	if r == nil {
 		return nil
 	}
-	s := &Span{Path: path, Size: size}
+	s := &Span{Path: path, Size: size, Marks: make([]SpanMark, 0, spanMarks)}
 	s.Mark(mark, at)
 	return s
 }
@@ -92,11 +97,33 @@ func (r *Registry) RecordSpan(s *Span) {
 	if r == nil || s == nil || len(s.Marks) < 2 {
 		return
 	}
-	prefix := s.Path + "/" + SizeClass(s.Size) + "/"
+	k := spanKey{path: s.Path, class: SizeClass(s.Size)}
 	for i := 1; i < len(s.Marks); i++ {
-		d := s.Marks[i].At.Sub(s.Marks[i-1].At)
-		r.Histogram("latency", prefix+s.Marks[i-1].Name+"->"+s.Marks[i].Name, LatencyBounds()).ObserveDuration(d)
+		k.from, k.to = s.Marks[i-1].Name, s.Marks[i].Name
+		r.spanHist(k).ObserveDuration(s.Marks[i].At.Sub(s.Marks[i-1].At))
 	}
-	e2e := s.Marks[len(s.Marks)-1].At.Sub(s.Marks[0].At)
-	r.Histogram("latency", prefix+"e2e", LatencyBounds()).ObserveDuration(e2e)
+	k.from, k.to = "", "e2e"
+	r.spanHist(k).ObserveDuration(s.Marks[len(s.Marks)-1].At.Sub(s.Marks[0].At))
+}
+
+// spanKey names a latency histogram RecordSpan feeds: the stage between
+// two adjacent marks, or, with from empty, the end-to-end duration.
+type spanKey struct{ path, class, from, to string }
+
+// spanHist returns k's histogram, registering it under its "latency"
+// name on first use; later spans find it without building the name.
+func (r *Registry) spanHist(k spanKey) *Histogram {
+	h := r.spanHists[k]
+	if h == nil {
+		name := k.path + "/" + k.class + "/" + k.to
+		if k.from != "" {
+			name = k.path + "/" + k.class + "/" + k.from + "->" + k.to
+		}
+		h = r.Histogram("latency", name, LatencyBounds())
+		if r.spanHists == nil {
+			r.spanHists = make(map[spanKey]*Histogram)
+		}
+		r.spanHists[k] = h
+	}
+	return h
 }

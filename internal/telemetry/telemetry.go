@@ -101,9 +101,13 @@ type Registry struct {
 	hists    map[Key]*Histogram
 	sources  []source
 
-	flights  map[string]*Recorder
-	flightLR []string // least-recently-used first
-	dumps    []Dump
+	spanHists map[spanKey]*Histogram // RecordSpan's view of hists; made on first use
+
+	flights map[string]*Recorder
+	// oldest and newest end the live recorders' recency list; the oldest
+	// is evicted first.
+	oldest, newest *Recorder
+	dumps          []Dump
 }
 
 // New returns an empty registry.

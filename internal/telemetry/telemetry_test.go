@@ -225,6 +225,78 @@ func TestFlightRingWrapAndLRU(t *testing.T) {
 	}
 }
 
+// sliceLRU is the flight registry's original recency bookkeeping: ids
+// least recently used first, a hit moved to the back, the front evicted
+// once more than maxFlights are live. The linked list must evict exactly
+// as it did, because the live set decides which rings a dump prints.
+type sliceLRU []string
+
+// lookup records a Flight(id) call and returns the id it evicts, if any.
+func (l *sliceLRU) lookup(id string) (evicted string) {
+	for i, x := range *l {
+		if x == id {
+			*l = append(append((*l)[:i:i], (*l)[i+1:]...), id)
+			return ""
+		}
+	}
+	*l = append(*l, id)
+	if len(*l) > maxFlights {
+		evicted = (*l)[0]
+		*l = (*l)[1:]
+	}
+	return evicted
+}
+
+func TestFlightLRUMatchesSliceOrder(t *testing.T) {
+	r := New()
+	var ref sliceLRU
+	rng := sim.NewRand(7)
+	for step := 0; step < 5000; step++ {
+		// A hot set that mostly hits plus a long tail that churns.
+		n := 2 * maxFlights
+		if rng.Bool(0.3) {
+			n = 8 * maxFlights
+		}
+		id := fmt.Sprintf("c%d", rng.Intn(n))
+		r.Flight(id)
+		if evicted := ref.lookup(id); evicted != "" && r.flights[evicted] != nil {
+			t.Fatalf("step %d: reference evicted %s, registry kept it", step, evicted)
+		}
+		var order []string
+		for rec := r.oldest; rec != nil; rec = rec.newer {
+			order = append(order, rec.id)
+		}
+		if fmt.Sprint(order) != fmt.Sprint([]string(ref)) {
+			t.Fatalf("step %d: recency order %v, reference %v", step, order, ref)
+		}
+	}
+}
+
+func TestFlightHitAllocatesNothing(t *testing.T) {
+	r := New()
+	for i := 0; i < maxFlights; i++ {
+		r.Flight(fmt.Sprintf("c%d", i))
+	}
+	id := "c3"
+	if n := testing.AllocsPerRun(100, func() { r.Flight(id) }); n != 0 {
+		t.Fatalf("a hitting Flight lookup allocates %v times", n)
+	}
+}
+
+func TestRecordSpanAllocatesNothing(t *testing.T) {
+	r := New()
+	sp := r.NewSpan("eager", 64, "write", 0)
+	sp.Mark("post", 10)
+	sp.Mark("read", 30)
+	r.RecordSpan(sp) // registers the three histograms
+	if n := testing.AllocsPerRun(100, func() { r.RecordSpan(sp) }); n != 0 {
+		t.Fatalf("RecordSpan allocates %v times once its histograms exist", n)
+	}
+	if h := r.Histogram("latency", "eager/64B/write->post", nil); h.Count() != 102 {
+		t.Fatalf("stage histogram holds %d observations, want 102", h.Count())
+	}
+}
+
 func TestDumpCapture(t *testing.T) {
 	r := New()
 	r.Flight("x").Record(10, "connect", "ok")
