@@ -10,15 +10,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 
-// quickFigures renders the CI-sized sweep of every figure to one string.
+// quickFigures renders every figure `reproduce -fig all -quick` prints,
+// at its sizes, followed by every ablation, to one string.
 func quickFigures() string {
 	var sb strings.Builder
-	for _, f := range []Figure{
+	figs := []Figure{
 		Fig11LatencyAlternatives([]int{4, 1024}),
 		Fig12CreditSweep([]int{1, 32}),
 		Fig13Latency([]int{4, 1024}),
 		Fig13Bandwidth([]int{64 << 10}),
-	} {
+		Fig14FTP([]int{4 << 20}),
+		Fig15WebHTTP10([]int{1024}),
+		Fig16WebHTTP11([]int{1024}),
+		Fig17Matmul([]int{128}),
+	}
+	for _, f := range append(figs, Ablations()...) {
 		f.Fprint(&sb)
 	}
 	return sb.String()
