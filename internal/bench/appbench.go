@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"repro/internal/apps"
-	"repro/internal/cluster"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // webCredits is the credit size the paper uses for the web server
 // experiments (Section 7.4: "we have used a credit size of 4" — larger
@@ -21,61 +17,29 @@ func webOpts() *core.Options {
 // Fig14FTP reproduces Figure 14: FTP bandwidth from RAM disk to RAM
 // disk over TCP and over the substrate in both modes.
 func Fig14FTP(fileSizes []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig14",
 		Title:     "FTP performance (RAM disk to RAM disk)",
 		XLabel:    "file bytes",
 		YLabel:    "bandwidth (Mbps)",
 		PaperNote: "substrate ~2x TCP; DS and DG overlap (file-system overhead masks the copy difference); below the raw socket peak",
-	}
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(2, dsDAUQ()) }},
-		{"Datagram", func() *cluster.Cluster { return cluster.NewSubstrate(2, dg()) }},
-		{"TCP", func() *cluster.Cluster { return cluster.NewTCP(2) }},
-	} {
-		s := Series{Name: v.name}
-		for _, size := range fileSizes {
-			res := apps.RunFTP(v.build(), size)
-			if res.Err != nil {
-				continue
-			}
-			s.Points = append(s.Points, Point{X: float64(size), Y: res.Mbps()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, fileSizes,
+		on("DataStreaming", substrate(2, dsDAUQ()), ftp),
+		on("Datagram", substrate(2, dg()), ftp),
+		on("TCP", tcp(2), ftp))
 }
 
 // webFigure runs the web experiment for the given keep-alive depth.
 func webFigure(id, title, note string, respSizes []int, reqsPerConn int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        id,
 		Title:     title,
 		XLabel:    "response bytes",
 		YLabel:    "avg response time (us)",
 		PaperNote: note,
-	}
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(4, webOpts()) }},
-		{"TCP", func() *cluster.Cluster { return cluster.NewTCP(4) }},
-	} {
-		s := Series{Name: v.name}
-		for _, size := range respSizes {
-			res := apps.RunWeb(v.build(), apps.DefaultWebConfig(size, reqsPerConn))
-			if res.Err != nil {
-				continue
-			}
-			s.Points = append(s.Points, Point{X: float64(size), Y: res.AvgResponse.Micros()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, respSizes,
+		on("DataStreaming", substrate(4, webOpts()), web(reqsPerConn)),
+		on("TCP", tcp(4), web(reqsPerConn)))
 }
 
 // Fig15WebHTTP10 reproduces Figure 15: average response time with one
@@ -100,29 +64,13 @@ func Fig16WebHTTP11(respSizes []int) Figure {
 // Fig17Matmul reproduces Figure 17: 4-node distributed matrix
 // multiplication wall time (the application that exercises select()).
 func Fig17Matmul(ns []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig17",
 		Title:     "Matrix multiplication on a 4-node cluster",
 		XLabel:    "matrix N",
 		YLabel:    "time (ms)",
 		PaperNote: "substrate beats TCP; the gap narrows as O(N^3) compute dominates O(N^2) communication",
-	}
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(4, dsDAUQ()) }},
-		{"TCP", func() *cluster.Cluster { return cluster.NewTCP(4) }},
-	} {
-		s := Series{Name: v.name}
-		for _, n := range ns {
-			res := apps.RunMatmul(v.build(), n)
-			if res.Err != nil {
-				continue
-			}
-			s.Points = append(s.Points, Point{X: float64(n), Y: res.Elapsed.Seconds() * 1e3})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, ns,
+		on("DataStreaming", substrate(4, dsDAUQ()), matmul),
+		on("TCP", tcp(4), matmul))
 }

@@ -52,32 +52,25 @@ func connectTime(c *cluster.Cluster, iters int) sim.Duration {
 // connect returns after posting descriptors and sending one message,
 // and even the synchronous variant needs only a user-level round trip.
 func ExtConnectionTime() Figure {
-	fig := Figure{
+	syncOpts := core.DefaultOptions()
+	syncOpts.SyncConnect = true
+	// Variant i is the one point at x = i, so each runs once.
+	variant := func(i int, name string, build func() *cluster.Cluster) curve {
+		return curve{name, func(x int) (float64, bool) {
+			if x != i {
+				return 0, false
+			}
+			return connectTime(build(), 20).Micros(), true
+		}}
+	}
+	return sweep(Figure{
 		ID:        "ext-connect",
 		Title:     "Connection establishment time",
 		XLabel:    "variant",
 		YLabel:    "connect() time (us)",
 		PaperNote: "TCP connection time is 'typically about 200 to 250 us'; the substrate reduces it to a message exchange",
-	}
-	syncOpts := core.DefaultOptions()
-	syncOpts.SyncConnect = true
-	asyncOpts := core.DefaultOptions()
-	variants := []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"substrate-async", func() *cluster.Cluster { return cluster.NewSubstrate(2, &asyncOpts) }},
-		{"substrate-sync", func() *cluster.Cluster { return cluster.NewSubstrate(2, &syncOpts) }},
-		{"tcp", func() *cluster.Cluster { return cluster.NewTCP(2) }},
-	}
-	s := Series{Name: "connect"}
-	for i, v := range variants {
-		d := connectTime(v.build(), 20)
-		s.Points = append(s.Points, Point{X: float64(i), Y: d.Micros()})
-		fig.Series = append(fig.Series, Series{
-			Name:   v.name,
-			Points: []Point{{X: float64(i), Y: d.Micros()}},
-		})
-	}
-	return fig
+	}, []int{0, 1, 2},
+		variant(0, "substrate-async", substrate(2, dsDAUQ())),
+		variant(1, "substrate-sync", substrate(2, &syncOpts)),
+		variant(2, "tcp", tcp(2)))
 }

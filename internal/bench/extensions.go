@@ -1,38 +1,17 @@
 package bench
 
-import (
-	"repro/internal/apps"
-	"repro/internal/cluster"
-)
-
 // ExtDataCenter evaluates the paper's stated future work — commercial
 // data-center applications on the substrate — with a memcached-style
 // key-value workload: persistent connections, read-heavy GET/SET mix,
 // latency and throughput against kernel TCP.
 func ExtDataCenter() Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "ext-datacenter",
 		Title:     "Data-center key-value store (paper's future work)",
 		XLabel:    "value bytes",
 		YLabel:    "avg op latency (us)",
 		PaperNote: "Section 8: 'utilizing and evaluating the proposed substrate for a range of commercial applications in the Data center environment'",
-	}
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(4, dsDAUQ()) }},
-		{"TCP", func() *cluster.Cluster { return cluster.NewTCP(4) }},
-	} {
-		s := Series{Name: v.name}
-		for _, size := range []int{64, 1024, 8192, 32 << 10} {
-			res := apps.RunKVStore(v.build(), apps.DefaultKVConfig(size))
-			if res.Err != nil {
-				continue
-			}
-			s.Points = append(s.Points, Point{X: float64(size), Y: res.AvgLatency.Micros()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, []int{64, 1024, 8192, 32 << 10},
+		on("DataStreaming", substrate(4, dsDAUQ()), kv),
+		on("TCP", tcp(4), kv))
 }

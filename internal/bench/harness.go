@@ -10,6 +10,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/apps"
+	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // RecordJSON renders a BENCH_*.json record: two-space indented and
@@ -52,24 +56,13 @@ func (f Figure) Fprint(w io.Writer) {
 		fmt.Fprintln(w, "(no data)")
 		return
 	}
-	// Collect the union of x values in first-series order.
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
 	header := fmt.Sprintf("%14s", f.XLabel)
 	for _, s := range f.Series {
 		header += fmt.Sprintf("  %14s", s.Name)
 	}
 	fmt.Fprintln(w, header)
 	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	for _, x := range xs {
+	for _, x := range f.xs() {
 		row := fmt.Sprintf("%14s", formatX(x))
 		for _, s := range f.Series {
 			y, ok := lookup(s, x)
@@ -82,6 +75,21 @@ func (f Figure) Fprint(w io.Writer) {
 		fmt.Fprintln(w, row)
 	}
 	fmt.Fprintf(w, "units: x=%s, y=%s\n\n", f.XLabel, f.YLabel)
+}
+
+// xs returns the union of the series' x values, in first-seen order.
+func (f Figure) xs() []float64 {
+	var xs []float64
+	seen := map[float64]bool{}
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			if !seen[p.X] {
+				seen[p.X] = true
+				xs = append(xs, p.X)
+			}
+		}
+	}
+	return xs
 }
 
 func formatX(x float64) string {
@@ -116,17 +124,7 @@ func (f Figure) CSV(w io.Writer) {
 		header += "," + s.Name
 	}
 	fmt.Fprintln(w, header)
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	for _, x := range xs {
+	for _, x := range f.xs() {
 		row := fmt.Sprintf("%g", x)
 		for _, s := range f.Series {
 			if y, ok := lookup(s, x); ok {
@@ -148,6 +146,78 @@ func (f Figure) Value(series string, x float64) float64 {
 		}
 	}
 	return 0
+}
+
+// A curve is one series of a figure. y measures the point at x on a
+// fresh cluster of its own, and reports false when the run failed, which
+// leaves the point out.
+type curve struct {
+	name string
+	y    func(x int) (float64, bool)
+}
+
+// sweep measures every curve at every x, curve by curve and x by x, and
+// returns fig with one series per curve. Each point is its own seeded
+// cluster, so the order the points run in moves no value.
+func sweep(fig Figure, xs []int, curves ...curve) Figure {
+	for _, c := range curves {
+		s := Series{Name: c.name}
+		for _, x := range xs {
+			if y, ok := c.y(x); ok {
+				s.Points = append(s.Points, Point{X: float64(x), Y: y})
+			}
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig
+}
+
+// on is the curve whose point x is measure run on a fresh cluster from
+// build.
+func on(name string, build func() *cluster.Cluster, measure func(c *cluster.Cluster, x int) (float64, bool)) curve {
+	return curve{name, func(x int) (float64, bool) { return measure(build(), x) }}
+}
+
+// substrate and tcp build a fresh cluster of the given size per point.
+func substrate(nodes int, opts *core.Options) func() *cluster.Cluster {
+	return func() *cluster.Cluster { return cluster.NewSubstrate(nodes, opts) }
+}
+
+func tcp(nodes int) func() *cluster.Cluster {
+	return func() *cluster.Cluster { return cluster.NewTCP(nodes) }
+}
+
+// latency measures the mean one-way latency in us of n-byte messages.
+func latency(c *cluster.Cluster, n int) (float64, bool) {
+	return sockPingPong(c, n, latencyIters).Micros(), true
+}
+
+// ftp measures the bandwidth in Mbps of one size-byte file transfer.
+func ftp(c *cluster.Cluster, size int) (float64, bool) {
+	res := apps.RunFTP(c, size)
+	return res.Mbps(), res.Err == nil
+}
+
+// web measures the average response time in us for size-byte
+// responses, reqsPerConn requests per connection.
+func web(reqsPerConn int) func(c *cluster.Cluster, size int) (float64, bool) {
+	return func(c *cluster.Cluster, size int) (float64, bool) {
+		res := apps.RunWeb(c, apps.DefaultWebConfig(size, reqsPerConn))
+		return res.AvgResponse.Micros(), res.Err == nil
+	}
+}
+
+// matmul measures the wall time in ms of an n x n multiplication.
+func matmul(c *cluster.Cluster, n int) (float64, bool) {
+	res := apps.RunMatmul(c, n)
+	return res.Elapsed.Seconds() * 1e3, res.Err == nil
+}
+
+// kv measures the average key-value operation latency in us for
+// size-byte values.
+func kv(c *cluster.Cluster, size int) (float64, bool) {
+	res := apps.RunKVStore(c, apps.DefaultKVConfig(size))
+	return res.AvgLatency.Micros(), res.Err == nil
 }
 
 // Ablations runs the design-choice studies DESIGN.md section 5 lists.

@@ -59,9 +59,12 @@ func sockPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
 	return total / sim.Duration(2*completed)
 }
 
-// sockStream measures streaming bandwidth in Mbps writing total bytes in
-// chunk-sized writes.
-func sockStream(c *cluster.Cluster, total, chunk int) float64 {
+// streamBytes is how much a bandwidth point streams.
+const streamBytes = 16 << 20
+
+// bandwidth measures the streaming bandwidth in Mbps of writing
+// streamBytes in chunk-sized writes.
+func bandwidth(c *cluster.Cluster, chunk int) (float64, bool) {
 	var start, end sim.Time
 	c.Eng.Spawn("bw-server", func(p *sim.Proc) {
 		l, err := c.Nodes[0].Net.Listen(p, 7001, 4)
@@ -74,7 +77,7 @@ func sockStream(c *cluster.Cluster, total, chunk int) float64 {
 		}
 		got := 0
 		start = p.Now()
-		for got < total {
+		for got < streamBytes {
 			n, _, err := conn.Read(p, 256<<10)
 			if err != nil || n == 0 {
 				break
@@ -90,20 +93,17 @@ func sockStream(c *cluster.Cluster, total, chunk int) float64 {
 			return
 		}
 		sent := 0
-		for sent < total {
-			w := chunk
-			if total-sent < w {
-				w = total - sent
-			}
+		for sent < streamBytes {
+			w := min(chunk, streamBytes-sent)
 			conn.Write(p, w, nil)
 			sent += w
 		}
 	})
 	c.Run(cluster.RunLimit)
 	if end <= start {
-		return 0
+		return 0, true
 	}
-	return float64(total) * 8 / end.Sub(start).Seconds() / 1e6
+	return float64(streamBytes) * 8 / end.Sub(start).Seconds() / 1e6, true
 }
 
 // empBed builds a raw two-endpoint EMP fabric (the paper's "EMP" curve).
@@ -120,13 +120,13 @@ func empBed() (*sim.Engine, [2]*emp.Endpoint) {
 	return e, eps
 }
 
-// empPingPong measures raw EMP one-way latency.
-func empPingPong(n, iters int) sim.Duration {
+// empLatency measures raw EMP mean one-way latency in us.
+func empLatency(n int) (float64, bool) {
 	e, eps := empBed()
 	var total sim.Duration
 	completed := 0
 	e.Spawn("node0", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
+		for i := 0; i < latencyIters; i++ {
 			h := eps[0].PostRecv(p, eps[1].Addr(), 9, n, 11)
 			start := p.Now()
 			eps[0].Send(p, eps[1].Addr(), 8, n, nil, 10)
@@ -136,7 +136,7 @@ func empPingPong(n, iters int) sim.Duration {
 		}
 	})
 	e.Spawn("node1", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
+		for i := 0; i < latencyIters; i++ {
 			h := eps[1].PostRecv(p, eps[0].Addr(), 8, n, 21)
 			eps[1].WaitRecv(p, h)
 			eps[1].Send(p, eps[0].Addr(), 9, n, nil, 20)
@@ -144,18 +144,16 @@ func empPingPong(n, iters int) sim.Duration {
 	})
 	e.RunUntil(sim.Time(60 * sim.Second))
 	if completed == 0 {
-		return 0
+		return 0, true
 	}
-	return total / sim.Duration(2*completed)
+	return (total / sim.Duration(2*completed)).Micros(), true
 }
 
-// empStream measures raw EMP streaming bandwidth with msgSize messages.
-func empStream(total, msgSize int) float64 {
+// empBandwidth measures raw EMP streaming bandwidth in Mbps with
+// msgSize messages.
+func empBandwidth(msgSize int) (float64, bool) {
 	e, eps := empBed()
-	msgs := total / msgSize
-	if msgs < 1 {
-		msgs = 1
-	}
+	msgs := max(streamBytes/msgSize, 1)
 	var start, end sim.Time
 	e.Spawn("recv", func(p *sim.Proc) {
 		handles := make([]*emp.RecvHandle, 0, msgs)
@@ -176,9 +174,9 @@ func empStream(total, msgSize int) float64 {
 	})
 	e.RunUntil(sim.Time(60 * sim.Second))
 	if end <= start {
-		return 0
+		return 0, true
 	}
-	return float64(msgs*msgSize) * 8 / end.Sub(start).Seconds() / 1e6
+	return float64(msgs*msgSize) * 8 / end.Sub(start).Seconds() / 1e6, true
 }
 
 // substrate option sets for the figure legends.
@@ -206,119 +204,66 @@ func dg() *core.Options {
 // Fig11LatencyAlternatives reproduces Figure 11: small-message latency
 // of the substrate variants (DS, DS_DA, DS_DA_UQ, DG) against raw EMP.
 func Fig11LatencyAlternatives(sizes []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig11",
 		Title:     "Micro-benchmark latency of the substrate alternatives",
 		XLabel:    "msg bytes",
 		YLabel:    "one-way latency (us)",
 		PaperNote: "DG 28.5us (~1us over EMP 28us), DS_DA_UQ 37us at 4 bytes; DS > DS_DA > DS_DA_UQ",
-	}
-	variants := []struct {
-		name string
-		opts *core.Options
-	}{
-		{"DS", dsBasic()},
-		{"DS_DA", dsDA()},
-		{"DS_DA_UQ", dsDAUQ()},
-		{"DG", dg()},
-	}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, n := range sizes {
-			lat := sockPingPong(cluster.NewSubstrate(2, v.opts), n, latencyIters)
-			s.Points = append(s.Points, Point{X: float64(n), Y: lat.Micros()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	s := Series{Name: "EMP"}
-	for _, n := range sizes {
-		s.Points = append(s.Points, Point{X: float64(n), Y: empPingPong(n, latencyIters).Micros()})
-	}
-	fig.Series = append(fig.Series, s)
-	return fig
+	}, sizes,
+		on("DS", substrate(2, dsBasic()), latency),
+		on("DS_DA", substrate(2, dsDA()), latency),
+		on("DS_DA_UQ", substrate(2, dsDAUQ()), latency),
+		on("DG", substrate(2, dg()), latency),
+		curve{"EMP", empLatency})
 }
 
 // Fig12CreditSweep reproduces Figure 12: 4-byte latency against credit
 // size with delayed acknowledgments, keeping acknowledgment descriptors
 // in the NIC's tag-match list (the 550 ns/descriptor effect).
 func Fig12CreditSweep(credits []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig12",
 		Title:     "Latency variation for delayed acknowledgments with credit size",
 		XLabel:    "credits",
 		YLabel:    "one-way latency (us)",
 		PaperNote: "latency falls as credits grow 1->32: ack descriptors drop from 50% to 6.25% of the tag-match walk",
-	}
-	s := Series{Name: "DS_DA"}
-	for _, n := range credits {
+	}, credits, curve{"DS_DA", func(n int) (float64, bool) {
 		o := core.DefaultOptions()
 		o.UQAcks = false
 		o.Credits = n
-		lat := sockPingPong(cluster.NewSubstrate(2, &o), 4, latencyIters)
-		s.Points = append(s.Points, Point{X: float64(n), Y: lat.Micros()})
-	}
-	fig.Series = []Series{s}
-	return fig
+		return latency(cluster.NewSubstrate(2, &o), 4)
+	}})
 }
 
 // Fig13Latency reproduces the latency half of Figure 13: substrate
 // (Data Streaming with all enhancements, and Datagram) against TCP.
 func Fig13Latency(sizes []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig13-latency",
 		Title:     "Latency: substrate vs kernel TCP",
 		XLabel:    "msg bytes",
 		YLabel:    "one-way latency (us)",
 		PaperNote: "DG 28.5us and DS 37us vs TCP ~120us at 4 bytes: 4.2x and 3.4x",
-	}
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"Datagram", func() *cluster.Cluster { return cluster.NewSubstrate(2, dg()) }},
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(2, dsDAUQ()) }},
-		{"TCP", func() *cluster.Cluster { return cluster.NewTCP(2) }},
-	} {
-		s := Series{Name: v.name}
-		for _, n := range sizes {
-			lat := sockPingPong(v.build(), n, latencyIters)
-			s.Points = append(s.Points, Point{X: float64(n), Y: lat.Micros()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, sizes,
+		on("Datagram", substrate(2, dg()), latency),
+		on("DataStreaming", substrate(2, dsDAUQ()), latency),
+		on("TCP", tcp(2), latency))
 }
 
 // Fig13Bandwidth reproduces the bandwidth half of Figure 13: substrate
 // streaming against TCP with default (16 KB) and enlarged kernel
 // buffers, with raw EMP for reference.
 func Fig13Bandwidth(msgSizes []int) Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "fig13-bandwidth",
 		Title:     "Bandwidth: substrate vs kernel TCP",
 		XLabel:    "write bytes",
 		YLabel:    "bandwidth (Mbps)",
 		PaperNote: "substrate peaks above 840 Mbps vs TCP 340 Mbps (16KB buffers) / 550 Mbps (enlarged)",
-	}
-	const total = 16 << 20
-	for _, v := range []struct {
-		name  string
-		build func() *cluster.Cluster
-	}{
-		{"DataStreaming", func() *cluster.Cluster { return cluster.NewSubstrate(2, dsDAUQ()) }},
-		{"TCP-16KB", func() *cluster.Cluster { return cluster.NewTCP(2) }},
-		{"TCP-256KB", func() *cluster.Cluster { return cluster.NewTCPBig(2) }},
-	} {
-		s := Series{Name: v.name}
-		for _, n := range msgSizes {
-			s.Points = append(s.Points, Point{X: float64(n), Y: sockStream(v.build(), total, n)})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	s := Series{Name: "EMP"}
-	for _, n := range msgSizes {
-		s.Points = append(s.Points, Point{X: float64(n), Y: empStream(total, n)})
-	}
-	fig.Series = append(fig.Series, s)
-	return fig
+	}, msgSizes,
+		on("DataStreaming", substrate(2, dsDAUQ()), bandwidth),
+		on("TCP-16KB", tcp(2), bandwidth),
+		on("TCP-256KB", func() *cluster.Cluster { return cluster.NewTCPBig(2) }, bandwidth),
+		curve{"EMP", empBandwidth})
 }

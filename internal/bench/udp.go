@@ -5,9 +5,9 @@ import (
 	"repro/internal/sim"
 )
 
-// udpPingPong measures kernel UDP one-way latency over a TCP-transport
-// cluster (the UDP sockets live on the same kernel stacks).
-func udpPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
+// udpLatency measures kernel UDP mean one-way latency in us over a
+// TCP-transport cluster (the UDP sockets live on the same kernel stacks).
+func udpLatency(c *cluster.Cluster, n int) (float64, bool) {
 	var total sim.Duration
 	completed := 0
 	c.Eng.Spawn("udp-server", func(p *sim.Proc) {
@@ -15,7 +15,7 @@ func udpPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
 		if err != nil {
 			return
 		}
-		for i := 0; i < iters; i++ {
+		for i := 0; i < latencyIters; i++ {
 			_, _, src, sport, err := u.RecvFrom(p, n)
 			if err != nil {
 				return
@@ -29,7 +29,7 @@ func udpPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
 		if err != nil {
 			return
 		}
-		for i := 0; i < iters; i++ {
+		for i := 0; i < latencyIters; i++ {
 			start := p.Now()
 			u.SendTo(p, c.Addr(0), 5353, n, nil)
 			if _, _, _, _, err := u.RecvFrom(p, n); err != nil {
@@ -41,9 +41,9 @@ func udpPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
 	})
 	c.Run(60 * sim.Second)
 	if completed == 0 {
-		return 0
+		return 0, true
 	}
-	return total / sim.Duration(2*completed)
+	return (total / sim.Duration(2*completed)).Micros(), true
 }
 
 // ExtUDPComparison pits the substrate's Datagram sockets against kernel
@@ -52,25 +52,13 @@ func udpPingPong(c *cluster.Cluster, n, iters int) sim.Duration {
 // still pays the full kernel path (syscalls, copies, interrupt
 // coalescing), so the substrate's OS-bypass advantage persists.
 func ExtUDPComparison() Figure {
-	fig := Figure{
+	return sweep(Figure{
 		ID:        "ext-udp",
 		Title:     "Datagram sockets vs kernel UDP latency",
 		XLabel:    "msg bytes",
 		YLabel:    "one-way latency (us)",
 		PaperNote: "the substrate's Datagram mode keeps UDP-like semantics without the kernel path",
-	}
-	dgSeries := Series{Name: "Datagram (substrate)"}
-	udpSeries := Series{Name: "UDP (kernel)"}
-	for _, n := range []int{4, 256, 1024} {
-		dgSeries.Points = append(dgSeries.Points, Point{
-			X: float64(n),
-			Y: sockPingPong(cluster.NewSubstrate(2, dg()), n, latencyIters).Micros(),
-		})
-		udpSeries.Points = append(udpSeries.Points, Point{
-			X: float64(n),
-			Y: udpPingPong(cluster.NewTCP(2), n, latencyIters).Micros(),
-		})
-	}
-	fig.Series = []Series{dgSeries, udpSeries}
-	return fig
+	}, []int{4, 256, 1024},
+		on("Datagram (substrate)", substrate(2, dg()), latency),
+		on("UDP (kernel)", tcp(2), udpLatency))
 }
