@@ -139,35 +139,3 @@ func TestZeroEventIsInert(t *testing.T) {
 		t.Fatal("zero Event reports pending")
 	}
 }
-
-// A proc killed while parked on one queue may block again in its deferred
-// cleanup. Its entry on the first queue, or that wait's timeout, is stale
-// from then on: neither may resume the proc from the second queue.
-func TestKilledProcNotResumedByItsOldQueue(t *testing.T) {
-	for _, timed := range []bool{false, true} {
-		e := NewEngine()
-		q1, q2 := NewWaitQueue(e, "q1"), NewWaitQueue(e, "q2")
-		victim := e.Spawn("victim", func(p *Proc) {
-			defer q2.Wait(p) // cleanup blocks on a second queue
-			if timed {
-				q1.WaitTimeout(p, 100)
-			} else {
-				q1.Wait(p)
-			}
-		})
-		e.At(50, victim.Kill)
-		woke := false
-		e.At(100, func() { woke = q1.WakeOne() })
-		e.At(150, func() {
-			if woke || victim.Done() || victim.blockedOn != "q2" {
-				t.Errorf("timed=%v: old queue resumed the victim (woke=%v done=%v blockedOn=%q)",
-					timed, woke, victim.Done(), victim.blockedOn)
-			}
-		})
-		e.At(200, func() { q2.WakeOne() })
-		e.Run()
-		if !victim.Done() || e.Now() != 200 {
-			t.Fatalf("timed=%v: victim done=%v at %v, want done at 200", timed, victim.Done(), e.Now())
-		}
-	}
-}

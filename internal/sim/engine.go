@@ -91,7 +91,6 @@ type Engine struct {
 	busy    int     // queued busy events not yet fired or cancelled
 	idlers  []idler // queued idle timers
 	running bool
-	stopped bool
 
 	cur      *Proc // process currently executing, nil while in the event loop
 	liveProc int   // spawned but not yet finished processes
@@ -226,10 +225,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	return e.At(e.now.Add(d), fn)
 }
 
-// Stop terminates the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or the run is quiescent.
 // It returns the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
@@ -245,9 +241,8 @@ func (e *Engine) RunUntil(limit Time) Time {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped && len(e.events) > 0 {
+	for len(e.events) > 0 {
 		next := e.events[0]
 		ev := e.slots[next.ref]
 		if next.at > limit || !ev.dead && e.busy == 0 && e.Idle() {

@@ -85,28 +85,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	// Remaining events still run on the next Run call.
-	e.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
-	}
-}
-
 func TestEngineAfterNegativeClamped(t *testing.T) {
 	e := NewEngine()
 	e.At(100, func() {

@@ -17,22 +17,18 @@ import (
 // on a queue, Get/Put on a FIFO, ...). Model code inside a Proc therefore
 // never races with other model code.
 type Proc struct {
-	eng    *Engine
-	name   string
-	next   func() (struct{}, bool) // resumes the body; nil once done
-	park   func(struct{}) bool     // suspends the body; nil once done
-	wake   func()                  // steps p; shared by every wakeup, so none allocates
-	done   bool
-	killed bool
-	w      waiter // p's parking on a wait queue; a proc waits on one at a time
+	eng  *Engine
+	name string
+	next func() (struct{}, bool) // resumes the body; nil once done
+	park func(struct{}) bool     // suspends the body; nil once done
+	wake func()                  // steps p; shared by every wakeup, so none allocates
+	done bool
+	w    waiter // p's parking on a wait queue; a proc waits on one at a time
 
 	// blockedOn is a human-readable description of what the process is
 	// waiting for; used by deadlock diagnostics.
 	blockedOn string
 }
-
-// procKilled is panicked inside a killed process to unwind its stack.
-type procKilled struct{ name string }
 
 // Spawn creates a process running body and schedules its first step at the
 // current instant. The body runs with the engine's clock alternating
@@ -66,20 +62,15 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// finish runs deferred at the end of p's body, inside the coroutine. It
-// swallows the Kill unwind and re-panics anything else, which iter.Pull
-// then raises from step on the engine's side. Dropping next and park makes
-// the finished coroutine, and everything its body captured, collectable
-// even while p itself is still referenced.
+// finish runs deferred at the end of p's body, inside the coroutine, also
+// when the body panics; iter.Pull then raises the panic from step on the
+// engine's side. Dropping next and park makes the finished coroutine, and
+// everything its body captured, collectable even while p itself is still
+// referenced.
 func (p *Proc) finish() {
 	p.done = true
 	p.eng.liveProc--
 	p.next, p.park = nil, nil
-	if r := recover(); r != nil {
-		if _, ok := r.(procKilled); !ok {
-			panic(r)
-		}
-	}
 }
 
 // step transfers control to p and returns when p yields or finishes.
@@ -97,15 +88,7 @@ func (e *Engine) step(p *Proc) {
 
 // yield parks the calling process until the engine steps it again.
 // Must be called from p's own body.
-func (p *Proc) yield() {
-	p.park(struct{}{})
-	// Whatever resumed p ends its wait, so a queue entry or timeout left
-	// behind by a Kill cannot resume p from a later, unrelated park.
-	p.w.q = nil
-	if p.killed {
-		panic(procKilled{p.name})
-	}
-}
+func (p *Proc) yield() { p.park(struct{}{}) }
 
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
@@ -140,20 +123,6 @@ func (p *Proc) SleepIdle(d Duration, pending func() bool) {
 	p.eng.atIdle(p.eng.now.Add(max(d, 0)), p.wake, pending)
 	p.yield()
 	p.blockedOn = ""
-}
-
-// Kill unwinds the process the next time it would resume. Resources held
-// by the process are released by its deferred functions as usual.
-// Killing a finished process is a no-op.
-func (p *Proc) Kill() {
-	if p.done || p.killed {
-		return
-	}
-	p.killed = true
-	// If the process is parked on a wait queue it will be resumed either
-	// by its waker or by this event, whichever fires first; the killed
-	// flag makes resumption unwind immediately.
-	p.eng.After(0, p.wake)
 }
 
 // Done reports whether the process has finished.

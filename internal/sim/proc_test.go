@@ -46,49 +46,6 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestProcKillUnwindsDefers(t *testing.T) {
-	e := NewEngine()
-	cleaned := false
-	wq := NewWaitQueue(e, "never")
-	p := e.Spawn("victim", func(p *Proc) {
-		defer func() { cleaned = true }()
-		wq.Wait(p) // blocks forever
-	})
-	e.At(100, func() { p.Kill() })
-	e.Run()
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run on Kill")
-	}
-	if !p.Done() {
-		t.Fatal("killed proc not done")
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("live procs = %d, want 0", e.LiveProcs())
-	}
-}
-
-func TestProcKillRightAfterSpawn(t *testing.T) {
-	e := NewEngine()
-	var reached, cleaned bool
-	p := e.Spawn("victim", func(p *Proc) {
-		defer func() { cleaned = true }()
-		reached = true
-		p.Sleep(100)
-		t.Error("body ran past its first yield after Kill")
-	})
-	p.Kill()
-	e.Run()
-	if !reached {
-		t.Fatal("Kill before the first step kept the body from running to its first yield")
-	}
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run on Kill")
-	}
-	if !p.Done() || e.LiveProcs() != 0 {
-		t.Fatalf("done = %v, live procs = %d after Kill", p.Done(), e.LiveProcs())
-	}
-}
-
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	e := NewEngine()
 	boom := errors.New("boom")
@@ -141,14 +98,6 @@ func TestFinishedProcReleasesCaptures(t *testing.T) {
 		}
 	}
 	t.Fatal("finished proc still pins the values its body captured")
-}
-
-func TestProcKillFinishedIsNoop(t *testing.T) {
-	e := NewEngine()
-	p := e.Spawn("quick", func(p *Proc) {})
-	e.Run()
-	p.Kill() // must not panic or hang
-	e.Run()
 }
 
 func TestProcBlockingFromEventContextPanics(t *testing.T) {
@@ -251,23 +200,5 @@ func TestWaitTimeoutWokenCancelsTimer(t *testing.T) {
 	e.Run()
 	if wakes != 2 {
 		t.Fatalf("wakes = %d, want 2 (woken once, no spurious timeout)", wakes)
-	}
-}
-
-func TestKilledWaiterDoesNotConsumeWake(t *testing.T) {
-	e := NewEngine()
-	wq := NewWaitQueue(e, "q")
-	survivorWoken := false
-	victim := e.Spawn("victim", func(p *Proc) { wq.Wait(p) })
-	e.Spawn("survivor", func(p *Proc) {
-		p.Sleep(1)
-		wq.Wait(p)
-		survivorWoken = true
-	})
-	e.At(50, func() { victim.Kill() })
-	e.At(100, func() { wq.WakeOne() })
-	e.Run()
-	if !survivorWoken {
-		t.Fatal("wake was consumed by a killed waiter")
 	}
 }

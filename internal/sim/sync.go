@@ -5,31 +5,17 @@ package sim
 // primitives (FIFO, Semaphore, Cond) are built on it.
 type WaitQueue struct {
 	eng     *Engine
-	waiters queue[parked]
+	waiters queue[*Proc]
 	label   string
 }
 
 // waiter is a proc's parking on a wait queue. It lives in the Proc: a proc
-// waits on at most one queue at a time, so a wait allocates nothing.
+// waits on at most one queue at a time, so a wait allocates nothing. A
+// parking has exactly one resumer: WakeOne, which cancels the timeout, or
+// the timeout, which takes the proc off the queue.
 type waiter struct {
-	q      *WaitQueue // the queue p is parked on; nil once woken
-	ticket uint64     // counts p's parkings, so a stale queue entry is told apart
-	// timeout, if pending, is cancelled when the waiter is woken.
-	timeout  Event
+	timeout  Event // pending while a WaitTimeout is parked
 	timedOut bool
-}
-
-// parked is a queue entry: a proc and the parking it was queued for.
-type parked struct {
-	p      *Proc
-	ticket uint64
-}
-
-// parkedOn reports whether p is still parked on w under the given ticket.
-// Once that parking has ended — p was woken, timed out, or resumed by a
-// Kill — its queue entry and its timeout are stale and do nothing.
-func (p *Proc) parkedOn(w *WaitQueue, ticket uint64) bool {
-	return p.w.q == w && p.w.ticket == ticket
 }
 
 // NewWaitQueue returns an empty wait queue. The label is used in deadlock
@@ -44,11 +30,9 @@ func (w *WaitQueue) Len() int { return w.waiters.len() }
 // park queues p on w and records the parking in p's waiter.
 func (w *WaitQueue) park(p *Proc, timeout Event) {
 	p.blockedOn = w.label
-	p.w.q = w
-	p.w.ticket++
 	p.w.timeout = timeout
 	p.w.timedOut = false
-	w.waiters.push(parked{p, p.w.ticket})
+	w.waiters.push(p)
 }
 
 // Wait parks p until a Wake call resumes it.
@@ -63,12 +47,7 @@ func (w *WaitQueue) Wait(p *Proc) {
 // It reports whether the process was woken (true) or timed out (false).
 func (w *WaitQueue) WaitTimeout(p *Proc, d Duration) bool {
 	p.checkCurrent("WaitQueue.WaitTimeout")
-	ticket := p.w.ticket + 1
 	w.park(p, w.eng.After(d, func() {
-		if !p.parkedOn(w, ticket) {
-			return
-		}
-		p.w.q = nil
 		p.w.timedOut = true
 		w.remove(p)
 		w.eng.step(p)
@@ -78,11 +57,11 @@ func (w *WaitQueue) WaitTimeout(p *Proc, d Duration) bool {
 	return !p.w.timedOut
 }
 
-// remove drops p's current entry from the queue.
+// remove drops p's entry from the queue.
 func (w *WaitQueue) remove(p *Proc) {
 	q := &w.waiters
 	for i := q.head; i < len(q.buf); i++ {
-		if q.buf[i] == (parked{p, p.w.ticket}) {
+		if q.buf[i] == p {
 			q.removeAt(i)
 			return
 		}
@@ -93,18 +72,14 @@ func (w *WaitQueue) remove(p *Proc) {
 // process was woken. The resumed process runs at the current instant,
 // after the caller yields or returns to the event loop.
 func (w *WaitQueue) WakeOne() bool {
-	for w.waiters.len() > 0 {
-		e := w.waiters.pop()
-		if !e.p.parkedOn(w, e.ticket) {
-			continue
-		}
-		e.p.w.q = nil
-		e.p.w.timeout.Cancel()
-		w.eng.wakeups++
-		w.eng.After(0, e.p.wake)
-		return true
+	if w.waiters.len() == 0 {
+		return false
 	}
-	return false
+	p := w.waiters.pop()
+	p.w.timeout.Cancel()
+	w.eng.wakeups++
+	w.eng.After(0, p.wake)
+	return true
 }
 
 // WakeAll resumes every parked process in FIFO order.
@@ -165,7 +140,6 @@ func (q *queue[T]) removeAt(i int) {
 // FIFO is a blocking queue of values with optional capacity. Capacity 0
 // means unbounded (Put never blocks).
 type FIFO[T any] struct {
-	eng     *Engine
 	items   queue[T]
 	cap     int
 	getters WaitQueue
@@ -177,7 +151,6 @@ type FIFO[T any] struct {
 // NewFIFO returns a blocking queue. capacity <= 0 means unbounded.
 func NewFIFO[T any](e *Engine, label string, capacity int) *FIFO[T] {
 	return &FIFO[T]{
-		eng:     e,
 		cap:     capacity,
 		getters: WaitQueue{eng: e, label: label + ".get"},
 		putters: WaitQueue{eng: e, label: label + ".put"},
@@ -221,22 +194,6 @@ func (f *FIFO[T]) Get(p *Proc) (v T, ok bool) {
 	return f.TryGet()
 }
 
-// GetTimeout is Get with a deadline; ok is false on timeout or closure.
-func (f *FIFO[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := f.eng.Now().Add(d)
-	for f.Len() == 0 && !f.closed {
-		remain := deadline.Sub(f.eng.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if !f.getters.WaitTimeout(p, remain) {
-			// Timed out; an item may still have landed exactly now.
-			break
-		}
-	}
-	return f.TryGet()
-}
-
 // TryGet removes the head item without blocking.
 func (f *FIFO[T]) TryGet() (v T, ok bool) {
 	if f.Len() == 0 {
@@ -245,14 +202,6 @@ func (f *FIFO[T]) TryGet() (v T, ok bool) {
 	v = f.items.pop()
 	f.putters.WakeOne()
 	return v, true
-}
-
-// Peek returns the head item without removing it.
-func (f *FIFO[T]) Peek() (v T, ok bool) {
-	if f.Len() == 0 {
-		return v, false
-	}
-	return f.items.buf[f.items.head], true
 }
 
 // Close marks the queue closed and wakes all blocked getters and putters.
@@ -286,22 +235,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.waiters.Wait(p)
 	}
 	s.count--
-}
-
-// AcquireTimeout is Acquire with a deadline; reports false on timeout.
-func (s *Semaphore) AcquireTimeout(p *Proc, d Duration) bool {
-	deadline := p.Now().Add(d)
-	for s.count == 0 {
-		remain := deadline.Sub(p.Now())
-		if remain <= 0 {
-			return false
-		}
-		if !s.waiters.WaitTimeout(p, remain) && s.count == 0 {
-			return false
-		}
-	}
-	s.count--
-	return true
 }
 
 // TryAcquire decrements the count without blocking.
