@@ -586,8 +586,7 @@ func (s *Substrate) Listen(p *sim.Proc, port, backlog int) (sock.Listener, error
 	if backlog < 1 {
 		backlog = 1
 	}
-	l := &Listener{sub: s, port: port, backlog: backlog,
-		ready: sim.NewCond(s.Eng, "listener.ready")}
+	l := &Listener{sub: s, port: port, backlog: backlog}
 	for i := 0; i < backlog; i++ {
 		l.post(p)
 	}
@@ -886,8 +885,7 @@ type Listener struct {
 	handles []*emp.RecvHandle
 	closed  bool
 
-	ready *sim.Cond       // procs blocked on this listener's events
-	src   sock.NoteSource // registered pollers
+	src sock.NoteSource // registered pollers
 	// headDone caches the head-of-backlog completion check so repeated
 	// Acceptable calls don't redo TryRecv work; headKnown is invalidated
 	// by completions (Notify) and by Accept consuming the head.
@@ -898,12 +896,11 @@ type Listener struct {
 var _ sock.Listener = (*Listener)(nil)
 var _ sock.Pollable = (*Listener)(nil)
 
-// Notify wakes this listener's waiters and registered pollers; EMP
-// completions on backlog descriptors and routed unexpected-queue
-// arrivals land here instead of broadcasting host-wide.
+// Notify wakes this listener's registered pollers; EMP completions on
+// backlog descriptors and routed unexpected-queue arrivals land here
+// instead of broadcasting host-wide.
 func (l *Listener) Notify() {
 	l.headKnown = false
-	l.ready.Broadcast()
 	l.src.Fire(sock.PollIn | sock.PollErr)
 }
 

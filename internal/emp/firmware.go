@@ -61,7 +61,6 @@ type txRecord struct {
 	retries int
 	rto     sim.Duration
 	timer   sim.Event
-	cond    *sim.Cond
 	failed  bool
 }
 
@@ -187,7 +186,6 @@ func (fw *firmware) kill() {
 	for _, rec := range fw.records {
 		rec.failed = true
 		rec.timer.Cancel()
-		rec.cond.Broadcast()
 		fw.ep.descRelease()
 	}
 	fw.records = make(map[uint64]*txRecord)
@@ -261,7 +259,6 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 		data:   post.data,
 		nfrag:  fragCountFor(h.length, fw.maxFrag()),
 		rto:    fw.ep.Cfg.Rel.RTO,
-		cond:   sim.NewCond(fw.eng, "emp.txwindow"),
 	}
 	fw.records[rec.msgID] = rec
 
@@ -355,7 +352,6 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 			Retries: rec.retries - 1})
 		fw.releaseInflight(rec.dst, rec.sent-rec.acked)
 		fw.retire(rec)
-		rec.cond.Broadcast()
 		fw.txWindow.Broadcast()
 		if fn := fw.ep.onSendFailure; fn != nil {
 			dst, tag, id := rec.dst, rec.tag, rec.msgID
@@ -449,7 +445,6 @@ func (fw *firmware) handleAck(p *sim.Proc, wf *WireFrame) {
 		rec.rto = fw.ep.Cfg.Rel.RTO
 		delete(fw.resendStreak, rec.dst) // progress resets the health streak
 		fw.releaseInflight(rec.dst, newly)
-		rec.cond.Broadcast()
 	}
 	if rec.acked >= rec.nfrag {
 		if rec.sent >= rec.nfrag {

@@ -527,12 +527,3 @@ func (fb *Fabric) FaultStats() FaultStats {
 	}
 	return fs
 }
-
-// TrunkDown reports whether the given trunk is currently unable to
-// carry frames.
-func (fb *Fabric) TrunkDown(id int) bool {
-	if id < 0 || id >= len(fb.trunks) {
-		return false
-	}
-	return fb.trunks[id].down()
-}

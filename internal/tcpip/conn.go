@@ -566,15 +566,6 @@ func (c *Conn) peerAck() int64 {
 	return ack
 }
 
-func (c *Conn) chargeOutput(p *sim.Proc) sim.Time {
-	cost := txSegCost + driverTx
-	if p != nil {
-		p.Sleep(cost)
-		return p.Now()
-	}
-	return c.st.Host.ChargeIRQ(cost)
-}
-
 // reserveEmit charges the per-segment output cost and returns the wire
 // emission time, claiming the per-connection emission slot BEFORE any
 // process-context sleep: segments are charged in two contexts (sendmsg
