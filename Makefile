@@ -104,7 +104,8 @@ verify:
 # trace unchanged: it builds cmd/reproduce and cmd/trace at PARENT (from
 # a temporary git archive export) and from the working tree, runs
 # reproduce with -fig all, -ablations, -metrics, -audit, -corescale,
-# -connscale and -chaos all (each with -quick) and trace with the
+# -connscale and -chaos all (each with -quick), the full-size
+# -fig all -plot sweep, and trace with the
 # pingpong scenario on both transports, connect-race, lossy, chaos and
 # drain (each case in its own temporary directory), and fails if stdout,
 # the exit status or any BENCH_*.json written differs. Usage: make

@@ -3,12 +3,12 @@
 # revision PARENT (from a temporary `git archive` export) and from the
 # working tree, run both sides of every case below in its own temporary
 # directory, and compare stdout, exit status and every BENCH_*.json
-# written. The reproduce cases are each quick-mode report flag; the
-# trace cases print every model event with its virtual timestamp, the
-# strictest check that a timing constant kept its value. Prints the head
-# of the diff of every differing stdout and BENCH file, and exits
-# non-zero on any difference. Run from the repository root: make identity
-# PARENT=<rev>.
+# written. The reproduce cases are each quick-mode report flag plus the
+# full-size figure sweep with its ASCII plots; the trace cases print
+# every model event with its virtual timestamp, the strictest check that
+# a timing constant kept its value. Prints the head of the diff of every
+# differing stdout and BENCH file, and exits non-zero on any difference.
+# Run from the repository root: make identity PARENT=<rev>.
 set -euo pipefail
 
 parent=${1:?usage: identity.sh PARENT}
@@ -26,6 +26,7 @@ done
 # Each case is the command followed by its arguments.
 runs=(
 	"reproduce -fig all -quick"
+	"reproduce -fig all -plot"
 	"reproduce -ablations -quick"
 	"reproduce -metrics -quick"
 	"reproduce -audit -quick"
