@@ -107,9 +107,10 @@ verify:
 # -connscale and -chaos all (each with -quick), the full-size
 # -fig all -plot sweep, and trace with the
 # pingpong scenario on both transports, connect-race, lossy, chaos and
-# drain (each case in its own temporary directory), and fails if stdout,
-# the exit status or any BENCH_*.json written differs. Usage: make
-# identity PARENT=<rev>.
+# drain, plus drain and lossy with -flight all, which print every
+# connection's flight-recorder ring (each case in its own temporary
+# directory), and fails if stdout, the exit status or any BENCH_*.json
+# written differs. Usage: make identity PARENT=<rev>.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh $(PARENT)

@@ -80,8 +80,8 @@ func main() {
 		return
 	}
 	fmt.Printf("--- %d trace events ---\n", c.Eng.TraceCount())
-	if fs := c.Switch.FaultStats(); fs.Total() > 0 {
-		fmt.Printf("fault stats: %v\n", fs)
+	if snap := c.TelemetrySnapshot(); snap.Sum(cluster.FaultKeys...) > 0 {
+		fmt.Printf("fault stats: %s\n", cluster.FaultText(snap.Sum))
 	}
 	if blocked := c.Eng.BlockedProcs(); len(blocked) > 0 {
 		fmt.Println("blocked processes at end of run:")

@@ -33,24 +33,32 @@ type AuditRun struct {
 	FlightDumps []telemetry.Dump
 }
 
-// auditAfter purges residual control traffic and audits the cluster.
-func auditAfter(c *cluster.Cluster, r *AuditRun) {
+// postRunAudit purges residual control traffic from every live
+// substrate and audits the cluster. Leak findings rarely name the guilty
+// connection, so a finding captures every live flight ring as the
+// failure artifact. It returns the report and every dump of the run.
+func postRunAudit(c *cluster.Cluster) (*audit.Report, []telemetry.Dump) {
 	for _, n := range c.Nodes {
 		if n.Sub != nil && !n.Sub.Dead() {
 			n.Sub.PurgeStale()
 		}
 	}
-	r.Report = audit.Cluster(c)
-	if !r.Report.Clean() {
-		r.OK = false
-		r.Detail += fmt.Sprintf("; %d finding(s)", len(r.Report.Findings))
-		// Leak findings rarely name the guilty connection: capture every
-		// live ring as the failure artifact.
+	rep := audit.Cluster(c)
+	if !rep.Clean() {
 		for _, n := range c.Nodes {
 			n.Tel.DumpAllFlights("audit-leak")
 		}
 	}
-	r.FlightDumps = c.FlightDumps()
+	return rep, c.FlightDumps()
+}
+
+// auditAfter runs the post-run audit and fails r on any finding.
+func auditAfter(c *cluster.Cluster, r *AuditRun) {
+	r.Report, r.FlightDumps = postRunAudit(c)
+	if !r.Report.Clean() {
+		r.OK = false
+		r.Detail += fmt.Sprintf("; %d finding(s)", len(r.Report.Findings))
+	}
 }
 
 // AuditSweep runs the workload matrix and the overload flood, auditing

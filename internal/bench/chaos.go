@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/ethernet"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/sock"
@@ -33,11 +31,11 @@ type ChaosRun struct {
 	OK       bool
 	Detail   string  // failure text, or a recovery note
 	Counters []int64 // one per counter column of the domain
-	// Faults folds the switch's fault-injection counters (link domain).
-	Faults ethernet.FaultStats
 	// FlightDumps holds the flight-recorder rings of connections that
 	// died (sock.ErrReset) or, on an audit finding, of every connection.
 	FlightDumps []telemetry.Dump
+
+	snap *telemetry.Snapshot // the run's counters, before the audit
 }
 
 // ChaosReport is one domain's matrix.
@@ -276,11 +274,9 @@ func (ctl *chaosControl) judge(err error, got, want int) (bool, string) {
 // workload did, not what the audit did.
 func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 	snap := c.TelemetrySnapshot()
+	r.snap = snap
 	for _, col := range d.cols {
 		r.Counters = append(r.Counters, snap.Sum(col.keys...))
-	}
-	if d.faultTotals {
-		r.Faults = c.Switch.FaultStats()
 	}
 	if r.OK && r.Workload != "control" && d.sessions {
 		if n := snap.Sum("session/failed"); n > 0 {
@@ -289,12 +285,7 @@ func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 			r.OK, r.Detail = false, why
 		}
 	}
-	for _, n := range c.Nodes {
-		if n.Sub != nil && !n.Sub.Dead() {
-			n.Sub.PurgeStale()
-		}
-	}
-	rep := audit.Cluster(c)
+	rep, dumps := postRunAudit(c)
 	for i, col := range d.cols {
 		if col.keys == nil {
 			r.Counters[i] = int64(len(rep.Findings))
@@ -303,12 +294,8 @@ func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 	if !rep.Clean() {
 		r.OK = false
 		r.Detail += fmt.Sprintf("; %d audit finding(s): %s", len(rep.Findings), rep.Findings[0])
-		// The auditor cannot always name the guilty connection.
-		for _, n := range c.Nodes {
-			n.Tel.DumpAllFlights("audit-leak")
-		}
 	}
-	r.FlightDumps = c.FlightDumps()
+	r.FlightDumps = dumps
 }
 
 // FprintChaos renders one domain's report, with the flight recordings of
@@ -321,7 +308,6 @@ func FprintChaos(w io.Writer, rep ChaosReport) {
 	}
 	fmt.Fprintln(w, "  detail")
 	ok := 0
-	var total ethernet.FaultStats
 	for _, r := range rep.Runs {
 		status := "FAIL"
 		if r.OK {
@@ -338,10 +324,15 @@ func FprintChaos(w io.Writer, rep ChaosReport) {
 				telemetry.FprintDump(w, dump)
 			}
 		}
-		total.Add(r.Faults)
 	}
 	if d.faultTotals {
-		fmt.Fprintf(w, "runs: %d/%d survived; injected totals: %v\n\n", ok, len(rep.Runs), total)
+		total := func(keys ...string) (v int64) {
+			for _, r := range rep.Runs {
+				v += r.snap.Sum(keys...)
+			}
+			return v
+		}
+		fmt.Fprintf(w, "runs: %d/%d survived; injected totals: %s\n\n", ok, len(rep.Runs), cluster.FaultText(total))
 	} else {
 		fmt.Fprintf(w, "runs: %d/%d as expected\n\n", ok, len(rep.Runs))
 	}

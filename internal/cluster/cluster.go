@@ -426,14 +426,12 @@ func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 		// survives this node's death. Epoch 0 is the first boot, so
 		// restart-free runs keep the historical ID sequence exactly.
 		so.BootEpoch = uint64(n.Incarnation - 1)
-		n.Sub = core.New(c.Eng, n.Host, nc, so)
-		n.Sub.SetTelemetry(n.Tel)
+		n.Sub = core.New(c.Eng, n.Host, nc, n.Tel, so)
 		n.Net = n.Sub
 		n.Tel.ReplaceSource("nic", func() []telemetry.Stat { return telemetry.Fields(nc) })
 	}
 	if tcpPort != nil {
-		n.Stack = tcpip.NewStackOnPort(c.Eng, n.Host, tcpPort, c.stackConfig())
-		n.Stack.SetTelemetry(n.Tel)
+		n.Stack = tcpip.NewStackOnPort(c.Eng, n.Host, tcpPort, n.Tel, c.stackConfig())
 		if n.Sub == nil {
 			n.Net = n.Stack
 		}
@@ -620,8 +618,8 @@ func (c *Cluster) TelemetrySnapshot() *telemetry.Snapshot {
 // TelemetryAggregate folds the per-node registries into a fresh
 // cluster-level registry (node order, so the result is deterministic)
 // and adds the cluster-scoped sources: sim wakeups, and the switch's
-// forwards and fault counters or the fabric's per-switch and per-trunk
-// rows.
+// tagged counters, or on a Topology cluster the fabric's own counters,
+// its switches' counters summed, and its per-switch and per-trunk rows.
 func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 	agg := telemetry.New()
 	for _, n := range c.Nodes {
@@ -631,18 +629,14 @@ func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 		return []telemetry.Stat{{Name: "wakeups", Value: c.Eng.Wakeups()}}
 	})
 	if c.Switch != nil {
-		agg.ReplaceSource("switch", func() []telemetry.Stat {
-			fs := c.Switch.FaultStats()
-			return append(telemetry.Fields(&fs), telemetry.Stat{Name: "forwards", Value: c.Switch.Forwards()})
-		})
+		agg.ReplaceSource("switch", func() []telemetry.Stat { return telemetry.Fields(c.Switch) })
 	}
 	if c.Fabric != nil {
 		agg.ReplaceSource("fabric", func() []telemetry.Stat {
 			fb := c.Fabric
-			fs := fb.FaultStats()
-			stats := append(telemetry.Fields(fb), telemetry.Fields(&fs)...)
-			stats = append(stats, telemetry.Stat{Name: "forwards", Value: fb.Forwards()})
+			stats := telemetry.Fields(fb)
 			for _, s := range fb.Switches() {
+				stats = append(stats, telemetry.Fields(s)...)
 				stats = append(stats,
 					telemetry.Stat{Name: s.Name() + "_forwards", Value: s.Forwards()},
 					telemetry.Stat{Name: s.Name() + "_no_route", Value: s.RouteDrops()},
@@ -660,6 +654,19 @@ func (c *Cluster) TelemetryAggregate() *telemetry.Registry {
 		})
 	}
 	return agg
+}
+
+// FaultKeys are the switch's injected-fault counters, as snapshot keys
+// in the order FaultText prints them.
+var FaultKeys = []string{"switch/fault_drops", "switch/fault_partition_drops",
+	"switch/fault_dups", "switch/fault_corruptions", "switch/fault_reorders"}
+
+// FaultText renders the injected frame faults of one or more runs, each
+// FaultKeys counter read through sum (a snapshot's Sum, or a sum over
+// several snapshots).
+func FaultText(sum func(keys ...string) int64) string {
+	return fmt.Sprintf("drops=%d partition-drops=%d dups=%d corruptions=%d reorders=%d",
+		sum(FaultKeys[0]), sum(FaultKeys[1]), sum(FaultKeys[2]), sum(FaultKeys[3]), sum(FaultKeys[4]))
 }
 
 // FlightDumps collects every captured flight-recorder dump across the

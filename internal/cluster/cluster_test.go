@@ -130,8 +130,8 @@ func TestTwoLeavesWithoutSpinesStillConnect(t *testing.T) {
 	if rtt := echo(t, c); rtt <= 0 {
 		t.Fatal("cross-leaf echo did not complete")
 	}
-	if c.Fabric.RouteDrops() != 0 {
-		t.Fatalf("%d frames dropped for want of a route", c.Fabric.RouteDrops())
+	if n := c.TelemetrySnapshot().Sum("fabric/route_drops"); n != 0 {
+		t.Fatalf("%d frames dropped for want of a route", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emp"
+	"repro/internal/ethernet"
 	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/ramfs"
@@ -91,8 +92,8 @@ func TestReportCoversFabric(t *testing.T) {
 }
 
 // TestEveryCounterTagged requires every sim.Counter field of the
-// per-node layers to carry a metric tag, so each counter reaches the
-// snapshot, the one place reports read. The four NIC data-path counters
+// per-node layers and of the fabric and its switches to carry a metric
+// tag, so each counter reaches the snapshot, the one place reports read. The four NIC data-path counters
 // are the exception: benchmark/harness.go adds them to its counter map
 // by hand, so tagging them would count them twice. They join the
 // registry together with the removal of those harness lines (ROADMAP
@@ -103,7 +104,8 @@ func TestEveryCounterTagged(t *testing.T) {
 		"nic.NIC.TagWalked": true, "nic.NIC.TagLookups": true,
 	}
 	counter := reflect.TypeOf(sim.Counter{})
-	for _, v := range []any{core.Substrate{}, emp.Counters{}, tcpip.Stack{}, kernel.Host{}, ramfs.FS{}, nic.NIC{}} {
+	for _, v := range []any{core.Substrate{}, emp.Counters{}, tcpip.Stack{}, kernel.Host{}, ramfs.FS{}, nic.NIC{},
+		ethernet.Switch{}, ethernet.Fabric{}} {
 		rt := reflect.TypeOf(v)
 		seen := 0
 		for i := 0; i < rt.NumField(); i++ {

@@ -142,8 +142,7 @@ type Conn struct {
 	spanQ []stagedSpan
 }
 
-// flight returns the connection's flight recorder (nil-safe no-op when
-// telemetry is off).
+// flight returns the connection's flight recorder.
 func (c *Conn) flight() *telemetry.Recorder {
 	return c.sub.Tel.Flight(c.id)
 }
@@ -224,7 +223,7 @@ func (c *Conn) send(p *sim.Proc, tag emp.Tag, length int, data any, key emp.BufK
 	}
 	c.sendWaiters++
 	h.SetNotify(c)
-	c.waitDeadline(p, 0, func() bool {
+	c.ready.WaitFor(p, func() bool {
 		return h.Status() != emp.StatusPending || c.err != nil || c.cleaned
 	})
 	c.sendWaiters--
@@ -262,22 +261,6 @@ func (c *Conn) SetReadDeadline(t sim.Time) { c.rdl = t }
 
 // SetWriteDeadline implements sock.Deadliner.
 func (c *Conn) SetWriteDeadline(t sim.Time) { c.wdl = t }
-
-// waitDeadline blocks on the connection's ready cond until pred holds or
-// the deadline dl passes (zero = no deadline). Reports false on expiry;
-// an already-expired deadline still gives pred one non-blocking check,
-// matching net.Conn's deadline-in-the-past behavior.
-func (c *Conn) waitDeadline(p *sim.Proc, dl sim.Time, pred func() bool) bool {
-	if dl == 0 {
-		c.ready.WaitFor(p, pred)
-		return true
-	}
-	remain := dl.Sub(p.Now())
-	if remain <= 0 {
-		return pred()
-	}
-	return c.ready.WaitForTimeout(p, remain, pred)
-}
 
 // Notify wakes this connection's blocked procs and registered pollers:
 // descriptor completions and routed unexpected-queue arrivals land
@@ -340,19 +323,17 @@ func newConn(s *Substrate, peer ethernet.Addr, req *connRequest, isClient bool) 
 	if c.opts.KeepaliveIdle > 0 {
 		s.Eng.Spawn("keepalive", c.keepaliveLoop)
 	}
-	if s.Tel != nil {
-		role := "server"
-		if isClient {
-			role = "client"
-		}
-		c.flight().Recordf(s.Eng.Now(), "open", "%s mode=%d credits=%d", role, c.opts.Mode, req.Credits)
+	role := "server"
+	if isClient {
+		role = "client"
 	}
+	c.flight().Recordf(s.Eng.Now(), "open", "%s mode=%d credits=%d", role, c.opts.Mode, req.Credits)
 	return c
 }
 
 // fail marks the connection failed: blocked Read/Write callers
 // wake with err on their next predicate check. Safe to call from event
-// context (the EMP send-failure notification path).
+// context (the EMP send-failure path).
 func (c *Conn) fail(err error) {
 	if c.err != nil {
 		return
@@ -361,13 +342,11 @@ func (c *Conn) fail(err error) {
 	c.sub.ConnsFailed.Inc()
 	c.sub.Eng.Tracef("substrate", "conn %d:%d -> %d:%d FAILED: %v",
 		c.sub.addr, c.localPort, c.peer, c.remotePort, err)
-	if c.sub.Tel != nil {
-		c.flight().Recordf(c.sub.Eng.Now(), "fail", "%v", err)
-		if err == sock.ErrReset {
-			// The connection died under the application: capture the
-			// event history as a failure artifact.
-			c.sub.Tel.DumpFlight(c.id, "reset")
-		}
+	c.flight().Recordf(c.sub.Eng.Now(), "fail", "%v", err)
+	if err == sock.ErrReset {
+		// The connection died under the application: capture the event
+		// history as a failure artifact.
+		c.sub.Tel.DumpFlight(c.id, "reset")
 	}
 	c.Notify()
 }
@@ -762,7 +741,7 @@ func (c *Conn) takeCreditDeadline(p *sim.Proc, dl sim.Time) error {
 				// Descriptor budget exhausted: fall back to watching the
 				// unexpected queue directly — a claim from it needs no
 				// descriptor — instead of spinning on failed posts.
-				if !c.waitDeadline(p, dl, func() bool {
+				if !c.ready.WaitUntil(p, dl, func() bool {
 					return c.sub.EP.PeekUnexpected(c.peer, c.ackInTag) ||
 						c.err != nil || c.peerClosed || c.cleaned
 				}) {
@@ -775,7 +754,7 @@ func (c *Conn) takeCreditDeadline(p *sim.Proc, dl sim.Time) error {
 			// Wake on completion OR connection failure: a descriptor on
 			// a failed connection never completes, and the §5.3 rule
 			// says it must then be unposted, not abandoned.
-			expired := !c.waitDeadline(p, dl, func() bool {
+			expired := !c.ready.WaitUntil(p, dl, func() bool {
 				return h.Status() != emp.StatusPending || c.err != nil ||
 					c.peerClosed || c.cleaned
 			})
@@ -810,7 +789,7 @@ func (c *Conn) takeCreditDeadline(p *sim.Proc, dl sim.Time) error {
 		if len(c.ackHandles) == 0 {
 			return sock.ErrClosed
 		}
-		if !c.waitDeadline(p, dl, func() bool {
+		if !c.ready.WaitUntil(p, dl, func() bool {
 			return c.anyAckCompleted() || c.credits > 0 || c.err != nil ||
 				c.peerClosed || c.cleaned
 		}) {
@@ -852,10 +831,8 @@ func (c *Conn) applyDS(p *sim.Proc, hdr *header) {
 			break
 		}
 		c.rcv.Append(hdr.Len, hdr.Obj)
-		if hdr.Span != nil {
-			hdr.Span.Mark("stage", p.Now())
-			c.spanQ = append(c.spanQ, stagedSpan{end: c.rcv.End(), span: hdr.Span})
-		}
+		hdr.Span.Mark("stage", p.Now())
+		c.spanQ = append(c.spanQ, stagedSpan{end: c.rcv.End(), span: hdr.Span})
 		c.sub.eagerAdd(hdr.Len)
 		if c.sub.eagerOver() {
 			// Eager pool over budget: withhold the descriptor repost AND
@@ -943,7 +920,7 @@ func (c *Conn) collectDS(p *sim.Proc) {
 func (c *Conn) pumpDS(p *sim.Proc, block bool) bool {
 	ok := true
 	if block {
-		ok = c.waitDeadline(p, c.rdl, func() bool {
+		ok = c.ready.WaitUntil(p, c.rdl, func() bool {
 			return c.anyDataCompleted() || c.err != nil ||
 				(len(c.dataHandles) == 0 && c.deferredDesc == 0)
 		})

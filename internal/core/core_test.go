@@ -10,6 +10,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/sock"
+	"repro/internal/telemetry"
 )
 
 // selectWait emulates a level-triggered select() over an ephemeral
@@ -47,7 +48,7 @@ func newBedWithLoss(opts Options, loss float64, seed uint64) *bed {
 		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(b.sw)
-		b.subs = append(b.subs, New(b.eng, h, nc, opts))
+		b.subs = append(b.subs, New(b.eng, h, nc, telemetry.New(), opts))
 	}
 	return b
 }
@@ -59,7 +60,7 @@ func newBed(n int, opts Options) *bed {
 		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(b.sw)
-		b.subs = append(b.subs, New(b.eng, h, nc, opts))
+		b.subs = append(b.subs, New(b.eng, h, nc, telemetry.New(), opts))
 	}
 	return b
 }

@@ -121,7 +121,7 @@ func (c *Conn) readDG(p *sim.Proc, max int) (int, []any, error) {
 		// against a dead peer must return, and its descriptor must be
 		// unposted rather than abandoned (§5.3). The read deadline
 		// bounds the wait; an expired descriptor is likewise unposted.
-		expired := !c.waitDeadline(p, c.rdl, func() bool {
+		expired := !c.ready.WaitUntil(p, c.rdl, func() bool {
 			return h.Status() != emp.StatusPending || c.err != nil || c.cleaned
 		})
 		c.dgPending = nil
@@ -183,10 +183,8 @@ func (c *Conn) processDGMessage(p *sim.Proc, m emp.Message, max int) (int, []any
 	}
 	switch hdr.Kind {
 	case kindData:
-		if hdr.Span != nil {
-			hdr.Span.Mark("read", p.Now())
-			c.sub.Tel.RecordSpan(hdr.Span)
-		}
+		hdr.Span.Mark("read", p.Now())
+		c.sub.Tel.RecordSpan(hdr.Span)
 		n, objs, err := c.deliverDG(hdr.Len, hdr.Obj, max)
 		return n, objs, err, true
 	case kindClose:
@@ -258,10 +256,8 @@ func (c *Conn) receiveRendezvous(p *sim.Proc, req *header, max int) (int, []any,
 	var obj any
 	if hdr != nil {
 		obj = hdr.Obj
-		if hdr.Span != nil {
-			hdr.Span.Mark("read", p.Now())
-			c.sub.Tel.RecordSpan(hdr.Span)
-		}
+		hdr.Span.Mark("read", p.Now())
+		c.sub.Tel.RecordSpan(hdr.Span)
 	}
 	return c.deliverDG(m.Len, obj, max)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sock"
-	"repro/internal/telemetry"
 )
 
 // failureBound is how much simulated time peer-death detection may take
@@ -199,7 +198,6 @@ func TestKillFailsConnsInDeterministicOrder(t *testing.T) {
 	kill := func() []string {
 		b := newBed(3, DefaultOptions())
 		b.eng.Seed(7)
-		b.subs[0].SetTelemetry(telemetry.New())
 		b.eng.Spawn("server", func(p *sim.Proc) {
 			l, err := b.subs[0].Listen(p, 80, readers)
 			if err != nil {

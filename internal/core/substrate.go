@@ -82,7 +82,7 @@ type Substrate struct {
 	eagerHW    int `metric:"eager_high_water"`
 	deferredQ  []*Conn
 
-	// Stats, published under layer "core" by SetTelemetry.
+	// Stats, published under layer "core" by New.
 	ConnectsSent   sim.Counter `metric:"connects_sent"`
 	ConnsAccepted  sim.Counter `metric:"conns_accepted"`
 	MsgsSent       sim.Counter `metric:"msgs_sent"`
@@ -105,8 +105,7 @@ type Substrate struct {
 	CreditSyncs sim.Counter `metric:"credit_syncs"`
 
 	// Tel is the host's telemetry registry: latency-decomposition
-	// histograms and per-connection flight recorders feed it. Nil (the
-	// default outside a cluster) turns all instrumentation into no-ops.
+	// histograms and per-connection flight recorders feed it.
 	Tel *telemetry.Registry
 }
 
@@ -114,7 +113,13 @@ type Substrate struct {
 // attached to a switch. The EMP endpoint is configured with an
 // unexpected queue sized for the substrate's control traffic plus the
 // early-data race of asynchronous connects.
-func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, opts Options) *Substrate {
+//
+// The substrate's tagged counters publish on tel under layer "core" and
+// the EMP endpoint's under "emp", and its connections feed latency spans
+// and flight recorders there. A substrate rebuilt after a crash–restart
+// is handed the node registry that survived the crash; its fresh
+// counters replace the dead incarnation's.
+func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, tel *telemetry.Registry, opts Options) *Substrate {
 	opts = opts.normalize()
 	epCfg := emp.DefaultEndpointConfig()
 	epCfg.UnexpectedSlots = 4*opts.Credits + 64
@@ -137,7 +142,38 @@ func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, opts Options) *Substrate 
 		portNext:  32768,
 		chans:     make(map[chanKey]*Conn),
 		awaiting:  make(map[chanKey]*Listener),
+		Tel:       tel,
 	}
+	tel.ReplaceSource("core", func() []telemetry.Stat {
+		return append(telemetry.Fields(s),
+			telemetry.Stat{Name: "active_sockets", Value: int64(s.active.size())})
+	})
+	tel.ReplaceSource("emp", func() []telemetry.Stat {
+		return append(telemetry.Fields(&s.EP.Counters),
+			telemetry.Stat{Name: "uq_entries", Value: int64(s.EP.UnexpectedQueued())})
+	})
+	s.EP.SetUnexpectedEvictNotify(func(src ethernet.Addr, tag emp.Tag, length int) {
+		if c, ok := s.chans[chanKey{src, tag}]; ok {
+			c.flight().Recordf(s.Eng.Now(), "uq-evict", "tag=%d len=%d", tag, length)
+		}
+	})
+	// EMP reliability events (retransmit streaks, NACKs, exhausted retry
+	// budgets) name the destination and the outbound tag; route each to
+	// the one connection that sends on that channel so its flight ring
+	// tells the whole story of a wedged path. A send that exhausts its
+	// retry budget also means the peer's NIC is gone (crashed or
+	// partitioned past the reliability horizon): one host notification
+	// later, every connection to that peer fails, whatever its tag,
+	// because rendezvous transfers use dynamically allocated tags.
+	s.EP.SetEventNotify(func(ev emp.ProtoEvent) {
+		if c := s.connByOutbound(ev.Dst, ev.Tag); c != nil {
+			c.flight().Recordf(s.Eng.Now(), ev.Kind, "tag=%#x retries=%d frags=%d", ev.Tag, ev.Retries, ev.Frags)
+		}
+		if ev.Kind == "emp-send-failed" {
+			dst := ev.Dst
+			e.After(nic.HostNotify, func() { s.peerUnreachable(dst) })
+		}
+	})
 	// Control messages (credit acks, close acks, connect replies) and
 	// Datagram-mode early arrivals surface through the unexpected
 	// queue; the arrival is routed to the one connection or listener the
@@ -177,13 +213,6 @@ func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, opts Options) *Substrate 
 	// already acknowledged them, and the refusal policy above bounds them
 	// explicitly.
 	s.EP.SetUnexpectedSetupClass(func(tag emp.Tag) bool { return tag >= listenTagBase })
-	// A send that exhausts its EMP retry budget means the peer's NIC is
-	// gone (crashed or partitioned past the reliability horizon): fail
-	// every connection to that peer. The notification is tag-agnostic
-	// because rendezvous transfers use dynamically allocated tags.
-	s.EP.SetSendFailureNotify(func(dst ethernet.Addr, tag emp.Tag, msgID uint64) {
-		s.peerUnreachable(dst)
-	})
 	if opts.CreditSyncAfter > 0 {
 		s.sweepMark = make(map[*Conn]struct{})
 		s.sweepStalled = make(map[*Conn]struct{})
@@ -268,44 +297,6 @@ func (s *Substrate) creditSweep(p *sim.Proc) {
 			c.creditSweepTick(p)
 		}
 	}
-}
-
-// SetTelemetry attaches a telemetry registry to the substrate: the
-// substrate's tagged counters publish under layer "core" and the EMP
-// endpoint's under "emp", and connections start feeding latency spans
-// and flight recorders. Unexpected-queue evictions are routed to the
-// affected connection's recorder. A substrate rebuilt after a
-// crash–restart calls this on the node registry that survived the
-// crash; its fresh counters replace the dead incarnation's.
-func (s *Substrate) SetTelemetry(tel *telemetry.Registry) {
-	s.Tel = tel
-	if tel == nil {
-		return
-	}
-	tel.ReplaceSource("core", func() []telemetry.Stat {
-		return append(telemetry.Fields(s),
-			telemetry.Stat{Name: "active_sockets", Value: int64(s.active.size())})
-	})
-	tel.ReplaceSource("emp", func() []telemetry.Stat {
-		return append(telemetry.Fields(&s.EP.Counters),
-			telemetry.Stat{Name: "uq_entries", Value: int64(s.EP.UnexpectedQueued())})
-	})
-	s.EP.SetUnexpectedEvictNotify(func(src ethernet.Addr, tag emp.Tag, length int) {
-		if c, ok := s.chans[chanKey{src, tag}]; ok {
-			c.flight().Recordf(s.Eng.Now(), "uq-evict", "tag=%d len=%d", tag, length)
-		}
-	})
-	// EMP reliability events (retransmit streaks, NACKs, exhausted retry
-	// budgets) name the destination and the outbound tag; route each to
-	// the one connection that sends on that channel so its flight ring
-	// tells the whole story of a wedged path.
-	s.EP.SetEventNotify(func(ev emp.ProtoEvent) {
-		c := s.connByOutbound(ev.Dst, ev.Tag)
-		if c == nil {
-			return
-		}
-		c.flight().Recordf(s.Eng.Now(), ev.Kind, "tag=%#x retries=%d frags=%d", ev.Tag, ev.Retries, ev.Frags)
-	})
 }
 
 // connByOutbound finds the active connection that sends to dst on tag.
@@ -698,7 +689,7 @@ func (s *Substrate) dialOnce(p *sim.Proc, addr sock.Addr, port int, deadline sim
 		// parks here unbounded can neither time out nor fail over.
 		h.SetNotify(c)
 		if deadline != 0 {
-			c.waitDeadline(p, deadline, func() bool { return h.Status() != emp.StatusPending })
+			c.ready.WaitUntil(p, deadline, func() bool { return h.Status() != emp.StatusPending })
 		} else {
 			s.EP.WaitSend(p, h)
 		}

@@ -118,7 +118,8 @@ type header struct {
 	// end: the header object itself travels through EMP (descriptor to
 	// wire frame to completed message), so lower layers stamp the span
 	// via the telemetry.Spanned assertion without importing this
-	// package. Nil when telemetry is off or the message is control-only.
+	// package. Every data message carries one; control messages carry
+	// none.
 	Span *telemetry.Span
 }
 

@@ -120,14 +120,11 @@ type Endpoint struct {
 	nextMsgID uint64
 	dead      bool
 
-	// onSendFailure, when set, is invoked (in event context, after the
-	// host-notify delay) whenever a send exhausts its retry budget — the
-	// sockets substrate uses it to fail connections to unreachable peers.
-	onSendFailure func(dst ethernet.Addr, tag Tag, msgID uint64)
 	// onProtoEvent, when set, observes EMP reliability events
 	// (retransmissions, NACKs, send failures) as they happen — the
 	// sockets substrate routes them into the owning connection's flight
-	// recorder. Runs in firmware context, charges no time, must not block.
+	// recorder and fails the connections to a peer a send gave up on.
+	// Runs in firmware context, charges no time, must not block.
 	onProtoEvent func(ProtoEvent)
 
 	tcache     map[BufKey]struct{}
@@ -189,14 +186,6 @@ func (ep *Endpoint) Addr() ethernet.Addr { return ep.addr }
 // Shutdown stops the firmware processors.
 func (ep *Endpoint) Shutdown() { ep.fw.shutdown() }
 
-// SetSendFailureNotify registers fn to run whenever a posted send gives
-// up after exhausting its retry budget (the peer NIC stopped
-// acknowledging). fn runs in event context after the host-notify delay
-// and must not block.
-func (ep *Endpoint) SetSendFailureNotify(fn func(dst ethernet.Addr, tag Tag, msgID uint64)) {
-	ep.onSendFailure = fn
-}
-
 // ProtoEvent is one EMP reliability event surfaced to the layer above:
 // a retransmission round, a received NACK, or a send abandoned after
 // exhausting its retry budget. Dst and Tag identify the send channel,
@@ -211,7 +200,10 @@ type ProtoEvent struct {
 
 // SetEventNotify registers fn to observe EMP reliability events. fn runs
 // in firmware context, is charged no simulated time, and must not block;
-// record-and-return (flight recorders, counters) is the intended use.
+// record-and-return (flight recorders, counters) or scheduling a later
+// event is the intended use. A send abandoned after its retry budget
+// (the peer NIC stopped acknowledging) raises "emp-send-failed" once,
+// after the send is retired.
 func (ep *Endpoint) SetEventNotify(fn func(ProtoEvent)) { ep.onProtoEvent = fn }
 
 func (ep *Endpoint) notifyEvent(ev ProtoEvent) {

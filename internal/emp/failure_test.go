@@ -10,8 +10,8 @@ import (
 // TestSendFailureObservableAfterPeerDeath is the regression test for the
 // failure-detection path: when the peer NIC dies mid-run, the sender's
 // retry budget must exhaust in bounded simulated time and the failure
-// must be visible at the endpoint API — through the send-failure
-// notification, the SendsFailed counter, and (for a window-blocked
+// must be visible at the endpoint API — through the emp-send-failed
+// event, the SendsFailed counter, and (for a window-blocked
 // multi-fragment send) a StatusFailed completion.
 func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 	b := newBed()
@@ -23,9 +23,9 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		sendStatus = StatusPending
 		sendDoneAt sim.Time
 	)
-	b.eps[0].SetSendFailureNotify(func(dst ethernet.Addr, tag Tag, msgID uint64) {
-		if notifyAt == 0 {
-			notifyDst, notifyTag, notifyAt = dst, tag, b.eng.Now()
+	b.eps[0].SetEventNotify(func(ev ProtoEvent) {
+		if ev.Kind == "emp-send-failed" && notifyAt == 0 {
+			notifyDst, notifyTag, notifyAt = ev.Dst, ev.Tag, b.eng.Now()
 		}
 	})
 
@@ -38,7 +38,7 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		// posting loop itself blocks on acknowledgments that never come
 		// and the handle must complete StatusFailed (a small send
 		// completes StatusOK locally at MAC handoff by design; its
-		// failure surfaces via the notification instead).
+		// failure surfaces via the event instead).
 		size := (b.eps[0].Cfg.Rel.SendWindow + 4) * MaxFragPayload
 		st := b.eps[0].Send(p, b.eps[1].Addr(), 9, size, "doomed", 100)
 		sendStatus, sendDoneAt = st, p.Now()
@@ -49,10 +49,10 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		t.Fatalf("send to dead peer completed with status %v, want StatusFailed", sendStatus)
 	}
 	if notifyAt == 0 {
-		t.Fatal("send-failure notification never fired")
+		t.Fatal("emp-send-failed event never fired")
 	}
 	if notifyDst != b.eps[1].Addr() || notifyTag != 9 {
-		t.Fatalf("notification for dst=%d tag=%d, want dst=%d tag=9", notifyDst, notifyTag, b.eps[1].Addr())
+		t.Fatalf("event for dst=%d tag=%d, want dst=%d tag=9", notifyDst, notifyTag, b.eps[1].Addr())
 	}
 	if b.eps[0].SendsFailed.Value == 0 {
 		t.Fatalf("SendsFailed = 0 after retry exhaustion: %+v", b.eps[0].Counters)

@@ -348,15 +348,11 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 		fw.SendsFailed.Inc()
 		fw.eng.Tracef(fw.n.Name, "SEND FAILED dst=%d tag=%d msg=%d after %d retries",
 			rec.dst, rec.tag, rec.msgID, rec.retries-1)
-		fw.ep.notifyEvent(ProtoEvent{Kind: "emp-send-failed", Dst: rec.dst, Tag: rec.tag,
-			Retries: rec.retries - 1})
 		fw.releaseInflight(rec.dst, rec.sent-rec.acked)
 		fw.retire(rec)
 		fw.txWindow.Broadcast()
-		if fn := fw.ep.onSendFailure; fn != nil {
-			dst, tag, id := rec.dst, rec.tag, rec.msgID
-			fw.eng.After(nic.HostNotify, func() { fn(dst, tag, id) })
-		}
+		fw.ep.notifyEvent(ProtoEvent{Kind: "emp-send-failed", Dst: rec.dst, Tag: rec.tag,
+			Retries: rec.retries - 1})
 		return
 	}
 	fw.resendStreak[rec.dst]++

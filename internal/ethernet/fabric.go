@@ -56,10 +56,10 @@ type Fabric struct {
 	onRoute []func(RouteEvent)
 
 	// Counters, published by the cluster's "fabric" source.
-	reroutes     int64 `metric:"reroutes"`
-	linkDowns    int64 `metric:"link_downs"`
-	switchDeaths int64 `metric:"switch_deaths"`
-	routeDrops   int64 `metric:"route_drops"`
+	reroutes     sim.Counter `metric:"reroutes"`
+	linkDowns    sim.Counter `metric:"link_downs"`
+	switchDeaths sim.Counter `metric:"switch_deaths"`
+	routeDrops   sim.Counter `metric:"route_drops"`
 }
 
 // FabricConfig parameterizes the fabric-wide machinery.
@@ -195,7 +195,7 @@ func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 		extraDelay += act.Delay
 	}
 	t.forwards[dir]++
-	from.forwards++
+	from.forwards.Inc()
 	start := t.fb.eng.Now().Add(forwardLatency)
 	done := t.res[dir].ReserveAt(start, f.WireTime())
 	arrive := done.Add(propDelay + extraDelay)
@@ -444,7 +444,7 @@ func (fb *Fabric) linkTransition(t *Trunk, delta int) {
 	kind := "link-up"
 	if now {
 		kind = "link-down"
-		fb.linkDowns++
+		fb.linkDowns.Inc()
 		fb.eng.Tracef("fabric", "%s DOWN", t)
 	} else {
 		fb.eng.Tracef("fabric", "%s UP", t)
@@ -461,7 +461,7 @@ func (fb *Fabric) crashSwitch(s *Switch) {
 		return
 	}
 	s.dead = true
-	fb.switchDeaths++
+	fb.switchDeaths.Inc()
 	fb.eng.Tracef("fabric", "switch %s DOWN", s.name)
 	fb.eng.After(fb.cfg.DetectDelay, func() {
 		fb.detected(RouteEvent{Kind: "switch-down", Link: -1, Switch: s.id})
@@ -477,7 +477,7 @@ func (fb *Fabric) detected(ev RouteEvent) {
 		fb.prevRoutes = fb.routes
 		fb.routes = fb.compute()
 		fb.epoch++
-		fb.reroutes++
+		fb.reroutes.Inc()
 		ev.Rerouted = true
 		fb.eng.Tracef("fabric", "reroute: %s epoch=%d", ev.Kind, fb.epoch)
 	}
@@ -490,40 +490,4 @@ func (fb *Fabric) detected(ev RouteEvent) {
 		// callbacks; afterwards old and new coincide again.
 		fb.prevRoutes = fb.routes
 	}
-}
-
-// --- Introspection ----------------------------------------------------------
-
-// Reroutes counts failure- and recovery-triggered forwarding-table
-// recomputes (zero under NoReroute).
-func (fb *Fabric) Reroutes() int64 { return fb.reroutes }
-
-// Epoch reports the current forwarding-table generation.
-func (fb *Fabric) Epoch() int64 { return fb.epoch }
-
-// LinkDowns counts observed trunk down transitions.
-func (fb *Fabric) LinkDowns() int64 { return fb.linkDowns }
-
-// SwitchDeaths counts crashed switches.
-func (fb *Fabric) SwitchDeaths() int64 { return fb.switchDeaths }
-
-// RouteDrops counts frames dropped fabric-wide for want of a live route.
-func (fb *Fabric) RouteDrops() int64 { return fb.routeDrops }
-
-// Forwards sums frames forwarded by every member switch.
-func (fb *Fabric) Forwards() int64 {
-	var n int64
-	for _, s := range fb.switches {
-		n += s.forwards
-	}
-	return n
-}
-
-// FaultStats folds every member switch's fault-injection counters.
-func (fb *Fabric) FaultStats() FaultStats {
-	var fs FaultStats
-	for _, s := range fb.switches {
-		fs.Add(s.stats)
-	}
-	return fs
 }

@@ -59,8 +59,12 @@ func TestFabricCrossLeafDelivery(t *testing.T) {
 	if got := sinks[1].times[0]; got != sim.Time(want) {
 		t.Fatalf("delivery at %v, want %v", got, want)
 	}
-	if fb.Forwards() != 3 {
-		t.Fatalf("fabric forwards = %d, want 3 (two trunk hops + final delivery)", fb.Forwards())
+	var forwards int64
+	for _, s := range fb.Switches() {
+		forwards += s.Forwards()
+	}
+	if forwards != 3 {
+		t.Fatalf("fabric forwards = %d, want 3 (two trunk hops + final delivery)", forwards)
 	}
 	path, ok := fb.Path(0, 1, 7)
 	if !ok || len(path) != 2 {
@@ -189,8 +193,8 @@ func TestLinkDownBlackholesThenReroutes(t *testing.T) {
 	if dab+dba != 1 {
 		t.Fatalf("trunk0 drops = %d, want 1 (the blackholed frame)", dab+dba)
 	}
-	if fb.Reroutes() != 1 {
-		t.Fatalf("reroutes = %d, want 1", fb.Reroutes())
+	if fb.reroutes.Value != 1 {
+		t.Fatalf("reroutes = %d, want 1", fb.reroutes.Value)
 	}
 	if path, ok := fb.Path(0, 1, flow); !ok || containsInt(path, 0) {
 		t.Fatalf("post-reroute path %v still uses trunk 0", path)
@@ -214,8 +218,8 @@ func TestLinkRecoveryRestoresPaths(t *testing.T) {
 	fb.ApplyFaults(pl)
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
 	// Two flaps: down/up, down/up — four transitions, four reroutes.
-	if len(events) != 4 || fb.Reroutes() != 4 {
-		t.Fatalf("events=%d reroutes=%d, want 4 each", len(events), fb.Reroutes())
+	if len(events) != 4 || fb.reroutes.Value != 4 {
+		t.Fatalf("events=%d reroutes=%d, want 4 each", len(events), fb.reroutes.Value)
 	}
 	wantKinds := []string{"link-down", "link-up", "link-down", "link-up"}
 	for i, ev := range events {
@@ -242,8 +246,8 @@ func TestSwitchCrashReroutesAroundSpine(t *testing.T) {
 	if len(sinks[1].frames) != 1 {
 		t.Fatalf("delivered %d frames after spine crash, want 1", len(sinks[1].frames))
 	}
-	if fb.SwitchDeaths() != 1 || fb.Reroutes() != 1 {
-		t.Fatalf("deaths=%d reroutes=%d, want 1 each", fb.SwitchDeaths(), fb.Reroutes())
+	if fb.switchDeaths.Value != 1 || fb.reroutes.Value != 1 {
+		t.Fatalf("deaths=%d reroutes=%d, want 1 each", fb.switchDeaths.Value, fb.reroutes.Value)
 	}
 	path, ok := fb.Path(0, 1, flow)
 	if !ok || containsInt(path, 0) || containsInt(path, 2) {
@@ -265,8 +269,8 @@ func TestNoRerouteControlKeepsBlackholing(t *testing.T) {
 	if len(sinks[1].frames) != 0 {
 		t.Fatal("no-reroute control delivered a frame over a dead trunk")
 	}
-	if fb.Reroutes() != 0 {
-		t.Fatalf("reroutes = %d under NoReroute, want 0", fb.Reroutes())
+	if fb.reroutes.Value != 0 {
+		t.Fatalf("reroutes = %d under NoReroute, want 0", fb.reroutes.Value)
 	}
 	dab, dba := fb.Trunks()[0].Drops()
 	if dab+dba != 1 {
@@ -288,7 +292,7 @@ func TestLinkDegradeDropsWithoutReroute(t *testing.T) {
 	if len(sinks[1].frames) != 0 {
 		t.Fatal("frame survived a 100%-loss degraded trunk")
 	}
-	if fb.Reroutes() != 0 || fb.LinkDowns() != 0 {
+	if fb.reroutes.Value != 0 || fb.linkDowns.Value != 0 {
 		t.Fatal("degrade clause tripped the failure detector")
 	}
 }

@@ -20,35 +20,6 @@ const (
 	propDelay = 500 * sim.Nanosecond
 )
 
-// FaultStats aggregates every fault-injection counter of the fabric.
-type FaultStats struct {
-	Drops          int64 `metric:"fault_drops"`           // frames dropped by loss injection
-	PartitionDrops int64 `metric:"fault_partition_drops"` // frames dropped by partition/link-down clauses
-	Dups           int64 `metric:"fault_dups"`            // frames delivered twice
-	Corruptions    int64 `metric:"fault_corruptions"`     // frames with flipped bits (dropped at FCS check)
-	Reorders       int64 `metric:"fault_reorders"`        // frames delayed past their successors
-}
-
-// Total reports all injected fault events.
-func (fs FaultStats) Total() int64 {
-	return fs.Drops + fs.PartitionDrops + fs.Dups + fs.Corruptions + fs.Reorders
-}
-
-// Add accumulates another switch's counters, for totals across runs.
-func (fs *FaultStats) Add(o FaultStats) {
-	fs.Drops += o.Drops
-	fs.PartitionDrops += o.PartitionDrops
-	fs.Dups += o.Dups
-	fs.Corruptions += o.Corruptions
-	fs.Reorders += o.Reorders
-}
-
-// String summarizes the counters.
-func (fs FaultStats) String() string {
-	return fmt.Sprintf("drops=%d partition-drops=%d dups=%d corruptions=%d reorders=%d",
-		fs.Drops, fs.PartitionDrops, fs.Dups, fs.Corruptions, fs.Reorders)
-}
-
 // Switch is a store-and-forward Ethernet switch, always a member of a
 // Fabric. Each attached station gets a full-duplex port: the
 // station→switch direction is serialized by the station's own
@@ -56,10 +27,17 @@ func (fs FaultStats) String() string {
 // serialized by a per-output-port resource, which produces output
 // queueing when multiple senders converge on one receiver.
 type Switch struct {
-	eng      *sim.Engine
-	plan     *faults.Plan
-	stats    FaultStats
-	forwards int64
+	eng  *sim.Engine
+	plan *faults.Plan
+
+	// Counters, published by the cluster's "switch" source on a
+	// one-switch cluster and summed into its "fabric" source otherwise.
+	forwards       sim.Counter `metric:"forwards"`              // frames sent out a port or onto a trunk
+	drops          sim.Counter `metric:"fault_drops"`           // frames dropped by loss injection
+	partitionDrops sim.Counter `metric:"fault_partition_drops"` // frames dropped by partition/link-down clauses
+	dups           sim.Counter `metric:"fault_dups"`            // frames delivered twice
+	corruptions    sim.Counter `metric:"fault_corruptions"`     // frames with flipped bits (dropped at FCS check)
+	reorders       sim.Counter `metric:"fault_reorders"`        // frames delayed past their successors
 
 	// The switch carries a fabric-wide id and name and hands frames for
 	// stations attached elsewhere to the fabric's router.
@@ -69,7 +47,8 @@ type Switch struct {
 	dead bool
 	// routeDrops counts frames dropped because no live route to their
 	// destination existed (a disconnected fabric, a dead leaf, or an
-	// unknown station).
+	// unknown station). The fabric source publishes it per switch, as
+	// "<name>_no_route"; the fabric-wide sum is Fabric.routeDrops.
 	routeDrops int64
 }
 
@@ -131,10 +110,7 @@ func (p *Port) Addr() Addr { return p.addr }
 func (p *Port) Rebind(st Station) { p.station = st }
 
 // Forwards reports frames successfully forwarded.
-func (s *Switch) Forwards() int64 { return s.forwards }
-
-// FaultStats reports the consolidated fault-injection counters.
-func (s *Switch) FaultStats() FaultStats { return s.stats }
+func (s *Switch) Forwards() int64 { return s.forwards.Value }
 
 // ID reports the switch's fabric id (creation order).
 func (s *Switch) ID() int { return s.id }
@@ -193,10 +169,10 @@ func (s *Switch) forward(f *Frame) {
 	act := s.plan.Eval(s.eng.Rand(), sim.Duration(s.eng.Now()), int(f.Src), int(f.Dst))
 	if act.Drop {
 		if act.Partition {
-			s.stats.PartitionDrops++
+			s.partitionDrops.Inc()
 			s.eng.Tracef("switch", "PARTITION-DROP %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 		} else {
-			s.stats.Drops++
+			s.drops.Inc()
 			s.eng.Tracef("switch", "DROP %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 		}
 		return
@@ -208,18 +184,18 @@ func (s *Switch) forward(f *Frame) {
 		cf := *f
 		cf.Corrupt = true
 		out = &cf
-		s.stats.Corruptions++
+		s.corruptions.Inc()
 		s.eng.Tracef("switch", "CORRUPT %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 	}
 	if act.Delay > 0 {
-		s.stats.Reorders++
+		s.reorders.Inc()
 		s.eng.Tracef("switch", "REORDER %d->%d len=%d delay=%v", f.Src, f.Dst, f.PayloadLen, act.Delay)
 	}
 	if f.Dst == Broadcast {
 		panic("ethernet: broadcast frames are not supported")
 	}
 	if act.Dup {
-		s.stats.Dups++
+		s.dups.Inc()
 	}
 	s.egress(out, act.Delay, act.Dup)
 }
@@ -254,7 +230,7 @@ func (s *Switch) egress(f *Frame, extraDelay sim.Duration, dup bool) {
 	}
 	if t == nil {
 		s.routeDrops++
-		s.fab.routeDrops++
+		s.fab.routeDrops.Inc()
 		s.eng.Tracef(s.name, "NO-ROUTE %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 		return
 	}
@@ -268,7 +244,7 @@ func (s *Switch) egress(f *Frame, extraDelay sim.Duration, dup bool) {
 // back after serialization (reorder injection) without occupying the
 // output resource, so subsequent frames overtake it on delivery.
 func (s *Switch) deliverVia(p *Port, f *Frame, extraDelay sim.Duration) {
-	s.forwards++
+	s.forwards.Inc()
 	// Forwarding latency, then serialization on the (possibly busy)
 	// output port, then propagation to the station.
 	start := s.eng.Now().Add(forwardLatency)

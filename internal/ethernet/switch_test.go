@@ -174,7 +174,7 @@ func TestLossInjection(t *testing.T) {
 	if got == 0 || got == n {
 		t.Fatalf("loss rate 0.5 delivered %d/%d frames", got, n)
 	}
-	if drops := sw.FaultStats().Drops; drops+int64(got) != n {
+	if drops := sw.drops.Value; drops+int64(got) != n {
 		t.Fatalf("drops %d + delivered %d != sent %d", drops, got, n)
 	}
 }
@@ -260,8 +260,8 @@ func TestSwitchAccessors(t *testing.T) {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 1500})
 	})
 	e.Run()
-	if sw.Forwards() != 1 || sw.FaultStats().Dups != 0 {
-		t.Fatalf("forwards=%d faults=%v", sw.Forwards(), sw.FaultStats())
+	if sw.Forwards() != 1 || sw.dups.Value != 0 {
+		t.Fatalf("forwards=%d dups=%d", sw.Forwards(), sw.dups.Value)
 	}
 	if MaxFrameWireTime() != (&Frame{PayloadLen: MTU}).WireTime() {
 		t.Fatal("MaxFrameWireTime mismatch")
@@ -292,7 +292,7 @@ func TestDuplicationInjectionCountsAndDelivers(t *testing.T) {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 100})
 	})
 	e.Run()
-	if dups := sw.FaultStats().Dups; dups != 1 {
+	if dups := sw.dups.Value; dups != 1 {
 		t.Fatalf("dups = %d", dups)
 	}
 	if len(sinks[1].frames) != 2 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/ramfs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // bed builds two substrate-backed descriptor spaces over one fabric.
@@ -24,7 +25,7 @@ func newBed(n int) *bed {
 		h := kernel.NewHost(b.eng, "h", 4)
 		nc := nic.New(b.eng, "n", nic.DefaultConfig())
 		nc.Attach(sw)
-		sub := core.New(b.eng, h, nc, core.DefaultOptions())
+		sub := core.New(b.eng, h, nc, telemetry.New(), core.DefaultOptions())
 		b.spaces = append(b.spaces, New(sub, ramfs.New(h)))
 	}
 	return b

@@ -7,7 +7,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ethernet"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/sock"
@@ -56,7 +55,7 @@ func checkSubstrateLeaks(t *testing.T, c *cluster.Cluster) {
 // corruption path fired and that no corrupted frame reached EMP.
 func TestChaosFTPUnderRandomPlans(t *testing.T) {
 	const fileSize = 1 << 20
-	var total ethernet.FaultStats
+	total := map[string]int64{}
 	for seed := uint64(1); seed <= chaosSeeds; seed++ {
 		pl := faults.RandomPlan(seed, 2, 2*sim.Second)
 		c := cluster.New(cluster.Config{
@@ -75,20 +74,20 @@ func TestChaosFTPUnderRandomPlans(t *testing.T) {
 		if res.Elapsed > 60*sim.Second {
 			t.Fatalf("seed %d: transfer took %v, recovery unbounded", seed, res.Elapsed)
 		}
-		fs := c.Switch.FaultStats()
-		total.Add(fs)
-		var fcs int64
-		for _, n := range c.Nodes {
-			fcs += n.Sub.EP.NIC.FCSErrors.Value
+		snap := c.TelemetrySnapshot()
+		for _, k := range cluster.FaultKeys {
+			total[k] += snap.Sum(k)
 		}
-		if fs.Corruptions > 0 && fcs == 0 {
-			t.Fatalf("seed %d: %d frames corrupted but none dropped by FCS", seed, fs.Corruptions)
+		if n := snap.Sum("switch/fault_corruptions"); n > 0 && snap.Sum("nic/fcs_errors") == 0 {
+			t.Fatalf("seed %d: %d frames corrupted but none dropped by FCS", seed, n)
 		}
 		checkSubstrateLeaks(t, c)
 	}
 	// Across five plans every injection mechanism must have fired.
-	if total.Drops == 0 || total.Dups == 0 || total.Corruptions == 0 || total.Reorders == 0 {
-		t.Fatalf("fault coverage incomplete across seeds: %+v", total)
+	for _, k := range []string{"switch/fault_drops", "switch/fault_dups", "switch/fault_corruptions", "switch/fault_reorders"} {
+		if total[k] == 0 {
+			t.Fatalf("fault coverage incomplete across seeds: %v", total)
+		}
 	}
 }
 
@@ -97,8 +96,7 @@ func TestChaosFTPUnderRandomPlans(t *testing.T) {
 // plans; the checksum-drop counter proves corrupted segments were
 // rejected before reaching TCP payload.
 func TestChaosKVStoreOverTCPUnderRandomPlans(t *testing.T) {
-	var total ethernet.FaultStats
-	var checksumDrops int64
+	var corruptions, checksumDrops int64
 	for seed := uint64(1); seed <= chaosSeeds; seed++ {
 		pl := faults.RandomPlan(seed, 4, sim.Second)
 		c := cluster.New(cluster.Config{
@@ -116,12 +114,11 @@ func TestChaosKVStoreOverTCPUnderRandomPlans(t *testing.T) {
 		if want := cfg.Clients * cfg.OpsPerClient; res.Ops != want {
 			t.Fatalf("seed %d: ops = %d, want %d", seed, res.Ops, want)
 		}
-		total.Add(c.Switch.FaultStats())
-		for _, n := range c.Nodes {
-			checksumDrops += n.Stack.ChecksumDrops.Value
-		}
+		snap := c.TelemetrySnapshot()
+		corruptions += snap.Sum("switch/fault_corruptions")
+		checksumDrops += snap.Sum("tcp/checksum_drops")
 	}
-	if total.Corruptions == 0 {
+	if corruptions == 0 {
 		t.Fatal("no frames corrupted across seeds; plan generation broken")
 	}
 	if checksumDrops == 0 {
@@ -155,7 +152,7 @@ func TestChaosWebSurvivesLinkFlaps(t *testing.T) {
 		if want := 3 * 24; res.Requests != want {
 			t.Fatalf("seed %d: %d requests completed, want %d", seed, res.Requests, want)
 		}
-		if c.Switch.FaultStats().PartitionDrops == 0 {
+		if c.TelemetrySnapshot().Sum("switch/fault_partition_drops") == 0 {
 			t.Fatalf("seed %d: flap windows never dropped a frame", seed)
 		}
 		checkSubstrateLeaks(t, c)
@@ -404,7 +401,7 @@ func TestChaosPartitionExhaustsRetryBudget(t *testing.T) {
 	if d := sim.Duration(errAt) - cutAt; d > chaosFailureBound {
 		t.Fatalf("failure detected %v after the cut, bound %v", d, chaosFailureBound)
 	}
-	if c.Switch.FaultStats().PartitionDrops == 0 {
+	if c.TelemetrySnapshot().Sum("switch/fault_partition_drops") == 0 {
 		t.Fatal("partition never dropped a frame")
 	}
 	// The writer's side must have cleaned up despite the peer being

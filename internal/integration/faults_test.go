@@ -67,7 +67,7 @@ func TestSubstrateSurvivesDuplication(t *testing.T) {
 		}
 	})
 	c.Run(30 * sim.Second)
-	if c.Switch.FaultStats().Dups == 0 {
+	if c.TelemetrySnapshot().Sum("switch/fault_dups") == 0 {
 		t.Fatal("duplication injection did not fire")
 	}
 	if gotN != 20*1024 {
@@ -136,7 +136,7 @@ func TestTCPSurvivesDuplication(t *testing.T) {
 	if got != total {
 		t.Fatalf("received %d bytes, want exactly %d", got, total)
 	}
-	if c.Switch.FaultStats().Dups == 0 {
+	if c.TelemetrySnapshot().Sum("switch/fault_dups") == 0 {
 		t.Fatal("duplication injection did not fire")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sock"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 // lossyPlan drops every forwarded frame with the given probability.
@@ -42,7 +43,7 @@ func TestFTPOverLossyFabric(t *testing.T) {
 		t.Fatalf("client copy = %d bytes", size)
 	}
 	// Loss must actually have been exercised.
-	if c.Switch.FaultStats().Drops == 0 {
+	if c.TelemetrySnapshot().Sum("switch/fault_drops") == 0 {
 		t.Fatal("loss injection did not fire")
 	}
 }
@@ -75,7 +76,7 @@ func TestMixedProtocolFabric(t *testing.T) {
 	var stacks [2]*tcpip.Stack
 	for i := range stacks {
 		h := kernel.NewHost(eng, "tcp-host", 4)
-		stacks[i] = tcpip.NewStack(eng, h, sw, tcpip.DefaultStackConfig())
+		stacks[i] = tcpip.NewStackOnPort(eng, h, sw.Attach(nil), telemetry.New(), tcpip.DefaultStackConfig())
 	}
 	// Two substrate hosts on the same fabric.
 	var subs [2]*core.Substrate
@@ -83,7 +84,7 @@ func TestMixedProtocolFabric(t *testing.T) {
 		h := kernel.NewHost(eng, "emp-host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
-		subs[i] = core.New(eng, h, n, core.DefaultOptions())
+		subs[i] = core.New(eng, h, n, telemetry.New(), core.DefaultOptions())
 	}
 
 	tcpOK, subOK := false, false

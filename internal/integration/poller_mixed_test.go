@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sock"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 // mixEnd tracks one listener and its accepted connection in the mixed
@@ -33,14 +34,14 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 	var stacks [2]*tcpip.Stack
 	for i := range stacks {
 		h := kernel.NewHost(eng, "tcp-host", 4)
-		stacks[i] = tcpip.NewStack(eng, h, sw, tcpip.DefaultStackConfig())
+		stacks[i] = tcpip.NewStackOnPort(eng, h, sw.Attach(nil), telemetry.New(), tcpip.DefaultStackConfig())
 	}
 	var subs [2]*core.Substrate
 	for i := range subs {
 		h := kernel.NewHost(eng, "emp-host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
-		subs[i] = core.New(eng, h, n, core.DefaultOptions())
+		subs[i] = core.New(eng, h, n, telemetry.New(), core.DefaultOptions())
 	}
 
 	const want = 64
@@ -192,7 +193,7 @@ func substratePair(opts core.Options) (*sim.Engine, [2]*core.Substrate) {
 		h := kernel.NewHost(eng, "host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
-		subs[i] = core.New(eng, h, n, opts)
+		subs[i] = core.New(eng, h, n, telemetry.New(), opts)
 	}
 	return eng, subs
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sock"
 	"repro/internal/tcpip"
+	"repro/internal/telemetry"
 )
 
 // Graceful-teardown suite: half-close, lingering close, per-dial
@@ -494,7 +495,7 @@ func TestDrainQuiesceMixedConns(t *testing.T) {
 		h := kernel.NewHost(eng, "host", 4)
 		n := nic.New(eng, "nic", nic.DefaultConfig())
 		n.Attach(sw)
-		return core.New(eng, h, n, opts)
+		return core.New(eng, h, n, telemetry.New(), opts)
 	}
 	ds := core.DefaultOptions()
 	dg := core.DatagramOptions()

@@ -286,5 +286,19 @@ func (c *Cond) WaitForTimeout(p *Proc, d Duration, pred func() bool) bool {
 	return true
 }
 
+// WaitUntil is WaitFor with an absolute deadline, zero meaning none;
+// it reports whether pred held. A deadline already past still gives
+// pred one check, the way a socket deadline in the past behaves.
+func (c *Cond) WaitUntil(p *Proc, deadline Time, pred func() bool) bool {
+	if deadline == 0 {
+		c.WaitFor(p, pred)
+		return true
+	}
+	if remain := deadline.Sub(p.Now()); remain > 0 {
+		return c.WaitForTimeout(p, remain, pred)
+	}
+	return pred()
+}
+
 // Broadcast wakes all waiters so they re-evaluate their predicates.
 func (c *Cond) Broadcast() { c.wq.WakeAll() }

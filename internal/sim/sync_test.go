@@ -188,6 +188,52 @@ func TestCondWaitForTimeout(t *testing.T) {
 	}
 }
 
+// TestCondWaitUntil covers the three deadline cases: zero waits with no
+// deadline, a deadline already past gives the predicate one check, and
+// a future deadline expires at its instant unless the predicate holds.
+func TestCondWaitUntil(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e, "cond")
+	x := 0
+	e.At(100, func() {
+		x = 1
+		c.Broadcast()
+	})
+	type result struct {
+		ok bool
+		at Time
+	}
+	var noDeadline, pastTrue, pastFalse, expired, met result
+	e.Spawn("waiter", func(p *Proc) {
+		ok := c.WaitUntil(p, 0, func() bool { return x == 1 })
+		noDeadline = result{ok, p.Now()}
+		ok = c.WaitUntil(p, 50, func() bool { return true })
+		pastTrue = result{ok, p.Now()}
+		ok = c.WaitUntil(p, 50, func() bool { return false })
+		pastFalse = result{ok, p.Now()}
+		ok = c.WaitUntil(p, 160, func() bool { return false })
+		expired = result{ok, p.Now()}
+		e.At(200, func() {
+			x = 2
+			c.Broadcast()
+		})
+		ok = c.WaitUntil(p, 300, func() bool { return x == 2 })
+		met = result{ok, p.Now()}
+	})
+	e.Run()
+	for name, got := range map[string]struct{ got, want result }{
+		"no deadline":      {noDeadline, result{true, 100}},
+		"past, pred true":  {pastTrue, result{true, 100}},
+		"past, pred false": {pastFalse, result{false, 100}},
+		"expired":          {expired, result{false, 160}},
+		"met":              {met, result{true, 200}},
+	} {
+		if got.got != got.want {
+			t.Errorf("%s: got %+v, want %+v", name, got.got, got.want)
+		}
+	}
+}
+
 // Property: a FIFO delivers exactly the multiset of values put, in order,
 // for any interleaving of producer/consumer delays.
 func TestFIFOConservationProperty(t *testing.T) {

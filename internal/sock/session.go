@@ -106,8 +106,8 @@ var dialRetry = retry.Policy{
 }
 
 // SessionConfig configures both DialSession and NewSessionListener.
-// Zero values get sensible defaults from normalize; only Eng (and, for
-// DialSession, Targets) are mandatory.
+// Zero values get sensible defaults from normalize; only Eng, Tel (and,
+// for DialSession, Targets) are mandatory.
 type SessionConfig struct {
 	// Eng is the simulation engine (mandatory).
 	Eng *sim.Engine
@@ -120,8 +120,8 @@ type SessionConfig struct {
 	// makes before the session fails (default 3). Pass n sleeps
 	// dialRetry.Backoff(n) before starting, so rounds back off too.
 	Rounds int
-	// Tel receives session counters (layer "session") and flight
-	// events; nil disables instrumentation.
+	// Tel is the node's telemetry registry (mandatory): it receives the
+	// session counters (layer "session") and flight events.
 	Tel *telemetry.Registry
 	// Store, on the server side, is the node's durable session-resume
 	// ledger: ids are allocated from it and Cork/Uncork commits resume
@@ -138,6 +138,9 @@ type SessionConfig struct {
 func (c SessionConfig) normalize() SessionConfig {
 	if c.Eng == nil {
 		panic("sock: SessionConfig.Eng is required")
+	}
+	if c.Tel == nil {
+		panic("sock: SessionConfig.Tel is required")
 	}
 	if c.Name == "" {
 		c.Name = "session"

@@ -122,8 +122,7 @@ type Conn struct {
 	rcvSpanQ []connSpan
 }
 
-// flight returns the connection's flight recorder (nil-safe no-op when
-// telemetry is off).
+// flight returns the connection's flight recorder.
 func (c *Conn) flight() *telemetry.Recorder {
 	return c.st.Tel.Flight(c.id)
 }
@@ -151,21 +150,6 @@ func (c *Conn) SetReadDeadline(t sim.Time) { c.rdl = t }
 
 // SetWriteDeadline implements sock.Deadliner.
 func (c *Conn) SetWriteDeadline(t sim.Time) { c.wdl = t }
-
-// waitDeadline blocks on cond until pred holds or the deadline dl passes
-// (zero = none). Reports false on expiry; an already-expired deadline
-// still gives pred one non-blocking check.
-func (c *Conn) waitDeadline(p *sim.Proc, cond *sim.Cond, dl sim.Time, pred func() bool) bool {
-	if dl == 0 {
-		cond.WaitFor(p, pred)
-		return true
-	}
-	remain := dl.Sub(p.Now())
-	if remain <= 0 {
-		return pred()
-	}
-	return cond.WaitForTimeout(p, remain, pred)
-}
 
 func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 	st.nextISS += 1 << 16
@@ -711,13 +695,11 @@ func (c *Conn) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	if c.st.Tel != nil {
-		c.flight().Recordf(c.st.Eng.Now(), "fail", "%v", err)
-		if err == sock.ErrReset {
-			// The connection died under the application: capture the
-			// event history as a failure artifact.
-			c.st.Tel.DumpFlight(c.id, "reset")
-		}
+	c.flight().Recordf(c.st.Eng.Now(), "fail", "%v", err)
+	if err == sock.ErrReset {
+		// The connection died under the application: capture the event
+		// history as a failure artifact.
+		c.st.Tel.DumpFlight(c.id, "reset")
 	}
 	c.spanQ = nil
 	c.rcvSpanQ = nil
@@ -757,7 +739,7 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 		return 0, nil, nil // shutdown(SHUT_RD): reads see EOF
 	}
 	blocked := c.rcvbuf.Len() == 0 && !c.eof && c.err == nil
-	if !c.waitDeadline(p, c.rcvReady, c.rdl, func() bool {
+	if !c.rcvReady.WaitUntil(p, c.rdl, func() bool {
 		return c.rcvbuf.Len() > 0 || c.eof || c.err != nil || c.rdShut
 	}) {
 		c.flight().Record(p.Now(), "deadline", "read")
@@ -806,16 +788,17 @@ func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 	if c.state != stateEstablished && c.state != stateCloseWait {
 		return 0, sock.ErrClosed
 	}
-	if sp := c.st.Tel.NewSpan("tcp", n, "write", p.Now()); sp != nil && n > 0 {
+	if n > 0 {
 		if len(c.spanQ) >= maxConnSpans {
 			c.spanQ = c.spanQ[1:]
 		}
+		sp := c.st.Tel.NewSpan("tcp", n, "write", p.Now())
 		c.spanQ = append(c.spanQ, connSpan{end: c.sndbuf.End() + int64(n), span: sp})
 	}
 	written := 0
 	for written < n {
 		blocked := c.sndbuf.Len() >= c.st.Cfg.SndBuf && c.err == nil && c.state != stateClosed
-		if !c.waitDeadline(p, c.sndReady, c.wdl, func() bool {
+		if !c.sndReady.WaitUntil(p, c.wdl, func() bool {
 			return c.sndbuf.Len() < c.st.Cfg.SndBuf || c.err != nil || c.state == stateClosed
 		}) {
 			c.flight().Record(p.Now(), "deadline", "write")
@@ -952,7 +935,7 @@ func (c *Conn) abort(p *sim.Proc) {
 // passes — in which case the close degrades to a reset and reports
 // sock.ErrTimeout, telling the caller tail delivery is unconfirmed.
 func (c *Conn) lingerWait(p *sim.Proc, deadline sim.Time) error {
-	c.waitDeadline(p, c.sndReady, deadline, func() bool {
+	c.sndReady.WaitUntil(p, deadline, func() bool {
 		return c.finAcked || c.err != nil || c.state == stateClosed
 	})
 	if !c.finAcked && c.err == nil && c.state != stateClosed {

@@ -53,7 +53,7 @@ type Stack struct {
 	rxIntr  sim.Event
 	rxFirst sim.Time
 
-	// Stats, published under layer "tcp" by SetTelemetry.
+	// Stats, published under layer "tcp" by NewStackOnPort.
 	SegsIn            sim.Counter `metric:"segs_in"`
 	SegsOut           sim.Counter `metric:"segs_out"`
 	Rexmits           sim.Counter `metric:"rexmits"`
@@ -67,33 +67,18 @@ type Stack struct {
 	// degraded to a reset (tail delivery unconfirmed).
 	LingerExpired sim.Counter `metric:"linger_expired"`
 
-	// Tel is the host's telemetry registry; nil outside a cluster (all
-	// instrumentation no-ops).
+	// Tel is the host's telemetry registry: latency spans and
+	// per-connection flight recorders feed it.
 	Tel *telemetry.Registry
 }
 
-// SetTelemetry attaches the host's registry and publishes the stack's
-// tagged counters under layer "tcp". A reborn incarnation's stack
-// re-registers on the surviving node registry, replacing the dead
-// incarnation's counters.
-func (st *Stack) SetTelemetry(tel *telemetry.Registry) {
-	st.Tel = tel
-	if tel == nil {
-		return
-	}
-	tel.ReplaceSource("tcp", func() []telemetry.Stat { return telemetry.Fields(st) })
-}
-
-// NewStack creates a stack on host and attaches it to a new port of sw.
-func NewStack(e *sim.Engine, host *kernel.Host, sw *ethernet.Switch, cfg StackConfig) *Stack {
-	return NewStackOnPort(e, host, sw.Attach(nil), cfg)
-}
-
-// NewStackOnPort builds a stack on an existing switch port, rebinding
-// the port's station — the crash–restart path: a rebooted host's fresh
-// stack inherits the dead incarnation's attachment so it comes back at
-// the same address.
-func NewStackOnPort(e *sim.Engine, host *kernel.Host, port *ethernet.Port, cfg StackConfig) *Stack {
+// NewStackOnPort builds a stack on a switch port, rebinding the port's
+// station — on the crash–restart path a rebooted host's fresh stack
+// inherits the dead incarnation's attachment, so it comes back at the
+// same address. The stack's tagged counters publish on tel under layer
+// "tcp"; a reborn incarnation's stack re-registers on the surviving
+// node registry, replacing the dead incarnation's counters.
+func NewStackOnPort(e *sim.Engine, host *kernel.Host, port *ethernet.Port, tel *telemetry.Registry, cfg StackConfig) *Stack {
 	st := &Stack{
 		Eng:       e,
 		Host:      host,
@@ -103,7 +88,9 @@ func NewStackOnPort(e *sim.Engine, host *kernel.Host, port *ethernet.Port, cfg S
 		udps:      make(map[int]*UDPSocket),
 		nextPort:  32768,
 		nextISS:   1 << 20,
+		Tel:       tel,
 	}
+	tel.ReplaceSource("tcp", func() []telemetry.Stat { return telemetry.Fields(st) })
 	port.Rebind(st)
 	st.port = port
 	st.addr = port.Addr()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/sock"
+	"repro/internal/telemetry"
 )
 
 // selectWait emulates a level-triggered select() over an ephemeral
@@ -41,7 +42,7 @@ func newBed(n int, cfg StackConfig) *bed {
 	b.sw = ethernet.NewSwitch(b.eng)
 	for i := 0; i < n; i++ {
 		h := kernel.NewHost(b.eng, "h", 4)
-		b.stacks = append(b.stacks, NewStack(b.eng, h, b.sw, cfg))
+		b.stacks = append(b.stacks, NewStackOnPort(b.eng, h, b.sw.Attach(nil), telemetry.New(), cfg))
 	}
 	return b
 }

@@ -41,11 +41,8 @@ type Recorder struct {
 }
 
 // Record appends an event, overwriting the oldest once the ring is
-// full. Safe on a nil receiver.
+// full.
 func (r *Recorder) Record(at sim.Time, kind, detail string) {
-	if r == nil {
-		return
-	}
 	ev := FlightEvent{At: at, Kind: kind, Detail: detail}
 	if len(r.ring) < flightCap {
 		r.ring = append(r.ring, ev)
@@ -56,21 +53,13 @@ func (r *Recorder) Record(at sim.Time, kind, detail string) {
 	r.total++
 }
 
-// Recordf is Record with a formatted detail string. Safe on a nil
-// receiver; the format arguments are not evaluated into a string when
-// the recorder is nil beyond normal Go argument evaluation.
+// Recordf is Record with a formatted detail string.
 func (r *Recorder) Recordf(at sim.Time, kind, format string, args ...any) {
-	if r == nil {
-		return
-	}
 	r.Record(at, kind, fmt.Sprintf(format, args...))
 }
 
 // Events returns the ring's events oldest first.
 func (r *Recorder) Events() []FlightEvent {
-	if r == nil {
-		return nil
-	}
 	if len(r.ring) < flightCap {
 		out := make([]FlightEvent, len(r.ring))
 		copy(out, r.ring)
@@ -86,9 +75,6 @@ func (r *Recorder) Events() []FlightEvent {
 // Total reports how many events were ever recorded (>= len(Events())
 // once the ring has wrapped).
 func (r *Recorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
 	return r.total
 }
 
@@ -104,12 +90,8 @@ type Dump struct {
 // Flight returns the flight recorder for the given connection id,
 // creating it on first use. At most maxFlights recorders stay live; the
 // least recently used is discarded beyond that, so connection churn
-// cannot grow the registry. Returns nil (a valid no-op recorder) on a
-// nil registry.
+// cannot grow the registry.
 func (r *Registry) Flight(conn string) *Recorder {
-	if r == nil {
-		return nil
-	}
 	if rec := r.flights[conn]; rec != nil {
 		if rec != r.newest {
 			r.unlinkFlight(rec)
@@ -156,9 +138,6 @@ func (r *Registry) unlinkFlight(rec *Recorder) {
 
 // FlightIDs lists the live recorder ids, sorted.
 func (r *Registry) FlightIDs() []string {
-	if r == nil {
-		return nil
-	}
 	ids := make([]string, 0, len(r.flights))
 	for id := range r.flights {
 		ids = append(ids, id)
@@ -170,11 +149,8 @@ func (r *Registry) FlightIDs() []string {
 // DumpFlight captures the named connection's ring as a failure
 // artifact. The registry retains at most maxDumps dumps (oldest kept —
 // the first failure is usually the root cause). Returns the dump, or
-// nil if the connection has no recorder or the registry is nil.
+// nil if the connection has no recorder or an empty one.
 func (r *Registry) DumpFlight(conn, reason string) *Dump {
-	if r == nil {
-		return nil
-	}
 	rec := r.flights[conn]
 	if rec == nil || rec.total == 0 {
 		return nil
@@ -190,9 +166,6 @@ func (r *Registry) DumpFlight(conn, reason string) *Dump {
 // cannot name a single connection). Dumps beyond the registry cap are
 // dropped.
 func (r *Registry) DumpAllFlights(reason string) {
-	if r == nil {
-		return
-	}
 	for _, id := range r.FlightIDs() {
 		r.DumpFlight(id, reason)
 	}
@@ -200,9 +173,6 @@ func (r *Registry) DumpAllFlights(reason string) {
 
 // Dumps returns the retained failure artifacts, in capture order.
 func (r *Registry) Dumps() []Dump {
-	if r == nil {
-		return nil
-	}
 	out := make([]Dump, len(r.dumps))
 	copy(out, r.dumps)
 	return out

@@ -38,11 +38,8 @@ func LatencyBounds() []float64 {
 	return bounds
 }
 
-// Observe adds one value. Safe on a nil receiver.
+// Observe adds one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -61,25 +58,19 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration adds one virtual-time duration, in nanoseconds.
 func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(float64(d)) }
 
-// Count reports the number of observations. Zero on a nil receiver.
+// Count reports the number of observations.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.count
 }
 
 // Sum reports the exact sum of all observations.
 func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
 	return h.sum
 }
 
 // Mean reports the exact mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
+	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
@@ -87,25 +78,16 @@ func (h *Histogram) Mean() float64 {
 
 // Min reports the smallest observation, or 0 when empty.
 func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
 	return h.min
 }
 
 // Max reports the largest observation, or 0 when empty.
 func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
 	return h.max
 }
 
 // Bounds returns a copy of the bucket upper bounds.
 func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
 	b := make([]float64, len(h.bounds))
 	copy(b, h.bounds)
 	return b
@@ -113,9 +95,6 @@ func (h *Histogram) Bounds() []float64 {
 
 // Counts returns a copy of the per-bucket counts (overflow last).
 func (h *Histogram) Counts() []int64 {
-	if h == nil {
-		return nil
-	}
 	c := make([]int64, len(h.counts))
 	copy(c, h.counts)
 	return c
@@ -126,7 +105,7 @@ func (h *Histogram) Counts() []int64 {
 // [Min, Max] range so a single observation reports itself exactly.
 // Returns 0 when empty.
 func (h *Histogram) Percentile(p float64) float64 {
-	if h == nil || h.count == 0 {
+	if h.count == 0 {
 		return 0
 	}
 	target := p / 100 * float64(h.count)
@@ -166,11 +145,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 
 // Merge folds other into h bucket-wise. Histograms with different
 // bounds cannot be merged; Merge reports whether the merge happened.
-// Safe when either side is nil (reports false).
 func (h *Histogram) Merge(other *Histogram) bool {
-	if h == nil || other == nil {
-		return false
-	}
 	if len(h.bounds) != len(other.bounds) {
 		return false
 	}

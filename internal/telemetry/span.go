@@ -10,9 +10,7 @@ import "repro/internal/sim"
 // its wire header, TCP on segment object boundaries — so the receiver
 // can account the whole path without any extra wire state.
 //
-// Marks never charge simulated time; instrumented runs keep the exact
-// timings of uninstrumented ones. All methods are nil-receiver safe, so
-// hot paths mark unconditionally and pay nothing when telemetry is off.
+// Marks never charge simulated time, so marking changes no timing.
 type Span struct {
 	Path  string // "eager", "rend", or "tcp"
 	Size  int    // operation payload bytes, for size classing
@@ -37,28 +35,22 @@ type Spanned interface {
 // for all of them, so marking never regrows the slice.
 const spanMarks = 8
 
-// NewSpan starts a span on the given path with an initial mark. Returns
-// nil — a valid, free-to-mark span — when the registry is nil.
+// NewSpan starts a span on the given path with an initial mark.
 func (r *Registry) NewSpan(path string, size int, mark string, at sim.Time) *Span {
-	if r == nil {
-		return nil
-	}
 	s := &Span{Path: path, Size: size, Marks: make([]SpanMark, 0, spanMarks)}
 	s.Mark(mark, at)
 	return s
 }
 
-// Mark appends a named instant. Safe on a nil receiver.
+// Mark appends a named instant.
 func (s *Span) Mark(name string, at sim.Time) {
-	if s == nil {
-		return
-	}
 	s.Marks = append(s.Marks, SpanMark{Name: name, At: at})
 }
 
 // MarkOnce appends the mark only if no mark with that name exists yet;
 // retransmission paths use it so a span records first-transmission
-// instants. Safe on a nil receiver.
+// instants. It is safe on a nil span: EMP marks every message through
+// Spanned, and control messages carry none.
 func (s *Span) MarkOnce(name string, at sim.Time) {
 	if s == nil {
 		return
@@ -91,10 +83,10 @@ func SizeClass(n int) string {
 // decomposition) and one for the end-to-end first-to-last duration,
 // keyed by path and size class. Because stages telescope — each stage's
 // end is the next stage's start — the per-stage sums add up to the
-// end-to-end sum exactly. No-op when the registry or span is nil or the
-// span has fewer than two marks.
+// end-to-end sum exactly. A span with fewer than two marks records
+// nothing.
 func (r *Registry) RecordSpan(s *Span) {
-	if r == nil || s == nil || len(s.Marks) < 2 {
+	if len(s.Marks) < 2 {
 		return
 	}
 	k := spanKey{path: s.Path, class: SizeClass(s.Size)}

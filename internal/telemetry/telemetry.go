@@ -4,11 +4,13 @@
 // crossings, and per-connection flight recorders dumped when a
 // connection dies unexpectedly.
 //
-// The registry is deliberately passive: it never schedules events and
-// never charges simulated time, so instrumented and uninstrumented runs
-// produce byte-identical timings. Every method is nil-receiver safe —
-// layers built outside a cluster (unit tests, microbenches) simply carry
-// a nil *Registry and all instrumentation collapses to cheap no-ops.
+// Every node owns one registry, and every layer on the node is built
+// with it: the substrate, the TCP stack and the session layer take it
+// at construction and register their sources there, and the cluster
+// adds its fabric and switch counters when it aggregates. There is no
+// "telemetry off" mode. The registry is deliberately passive: it never
+// schedules events and never charges simulated time, so recording
+// changes no timing.
 package telemetry
 
 import (
@@ -94,8 +96,7 @@ type source struct {
 }
 
 // Registry is the per-host metric store. The zero value is not usable;
-// call New. A nil *Registry is a valid "telemetry off" value: every
-// method no-ops.
+// call New.
 type Registry struct {
 	counters map[Key]*sim.Counter
 	hists    map[Key]*Histogram
@@ -120,12 +121,8 @@ func New() *Registry {
 }
 
 // Counter returns the counter for (layer, metric), creating it on first
-// use. On a nil registry it returns a fresh detached counter, so callers
-// increment unconditionally and nothing is recorded.
+// use.
 func (r *Registry) Counter(layer, metric string) *sim.Counter {
-	if r == nil {
-		return &sim.Counter{}
-	}
 	k := Key{Layer: layer, Metric: metric}
 	c := r.counters[k]
 	if c == nil {
@@ -137,11 +134,8 @@ func (r *Registry) Counter(layer, metric string) *sim.Counter {
 
 // Histogram returns the histogram for (layer, metric), creating it with
 // the given bucket bounds on first use (later calls reuse the existing
-// bounds). Returns nil (a valid no-op histogram) on a nil registry.
+// bounds).
 func (r *Registry) Histogram(layer, metric string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	k := Key{Layer: layer, Metric: metric}
 	h := r.hists[k]
 	if h == nil {
@@ -158,11 +152,8 @@ func (r *Registry) Histogram(layer, metric string, bounds []float64) *Histogram 
 // incarnation: a host rebuilt after a crash–restart re-registers, and
 // the reborn incarnation's stats replace the dead one's rather than
 // adding to them. Merge appends sources, so a cluster-wide registry
-// sums the nodes' layers. No-op on a nil registry.
+// sums the nodes' layers.
 func (r *Registry) ReplaceSource(layer string, fn func() []Stat) {
-	if r == nil {
-		return
-	}
 	kept := r.sources[:0]
 	for _, src := range r.sources {
 		if src.layer != layer {
@@ -206,13 +197,9 @@ type Snapshot struct {
 
 // Snapshot captures the registry. Same seed, same workload — same
 // snapshot, byte for byte, because every series is emitted in sorted
-// key order and sources run in registration order. A nil registry
-// snapshots empty.
+// key order and sources run in registration order.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Counters: []MetricSnap{}}
-	if r == nil {
-		return s
-	}
 	merged := make(map[Key]int64, len(r.counters))
 	for k, c := range r.counters {
 		merged[k] = c.Value
@@ -275,12 +262,8 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 // Merge folds other's counters, sources, histograms, and flight dumps
 // into r (cross-node aggregation for cluster-wide reports). Histograms
-// merge bucket-wise; mismatched bounds are skipped. No-op if either
-// side is nil.
+// merge bucket-wise; mismatched bounds are skipped.
 func (r *Registry) Merge(other *Registry) {
-	if r == nil || other == nil {
-		return
-	}
 	for k, c := range other.counters {
 		rc := r.counters[k]
 		if rc == nil {

@@ -134,38 +134,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestNilSafety(t *testing.T) {
-	var r *Registry
-	// Every path must be a no-op, not a panic, when telemetry is off.
-	r.Counter("l", "m").Inc()
-	r.Counter("l", "m").Add(3)
-	r.Histogram("l", "m", nil).Observe(1)
-	r.ReplaceSource("l", func() []Stat { return nil })
-	sp := r.NewSpan("eager", 64, "write", 0)
-	if sp != nil {
-		t.Fatal("nil registry must yield nil span")
-	}
-	sp.Mark("post", 10)
-	sp.MarkOnce("post", 10)
-	r.RecordSpan(sp)
-	r.Flight("c").Record(0, "connect", "")
-	r.Flight("c").Recordf(0, "connect", "try %d", 1)
-	r.DumpFlight("c", "reset")
-	r.DumpAllFlights("audit")
-	if d := r.Dumps(); d != nil {
-		t.Fatalf("nil registry dumps = %v", d)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 {
-		t.Fatal("nil registry snapshot not empty")
-	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Percentile(50) != 0 || h.Merge(NewHistogram(nil)) {
-		t.Fatal("nil histogram misbehaved")
-	}
-}
-
 func TestSpanStageSumsMatchEndToEnd(t *testing.T) {
 	r := New()
 	s := r.NewSpan("eager", 512, "write", 100)

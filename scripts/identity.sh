@@ -6,7 +6,8 @@
 # written. The reproduce cases are each quick-mode report flag plus the
 # full-size figure sweep with its ASCII plots; the trace cases print
 # every model event with its virtual timestamp, the strictest check that
-# a timing constant kept its value. Prints the head of the diff of every
+# a timing constant kept its value, and two of them print every
+# connection's flight-recorder ring instead. Prints the head of the diff of every
 # differing stdout and BENCH file, and exits non-zero on any difference.
 # Run from the repository root: make identity PARENT=<rev>.
 set -euo pipefail
@@ -39,6 +40,8 @@ runs=(
 	"trace -scenario lossy"
 	"trace -scenario chaos"
 	"trace -scenario drain"
+	"trace -scenario drain -flight all"
+	"trace -scenario lossy -flight all"
 )
 fail=0
 for i in "${!runs[@]}"; do
