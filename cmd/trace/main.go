@@ -77,9 +77,11 @@ func main() {
 	}
 	if *flight != "" {
 		printFlights(c, *flight)
+		printEngineCounts(c)
 		return
 	}
 	fmt.Printf("--- %d trace events ---\n", c.Eng.TraceCount())
+	printEngineCounts(c)
 	if snap := c.TelemetrySnapshot(); snap.Sum(cluster.FaultKeys...) > 0 {
 		fmt.Printf("fault stats: %s\n", cluster.FaultText(snap.Sum))
 	}
@@ -89,6 +91,14 @@ func main() {
 			fmt.Println(" ", b)
 		}
 	}
+}
+
+// printEngineCounts prints the engine's event, context-switch and wakeup
+// totals, so comparing two traces also compares every event and switch
+// the run made, including the ones that print no trace line.
+func printEngineCounts(c *cluster.Cluster) {
+	fmt.Printf("--- engine: %d events, %d switches, %d wakeups ---\n",
+		c.Eng.Events(), c.Eng.Switches(), c.Eng.Wakeups())
 }
 
 // printFlights renders the requested connection's flight-recorder ring
