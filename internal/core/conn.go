@@ -586,14 +586,14 @@ func (c *Conn) pollAcks(p *sim.Proc) {
 		return
 	}
 	for i := 0; i < len(c.ackHandles); {
-		m, st, done := c.sub.EP.TryRecv(c.ackHandles[i])
-		if !done {
+		h := c.ackHandles[i]
+		if h.Status() == emp.StatusPending {
 			i++
 			continue
 		}
 		c.ackHandles = append(c.ackHandles[:i], c.ackHandles[i+1:]...)
-		if st == emp.StatusOK {
-			if hdr, ok := m.Data.(*header); ok {
+		if h.Status() == emp.StatusOK {
+			if hdr, ok := h.Message().Data.(*header); ok {
 				c.handleControl(p, hdr)
 			}
 			c.postAckDesc(p) // recycle
@@ -604,7 +604,7 @@ func (c *Conn) pollAcks(p *sim.Proc) {
 // anyAckCompleted reports whether some posted ack descriptor finished.
 func (c *Conn) anyAckCompleted() bool {
 	for _, h := range c.ackHandles {
-		if _, _, done := c.sub.EP.TryRecv(h); done {
+		if h.Status() != emp.StatusPending {
 			return true
 		}
 	}
@@ -770,8 +770,8 @@ func (c *Conn) takeCreditDeadline(p *sim.Proc, dl sim.Time) error {
 			if !c.sub.EP.Unpost(p, h) {
 				// An arrival consumed the descriptor while the unpost was
 				// in flight: the ack must still be accounted.
-				if m, st, ok := c.sub.EP.TryRecv(h); ok && st == emp.StatusOK {
-					if hdr, ok2 := m.Data.(*header); ok2 {
+				if h.Status() == emp.StatusOK {
+					if hdr, ok := h.Message().Data.(*header); ok {
 						c.handleControl(p, hdr)
 					}
 				}
@@ -874,7 +874,7 @@ func (c *Conn) applyDS(p *sim.Proc, hdr *header) {
 // anyDataCompleted reports whether some posted data descriptor finished.
 func (c *Conn) anyDataCompleted() bool {
 	for _, h := range c.dataHandles {
-		if _, _, done := c.sub.EP.TryRecv(h); done {
+		if h.Status() != emp.StatusPending {
 			return true
 		}
 	}
@@ -886,15 +886,15 @@ func (c *Conn) anyDataCompleted() bool {
 // the in-order prefix.
 func (c *Conn) collectDS(p *sim.Proc) {
 	for i := 0; i < len(c.dataHandles); {
-		m, st, done := c.sub.EP.TryRecv(c.dataHandles[i])
-		if !done {
+		h := c.dataHandles[i]
+		if h.Status() == emp.StatusPending {
 			i++
 			continue
 		}
 		c.dataHandles = append(c.dataHandles[:i], c.dataHandles[i+1:]...)
-		switch st {
+		switch h.Status() {
 		case emp.StatusOK:
-			if hdr, ok := m.Data.(*header); ok {
+			if hdr, ok := h.Message().Data.(*header); ok {
 				c.holdback[hdr.Seq] = hdr
 			}
 		case emp.StatusCancelled:

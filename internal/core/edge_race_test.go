@@ -200,7 +200,7 @@ func TestBudgetExhaustionLeavesAuditClean(t *testing.T) {
 		var scratch []*emp.RecvHandle
 		for {
 			h := ep.PostRecv(p, emp.AnySource, scratchTag, 64, 900)
-			if _, st, deny := ep.TryRecv(h); deny && st == emp.StatusNoDescriptors {
+			if h.Status() == emp.StatusNoDescriptors {
 				break
 			}
 			scratch = append(scratch, h)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/emp"
 	"repro/internal/sim"
 	"repro/internal/sock"
 )
@@ -36,12 +37,12 @@ func TestTwoNBoundInvariant(t *testing.T) {
 			}
 			unattended := 0
 			for _, h := range c.dataHandles {
-				if _, _, done := c.sub.EP.TryRecv(h); done {
+				if h.Status() != emp.StatusPending {
 					unattended++
 				}
 			}
 			for _, h := range c.ackHandles {
-				if _, _, done := c.sub.EP.TryRecv(h); done {
+				if h.Status() != emp.StatusPending {
 					unattended++
 				}
 			}

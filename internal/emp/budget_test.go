@@ -28,13 +28,12 @@ func TestPostRecvBeyondBudgetFailsFast(t *testing.T) {
 		ep := b.eps[1]
 		h1 := ep.PostRecv(p, AnySource, 1, 4096, 100)
 		h2 := ep.PostRecv(p, AnySource, 2, 4096, 101)
-		if _, st, done := ep.TryRecv(h1); done {
+		if st := h1.Status(); st != StatusPending {
 			t.Errorf("h1 completed early: %v", st)
 		}
 		h3 := ep.PostRecv(p, AnySource, 3, 4096, 102)
-		_, st, done := ep.TryRecv(h3)
-		if !done || st != StatusNoDescriptors {
-			t.Errorf("over-budget post: done=%v status=%v, want immediate StatusNoDescriptors", done, st)
+		if st := h3.Status(); st != StatusNoDescriptors {
+			t.Errorf("over-budget post: status=%v, want immediate StatusNoDescriptors", st)
 		}
 		if got := ep.DescriptorsInUse(); got != 2 {
 			t.Errorf("descriptors in use = %d, want 2", got)
@@ -48,7 +47,7 @@ func TestPostRecvBeyondBudgetFailsFast(t *testing.T) {
 			t.Error("unpost h2 failed")
 		}
 		h4 := ep.PostRecv(p, AnySource, 4, 4096, 103)
-		if _, st, done := ep.TryRecv(h4); done {
+		if st := h4.Status(); st != StatusPending {
 			t.Errorf("post after unpost completed early: %v", st)
 		}
 		if got := ep.DescriptorHighWater(); got != 2 {

@@ -255,13 +255,22 @@ func (ep *Endpoint) translate(p *sim.Proc, key BufKey) {
 	ep.tcacheFIFO = append(ep.tcacheFIFO, key)
 }
 
+// Notifiable is a handle's owner: the socket whose callers park on its
+// own events rather than on the handle. A completing handle notifies it
+// once.
+type Notifiable interface {
+	Notify()
+}
+
 // SendHandle tracks one posted send. The send completes locally when the
 // last fragment has been handed to the MAC; reliability continues in the
 // background (acknowledgments are NIC-to-NIC and invisible to the host).
+// It finishes one way: complete wakes the proc parked in WaitSend, then
+// notifies the owner.
 type SendHandle struct {
 	status Status
-	cond   *sim.Cond
-	notify sim.Notifiable
+	cond   sim.Cond
+	notify Notifiable
 	msgID  uint64
 	dst    ethernet.Addr
 	tag    Tag
@@ -271,11 +280,10 @@ type SendHandle struct {
 // Status reports the handle's current state.
 func (h *SendHandle) Status() Status { return h.status }
 
-// SetNotify registers an additional notification fired on completion,
-// mirroring RecvHandle.SetNotify: the sockets substrate points this at
-// the owning connection so a waiter parked on that connection's events
-// (rather than on the handle itself) still wakes when the send lands.
-func (h *SendHandle) SetNotify(n sim.Notifiable) { h.notify = n }
+// SetNotify sets the owner notified on completion: the sockets
+// substrate points it at the owning connection, so a waiter parked on
+// that connection's events still wakes when the send lands.
+func (h *SendHandle) SetNotify(n Notifiable) { h.notify = n }
 
 func (h *SendHandle) complete(s Status) {
 	if h.status != StatusPending {
@@ -300,7 +308,7 @@ func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int
 	ep.nextMsgID++
 	h := &SendHandle{
 		status: StatusPending,
-		cond:   sim.NewCond(ep.Eng, "emp.send"),
+		cond:   sim.MakeCond(ep.Eng, "emp.send"),
 		msgID:  ep.nextMsgID,
 		dst:    dst,
 		tag:    tag,
@@ -340,16 +348,17 @@ func (ep *Endpoint) Send(p *sim.Proc, dst ethernet.Addr, tag Tag, length int, da
 	return ep.WaitSend(p, ep.PostSend(p, dst, tag, length, data, key))
 }
 
-// RecvHandle tracks one posted receive descriptor.
+// RecvHandle tracks one posted receive descriptor. Like SendHandle it
+// finishes one way: complete wakes the proc parked in WaitRecv, then
+// notifies the owner.
 type RecvHandle struct {
 	status Status
-	cond   *sim.Cond
+	cond   sim.Cond
 	msg    Message
-	notify sim.Notifiable
+	notify Notifiable
 
-	ep         *Endpoint
-	counted    bool
-	onComplete func(Message, Status)
+	ep      *Endpoint
+	counted bool
 
 	src    ethernet.Addr
 	tag    Tag
@@ -357,23 +366,12 @@ type RecvHandle struct {
 	desc   *recvDesc
 }
 
-// SetNotify registers an additional notification fired on completion;
-// the sockets substrate points this at the owning connection or
-// listener so only procs registered on that object wake.
-func (h *RecvHandle) SetNotify(n sim.Notifiable) { h.notify = n }
-
-// SetOnComplete registers a callback invoked exactly once when the
-// handle completes, before waiters are woken. It runs in event context
-// and must not block; the sockets substrate uses it to register
-// connection-setup state the moment a request message lands. If the
-// handle already completed (PostRecv can satisfy a descriptor from the
-// unexpected queue before returning), the callback fires immediately.
-func (h *RecvHandle) SetOnComplete(fn func(Message, Status)) {
-	h.onComplete = fn
-	if h.status != StatusPending && fn != nil {
-		fn(h.msg, h.status)
-	}
-}
+// SetNotify sets the owner notified on completion; the sockets
+// substrate points it at the owning connection or listener so only procs
+// registered on that object wake. The notification runs in event
+// context and must not block. A handle PostRecv already completed (from
+// the unexpected queue) notifies nobody: its poster reads Status.
+func (h *RecvHandle) SetNotify(n Notifiable) { h.notify = n }
 
 // Match reports the (source, tag) pair the descriptor was posted for;
 // the leak auditor uses it to describe orphaned descriptors.
@@ -404,9 +402,6 @@ func (h *RecvHandle) complete(s Status, m Message) {
 		h.counted = false
 		h.ep.descRelease()
 	}
-	if h.onComplete != nil {
-		h.onComplete(m, s)
-	}
 	h.cond.Broadcast()
 	if h.notify != nil {
 		h.notify.Notify()
@@ -423,7 +418,7 @@ func (ep *Endpoint) PostRecv(p *sim.Proc, src ethernet.Addr, tag Tag, maxLen int
 	ep.RecvsPosted.Inc()
 	h := &RecvHandle{
 		status: StatusPending,
-		cond:   sim.NewCond(ep.Eng, "emp.recv"),
+		cond:   sim.MakeCond(ep.Eng, "emp.recv"),
 		ep:     ep,
 		src:    src,
 		tag:    tag,
@@ -466,14 +461,6 @@ func (ep *Endpoint) WaitRecv(p *sim.Proc, h *RecvHandle) (Message, Status) {
 		p.Sleep(nic.HostPollGap)
 	}
 	return h.msg, h.status
-}
-
-// TryRecv reports the handle's message without blocking.
-func (ep *Endpoint) TryRecv(h *RecvHandle) (Message, Status, bool) {
-	if h.status == StatusPending {
-		return Message{}, StatusPending, false
-	}
-	return h.msg, h.status, true
 }
 
 // PollUnexpected checks the host-visible unexpected queue for a matching
@@ -586,7 +573,7 @@ func (ep *Endpoint) Unpost(p *sim.Proc, h *RecvHandle) bool {
 	}
 	p.Sleep(hostPostCPU)
 	ep.Host.MMIO(p)
-	op := &unpostOp{h: h, done: sim.NewCond(ep.Eng, "emp.unpost")}
+	op := &unpostOp{h: h, done: sim.MakeCond(ep.Eng, "emp.unpost")}
 	ep.NIC.Ring(func() {
 		if ep.fw.rxWork.TryPut(rxOp{unpost: op}) {
 			return

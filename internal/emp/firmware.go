@@ -28,7 +28,7 @@ type rxOp struct {
 type unpostOp struct {
 	h         *RecvHandle
 	processed bool
-	done      *sim.Cond
+	done      sim.Cond
 }
 
 // recvDesc is one pre-posted receive descriptor. The descriptors live

@@ -354,14 +354,19 @@ func TestShutdownStopsFirmwareLoops(t *testing.T) {
 	}
 }
 
+// notifyCount is a handle owner that counts its notifications.
+type notifyCount int
+
+func (n *notifyCount) Notify() { *n++ }
+
 func TestHandleAccessorsAndStrings(t *testing.T) {
 	b := newBed(withUQ(4))
 	var sh *SendHandle
 	var rh *RecvHandle
+	var notified notifyCount
 	b.eng.Spawn("p", func(p *sim.Proc) {
 		rh = b.eps[1].PostRecv(p, AnySource, 5, 64, 1)
-		c := sim.NewCond(b.eng, "n")
-		rh.SetNotify(c)
+		rh.SetNotify(&notified)
 		sh = b.eps[0].PostSend(p, b.eps[1].Addr(), 5, 16, "x", 2)
 	})
 	b.eng.RunUntil(sim.Time(10 * sim.Millisecond))
@@ -370,6 +375,9 @@ func TestHandleAccessorsAndStrings(t *testing.T) {
 	}
 	if rh.Message().Data != "x" {
 		t.Fatalf("message accessor: %v", rh.Message().Data)
+	}
+	if notified != 1 {
+		t.Fatalf("owner notified %d times, want 1", notified)
 	}
 	for _, k := range []FrameKind{DataFrame, AckFrame, NackFrame, FrameKind(9)} {
 		if k.String() == "" {
