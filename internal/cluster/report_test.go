@@ -84,7 +84,7 @@ func TestReportCoversFabric(t *testing.T) {
 		t.Fatalf("per-switch forwards sum to %d, fabric total %d:\n%s", sum, total, runReport(c))
 	}
 	rep := runReport(c)
-	for _, row := range []string{"fabric/spine0_no_route ", "fabric/trunk1_forwards ", "fabric/trunk1_drops "} {
+	for _, row := range []string{"fabric/route_drops ", "fabric/trunk1_forwards ", "fabric/trunk1_drops "} {
 		if !strings.Contains(rep, "\n"+row) {
 			t.Fatalf("fabric report has no %q row:\n%s", row, rep)
 		}

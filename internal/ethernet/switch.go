@@ -45,11 +45,6 @@ type Switch struct {
 	id   int
 	name string
 	dead bool
-	// routeDrops counts frames dropped because no live route to their
-	// destination existed (a disconnected fabric, a dead leaf, or an
-	// unknown station). The fabric source publishes it per switch, as
-	// "<name>_no_route"; the fabric-wide sum is Fabric.routeDrops.
-	routeDrops int64
 }
 
 // NewSwitch returns the only switch of a private one-switch fabric —
@@ -122,10 +117,6 @@ func (s *Switch) Name() string { return s.name }
 // Dead reports whether a fault plan's SwitchCrash has killed this
 // switch.
 func (s *Switch) Dead() bool { return s.dead }
-
-// RouteDrops reports frames this switch dropped for want of a live
-// route to their destination.
-func (s *Switch) RouteDrops() int64 { return s.routeDrops }
 
 // Transmit sends a frame from this port's station into the fabric. The
 // frame is serialized on the station's transmitter, propagates to the
@@ -229,7 +220,6 @@ func (s *Switch) egress(f *Frame, extraDelay sim.Duration, dup bool) {
 		t = s.fab.nextHop(s, p.sw, f)
 	}
 	if t == nil {
-		s.routeDrops++
 		s.fab.routeDrops.Inc()
 		s.eng.Tracef(s.name, "NO-ROUTE %d->%d len=%d", f.Src, f.Dst, f.PayloadLen)
 		return

@@ -306,8 +306,8 @@ func TestUnknownStationDroppedAsNoRoute(t *testing.T) {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 5, PayloadLen: 100})
 	})
 	e.Run()
-	if sw.RouteDrops() != 1 || sw.Forwards() != 0 {
-		t.Fatalf("route drops=%d forwards=%d, want 1 and 0", sw.RouteDrops(), sw.Forwards())
+	if drops := sw.fab.routeDrops.Value; drops != 1 || sw.Forwards() != 0 {
+		t.Fatalf("route drops=%d forwards=%d, want 1 and 0", drops, sw.Forwards())
 	}
 	for i, sk := range sinks {
 		if len(sk.frames) != 0 {
