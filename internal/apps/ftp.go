@@ -220,9 +220,9 @@ func FTPPut(p *sim.Proc, node *cluster.Node, server sock.Addr, ctrlPort int, loc
 	return FTPResult{Bytes: sent, Elapsed: p.Now().Sub(start)}
 }
 
-// FTPGet retrieves name from the server into localName on the client's
+// ftpGet retrieves name from the server into localName on the client's
 // RAM disk and reports the transfer.
-func FTPGet(p *sim.Proc, node *cluster.Node, server sock.Addr, ctrlPort int, name, localName string, dataPort int) FTPResult {
+func ftpGet(p *sim.Proc, node *cluster.Node, server sock.Addr, ctrlPort int, name, localName string, dataPort int) FTPResult {
 	fd := node.FD
 	start := p.Now()
 	lfd, err := fd.Listen(p, dataPort, 1)
@@ -284,7 +284,7 @@ func RunFTP(c *cluster.Cluster, fileSize int) FTPResult {
 	})
 	c.Eng.Spawn("ftp-client", func(p *sim.Proc) {
 		p.Sleep(20 * sim.Microsecond)
-		res = FTPGet(p, c.Nodes[1], c.Addr(0), ctrlPort, "data.bin", "copy.bin", 5000)
+		res = ftpGet(p, c.Nodes[1], c.Addr(0), ctrlPort, "data.bin", "copy.bin", 5000)
 	})
 	c.Run(cluster.RunLimit)
 	if res.Err == nil && srvErr != nil {

@@ -56,15 +56,6 @@ func (r *Report) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// ByKind counts findings per kind.
-func (r *Report) ByKind() map[string]int {
-	m := make(map[string]int)
-	for _, f := range r.Findings {
-		m[f.Kind]++
-	}
-	return m
-}
-
 // Cluster audits every node of c and returns the combined report. Run it
 // at quiescence — after the workload's sockets are closed and the event
 // queue has drained — since descriptors legitimately held by blocked

@@ -2,6 +2,7 @@ package bench
 
 import (
 	gobytes "bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,16 +80,18 @@ func TestSnapshotDeterminism(t *testing.T) {
 		{"substrate", cluster.TransportSubstrate},
 		{"tcp", cluster.TransportTCP},
 	} {
-		var runs [2]gobytes.Buffer
+		var runs [2][]byte
 		for i := range runs {
-			if err := pingPongRegistry(tc.tr).Snapshot().WriteJSON(&runs[i]); err != nil {
+			blob, err := json.Marshal(pingPongRegistry(tc.tr).Snapshot())
+			if err != nil {
 				t.Fatal(err)
 			}
+			runs[i] = blob
 		}
-		if runs[0].Len() == 0 {
+		if len(runs[0]) == 0 {
 			t.Fatalf("%s: empty snapshot", tc.name)
 		}
-		if !gobytes.Equal(runs[0].Bytes(), runs[1].Bytes()) {
+		if !gobytes.Equal(runs[0], runs[1]) {
 			t.Errorf("%s: same seed produced different snapshots", tc.name)
 		}
 	}

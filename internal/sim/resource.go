@@ -11,7 +11,6 @@ type Resource struct {
 	eng      *Engine
 	freeAt   Time
 	busyTime Duration // accumulated service time, for utilization stats
-	uses     int
 	lock     *Semaphore
 	label    string
 }
@@ -34,7 +33,6 @@ func (r *Resource) Reserve(d Duration) (done Time) {
 	done = start.Add(d)
 	r.freeAt = done
 	r.busyTime += d
-	r.uses++
 	return done
 }
 
@@ -51,15 +49,11 @@ func (r *Resource) ReserveAt(earliest Time, d Duration) (done Time) {
 	done = start.Add(d)
 	r.freeAt = done
 	r.busyTime += d
-	r.uses++
 	return done
 }
 
 // FreeAt reports when the resource next becomes free.
 func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// Uses reports how many reservations have been made.
-func (r *Resource) Uses() int { return r.uses }
 
 // BusyTime reports the accumulated service time.
 func (r *Resource) BusyTime() Duration { return r.busyTime }
@@ -83,7 +77,6 @@ func (r *Resource) Unlock() { r.lock.Release() }
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.Lock(p)
 	r.busyTime += d
-	r.uses++
 	p.Sleep(d)
 	r.Unlock()
 }

@@ -143,13 +143,21 @@ func TestSemaphoreCounting(t *testing.T) {
 }
 
 func TestSemaphoreTryAcquireAndTimeout(t *testing.T) {
+	// Acquire on count 1 proceeds at once; on count 0 it blocks until a
+	// Release.
 	e := NewEngine()
 	s := NewSemaphore(e, "sem", 1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire on count 1 failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire on count 0 succeeded")
+	var first, second Time = -1, -1
+	e.Spawn("acquirer", func(p *Proc) {
+		s.Acquire(p)
+		first = p.Now()
+		s.Acquire(p)
+		second = p.Now()
+	})
+	e.After(5, s.Release)
+	e.Run()
+	if first != 0 || second != 5 {
+		t.Fatalf("acquired at %v and %v, want 0 and 5", first, second)
 	}
 }
 
@@ -290,24 +298,27 @@ func TestSemaphoreInvariantProperty(t *testing.T) {
 	f := func(ops []bool) bool {
 		e := NewEngine()
 		s := NewSemaphore(e, "s", 2)
-		acquired, released := 0, 0
-		for _, acq := range ops {
-			if acq {
-				if s.TryAcquire() {
+		ok := true
+		e.Spawn("ops", func(p *Proc) {
+			acquired, released := 0, 0
+			for _, acq := range ops {
+				if acq {
+					if s.Count() == 0 {
+						continue // Acquire would block
+					}
+					s.Acquire(p)
 					acquired++
+				} else {
+					s.Release()
+					released++
 				}
-			} else {
-				s.Release()
-				released++
+				if s.Count() < 0 || s.Count() != 2-acquired+released {
+					ok = false
+				}
 			}
-			if s.Count() < 0 {
-				return false
-			}
-			if s.Count() != 2-acquired+released {
-				return false
-			}
-		}
-		return true
+		})
+		e.Run()
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -70,20 +70,6 @@ func (b *Buffer) Read(max int) (int, []any) {
 	return n, out
 }
 
-// ObjectsIn returns the objects whose ranges end within (from, to]; used
-// by TCP segmentation to attach objects to the segment that carries each
-// object's final byte. The objects remain in the buffer (they also need
-// to survive retransmission).
-func (b *Buffer) ObjectsIn(from, to int64) []any {
-	var out []any
-	for _, o := range b.objs {
-		if o.end > from && o.end <= to {
-			out = append(out, o.obj)
-		}
-	}
-	return out
-}
-
 // ObjAt pairs an object with the absolute stream offset just past its
 // last byte.
 type ObjAt struct {
@@ -91,9 +77,11 @@ type ObjAt struct {
 	Obj any
 }
 
-// ObjectsAt is ObjectsIn with each object's end offset included, for
-// callers that must preserve object placement when the stream is
-// re-segmented (e.g. a TCP retransmission merging adjacent writes).
+// ObjectsAt returns the objects whose ranges end within (from, to], each
+// with its end offset; TCP segmentation uses it to attach objects to the
+// segment that carries each object's final byte, and to preserve their
+// placement when a retransmission re-segments the stream. The objects
+// remain in the buffer (they also need to survive retransmission).
 func (b *Buffer) ObjectsAt(from, to int64) []ObjAt {
 	var out []ObjAt
 	for _, o := range b.objs {

@@ -75,17 +75,17 @@ func TestObjectsInRange(t *testing.T) {
 	b.Append(10, "a") // ends at 1010
 	b.Append(10, "b") // ends at 1020
 	b.Append(10, "c") // ends at 1030
-	if got := b.ObjectsIn(1000, 1010); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("ObjectsIn(1000,1010) = %v", got)
+	if got := b.ObjectsAt(1000, 1010); len(got) != 1 || got[0] != (ObjAt{End: 1010, Obj: "a"}) {
+		t.Fatalf("ObjectsAt(1000,1010) = %v", got)
 	}
-	if got := b.ObjectsIn(1010, 1030); len(got) != 2 {
-		t.Fatalf("ObjectsIn(1010,1030) = %v", got)
+	if got := b.ObjectsAt(1010, 1030); len(got) != 2 {
+		t.Fatalf("ObjectsAt(1010,1030) = %v", got)
 	}
-	if got := b.ObjectsIn(1010, 1019); len(got) != 0 {
-		t.Fatalf("ObjectsIn excluding ends = %v", got)
+	if got := b.ObjectsAt(1010, 1019); len(got) != 0 {
+		t.Fatalf("ObjectsAt excluding ends = %v", got)
 	}
 	if b.ObjectCount() != 3 {
-		t.Fatal("ObjectsIn must not remove objects")
+		t.Fatal("ObjectsAt must not remove objects")
 	}
 }
 

@@ -14,9 +14,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -248,16 +246,6 @@ func (s *Snapshot) Sum(keys ...string) int64 {
 		}
 	}
 	return v
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	blob, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
 }
 
 // Merge folds other's counters, sources, histograms, and flight dumps

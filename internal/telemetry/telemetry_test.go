@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -307,15 +308,16 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 		r.ReplaceSource("sim", func() []Stat { return []Stat{{Name: "wakeups", Value: 17}} })
 		return r
 	}
-	var a, b bytes.Buffer
-	if err := build().Snapshot().WriteJSON(&a); err != nil {
+	a, err := json.Marshal(build().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := build().Snapshot().WriteJSON(&b); err != nil {
+	b, err := json.Marshal(build().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() {
-		t.Fatalf("snapshot JSON not deterministic:\n%s\n---\n%s", a.String(), b.String())
+	if string(a) != string(b) {
+		t.Fatalf("snapshot JSON not deterministic:\n%s\n---\n%s", a, b)
 	}
 	snap := build().Snapshot()
 	if len(snap.Counters) != 4 {
