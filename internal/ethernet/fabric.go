@@ -59,7 +59,10 @@ type Fabric struct {
 	reroutes     sim.Counter `metric:"reroutes"`
 	linkDowns    sim.Counter `metric:"link_downs"`
 	switchDeaths sim.Counter `metric:"switch_deaths"`
-	routeDrops   sim.Counter `metric:"route_drops"`
+	// routeDrops counts frames any switch dropped because no live route
+	// to their destination existed: a disconnected fabric, a dead leaf,
+	// or an unknown station.
+	routeDrops sim.Counter `metric:"route_drops"`
 }
 
 // FabricConfig parameterizes the fabric-wide machinery.
