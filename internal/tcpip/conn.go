@@ -627,11 +627,11 @@ func (c *Conn) rttSample(s sim.Duration) {
 }
 
 // rto is the adaptive retransmission timeout: srtt + 4*rttvar, clamped
-// to the configured floor and ceiling.
+// to the floor and ceiling.
 func (c *Conn) rto() sim.Duration {
 	v := c.srtt + 4*c.rttvar
-	if v < c.st.Cfg.RTO {
-		v = c.st.Cfg.RTO
+	if v < minRTO {
+		v = minRTO
 	}
 	if v > maxRTO {
 		v = maxRTO

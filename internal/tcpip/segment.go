@@ -126,6 +126,11 @@ const (
 	delAckSegs = 2
 	// delAckTimeout bounds how long an ack may be delayed.
 	delAckTimeout = 40 * sim.Millisecond
+	// minRTO is the minimum (and initial) retransmission timeout. The
+	// effective timeout adapts to the measured round trip via the
+	// Jacobson/Karels estimator but never drops below this floor, the
+	// 2.4 kernel's 200 ms. A SYN retry waits one minRTO.
+	minRTO = 200 * sim.Millisecond
 	// maxRTO caps the adaptive retransmission timeout.
 	maxRTO = 2 * sim.Second
 	// initialCwnd is the initial congestion window in segments.
@@ -144,11 +149,6 @@ type StackConfig struct {
 	// The paper's baseline uses the era default of 16 KB and also
 	// evaluates enlarged buffers (the 340 -> 550 Mbps jump).
 	SndBuf, RcvBuf int
-	// RTO is the minimum (and initial) retransmission timeout. The
-	// effective timeout adapts to the measured round trip via the
-	// Jacobson/Karels estimator but never drops below this floor —
-	// Linux 2.4's floor was about 200 ms.
-	RTO sim.Duration
 	// Linger gives Close SO_LINGER-with-timeout semantics: it blocks
 	// until the FIN is acknowledged (every queued byte proven delivered)
 	// or the deadline expires, in which case the connection is reset and
@@ -160,13 +160,11 @@ type StackConfig struct {
 	DialTimeout sim.Duration
 }
 
-// DefaultStackConfig returns the era-default 16 KB socket buffers and
-// the 2.4 kernel's 200 ms RTO floor.
+// DefaultStackConfig returns the era-default 16 KB socket buffers.
 func DefaultStackConfig() StackConfig {
 	return StackConfig{
 		SndBuf: 16 << 10,
 		RcvBuf: 16 << 10,
-		RTO:    200 * sim.Millisecond,
 	}
 }
 

@@ -301,7 +301,7 @@ func (st *Stack) Dial(p *sim.Proc, addr ethernet.Addr, port int) (sock.Conn, err
 	// retransmission is the fixed-interval shape of the shared retry
 	// policy: synRetries retries of one RTO each, bounded overall by the
 	// dial deadline.
-	pol := retry.Policy{Max: synRetries, Base: st.Cfg.RTO, Factor: 1}
+	pol := retry.Policy{Max: synRetries, Base: minRTO, Factor: 1}
 	loop := retry.New(pol, nil, deadline)
 	for c.state == stateSynSent {
 		wait := pol.Backoff(loop.Attempt()+1, nil)
