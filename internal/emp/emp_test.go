@@ -480,18 +480,22 @@ func TestTranslationCache(t *testing.T) {
 }
 
 func TestTranslationCacheEviction(t *testing.T) {
+	// Receives register their buffers without any traffic: tcacheCap+1
+	// distinct keys evict key 1, so key 1 misses again (evicting key 2)
+	// and key 3 still hits.
 	b := newBed()
-	b.epCfg.TCacheCap = 2
-	ep := NewEndpoint(b.eng, b.hosts[0], b.nics[0], b.epCfg)
-	b.eng.Spawn("send", func(p *sim.Proc) {
-		ep.PostSend(p, b.eps[1].Addr(), 1, 8, nil, 1) // miss
-		ep.PostSend(p, b.eps[1].Addr(), 1, 8, nil, 2) // miss
-		ep.PostSend(p, b.eps[1].Addr(), 1, 8, nil, 3) // miss, evicts 1
-		ep.PostSend(p, b.eps[1].Addr(), 1, 8, nil, 1) // miss again
+	ep := b.eps[1]
+	b.eng.Spawn("post", func(p *sim.Proc) {
+		for k := BufKey(1); k <= tcacheCap+1; k++ {
+			ep.PostRecv(p, AnySource, 1, 8, k)
+		}
+		ep.PostRecv(p, AnySource, 1, 8, 1) // miss again
+		ep.PostRecv(p, AnySource, 1, 8, 3) // hit
 	})
-	b.eng.RunUntil(sim.Time(10 * sim.Millisecond))
-	if ep.CacheMisses.Value != 4 {
-		t.Fatalf("misses = %d, want 4 with cap-2 FIFO eviction", ep.CacheMisses.Value)
+	b.eng.RunUntil(sim.Time(sim.Second))
+	if ep.CacheMisses.Value != tcacheCap+2 || ep.CacheHits.Value != 1 {
+		t.Fatalf("misses = %d, hits = %d; want %d and 1 with cap-%d FIFO eviction",
+			ep.CacheMisses.Value, ep.CacheHits.Value, tcacheCap+2, tcacheCap)
 	}
 }
 

@@ -28,14 +28,13 @@ const (
 	ackRxCost = 1 * sim.Microsecond
 	// hostPostCPU is the host-side cost of building one descriptor.
 	hostPostCPU = 300 * sim.Nanosecond
+	// tcacheCap bounds the translation cache (registered areas); past
+	// it the oldest registration is evicted.
+	tcacheCap = 1024
 )
 
 // Config tunes the endpoint.
 type Config struct {
-	// Rel is the sender-side reliability configuration.
-	Rel ReliabilityConfig
-	// TCacheCap bounds the translation cache (registered areas).
-	TCacheCap int
 	// UnexpectedSlots is the size of the NIC unexpected-message queue;
 	// zero disables it (unmatched messages are dropped and later
 	// retransmitted by the sender).
@@ -66,8 +65,6 @@ type Config struct {
 // DefaultEndpointConfig returns the standard calibration.
 func DefaultEndpointConfig() Config {
 	return Config{
-		Rel:             DefaultReliability(),
-		TCacheCap:       1024,
 		UnexpectedSlots: 0,
 		MaxDescriptors:  8192,
 	}
@@ -246,7 +243,7 @@ func (ep *Endpoint) translate(p *sim.Proc, key BufKey) {
 	}
 	ep.CacheMisses.Inc()
 	ep.Host.Pin(p)
-	if len(ep.tcacheFIFO) >= ep.Cfg.TCacheCap && ep.Cfg.TCacheCap > 0 {
+	if len(ep.tcacheFIFO) >= tcacheCap {
 		old := ep.tcacheFIFO[0]
 		ep.tcacheFIFO = ep.tcacheFIFO[1:]
 		delete(ep.tcache, old)

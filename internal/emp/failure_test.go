@@ -39,7 +39,7 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		// and the handle must complete StatusFailed (a small send
 		// completes StatusOK locally at MAC handoff by design; its
 		// failure surfaces via the event instead).
-		size := (b.eps[0].Cfg.Rel.SendWindow + 4) * MaxFragPayload
+		size := (sendWindow + 4) * MaxFragPayload
 		st := b.eps[0].Send(p, b.eps[1].Addr(), 9, size, "doomed", 100)
 		sendStatus, sendDoneAt = st, p.Now()
 	})
@@ -57,10 +57,9 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 	if b.eps[0].SendsFailed.Value == 0 {
 		t.Fatalf("SendsFailed = 0 after retry exhaustion: %+v", b.eps[0].Counters)
 	}
-	// The retry budget bounds detection: MaxRetries timeouts each capped
+	// The retry budget bounds detection: maxRetries timeouts each capped
 	// at maxRTO.
-	rel := b.eps[0].Cfg.Rel
-	bound := sim.Duration(rel.MaxRetries+2) * maxRTO
+	bound := sim.Duration(maxRetries+2) * maxRTO
 	if sim.Duration(sendDoneAt) > bound || sim.Duration(notifyAt) > bound {
 		t.Fatalf("failure detection took %v (notify %v), budget bound %v",
 			sim.Duration(sendDoneAt), sim.Duration(notifyAt), bound)

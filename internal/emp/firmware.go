@@ -258,15 +258,14 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 		length: h.length,
 		data:   post.data,
 		nfrag:  fragCountFor(h.length, fw.maxFrag()),
-		rto:    fw.ep.Cfg.Rel.RTO,
+		rto:    initialRTO,
 	}
 	fw.records[rec.msgID] = rec
 
-	window := fw.ep.Cfg.Rel.SendWindow
 	for rec.sent < rec.nfrag && !rec.failed {
-		if fw.destInflight[rec.dst] >= window {
+		if fw.destInflight[rec.dst] >= sendWindow {
 			ok := fw.txWindow.WaitForTimeout(p, rec.rto, func() bool {
-				return fw.destInflight[rec.dst] < window || rec.failed
+				return fw.destInflight[rec.dst] < sendWindow || rec.failed
 			})
 			if !ok && !rec.failed && rec.sent > rec.acked {
 				// Window stalled a full RTO with our own fragments
@@ -343,7 +342,7 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 		return // nothing outstanding
 	}
 	rec.retries++
-	if rec.retries > fw.ep.Cfg.Rel.MaxRetries {
+	if rec.retries > maxRetries {
 		rec.failed = true
 		fw.SendsFailed.Inc()
 		fw.eng.Tracef(fw.n.Name, "SEND FAILED dst=%d tag=%d msg=%d after %d retries",
@@ -438,7 +437,7 @@ func (fw *firmware) handleAck(p *sim.Proc, wf *WireFrame) {
 		newly := wf.AckSeq - rec.acked
 		rec.acked = wf.AckSeq
 		rec.retries = 0 // progress: the retry budget bounds stagnation
-		rec.rto = fw.ep.Cfg.Rel.RTO
+		rec.rto = initialRTO
 		delete(fw.resendStreak, rec.dst) // progress resets the health streak
 		fw.releaseInflight(rec.dst, newly)
 	}

@@ -12,10 +12,6 @@ func withNIC(cfg nic.Config) bedOpt {
 	return func(b *testbed) { b.nicCfg = cfg }
 }
 
-func withRel(rel ReliabilityConfig) bedOpt {
-	return func(b *testbed) { b.epCfg.Rel = rel }
-}
-
 // streamOnce streams msgs messages of msgSize and returns achieved Mbps.
 func streamOnce(b *testbed, msgs, msgSize int) float64 {
 	var start, end sim.Time
@@ -93,9 +89,7 @@ func TestDestinationWindowBoundsInflight(t *testing.T) {
 	// The per-destination window must hold even when many small
 	// messages are posted back to back (the pattern that collapsed
 	// into a retransmission storm before the window was added).
-	rel := DefaultReliability()
-	rel.SendWindow = 8
-	b := newBed(withRel(rel))
+	b := newBed()
 	maxSeen := 0
 	b.eng.Spawn("monitor", func(p *sim.Proc) {
 		for i := 0; i < 4000; i++ {
@@ -108,8 +102,8 @@ func TestDestinationWindowBoundsInflight(t *testing.T) {
 	if got := streamOnce(b, 256, 4096); got == 0 {
 		t.Fatal("stream did not complete")
 	}
-	if maxSeen > 8 {
-		t.Fatalf("destination inflight reached %d, window is 8", maxSeen)
+	if maxSeen != sendWindow {
+		t.Fatalf("destination inflight peaked at %d, want the window of %d", maxSeen, sendWindow)
 	}
 	if b.eps[0].Retransmits.Value != 0 {
 		t.Fatalf("lossless stream retransmitted %d frames", b.eps[0].Retransmits.Value)
@@ -131,10 +125,14 @@ func TestRetryBudgetResetsOnProgress(t *testing.T) {
 	// Under sustained loss a long transfer makes steady progress; the
 	// per-record retry budget must reset on every acknowledgment
 	// advance rather than accumulate over the whole message.
-	rel := DefaultReliability()
-	rel.MaxRetries = 6 // tight: would fail a 300-frag message without resets
-	b := newBed(withLoss(0.03), withRel(rel))
+	b := newBed(withLoss(0.03))
 	b.eng.Seed(5)
+	resends := 0
+	b.eps[0].SetEventNotify(func(ev ProtoEvent) {
+		if ev.Kind == "emp-rexmit" {
+			resends++
+		}
+	})
 	var st Status
 	b.eng.Spawn("recv", func(p *sim.Proc) {
 		h := b.eps[1].PostRecv(p, AnySource, 3, 400<<10, 100)
@@ -147,6 +145,10 @@ func TestRetryBudgetResetsOnProgress(t *testing.T) {
 	b.eng.RunUntil(sim.Time(60 * sim.Second))
 	if st != StatusOK {
 		t.Fatalf("long transfer under loss: %v (retries must reset on progress)", st)
+	}
+	// Without the resets this many resends would exhaust the budget.
+	if resends <= maxRetries {
+		t.Fatalf("%d resends; the message must need more than maxRetries (%d) to test the reset", resends, maxRetries)
 	}
 }
 
@@ -288,12 +290,9 @@ func TestUnexpectedNotifyFires(t *testing.T) {
 }
 
 func TestSendFailureAfterRetriesExhausted(t *testing.T) {
-	// A message into the void (no descriptor, no UQ, tiny retry budget)
-	// must fail cleanly and release its window slots.
-	rel := DefaultReliability()
-	rel.MaxRetries = 2
-	rel.RTO = 100 * sim.Microsecond
-	b := newBed(withRel(rel))
+	// A message into the void (no descriptor, no UQ) must fail cleanly
+	// once its retry budget is spent and release its window slots.
+	b := newBed()
 	var st Status
 	b.eng.Spawn("send", func(p *sim.Proc) {
 		h := b.eps[0].PostSend(p, b.eps[1].Addr(), 3, 1024, nil, 10)

@@ -176,32 +176,20 @@ func (s Status) String() string {
 // out-of-resources error rather than treating it as a peer failure.
 var ErrNoDescriptors = errors.New("emp: descriptor budget exhausted")
 
-// The fixed shape of the retransmission backoff.
+// The sender-side retransmission machinery.
 const (
+	// initialRTO is the first retransmission timeout, and the timeout
+	// again after every acknowledgment advance.
+	initialRTO = 500 * sim.Microsecond
 	// rtoBackoff multiplies the retransmission timeout after each retry.
 	rtoBackoff = 2
 	// maxRTO caps the backed-off timeout.
 	maxRTO = 5 * sim.Millisecond
-)
-
-// ReliabilityConfig tunes the sender-side retransmission machinery.
-type ReliabilityConfig struct {
-	// RTO is the initial retransmission timeout.
-	RTO sim.Duration
-	// MaxRetries bounds consecutive retransmission attempts without
-	// any acknowledgment progress before the send fails.
-	MaxRetries int
-	// SendWindow bounds unacknowledged in-flight fragments per
+	// maxRetries bounds consecutive retransmission attempts without any
+	// acknowledgment progress before the send fails.
+	maxRetries = 40
+	// sendWindow bounds unacknowledged in-flight fragments per
 	// destination (across messages): the sender-side throttle that
 	// keeps the receiver NIC's ack latency under the RTO.
-	SendWindow int
-}
-
-// DefaultReliability returns the standard retransmission parameters.
-func DefaultReliability() ReliabilityConfig {
-	return ReliabilityConfig{
-		RTO:        500 * sim.Microsecond,
-		MaxRetries: 40,
-		SendWindow: 16,
-	}
-}
+	sendWindow = 16
+)

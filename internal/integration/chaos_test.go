@@ -18,7 +18,7 @@ import (
 const chaosSeeds = 5
 
 // chaosFailureBound mirrors core's failure-detection bound: the EMP
-// retry budget (MaxRetries timeouts at up to the 5 ms RTO cap each) plus slack.
+// retry budget (40 timeouts at up to the 5 ms RTO cap each) plus slack.
 const chaosFailureBound = 500 * sim.Millisecond
 
 // checkSubstrateLeaks asserts that every surviving substrate node has
