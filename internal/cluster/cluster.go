@@ -348,18 +348,15 @@ func pathHits(fb *ethernet.Fabric, path []int, ev ethernet.RouteEvent) bool {
 }
 
 // failoverOptions is the substrate configuration Failover clusters
-// default to: the paper's DS_DA_UQ data path plus the recovery
-// machinery — synchronous connect (a dial must learn its fate before
-// the session layer can fail over), a dial deadline, keepalive probing
-// so a dead peer is detected on idle connections, and the
+// default to: the paper's DS_DA_UQ data path plus synchronous connect
+// (a dial must learn its fate before the session layer can fail over)
+// and the recovery machinery — a jittered dial deadline, keepalive
+// probing so a dead peer is detected on idle connections, and the
 // credit-reconciliation sweep repairing grants lost to NIC faults.
 func failoverOptions() core.Options {
 	o := core.DefaultOptions()
 	o.SyncConnect = true
-	o.DialDeadline = 10 * sim.Millisecond
-	o.DialJitter = 0.5
-	o.KeepaliveIdle = 5 * sim.Millisecond
-	o.CreditSyncAfter = 1 * sim.Millisecond
+	o.Recovery = true
 	return o
 }
 

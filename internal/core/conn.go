@@ -280,11 +280,12 @@ func connOptions(base Options, req *connRequest) Options {
 	o := base
 	o.Mode = req.Mode
 	o.Credits = req.Credits
-	o.BufSize = req.BufSize
 	o.DelayedAcks = req.DelayedAcks
 	o.UQAcks = req.UQAcks
 	o.Piggyback = req.Piggyback
-	o.KeepaliveIdle = req.Keepalive
+	// Per connection, Recovery only decides keepalive probing, and the
+	// client's choice holds on both ends.
+	o.Recovery = req.Keepalive
 	return o.normalize()
 }
 
@@ -320,7 +321,7 @@ func newConn(s *Substrate, peer ethernet.Addr, req *connRequest, isClient bool) 
 	s.active.add(c)
 	s.chans[chanKey{peer, c.dataInTag}] = c
 	s.chans[chanKey{peer, c.ackInTag}] = c
-	if c.opts.KeepaliveIdle > 0 {
+	if c.opts.Recovery {
 		s.Eng.Spawn("keepalive", c.keepaliveLoop)
 	}
 	role := "server"
@@ -375,13 +376,12 @@ func (c *Conn) abort(p *sim.Proc) {
 // turning silent peer death into a connection error for applications
 // that only ever block in Read.
 func (c *Conn) keepaliveLoop(p *sim.Proc) {
-	idle := c.opts.KeepaliveIdle
 	for {
-		p.Sleep(idle)
+		p.Sleep(keepaliveIdle)
 		if c.cleaned || c.err != nil || c.peerClosed || c.closeSent {
 			return
 		}
-		if c.sub.Eng.Now().Sub(c.lastIO) < idle {
+		if c.sub.Eng.Now().Sub(c.lastIO) < keepaliveIdle {
 			continue // application traffic is already probing the peer
 		}
 		c.sub.KeepalivesSent.Inc()
@@ -420,7 +420,7 @@ func (c *Conn) postDataDesc(p *sim.Proc) {
 	if c.cleaned {
 		return
 	}
-	h := c.sub.EP.PostRecv(p, c.peer, c.dataInTag, headerBytes+c.opts.BufSize, c.dataBufKey)
+	h := c.sub.EP.PostRecv(p, c.peer, c.dataInTag, headerBytes+bufSize, c.dataBufKey)
 	h.SetNotify(c)
 	c.dataHandles = append(c.dataHandles, h)
 }
@@ -676,7 +676,7 @@ func (c *Conn) returnCredits(p *sim.Proc) {
 }
 
 // creditSweepTick runs one credit-reconciliation pass for the
-// substrate's sweep process (Options.CreditSyncAfter): harvest
+// substrate's sweep process (Options.Recovery): harvest
 // ack-channel arrivals the blocked owner is not polling — an inbound
 // kindCreditSync probe would otherwise sit unanswered under a reader
 // blocked on the data channel — and probe the peer once the writer has
@@ -693,12 +693,11 @@ func (c *Conn) creditSweepTick(p *sim.Proc) {
 	if c.peerClosed || c.closeSent {
 		return
 	}
-	after := c.sub.Opts.CreditSyncAfter
 	now := c.sub.Eng.Now()
-	if c.stallSince == 0 || now.Sub(c.stallSince) < after {
+	if c.stallSince == 0 || now.Sub(c.stallSince) < creditSyncAfter {
 		return
 	}
-	if c.lastSync != 0 && now.Sub(c.lastSync) < after {
+	if c.lastSync != 0 && now.Sub(c.lastSync) < creditSyncAfter {
 		return
 	}
 	c.lastSync = now
@@ -1008,8 +1007,8 @@ func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 	written := 0
 	for written < n || (n == 0 && written == 0) {
 		chunk := n - written
-		if chunk > c.opts.BufSize {
-			chunk = c.opts.BufSize
+		if chunk > bufSize {
+			chunk = bufSize
 		}
 		sp := c.sub.Tel.NewSpan("eager", chunk, "write", p.Now())
 		if err := c.takeCredit(p); err != nil {
@@ -1113,7 +1112,7 @@ func (c *Conn) CloseWrite(p *sim.Proc) error {
 		c.shutSent = true
 		return nil
 	}
-	return c.shutdownWrite(p, p.Now().Add(c.opts.CloseTimeout))
+	return c.shutdownWrite(p, p.Now().Add(closeTimeout))
 }
 
 // CloseRead implements sock.Closer: shutdown(SHUT_RD). Local only — the

@@ -100,7 +100,6 @@ func TestHoldbackReordersOutOfOrderCompletions(t *testing.T) {
 	// bytes must still arrive in order (verified by object sequence).
 	opts := DefaultOptions()
 	opts.Credits = 2
-	opts.BufSize = 1024
 	b := newBed(2, opts)
 	var objs []any
 	b.eng.Spawn("server", func(p *sim.Proc) {
@@ -182,7 +181,6 @@ func TestUQSlotsRecycledOverChurn(t *testing.T) {
 func TestSyncConnectTimesOutWithoutListener(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SyncConnect = true
-	opts.CloseTimeout = 2 * sim.Millisecond // keep the test fast
 	b := newBed(2, opts)
 	var err error
 	b.eng.Spawn("client", func(p *sim.Proc) {
@@ -252,10 +250,9 @@ func TestDGSelectReadinessViaUnexpectedQueue(t *testing.T) {
 }
 
 func TestBigBidirectionalTransfer(t *testing.T) {
-	// Both sides stream more than Credits*BufSize simultaneously.
+	// Both sides stream more than Credits*bufSize simultaneously.
 	opts := DefaultOptions()
 	opts.Credits = 4
-	opts.BufSize = 16 << 10
 	b := newBed(2, opts)
 	const total = 2 << 20
 	finished := 0
@@ -304,13 +301,10 @@ func TestBigBidirectionalTransfer(t *testing.T) {
 }
 
 func TestOptionsNormalization(t *testing.T) {
-	o := Options{Credits: -3, BufSize: 10, RendezvousThreshold: -1}
+	o := Options{Credits: -3, DialRetries: -1, Linger: -1, EagerBudget: -1, DescriptorBudget: -1, UQBytes: -1}
 	n := o.normalize()
-	if n.Credits != 1 || n.BufSize != 256 || n.RendezvousThreshold != 64<<10 {
+	if n != (Options{Credits: 1}) {
 		t.Fatalf("normalize = %+v", n)
-	}
-	if n.CloseTimeout <= 0 {
-		t.Fatal("close timeout not defaulted")
 	}
 }
 

@@ -171,11 +171,10 @@ func TestDSStreamingSemantics(t *testing.T) {
 }
 
 func TestDSLargeWriteChunksThroughCredits(t *testing.T) {
-	// A single write far larger than Credits*BufSize must flow through
+	// A single write far larger than Credits*bufSize must flow through
 	// credit recycling.
 	opts := DefaultOptions()
 	opts.Credits = 4
-	opts.BufSize = 8 << 10
 	b := newBed(2, opts)
 	const total = 1 << 20
 	gotN, _ := transfer(t, b, total, total, 64<<10)

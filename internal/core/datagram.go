@@ -21,7 +21,7 @@ import (
 // with UDP.
 
 func (c *Conn) writeDG(p *sim.Proc, n int, obj any) (int, error) {
-	if n > c.opts.RendezvousThreshold || c.opts.ForceRendezvous {
+	if n > rendezvousThreshold || c.opts.ForceRendezvous {
 		return c.writeRendezvous(p, n, obj)
 	}
 	c.sub.MsgsSent.Inc()
@@ -53,7 +53,7 @@ func (c *Conn) writeRendezvous(p *sim.Proc, n int, obj any) (int, error) {
 		return 0, c.err
 	}
 	// Block until the matching rendezvous acknowledgment arrives.
-	deadline := p.Now().Add(c.opts.CloseTimeout)
+	deadline := p.Now().Add(closeTimeout)
 	for c.err == nil && !c.peerClosed {
 		if ack := c.takeRendAck(tag); ack != nil {
 			c.sub.MsgsSent.Inc()

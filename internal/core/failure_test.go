@@ -9,7 +9,7 @@ import (
 )
 
 // failureBound is how much simulated time peer-death detection may take
-// after the crash: the EMP retry budget (MaxRetries timeouts, each at
+// after the crash: the EMP retry budget (40 timeouts, each at
 // most the 5 ms RTO cap) plus generous slack for keepalive scheduling.
 const failureBound = 500 * sim.Millisecond
 
@@ -84,7 +84,7 @@ func TestWriterGetsResetAfterPeerCrash(t *testing.T) {
 // probe riding EMP reliability — and wake with sock.ErrReset.
 func TestKeepaliveDetectsIdlePeerCrash(t *testing.T) {
 	opts := DefaultOptions()
-	opts.KeepaliveIdle = 5 * sim.Millisecond
+	opts.Recovery = true
 	b := newBed(2, opts)
 	const killAt = 20 * sim.Millisecond
 
@@ -137,7 +137,6 @@ func TestKeepaliveDetectsIdlePeerCrash(t *testing.T) {
 func TestDialRetriesThenTimesOut(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SyncConnect = true
-	opts.CloseTimeout = 2 * sim.Millisecond // per-attempt reply deadline
 	opts.DialRetries = 2
 	b := newBed(2, opts)
 

@@ -51,7 +51,7 @@ func (m Mode) String() string {
 
 // The substrate's host-side costs, calibrated so its measured overhead
 // over raw EMP matches the paper's ~9 us gap (37 us DS_DA_UQ vs 28 us
-// EMP at 4 bytes), and the connect retry backoff.
+// EMP at 4 bytes), its buffer and protocol sizes, and its timeouts.
 const (
 	// libCall is the user-level library overhead charged per substrate
 	// call (socket table lookup, credit accounting, header marshaling).
@@ -66,6 +66,41 @@ const (
 	commThreadSync = 20 * sim.Microsecond
 	// dialBackoff is the delay before the first connect retry.
 	dialBackoff = 1 * sim.Millisecond
+	// bufSize is each temp buffer's capacity, the paper's 64 KB; it
+	// also bounds the per-message payload in Data Streaming mode.
+	bufSize = 64 << 10
+	// rendezvousThreshold is the Datagram-mode message size above which
+	// the substrate switches to the rendezvous protocol (request /
+	// acknowledgment / direct zero-copy data).
+	rendezvousThreshold = 64 << 10
+	// closeTimeout bounds how long close() waits for the peer's close
+	// acknowledgment before reclaiming descriptors anyway; it also
+	// bounds a rendezvous wait and a synchronous connect's reply wait.
+	closeTimeout = 50 * sim.Millisecond
+)
+
+// The recovery machinery Options.Recovery turns on.
+const (
+	// dialDeadline bounds the whole connect() — every attempt plus the
+	// backoff between attempts — surfacing sock.ErrTimeout on expiry.
+	dialDeadline = 10 * sim.Millisecond
+	// dialJitter randomizes each connect backoff downward by up to this
+	// fraction, so reconnect storms from many clients do not
+	// synchronize.
+	dialJitter = 0.5
+	// keepaliveIdle is the interval at which an idle connection probes
+	// its peer with a keepalive message on the ack channel. Because the
+	// probe rides EMP reliability, a crashed or partitioned peer is
+	// detected (and the connection failed with sock.ErrReset) even when
+	// the application never writes.
+	keepaliveIdle = 5 * sim.Millisecond
+	// creditSyncAfter is the credit-reconciliation sweep's interval: a
+	// writer stalled on credits for this long sends a kindCreditSync
+	// probe, and the peer answers with its cumulative grant total,
+	// repairing credits lost above EMP reliability (an unexpected-queue
+	// drop at a faulty NIC). The sweep also harvests ack-channel
+	// arrivals for stalled connections whose owner is not polling.
+	creditSyncAfter = 1 * sim.Millisecond
 )
 
 // Options configures a substrate instance. The paper's evaluation
@@ -81,9 +116,6 @@ type Options struct {
 	// N unacknowledged messages outstanding; the receiver pre-posts N
 	// data descriptors (Data Streaming mode).
 	Credits int
-	// BufSize is each temp buffer's capacity (the paper uses 64 KB);
-	// it also bounds the per-message payload in Data Streaming mode.
-	BufSize int
 	// DelayedAcks sends a credit acknowledgment only after half the
 	// credits are consumed instead of after every message (Section 6.3).
 	DelayedAcks bool
@@ -94,10 +126,6 @@ type Options struct {
 	// Piggyback attaches pending credit returns to outgoing data
 	// message headers when one is available (Section 6.1).
 	Piggyback bool
-	// RendezvousThreshold is the Datagram-mode message size above which
-	// the substrate switches to the rendezvous protocol (request /
-	// acknowledgment / direct zero-copy data).
-	RendezvousThreshold int
 	// ForceRendezvous makes every Datagram write use the rendezvous
 	// protocol, for the Section 5.2 alternative analysis.
 	ForceRendezvous bool
@@ -111,43 +139,26 @@ type Options struct {
 	// application's critical path but every delivery pays the measured
 	// ~20 us thread synchronization cost.
 	CommThread bool
-	// CloseTimeout bounds how long close() waits for the peer's
-	// close acknowledgment before reclaiming descriptors anyway.
-	CloseTimeout sim.Duration
-	// KeepaliveIdle, when positive, probes an idle connection at this
-	// interval with a keepalive message on the ack channel. Because the
-	// probe rides EMP reliability, a crashed or partitioned peer is
-	// detected (and the connection failed with sock.ErrReset) even when
-	// the application never writes. Zero disables probing.
-	KeepaliveIdle sim.Duration
+	// Recovery turns on the failover machinery: connect() gives up
+	// after dialDeadline and jitters its backoff by dialJitter, every
+	// connection this substrate dials probes its idle peer each
+	// keepaliveIdle (an accepted connection probes if its client
+	// asked), and the credit-reconciliation sweep runs every
+	// creditSyncAfter. Off (the default), connect is bounded by its
+	// retry budget alone, with a deterministic backoff; nothing probes
+	// an idle connection; and lost-credit drift is left for the audit
+	// to detect.
+	Recovery bool
 	// DialRetries is how many times connect() retries a timed-out or
 	// reset connection attempt before giving up; the first retry waits
 	// dialBackoff and each later one twice as long as the last.
 	DialRetries int
-	// DialDeadline bounds the whole connect() — every attempt plus the
-	// backoff between attempts — surfacing sock.ErrTimeout on expiry.
-	// Zero keeps the retry-budget-only bound.
-	DialDeadline sim.Duration
-	// DialJitter randomizes each connect backoff downward by up to this
-	// fraction (0..1), so reconnect storms from many clients do not
-	// synchronize. Zero (the default) keeps the legacy deterministic
-	// backoff bit-identical.
-	DialJitter float64
 	// BootEpoch is forwarded to the EMP endpoint's message-ID salt
 	// (emp.Config.BootEpoch): a substrate rebuilt after a host crash
 	// must run under a bumped epoch so peers' duplicate-suppression
 	// state from the dead incarnation cannot swallow its messages.
 	// Zero — the first boot — matches the historical ID sequence.
 	BootEpoch uint64
-	// CreditSyncAfter, when positive, runs the credit-reconciliation
-	// sweep: a writer stalled on credits for this long sends a
-	// kindCreditSync probe, and the peer answers with its cumulative
-	// grant total, repairing credits lost above EMP reliability (an
-	// unexpected-queue drop at a faulty NIC). The sweep also harvests
-	// ack-channel arrivals for stalled connections whose owner is not
-	// polling. Zero (the default) disables the sweep, leaving lost-credit
-	// drift for the audit to detect.
-	CreditSyncAfter sim.Duration
 	// Linger, when positive, makes Close first drain the connection —
 	// send the shutdown message and wait for every credit to come home,
 	// proving the peer consumed all our data — before emitting the
@@ -174,19 +185,15 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's standard Data Streaming
-// configuration with all enhancements on (DS_DA_UQ, credit size 32,
-// 64 KB buffers).
+// configuration with all enhancements on (DS_DA_UQ, credit size 32).
 func DefaultOptions() Options {
 	return Options{
-		Mode:                DataStreaming,
-		Credits:             32,
-		BufSize:             64 << 10,
-		DelayedAcks:         true,
-		UQAcks:              true,
-		Piggyback:           true,
-		RendezvousThreshold: 64 << 10,
-		CloseTimeout:        50 * sim.Millisecond,
-		DialRetries:         2,
+		Mode:        DataStreaming,
+		Credits:     32,
+		DelayedAcks: true,
+		UQAcks:      true,
+		Piggyback:   true,
+		DialRetries: 2,
 	}
 }
 
@@ -212,32 +219,8 @@ func (o Options) normalize() Options {
 	if o.Credits < 1 {
 		o.Credits = 1
 	}
-	if o.BufSize < 256 {
-		o.BufSize = 256
-	}
-	if o.RendezvousThreshold <= 0 {
-		o.RendezvousThreshold = 64 << 10
-	}
-	if o.CloseTimeout <= 0 {
-		o.CloseTimeout = 50 * sim.Millisecond
-	}
 	if o.DialRetries < 0 {
 		o.DialRetries = 0
-	}
-	if o.KeepaliveIdle < 0 {
-		o.KeepaliveIdle = 0
-	}
-	if o.DialDeadline < 0 {
-		o.DialDeadline = 0
-	}
-	if o.DialJitter < 0 {
-		o.DialJitter = 0
-	}
-	if o.DialJitter > 1 {
-		o.DialJitter = 1
-	}
-	if o.CreditSyncAfter < 0 {
-		o.CreditSyncAfter = 0
 	}
 	if o.Linger < 0 {
 		o.Linger = 0

@@ -18,7 +18,6 @@ import (
 func TestRendezvousWriteWriteDeadlock(t *testing.T) {
 	opts := DatagramOptions()
 	opts.ForceRendezvous = true
-	opts.CloseTimeout = 5 * sim.Millisecond // bounds the rendezvous wait
 	b := newBed(2, opts)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {

@@ -44,13 +44,13 @@ func TestTagAllocatorUniquenessProperty(t *testing.T) {
 
 // Property: normalize is idempotent and never produces invalid options.
 func TestOptionsNormalizeProperty(t *testing.T) {
-	f := func(credits, bufSize, rend int32) bool {
+	f := func(credits, retries, budget int32) bool {
 		o := DefaultOptions()
 		o.Credits = int(credits % 100)
-		o.BufSize = int(bufSize % (1 << 20))
-		o.RendezvousThreshold = int(rend % (1 << 20))
+		o.DialRetries = int(retries % 100)
+		o.EagerBudget = int(budget % (1 << 20))
 		n := o.normalize()
-		if n.Credits < 1 || n.BufSize < 256 || n.RendezvousThreshold <= 0 || n.CloseTimeout <= 0 {
+		if n.Credits < 1 || n.DialRetries < 0 || n.EagerBudget < 0 {
 			return false
 		}
 		return n.normalize() == n
@@ -74,11 +74,12 @@ func TestTransferConservationProperty(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.Credits = 4
-		opts.BufSize = 8 << 10
 		b := newBed(2, opts)
+		// Writes of up to 2.5 temp buffers, so chunking is exercised.
+		size := func(s uint16) int { return int(s%20000)*8 + 1 }
 		want := 0
 		for _, s := range sizes {
-			want += int(s%20000) + 1
+			want += size(s)
 		}
 		got := 0
 		var objs []any
@@ -104,7 +105,7 @@ func TestTransferConservationProperty(t *testing.T) {
 				return
 			}
 			for i, s := range sizes {
-				c.Write(p, int(s%20000)+1, i)
+				c.Write(p, size(s), i)
 			}
 		})
 		b.eng.RunUntil(sim.Time(60 * sim.Second))

@@ -101,7 +101,7 @@ type Substrate struct {
 	// fell back to the abort path (tail delivery unconfirmed).
 	LingerExpired sim.Counter `metric:"linger_expired"`
 	// CreditSyncs counts credit-reconciliation probes sent on behalf of
-	// writers stalled past Options.CreditSyncAfter.
+	// writers stalled past creditSyncAfter.
 	CreditSyncs sim.Counter `metric:"credit_syncs"`
 
 	// Tel is the host's telemetry registry: latency-decomposition
@@ -213,7 +213,7 @@ func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, tel *telemetry.Registry, 
 	// already acknowledged them, and the refusal policy above bounds them
 	// explicitly.
 	s.EP.SetUnexpectedSetupClass(func(tag emp.Tag) bool { return tag >= listenTagBase })
-	if opts.CreditSyncAfter > 0 {
+	if opts.Recovery {
 		s.sweepMark = make(map[*Conn]struct{})
 		s.sweepStalled = make(map[*Conn]struct{})
 		e.Spawn("credit-sweep", s.creditSweep)
@@ -257,7 +257,7 @@ func (s *Substrate) sweepPending() bool {
 }
 
 // creditSweep is the credit-reconciliation process (enabled by
-// Options.CreditSyncAfter): every interval it visits, in deterministic
+// Options.Recovery): every creditSyncAfter it visits, in deterministic
 // order, the sockets needing attention — those notified since the last
 // pass (harvesting ack-channel arrivals whose owners are blocked
 // elsewhere) and those inside a credit stall (probing peers on behalf
@@ -270,9 +270,9 @@ func (s *Substrate) sweepPending() bool {
 // does not keep a run going; a dead one still has the tick that ends
 // the process.
 func (s *Substrate) creditSweep(p *sim.Proc) {
-	interval, pending := s.Opts.CreditSyncAfter, s.sweepPending
+	pending := s.sweepPending
 	for {
-		p.SleepIdle(interval, pending)
+		p.SleepIdle(creditSyncAfter, pending)
 		if s.dead {
 			return
 		}
@@ -615,22 +615,17 @@ func (s *Substrate) Dial(p *sim.Proc, addr sock.Addr, port int) (sock.Conn, erro
 	if s.draining {
 		return nil, sock.ErrRefused
 	}
-	// DialDeadline bounds the whole connect: every attempt plus the
-	// backoff between attempts. Zero means retry-budget-only.
+	// Under Recovery, dialDeadline bounds the whole connect (every
+	// attempt plus the backoff between attempts) and the backoff is
+	// jittered; otherwise the retry budget alone bounds it.
+	pol := retry.Policy{Max: s.Opts.DialRetries, Base: dialBackoff, Factor: 2}
 	var deadline sim.Time
-	if s.Opts.DialDeadline > 0 {
-		deadline = p.Now().Add(s.Opts.DialDeadline)
-	}
 	var rnd *sim.Rand
-	if s.Opts.DialJitter > 0 {
-		rnd = s.Eng.Rand()
+	if s.Opts.Recovery {
+		deadline = p.Now().Add(dialDeadline)
+		pol.Jitter, rnd = dialJitter, s.Eng.Rand()
 	}
-	loop := retry.New(retry.Policy{
-		Max:    s.Opts.DialRetries,
-		Base:   dialBackoff,
-		Factor: 2,
-		Jitter: s.Opts.DialJitter,
-	}, rnd, deadline)
+	loop := retry.New(pol, rnd, deadline)
 	for {
 		c, err := s.dialOnce(p, addr, port, deadline)
 		if err == nil {
@@ -659,7 +654,7 @@ func (s *Substrate) Dial(p *sim.Proc, addr sock.Addr, port int) (sock.Conn, erro
 }
 
 // dialOnce runs one connection attempt; a non-zero deadline tightens
-// the synchronous-connect wait below the default CloseTimeout bound.
+// the synchronous-connect wait below the closeTimeout bound.
 func (s *Substrate) dialOnce(p *sim.Proc, addr sock.Addr, port int, deadline sim.Time) (sock.Conn, error) {
 	if s.dead {
 		return nil, sock.ErrClosed
@@ -675,12 +670,11 @@ func (s *Substrate) dialOnce(p *sim.Proc, addr sock.Addr, port int, deadline sim
 		ClientAckTag:  s.allocTag(),
 		Mode:          s.Opts.Mode,
 		Credits:       s.Opts.Credits,
-		BufSize:       s.Opts.BufSize,
 		DelayedAcks:   s.Opts.DelayedAcks,
 		UQAcks:        s.Opts.UQAcks,
 		Piggyback:     s.Opts.Piggyback,
 		SyncConnect:   s.Opts.SyncConnect,
-		Keepalive:     s.Opts.KeepaliveIdle,
+		Keepalive:     s.Opts.Recovery,
 	}
 	c := newConn(s, addr, req, true)
 	c.postInitialDescriptors(p)
@@ -704,7 +698,7 @@ func (s *Substrate) dialOnce(p *sim.Proc, addr sock.Addr, port int, deadline sim
 		return nil, sock.ErrRefused
 	}
 	if s.Opts.SyncConnect {
-		dl := p.Now().Add(s.Opts.CloseTimeout)
+		dl := p.Now().Add(closeTimeout)
 		if deadline != 0 && deadline < dl {
 			dl = deadline
 		}

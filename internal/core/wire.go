@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/emp"
 	"repro/internal/ethernet"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -39,7 +38,7 @@ const (
 	// sending side converge.
 	kindShutdown
 	// kindCreditSync asks the peer for a fresh cumulative grant total. A
-	// writer stalled on credits past Options.CreditSyncAfter sends it on
+	// writer stalled on credits past creditSyncAfter sends it on
 	// the ack channel; the receiver folds any withheld delayed acks into
 	// its grant total and answers with a kindCreditAck carrying the
 	// cumulative Grant. Because grants are applied by cumulative total
@@ -130,7 +129,7 @@ func (h *header) TelemetrySpan() *telemetry.Span { return h.Span }
 // client allocates the tags for both directions of the new connection —
 // tag matching at each receiver is per (source, tag), so client-chosen
 // tags cannot collide across clients — and carries the connection
-// options so both sides agree on credit counts and buffer sizes.
+// options so both sides agree on the mode and credit counts.
 type connRequest struct {
 	ClientAddr ethernet.Addr
 	ClientPort int
@@ -145,12 +144,11 @@ type connRequest struct {
 
 	Mode        Mode
 	Credits     int
-	BufSize     int
 	DelayedAcks bool
 	UQAcks      bool
 	Piggyback   bool
 	SyncConnect bool
-	// Keepalive carries the client's idle-probe interval so both sides
-	// run (or skip) peer-liveness probing consistently; zero disables it.
-	Keepalive sim.Duration
+	// Keepalive carries whether the client probes its idle peer, so
+	// both sides run (or skip) peer-liveness probing consistently.
+	Keepalive bool
 }

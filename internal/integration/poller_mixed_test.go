@@ -133,7 +133,7 @@ func TestPollerMixesSubstrateAndTCPInOneInterestSet(t *testing.T) {
 // PollErr, and Read must surface the reset.
 func TestPollerDeliversErrAfterPeerCrash(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.KeepaliveIdle = 5 * sim.Millisecond
+	opts.Recovery = true
 	eng, subs := substratePair(opts)
 	var gotErr bool
 	var rdErr error

@@ -228,13 +228,14 @@ func TestPollerHalfCloseFiresEOFOnce(t *testing.T) {
 	}
 }
 
-// TestDialDeadlineSubstrate: a synchronous connect to a port nobody
-// listens on must resolve with sock.ErrTimeout when the configured
-// DialDeadline passes, instead of burning the full retry budget.
+// TestDialDeadlineSubstrate: under Recovery, a synchronous connect to
+// a port nobody listens on must resolve with sock.ErrTimeout when the
+// 10 ms dial deadline passes, instead of burning the full retry budget
+// (ten more 50 ms reply waits).
 func TestDialDeadlineSubstrate(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.SyncConnect = true
-	opts.DialDeadline = 4 * sim.Millisecond
+	opts.Recovery = true
 	opts.DialRetries = 10
 	c := cluster.NewSubstrate(2, &opts)
 	var dialErr error
@@ -248,8 +249,8 @@ func TestDialDeadlineSubstrate(t *testing.T) {
 	if dialErr != sock.ErrTimeout {
 		t.Fatalf("dial past deadline: err = %v, want sock.ErrTimeout", dialErr)
 	}
-	if took < 3*sim.Millisecond || took > 6*sim.Millisecond {
-		t.Fatalf("dial resolved in %v, want about the 4ms deadline", took)
+	if took < 9*sim.Millisecond || took > 12*sim.Millisecond {
+		t.Fatalf("dial resolved in %v, want about the 10ms deadline", took)
 	}
 	if k := c.Nodes[1].Sub.ActiveSockets(); k != 0 {
 		t.Fatalf("abandoned dial leaked %d sockets", k)
@@ -368,7 +369,6 @@ func TestLingerExpiryAbortsUnconsumedTail(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Linger = 5 * sim.Millisecond
 	opts.Credits = 8
-	opts.BufSize = 4096
 	opts.EagerBudget = 1024
 	c := cluster.NewSubstrate(2, &opts)
 	var closeErr error
