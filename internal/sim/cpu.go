@@ -14,9 +14,6 @@ package sim
 // single-threaded schedules exactly; contention is the only thing that
 // changes event order, and it changes it deterministically (FIFO run
 // queues, lowest-index tiebreak on core choice).
-//
-// A nil *CPU is valid and charges plain Sleep time — infinite
-// parallelism, the pre-SMP behavior.
 type CPU struct {
 	eng   *Engine
 	label string
@@ -47,27 +44,18 @@ func NewCPU(e *Engine, label string, n int) *CPU {
 	return c
 }
 
-// N reports the number of cores. A nil CPU reports 0.
-func (c *CPU) N() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.cores)
-}
+// N reports the number of cores.
+func (c *CPU) N() int { return len(c.cores) }
 
 // Used reports whether any compute time was ever charged. Telemetry
 // sources use this to stay silent on hosts that never exercised the
 // core model.
-func (c *CPU) Used() bool { return c != nil && c.used }
+func (c *CPU) Used() bool { return c.used }
 
 // Compute charges p with d of compute on the deterministically
 // least-loaded core (lowest current load, lowest index on ties),
 // blocking in that core's run queue while the core is busy.
 func (c *CPU) Compute(p *Proc, d Duration) {
-	if c == nil {
-		p.Sleep(d)
-		return
-	}
 	best := 0
 	for i := 1; i < len(c.cores); i++ {
 		if c.cores[i].load < c.cores[best].load {
@@ -80,10 +68,6 @@ func (c *CPU) Compute(p *Proc, d Duration) {
 // ComputeOn charges p with d of compute pinned to core (taken modulo N),
 // blocking in that core's run queue while the core is busy.
 func (c *CPU) ComputeOn(p *Proc, core int, d Duration) {
-	if c == nil {
-		p.Sleep(d)
-		return
-	}
 	if d <= 0 {
 		return
 	}
@@ -100,7 +84,7 @@ func (c *CPU) ComputeOn(p *Proc, core int, d Duration) {
 
 // BusyTime reports the accumulated compute time charged to core i.
 func (c *CPU) BusyTime(i int) Duration {
-	if c == nil || i < 0 || i >= len(c.cores) {
+	if i < 0 || i >= len(c.cores) {
 		return 0
 	}
 	return c.cores[i].busy
@@ -108,7 +92,7 @@ func (c *CPU) BusyTime(i int) Duration {
 
 // Runs reports how many Compute charges core i has served.
 func (c *CPU) Runs(i int) int64 {
-	if c == nil || i < 0 || i >= len(c.cores) {
+	if i < 0 || i >= len(c.cores) {
 		return 0
 	}
 	return c.cores[i].runs
@@ -116,7 +100,7 @@ func (c *CPU) Runs(i int) int64 {
 
 // Utilization reports core i's busy time as a fraction of elapsed time.
 func (c *CPU) Utilization(i int) float64 {
-	if c == nil || i < 0 || i >= len(c.cores) || c.eng.Now() == 0 {
+	if i < 0 || i >= len(c.cores) || c.eng.Now() == 0 {
 		return 0
 	}
 	return float64(c.cores[i].busy) / float64(c.eng.Now())

@@ -135,29 +135,6 @@ func TestCPUUncontendedIdenticalToSleep(t *testing.T) {
 	}
 }
 
-// A nil CPU charges plain sleep time (infinite parallelism).
-func TestCPUNilReceiver(t *testing.T) {
-	e := NewEngine()
-	var cpu *CPU
-	var ends []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn("w", func(p *Proc) {
-			cpu.Compute(p, 100)
-			cpu.ComputeOn(p, 1, 50)
-			ends = append(ends, p.Now())
-		})
-	}
-	e.Run()
-	for _, end := range ends {
-		if end != 150 {
-			t.Fatalf("ends = %v; want all 150", ends)
-		}
-	}
-	if cpu.N() != 0 || cpu.Used() || cpu.BusyTime(0) != 0 || cpu.Utilization(0) != 0 {
-		t.Fatal("nil CPU accessors should report zero values")
-	}
-}
-
 // Run-queue order is FIFO: three procs contending one core finish in
 // arrival order.
 func TestCPURunQueueFIFO(t *testing.T) {
