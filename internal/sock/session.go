@@ -127,7 +127,8 @@ type SessionConfig struct {
 	// ledger: ids are allocated from it and Cork/Uncork commits resume
 	// state into it, so a listener reborn after a crash–restart (handed
 	// the same store) can resume committed streams and reject stale
-	// ones. Nil keeps the in-memory-only behavior.
+	// ones. NewSessionListener requires it; a dialing session ignores
+	// it.
 	Store *SessionStore
 	// Incarnation is the hosting node's boot count, carried in every
 	// welcome so clients can tell a reborn peer from a re-dialed one.
@@ -679,7 +680,7 @@ func (s *Session) Uncork(p *sim.Proc) error {
 // simulated time — modeling a synchronous commit to replicated session
 // metadata.
 func (s *Session) commitRecord() {
-	if s.cfg.Store == nil || s.lis == nil {
+	if s.lis == nil {
 		return
 	}
 	s.cfg.Store.Put(&SessionRecord{
@@ -845,7 +846,6 @@ type SessionListener struct {
 	cfg      SessionConfig
 	inner    []Listener
 	sessions map[uint64]*Session
-	nextID   uint64
 	backlog  []*Session
 	ready    *sim.Cond
 	closed   bool
@@ -854,15 +854,17 @@ type SessionListener struct {
 var _ Listener = (*SessionListener)(nil)
 
 // NewSessionListener wraps the given transport listeners. The config's
-// Targets field is ignored on the server side.
+// Targets field is ignored on the server side; its Store is required.
 func NewSessionListener(cfg SessionConfig, inner ...Listener) *SessionListener {
 	cfg = cfg.normalize()
+	if cfg.Store == nil {
+		panic("sock: SessionConfig.Store is required by a listener")
+	}
 	l := &SessionListener{
 		eng:      cfg.Eng,
 		cfg:      cfg,
 		inner:    inner,
 		sessions: make(map[uint64]*Session),
-		nextID:   1,
 		ready:    sim.NewCond(cfg.Eng, "session-listener"),
 	}
 	for i, in := range inner {
@@ -978,16 +980,11 @@ func (l *SessionListener) greetNew(p *sim.Proc, c Conn) {
 		return
 	}
 	s := newSession(l.cfg, false, l)
-	if l.cfg.Store != nil {
-		// Durable allocation: ids never repeat across the node's
-		// incarnations, and the empty committed record marks the stream
-		// resumable from offset zero should the host reboot at once.
-		s.setID(l.cfg.Store.AllocID())
-		s.commitRecord()
-	} else {
-		s.setID(l.nextID)
-		l.nextID++
-	}
+	// Durable allocation: ids never repeat across the node's
+	// incarnations, and the empty committed record marks the stream
+	// resumable from offset zero should the host reboot at once.
+	s.setID(l.cfg.Store.AllocID())
+	s.commitRecord()
 	if err := WriteFull(p, c, welcomeBytes, &sessionWelcome{
 		ID: s.id, OK: true, Inc: l.cfg.Incarnation}); err != nil {
 		abortClose(p, c)

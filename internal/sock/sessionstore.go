@@ -56,18 +56,12 @@ func (st *SessionStore) AllocID() uint64 {
 // Put commits a record under the given owner, replacing any previous
 // version.
 func (st *SessionStore) Put(rec *SessionRecord, owner any) {
-	if st == nil || rec == nil {
-		return
-	}
 	rec.owner = owner
 	st.recs[rec.ID] = rec
 }
 
 // Get returns the committed record for id, or nil.
 func (st *SessionStore) Get(id uint64) *SessionRecord {
-	if st == nil {
-		return nil
-	}
 	return st.recs[id]
 }
 
@@ -75,9 +69,6 @@ func (st *SessionStore) Get(id uint64) *SessionRecord {
 // under a dead listener incarnation must not erase state the reborn
 // incarnation has adopted.
 func (st *SessionStore) Delete(id uint64, owner any) {
-	if st == nil {
-		return
-	}
 	if rec := st.recs[id]; rec != nil && rec.owner == owner {
 		delete(st.recs, id)
 	}
@@ -85,8 +76,5 @@ func (st *SessionStore) Delete(id uint64, owner any) {
 
 // Len reports how many sessions have committed state.
 func (st *SessionStore) Len() int {
-	if st == nil {
-		return 0
-	}
 	return len(st.recs)
 }
