@@ -30,11 +30,8 @@ func main() {
 	chaosSeeds := flag.Int("chaos-seeds", 5, "seeded fault plans per chaos workload (-quick uses 1)")
 	auditFlag := flag.Bool("audit", false, "run the descriptor-leak audit sweep instead")
 	metrics := flag.Bool("metrics", false, "run the hot-path latency decomposition instead")
-	metricsOut := flag.String("metrics-out", "BENCH_metrics.json", "machine-readable output for -metrics")
 	connscale := flag.Bool("connscale", false, "run the connection-scaling poller study instead")
-	connscaleOut := flag.String("connscale-out", "BENCH_connscale.json", "machine-readable output for -connscale")
 	corescale := flag.Bool("corescale", false, "run the SMP core-scaling worker-pool study instead")
-	corescaleOut := flag.String("corescale-out", "BENCH_corescale.json", "machine-readable output for -corescale")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	plot := flag.Bool("plot", false, "also render each figure as an ASCII chart")
@@ -143,15 +140,8 @@ func main() {
 			Hashed    []bench.ConnScalePoint `json:"hashed"`
 			DescScale []bench.DescScalePoint `json:"desc_scale"`
 		}{Linear: pts, Hashed: hashed, DescScale: desc}
-		blob, err := bench.RecordJSON(record)
-		if err == nil {
-			err = os.WriteFile(*connscaleOut, blob, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *connscaleOut)
+		fmt.Println()
+		writeRecord("BENCH_connscale.json", record)
 		return
 	}
 
@@ -179,15 +169,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-		blob, err := bench.RecordJSON(pts)
-		if err == nil {
-			err = os.WriteFile(*corescaleOut, blob, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *corescaleOut)
+		fmt.Println()
+		writeRecord("BENCH_corescale.json", pts)
 		return
 	}
 
@@ -198,15 +181,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)
 		}
-		blob, err := bench.RecordJSON(rep)
-		if err == nil {
-			err = os.WriteFile(*metricsOut, blob, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *metricsOut)
+		writeRecord("BENCH_metrics.json", rep)
 		return
 	}
 
@@ -297,4 +272,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reproduce: unknown figure %q\n", *figFlag)
 		os.Exit(2)
 	}
+}
+
+// writeRecord writes v as the named BENCH_*.json record in the working
+// directory and says so, exiting on failure.
+func writeRecord(name string, v any) {
+	blob, err := bench.RecordJSON(v)
+	if err == nil {
+		err = os.WriteFile(name, blob, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", name)
 }
