@@ -99,6 +99,7 @@ func NewFabric(e *sim.Engine, cfg FabricConfig) *Fabric {
 // traces and reports ("leaf0", "spine1", ...).
 func (fb *Fabric) AddSwitch(name string) *Switch {
 	s := &Switch{eng: fb.eng, fab: fb, id: len(fb.switches), name: name}
+	s.ingress = func(a any) { s.forward(a.(*Frame)) }
 	fb.switches = append(fb.switches, s)
 	// Switches join at build time, before traffic; rebuilding here keeps
 	// Path usable immediately without a separate "seal" call.
@@ -122,6 +123,9 @@ type Trunk struct {
 	a, b *Switch
 	// res[0] carries a->b, res[1] b->a.
 	res [2]*sim.Resource
+	// land[dir] is arrive bound to t and dir once, the fn of every frame
+	// event at the far end of that direction; its arg is the *Frame.
+	land [2]func(any)
 
 	// Counters, per direction (0: a->b, 1: b->a).
 	forwards [2]int64
@@ -139,6 +143,8 @@ func (fb *Fabric) Connect(a, b *Switch) *Trunk {
 	t := &Trunk{fb: fb, id: len(fb.trunks), a: a, b: b}
 	t.res[0] = sim.NewResource(fb.eng, fmt.Sprintf("trunk%d.%s-%s", t.id, a.name, b.name))
 	t.res[1] = sim.NewResource(fb.eng, fmt.Sprintf("trunk%d.%s-%s", t.id, b.name, a.name))
+	t.land[0] = func(f any) { t.arrive(0, b, f.(*Frame)) }
+	t.land[1] = func(f any) { t.arrive(1, a, f.(*Frame)) }
 	fb.trunks = append(fb.trunks, t)
 	fb.downRef = append(fb.downRef, 0)
 	fb.routes = fb.compute()
@@ -178,10 +184,8 @@ func (t *Trunk) Drops() (ab, ba int64) { return t.drops[0], t.drops[1] }
 // arrival.
 func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 	dir := 0
-	to := t.b
 	if from == t.b {
 		dir = 1
-		to = t.a
 	}
 	if t.down() {
 		t.drops[dir]++
@@ -202,14 +206,18 @@ func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 	start := t.fb.eng.Now().Add(forwardLatency)
 	done := t.res[dir].ReserveAt(start, f.WireTime())
 	arrive := done.Add(propDelay + extraDelay)
-	t.fb.eng.At(arrive, func() {
-		if t.down() {
-			t.drops[dir]++
-			t.fb.eng.Tracef(to.name, "TRUNK-DROP-INFLIGHT %s %d->%d len=%d", t, f.Src, f.Dst, f.PayloadLen)
-			return
-		}
-		to.transit(f)
-	})
+	t.fb.eng.AtArg(arrive, t.land[dir], f)
+}
+
+// arrive runs when a frame sent in direction dir reaches switch to at
+// the trunk's far end.
+func (t *Trunk) arrive(dir int, to *Switch, f *Frame) {
+	if t.down() {
+		t.drops[dir]++
+		t.fb.eng.Tracef(to.name, "TRUNK-DROP-INFLIGHT %s %d->%d len=%d", t, f.Src, f.Dst, f.PayloadLen)
+		return
+	}
+	to.transit(f)
 }
 
 // --- Routing ----------------------------------------------------------------

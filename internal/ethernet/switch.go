@@ -45,6 +45,10 @@ type Switch struct {
 	id   int
 	name string
 	dead bool
+
+	// ingress is forward bound to s once, the fn of every frame event
+	// that ends at this switch; its arg is the *Frame.
+	ingress func(any)
 }
 
 // NewSwitch returns the only switch of a private one-switch fabric —
@@ -70,6 +74,9 @@ type Port struct {
 	// out serializes the switch's transmitter on this port
 	// (switch → station).
 	out *sim.Resource
+	// deliver hands an arriving *Frame to the station attached at fire
+	// time, so a Rebind in between redirects frames in flight.
+	deliver func(any)
 
 	txFrames, rxFrames int64
 	txBytes, rxBytes   int64
@@ -89,6 +96,7 @@ func (s *Switch) Attach(st Station) *Port {
 		tx:      sim.NewResource(s.eng, fmt.Sprintf("port%d.tx", addr)),
 		out:     sim.NewResource(s.eng, fmt.Sprintf("port%d.out", addr)),
 	}
+	p.deliver = func(a any) { p.station.Deliver(a.(*Frame)) }
 	s.fab.stations = append(s.fab.stations, p)
 	return p
 }
@@ -134,7 +142,7 @@ func (p *Port) Transmit(f *Frame) (txDone sim.Time) {
 	p.txFrames++
 	p.txBytes += int64(f.PayloadLen)
 	arrive := txDone.Add(propDelay)
-	p.sw.eng.At(arrive, func() { p.sw.forward(f) })
+	p.sw.eng.AtArg(arrive, p.sw.ingress, f)
 	return txDone
 }
 
@@ -242,7 +250,7 @@ func (s *Switch) deliverVia(p *Port, f *Frame, extraDelay sim.Duration) {
 	arrive := done.Add(propDelay + extraDelay)
 	p.rxFrames++
 	p.rxBytes += int64(f.PayloadLen)
-	s.eng.At(arrive, func() { p.station.Deliver(f) })
+	s.eng.AtArg(arrive, p.deliver, f)
 }
 
 // Stats summarizes a port's traffic for tests and reports.

@@ -28,6 +28,22 @@ func TestAfterAllocatesNothing(t *testing.T) {
 	}
 }
 
+// AtArg is the form the per-frame hops use: a bound fn and a pointer
+// argument, which fits in the interface without allocating.
+func TestAtArgAllocatesNothing(t *testing.T) {
+	type frame struct{ hops int }
+	e := NewEngine()
+	f := &frame{}
+	hop := func(a any) { a.(*frame).hops++ }
+	checkNoAllocs(t, "AtArg with a pointer argument plus firing", func() {
+		e.AtArg(e.Now()+10, hop, f)
+		e.Run()
+	})
+	if f.hops == 0 {
+		t.Fatal("event never fired")
+	}
+}
+
 func TestSleepAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("sleeper", func(p *Proc) {

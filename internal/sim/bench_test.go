@@ -67,13 +67,37 @@ func BenchmarkFIFOHandoff(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkTimerCancel schedules and cancels b.N timers, then drains
+// the queue.
 func BenchmarkTimerCancel(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
+	noop := func() {}
 	for i := 0; i < b.N; i++ {
-		ev := e.At(Time(i+1), func() {})
+		ev := e.At(Time(i+1), noop)
 		ev.Cancel()
 	}
+	e.Run()
+}
+
+// BenchmarkTimerRearm re-arms one long timer between short events, as a
+// TCP retransmission timer is re-armed on every ack: each arm cancels
+// the previous one, which never reaches the head of the queue.
+func BenchmarkTimerRearm(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	noop := func() {}
+	var timer Event
+	var tick func()
+	n := 0
+	tick = func() {
+		timer.Cancel()
+		timer = e.After(200*Millisecond, noop)
+		if n++; n < b.N {
+			e.After(10, tick)
+		}
+	}
 	b.ResetTimer()
+	e.After(0, tick)
 	e.Run()
 }

@@ -2,15 +2,22 @@ package sim
 
 import "fmt"
 
-// event is a scheduled callback in the engine's slot table. A slot is
-// recycled once its event leaves the queue, fired or discarded; gen counts
-// the recycles, so a handle taken before one no longer matches the slot.
+// event is a scheduled callback in the engine's slot table: firing it
+// calls fn(arg). A slot is recycled once its event leaves the queue,
+// fired or discarded; gen counts the recycles, so a handle taken before
+// one no longer matches the slot.
 type event struct {
-	fire func()
+	fn   func(any)
+	arg  any
 	gen  uint64
 	dead bool // cancelled
 	idle bool // an idle timer (see Proc.SleepIdle), not a busy event
 }
+
+// call is the fn of an event scheduled with At: its arg is the func().
+// A func value fits in an interface without allocating, so At costs no
+// more than AtArg.
+func call(a any) { a.(func())() }
 
 // entry is a queued event's heap key. Events with equal fire times run in
 // the order they were scheduled (seq breaks ties), which keeps the
@@ -58,25 +65,38 @@ func (h *eventHeap) pop() entry {
 	x := q[n]
 	q = q[:n]
 	if n > 0 {
-		i := 0
-		for {
-			j := 2*i + 1
-			if j >= n {
-				break
-			}
-			if r := j + 1; r < n && q[r].before(q[j]) {
-				j = r
-			}
-			if !q[j].before(x) {
-				break
-			}
-			q[i] = q[j]
-			i = j
-		}
-		q[i] = x
+		q.down(0, x)
 	}
 	*h = q
 	return top
+}
+
+// down places x at or below the hole at i, moving the smaller child up
+// a level until x is no later than both children.
+func (q eventHeap) down(i int, x entry) {
+	n := len(q)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].before(q[j]) {
+			j = r
+		}
+		if !q[j].before(x) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+}
+
+// heapify restores the heap order of any arrangement, bottom-up.
+func (q eventHeap) heapify() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i, q[i])
+	}
 }
 
 // Engine owns the virtual clock and the event queue. All simulation state
@@ -89,6 +109,7 @@ type Engine struct {
 	slots   []event // every event slot, queued or free
 	free    []int32 // recycled slots, reused last-in first-out
 	busy    int     // queued busy events not yet fired or cancelled
+	dead    int     // queued cancelled events, discarded by compact
 	idlers  []idler // queued idle timers
 	running bool
 
@@ -158,13 +179,45 @@ func (h Event) queued() *event {
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. A cancelled event no longer keeps
-// a run going, although it stays queued until its time comes.
+// a run going. Its entry leaves the queue when it reaches the head, or
+// earlier when cancelled entries outnumber the live ones (see compact).
 func (h Event) Cancel() {
 	if ev := h.queued(); ev != nil {
+		e := h.eng
 		ev.dead = true
-		ev.fire = nil
-		h.eng.busy-- // idle timers have no handle, so this is a busy one
+		ev.fn, ev.arg = nil, nil
+		e.busy-- // idle timers have no handle, so this is a busy one
+		e.dead++
+		if e.dead > compactMin && e.dead > len(e.events)-e.dead {
+			e.compact()
+		}
 	}
+}
+
+// compactMin is how many cancelled entries the queue holds before compact
+// runs at all; below it, discarding them at the head costs less.
+const compactMin = 64
+
+// compact drops every cancelled entry from the queue, recycling its slot,
+// and rebuilds the heap bottom-up. Entries are ordered totally by
+// (at, seq), so the rebuilt heap pops the live events in the same order
+// as before. It runs once cancelled entries outnumber live ones, so its
+// linear cost is paid for by at least as many Cancel calls, and a timer
+// re-armed without ever firing (a TCP retransmission timeout) keeps the
+// queue within twice its live size.
+func (e *Engine) compact() {
+	q := e.events[:0]
+	for _, x := range e.events {
+		if e.slots[x.ref].dead {
+			e.recycle(x.ref)
+		} else {
+			q = append(q, x)
+		}
+	}
+	clear(e.events[len(q):])
+	q.heapify()
+	e.events = q
+	e.dead = 0
 }
 
 // Pending reports whether the event is still scheduled to fire.
@@ -172,24 +225,30 @@ func (h Event) Pending() bool { return h.queued() != nil }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it
 // indicates a model bug that would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) Event {
-	ref := e.schedule(t, fn, false)
+func (e *Engine) At(t Time, fn func()) Event { return e.AtArg(t, call, fn) }
+
+// AtArg schedules fn(arg) to run at instant t, like At. A hot path binds
+// fn once and passes what changes per event (a frame, a segment) as arg,
+// so scheduling allocates no closure: a pointer fits in an interface
+// without allocating.
+func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
+	ref := e.schedule(t, fn, arg, false)
 	e.busy++
 	return Event{eng: e, ref: ref, gen: e.slots[ref].gen}
 }
 
-// atIdle queues fn at t as an idle timer whose owner reports pending
-// work through pending.
-func (e *Engine) atIdle(t Time, fn func(), pending func() bool) {
-	e.idlers = append(e.idlers, idler{e.schedule(t, fn, true), pending})
+// atIdle queues fn(arg) at t as an idle timer whose owner reports
+// pending work through pending.
+func (e *Engine) atIdle(t Time, fn func(any), arg any, pending func() bool) {
+	e.idlers = append(e.idlers, idler{e.schedule(t, fn, arg, true), pending})
 }
 
-// schedule queues fn at t in a free slot and returns the slot. Busy
+// schedule queues fn(arg) at t in a free slot and returns the slot. Busy
 // events and idle timers draw from the same seq counter, so an idle timer
 // ties with other same-instant events exactly as a busy one would. The
 // slot table grows only when every slot is queued, so it never holds
 // more slots than the run's longest queue.
-func (e *Engine) schedule(t Time, fn func(), idle bool) int32 {
+func (e *Engine) schedule(t Time, fn func(any), arg any, idle bool) int32 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -202,7 +261,7 @@ func (e *Engine) schedule(t Time, fn func(), idle bool) int32 {
 		e.slots = append(e.slots, event{})
 	}
 	ev := &e.slots[ref]
-	ev.fire, ev.idle = fn, idle
+	ev.fn, ev.arg, ev.idle = fn, arg, idle
 	e.events.push(entry{at: t, seq: e.seq, ref: ref})
 	e.seq++
 	return ref
@@ -212,7 +271,7 @@ func (e *Engine) schedule(t Time, fn func(), idle bool) int32 {
 // generation bump disarms every handle to the event it held.
 func (e *Engine) recycle(ref int32) {
 	ev := &e.slots[ref]
-	ev.fire, ev.dead, ev.idle = nil, false, false
+	ev.fn, ev.arg, ev.dead, ev.idle = nil, nil, false, false
 	ev.gen++
 	e.free = append(e.free, ref)
 }
@@ -234,8 +293,8 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // the last fired event. Quiescence ends a run without changing what it
 // computes: the idle timers left queued would only have ticked with
 // nothing to do, and they stay queued, so a later RunUntil resumes them
-// on their original schedule. Cancelled events at the head of the queue
-// are discarded before the test, so a queue of them still drains.
+// on their original schedule. A cancelled event at the head of the queue
+// is discarded before the test, so a queue of them still drains.
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -254,6 +313,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.recycle(next.ref)
 		if ev.dead {
+			e.dead--
 			continue
 		}
 		if !ev.idle {
@@ -261,7 +321,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.now = next.at
 		e.fired++
-		ev.fire()
+		ev.fn(ev.arg)
 	}
 	return e.now
 }

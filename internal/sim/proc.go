@@ -21,7 +21,6 @@ type Proc struct {
 	name string
 	next func() (struct{}, bool) // resumes the body; nil once done
 	park func(struct{}) bool     // suspends the body; nil once done
-	wake func()                  // steps p; shared by every wakeup, so none allocates
 	done bool
 	w    waiter // p's parking on a wait queue; a proc waits on one at a time
 
@@ -36,7 +35,6 @@ type Proc struct {
 // first step, so building a model that spawns many processes stays cheap.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	p.wake = func() { e.step(p) }
 	e.liveProc++
 	e.procs = append(e.procs, p)
 	if len(e.procs) > 64 && len(e.procs) > 4*e.liveProc {
@@ -86,6 +84,13 @@ func (e *Engine) step(p *Proc) {
 	e.cur = prev
 }
 
+// resume is the fn of every event that wakes a parked process; its arg is
+// the *Proc, so a wakeup allocates nothing.
+func resume(a any) {
+	p := a.(*Proc)
+	p.eng.step(p)
+}
+
 // yield parks the calling process until the engine steps it again.
 // Must be called from p's own body.
 func (p *Proc) yield() { p.park(struct{}{}) }
@@ -105,7 +110,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) Sleep(d Duration) {
 	p.checkCurrent("Sleep")
 	p.blockedOn = "sleep"
-	p.eng.After(d, p.wake)
+	p.eng.AtArg(p.eng.now.Add(max(d, 0)), resume, p)
 	p.yield()
 	p.blockedOn = ""
 }
@@ -120,7 +125,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) SleepIdle(d Duration, pending func() bool) {
 	p.checkCurrent("SleepIdle")
 	p.blockedOn = "sleep"
-	p.eng.atIdle(p.eng.now.Add(max(d, 0)), p.wake, pending)
+	p.eng.atIdle(p.eng.now.Add(max(d, 0)), resume, p, pending)
 	p.yield()
 	p.blockedOn = ""
 }

@@ -1,7 +1,7 @@
 package tcpip
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ethernet"
 	"repro/internal/sim"
@@ -82,9 +82,9 @@ type Conn struct {
 	pendingAcks int
 	delAck      sim.Event
 
-	rcvReady    *sim.Cond
-	sndReady    *sim.Cond
-	established *sim.Cond
+	rcvReady    sim.Cond
+	sndReady    sim.Cond
+	established sim.Cond
 	// src feeds registered pollers: readiness transitions fire it with
 	// the event class, waking only consumers registered on this socket.
 	src sock.NoteSource
@@ -159,7 +159,7 @@ func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 		lport:       lport,
 		raddr:       raddr,
 		rport:       rport,
-		id:          fmt.Sprintf("%d:%d-%d:%d", st.addr, lport, raddr, rport),
+		id:          connID(st.addr, lport, raddr, rport),
 		sndbuf:      stream.NewBuffer(iss + 1), // +1: SYN consumes iss
 		sndNxt:      iss + 1,
 		cwnd:        initialCwnd * MSS,
@@ -168,11 +168,24 @@ func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 		finSeq:      -1,
 		peerFinSeq:  -1,
 		rcvBufCap:   st.Cfg.RcvBuf,
-		rcvReady:    sim.NewCond(st.Eng, "tcp.rcv"),
-		sndReady:    sim.NewCond(st.Eng, "tcp.snd"),
-		established: sim.NewCond(st.Eng, "tcp.est"),
+		rcvReady:    sim.MakeCond(st.Eng, "tcp.rcv"),
+		sndReady:    sim.MakeCond(st.Eng, "tcp.snd"),
+		established: sim.MakeCond(st.Eng, "tcp.est"),
 	}
 	return c
+}
+
+// connID formats a connection's id, "laddr:lport-raddr:rport".
+func connID(laddr ethernet.Addr, lport int, raddr ethernet.Addr, rport int) string {
+	b := make([]byte, 0, 32)
+	b = strconv.AppendInt(b, int64(laddr), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(lport), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(raddr), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(rport), 10)
+	return string(b)
 }
 
 func (c *Conn) key() connKey {
@@ -455,12 +468,17 @@ func (c *Conn) scheduleAck(push bool) {
 		return
 	}
 	if !c.delAck.Pending() {
-		c.delAck = c.st.Eng.After(delAckTimeout, func() {
-			if c.pendingAcks > 0 {
-				c.st.DelayedAcks.Inc()
-				c.ackNow()
-			}
-		})
+		c.delAck = c.st.Eng.AtArg(c.st.Eng.Now().Add(delAckTimeout), delAckFired, c)
+	}
+}
+
+// delAckFired is the fn of a connection's delayed-ack timer; its arg is
+// the *Conn.
+func delAckFired(a any) {
+	c := a.(*Conn)
+	if c.pendingAcks > 0 {
+		c.st.DelayedAcks.Inc()
+		c.ackNow()
 	}
 }
 
@@ -641,8 +659,12 @@ func (c *Conn) rto() sim.Duration {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.st.Eng.After(c.rto(), c.onRTO)
+	c.rtoTimer = c.st.Eng.AtArg(c.st.Eng.Now().Add(c.rto()), rtoFired, c)
 }
+
+// rtoFired is the fn of a connection's retransmission timer; its arg is
+// the *Conn.
+func rtoFired(a any) { a.(*Conn).onRTO() }
 
 // onRTO retransmits go-back-N from SND.UNA with multiplicative backoff
 // of the congestion window.
