@@ -57,6 +57,11 @@ type Segment struct {
 	// within this segment, mirroring Objs: End is relative to Seq, and a
 	// retransmission re-carries the span (its marks dedupe via MarkOnce).
 	Spans []SegSpan
+
+	// frame is the Ethernet frame that carries the segment. Every
+	// transmission, a retransmission included, builds a new Segment, so
+	// the segment and its frame share one allocation.
+	frame ethernet.Frame
 }
 
 // SegSpan is one latency span riding a segment; End is the offset just

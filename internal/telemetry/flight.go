@@ -44,6 +44,11 @@ type Recorder struct {
 // full.
 func (r *Recorder) Record(at sim.Time, kind, detail string) {
 	ev := FlightEvent{At: at, Kind: kind, Detail: detail}
+	if r.ring == nil {
+		// A connection's setup and teardown record a few events, so
+		// the first holds room for them in one allocation.
+		r.ring = make([]FlightEvent, 0, 4)
+	}
 	if len(r.ring) < flightCap {
 		r.ring = append(r.ring, ev)
 	} else {
