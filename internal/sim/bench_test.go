@@ -22,14 +22,33 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
+// sleeper returns a proc body that sleeps n times for 10 ns each.
+func sleeper(n int) func(p *Proc) {
+	return func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(10)
+		}
+	}
+}
+
+// BenchmarkProcContextSwitch measures a sleep that parks: two sleepers
+// run half a period apart, so each wakeup finds the other's queued
+// before it.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(10)
-		}
-	})
+	e.Spawn("sleeper", sleeper((b.N+1)/2))
+	e.At(5, func() { e.Spawn("sleeper", sleeper(b.N/2)) })
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSleepInPlace measures a sleep with nothing queued before its
+// wakeup, which the engine takes without parking the proc.
+func BenchmarkSleepInPlace(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Spawn("sleeper", sleeper(b.N))
 	b.ResetTimer()
 	e.Run()
 }

@@ -19,23 +19,30 @@ func (r *schedRec) before(o *schedRec) bool {
 	return r.at < o.at || r.at == o.at && r.seq < o.seq
 }
 
-// Property: with any mix of At, AtArg, Cancel, SleepIdle and
-// same-instant ties, and compaction running whenever cancelled entries
-// pile up, the engine fires exactly the events never cancelled, sorted
-// by (at, seq), and counts them in Events().
+// Property: with any mix of At, AtArg, Cancel, Sleep, SleepIdle and
+// same-instant ties, compaction running whenever cancelled entries pile
+// up and sleeps woken in place whenever nothing fires first, the engine
+// fires exactly the events never cancelled, sorted by (at, seq), and
+// counts them in Events().
 func TestEngineCompactionKeepsOrder(t *testing.T) {
-	compactions := 0
+	compactions, inPlace := 0, int64(0)
 	for seed := uint64(1); seed <= 30; seed++ {
-		compactions += checkRandomSchedule(t, seed)
+		c, w := checkRandomSchedule(t, seed)
+		compactions += c
+		inPlace += w
 	}
 	if compactions == 0 {
 		t.Fatal("no schedule compacted the queue; the property was not exercised")
 	}
+	if inPlace == 0 {
+		t.Fatal("no sleep woke in place; the property was not exercised")
+	}
 }
 
 // checkRandomSchedule runs one seeded schedule against a sorted
-// reference list and returns how many times the queue was compacted.
-func checkRandomSchedule(t *testing.T, seed uint64) int {
+// reference list and returns how many times the queue was compacted and
+// how many sleeps woke in place.
+func checkRandomSchedule(t *testing.T, seed uint64) (int, int64) {
 	t.Helper()
 	e := NewEngine()
 	r := NewRand(seed)
@@ -101,7 +108,19 @@ func checkRandomSchedule(t *testing.T, seed uint64) int {
 			fire(rec)
 		}
 	})
-	e.RunUntil(0) // the ticker's first step, which is not a recorded event
+	// A busy sleeper, whose wakeups are taken in place whenever no
+	// queued event fires first.
+	sleeps := 0
+	e.Spawn("sleeper", func(p *Proc) {
+		for ; sleeps < 40; sleeps++ {
+			d := Duration(r.Intn(100))
+			rec := &schedRec{id: len(recs), at: p.Now().Add(d), seq: e.seq}
+			recs = append(recs, rec)
+			p.Sleep(d)
+			fire(rec)
+		}
+	})
+	e.RunUntil(0) // the procs' first steps, which are not recorded events
 	for i := 0; i < 20; i++ {
 		act()
 	}
@@ -122,13 +141,13 @@ func checkRandomSchedule(t *testing.T, seed uint64) int {
 			t.Fatalf("seed %d: fire %d was event %d, want event %d", seed, i, fired[i].id, want[i].id)
 		}
 	}
-	if got := e.Events(); got != int64(len(want))+1 {
-		t.Fatalf("seed %d: Events() = %d, want %d (the ticker's start and every recorded fire)", seed, got, len(want)+1)
+	if got := e.Events(); got != int64(len(want))+2 {
+		t.Fatalf("seed %d: Events() = %d, want %d (the procs' starts and every recorded fire)", seed, got, len(want)+2)
 	}
-	if ticks != 40 || len(e.events) != 0 || e.dead != 0 {
-		t.Fatalf("seed %d: %d ticks, %d entries and %d cancelled left; want 40, 0, 0", seed, ticks, len(e.events), e.dead)
+	if ticks != 40 || sleeps != 40 || len(e.events) != 0 || e.dead != 0 {
+		t.Fatalf("seed %d: %d ticks, %d sleeps, %d entries and %d cancelled left; want 40, 40, 0, 0", seed, ticks, sleeps, len(e.events), e.dead)
 	}
-	return compactions
+	return compactions, e.inPlace
 }
 
 // A timer re-armed before it ever fires, as a TCP retransmission timer

@@ -120,10 +120,12 @@ type Engine struct {
 	trace    *Tracer
 	rand     *Rand
 	deadline Time
+	limit    Time // the running RunUntil's limit
 
 	wakeups  int64 // processes resumed from wait queues (herd diagnostics)
 	fired    int64 // events fired
 	switches int64 // proc steps
+	inPlace  int64 // sleeps woken in place (see Proc.Sleep)
 }
 
 // Wakeups reports how many processes have been resumed from wait queues
@@ -300,6 +302,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
+	e.limit = limit
 	defer func() { e.running = false }()
 	for len(e.events) > 0 {
 		next := e.events[0]

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -20,6 +21,88 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d, want 0", e.LiveProcs())
+	}
+}
+
+// An event queued for the instant a sleep ends was scheduled first, so
+// it fires before the sleeper wakes; a sleep that ends before the queue's
+// head wakes in place, ahead of it.
+func TestSleepTieFiresQueuedEventFirst(t *testing.T) {
+	for _, c := range []struct {
+		d       Duration
+		want    string
+		inPlace int64
+	}{
+		{d: 10, want: "event sleeper", inPlace: 0},
+		{d: 9, want: "sleeper event", inPlace: 1},
+	} {
+		e := NewEngine()
+		var order []string
+		e.At(10, func() { order = append(order, "event") })
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(c.d)
+			order = append(order, "sleeper")
+		})
+		e.Run()
+		if got := strings.Join(order, " "); got != c.want || e.inPlace != c.inPlace {
+			t.Fatalf("Sleep(%v) with an event at 10: order %q with %d in-place wakeups, want %q with %d",
+				c.d, got, e.inPlace, c.want, c.inPlace)
+		}
+	}
+}
+
+// A sleep that ends past the running RunUntil's limit parks, and a later
+// RunUntil wakes it on schedule; one that ends at the limit wakes in
+// place.
+func TestSleepPastLimitParks(t *testing.T) {
+	e := NewEngine()
+	var wakes []Time
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(50)
+		wakes = append(wakes, p.Now())
+		p.Sleep(100)
+		wakes = append(wakes, p.Now())
+	})
+	if now := e.RunUntil(50); now != 50 || len(wakes) != 1 || e.inPlace != 1 {
+		t.Fatalf("RunUntil(50) returned %v with wakes %v and %d in-place wakeups; want 50, [50], 1", now, wakes, e.inPlace)
+	}
+	if e.RunUntil(100); len(wakes) != 1 {
+		t.Fatalf("sleeper woke at %v before its wakeup at 150", wakes[1])
+	}
+	if e.Run(); len(wakes) != 2 || wakes[1] != 150 || e.inPlace != 1 {
+		t.Fatalf("wakes %v with %d in-place wakeups, want [50 150] with 1", wakes, e.inPlace)
+	}
+}
+
+// A wakeup taken in place moves the clock and counts in Events() and
+// Switches() exactly as a parked one, and draws the same seq: stepping a
+// run in limits shorter than each sleep parks every wakeup, and ends in
+// the same state as one Run that takes them all in place.
+func TestInPlaceSleepCountsAsParked(t *testing.T) {
+	run := func(chunked bool) *Engine {
+		e := NewEngine()
+		e.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(10)
+			}
+		})
+		if chunked {
+			for limit := Time(5); e.LiveProcs() > 0; limit += 10 {
+				e.RunUntil(limit)
+			}
+		}
+		e.Run()
+		return e
+	}
+	parked, inPlace := run(true), run(false)
+	if parked.inPlace != 0 || inPlace.inPlace != 5 {
+		t.Fatalf("%d and %d in-place wakeups, want 0 and 5", parked.inPlace, inPlace.inPlace)
+	}
+	for _, e := range []*Engine{parked, inPlace} {
+		if e.Now() != 50 || e.Events() != 6 || e.Switches() != 6 || e.seq != 6 {
+			t.Fatalf("now %v, %d events, %d switches, seq %d; want 50, 6, 6, 6",
+				e.Now(), e.Events(), e.Switches(), e.seq)
+		}
 	}
 }
 
