@@ -127,6 +127,10 @@ type Endpoint struct {
 	tcache     map[BufKey]struct{}
 	tcacheFIFO []BufKey
 
+	// The doorbell handlers, bound once: each mailbox write passes its
+	// *txPost, *RecvHandle or *unpostOp as the handler's arg.
+	sendBell, recvBell, unpostBell func(any)
+
 	Counters
 }
 
@@ -173,8 +177,39 @@ func NewEndpoint(e *sim.Engine, host *kernel.Host, n *nic.NIC, cfg Config) *Endp
 		nextMsgID: cfg.BootEpoch << 32,
 		tcache:    make(map[BufKey]struct{}),
 	}
+	ep.sendBell, ep.recvBell, ep.unpostBell = ep.sendDoorbell, ep.recvDoorbell, ep.unpostDoorbell
 	ep.fw = newFirmware(ep)
 	return ep
+}
+
+// sendDoorbell is the send doorbell's handler: the send CPU picks the post
+// up, unless the endpoint died first.
+func (ep *Endpoint) sendDoorbell(a any) {
+	post := a.(*txPost)
+	if !ep.fw.txWork.TryPut(txOp{post: post}) {
+		ep.descRelease() // no record was created
+		post.h.complete(StatusFailed)
+	}
+}
+
+// recvDoorbell is the receive doorbell's handler: the receive CPU picks the
+// descriptor up, unless the endpoint died first.
+func (ep *Endpoint) recvDoorbell(a any) {
+	h := a.(*RecvHandle)
+	if !ep.fw.rxWork.TryPut(rxOp{post: h}) {
+		h.complete(StatusCancelled, Message{}) // endpoint died before pickup
+	}
+}
+
+// unpostDoorbell is the unpost doorbell's handler; an endpoint that died
+// before pickup leaves nothing to unpost.
+func (ep *Endpoint) unpostDoorbell(a any) {
+	op := a.(*unpostOp)
+	if ep.fw.rxWork.TryPut(rxOp{unpost: op}) {
+		return
+	}
+	op.processed = true
+	op.done.Broadcast()
 }
 
 // Addr reports the endpoint's station address.
@@ -272,6 +307,7 @@ type SendHandle struct {
 	dst    ethernet.Addr
 	tag    Tag
 	length int
+	post   txPost // the send CPU's work item, allocated with the handle
 }
 
 // Status reports the handle's current state.
@@ -323,13 +359,8 @@ func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int
 	p.Sleep(hostPostCPU)
 	ep.translate(p, key)
 	ep.Host.MMIO(p)
-	post := &txPost{h: h, data: data}
-	ep.NIC.Ring(func() {
-		if !ep.fw.txWork.TryPut(txOp{post: post}) {
-			ep.descRelease() // no record was created
-			post.h.complete(StatusFailed)
-		}
-	})
+	h.post = txPost{h: h, data: data}
+	ep.NIC.Ring(ep.sendBell, &h.post)
 	return h
 }
 
@@ -360,7 +391,7 @@ type RecvHandle struct {
 	src    ethernet.Addr
 	tag    Tag
 	maxLen int
-	desc   *recvDesc
+	desc   recvDesc // the NIC's descriptor, allocated with the handle
 }
 
 // SetNotify sets the owner notified on completion; the sockets
@@ -377,9 +408,14 @@ func (h *RecvHandle) Match() (ethernet.Addr, Tag) { return h.src, h.tag }
 // Status reports the handle's current state.
 func (h *RecvHandle) Status() Status { return h.status }
 
-// Message returns the delivered message; valid only once Status is
-// StatusOK.
-func (h *RecvHandle) Message() Message { return h.msg }
+// Message returns the delivered message once Status is StatusOK, and
+// the zero Message before that or on any other status.
+func (h *RecvHandle) Message() Message {
+	if h.status != StatusOK {
+		return Message{}
+	}
+	return h.msg
+}
 
 func (h *RecvHandle) complete(s Status, m Message) {
 	if h.status != StatusPending {
@@ -441,11 +477,7 @@ func (ep *Endpoint) PostRecv(p *sim.Proc, src ethernet.Addr, tag Tag, maxLen int
 	h.counted = true
 	ep.translate(p, key)
 	ep.Host.MMIO(p)
-	ep.NIC.Ring(func() {
-		if !ep.fw.rxWork.TryPut(rxOp{post: h}) {
-			h.complete(StatusCancelled, Message{}) // endpoint died before pickup
-		}
-	})
+	ep.NIC.Ring(ep.recvBell, h)
 	return h
 }
 
@@ -457,7 +489,7 @@ func (ep *Endpoint) WaitRecv(p *sim.Proc, h *RecvHandle) (Message, Status) {
 	if h.status == StatusOK {
 		p.Sleep(nic.HostPollGap)
 	}
-	return h.msg, h.status
+	return h.Message(), h.status
 }
 
 // PollUnexpected checks the host-visible unexpected queue for a matching
@@ -504,10 +536,7 @@ func (ep *Endpoint) PurgeUnexpected(keep func(src ethernet.Addr, tag Tag) bool) 
 	}
 	purged := len(drop)
 	if purged > 0 {
-		n := purged
-		ep.NIC.Ring(func() {
-			ep.fw.rxWork.TryPut(rxOp{uqFree: n})
-		})
+		ep.NIC.Ring(ep.fw.uqFreeBell, purged)
 	}
 	return purged
 }
@@ -571,13 +600,7 @@ func (ep *Endpoint) Unpost(p *sim.Proc, h *RecvHandle) bool {
 	p.Sleep(hostPostCPU)
 	ep.Host.MMIO(p)
 	op := &unpostOp{h: h, done: sim.MakeCond(ep.Eng, "emp.unpost")}
-	ep.NIC.Ring(func() {
-		if ep.fw.rxWork.TryPut(rxOp{unpost: op}) {
-			return
-		}
-		op.processed = true // endpoint died before pickup
-		op.done.Broadcast()
-	})
+	ep.NIC.Ring(ep.unpostBell, op)
 	op.done.WaitFor(p, func() bool { return op.processed })
 	if h.status == StatusCancelled {
 		ep.Unposts.Inc()

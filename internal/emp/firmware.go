@@ -137,6 +137,12 @@ type firmware struct {
 
 	sendProc *sim.Proc
 	recvProc *sim.Proc
+
+	// uqFreeBell and rexmitFn are bound once: the unexpected-queue free
+	// doorbell's handler, whose arg is the slot count, and the
+	// retransmission timer's fn, whose arg is the *txRecord.
+	uqFreeBell func(any)
+	rexmitFn   func(any)
 }
 
 // maxFrag is the per-fragment payload this NIC's MTU allows.
@@ -166,6 +172,7 @@ func newFirmware(ep *Endpoint) *firmware {
 		completed:    make(map[reasmKey]bool),
 	}
 	fw.txWindow = sim.NewCond(ep.Eng, ep.NIC.Name+".txwindow")
+	fw.uqFreeBell, fw.rexmitFn = fw.uqFreeDoorbell, fw.rexmitFired
 	fw.n.SetSink(func(f *ethernet.Frame) { fw.rxWork.TryPut(rxOp{frame: f}) })
 	fw.sendProc = ep.Eng.Spawn(ep.NIC.Name+".sendcpu", fw.sendLoop)
 	fw.recvProc = ep.Eng.Spawn(ep.NIC.Name+".recvcpu", fw.recvLoop)
@@ -286,7 +293,7 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 	}
 	// Local completion: all fragments handed to the MAC. Reliability
 	// continues via the record until the receiver NIC acks everything.
-	fw.eng.After(nic.HostNotify, func() { h.complete(StatusOK) })
+	fw.after(nic.HostNotify, sendDone, h)
 	if rec.acked >= rec.nfrag {
 		fw.retire(rec)
 	} else {
@@ -317,14 +324,10 @@ func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
 			sp.TelemetrySpan().MarkOnce("wire", p.Now())
 		}
 	}
-	fw.eng.Tracef(fw.n.Name, "tx data dst=%d tag=%d msg=%d frag=%d/%d len=%d", rec.dst, rec.tag, rec.msgID, seq+1, rec.nfrag, fl)
-	f := &ethernet.Frame{
-		Src:        fw.ep.addr,
-		Dst:        rec.dst,
-		PayloadLen: wireBytes(fl),
-		Payload:    wf,
-		Flow:       uint32(rec.tag),
+	if fw.eng.Tracing() {
+		fw.eng.Tracef(fw.n.Name, "tx data dst=%d tag=%d msg=%d frag=%d/%d len=%d", rec.dst, rec.tag, rec.msgID, seq+1, rec.nfrag, fl)
 	}
+	f := wf.carry(rec.dst, wireBytes(fl), uint32(rec.tag))
 	if fw.n.FaultFlipDesc() {
 		// A flipped transmit descriptor corrupts this transmission only:
 		// the frame fails the receiver's FCS check and the retransmission
@@ -373,8 +376,31 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 
 func (fw *firmware) armTimer(rec *txRecord) {
 	rec.timer.Cancel()
-	id := rec.msgID
-	rec.timer = fw.eng.After(rec.rto, func() { fw.scheduleResend(id) })
+	rec.timer = fw.after(rec.rto, fw.rexmitFn, rec)
+}
+
+// rexmitFired is the retransmission timer's fn.
+func (fw *firmware) rexmitFired(a any) { fw.scheduleResend(a.(*txRecord).msgID) }
+
+// after schedules fn(arg) d from now.
+func (fw *firmware) after(d sim.Duration, fn func(any), arg any) sim.Event {
+	return fw.eng.AtArg(fw.eng.Now().Add(d), fn, arg)
+}
+
+// sendDone, truncDone and recvDone are the fns of the completion
+// events, each passed the handle it completes. recvDone delivers the
+// message that deliver stored in the handle.
+func sendDone(a any)  { a.(*SendHandle).complete(StatusOK) }
+func truncDone(a any) { a.(*RecvHandle).complete(StatusTruncated, Message{}) }
+func recvDone(a any) {
+	h := a.(*RecvHandle)
+	h.complete(StatusOK, h.msg)
+}
+
+// deliver completes h with m d from now.
+func (fw *firmware) deliver(d sim.Duration, h *RecvHandle, m Message) {
+	h.msg = m
+	fw.after(d, recvDone, h)
 }
 
 // retire releases a transmission record and its descriptor-budget slot;
@@ -513,7 +539,9 @@ func (fw *firmware) deliverFrag(p *sim.Proc, wf *WireFrame, r *reassembly) {
 		}
 		return
 	}
-	fw.eng.Tracef(fw.n.Name, "rx data src=%d tag=%d msg=%d frag=%d/%d", wf.Src, wf.Tag, wf.MsgID, wf.Seq+1, wf.NFrag)
+	if fw.eng.Tracing() {
+		fw.eng.Tracef(fw.n.Name, "rx data src=%d tag=%d msg=%d frag=%d/%d", wf.Src, wf.Tag, wf.MsgID, wf.Seq+1, wf.NFrag)
+	}
 	// In-order fragment.
 	r.expected++
 	r.lastNack = -1
@@ -578,7 +606,9 @@ func (fw *firmware) startReassembly(p *sim.Proc, wf *WireFrame, key reasmKey) *r
 	}
 	switch {
 	case d != nil:
-		fw.eng.Tracef(fw.n.Name, "tag match src=%d tag=%d walked=%d", wf.Src, wf.Tag, work)
+		if fw.eng.Tracing() {
+			fw.eng.Tracef(fw.n.Name, "tag match src=%d tag=%d walked=%d", wf.Src, wf.Tag, work)
+		}
 		fw.posted.remove(d)
 		r.h = d.h
 		if wf.MsgLen > d.h.maxLen {
@@ -587,7 +617,9 @@ func (fw *firmware) startReassembly(p *sim.Proc, wf *WireFrame, key reasmKey) *r
 			r.sink = true
 		}
 	case fw.uqSlots > 0:
-		fw.eng.Tracef(fw.n.Name, "unexpected src=%d tag=%d -> uq (slots left %d)", wf.Src, wf.Tag, fw.uqSlots-1)
+		if fw.eng.Tracing() {
+			fw.eng.Tracef(fw.n.Name, "unexpected src=%d tag=%d -> uq (slots left %d)", wf.Src, wf.Tag, fw.uqSlots-1)
+		}
 		fw.uqSlots--
 		r.uq = true
 	default:
@@ -607,12 +639,10 @@ func (fw *firmware) finish(r *reassembly) {
 	switch {
 	case r.sink:
 		fw.Truncated.Inc()
-		h := r.h
-		fw.eng.After(notify, func() { h.complete(StatusTruncated, Message{}) })
+		fw.after(notify, truncDone, r.h)
 	case r.h != nil:
 		fw.MsgsDelivered.Inc()
-		h := r.h
-		fw.eng.After(notify, func() { h.complete(StatusOK, msg) })
+		fw.deliver(notify, r.h, msg)
 	default:
 		// Unexpected-queue completion: a matching descriptor may have
 		// been posted while the message was arriving.
@@ -623,8 +653,7 @@ func (fw *firmware) finish(r *reassembly) {
 			// The claim pays the temp-buffer -> user-buffer copy; it is
 			// modeled as completion delay (the host thread is blocked in
 			// WaitRecv, not doing other work).
-			delay := notify + fw.ep.Host.CopyTime(msg.Len)
-			fw.eng.After(delay, func() { h.complete(StatusOK, msg) })
+			fw.deliver(notify+fw.ep.Host.CopyTime(msg.Len), h, msg)
 			return
 		}
 		if r.uq && fw.n.FaultLoseUnexpected() {
@@ -721,21 +750,19 @@ func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
 		fw.uqSlots++
 		fw.UnexpectedHits.Inc()
 		fw.MsgsDelivered.Inc()
-		delay := nic.HostNotify + fw.ep.Host.CopyTime(m.Len)
-		fw.eng.After(delay, func() { h.complete(StatusOK, m) })
+		fw.deliver(nic.HostNotify+fw.ep.Host.CopyTime(m.Len), h, m)
 		return
 	}
-	d := &recvDesc{h: h}
-	h.desc = d
-	fw.posted.add(d)
+	h.desc.h = h
+	fw.posted.add(&h.desc)
 }
 
 func (fw *firmware) handleUnpost(p *sim.Proc, op *unpostOp) {
 	p.Sleep(nic.RxPostHandle)
-	// h.desc links back to the live table entry; a descriptor already
-	// consumed by a match has been unlinked (tbl cleared) and must not
+	// A descriptor still in the table links back to it; one never posted,
+	// or already consumed by a match and unlinked (tbl cleared), must not
 	// be cancelled.
-	if d := op.h.desc; d != nil && d.tbl == fw.posted {
+	if d := &op.h.desc; d.tbl == fw.posted {
 		fw.posted.remove(d)
 		op.h.complete(StatusCancelled, Message{})
 	}
@@ -757,40 +784,24 @@ func (fw *firmware) claimUnexpected(src ethernet.Addr, tag Tag, maxLen int) (Mes
 	fw.UnexpectedHits.Inc()
 	fw.MsgsDelivered.Inc()
 	// Tell the NIC to free the slot (a host doorbell write).
-	fw.n.Ring(func() {
-		fw.rxWork.TryPut(rxOp{uqFree: 1})
-	})
+	fw.n.Ring(fw.uqFreeBell, 1)
 	return m, true
 }
+
+// uqFreeDoorbell is the unexpected-queue free doorbell's handler: the
+// receive CPU returns the arg's count of slots to the queue.
+func (fw *firmware) uqFreeDoorbell(a any) { fw.rxWork.TryPut(rxOp{uqFree: a.(int)}) }
 
 func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq int) {
 	p.Sleep(ackTxCost)
 	fw.AcksSent.Inc()
-	fw.n.Transmit(&ethernet.Frame{
-		Src:        fw.ep.addr,
-		Dst:        dst,
-		PayloadLen: AckFrameBytes,
-		Payload: &WireFrame{
-			Kind:   AckFrame,
-			Src:    fw.ep.addr,
-			MsgID:  msgID,
-			AckSeq: ackSeq,
-		},
-	})
+	wf := &WireFrame{Kind: AckFrame, Src: fw.ep.addr, MsgID: msgID, AckSeq: ackSeq}
+	fw.n.Transmit(wf.carry(dst, AckFrameBytes, 0))
 }
 
 func (fw *firmware) sendNack(p *sim.Proc, dst ethernet.Addr, msgID uint64, from int) {
 	p.Sleep(ackTxCost)
 	fw.NacksSent.Inc()
-	fw.n.Transmit(&ethernet.Frame{
-		Src:        fw.ep.addr,
-		Dst:        dst,
-		PayloadLen: AckFrameBytes,
-		Payload: &WireFrame{
-			Kind:   NackFrame,
-			Src:    fw.ep.addr,
-			MsgID:  msgID,
-			AckSeq: from,
-		},
-	})
+	wf := &WireFrame{Kind: NackFrame, Src: fw.ep.addr, MsgID: msgID, AckSeq: from}
+	fw.n.Transmit(wf.carry(dst, AckFrameBytes, 0))
 }

@@ -82,6 +82,23 @@ type WireFrame struct {
 	// AckSeq: for AckFrame, fragments [0, AckSeq) are acknowledged;
 	// for NackFrame, retransmission is requested starting at AckSeq.
 	AckSeq int
+
+	// frame is the Ethernet frame that carries this one; the two share
+	// one allocation.
+	frame ethernet.Frame
+}
+
+// carry builds the Ethernet frame that carries wf from wf.Src to dst,
+// in place, and returns it.
+func (wf *WireFrame) carry(dst ethernet.Addr, payloadLen int, flow uint32) *ethernet.Frame {
+	wf.frame = ethernet.Frame{
+		Src:        wf.Src,
+		Dst:        dst,
+		PayloadLen: payloadLen,
+		Payload:    wf,
+		Flow:       flow,
+	}
+	return &wf.frame
 }
 
 // FragCount reports how many frames a message of n bytes needs at the

@@ -336,18 +336,20 @@ func (n *NIC) SetFaults(pl *faults.Plan, node int) {
 }
 
 // Ring models the host writing a NIC mailbox ("ringing the doorbell"):
-// fn observes the write mailboxLatency later. Under a doorbell-drop
-// fault the write is lost and the host driver's watchdog re-rings it
-// after doorbellRetry — the descriptor is delayed, never lost, so the
-// resource audit stays clean while the latency is very visible.
-func (n *NIC) Ring(fn func()) {
+// fn(arg) observes the write mailboxLatency later. A caller binds fn
+// once and passes the descriptor as arg, so a healthy ring allocates
+// nothing. Under a doorbell-drop fault the write is lost and the host
+// driver's watchdog re-rings it after doorbellRetry — the descriptor is
+// delayed, never lost, so the resource audit stays clean while the
+// latency is very visible.
+func (n *NIC) Ring(fn func(any), arg any) {
 	if n.fplan != nil && !n.dead && n.fplan.NICDropDoorbell(n.Eng.Rand(), sim.Duration(n.Eng.Now()), n.fnode) {
 		n.DoorbellsDropped.Inc()
 		n.Eng.Tracef(n.Name, "doorbell dropped (fault), re-ring in %v", doorbellRetry)
-		n.Eng.After(doorbellRetry, func() { n.Ring(fn) })
+		n.Eng.After(doorbellRetry, func() { n.Ring(fn, arg) })
 		return
 	}
-	n.Eng.After(mailboxLatency, fn)
+	n.Eng.AtArg(n.Eng.Now().Add(mailboxLatency), fn, arg)
 }
 
 // FaultFlipDesc reports whether the next transmit descriptor is

@@ -23,6 +23,11 @@ func (e *Engine) SetTrace(w io.Writer) {
 	e.trace = &Tracer{eng: e, sink: w}
 }
 
+// Tracing reports whether a trace sink is attached. A hot path guards
+// its Tracef calls with it, since boxing their arguments allocates even
+// when nothing is traced.
+func (e *Engine) Tracing() bool { return e.trace != nil }
+
 // Tracef records a formatted trace line if tracing is enabled.
 func (e *Engine) Tracef(component, format string, args ...any) {
 	if e.trace == nil {
