@@ -374,11 +374,12 @@ func (c *Conn) abort(p *sim.Proc) {
 // probe is a no-op message on the ack channel; its value is that EMP
 // reliability will retry it and report failure if the peer is gone,
 // turning silent peer death into a connection error for applications
-// that only ever block in Read.
+// that only ever block in Read. It stops once the peer's close has
+// landed, read or not: the peer has no connection left to probe.
 func (c *Conn) keepaliveLoop(p *sim.Proc) {
 	for {
 		p.Sleep(keepaliveIdle)
-		if c.cleaned || c.err != nil || c.peerClosed || c.closeSent {
+		if c.cleaned || c.err != nil || c.closeSent || c.peerCloseLanded() {
 			return
 		}
 		if c.sub.Eng.Now().Sub(c.lastIO) < keepaliveIdle {
@@ -393,6 +394,26 @@ func (c *Conn) keepaliveLoop(p *sim.Proc) {
 			return
 		}
 	}
+}
+
+// peerCloseLanded reports whether the peer's close has arrived: applied,
+// or still waiting in a completed data descriptor or the holdback for
+// the application to read up to it.
+func (c *Conn) peerCloseLanded() bool {
+	if c.peerClosed {
+		return true
+	}
+	for _, h := range c.dataHandles {
+		if hdr, ok := h.Message().Data.(*header); ok && hdr.Kind == kindClose {
+			return true
+		}
+	}
+	for _, hdr := range c.holdback {
+		if hdr.Kind == kindClose {
+			return true
+		}
+	}
+	return false
 }
 
 // postInitialDescriptors posts the connection's standing descriptors;

@@ -442,3 +442,73 @@ func TestNICFaultSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestKeepaliveStopsAtPeerClose: a Recovery client that writes, never
+// reads and never closes stops probing once the server's close lands,
+// though it never reads up to it. A keepalive after that would park in
+// the server's unexpected queue addressed to no live connection, which
+// the audit reports as uq-stale.
+func TestKeepaliveStopsAtPeerClose(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Recovery = true
+	c := cluster.New(cluster.Config{
+		Nodes:     2,
+		Transport: cluster.TransportSubstrate,
+		Substrate: &opts,
+		Seed:      5,
+	})
+	const total = 16 << 10
+	got, atClose := 0, int64(-1)
+	client := c.Nodes[1].Sub
+	c.Eng.Spawn("server", func(p *sim.Proc) {
+		l, err := c.Nodes[0].Net.Listen(p, 80, 4)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		conn, err := l.Accept(p)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		for got < total {
+			n, _, err := conn.Read(p, 64<<10)
+			if err != nil || n == 0 {
+				return
+			}
+			got += n
+		}
+		// Idle past the keepalive interval first, so the client has
+		// probes to stop.
+		p.Sleep(20 * sim.Millisecond)
+		conn.Close(p)
+		atClose = client.KeepalivesSent.Value
+	})
+	c.Eng.Spawn("client", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond)
+		conn, err := c.Nodes[1].Net.Dial(p, c.Addr(0), 80)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		for sent := 0; sent < total; sent += 1024 {
+			if _, err := conn.Write(p, 1024, nil); err != nil {
+				t.Errorf("write: %v", err)
+				return
+			}
+		}
+	})
+	c.Run(sim.Second)
+	if got != total {
+		t.Fatalf("server read %d of %d bytes", got, total)
+	}
+	if atClose <= 0 {
+		t.Fatalf("client sent %d keepalives while the server idled; the test proves nothing", atClose)
+	}
+	if n := client.KeepalivesSent.Value; n != atClose {
+		t.Fatalf("client sent %d keepalives after the server's close, want 0", n-atClose)
+	}
+	if rep := audit.Cluster(c); !rep.Clean() {
+		t.Fatalf("audit: %v", rep.Findings)
+	}
+}
