@@ -105,7 +105,8 @@ verify:
 # a temporary git archive export) and from the working tree, runs
 # reproduce with -fig all, -ablations, -metrics, -audit, -corescale,
 # -connscale and -chaos all (each with -quick), the full-size
-# -fig all -plot sweep, and trace with the
+# -fig all -plot sweep and -chaos all report (whose nic and restart
+# domains run the session watchdog in every session), and trace with the
 # pingpong scenario on both transports, connect-race, lossy, chaos and
 # drain, plus drain and lossy with -flight all, which print every
 # connection's flight-recorder ring (each case in its own temporary

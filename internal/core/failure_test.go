@@ -240,3 +240,35 @@ func TestKillFailsConnsInDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWedgedBounds pins the substrate monitor's wedge bound: a credit
+// stall or an outstanding send wait wedges the connection at exactly
+// healthWedgeStall, and a failed or cleaned connection is wedged
+// whatever its age.
+func TestWedgedBounds(t *testing.T) {
+	const at = sim.Time(100 * sim.Millisecond)
+	b := newBed(1, DefaultOptions())
+	cases := []struct {
+		name string
+		conn Conn
+		want bool
+	}{
+		{"idle", Conn{}, false},
+		{"stall just under", Conn{stallSince: at.Add(-(20*sim.Millisecond - 1))}, false},
+		{"stall at bound", Conn{stallSince: at.Add(-20 * sim.Millisecond)}, true},
+		{"send wait just under", Conn{sendSince: at.Add(-(20*sim.Millisecond - 1))}, false},
+		{"send wait at bound", Conn{sendSince: at.Add(-20 * sim.Millisecond)}, true},
+		{"failed", Conn{err: sock.ErrReset}, true},
+		{"cleaned", Conn{cleaned: true}, true},
+	}
+	b.eng.At(at, func() {
+		for _, tc := range cases {
+			c := tc.conn
+			c.sub = b.subs[0]
+			if got := c.Wedged(); got != tc.want {
+				t.Errorf("%s: Wedged = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	})
+	b.eng.Run()
+}

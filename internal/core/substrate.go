@@ -514,15 +514,15 @@ func (s *Substrate) purgeStaleUQ() {
 // listener are parked in the unexpected queue (nil if none), for uqLive.
 func (s *Substrate) parkedRequests() map[ethernet.Addr]bool {
 	var parked map[ethernet.Addr]bool
-	s.EP.VisitUnexpected(func(src ethernet.Addr, tag emp.Tag, _ int) {
-		if tag < listenTagBase {
+	s.EP.VisitUnexpected(func(m emp.Message) {
+		if m.Tag < listenTagBase {
 			return
 		}
-		if _, ok := s.listeners[int(tag&^listenTagBase)]; ok {
+		if _, ok := s.listeners[int(m.Tag&^listenTagBase)]; ok {
 			if parked == nil {
 				parked = make(map[ethernet.Addr]bool)
 			}
-			parked[src] = true
+			parked[m.Src] = true
 		}
 	})
 	return parked
@@ -848,13 +848,13 @@ func (s *Substrate) AuditResources(add func(kind, detail string)) {
 	// Unexpected-queue entries must be addressed to something that still
 	// exists.
 	parked := s.parkedRequests()
-	s.EP.VisitUnexpected(func(src ethernet.Addr, tag emp.Tag, length int) {
+	s.EP.VisitUnexpected(func(m emp.Message) {
 		switch {
-		case s.uqLive(parked, src, tag):
-		case tag >= listenTagBase:
-			add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", src, int(tag&^listenTagBase)))
+		case s.uqLive(parked, m.Src, m.Tag):
+		case m.Tag >= listenTagBase:
+			add("uq-stale", fmt.Sprintf("parked request from %v for port %d, which has no listener", m.Src, int(m.Tag&^listenTagBase)))
 		default:
-			add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", length, src, tag))
+			add("uq-stale", fmt.Sprintf("%d parked bytes from %v on tag %#x, addressed to no live channel", m.Len, m.Src, m.Tag))
 		}
 	})
 }
@@ -913,15 +913,15 @@ func (l *Listener) Addr() sock.Addr { return l.sub.addr }
 // Port implements sock.Listener.
 func (l *Listener) Port() int { return l.port }
 
-// Acceptable implements sock.Listener.
-func (l *Listener) Acceptable() bool {
+// acceptable reports whether Accept would return without blocking.
+func (l *Listener) acceptable() bool {
 	return !l.closed && len(l.handles) > 0 && l.handles[0].Status() != emp.StatusPending
 }
 
 // PollState implements sock.Pollable.
 func (l *Listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
-	if l.Acceptable() {
+	if l.acceptable() {
 		ev |= sock.PollIn
 	}
 	if l.closed {

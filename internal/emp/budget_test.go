@@ -3,7 +3,6 @@ package emp
 import (
 	"testing"
 
-	"repro/internal/ethernet"
 	"repro/internal/sim"
 )
 
@@ -147,7 +146,7 @@ func TestUQByteCapEvictsOldestNonSetup(t *testing.T) {
 	// Eviction is oldest-first among unprotected entries: the survivors
 	// must be the most recently sent data tags.
 	var tags []Tag
-	ep.VisitUnexpected(func(_ ethernet.Addr, tag Tag, _ int) { tags = append(tags, tag) })
+	ep.VisitUnexpected(func(m Message) { tags = append(tags, m.Tag) })
 	for _, tag := range tags {
 		if tag != setupTag && tag < 3 {
 			t.Fatalf("old entry tag=%d survived; queued tags %v", tag, tags)

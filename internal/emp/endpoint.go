@@ -562,12 +562,12 @@ func (ep *Endpoint) CountUnexpected(src ethernet.Addr, tag Tag) int {
 // retransmitted once the NIC has acknowledged them.
 func (ep *Endpoint) SetUnexpectedSetupClass(fn func(tag Tag) bool) { ep.fw.uqSetup = fn }
 
-// VisitUnexpected calls f with the source, tag and length of every
-// parked unexpected-queue entry, in arrival order, walking the queue in
-// place. The leak auditor and the substrate's purge use it; it charges
-// no simulated time, and f must not claim or purge entries.
-func (ep *Endpoint) VisitUnexpected(f func(src ethernet.Addr, tag Tag, length int)) {
-	ep.fw.uq.forEach(func(e *uqEntry) { f(e.msg.Src, e.msg.Tag, e.msg.Len) })
+// VisitUnexpected calls f with every parked unexpected-queue message,
+// in arrival order, walking the queue in place. The leak auditor, the
+// substrate's purge and its keepalive's peer-close check use it; it
+// charges no simulated time, and f must not claim or purge entries.
+func (ep *Endpoint) VisitUnexpected(f func(m Message)) {
+	ep.fw.uq.forEach(func(e *uqEntry) { f(e.msg) })
 }
 
 // PostedRecvs lists the receive handles currently in the NIC's

@@ -208,7 +208,7 @@ func TestPollerUnderChurnDoesNotMissWakeups(t *testing.T) {
 				return // timed out: a wakeup was missed
 			}
 			// Edge-triggered: drain until the socket stops being readable.
-			for conn.Readable() {
+			for conn.(sock.Pollable).PollState()&(sock.PollIn|sock.PollErr) != 0 {
 				n, _, err := conn.Read(p, 4096)
 				if err != nil || n == 0 {
 					return

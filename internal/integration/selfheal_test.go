@@ -445,11 +445,21 @@ func TestNICFaultSmoke(t *testing.T) {
 
 // TestKeepaliveStopsAtPeerClose: a Recovery client that writes, never
 // reads and never closes stops probing once the server's close lands,
-// though it never reads up to it. A keepalive after that would park in
-// the server's unexpected queue addressed to no live connection, which
-// the audit reports as uq-stale.
+// though it never reads up to it — in a data descriptor or the holdback
+// (DataStreaming) or in the unexpected queue (Datagram). A keepalive
+// after that would park in the server's unexpected queue addressed to
+// no live connection, which the audit reports as uq-stale.
 func TestKeepaliveStopsAtPeerClose(t *testing.T) {
+	for _, mode := range []core.Mode{core.DataStreaming, core.Datagram} {
+		t.Run(mode.String(), func(t *testing.T) {
+			testKeepaliveStopsAtPeerClose(t, mode)
+		})
+	}
+}
+
+func testKeepaliveStopsAtPeerClose(t *testing.T, mode core.Mode) {
 	opts := core.DefaultOptions()
+	opts.Mode = mode
 	opts.Recovery = true
 	c := cluster.New(cluster.Config{
 		Nodes:     2,

@@ -117,15 +117,12 @@ func (c Config) EffectiveRxPerFrame() sim.Duration {
 
 // NIC is one programmable NIC instance. The firmware package spawns its
 // processing loops as sim processes and charges costs through the
-// facilities here. Incoming wire frames land in RxQ; outgoing frames go
-// out through Transmit.
+// facilities here. Incoming wire frames go to the sink the firmware
+// installs; outgoing frames go out through Transmit.
 type NIC struct {
 	Eng  *sim.Engine
 	Cfg  Config
 	Name string
-
-	// RxQ receives frames delivered from the fabric, in arrival order.
-	RxQ *sim.FIFO[*ethernet.Frame]
 
 	port *ethernet.Port
 	dma  *sim.Resource
@@ -165,7 +162,6 @@ func New(e *sim.Engine, name string, cfg Config) *NIC {
 		Eng:  e,
 		Cfg:  cfg,
 		Name: name,
-		RxQ:  sim.NewFIFO[*ethernet.Frame](e, name+".rxq", 0),
 		dma:  sim.NewResource(e, name+".dma"),
 	}
 }
@@ -193,9 +189,8 @@ func (n *NIC) Port() *ethernet.Port { return n.port }
 // Addr reports the NIC's station address. It panics before Attach.
 func (n *NIC) Addr() ethernet.Addr { return n.port.Addr() }
 
-// Deliver implements ethernet.Station: frames from the wire enter the
-// receive queue (or the sink hook, if one is installed) for the receive
-// firmware to consume.
+// Deliver implements ethernet.Station: frames from the wire go to the
+// sink for the receive firmware to consume.
 func (n *NIC) Deliver(f *ethernet.Frame) {
 	if n.dead {
 		return
@@ -209,19 +204,12 @@ func (n *NIC) Deliver(f *ethernet.Frame) {
 		return
 	}
 	n.RxFrames.Inc()
-	if n.sink != nil {
-		n.sink(f)
-		return
-	}
-	if !n.RxQ.TryPut(f) {
-		// Unbounded queue: TryPut only fails if the NIC was shut down.
-		n.Eng.Tracef(n.Name, "rx frame dropped after shutdown")
-	}
+	n.sink(f)
 }
 
-// SetSink routes delivered frames to fn instead of RxQ. Firmware that
-// multiplexes frames with other work installs a sink feeding its own
-// queue. fn runs in event context and must not block.
+// SetSink routes delivered frames to fn; the firmware installs one
+// feeding its own work queue before the NIC receives anything. fn runs
+// in event context and must not block.
 func (n *NIC) SetSink(fn func(*ethernet.Frame)) { n.sink = fn }
 
 // Transmit hands one frame to the MAC. It returns immediately; the MAC
@@ -301,21 +289,10 @@ func (n *NIC) TagMatchHashed(p *sim.Proc, probed int) sim.Duration {
 	return d
 }
 
-// Shutdown closes the receive queue, releasing firmware loops blocked on
-// it.
-func (n *NIC) Shutdown() { n.RxQ.Close() }
-
 // Kill models the NIC dying with its host: it stops receiving and
-// transmitting (frames silently vanish, as on a powered-off station)
-// and closes the receive queue. Peers discover the death through their
-// own reliability timeouts.
-func (n *NIC) Kill() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	n.RxQ.Close()
-}
+// transmitting (frames silently vanish, as on a powered-off station).
+// Peers discover the death through their own reliability timeouts.
+func (n *NIC) Kill() { n.dead = true }
 
 // Dead reports whether Kill has been called.
 func (n *NIC) Dead() bool { return n.dead }

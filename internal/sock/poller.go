@@ -144,8 +144,8 @@ type pollReg struct {
 // with a level-triggered kick at Register: registering an object that is
 // already ready queues an immediate event, and subsequent events arrive
 // only on state transitions. Consumers must therefore drain an object
-// (read until not Readable, write until blocked) before calling Done,
-// as with EPOLLET.
+// (read until PollState drops PollIn, write until blocked) before
+// calling Done, as with EPOLLET.
 type Poller struct {
 	regs  map[uint64]*pollReg
 	items map[Pollable]uint64

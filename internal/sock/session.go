@@ -91,7 +91,7 @@ const (
 	// reads then return EOF and writes ErrClosed.
 	reattachWait = 100 * sim.Millisecond
 	// watchdogPeriod is the watchdog poll period; the watchdog aborts
-	// the transport when its health reads Wedged.
+	// the transport once it reads Wedged.
 	watchdogPeriod = 1 * sim.Millisecond
 )
 
@@ -210,6 +210,20 @@ func (b *replayBuf) chunkAt(off int64) (n int, obj any, ok bool) {
 	return int(sp.end - off), sp.obj, true
 }
 
+// transport is what a session needs of the connection it wraps: both
+// transports provide all of it. Wedged reports that the connection has
+// stopped making progress (or already failed) long enough that waiting
+// it out is no longer the right call; it charges no simulated time, so
+// the watchdog polls it freely. Abort fails the connection locally and
+// at once: blocked reads and writes wake with ErrReset, and no peer
+// handshake is awaited.
+type transport interface {
+	Conn
+	Deadliner
+	Wedged() bool
+	Abort()
+}
+
 // Session is a self-healing Conn. See the package comment for the
 // resume protocol; Sessions are built by DialSession (client) and
 // SessionListener.Accept (server).
@@ -224,8 +238,7 @@ type Session struct {
 	flightID string // the flight-recorder name for id; see setID
 	gen      int    // transport generation; bumped on every (re)install
 
-	inner     Conn
-	target    int // index into cfg.Targets of the live transport
+	inner     transport
 	repairing bool
 	writing   bool
 
@@ -243,8 +256,6 @@ type Session struct {
 	recvOff    int64 // bytes delivered to the application
 	replay     replayBuf
 
-	rdl, wdl sim.Time
-
 	lastLocal, lastRemote Addr
 
 	ctrReconnects *sim.Counter
@@ -257,8 +268,6 @@ type Session struct {
 }
 
 var _ Conn = (*Session)(nil)
-var _ Healther = (*Session)(nil)
-var _ Deadliner = (*Session)(nil)
 
 func newSession(cfg SessionConfig, client bool, lis *SessionListener) *Session {
 	s := &Session{
@@ -310,10 +319,10 @@ func (s *Session) startWatchdog() {
 	s.eng.Spawn(fmt.Sprintf("%s-watchdog-%d", s.cfg.Name, s.id), s.watchdog)
 }
 
-// watchdog polls the live transport's health and hard-kills it once
-// Wedged: blocked reads and writes wake with ErrReset and the session's
-// repair path takes over. It never judges the Session itself — a nil
-// inner just means a repair is already in flight.
+// watchdog hard-kills the live transport once it reads Wedged: blocked
+// reads and writes wake with ErrReset and the session's repair path
+// takes over. It never judges the Session itself — a nil inner just
+// means a repair is already in flight.
 func (s *Session) watchdog(p *sim.Proc) {
 	for {
 		p.Sleep(watchdogPeriod)
@@ -321,31 +330,13 @@ func (s *Session) watchdog(p *sim.Proc) {
 			return
 		}
 		c := s.inner
-		if c == nil {
-			continue
-		}
-		if HealthOf(c) != Wedged {
+		if c == nil || !c.Wedged() {
 			continue
 		}
 		s.ctrWatchdog.Inc()
 		s.flight().Recordf(p.Now(), "watchdog-abort", "gen=%d", s.gen)
-		if a, ok := c.(Aborter); ok {
-			a.Abort()
-		}
+		c.Abort()
 	}
-}
-
-// Health reports the session's own liveness: the live transport's
-// health while attached, Degraded while a repair is in flight, Wedged
-// once the session is done for (failed, detached, or closed).
-func (s *Session) Health() Health {
-	if s.failed || s.detached || s.closed {
-		return Wedged
-	}
-	if s.inner == nil {
-		return Degraded
-	}
-	return HealthOf(s.inner)
 }
 
 // recoverable reports whether a transport error should trigger a repair
@@ -377,11 +368,12 @@ func (s *Session) connect(p *sim.Proc) error {
 				}
 				c, err := t.Net.Dial(p, t.Addr, t.Port)
 				if err == nil {
-					err = s.shake(p, c, idx)
+					tc := c.(transport)
+					err = s.shake(p, tc, idx)
 					if err == nil {
 						return nil
 					}
-					abortClose(p, c)
+					abortClose(p, tc)
 					if err == ErrSessionResume {
 						return err
 					}
@@ -404,11 +396,8 @@ func (s *Session) connect(p *sim.Proc) error {
 
 // shake runs the client half of the resume handshake on a fresh
 // transport and installs it on success.
-func (s *Session) shake(p *sim.Proc, c Conn, idx int) error {
-	d, hasDL := c.(Deadliner)
-	if hasDL {
-		d.SetDeadline(p.Now().Add(helloTimeout))
-	}
+func (s *Session) shake(p *sim.Proc, c transport, idx int) error {
+	c.SetDeadline(p.Now().Add(helloTimeout))
 	if err := WriteFull(p, c, helloBytes, &sessionHello{ID: s.id, RecvOff: s.recvOff}); err != nil {
 		return err
 	}
@@ -434,9 +423,7 @@ func (s *Session) shake(p *sim.Proc, c Conn, idx int) error {
 	if w.RecvOff > s.logicalEnd || w.RecvOff < s.replay.low {
 		return ErrSessionResume
 	}
-	if hasDL {
-		d.SetDeadline(0)
-	}
+	c.SetDeadline(0)
 	if w.Inc != 0 && s.peerInc != 0 && w.Inc != s.peerInc {
 		s.cfg.Tel.Counter("session", "resumes_reborn").Inc()
 		s.flight().Recordf(p.Now(), "resume-reborn",
@@ -449,7 +436,7 @@ func (s *Session) shake(p *sim.Proc, c Conn, idx int) error {
 
 // install makes c the session's live transport, rewinding the send
 // cursor to what the peer actually received so flush replays the gap.
-func (s *Session) install(c Conn, idx int, peerRecvOff int64) {
+func (s *Session) install(c transport, idx int, peerRecvOff int64) {
 	first := s.gen == 0
 	if s.flushed > peerRecvOff {
 		s.ctrReplayed.Add(s.flushed - peerRecvOff)
@@ -457,10 +444,8 @@ func (s *Session) install(c Conn, idx int, peerRecvOff int64) {
 	s.flushed = peerRecvOff
 	s.replay.trimTo(peerRecvOff)
 	s.inner = c
-	s.target = idx
 	s.gen++
 	s.lastLocal, s.lastRemote = c.LocalAddr(), c.RemoteAddr()
-	s.applyDeadlines()
 	switch {
 	case first:
 		s.flight().Recordf(s.eng.Now(), "open", "target=%d", idx)
@@ -768,53 +753,14 @@ func (s *Session) Close(p *sim.Proc) error {
 	return nil
 }
 
-// Readable reports whether Read would return without blocking — data,
-// EOF, or a terminal error all count.
-func (s *Session) Readable() bool {
-	if s.closed || s.failed || s.detached || s.sawEOF {
-		return true
-	}
-	return s.inner != nil && s.inner.Readable()
-}
-
 func (s *Session) LocalAddr() Addr  { return s.lastLocal }
 func (s *Session) RemoteAddr() Addr { return s.lastRemote }
-
-// ID reports the server-assigned session identity (0 until the first
-// handshake completes).
-func (s *Session) ID() uint64 { return s.id }
-
-// SetDeadline sets both deadlines, forwarding to the live transport and
-// re-applying across reconnects.
-func (s *Session) SetDeadline(t sim.Time) {
-	s.rdl, s.wdl = t, t
-	s.applyDeadlines()
-}
-
-func (s *Session) SetReadDeadline(t sim.Time) {
-	s.rdl = t
-	s.applyDeadlines()
-}
-
-func (s *Session) SetWriteDeadline(t sim.Time) {
-	s.wdl = t
-	s.applyDeadlines()
-}
-
-func (s *Session) applyDeadlines() {
-	if d, ok := s.inner.(Deadliner); ok {
-		d.SetReadDeadline(s.rdl)
-		d.SetWriteDeadline(s.wdl)
-	}
-}
 
 // abortClose hard-kills then closes a transport: Abort wakes anything
 // blocked on it with ErrReset and Close reclaims its resources without
 // a lingering drain of a connection we no longer trust.
-func abortClose(p *sim.Proc, c Conn) {
-	if a, ok := c.(Aborter); ok {
-		a.Abort()
-	}
+func abortClose(p *sim.Proc, c transport) {
+	c.Abort()
 	c.Close(p)
 }
 
@@ -878,10 +824,11 @@ func NewSessionListener(cfg SessionConfig, inner ...Listener) *SessionListener {
 
 func (l *SessionListener) acceptLoop(p *sim.Proc, in Listener) {
 	for {
-		c, err := in.Accept(p)
+		conn, err := in.Accept(p)
 		if err != nil {
 			return
 		}
+		c := conn.(transport)
 		l.eng.Spawn(fmt.Sprintf("%s-greet", l.cfg.Name), func(p *sim.Proc) {
 			l.greet(p, c)
 		})
@@ -892,10 +839,8 @@ func (l *SessionListener) acceptLoop(p *sim.Proc, in Listener) {
 // accepted transport: route to a new Session (hello.ID == 0) or
 // reattach an existing one. Anything malformed or unresumable gets a
 // refusing welcome (best effort) and the transport closed.
-func (l *SessionListener) greet(p *sim.Proc, c Conn) {
-	if d, ok := c.(Deadliner); ok {
-		d.SetDeadline(p.Now().Add(helloTimeout))
-	}
+func (l *SessionListener) greet(p *sim.Proc, c transport) {
+	c.SetDeadline(p.Now().Add(helloTimeout))
 	_, objs, err := ReadFull(p, c, helloBytes)
 	if err != nil {
 		abortClose(p, c)
@@ -934,9 +879,7 @@ func (l *SessionListener) greet(p *sim.Proc, c Conn) {
 		abortClose(p, c)
 		return
 	}
-	if d, ok := c.(Deadliner); ok {
-		d.SetDeadline(0)
-	}
+	c.SetDeadline(0)
 	old := s.inner
 	s.install(c, 0, h.RecvOff)
 	if old != nil && old != c {
@@ -974,7 +917,7 @@ func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
 	return s
 }
 
-func (l *SessionListener) greetNew(p *sim.Proc, c Conn) {
+func (l *SessionListener) greetNew(p *sim.Proc, c transport) {
 	if l.closed {
 		abortClose(p, c)
 		return
@@ -990,9 +933,7 @@ func (l *SessionListener) greetNew(p *sim.Proc, c Conn) {
 		abortClose(p, c)
 		return
 	}
-	if d, ok := c.(Deadliner); ok {
-		d.SetDeadline(0)
-	}
+	c.SetDeadline(0)
 	s.install(c, 0, 0)
 	l.sessions[s.id] = s
 	l.backlog = append(l.backlog, s)
@@ -1024,9 +965,6 @@ func (l *SessionListener) Close(p *sim.Proc) error {
 	}
 	return nil
 }
-
-// Acceptable reports whether Accept would return without blocking.
-func (l *SessionListener) Acceptable() bool { return len(l.backlog) > 0 || l.closed }
 
 func (l *SessionListener) Addr() Addr {
 	if len(l.inner) > 0 {

@@ -46,8 +46,6 @@ type Conn interface {
 	Read(p *sim.Proc, max int) (int, []any, error)
 	Write(p *sim.Proc, n int, obj any) (int, error)
 	Close(p *sim.Proc) error
-	// Readable reports whether Read would return without blocking.
-	Readable() bool
 	LocalAddr() Addr
 	RemoteAddr() Addr
 }
@@ -56,64 +54,8 @@ type Conn interface {
 type Listener interface {
 	Accept(p *sim.Proc) (Conn, error)
 	Close(p *sim.Proc) error
-	// Acceptable reports whether Accept would return without blocking.
-	Acceptable() bool
 	Addr() Addr
 	Port() int
-}
-
-// Health is a connection's liveness state as judged by its transport's
-// health monitor from protocol signals: credit-stall duration and
-// retransmission streaks on the substrate, RTO streaks on TCP.
-type Health int
-
-const (
-	// Healthy means the connection is making normal progress.
-	Healthy Health = iota
-	// Degraded means the connection is alive but struggling: stalled on
-	// flow control or retransmitting, still within recoverable bounds.
-	Degraded
-	// Wedged means the connection has stopped making progress long
-	// enough that waiting it out is no longer the right call — the peer
-	// or the path is effectively gone, or the connection already failed.
-	// Recovery layers abort wedged connections and reconnect.
-	Wedged
-)
-
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Wedged:
-		return "wedged"
-	}
-	return "?"
-}
-
-// Healther is the optional health face of a Conn: both transports
-// implement it. Health charges no simulated time (it reads protocol
-// state that already exists), so watchdogs may poll it freely.
-type Healther interface {
-	Health() Health
-}
-
-// Aborter is the optional hard-kill face of a Conn: it fails the
-// connection locally and immediately (blocked reads and writes wake
-// with ErrReset) without waiting for any peer handshake. Recovery
-// layers use it to cut loose a wedged connection before reconnecting.
-type Aborter interface {
-	Abort()
-}
-
-// HealthOf reports c's health via the optional Healther face, defaulting
-// to Healthy for transports that do not expose one.
-func HealthOf(c Conn) Health {
-	if h, ok := c.(Healther); ok {
-		return h.Health()
-	}
-	return Healthy
 }
 
 // Network is one host's socket layer: the entry point applications use.

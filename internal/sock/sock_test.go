@@ -38,7 +38,6 @@ func (f *fakeConn) Write(p *sim.Proc, n int, obj any) (int, error) {
 }
 
 func (f *fakeConn) Close(p *sim.Proc) error { f.closed = true; return nil }
-func (f *fakeConn) Readable() bool          { return len(f.reads) > 0 }
 func (f *fakeConn) LocalAddr() Addr         { return 0 }
 func (f *fakeConn) RemoteAddr() Addr        { return 1 }
 

@@ -387,3 +387,25 @@ func TestConnectionTableDrainsAfterChurn(t *testing.T) {
 		t.Fatalf("%d connections leaked in the demux tables", n)
 	}
 }
+
+// TestWedgedBounds pins the kernel TCP monitor's wedge bound: six
+// consecutive RTO fires wedge an established connection, five do not,
+// and a closed or failed connection is wedged with no streak at all.
+func TestWedgedBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		conn *Conn
+		want bool
+	}{
+		{"no streak", &Conn{state: stateEstablished}, false},
+		{"rexmits 5", &Conn{state: stateEstablished, rexmits: 5}, false},
+		{"rexmits 6", &Conn{state: stateEstablished, rexmits: 6}, true},
+		{"closed", &Conn{state: stateClosed}, true},
+		{"failed", &Conn{state: stateEstablished, err: sock.ErrReset}, true},
+	}
+	for _, tc := range cases {
+		if got := tc.conn.Wedged(); got != tc.want {
+			t.Errorf("%s: Wedged = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

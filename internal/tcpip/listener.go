@@ -33,13 +33,13 @@ func (l *Listener) Addr() sock.Addr { return l.st.addr }
 // Port implements sock.Listener.
 func (l *Listener) Port() int { return l.port }
 
-// Acceptable implements sock.Listener.
-func (l *Listener) Acceptable() bool { return l.queue.Len() > 0 }
+// acceptable reports whether Accept would return without blocking.
+func (l *Listener) acceptable() bool { return l.queue.Len() > 0 }
 
 // PollState implements sock.Pollable.
 func (l *Listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
-	if l.Acceptable() {
+	if l.acceptable() {
 		ev |= sock.PollIn
 	}
 	if l.closed {

@@ -4,7 +4,9 @@
 # working tree, run both sides of every case below in its own temporary
 # directory, and compare stdout, exit status and every BENCH_*.json
 # written. The reproduce cases are each quick-mode report flag plus the
-# full-size figure sweep with its ASCII plots; the trace cases print
+# full-size figure sweep with its ASCII plots and the full-size chaos
+# report (~10 s a side; its nic and restart domains run the session
+# watchdog in every session); the trace cases print
 # every model event with its virtual timestamp, the strictest check that
 # a timing constant kept its value, and two of them print every
 # connection's flight-recorder ring instead. Prints the head of the diff of every
@@ -34,6 +36,7 @@ runs=(
 	"reproduce -corescale -quick"
 	"reproduce -connscale -quick"
 	"reproduce -chaos all -quick"
+	"reproduce -chaos all"
 	"trace -scenario pingpong -transport substrate"
 	"trace -scenario pingpong -transport tcp"
 	"trace -scenario connect-race"
