@@ -64,7 +64,7 @@ func TestEchoExchangeAllocations(t *testing.T) {
 		b.eng.Run()
 	}
 	step()
-	const want = 24
+	const want = 22
 	if n := testing.AllocsPerRun(200, step); n > want {
 		t.Fatalf("a 64 B echo exchange allocates %v times, want at most %v", n, want)
 	}

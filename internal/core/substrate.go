@@ -271,6 +271,7 @@ func (s *Substrate) sweepPending() bool {
 // the process.
 func (s *Substrate) creditSweep(p *sim.Proc) {
 	pending := s.sweepPending
+	var conns []*Conn // reused across passes
 	for {
 		p.SleepIdle(creditSyncAfter, pending)
 		if s.dead {
@@ -279,7 +280,6 @@ func (s *Substrate) creditSweep(p *sim.Proc) {
 		if len(s.sweepMark) == 0 && len(s.sweepStalled) == 0 {
 			continue
 		}
-		conns := make([]*Conn, 0, len(s.sweepMark)+len(s.sweepStalled))
 		for c := range s.sweepMark {
 			conns = append(conns, c)
 		}
@@ -296,6 +296,9 @@ func (s *Substrate) creditSweep(p *sim.Proc) {
 		for _, c := range conns {
 			c.creditSweepTick(p)
 		}
+		// Cleared so the idle sweep pins no closed connection.
+		clear(conns)
+		conns = conns[:0]
 	}
 }
 

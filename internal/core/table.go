@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/emp"
 	"repro/internal/ethernet"
@@ -100,14 +101,13 @@ func (t *connTable) snapshotSorted() []*Conn {
 }
 
 func sortConns(conns []*Conn) {
-	sort.Slice(conns, func(i, j int) bool {
-		a, b := conns[i], conns[j]
-		if a.peer != b.peer {
-			return a.peer < b.peer
+	slices.SortFunc(conns, func(a, b *Conn) int {
+		if c := cmp.Compare(a.peer, b.peer); c != 0 {
+			return c
 		}
-		if a.localPort != b.localPort {
-			return a.localPort < b.localPort
+		if c := cmp.Compare(a.localPort, b.localPort); c != 0 {
+			return c
 		}
-		return a.remotePort < b.remotePort
+		return cmp.Compare(a.remotePort, b.remotePort)
 	})
 }

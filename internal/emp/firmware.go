@@ -124,8 +124,14 @@ type firmware struct {
 	reasm        map[reasmKey]*reassembly
 	records      map[uint64]*txRecord
 
+	// completed remembers the last completedRingCap fully received
+	// messages so late duplicates are re-acked, not reassembled again.
+	// completedRing holds their keys, growing to completedRingCap and
+	// then overwritten in place at completedNext % completedRingCap,
+	// the oldest key.
 	completed     map[reasmKey]bool
 	completedRing []reasmKey
+	completedNext int
 	uqRoute       func(src ethernet.Addr, tag Tag)
 	// uqEvict reports byte-cap evictions to the host layer (event
 	// context, must not block) so the owning connection's flight
@@ -722,13 +728,15 @@ func (fw *firmware) matchDescriptor(msg Message) *RecvHandle {
 }
 
 func (fw *firmware) markCompleted(key reasmKey) {
-	if len(fw.completedRing) >= completedRingCap {
-		old := fw.completedRing[0]
-		fw.completedRing = fw.completedRing[1:]
-		delete(fw.completed, old)
+	if len(fw.completedRing) < completedRingCap {
+		fw.completedRing = append(fw.completedRing, key)
+	} else {
+		slot := fw.completedNext % completedRingCap
+		delete(fw.completed, fw.completedRing[slot])
+		fw.completedRing[slot] = key
 	}
 	fw.completed[key] = true
-	fw.completedRing = append(fw.completedRing, key)
+	fw.completedNext++
 }
 
 func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {

@@ -413,3 +413,26 @@ func TestPollUnexpectedDirect(t *testing.T) {
 		t.Fatal("claimed entry still queued")
 	}
 }
+
+// TestCompletedRingForgetsOldest checks the late-duplicate memory: after
+// completedRingCap+k completions the first k keys are forgotten and the
+// last completedRingCap are remembered, also once the ring has wrapped
+// more than once.
+func TestCompletedRingForgetsOldest(t *testing.T) {
+	key := func(i int) reasmKey { return reasmKey{src: 1, msgID: uint64(i)} }
+	for _, k := range []int{0, 1, 1000, completedRingCap + 7} {
+		fw := &firmware{completed: make(map[reasmKey]bool)}
+		for i := 0; i < completedRingCap+k; i++ {
+			fw.markCompleted(key(i))
+		}
+		for i := 0; i < completedRingCap+k; i++ {
+			if got, want := fw.completed[key(i)], i >= k; got != want {
+				t.Fatalf("k=%d: message %d remembered=%v, want %v", k, i, got, want)
+			}
+		}
+		if len(fw.completed) != completedRingCap || len(fw.completedRing) != completedRingCap {
+			t.Fatalf("k=%d: %d keys remembered in a ring of %d, want %d", k,
+				len(fw.completed), len(fw.completedRing), completedRingCap)
+		}
+	}
+}

@@ -163,6 +163,11 @@ type replaySpan struct {
 // replayBuf retains the suffix of the logical send stream needed to
 // replay after a reconnect. low is the lowest retained offset: a resume
 // asking for bytes below low is impossible.
+//
+// No method writes inside the live window of spans: push appends past
+// its end, and push and trimTo only reslice its front. A copy of the
+// slice header therefore sees a frozen prefix, so a commit can share
+// the backing array instead of copying the window.
 type replayBuf struct {
 	spans []replaySpan
 	low   int64
@@ -663,7 +668,8 @@ func (s *Session) Uncork(p *sim.Proc) error {
 // commitRecord snapshots the receive watermark and the retained
 // response window into the durable store. Host bookkeeping only — no
 // simulated time — modeling a synchronous commit to replicated session
-// metadata.
+// metadata. The record shares the replay window's frozen prefix (see
+// replayBuf), so a commit costs the same however much is retained.
 func (s *Session) commitRecord() {
 	if s.lis == nil {
 		return
@@ -673,7 +679,7 @@ func (s *Session) commitRecord() {
 		RecvOff: s.recvOff,
 		SendLow: s.replay.low,
 		SendEnd: s.replay.end,
-		Spans:   append([]replaySpan(nil), s.replay.spans...),
+		Spans:   s.replay.spans,
 	}, s.lis)
 }
 
@@ -904,6 +910,8 @@ func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
 	s.flushed = rec.SendEnd // install rewinds to the client's offset
 	s.replay.low = rec.SendLow
 	s.replay.end = rec.SendEnd
+	// Copied: the record's array still backs the dead incarnation's
+	// buffer past the record's end, where the reborn session appends.
 	s.replay.spans = append([]replaySpan(nil), rec.Spans...)
 	l.cfg.Store.Put(rec, l) // adopt: the dead incarnation can no longer erase it
 	l.sessions[s.id] = s

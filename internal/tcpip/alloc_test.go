@@ -56,7 +56,7 @@ func TestSegmentRoundTripAllocations(t *testing.T) {
 		b.eng.Run()
 	}
 	step()
-	const want = 7
+	const want = 6
 	if n := testing.AllocsPerRun(200, step); n > want {
 		t.Fatalf("write, segment, delivery and read allocate %v times per step, want at most %v", n, want)
 	}

@@ -1,6 +1,10 @@
 package telemetry
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // Histogram is a fixed-bucket histogram with bounded memory: it holds
 // one int64 per bucket regardless of how many values it absorbs, so it
@@ -19,11 +23,11 @@ type Histogram struct {
 
 // NewHistogram returns a histogram over the given ascending bucket
 // upper bounds. An empty bounds slice yields a single overflow bucket
-// (still a valid bounded accumulator).
+// (still a valid bounded accumulator). The histogram keeps bounds
+// rather than a copy, so histograms can share one table: the caller
+// must not modify it afterwards.
 func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
+	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
 }
 
 // LatencyBounds returns the default latency bucket bounds in
@@ -38,12 +42,10 @@ func LatencyBounds() []float64 {
 	return bounds
 }
 
-// Observe adds one value.
+// Observe adds one value to the first bucket whose bound is >= v (the
+// overflow bucket if none is); a NaN lands in bucket 0.
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
+	i, _ := slices.BinarySearch(h.bounds, v)
 	h.counts[i]++
 	h.count++
 	h.sum += v

@@ -11,10 +11,13 @@ import "repro/internal/sim"
 // can account the whole path without any extra wire state.
 //
 // Marks never charge simulated time, so marking changes no timing.
+// Spans are handled by pointer only: Marks starts as a view of the
+// inline marks array, and a copy's Marks would alias the original's.
 type Span struct {
 	Path  string // "eager", "rend", or "tcp"
 	Size  int    // operation payload bytes, for size classing
 	Marks []SpanMark
+	marks [spanMarks]SpanMark
 }
 
 // SpanMark is one named instant inside a span.
@@ -31,13 +34,15 @@ type Spanned interface {
 }
 
 // spanMarks is the most marks a path stamps: the eager path's write,
-// post, wire, match, uq, deliver, stage and read. NewSpan reserves room
-// for all of them, so marking never regrows the slice.
+// post, wire, match, uq, deliver, stage and read. A Span holds room for
+// all of them inline, so a span is one allocation and marking never
+// regrows the slice.
 const spanMarks = 8
 
 // NewSpan starts a span on the given path with an initial mark.
 func (r *Registry) NewSpan(path string, size int, mark string, at sim.Time) *Span {
-	s := &Span{Path: path, Size: size, Marks: make([]SpanMark, 0, spanMarks)}
+	s := &Span{Path: path, Size: size}
+	s.Marks = s.marks[:0]
 	s.Mark(mark, at)
 	return s
 }

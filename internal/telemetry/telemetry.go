@@ -132,7 +132,7 @@ func (r *Registry) Counter(layer, metric string) *sim.Counter {
 
 // Histogram returns the histogram for (layer, metric), creating it with
 // the given bucket bounds on first use (later calls reuse the existing
-// bounds).
+// bounds). The histogram shares bounds, which must not change after.
 func (r *Registry) Histogram(layer, metric string, bounds []float64) *Histogram {
 	k := Key{Layer: layer, Metric: metric}
 	h := r.hists[k]
@@ -263,7 +263,7 @@ func (r *Registry) Merge(other *Registry) {
 	for k, h := range other.hists {
 		rh := r.hists[k]
 		if rh == nil {
-			rh = NewHistogram(h.Bounds())
+			rh = NewHistogram(h.bounds)
 			r.hists[k] = rh
 		}
 		rh.Merge(h)

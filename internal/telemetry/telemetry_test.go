@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -101,6 +102,68 @@ func TestHistogramPercentileInterpolation(t *testing.T) {
 	h2.Observe(10)
 	if c := h2.Counts(); c[0] != 1 || c[1] != 0 {
 		t.Fatalf("bound-inclusive bucketing broken: %v", c)
+	}
+}
+
+// fineBounds is a 48,209-bound table built the way the benchmark builds
+// its kv-failover latency buckets: 10% steps from 1 µs to 90 µs, then
+// 50 ppm steps up to 1 ms.
+func fineBounds() []float64 {
+	var b []float64
+	for v := 1e3; v < 9e4; v *= 1.1 {
+		b = append(b, v)
+	}
+	for v := 9e4; v < 1e6; v *= 1 + 5e-5 {
+		b = append(b, v)
+	}
+	return b
+}
+
+// TestHistogramObserveMatchesLinearScan checks Observe's bucket against
+// a linear scan for the first bound >= v (the overflow bucket if there
+// is none): at every bound and one ulp either side of it, below the
+// first bound, above the last, and for NaN, which the scan leaves in
+// bucket 0.
+func TestHistogramObserveMatchesLinearScan(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bounds []float64
+	}{
+		{"latency", LatencyBounds()},
+		{"fine", fineBounds()},
+		{"duplicates", []float64{1, 2, 2, 2, 3, 5, 5}},
+		{"empty", nil},
+	} {
+		vals := []float64{math.Inf(-1), -1, 0, math.Inf(1)}
+		for _, b := range tc.bounds {
+			vals = append(vals, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+		}
+		if n := len(tc.bounds); n > 0 {
+			vals = append(vals, tc.bounds[0]-1, tc.bounds[n-1]+1)
+		}
+		slices.Sort(vals)
+		h := NewHistogram(tc.bounds)
+		want := 0
+		for _, v := range vals {
+			// The scan's answer never falls as v grows, so over
+			// ascending values it resumes where the last one stopped.
+			for want < len(tc.bounds) && v > tc.bounds[want] {
+				want++
+			}
+			before := h.counts[want]
+			h.Observe(v)
+			if h.counts[want] != before+1 {
+				t.Fatalf("%s: Observe(%v) missed bucket %d of %d bounds", tc.name, v, want, len(tc.bounds))
+			}
+		}
+		before := h.counts[0]
+		h.Observe(math.NaN())
+		if h.counts[0] != before+1 {
+			t.Fatalf("%s: Observe(NaN) missed bucket 0", tc.name)
+		}
+	}
+	if n := len(fineBounds()); n != 48209 {
+		t.Fatalf("fine table has %d bounds, want 48209", n)
 	}
 }
 
@@ -401,5 +464,31 @@ func TestFields(t *testing.T) {
 			}()
 			Fields(arg)
 		}()
+	}
+}
+
+// BenchmarkHistogramObserve times one observation on the 17-bound
+// latency table and on the 48,209-bound fine table, with values spread
+// over each table's range.
+func BenchmarkHistogramObserve(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		bounds []float64
+	}{
+		{"bounds=17", LatencyBounds()},
+		{"bounds=48209", fineBounds()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			lo, hi := tc.bounds[0], tc.bounds[len(tc.bounds)-1]
+			vals := make([]float64, 1024)
+			for i := range vals {
+				vals[i] = lo * math.Pow(hi/lo, float64(i*613%1024)/1024)
+			}
+			h := NewHistogram(tc.bounds)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Observe(vals[i%len(vals)])
+			}
+		})
 	}
 }
