@@ -19,7 +19,7 @@ func TestWebEngineCountsPinned(t *testing.T) {
 		events, switches int64
 	}{
 		{cluster.TransportTCP, 11424, 4820},
-		{cluster.TransportSubstrate, 154353, 118939},
+		{cluster.TransportSubstrate, 154343, 73182},
 	} {
 		cfg := WebConfig{
 			ResponseBytes:     1024,

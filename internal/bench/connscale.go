@@ -67,7 +67,7 @@ type ConnScalePoint struct {
 	// dispatch-throughput measure).
 	ReqPerSec float64 `json:"req_per_sec,omitempty"`
 	// Hashed marks points run under the hashed demux cost model: the
-	// substrate NIC charges TagMatchHashed (bucket probes) instead of
+	// substrate NIC charges its tag match by bucket probes instead of
 	// the paper-faithful linear walk. TCP's 4-tuple table is hashed in
 	// both modes; the flag labels the sweep the gate compares.
 	Hashed bool `json:"hashed,omitempty"`

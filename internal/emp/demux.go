@@ -27,8 +27,9 @@ import (
 //
 // Neither structure charges simulated time itself: the only simulated
 // cost tied to lookup length is the tag-match walk, charged by the
-// caller through nic.TagMatch (linear, paper-faithful) or
-// nic.TagMatchHashed (base + bucket probes). Everything else — claims,
+// caller through nic.TagMatch: base plus one step per descriptor
+// walked (linear, paper-faithful) or per bucket entry probed (hashed).
+// Everything else — claims,
 // unposts, purges — was always "host/firmware bookkeeping" with flat
 // modeled cost, so indexing it changes no timing in either mode.
 
@@ -182,7 +183,7 @@ func (t *descTable) matchLinear(src ethernet.Addr, tag Tag, need int) (*recvDesc
 // covering descriptor is the earlier-posted of the exact (src, tag)
 // chain's first fit and the wildcard tag chain's first fit. It returns
 // the descriptor and the number of chain entries probed, which
-// nic.TagMatchHashed charges instead of the full-list walk.
+// nic.TagMatch charges instead of the full-list walk.
 func (t *descTable) matchHashed(src ethernet.Addr, tag Tag, need int) (*recvDesc, int) {
 	probed := 0
 	firstFit := func(head *recvDesc) *recvDesc {

@@ -164,9 +164,9 @@ func (ep *Endpoint) DescriptorsInUse() int { return ep.descInUse }
 // DescriptorHighWater reports the maximum the gauge ever reached.
 func (ep *Endpoint) DescriptorHighWater() int { return ep.descHW }
 
-// NewEndpoint creates an endpoint, installs the EMP firmware on the NIC,
-// and spawns the firmware's send and receive processors. The NIC must
-// already be attached to a switch.
+// NewEndpoint creates an endpoint and installs the EMP firmware on the
+// NIC, its send and receive processors idle until work arrives. The NIC
+// must already be attached to a switch.
 func NewEndpoint(e *sim.Engine, host *kernel.Host, n *nic.NIC, cfg Config) *Endpoint {
 	ep := &Endpoint{
 		Eng:       e,
@@ -186,7 +186,7 @@ func NewEndpoint(e *sim.Engine, host *kernel.Host, n *nic.NIC, cfg Config) *Endp
 // up, unless the endpoint died first.
 func (ep *Endpoint) sendDoorbell(a any) {
 	post := a.(*txPost)
-	if !ep.fw.txWork.TryPut(txOp{post: post}) {
+	if !ep.fw.tx.put(workItem{send: post}) {
 		ep.descRelease() // no record was created
 		post.h.complete(StatusFailed)
 	}
@@ -196,7 +196,7 @@ func (ep *Endpoint) sendDoorbell(a any) {
 // descriptor up, unless the endpoint died first.
 func (ep *Endpoint) recvDoorbell(a any) {
 	h := a.(*RecvHandle)
-	if !ep.fw.rxWork.TryPut(rxOp{post: h}) {
+	if !ep.fw.rx.put(workItem{recv: h}) {
 		h.complete(StatusCancelled, Message{}) // endpoint died before pickup
 	}
 }
@@ -205,7 +205,7 @@ func (ep *Endpoint) recvDoorbell(a any) {
 // before pickup leaves nothing to unpost.
 func (ep *Endpoint) unpostDoorbell(a any) {
 	op := a.(*unpostOp)
-	if ep.fw.rxWork.TryPut(rxOp{unpost: op}) {
+	if ep.fw.rx.put(workItem{unpost: op}) {
 		return
 	}
 	op.processed = true
@@ -215,7 +215,9 @@ func (ep *Endpoint) unpostDoorbell(a any) {
 // Addr reports the endpoint's station address.
 func (ep *Endpoint) Addr() ethernet.Addr { return ep.addr }
 
-// Shutdown stops the firmware processors.
+// Shutdown stops the firmware processors taking new work: a later post
+// fails, and frames arriving at the NIC are ignored. Work already queued
+// still runs.
 func (ep *Endpoint) Shutdown() { ep.fw.shutdown() }
 
 // ProtoEvent is one EMP reliability event surfaced to the layer above:
@@ -251,9 +253,9 @@ func (ep *Endpoint) ResendStreak(dst ethernet.Addr) int { return ep.fw.resendStr
 
 // Kill models this endpoint's host dying mid-run: the NIC stops moving
 // frames, every in-flight send fails, every posted descriptor is
-// cancelled, and the firmware processors stop. Blocked WaitSend/WaitRecv
-// callers wake with failure statuses; peers discover the death through
-// their own retry budgets.
+// cancelled, and the firmware processors take no new work. Blocked
+// WaitSend/WaitRecv callers wake with failure statuses; peers discover
+// the death through their own retry budgets.
 func (ep *Endpoint) Kill() {
 	if ep.dead {
 		return

@@ -7,22 +7,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// txOp is one unit of work for the send processor.
-type txOp struct {
-	post *txPost
-}
-
 type txPost struct {
 	h    *SendHandle
 	data any
-}
-
-// rxOp is one unit of work for the receive processor.
-type rxOp struct {
-	frame  *ethernet.Frame
-	post   *RecvHandle
-	unpost *unpostOp
-	uqFree int
 }
 
 type unpostOp struct {
@@ -95,8 +82,9 @@ type uqEntry struct {
 
 const completedRingCap = 4096
 
-// firmware holds the NIC-resident EMP state and runs the send/receive
-// processors as simulated processes on the two Tigon2 CPUs.
+// firmware holds the NIC-resident EMP state and runs the send and
+// receive processors of the two Tigon2 CPUs as event-driven activities
+// (see activity), each taking one work item at a time from its queue.
 type firmware struct {
 	*Counters // the endpoint's, shared
 
@@ -104,8 +92,15 @@ type firmware struct {
 	n   *nic.NIC
 	eng *sim.Engine
 
-	txWork *sim.FIFO[txOp]
-	rxWork *sim.FIFO[rxOp]
+	tx, rx activity // the send and receive CPUs
+
+	// dmaBusy and dmaWaiters are the DMA engine's lock, which both CPUs
+	// and every retransmission take, one transfer at a time.
+	dmaBusy    bool
+	dmaWaiters sim.Queue[*activity]
+	// windowWaiter is the send CPU while it waits for room in a
+	// destination window (see waitWindow).
+	windowWaiter *activity
 
 	posted *descTable
 	// destInflight tracks unacknowledged fragments per destination
@@ -118,7 +113,6 @@ type firmware struct {
 	// behind connection health monitoring (a climbing streak means the
 	// peer, or the path to it, is wedged).
 	resendStreak map[ethernet.Addr]int
-	txWindow     *sim.Cond
 	uqSlots      int
 	uq           *uqTable
 	reasm        map[reasmKey]*reassembly
@@ -140,9 +134,6 @@ type firmware struct {
 	// uqSetup marks tags whose entries the byte-cap eviction must keep
 	// (connection-setup requests).
 	uqSetup func(tag Tag) bool
-
-	sendProc *sim.Proc
-	recvProc *sim.Proc
 
 	// uqFreeBell and rexmitFn are bound once: the unexpected-queue free
 	// doorbell's handler, whose arg is the slot count, and the
@@ -166,8 +157,6 @@ func newFirmware(ep *Endpoint) *firmware {
 		ep:           ep,
 		n:            ep.NIC,
 		eng:          ep.Eng,
-		txWork:       sim.NewFIFO[txOp](ep.Eng, ep.NIC.Name+".txwork", 0),
-		rxWork:       sim.NewFIFO[rxOp](ep.Eng, ep.NIC.Name+".rxwork", 0),
 		uqSlots:      ep.Cfg.UnexpectedSlots,
 		posted:       newDescTable(),
 		uq:           newUQTable(),
@@ -177,24 +166,22 @@ func newFirmware(ep *Endpoint) *firmware {
 		records:      make(map[uint64]*txRecord),
 		completed:    make(map[reasmKey]bool),
 	}
-	fw.txWindow = sim.NewCond(ep.Eng, ep.NIC.Name+".txwindow")
+	fw.tx, fw.rx = newCPU(fw, serveSend), newCPU(fw, serveRecv)
 	fw.uqFreeBell, fw.rexmitFn = fw.uqFreeDoorbell, fw.rexmitFired
-	fw.n.SetSink(func(f *ethernet.Frame) { fw.rxWork.TryPut(rxOp{frame: f}) })
-	fw.sendProc = ep.Eng.Spawn(ep.NIC.Name+".sendcpu", fw.sendLoop)
-	fw.recvProc = ep.Eng.Spawn(ep.NIC.Name+".recvcpu", fw.recvLoop)
+	fw.n.SetSink(func(f *ethernet.Frame) { fw.rx.put(workItem{frame: f}) })
 	return fw
 }
 
 func (fw *firmware) shutdown() {
-	fw.txWork.Close()
-	fw.rxWork.Close()
+	fw.tx.close()
+	fw.rx.close()
 }
 
 // kill tears the firmware state down when the host dies: every
 // transmission record fails (waking blocked send posts), every posted
 // descriptor and in-progress reassembly is cancelled, the unexpected
-// queue is discarded, and the processors stop once the work queues
-// drain. Handlers run with dead-endpoint guards for work already queued.
+// queue is discarded, and the processors take no new work. Handlers run
+// with dead-endpoint guards for work already queued.
 func (fw *firmware) kill() {
 	for _, rec := range fw.records {
 		rec.failed = true
@@ -203,7 +190,7 @@ func (fw *firmware) kill() {
 	}
 	fw.records = make(map[uint64]*txRecord)
 	fw.destInflight = make(map[ethernet.Addr]int)
-	fw.txWindow.Broadcast()
+	fw.windowChanged()
 	fw.posted.forEach(func(d *recvDesc) {
 		d.h.complete(StatusCancelled, Message{})
 	})
@@ -221,49 +208,36 @@ func (fw *firmware) kill() {
 
 // --- Send processor -----------------------------------------------------
 
-func (fw *firmware) sendLoop(p *sim.Proc) {
-	for {
-		op, ok := fw.txWork.Get(p)
-		if !ok {
-			return
-		}
-		// A wedged firmware CPU stops scheduling: queued posts sit in
-		// txWork until the wedge window ends.
-		fw.n.StallIfWedged(p)
-		if op.post != nil {
-			fw.handleSendPost(p, op.post)
-		}
+// serveSend takes the send CPU's next post.
+func serveSend(a *activity) {
+	if a.take() {
+		a.next = sendPost
 	}
 }
 
-// scheduleResend runs a retransmission in its own firmware process.
-// It must not queue behind handleSendPost: the send loop can be blocked
-// on the destination window waiting for exactly the acknowledgments this
-// retransmission would elicit (head-of-line deadlock otherwise). A
-// record is never resent concurrently with its own initial transmission
-// — the timer is armed only after the last fragment is handed off.
-func (fw *firmware) scheduleResend(id uint64) {
-	fw.eng.Spawn(fw.n.Name+".rexmit", func(p *sim.Proc) {
-		// The retransmit scheduler runs on the same wedged CPUs.
-		fw.n.StallIfWedged(p)
-		if rec := fw.records[id]; rec != nil && !rec.failed {
-			fw.resend(p, rec)
-		}
-	})
+// sendPost picks the post up. A wedged firmware CPU stops scheduling:
+// the post waits until the wedge window ends.
+func sendPost(a *activity) {
+	if a.wedged(sendPost) {
+		return
+	}
+	a.charge(nic.TxPostHandle, sendRecord)
 }
 
-func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
-	p.Sleep(nic.TxPostHandle)
+// sendRecord creates the post's transmission record (the paper's T3
+// step).
+func sendRecord(a *activity) {
+	fw, post := a.fw, a.item.send
 	h := post.h
 	if fw.ep.dead {
 		fw.ep.descRelease() // no record will be created
 		h.complete(StatusFailed)
+		a.next = serveSend
 		return
 	}
 	if sp, ok := post.data.(telemetry.Spanned); ok {
-		sp.TelemetrySpan().MarkOnce("post", p.Now())
+		sp.TelemetrySpan().MarkOnce("post", fw.eng.Now())
 	}
-	// The transmission record (the paper's T3 step).
 	rec := &txRecord{
 		msgID:  h.msgID,
 		dst:    h.dst,
@@ -274,25 +248,25 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 		rto:    initialRTO,
 	}
 	fw.records[rec.msgID] = rec
+	a.rec = rec
+	a.next = sendFrags
+}
 
-	for rec.sent < rec.nfrag && !rec.failed {
+// sendFrags hands the record's next fragment to the MAC, waiting for
+// room in the destination window, until every fragment is out or the
+// record fails.
+func sendFrags(a *activity) {
+	fw, rec := a.fw, a.rec
+	if rec.sent < rec.nfrag && !rec.failed {
 		if fw.destInflight[rec.dst] >= sendWindow {
-			ok := fw.txWindow.WaitForTimeout(p, rec.rto, func() bool {
-				return fw.destInflight[rec.dst] < sendWindow || rec.failed
-			})
-			if !ok && !rec.failed && rec.sent > rec.acked {
-				// Window stalled a full RTO with our own fragments
-				// unacknowledged: go-back-N resend. (A stall caused
-				// purely by other records' in-flight fragments is not
-				// this record's failure and burns no retry.)
-				fw.resend(p, rec)
-			}
-			continue
+			a.waitWindow()
+		} else {
+			a.sendFrag(rec.sent, fragSent)
 		}
-		fw.sendFrag(p, rec, rec.sent)
-		rec.sent++
-		fw.destInflight[rec.dst]++
+		return
 	}
+	a.next = serveSend
+	h := a.item.send.h
 	if rec.failed {
 		h.complete(StatusFailed)
 		return
@@ -307,11 +281,38 @@ func (fw *firmware) handleSendPost(p *sim.Proc, post *txPost) {
 	}
 }
 
-func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
-	fw.n.WaitTxRoom(p)
-	p.Sleep(nic.TxPerFrame)
+func fragSent(a *activity) {
+	a.rec.sent++
+	a.fw.destInflight[a.rec.dst]++
+	a.next = sendFrags
+}
+
+// sendFrag hands fragment seq of a.rec to the MAC, then runs done.
+func (a *activity) sendFrag(seq int, done stage) {
+	a.frag, a.fragDone = seq, done
+	a.next = fragRoom
+}
+
+// fragRoom waits for room in the MAC queue, then charges the send CPU's
+// per-frame work.
+func fragRoom(a *activity) {
+	if d := a.fw.n.TxRoomWait(); d > 0 {
+		a.charge(d, fragRoom)
+		return
+	}
+	a.charge(nic.TxPerFrame, fragFetch)
+}
+
+// fragFetch moves the fragment host memory -> NIC, zero-copy from the
+// user buffer.
+func fragFetch(a *activity) {
+	a.dma(fragLen(a.rec.length, a.frag, a.fw.maxFrag()), fragOut)
+}
+
+func fragOut(a *activity) {
+	fw, rec, seq := a.fw, a.rec, a.frag
+	a.next = a.fragDone
 	fl := fragLen(rec.length, seq, fw.maxFrag())
-	fw.n.DMA(p, fl) // host memory -> NIC, zero-copy from the user buffer
 	wf := &WireFrame{
 		Kind:    DataFrame,
 		Src:     fw.ep.addr,
@@ -327,7 +328,7 @@ func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
 		// First fragment on the wire; MarkOnce keeps retransmissions
 		// from moving the instant.
 		if sp, ok := rec.data.(telemetry.Spanned); ok {
-			sp.TelemetrySpan().MarkOnce("wire", p.Now())
+			sp.TelemetrySpan().MarkOnce("wire", fw.eng.Now())
 		}
 	}
 	if fw.eng.Tracing() {
@@ -344,9 +345,38 @@ func (fw *firmware) sendFrag(p *sim.Proc, rec *txRecord, seq int) {
 	fw.n.Transmit(f)
 }
 
-// resend retransmits every sent-but-unacknowledged fragment (go-back-N)
-// and backs off the retransmission timeout.
-func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
+// scheduleResend runs a retransmission of rec as an activity of its own.
+// It must not queue behind a send post: the send CPU can be waiting on
+// the destination window for exactly the acknowledgments this
+// retransmission would elicit (head-of-line deadlock otherwise). A
+// record is never resent concurrently with its own initial transmission
+// by its timer, which is armed only after the last fragment is handed
+// off.
+func (fw *firmware) scheduleResend(rec *txRecord) {
+	a := &activity{fw: fw, rec: rec, next: rexmit, parked: true}
+	a.wake()
+}
+
+// rexmit resends the record unless it was retired or failed meanwhile.
+// The retransmit scheduler runs on the same wedged CPUs.
+func rexmit(a *activity) {
+	if a.wedged(rexmit) {
+		return
+	}
+	if rec := a.rec; rec.failed || a.fw.records[rec.msgID] != rec {
+		rexmitDone(a)
+		return
+	}
+	a.resend(rexmitDone)
+}
+
+func rexmitDone(a *activity) { a.parked = true }
+
+// resend retransmits every sent-but-unacknowledged fragment of a.rec
+// (go-back-N), backs off the retransmission timeout, and runs done.
+func (a *activity) resend(done stage) {
+	fw, rec := a.fw, a.rec
+	a.next = done
 	if rec.acked >= rec.sent {
 		return // nothing outstanding
 	}
@@ -358,7 +388,7 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 			rec.dst, rec.tag, rec.msgID, rec.retries-1)
 		fw.releaseInflight(rec.dst, rec.sent-rec.acked)
 		fw.retire(rec)
-		fw.txWindow.Broadcast()
+		fw.windowChanged()
 		fw.ep.notifyEvent(ProtoEvent{Kind: "emp-send-failed", Dst: rec.dst, Tag: rec.tag,
 			Retries: rec.retries - 1})
 		return
@@ -367,17 +397,27 @@ func (fw *firmware) resend(p *sim.Proc, rec *txRecord) {
 	fw.ep.notifyEvent(ProtoEvent{Kind: "emp-rexmit", Dst: rec.dst, Tag: rec.tag,
 		Retries: rec.retries, Frags: rec.sent - rec.acked})
 	fw.eng.Tracef(fw.n.Name, "REXMIT dst=%d msg=%d frags %d..%d retry=%d", rec.dst, rec.msgID, rec.acked, rec.sent, rec.retries)
-	for seq := rec.acked; seq < rec.sent; seq++ {
-		fw.Retransmits.Inc()
-		fw.sendFrag(p, rec, seq)
+	a.resendSeq, a.resendDone = rec.acked, done
+	a.next = resendFrags
+}
+
+func resendFrags(a *activity) {
+	rec := a.rec
+	if a.resendSeq < rec.sent {
+		a.fw.Retransmits.Inc()
+		a.sendFrag(a.resendSeq, resendNext)
+		return
 	}
-	rec.rto *= rtoBackoff
-	if rec.rto > maxRTO {
-		rec.rto = maxRTO
-	}
+	rec.rto = min(rec.rto*rtoBackoff, maxRTO)
 	if rec.sent >= rec.nfrag {
-		fw.armTimer(rec)
+		a.fw.armTimer(rec)
 	}
+	a.next = a.resendDone
+}
+
+func resendNext(a *activity) {
+	a.resendSeq++
+	a.next = resendFrags
 }
 
 func (fw *firmware) armTimer(rec *txRecord) {
@@ -386,7 +426,7 @@ func (fw *firmware) armTimer(rec *txRecord) {
 }
 
 // rexmitFired is the retransmission timer's fn.
-func (fw *firmware) rexmitFired(a any) { fw.scheduleResend(a.(*txRecord).msgID) }
+func (fw *firmware) rexmitFired(a any) { fw.scheduleResend(a.(*txRecord)) }
 
 // after schedules fn(arg) d from now.
 func (fw *firmware) after(d sim.Duration, fn func(any), arg any) sim.Event {
@@ -423,44 +463,52 @@ func (fw *firmware) retire(rec *txRecord) {
 
 // --- Receive processor --------------------------------------------------
 
-func (fw *firmware) recvLoop(p *sim.Proc) {
-	for {
-		op, ok := fw.rxWork.Get(p)
-		if !ok {
-			return
-		}
-		fw.n.StallIfWedged(p)
-		switch {
-		case op.frame != nil:
-			fw.handleFrame(p, op.frame)
-		case op.post != nil:
-			fw.handleRecvPost(p, op.post)
-		case op.unpost != nil:
-			fw.handleUnpost(p, op.unpost)
-		case op.uqFree > 0:
-			fw.uqSlots += op.uqFree
-		}
+// serveRecv takes the receive CPU's next work item.
+func serveRecv(a *activity) {
+	if a.take() {
+		a.next = recvItem
 	}
 }
 
-func (fw *firmware) handleFrame(p *sim.Proc, f *ethernet.Frame) {
-	wf, ok := f.Payload.(*WireFrame)
-	if !ok {
-		fw.FramesDropped.Inc()
+// recvItem dispatches the item once any wedge of the CPU is over.
+func recvItem(a *activity) {
+	if a.wedged(recvItem) {
 		return
 	}
-	switch wf.Kind {
-	case AckFrame:
-		fw.handleAck(p, wf)
-	case NackFrame:
-		fw.handleNack(p, wf)
-	case DataFrame:
-		fw.handleData(p, wf)
+	a.next = serveRecv
+	switch it := a.item; {
+	case it.frame != nil:
+		a.recvFrame(it.frame)
+	case it.recv != nil:
+		a.charge(nic.RxPostHandle, recvPosted)
+	case it.unpost != nil:
+		a.charge(nic.RxPostHandle, unposted)
+	default:
+		a.fw.uqSlots += it.uqFree
 	}
 }
 
-func (fw *firmware) handleAck(p *sim.Proc, wf *WireFrame) {
-	p.Sleep(ackRxCost)
+// recvFrame classifies an arriving frame and charges its processing.
+func (a *activity) recvFrame(f *ethernet.Frame) {
+	wf, ok := f.Payload.(*WireFrame)
+	if !ok {
+		a.fw.FramesDropped.Inc()
+		return
+	}
+	a.wf = wf
+	switch wf.Kind {
+	case AckFrame:
+		a.charge(ackRxCost, ackArrived)
+	case NackFrame:
+		a.charge(ackRxCost, nackArrived)
+	case DataFrame:
+		a.charge(a.fw.n.Cfg.EffectiveRxPerFrame(), dataArrived)
+	}
+}
+
+func ackArrived(a *activity) {
+	fw, wf := a.fw, a.wf
+	a.next = serveRecv
 	rec := fw.records[wf.MsgID]
 	if rec == nil {
 		return
@@ -488,11 +536,12 @@ func (fw *firmware) releaseInflight(dst ethernet.Addr, n int) {
 	if fw.destInflight[dst] <= 0 {
 		delete(fw.destInflight, dst)
 	}
-	fw.txWindow.Broadcast()
+	fw.windowChanged()
 }
 
-func (fw *firmware) handleNack(p *sim.Proc, wf *WireFrame) {
-	p.Sleep(ackRxCost)
+func nackArrived(a *activity) {
+	fw, wf := a.fw, a.wf
+	a.next = serveRecv
 	rec := fw.records[wf.MsgID]
 	if rec == nil {
 		return
@@ -503,106 +552,40 @@ func (fw *firmware) handleNack(p *sim.Proc, wf *WireFrame) {
 		rec.acked = wf.AckSeq
 		fw.releaseInflight(rec.dst, newly)
 	}
-	fw.scheduleResend(rec.msgID)
+	fw.scheduleResend(rec)
 }
 
-func (fw *firmware) handleData(p *sim.Proc, wf *WireFrame) {
-	p.Sleep(fw.n.Cfg.EffectiveRxPerFrame())
-
+// dataArrived routes a data fragment: a late duplicate of a completed
+// message is re-acked, a fragment of a message in reassembly goes on to
+// its sequencing, and a message's first-seen fragment is classified.
+func dataArrived(a *activity) {
+	fw, wf := a.fw, a.wf
 	key := reasmKey{wf.Src, wf.MsgID}
 	if fw.completed[key] {
 		// Late duplicate of a fully received message (its final ack was
 		// lost): re-ack the whole message to silence the sender.
-		fw.sendAck(p, wf.Src, wf.MsgID, wf.NFrag)
+		a.sendCtl(AckFrame, wf.Src, wf.MsgID, wf.NFrag)
 		return
 	}
-	r := fw.reasm[key]
-	if r == nil {
-		r = fw.startReassembly(p, wf, key)
-		if r == nil {
-			fw.FramesDropped.Inc()
-			return
-		}
-	}
-	fw.deliverFrag(p, wf, r)
-}
-
-// deliverFrag runs the per-fragment sequencing machine for one
-// classified data fragment: duplicates re-ack cumulative state, gaps
-// request retransmission once, in-order fragments advance the
-// reassembly, pay the NIC->host DMA and complete the message.
-func (fw *firmware) deliverFrag(p *sim.Proc, wf *WireFrame, r *reassembly) {
-	switch {
-	case wf.Seq < r.expected:
-		// Duplicate fragment: re-ack cumulative state to resync sender.
-		fw.sendAck(p, wf.Src, wf.MsgID, r.expected)
-		return
-	case wf.Seq > r.expected:
-		// Gap: a fragment was lost; request retransmission once per gap.
-		if r.lastNack != r.expected {
-			r.lastNack = r.expected
-			fw.sendNack(p, wf.Src, wf.MsgID, r.expected)
-		}
+	if r := fw.reasm[key]; r != nil {
+		a.r = r
+		a.next = fragArrived
 		return
 	}
-	if fw.eng.Tracing() {
-		fw.eng.Tracef(fw.n.Name, "rx data src=%d tag=%d msg=%d frag=%d/%d", wf.Src, wf.Tag, wf.MsgID, wf.Seq+1, wf.NFrag)
-	}
-	// In-order fragment.
-	r.expected++
-	r.lastNack = -1
-	if !r.sink {
-		fw.n.DMA(p, wf.FragLen) // NIC -> host buffer
-	}
-	r.data = wf.Data
-	r.sinceAck++
-	done := r.expected >= r.nfrag
-	if done {
-		// Notify the host before generating the ack: the ack is
-		// NIC-to-NIC housekeeping and stays off the data critical path.
-		fw.finish(r)
-	}
-	if done || r.sinceAck >= AckWindow {
-		fw.sendAck(p, wf.Src, wf.MsgID, r.expected)
-		r.sinceAck = 0
-	}
+	// Tag match against the pre-posted descriptors, charging the lookup.
+	a.desc, a.walked = fw.matchPreposted(wf.Src, wf.Tag, -1)
+	a.charge(fw.n.TagMatch(a.walked), classified)
 }
 
-// matchPreposted is the single descriptor-match routine shared by the
-// receive path and the host-side claim (matchDescriptor). need < 0
-// skips the buffer-capacity check (the NIC-side match truncates on
-// overflow instead of skipping the descriptor); need >= 0 requires the
-// posted buffer to hold need bytes. The matched descriptor is left
-// linked — the caller removes it. The second return is the lookup work
-// for the timed NIC path to charge: descriptors walked (paper-faithful
-// linear mode) or bucket entries probed (hashed mode).
-func (fw *firmware) matchPreposted(src ethernet.Addr, tag Tag, need int) (*recvDesc, int) {
-	if fw.n.Cfg.HashedMatch {
-		return fw.posted.matchHashed(src, tag, need)
-	}
-	return fw.posted.matchLinear(src, tag, need)
-}
-
-// chargeTagMatch charges the NIC cost of one descriptor lookup in the
-// active cost model.
-func (fw *firmware) chargeTagMatch(p *sim.Proc, work int) {
-	if fw.n.Cfg.HashedMatch {
-		fw.n.TagMatchHashed(p, work)
-	} else {
-		fw.n.TagMatch(p, work)
-	}
-}
-
-// startReassembly classifies the first-seen fragment of a message: tag
-// match against the pre-posted descriptors (charging the lookup), the
-// unexpected queue, or a drop.
-func (fw *firmware) startReassembly(p *sim.Proc, wf *WireFrame, key reasmKey) *reassembly {
-	d, work := fw.matchPreposted(wf.Src, wf.Tag, -1)
-	fw.chargeTagMatch(p, work)
+// classified starts the reassembly of a first-seen message: bound to
+// the matched descriptor, parked in the unexpected queue, or dropped.
+func classified(a *activity) {
+	fw, wf, d := a.fw, a.wf, a.desc
+	a.desc = nil
 	if sp, ok := wf.Data.(telemetry.Spanned); ok {
-		sp.TelemetrySpan().MarkOnce("match", p.Now())
+		sp.TelemetrySpan().MarkOnce("match", fw.eng.Now())
 	}
-
+	key := reasmKey{wf.Src, wf.MsgID}
 	r := &reassembly{
 		key:      key,
 		tag:      wf.Tag,
@@ -613,7 +596,7 @@ func (fw *firmware) startReassembly(p *sim.Proc, wf *WireFrame, key reasmKey) *r
 	switch {
 	case d != nil:
 		if fw.eng.Tracing() {
-			fw.eng.Tracef(fw.n.Name, "tag match src=%d tag=%d walked=%d", wf.Src, wf.Tag, work)
+			fw.eng.Tracef(fw.n.Name, "tag match src=%d tag=%d walked=%d", wf.Src, wf.Tag, a.walked)
 		}
 		fw.posted.remove(d)
 		r.h = d.h
@@ -630,10 +613,98 @@ func (fw *firmware) startReassembly(p *sim.Proc, wf *WireFrame, key reasmKey) *r
 		r.uq = true
 	default:
 		fw.eng.Tracef(fw.n.Name, "DROP src=%d tag=%d msg=%d (no descriptor, uq full)", wf.Src, wf.Tag, wf.MsgID)
-		return nil
+		fw.FramesDropped.Inc()
+		a.next = serveRecv
+		return
 	}
 	fw.reasm[key] = r
-	return r
+	a.r = r
+	a.next = fragArrived
+}
+
+// fragArrived runs the per-fragment sequencing machine for one
+// classified data fragment: duplicates re-ack cumulative state, gaps
+// request retransmission once, in-order fragments advance the
+// reassembly, pay the NIC->host DMA and complete the message.
+func fragArrived(a *activity) {
+	fw, wf, r := a.fw, a.wf, a.r
+	a.next = serveRecv
+	switch {
+	case wf.Seq < r.expected:
+		// Duplicate fragment: re-ack cumulative state to resync sender.
+		a.sendCtl(AckFrame, wf.Src, wf.MsgID, r.expected)
+		return
+	case wf.Seq > r.expected:
+		// Gap: a fragment was lost; request retransmission once per gap.
+		if r.lastNack != r.expected {
+			r.lastNack = r.expected
+			a.sendCtl(NackFrame, wf.Src, wf.MsgID, r.expected)
+		}
+		return
+	}
+	if fw.eng.Tracing() {
+		fw.eng.Tracef(fw.n.Name, "rx data src=%d tag=%d msg=%d frag=%d/%d", wf.Src, wf.Tag, wf.MsgID, wf.Seq+1, wf.NFrag)
+	}
+	// In-order fragment.
+	r.expected++
+	r.lastNack = -1
+	if r.sink {
+		a.next = fragLanded
+		return
+	}
+	a.dma(wf.FragLen, fragLanded) // NIC -> host buffer
+}
+
+func fragLanded(a *activity) {
+	fw, wf, r := a.fw, a.wf, a.r
+	a.next = serveRecv
+	r.data = wf.Data
+	r.sinceAck++
+	done := r.expected >= r.nfrag
+	if done {
+		// Notify the host before generating the ack: the ack is
+		// NIC-to-NIC housekeeping and stays off the data critical path.
+		fw.finish(r)
+	}
+	if done || r.sinceAck >= AckWindow {
+		r.sinceAck = 0
+		a.sendCtl(AckFrame, wf.Src, wf.MsgID, r.expected)
+	}
+}
+
+// sendCtl charges the receive CPU for generating an ack or nack of
+// msgID up to seq, then sends it to dst and ends the work item.
+func (a *activity) sendCtl(kind FrameKind, dst ethernet.Addr, msgID uint64, seq int) {
+	a.ctl = &WireFrame{Kind: kind, Src: a.fw.ep.addr, MsgID: msgID, AckSeq: seq}
+	a.ctlDst = dst
+	a.charge(ackTxCost, ctlOut)
+}
+
+func ctlOut(a *activity) {
+	fw, wf := a.fw, a.ctl
+	a.ctl = nil
+	a.next = serveRecv
+	if wf.Kind == AckFrame {
+		fw.AcksSent.Inc()
+	} else {
+		fw.NacksSent.Inc()
+	}
+	fw.n.Transmit(wf.carry(a.ctlDst, AckFrameBytes, 0))
+}
+
+// matchPreposted is the single descriptor-match routine shared by the
+// receive path and the host-side claim (matchDescriptor). need < 0
+// skips the buffer-capacity check (the NIC-side match truncates on
+// overflow instead of skipping the descriptor); need >= 0 requires the
+// posted buffer to hold need bytes. The matched descriptor is left
+// linked — the caller removes it. The second return is the lookup work
+// for the timed NIC path to charge: descriptors walked (paper-faithful
+// linear mode) or bucket entries probed (hashed mode).
+func (fw *firmware) matchPreposted(src ethernet.Addr, tag Tag, need int) (*recvDesc, int) {
+	if fw.n.Cfg.HashedMatch {
+		return fw.posted.matchHashed(src, tag, need)
+	}
+	return fw.posted.matchLinear(src, tag, need)
 }
 
 // finish completes a fully reassembled message.
@@ -739,9 +810,10 @@ func (fw *firmware) markCompleted(key reasmKey) {
 	fw.completedNext++
 }
 
-func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
-	p.Sleep(nic.RxPostHandle)
-
+// recvPosted adds a picked-up receive descriptor to the posted list.
+func recvPosted(a *activity) {
+	fw, h := a.fw, a.item.recv
+	a.next = serveRecv
 	if h.status != StatusPending {
 		return // completed host-side (unexpected-queue claim) in the meantime
 	}
@@ -765,8 +837,10 @@ func (fw *firmware) handleRecvPost(p *sim.Proc, h *RecvHandle) {
 	fw.posted.add(&h.desc)
 }
 
-func (fw *firmware) handleUnpost(p *sim.Proc, op *unpostOp) {
-	p.Sleep(nic.RxPostHandle)
+// unposted withdraws a descriptor the host unposts.
+func unposted(a *activity) {
+	fw, op := a.fw, a.item.unpost
+	a.next = serveRecv
 	// A descriptor still in the table links back to it; one never posted,
 	// or already consumed by a match and unlinked (tbl cleared), must not
 	// be cancelled.
@@ -798,18 +872,4 @@ func (fw *firmware) claimUnexpected(src ethernet.Addr, tag Tag, maxLen int) (Mes
 
 // uqFreeDoorbell is the unexpected-queue free doorbell's handler: the
 // receive CPU returns the arg's count of slots to the queue.
-func (fw *firmware) uqFreeDoorbell(a any) { fw.rxWork.TryPut(rxOp{uqFree: a.(int)}) }
-
-func (fw *firmware) sendAck(p *sim.Proc, dst ethernet.Addr, msgID uint64, ackSeq int) {
-	p.Sleep(ackTxCost)
-	fw.AcksSent.Inc()
-	wf := &WireFrame{Kind: AckFrame, Src: fw.ep.addr, MsgID: msgID, AckSeq: ackSeq}
-	fw.n.Transmit(wf.carry(dst, AckFrameBytes, 0))
-}
-
-func (fw *firmware) sendNack(p *sim.Proc, dst ethernet.Addr, msgID uint64, from int) {
-	p.Sleep(ackTxCost)
-	fw.NacksSent.Inc()
-	wf := &WireFrame{Kind: NackFrame, Src: fw.ep.addr, MsgID: msgID, AckSeq: from}
-	fw.n.Transmit(wf.carry(dst, AckFrameBytes, 0))
-}
+func (fw *firmware) uqFreeDoorbell(a any) { fw.rx.put(workItem{uqFree: a.(int)}) }

@@ -339,17 +339,37 @@ func TestBidirectionalUnderLoss(t *testing.T) {
 	}
 }
 
-func TestShutdownStopsFirmwareLoops(t *testing.T) {
+// TestShutdownFailsNewWork shuts endpoint 1's firmware down: a send
+// or receive rung afterwards fails (StatusFailed, StatusCancelled) with
+// its descriptor released, and frames arriving from endpoint 0 are
+// ignored, so its sends are never acknowledged.
+func TestShutdownFailsNewWork(t *testing.T) {
 	b := newBed()
+	var sent, recvd Status
 	b.eng.Spawn("driver", func(p *sim.Proc) {
-		b.eps[0].Send(p, b.eps[1].Addr(), 1, 0, nil, KeyNone)
-		p.Sleep(100 * sim.Microsecond)
-		b.eps[0].Shutdown()
 		b.eps[1].Shutdown()
+		if st := b.eps[0].Send(p, b.eps[1].Addr(), 1, 4096, nil, KeyNone); st != StatusOK {
+			t.Errorf("live sender's local completion: %v", st)
+		}
+		sent = b.eps[1].Send(p, b.eps[0].Addr(), 2, 64, nil, KeyNone)
+		_, recvd = b.eps[1].WaitRecv(p, b.eps[1].PostRecv(p, AnySource, 3, 64, KeyNone))
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
-	if live := b.eng.LiveProcs(); live != 0 {
-		t.Fatalf("%d firmware processes still live after shutdown: %v", live, b.eng.BlockedProcs())
+	if sent != StatusFailed || recvd != StatusCancelled {
+		t.Fatalf("after shutdown: send %v, receive %v; want %v and %v", sent, recvd, StatusFailed, StatusCancelled)
+	}
+	if n := b.eps[1].DescriptorsInUse(); n != 0 {
+		t.Fatalf("%d descriptors still held after shutdown", n)
+	}
+	if b.nics[1].RxFrames.Value == 0 {
+		t.Fatal("no frame reached the shut-down NIC")
+	}
+	if b.eps[1].AcksSent.Value != 0 || b.eps[1].MsgsDelivered.Value != 0 {
+		t.Fatalf("shut-down firmware sent %d acks and delivered %d messages",
+			b.eps[1].AcksSent.Value, b.eps[1].MsgsDelivered.Value)
+	}
+	if b.eps[0].SendsFailed.Value != 1 {
+		t.Fatalf("the unacknowledged send failed %d times, want once", b.eps[0].SendsFailed.Value)
 	}
 }
 

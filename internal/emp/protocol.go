@@ -2,8 +2,9 @@
 // Wyckoff, Panda — SC'01) on the simulated Tigon2 NIC: a zero-copy,
 // OS-bypass, NIC-driven, reliable tagged message system for Gigabit
 // Ethernet. The sockets substrate (package core) is layered on top of
-// the host API in endpoint.go; the firmware in firmware.go runs as
-// simulated processes on the NIC's send and receive CPUs.
+// the host API in endpoint.go; the firmware in firmware.go runs on the
+// NIC's send and receive CPUs as event-driven activities (activity.go),
+// each taking one work item at a time and running it to completion.
 package emp
 
 import (

@@ -141,8 +141,8 @@ func (fb *Fabric) Connect(a, b *Switch) *Trunk {
 		panic("ethernet: trunk from a switch to itself")
 	}
 	t := &Trunk{fb: fb, id: len(fb.trunks), a: a, b: b}
-	t.res[0] = sim.NewResource(fb.eng, fmt.Sprintf("trunk%d.%s-%s", t.id, a.name, b.name))
-	t.res[1] = sim.NewResource(fb.eng, fmt.Sprintf("trunk%d.%s-%s", t.id, b.name, a.name))
+	t.res[0] = sim.NewResource(fb.eng)
+	t.res[1] = sim.NewResource(fb.eng)
 	t.land[0] = func(f any) { t.arrive(0, b, f.(*Frame)) }
 	t.land[1] = func(f any) { t.arrive(1, a, f.(*Frame)) }
 	fb.trunks = append(fb.trunks, t)

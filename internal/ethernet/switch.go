@@ -93,8 +93,8 @@ func (s *Switch) Attach(st Station) *Port {
 		sw:      s,
 		addr:    addr,
 		station: st,
-		tx:      sim.NewResource(s.eng, fmt.Sprintf("port%d.tx", addr)),
-		out:     sim.NewResource(s.eng, fmt.Sprintf("port%d.out", addr)),
+		tx:      sim.NewResource(s.eng),
+		out:     sim.NewResource(s.eng),
 	}
 	p.deliver = func(a any) { p.station.Deliver(a.(*Frame)) }
 	s.fab.stations = append(s.fab.stations, p)

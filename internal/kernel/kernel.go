@@ -79,7 +79,7 @@ func NewHost(e *sim.Engine, name string, cores int) *Host {
 	}
 	h := &Host{Eng: e, Name: name}
 	h.cpu = sim.NewCPU(e, name+".cpu", cores)
-	h.intrBusy = sim.NewResource(e, name+".irq")
+	h.intrBusy = sim.NewResource(e)
 	return h
 }
 

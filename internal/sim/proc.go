@@ -108,22 +108,15 @@ func (p *Proc) Now() Time { return p.eng.now }
 // still lets already-scheduled same-instant events run first.
 //
 // When no event could fire before the wakeup, the wakeup is taken in
-// place: the clock moves to it and the process carries on without
-// parking. Every step of a process is the last thing its event does, so
-// the parked wakeup would have been the very next event, and the
-// engine's clock, seq and counters advance exactly as if it were. A
-// queued event at the wakeup instant was scheduled earlier, so it fires
-// first: only a head strictly later than the wakeup lets it run in place.
+// place (see Engine.AdvanceInPlace): every step of a process is the last
+// thing its event does, so the process carries on without parking, and
+// the step counts as a switch as the parked wakeup's would.
 func (p *Proc) Sleep(d Duration) {
 	p.checkCurrent("Sleep")
 	e := p.eng
 	at := e.now.Add(max(d, 0))
-	if at <= e.limit && (len(e.events) == 0 || at < e.events[0].at) {
-		e.seq++
-		e.fired++
+	if e.AdvanceInPlace(at) {
 		e.switches++
-		e.inPlace++
-		e.now = at
 		return
 	}
 	p.blockedOn = "sleep"

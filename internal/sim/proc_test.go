@@ -106,6 +106,54 @@ func TestInPlaceSleepCountsAsParked(t *testing.T) {
 	}
 }
 
+// A chain of charges taken through AdvanceInPlace, resuming from one
+// queued event whenever another fires first, leaves the clock, Events()
+// and seq where a proc sleeping the same durations leaves them. Events
+// at 5, 20 and 21 make some charges park in both runs.
+func TestAdvanceInPlaceMatchesSleep(t *testing.T) {
+	durs := []Duration{3, 0, 7, 10, 1, 25, 4, 0}
+	others := func(e *Engine) {
+		for _, at := range []Time{5, 20, 21} {
+			e.At(at, func() {})
+		}
+	}
+	slept := NewEngine()
+	others(slept)
+	slept.Spawn("sleeper", func(p *Proc) {
+		for _, d := range durs {
+			p.Sleep(d)
+		}
+	})
+	slept.Run()
+
+	chained := NewEngine()
+	others(chained)
+	i := 0
+	var stage func(any)
+	stage = func(any) {
+		for i < len(durs) {
+			at := chained.Now().Add(durs[i])
+			i++
+			if !chained.AdvanceInPlace(at) {
+				chained.AtArg(at, stage, nil)
+				return
+			}
+		}
+	}
+	chained.AtArg(0, stage, nil) // the sleeper's first step
+	chained.Run()
+
+	if chained.inPlace == 0 || chained.inPlace == int64(len(durs)) {
+		t.Fatalf("%d of %d charges in place; the case needs some of each", chained.inPlace, len(durs))
+	}
+	if chained.Now() != slept.Now() || chained.Events() != slept.Events() ||
+		chained.seq != slept.seq || chained.inPlace != slept.inPlace {
+		t.Fatalf("chain: now %v, %d events, seq %d, %d in place; sleep: %v, %d, %d, %d",
+			chained.Now(), chained.Events(), chained.seq, chained.inPlace,
+			slept.Now(), slept.Events(), slept.seq, slept.inPlace)
+	}
+}
+
 func TestProcsInterleaveDeterministically(t *testing.T) {
 	e := NewEngine()
 	var order []string

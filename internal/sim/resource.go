@@ -4,21 +4,14 @@ package sim
 // output port, a memory bus) in event-driven style: callers reserve a span
 // of service time and learn when their use completes. No process is
 // required; the resource simply tracks when it next becomes free.
-//
-// For process-style exclusive use, see Lock/Unlock, which block the
-// calling process.
 type Resource struct {
 	eng      *Engine
 	freeAt   Time
 	busyTime Duration // accumulated service time, for utilization stats
-	lock     *Semaphore
-	label    string
 }
 
 // NewResource returns an idle resource.
-func NewResource(e *Engine, label string) *Resource {
-	return &Resource{eng: e, lock: NewSemaphore(e, label+".lock", 1), label: label}
-}
+func NewResource(e *Engine) *Resource { return &Resource{eng: e} }
 
 // Reserve books d of service time starting no earlier than now and no
 // earlier than the previous reservation's completion. It returns the
@@ -64,19 +57,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.busyTime) / float64(r.eng.Now())
-}
-
-// Lock grants p exclusive process-style use of the resource.
-func (r *Resource) Lock(p *Proc) { r.lock.Acquire(p) }
-
-// Unlock releases exclusive use.
-func (r *Resource) Unlock() { r.lock.Release() }
-
-// Use charges p with d of service on the resource under the lock:
-// it acquires exclusivity, advances virtual time by d, and releases.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Lock(p)
-	r.busyTime += d
-	p.Sleep(d)
-	r.Unlock()
 }

@@ -7,7 +7,7 @@ import (
 
 func TestResourceReserveSerializes(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "port")
+	r := NewResource(e)
 	d1 := r.Reserve(100)
 	d2 := r.Reserve(50)
 	if d1 != 100 {
@@ -23,7 +23,7 @@ func TestResourceReserveSerializes(t *testing.T) {
 
 func TestResourceIdleGapNotCharged(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "port")
+	r := NewResource(e)
 	r.Reserve(10)
 	e.At(1000, func() {
 		done := r.Reserve(10)
@@ -39,7 +39,7 @@ func TestResourceIdleGapNotCharged(t *testing.T) {
 
 func TestResourceReserveAt(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "port")
+	r := NewResource(e)
 	done := r.ReserveAt(500, 100)
 	if done != 600 {
 		t.Fatalf("ReserveAt(500,100) = %v, want 600", done)
@@ -50,31 +50,12 @@ func TestResourceReserveAt(t *testing.T) {
 	}
 }
 
-func TestResourceUseExclusive(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "bus")
-	var finish []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn("u", func(p *Proc) {
-			r.Use(p, 100)
-			finish = append(finish, p.Now())
-		})
-	}
-	e.Run()
-	want := []Time{100, 200, 300}
-	for i, f := range finish {
-		if f != want[i] {
-			t.Fatalf("finish times %v, want %v", finish, want)
-		}
-	}
-}
-
 // Property: reservations never overlap — each starts no earlier than the
 // previous one finished.
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(durs []uint8) bool {
 		e := NewEngine()
-		r := NewResource(e, "r")
+		r := NewResource(e)
 		prevDone := Time(0)
 		for _, d := range durs {
 			done := r.Reserve(Duration(d))

@@ -5,7 +5,7 @@ package sim
 // primitives (FIFO, Semaphore, Cond) are built on it.
 type WaitQueue struct {
 	eng     *Engine
-	waiters queue[*Proc]
+	waiters Queue[*Proc]
 	label   string
 }
 
@@ -26,14 +26,14 @@ func NewWaitQueue(e *Engine, label string) *WaitQueue {
 }
 
 // Len reports how many processes are parked.
-func (w *WaitQueue) Len() int { return w.waiters.len() }
+func (w *WaitQueue) Len() int { return w.waiters.Len() }
 
 // park queues p on w and records the parking in p's waiter.
 func (w *WaitQueue) park(p *Proc, timeout Event) {
 	p.blockedOn = w.label
 	p.w.timeout = timeout
 	p.w.timedOut = false
-	w.waiters.push(p)
+	w.waiters.Push(p)
 }
 
 // Wait parks p until a Wake call resumes it.
@@ -80,10 +80,10 @@ func (w *WaitQueue) remove(p *Proc) {
 // process was woken. The resumed process runs at the current instant,
 // after the caller yields or returns to the event loop.
 func (w *WaitQueue) WakeOne() bool {
-	if w.waiters.len() == 0 {
+	if w.waiters.Len() == 0 {
 		return false
 	}
-	p := w.waiters.pop()
+	p := w.waiters.Pop()
 	p.w.timeout.Cancel()
 	w.eng.wakeups++
 	w.eng.AtArg(w.eng.now, resume, p)
@@ -99,20 +99,22 @@ func (w *WaitQueue) WakeAll() int {
 	return n
 }
 
-// queue is a first-in first-out slice queue: buf[head:] are queued,
-// oldest first. It pops by advancing head and resets to the start of its
-// array once drained, so a queue that empties between uses stops
-// allocating. A push onto a full array first slides the queue down over
+// Queue is a first-in first-out slice queue: buf[head:] are queued,
+// oldest first, and the zero value is empty. It pops by advancing head
+// and resets to the start of its array once drained, so a queue that
+// empties between uses stops allocating. A push onto a full array first slides the queue down over
 // the popped prefix, so a queue that never drains stays within twice its
 // longest length.
-type queue[T any] struct {
+type Queue[T any] struct {
 	buf  []T
 	head int
 }
 
-func (q *queue[T]) len() int { return len(q.buf) - q.head }
+// Len reports how many entries are queued.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
-func (q *queue[T]) push(v T) {
+// Push appends v.
+func (q *Queue[T]) Push(v T) {
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
@@ -121,8 +123,8 @@ func (q *queue[T]) push(v T) {
 	q.buf = append(q.buf, v)
 }
 
-// pop removes and returns the oldest entry; the queue must not be empty.
-func (q *queue[T]) pop() T {
+// Pop removes and returns the oldest entry; the queue must not be empty.
+func (q *Queue[T]) Pop() T {
 	var zero T
 	v := q.buf[q.head]
 	q.buf[q.head] = zero
@@ -134,7 +136,7 @@ func (q *queue[T]) pop() T {
 }
 
 // removeAt drops the entry at buf index i, head <= i < len(buf).
-func (q *queue[T]) removeAt(i int) {
+func (q *Queue[T]) removeAt(i int) {
 	var zero T
 	n := len(q.buf) - 1
 	copy(q.buf[i:], q.buf[i+1:])
@@ -148,7 +150,7 @@ func (q *queue[T]) removeAt(i int) {
 // FIFO is a blocking queue of values with optional capacity. Capacity 0
 // means unbounded (Put never blocks).
 type FIFO[T any] struct {
-	items   queue[T]
+	items   Queue[T]
 	cap     int
 	getters WaitQueue
 	putters WaitQueue
@@ -167,7 +169,7 @@ func NewFIFO[T any](e *Engine, label string, capacity int) *FIFO[T] {
 }
 
 // Len reports the number of queued items.
-func (f *FIFO[T]) Len() int { return f.items.len() }
+func (f *FIFO[T]) Len() int { return f.items.Len() }
 
 // Put appends v, blocking while the queue is at capacity. Putting into a
 // closed queue panics: it indicates a protocol bug in the model.
@@ -178,7 +180,7 @@ func (f *FIFO[T]) Put(p *Proc, v T) {
 	if f.closed {
 		panic("sim: Put on closed FIFO " + f.label)
 	}
-	f.items.push(v)
+	f.items.Push(v)
 	f.getters.WakeOne()
 }
 
@@ -188,7 +190,7 @@ func (f *FIFO[T]) TryPut(v T) bool {
 	if f.closed || (f.cap > 0 && f.Len() >= f.cap) {
 		return false
 	}
-	f.items.push(v)
+	f.items.Push(v)
 	f.getters.WakeOne()
 	return true
 }
@@ -207,7 +209,7 @@ func (f *FIFO[T]) TryGet() (v T, ok bool) {
 	if f.Len() == 0 {
 		return v, false
 	}
-	v = f.items.pop()
+	v = f.items.Pop()
 	f.putters.WakeOne()
 	return v, true
 }
