@@ -144,18 +144,8 @@ func (a *activity) take() bool {
 }
 
 // close makes every later put fail. The items already queued still run,
-// under the dead-endpoint guards. An idle CPU takes one resume at the
-// close, finds its queue empty and stays idle.
-func (a *activity) close() {
-	if a.closed {
-		return
-	}
-	a.closed = true
-	if a.idle {
-		a.idle = false
-		a.wake()
-	}
-}
+// under the dead-endpoint guards; an idle CPU has none and stays parked.
+func (a *activity) close() { a.closed = true }
 
 // --- The DMA engine ---------------------------------------------------------
 

@@ -373,6 +373,20 @@ func TestShutdownFailsNewWork(t *testing.T) {
 	}
 }
 
+// Closing an idle firmware, by Shutdown or by Kill, queues nothing: its
+// CPUs have no work left to run, so they stay parked.
+func TestCloseOfIdleFirmwareQueuesNothing(t *testing.T) {
+	b := newBed()
+	b.eng.Run()
+	before := b.eng.Events()
+	b.eps[0].Shutdown()
+	b.eps[1].Kill()
+	b.eng.Run()
+	if n := b.eng.Events() - before; n != 0 {
+		t.Fatalf("closing two idle endpoints fired %d events, want 0", n)
+	}
+}
+
 // notifyCount is a handle owner that counts its notifications.
 type notifyCount int
 

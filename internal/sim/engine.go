@@ -7,14 +7,14 @@ import (
 
 // event is a scheduled callback in the engine's slot table: firing it
 // calls fn(arg). A slot is recycled once its event leaves the queue,
-// fired or discarded; gen counts the recycles, so a handle taken before
+// fired or cancelled; gen counts the recycles, so a handle taken before
 // one no longer matches the slot.
 type event struct {
 	fn   func(any)
 	arg  any
 	gen  uint64
-	dead bool // cancelled
-	idle bool // an idle timer (see Proc.SleepIdle), not a busy event
+	pos  int32 // the index of the event's entry in the heap
+	idle bool  // an idle timer (see Proc.SleepIdle), not a busy event
 }
 
 // call is the fn of an event scheduled with At: its arg is the func().
@@ -42,41 +42,31 @@ type idler struct {
 	pending func() bool
 }
 
-// eventHeap is a binary min-heap of entries ordered by (at, seq). Both
-// sifts move a hole rather than swapping, so each level costs one copy.
+// eventHeap is a binary min-heap of entries ordered by (at, seq). Each
+// entry's slot records the entry's index (event.pos), so Cancel removes
+// an entry where it stands. Both sifts move a hole rather than
+// swapping, so each level costs one copy and one index store.
 type eventHeap []entry
 
-func (h *eventHeap) push(x entry) {
-	q := append(*h, x)
-	j := len(q) - 1
+// up places x at or above the hole at j, moving each later parent down
+// a level until x is no earlier than its parent.
+func (q eventHeap) up(slots []event, j int, x entry) {
 	for j > 0 {
 		i := (j - 1) / 2
 		if !x.before(q[i]) {
 			break
 		}
 		q[j] = q[i]
+		slots[q[j].ref].pos = int32(j)
 		j = i
 	}
 	q[j] = x
-	*h = q
-}
-
-func (h *eventHeap) pop() entry {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	x := q[n]
-	q = q[:n]
-	if n > 0 {
-		q.down(0, x)
-	}
-	*h = q
-	return top
+	slots[x.ref].pos = int32(j)
 }
 
 // down places x at or below the hole at i, moving the smaller child up
 // a level until x is no later than both children.
-func (q eventHeap) down(i int, x entry) {
+func (q eventHeap) down(slots []event, i int, x entry) {
 	n := len(q)
 	for {
 		j := 2*i + 1
@@ -90,16 +80,11 @@ func (q eventHeap) down(i int, x entry) {
 			break
 		}
 		q[i] = q[j]
+		slots[q[i].ref].pos = int32(i)
 		i = j
 	}
 	q[i] = x
-}
-
-// heapify restores the heap order of any arrangement, bottom-up.
-func (q eventHeap) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i, q[i])
-	}
+	slots[x.ref].pos = int32(i)
 }
 
 // Engine owns the virtual clock and the event queue. All simulation state
@@ -111,8 +96,7 @@ type Engine struct {
 	events  eventHeap
 	slots   []event // every event slot, queued or free
 	free    []int32 // recycled slots, reused last-in first-out
-	busy    int     // queued busy events not yet fired or cancelled
-	dead    int     // queued cancelled events, discarded by compact
+	busy    int     // queued busy events
 	idlers  []idler // queued idle timers
 	running bool
 
@@ -163,66 +147,34 @@ func (e *Engine) Seed(s uint64) { e.rand = NewRand(s) }
 
 // Event is a handle to a scheduled callback; it can be cancelled. It
 // names the event's slot and the slot's generation, so once the event has
-// fired or been discarded the handle matches nothing.
+// fired or been cancelled the handle matches nothing.
 type Event struct {
 	eng *Engine
 	ref int32
 	gen uint64
 }
 
-// queued returns the handle's event if it is still queued and not
-// cancelled, else nil.
+// queued returns the handle's event if it is still queued, else nil.
 func (h Event) queued() *event {
 	if h.eng == nil {
 		return nil
 	}
-	if ev := &h.eng.slots[h.ref]; ev.gen == h.gen && !ev.dead {
+	if ev := &h.eng.slots[h.ref]; ev.gen == h.gen {
 		return ev
 	}
 	return nil
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. A cancelled event no longer keeps
-// a run going. Its entry leaves the queue when it reaches the head, or
-// earlier when cancelled entries outnumber the live ones (see compact).
+// already-cancelled event is a no-op. The event's entry leaves the queue
+// at once, and its slot is recycled.
 func (h Event) Cancel() {
 	if ev := h.queued(); ev != nil {
 		e := h.eng
-		ev.dead = true
-		ev.fn, ev.arg = nil, nil
 		e.busy-- // idle timers have no handle, so this is a busy one
-		e.dead++
-		if e.dead > compactMin && e.dead > len(e.events)-e.dead {
-			e.compact()
-		}
+		e.remove(int(ev.pos))
+		e.recycle(h.ref)
 	}
-}
-
-// compactMin is how many cancelled entries the queue holds before compact
-// runs at all; below it, discarding them at the head costs less.
-const compactMin = 64
-
-// compact drops every cancelled entry from the queue, recycling its slot,
-// and rebuilds the heap bottom-up. Entries are ordered totally by
-// (at, seq), so the rebuilt heap pops the live events in the same order
-// as before. It runs once cancelled entries outnumber live ones, so its
-// linear cost is paid for by at least as many Cancel calls, and a timer
-// re-armed without ever firing (a TCP retransmission timeout) keeps the
-// queue within twice its live size.
-func (e *Engine) compact() {
-	q := e.events[:0]
-	for _, x := range e.events {
-		if e.slots[x.ref].dead {
-			e.recycle(x.ref)
-		} else {
-			q = append(q, x)
-		}
-	}
-	clear(e.events[len(q):])
-	q.heapify()
-	e.events = q
-	e.dead = 0
 }
 
 // Pending reports whether the event is still scheduled to fire.
@@ -267,16 +219,34 @@ func (e *Engine) schedule(t Time, fn func(any), arg any, idle bool) int32 {
 	}
 	ev := &e.slots[ref]
 	ev.fn, ev.arg, ev.idle = fn, arg, idle
-	e.events.push(entry{at: t, seq: e.seq, ref: ref})
+	e.events = append(e.events, entry{})
+	e.events.up(e.slots, len(e.events)-1, entry{at: t, seq: e.seq, ref: ref})
 	e.seq++
 	return ref
+}
+
+// remove takes the entry at index i out of the queue: the last entry
+// fills the hole and sifts up or down from it.
+func (e *Engine) remove(i int) {
+	n := len(e.events) - 1
+	x := e.events[n]
+	q := e.events[:n]
+	e.events = q
+	if i == n {
+		return
+	}
+	if i > 0 && x.before(q[(i-1)/2]) {
+		q.up(e.slots, i, x)
+	} else {
+		q.down(e.slots, i, x)
+	}
 }
 
 // recycle returns a slot that has left the queue to the free list; the
 // generation bump disarms every handle to the event it held.
 func (e *Engine) recycle(ref int32) {
 	ev := &e.slots[ref]
-	ev.fn, ev.arg, ev.dead, ev.idle = nil, nil, false, false
+	ev.fn, ev.arg, ev.idle = nil, nil, false
 	ev.gen++
 	e.free = append(e.free, ref)
 }
@@ -286,8 +256,10 @@ func (e *Engine) recycle(ref int32) {
 // fired count advance exactly as if the wakeup had been queued and then
 // fired. It reports false, changing nothing, when the head of the queue
 // is due no later than at, or when at lies past the running RunUntil's
-// limit. A queued event at the same instant was scheduled earlier, so it
-// fires first: only a head strictly later lets the wakeup run in place.
+// limit. The head is always an event that will fire, since a cancelled
+// one leaves the queue at once. A queued event at the same instant was
+// scheduled earlier, so it fires first: only a head strictly later lets
+// the wakeup run in place.
 //
 // The caller must be the last thing its event does — a proc's step
 // (Proc.Sleep) or an event-driven activity's chain of stages — so that
@@ -320,8 +292,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // the last fired event. Quiescence ends a run without changing what it
 // computes: the idle timers left queued would only have ticked with
 // nothing to do, and they stay queued, so a later RunUntil resumes them
-// on their original schedule. A cancelled event at the head of the queue
-// is discarded before the test, so a queue of them still drains.
+// on their original schedule.
 //
 // On one processor (GOMAXPROCS=1) the run yields its thread to the Go
 // scheduler every yieldEvery events. A run is one goroutine that never
@@ -343,22 +314,17 @@ func (e *Engine) RunUntil(limit Time) Time {
 			runtime.Gosched()
 		}
 		next := e.events[0]
-		ev := e.slots[next.ref]
-		if next.at > limit || !ev.dead && e.busy == 0 && e.Idle() {
+		if next.at > limit || e.busy == 0 && e.Idle() {
 			break
 		}
-		e.events.pop()
+		ev := e.slots[next.ref]
+		e.remove(0)
 		if ev.idle {
 			e.dropIdler(next.ref)
-		}
-		e.recycle(next.ref)
-		if ev.dead {
-			e.dead--
-			continue
-		}
-		if !ev.idle {
+		} else {
 			e.busy--
 		}
+		e.recycle(next.ref)
 		e.now = next.at
 		e.fired++
 		ev.fn(ev.arg)
@@ -371,8 +337,8 @@ func (e *Engine) RunUntil(limit Time) Time {
 // under a nanosecond per event.
 const yieldEvery = 256
 
-// Idle reports whether the run is quiescent: every queued event is a
-// cancelled one or an idle timer whose owner reports no pending work.
+// Idle reports whether the run is quiescent: every queued event is an
+// idle timer whose owner reports no pending work.
 // Blocked processes may still exist; with no busy event left they can
 // never resume, so the simulation is complete (or deadlocked — see
 // BlockedProcs). The test costs nothing while any busy event is queued;
