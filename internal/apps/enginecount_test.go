@@ -10,16 +10,18 @@ import (
 // The engine's event and switch counts over a small web request path
 // are exact, so they pin every event the run schedules: a change to the
 // engine or to a transport's hot path that adds, drops or reorders an
-// event moves them even when no printed figure moves. The shape is the
-// benchmark's web workload, scaled down: 4 clients × 50 HTTP/1.0
+// event moves them even when no printed figure moves. The park count
+// (coroutine resumes) pins how many of the switches leave the event
+// loop for a proc's stack, which only the engine decides. The shape is
+// the benchmark's web workload, scaled down: 4 clients × 50 HTTP/1.0
 // requests, 4 workers on 4 cores, 50 µs of service time.
 func TestWebEngineCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
-		tr               cluster.Transport
-		events, switches int64
+		tr                      cluster.Transport
+		events, switches, parks int64
 	}{
-		{cluster.TransportTCP, 11424, 4820},
-		{cluster.TransportSubstrate, 154343, 73182},
+		{cluster.TransportTCP, 11424, 4820, 2974},
+		{cluster.TransportSubstrate, 154343, 73182, 56968},
 	} {
 		cfg := WebConfig{
 			ResponseBytes:     1024,
@@ -37,6 +39,9 @@ func TestWebEngineCountsPinned(t *testing.T) {
 		}
 		if ev, sw := c.Eng.Events(), c.Eng.Switches(); ev != tc.events || sw != tc.switches {
 			t.Errorf("%v: %d events and %d switches, want %d and %d", tc.tr, ev, sw, tc.events, tc.switches)
+		}
+		if pk := c.Eng.Parks(); pk != tc.parks {
+			t.Errorf("%v: %d parks, want %d", tc.tr, pk, tc.parks)
 		}
 	}
 }

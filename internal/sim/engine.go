@@ -112,6 +112,7 @@ type Engine struct {
 	wakeups  int64 // processes resumed from wait queues (herd diagnostics)
 	fired    int64 // events fired
 	switches int64 // proc steps
+	parks    int64 // coroutine resumes
 	inPlace  int64 // wakeups taken in place (see AdvanceInPlace)
 }
 
@@ -128,6 +129,12 @@ func (e *Engine) Events() int64 { return e.fired }
 // Switches reports how many times a process has been stepped (started or
 // resumed) since the engine was created.
 func (e *Engine) Switches() int64 { return e.switches }
+
+// Parks reports how many times a process's coroutine has been resumed:
+// the switches that left the event loop for the process's own stack.
+// A step taken without one (see AdvanceInPlace) counts as a switch but
+// not as a park.
+func (e *Engine) Parks() int64 { return e.parks }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {

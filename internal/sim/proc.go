@@ -80,6 +80,7 @@ func (e *Engine) step(p *Proc) {
 	prev := e.cur
 	e.cur = p
 	e.switches++
+	e.parks++
 	p.next()
 	e.cur = prev
 }
