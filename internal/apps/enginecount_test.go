@@ -20,8 +20,8 @@ func TestWebEngineCountsPinned(t *testing.T) {
 		tr                      cluster.Transport
 		events, switches, parks int64
 	}{
-		{cluster.TransportTCP, 11424, 4820, 2974},
-		{cluster.TransportSubstrate, 154343, 73182, 56968},
+		{cluster.TransportTCP, 11424, 4820, 2278},
+		{cluster.TransportSubstrate, 154343, 73182, 32644},
 	} {
 		cfg := WebConfig{
 			ResponseBytes:     1024,

@@ -36,7 +36,7 @@ func sleeper(n int) func(p *Proc) {
 
 // BenchmarkProcContextSwitch measures a sleep that parks: two sleepers
 // run half a period apart, so each wakeup finds the other's queued
-// before it.
+// before it, and the sleeper must park rather than fire that step.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -51,6 +51,26 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 func BenchmarkSleepInPlace(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
+	e.Spawn("sleeper", sleeper(b.N))
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSleepBehindEvent measures a sleep with one plain event
+// queued ahead of its wakeup: a ticker half a period out of phase
+// re-arms itself every 10 ns, and the sleeper fires each tick on its
+// own stack before it takes its wakeup, without parking.
+func BenchmarkSleepBehindEvent(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	end := Time(10 * b.N)
+	var tick func(any)
+	tick = func(any) {
+		if e.Now() < end {
+			e.AtArg(e.Now().Add(10), tick, nil)
+		}
+	}
+	e.AtArg(5, tick, nil)
 	e.Spawn("sleeper", sleeper(b.N))
 	b.ResetTimer()
 	e.Run()

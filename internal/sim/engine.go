@@ -10,11 +10,12 @@ import (
 // fired or cancelled; gen counts the recycles, so a handle taken before
 // one no longer matches the slot.
 type event struct {
-	fn   func(any)
-	arg  any
-	gen  uint64
-	pos  int32 // the index of the event's entry in the heap
-	idle bool  // an idle timer (see Proc.SleepIdle), not a busy event
+	fn    func(any)
+	arg   any
+	gen   uint64
+	pos   int32 // the index of the event's entry in the heap
+	idle  bool  // an idle timer (see Proc.SleepIdle), not a busy event
+	steps bool  // steps the *Proc in arg (see atStep); a plain event if false
 }
 
 // call is the fn of an event scheduled with At: its arg is the func().
@@ -101,6 +102,8 @@ type Engine struct {
 	running bool
 
 	cur      *Proc // process currently executing, nil while in the event loop
+	waiting  *Proc // blocked process firing the events ahead of its wakeup
+	fault    any   // what an event fired by waiting raised, for step to raise again
 	liveProc int   // spawned but not yet finished processes
 	procs    []*Proc
 
@@ -108,6 +111,8 @@ type Engine struct {
 	rand     *Rand
 	deadline Time
 	limit    Time // the running RunUntil's limit
+	yields   bool // the running RunUntil yields its thread (GOMAXPROCS=1)
+	toYield  int  // events left to fire before the next yield
 
 	wakeups  int64 // processes resumed from wait queues (herd diagnostics)
 	fired    int64 // events fired
@@ -201,10 +206,21 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
 	return Event{eng: e, ref: ref, gen: e.slots[ref].gen}
 }
 
-// atIdle queues fn(arg) at t as an idle timer whose owner reports
+// atStep schedules fn(p), an event that steps p, like AtArg. A blocked
+// process fires the plain events queued ahead of its wakeup itself, but
+// never one marked this way for another process (see Proc.yield).
+func (e *Engine) atStep(t Time, fn func(any), p *Proc) Event {
+	h := e.AtArg(t, fn, p)
+	e.slots[h.ref].steps = true
+	return h
+}
+
+// atIdle schedules p's resume at t as an idle timer whose owner reports
 // pending work through pending.
-func (e *Engine) atIdle(t Time, fn func(any), arg any, pending func() bool) {
-	e.idlers = append(e.idlers, idler{e.schedule(t, fn, arg, true), pending})
+func (e *Engine) atIdle(t Time, p *Proc, pending func() bool) {
+	ref := e.schedule(t, resume, p, true)
+	e.slots[ref].steps = true
+	e.idlers = append(e.idlers, idler{ref, pending})
 }
 
 // schedule queues fn(arg) at t in a free slot and returns the slot. Busy
@@ -253,7 +269,7 @@ func (e *Engine) remove(i int) {
 // generation bump disarms every handle to the event it held.
 func (e *Engine) recycle(ref int32) {
 	ev := &e.slots[ref]
-	ev.fn, ev.arg, ev.idle = nil, nil, false
+	ev.fn, ev.arg, ev.idle, ev.steps = nil, nil, false, false
 	ev.gen++
 	e.free = append(e.free, ref)
 }
@@ -315,16 +331,36 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	e.limit = limit
 	defer func() { e.running = false }()
-	yield := runtime.GOMAXPROCS(0) == 1
-	for n := 1; len(e.events) > 0; n++ {
-		if yield && n%yieldEvery == 0 {
-			runtime.Gosched()
-		}
+	e.yields, e.toYield = runtime.GOMAXPROCS(0) == 1, yieldEvery
+	e.drain(nil)
+	return e.now
+}
+
+// drain fires the queue's head events in (at, seq) order for as long as
+// each may fire: it lies within the running RunUntil's limit, and the
+// run is not quiescent. RunUntil drains with p nil. A blocked process p
+// drains on its own stack (see fireAhead): it stops before an event
+// that steps another process, and right after the one that steps p,
+// reporting true. Both count toward the next yield of the thread.
+func (e *Engine) drain(p *Proc) (woke bool) {
+	for len(e.events) > 0 {
 		next := e.events[0]
-		if next.at > limit || e.busy == 0 && e.Idle() {
+		if next.at > e.limit || e.busy == 0 && !e.idleWork() {
 			break
 		}
 		ev := e.slots[next.ref]
+		if p != nil && ev.steps {
+			if ev.arg != any(p) {
+				break
+			}
+			woke = true
+		}
+		if e.yields {
+			if e.toYield--; e.toYield == 0 {
+				e.toYield = yieldEvery
+				runtime.Gosched()
+			}
+		}
 		e.remove(0)
 		if ev.idle {
 			e.dropIdler(next.ref)
@@ -335,8 +371,48 @@ func (e *Engine) RunUntil(limit Time) Time {
 		e.now = next.at
 		e.fired++
 		ev.fn(ev.arg)
+		if woke {
+			break
+		}
 	}
-	return e.now
+	return woke
+}
+
+// fireAhead drains the queue on the blocked process p's own stack, and
+// reports whether p's own wakeup came up: the event that steps p then
+// runs too, and p carries on without a coroutine switch. It stops,
+// reporting false, wherever RunUntil's loop would carry on without p:
+// at an event that steps another process, past the limit, or at
+// quiescence. The events run with no current process, as they would
+// from RunUntil, so one that blocks still panics. Firing an event ahead
+// of p's wakeup rather than after p parks changes no event's instant or
+// order: every event fires in (at, seq) order either way.
+//
+// An event fired here that panics or calls runtime.Goexit must not
+// unwind p's body, whose defers would run as if p had failed. fireAhead
+// keeps what the event raised and parks p, and step raises it again
+// from the event loop: the panic leaves Run with its value, and p stays
+// blocked as if the event had fired after p parked. A later run that
+// steps p resumes it from its wakeup.
+func (e *Engine) fireAhead(p *Proc) (woke bool) {
+	e.cur, e.waiting = nil, p
+	clean := false
+	defer func() {
+		e.waiting = nil
+		if !clean {
+			if e.fault = recover(); e.fault == nil {
+				e.fault = goexit{}
+			}
+			p.park(struct{}{})
+			woke = true
+		}
+	}()
+	woke = e.drain(p)
+	clean = true
+	if woke {
+		e.cur = p
+	}
+	return woke
 }
 
 // yieldEvery is how many events a run on one processor fires between

@@ -9,16 +9,20 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"runtime"
 )
 
 // Proc is a simulated process: an iter.Pull coroutine that runs under the
 // engine's run-to-yield discipline. Exactly one Proc executes at a time; a
 // Proc gives up control only by calling a blocking primitive (Sleep, Wait
 // on a queue, Get/Put on a FIFO, ...). Model code inside a Proc therefore
-// never races with other model code.
+// never races with other model code. A blocked Proc first fires the
+// plain events queued ahead of its wakeup on its own stack, and parks
+// only when the event loop must go on without it (see yield).
 type Proc struct {
 	eng  *Engine
 	name string
+	body func(p *Proc)           // the body, until its first step
 	next func() (struct{}, bool) // resumes the body; nil once done
 	park func(struct{}) bool     // suspends the body; nil once done
 	done bool
@@ -34,7 +38,7 @@ type Proc struct {
 // between it and other events. The coroutine itself is created at that
 // first step, so building a model that spawns many processes stays cheap.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := &Proc{eng: e, name: name, body: body}
 	e.liveProc++
 	e.procs = append(e.procs, p)
 	if len(e.procs) > 64 && len(e.procs) > 4*e.liveProc {
@@ -47,17 +51,27 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		}
 		e.procs = live
 	}
-	e.After(0, func() {
-		// stop is unused: a proc still parked when its run ends stays
-		// parked.
-		p.next, _ = iter.Pull(func(park func(struct{}) bool) {
-			p.park = park
-			defer p.finish()
-			body(p)
-		})
-		e.step(p)
-	})
+	e.atStep(e.now, start, p)
 	return p
+}
+
+// start is the fn of a proc's first step, whose arg is the *Proc: it
+// creates the coroutine and steps it.
+func start(a any) {
+	p := a.(*Proc)
+	// stop is unused: a proc still parked when its run ends stays parked.
+	p.next, _ = iter.Pull(p.run)
+	p.eng.step(p)
+}
+
+// run is the coroutine's function. It takes the body out of p, so a
+// finished proc that is still referenced pins nothing the body captured.
+func (p *Proc) run(park func(struct{}) bool) {
+	p.park = park
+	defer p.finish()
+	body := p.body
+	p.body = nil
+	body(p)
 }
 
 // finish runs deferred at the end of p's body, inside the coroutine, also
@@ -72,18 +86,35 @@ func (p *Proc) finish() {
 }
 
 // step transfers control to p and returns when p yields or finishes.
-// It must be called only from the engine's event loop context.
+// It must be called only from an event. When p itself fired the event
+// while blocked (see yield), p takes the step on its own stack once the
+// event returns, and the switch needs no coroutine resume. Otherwise the
+// event runs from RunUntil's loop, and a panic that p kept from an event
+// it fired before parking is raised again here.
 func (e *Engine) step(p *Proc) {
 	if p.done {
 		return
 	}
-	prev := e.cur
-	e.cur = p
 	e.switches++
+	if p == e.waiting {
+		return
+	}
+	e.cur = p
 	e.parks++
 	p.next()
-	e.cur = prev
+	e.cur = nil
+	if f := e.fault; f != nil {
+		e.fault = nil
+		if f == (goexit{}) {
+			runtime.Goexit()
+		}
+		panic(f)
+	}
 }
+
+// goexit stands in e.fault for a runtime.Goexit (a t.FailNow, say)
+// called by an event that a blocked proc fired.
+type goexit struct{}
 
 // resume is the fn of every event that wakes a parked process; its arg is
 // the *Proc, so a wakeup allocates nothing.
@@ -92,9 +123,18 @@ func resume(a any) {
 	p.eng.step(p)
 }
 
-// yield parks the calling process until the engine steps it again.
-// Must be called from p's own body.
-func (p *Proc) yield() { p.park(struct{}{}) }
+// yield blocks the calling process until the engine steps it again.
+// Must be called from p's own body, with p's wakeup, if it has one,
+// already queued. p first fires the plain events queued ahead of that
+// wakeup itself (Engine.fireAhead), and if the wakeup comes up, p
+// carries on without parking: the coroutine switch to the event loop
+// and back would change nothing but the host time spent. A step counts
+// as a switch either way.
+func (p *Proc) yield() {
+	if !p.eng.fireAhead(p) {
+		p.park(struct{}{})
+	}
+}
 
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
@@ -121,7 +161,7 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	p.blockedOn = "sleep"
-	e.AtArg(at, resume, p)
+	e.atStep(at, resume, p)
 	p.yield()
 	p.blockedOn = ""
 }
@@ -136,7 +176,7 @@ func (p *Proc) Sleep(d Duration) {
 func (p *Proc) SleepIdle(d Duration, pending func() bool) {
 	p.checkCurrent("SleepIdle")
 	p.blockedOn = "sleep"
-	p.eng.atIdle(p.eng.now.Add(max(d, 0)), resume, p, pending)
+	p.eng.atIdle(p.eng.now.Add(max(d, 0)), p, pending)
 	p.yield()
 	p.blockedOn = ""
 }

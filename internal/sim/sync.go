@@ -48,7 +48,7 @@ func (w *WaitQueue) Wait(p *Proc) {
 // It reports whether the process was woken (true) or timed out (false).
 func (w *WaitQueue) WaitTimeout(p *Proc, d Duration) bool {
 	p.checkCurrent("WaitQueue.WaitTimeout")
-	w.park(p, w.eng.AtArg(w.eng.now.Add(max(d, 0)), timeOut, p))
+	w.park(p, w.eng.atStep(w.eng.now.Add(max(d, 0)), timeOut, p))
 	p.w.wq = w
 	p.yield()
 	p.w.wq = nil // keep no finished wait's queue, or its owner, reachable
@@ -86,7 +86,7 @@ func (w *WaitQueue) WakeOne() bool {
 	p := w.waiters.Pop()
 	p.w.timeout.Cancel()
 	w.eng.wakeups++
-	w.eng.AtArg(w.eng.now, resume, p)
+	w.eng.atStep(w.eng.now, resume, p)
 	return true
 }
 

@@ -91,16 +91,71 @@ func SizeClass(n int) string {
 // end-to-end sum exactly. A span with fewer than two marks records
 // nothing.
 func (r *Registry) RecordSpan(s *Span) {
-	if len(s.Marks) < 2 {
+	n := len(s.Marks)
+	if n < 2 {
 		return
 	}
-	k := spanKey{path: s.Path, class: SizeClass(s.Size)}
-	for i := 1; i < len(s.Marks); i++ {
-		k.from, k.to = s.Marks[i-1].Name, s.Marks[i].Name
-		r.spanHist(k).ObserveDuration(s.Marks[i].At.Sub(s.Marks[i-1].At))
+	rt := r.spanRoute(s.Path, SizeClass(s.Size))
+	if !rt.follows(s.Marks) {
+		r.reroute(rt, s.Marks)
+	}
+	for i := 1; i < n; i++ {
+		rt.hists[i-1].ObserveDuration(s.Marks[i].At.Sub(s.Marks[i-1].At))
+	}
+	rt.hists[n-1].ObserveDuration(s.Marks[n-1].At.Sub(s.Marks[0].At))
+}
+
+// spanRoute is RecordSpan's cache for one path and size class: the mark
+// names of the last span recorded there, and the histograms that span
+// fed, one per stage and then the end-to-end one. A span with the same
+// names feeds the same histograms without looking any up; spans of one
+// path and size mostly carry the same marks.
+type spanRoute struct {
+	path, class string
+	names       []string
+	hists       []*Histogram
+}
+
+// spanRoute returns the route cached for path and class, adding an
+// empty one on first use. A registry sees a handful of them, so a scan
+// costs less than hashing the two strings.
+func (r *Registry) spanRoute(path, class string) *spanRoute {
+	for i := range r.spanRoutes {
+		if rt := &r.spanRoutes[i]; rt.path == path && rt.class == class {
+			return rt
+		}
+	}
+	r.spanRoutes = append(r.spanRoutes, spanRoute{path: path, class: class})
+	return &r.spanRoutes[len(r.spanRoutes)-1]
+}
+
+// follows reports whether marks carry the names rt was filled from.
+func (rt *spanRoute) follows(marks []SpanMark) bool {
+	if len(marks) != len(rt.names) {
+		return false
+	}
+	for i, m := range marks {
+		if m.Name != rt.names[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// reroute refills rt from marks through spanHist, which registers any
+// histogram not yet seen, stage by stage and then the end-to-end one.
+func (r *Registry) reroute(rt *spanRoute, marks []SpanMark) {
+	rt.names, rt.hists = rt.names[:0], rt.hists[:0]
+	k := spanKey{path: rt.path, class: rt.class}
+	for i, m := range marks {
+		rt.names = append(rt.names, m.Name)
+		if i > 0 {
+			k.from, k.to = marks[i-1].Name, m.Name
+			rt.hists = append(rt.hists, r.spanHist(k))
+		}
 	}
 	k.from, k.to = "", "e2e"
-	r.spanHist(k).ObserveDuration(s.Marks[len(s.Marks)-1].At.Sub(s.Marks[0].At))
+	rt.hists = append(rt.hists, r.spanHist(k))
 }
 
 // spanKey names a latency histogram RecordSpan feeds: the stage between
@@ -108,7 +163,7 @@ func (r *Registry) RecordSpan(s *Span) {
 type spanKey struct{ path, class, from, to string }
 
 // spanHist returns k's histogram, registering it under its "latency"
-// name on first use; later spans find it without building the name.
+// name on first use; later lookups find it without building the name.
 func (r *Registry) spanHist(k spanKey) *Histogram {
 	h := r.spanHists[k]
 	if h == nil {

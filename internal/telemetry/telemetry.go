@@ -100,7 +100,8 @@ type Registry struct {
 	hists    map[Key]*Histogram
 	sources  []source
 
-	spanHists map[spanKey]*Histogram // RecordSpan's view of hists; made on first use
+	spanHists  map[spanKey]*Histogram // RecordSpan's view of hists; made on first use
+	spanRoutes []spanRoute            // RecordSpan's cache, per path and size class
 
 	flights map[string]*Recorder
 	// oldest and newest end the live recorders' recency list; the oldest

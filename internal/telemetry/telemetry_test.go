@@ -329,6 +329,60 @@ func TestRecordSpanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// RecordSpan's cached route feeds exactly the histograms a by-name
+// lookup picks while one path and size class alternate between mark
+// sequences: an eager message that waited in the unexpected queue
+// carries a uq mark, one that met a posted receive does not, and a third
+// sequence has the direct one's length but not its names. A span of
+// another size class in between keeps to its own histograms.
+func TestRecordSpanRouteMatchesByNameLookup(t *testing.T) {
+	r := New()
+	seqs := [][]string{
+		{"write", "post", "wire", "match", "uq", "deliver", "stage", "read"},
+		{"write", "post", "wire", "match", "deliver", "stage", "read"},
+		{"write", "post", "wire", "match", "uq", "deliver", "read"},
+	}
+	for i := 0; i < 7; i++ {
+		names, size := seqs[i%3], 64
+		if i == 3 {
+			size = 4096
+		}
+		s := r.NewSpan("eager", size, names[0], 0)
+		for j, name := range names[1:] {
+			s.Mark(name, sim.Time((j+1)*(j+i+2)))
+		}
+		type state struct {
+			count int64
+			sum   float64
+		}
+		before := map[*Histogram]state{}
+		for _, h := range r.hists {
+			before[h] = state{h.Count(), h.Sum()}
+		}
+		r.RecordSpan(s)
+		want := map[*Histogram]state{}
+		k := spanKey{path: "eager", class: SizeClass(size)}
+		for j := 1; j < len(names); j++ {
+			k.from, k.to = names[j-1], names[j]
+			want[r.spanHist(k)] = state{1, float64(s.Marks[j].At - s.Marks[j-1].At)}
+		}
+		k.from, k.to = "", "e2e"
+		want[r.spanHist(k)] = state{1, float64(s.Marks[len(names)-1].At)}
+		for key, h := range r.hists {
+			b, d := before[h], want[h]
+			if h.Count() != b.count+d.count || h.Sum() != b.sum+d.sum {
+				t.Fatalf("span %d (%d marks): %s holds %d observations summing to %v, want %d and %v",
+					i, len(names), key.Metric, h.Count(), h.Sum(), b.count+d.count, b.sum+d.sum)
+			}
+		}
+	}
+	// 64 B: the 9 distinct stages of the three sequences and e2e; 16 KB:
+	// the uq sequence's 7 stages and e2e.
+	if n := len(r.hists); n != 10+8 {
+		t.Fatalf("%d histograms registered, want 18", n)
+	}
+}
+
 func TestDumpCapture(t *testing.T) {
 	r := New()
 	r.Flight("x").Record(10, "connect", "ok")
