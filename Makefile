@@ -79,7 +79,10 @@ examples:
 
 # verify is the full pre-merge chain: the gofmt check, build, the
 # golden tests (a few seconds, so a drifted golden fails before the long
-# legs), vet, the race-enabled test suite, vet and short tests of the nested benchmark
+# legs), vet, the race-enabled test suite (which includes the root
+# TestExportedSurface guard: every exported internal/ identifier has a
+# non-test caller outside its package, and every profile symbol that
+# benchmark/ names by string resolves), vet and short tests of the nested benchmark
 # module (outside the root module's ./..., so a renamed telemetry key
 # or API it reads is caught here), the connscale demux regression gate
 # (1024-conn all-active per-dispatch lookup cost must stay within a

@@ -168,30 +168,6 @@ func TestMatmulComputeScalesCubically(t *testing.T) {
 	}
 }
 
-func TestWebFileBackedResponses(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Credits = 4
-	cfg := DefaultWebConfig(16<<10, 1)
-	cfg.FileBacked = true
-	c := cluster.NewSubstrate(4, &opts)
-	res := RunWeb(c, cfg)
-	if res.Err != nil {
-		t.Fatalf("file-backed web: %v", res.Err)
-	}
-	if res.Requests != 72 {
-		t.Fatalf("completed %d requests", res.Requests)
-	}
-	// Every response read the file from the RAM disk.
-	if c.Nodes[0].FS.Reads.Value < 72 {
-		t.Fatalf("server did only %d file reads for 72 responses", c.Nodes[0].FS.Reads.Value)
-	}
-	// File-backed responses cost more than in-memory ones.
-	mem := RunWeb(cluster.NewSubstrate(4, &opts), DefaultWebConfig(16<<10, 1))
-	if res.AvgResponse <= mem.AvgResponse {
-		t.Fatalf("file-backed (%v) should cost more than in-memory (%v)", res.AvgResponse, mem.AvgResponse)
-	}
-}
-
 func TestFTPUpload(t *testing.T) {
 	for name, build := range allTransports() {
 		t.Run(name, func(t *testing.T) {
@@ -201,11 +177,11 @@ func TestFTPUpload(t *testing.T) {
 			var res FTPResult
 			var srvErr error
 			c.Eng.Spawn("server", func(p *sim.Proc) {
-				srvErr = FTPServer(p, c.Nodes[0], 21, 1)
+				srvErr = ftpServer(p, c.Nodes[0], 21, 1)
 			})
 			c.Eng.Spawn("client", func(p *sim.Proc) {
 				p.Sleep(20 * sim.Microsecond)
-				res = FTPPut(p, c.Nodes[1], c.Addr(0), 21, "local.bin", "stored.bin", 5001)
+				res = ftpPut(p, c.Nodes[1], c.Addr(0), 21, "local.bin", "stored.bin", 5001)
 			})
 			c.Run(120 * sim.Second)
 			if res.Err != nil || srvErr != nil {
@@ -225,7 +201,7 @@ func TestFTPUploadMissingLocalFile(t *testing.T) {
 	c := cluster.NewSubstrate(2, nil)
 	var res FTPResult
 	c.Eng.Spawn("client", func(p *sim.Proc) {
-		res = FTPPut(p, c.Nodes[1], c.Addr(0), 21, "ghost.bin", "x", 5001)
+		res = ftpPut(p, c.Nodes[1], c.Addr(0), 21, "ghost.bin", "x", 5001)
 	})
 	c.Run(sim.Second)
 	if res.Err == nil {

@@ -52,9 +52,9 @@ func (r FTPResult) Mbps() float64 {
 	return float64(r.Bytes) * 8 / r.Elapsed.Seconds() / 1e6
 }
 
-// FTPServer serves `transfers` retrieve requests on ctrlPort, then
+// ftpServer serves `transfers` retrieve requests on ctrlPort, then
 // returns. It runs entirely through the node's descriptor space.
-func FTPServer(p *sim.Proc, node *cluster.Node, ctrlPort, transfers int) error {
+func ftpServer(p *sim.Proc, node *cluster.Node, ctrlPort, transfers int) error {
 	fd := node.FD
 	lfd, err := fd.Listen(p, ctrlPort, 8)
 	if err != nil {
@@ -163,9 +163,9 @@ func ftpRecvFile(p *sim.Proc, node *cluster.Node, req *ftpRequest) error {
 	return nil
 }
 
-// FTPPut uploads localName from the client's RAM disk to name on the
+// ftpPut uploads localName from the client's RAM disk to name on the
 // server and reports the transfer.
-func FTPPut(p *sim.Proc, node *cluster.Node, server sock.Addr, ctrlPort int, localName, name string, dataPort int) FTPResult {
+func ftpPut(p *sim.Proc, node *cluster.Node, server sock.Addr, ctrlPort int, localName, name string, dataPort int) FTPResult {
 	fd := node.FD
 	size, ok := node.FS.Stat(localName)
 	if !ok {
@@ -280,7 +280,7 @@ func RunFTP(c *cluster.Cluster, fileSize int) FTPResult {
 	var res FTPResult
 	var srvErr error
 	c.Eng.Spawn("ftp-server", func(p *sim.Proc) {
-		srvErr = FTPServer(p, c.Nodes[0], ctrlPort, 1)
+		srvErr = ftpServer(p, c.Nodes[0], ctrlPort, 1)
 	})
 	c.Eng.Spawn("ftp-client", func(p *sim.Proc) {
 		p.Sleep(20 * sim.Microsecond)

@@ -32,8 +32,8 @@ func setNoDelay(c sock.Conn) {
 	}
 }
 
-// MatmulResult reports one run.
-type MatmulResult struct {
+// matmulResult reports one run.
+type matmulResult struct {
 	N       int
 	Elapsed sim.Duration
 	Err     error
@@ -144,11 +144,11 @@ func matmulMaster(p *sim.Proc, node *cluster.Node, port, n, workers int) (sim.Du
 
 // RunMatmul runs one N x N multiplication on the cluster (node 0 is the
 // master; the paper uses 4 nodes).
-func RunMatmul(c *cluster.Cluster, n int) MatmulResult {
+func RunMatmul(c *cluster.Cluster, n int) matmulResult {
 	const port = 9000
 	workers := len(c.Nodes) - 1
 	if workers < 1 {
-		return MatmulResult{N: n, Err: fmt.Errorf("matmul: need at least 2 nodes")}
+		return matmulResult{N: n, Err: fmt.Errorf("matmul: need at least 2 nodes")}
 	}
 	var elapsed sim.Duration
 	var masterErr error
@@ -164,7 +164,7 @@ func RunMatmul(c *cluster.Cluster, n int) MatmulResult {
 		})
 	}
 	c.Run(cluster.RunLimit)
-	res := MatmulResult{N: n, Elapsed: elapsed, Err: masterErr}
+	res := matmulResult{N: n, Elapsed: elapsed, Err: masterErr}
 	for _, e := range workerErrs {
 		if res.Err == nil && e != nil {
 			res.Err = e

@@ -32,12 +32,6 @@ type WebConfig struct {
 	RequestsPerClient int
 	// Port is the server's listen port.
 	Port int
-	// FileBacked makes the server open and read the requested file
-	// from its RAM disk for every response instead of answering from
-	// memory — the paper describes the request as "typically a file
-	// name". Responses then pay file-system overhead through the
-	// fd-tracking layer like the FTP experiment.
-	FileBacked bool
 	// Sessions runs every connection through the self-healing session
 	// layer: transports that die mid-request are redialed (failing over
 	// from the substrate to kernel TCP on Failover clusters) and the
@@ -115,33 +109,29 @@ func webServer(p *sim.Proc, node *cluster.Node, cfg WebConfig, conns int, listen
 	if conns == 0 {
 		perConn = 0
 	}
-	return forkServe(p, l, conns, "web", webHandle(node, cfg, perConn))
+	return forkServe(p, l, conns, "web", webHandle(cfg, perConn))
 }
 
 // webHandle serves one connection: every 16-byte request gets one
 // response, until the client closes or, with perConn > 0, perConn
 // responses have been sent.
-func webHandle(node *cluster.Node, cfg WebConfig, perConn int) func(hp *sim.Proc, c sock.Conn) {
+func webHandle(cfg WebConfig, perConn int) func(hp *sim.Proc, c sock.Conn) {
 	return func(hp *sim.Proc, c sock.Conn) {
 		for k := 0; perConn == 0 || k < perConn; k++ {
 			n, _, err := sock.ReadFull(hp, c, webRequestBytes)
 			if err != nil || n < webRequestBytes {
 				return // client closed the keep-alive connection early, or the session detached
 			}
-			if webRespond(hp, node, cfg, c) != nil {
+			if webRespond(hp, cfg, c) != nil {
 				return
 			}
 		}
 	}
 }
 
-// webRespond answers one request: S bytes from memory or, with
-// FileBacked, the requested file from the node's RAM disk.
-func webRespond(p *sim.Proc, node *cluster.Node, cfg WebConfig, c sock.Conn) error {
+// webRespond answers one request with S bytes from memory.
+func webRespond(p *sim.Proc, cfg WebConfig, c sock.Conn) error {
 	return respond(p, c, func() error {
-		if cfg.FileBacked {
-			return serveFile(p, node, c, "index.html")
-		}
 		_, err := c.Write(p, cfg.ResponseBytes, "response")
 		return err
 	})
@@ -202,9 +192,6 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 	if cfg.Sessions {
 		listen = sessionListen(c, 0, "web")
 	}
-	if cfg.FileBacked {
-		c.Nodes[0].FS.Create("index.html", cfg.ResponseBytes, "document")
-	}
 	// Under a restart plan the server is the node's bootstrap: a
 	// restarted host re-listens and resumes committed sessions, and
 	// completion is measured by the clients' exact request count.
@@ -253,27 +240,4 @@ func RunWeb(c *cluster.Cluster, cfg WebConfig) WebResult {
 		res.Err = fmt.Errorf("web: completed %d of %d requests", res.Requests, total)
 	}
 	return res
-}
-
-// serveFile streams one RAM-disk file onto the connection through the
-// fd-tracking layer (file read and socket write via the same generic
-// calls).
-func serveFile(p *sim.Proc, node *cluster.Node, c sock.Conn, name string) error {
-	h, err := node.FS.Open(p, name)
-	if err != nil {
-		return err
-	}
-	defer h.Close(p)
-	for {
-		n, obj, err := h.Read(p, 64<<10)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
-		}
-		if _, err := c.Write(p, n, obj); err != nil {
-			return err
-		}
-	}
 }

@@ -169,7 +169,7 @@ func webServerWorkers(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if webRespond(wp, node, cfg, st.c) != nil {
+			if webRespond(wp, cfg, st.c) != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}

@@ -45,19 +45,6 @@ func TestWebWorkerPoolKeepAlive(t *testing.T) {
 	}
 }
 
-func TestWebWorkerPoolFileBacked(t *testing.T) {
-	cfg := DefaultWebConfig(8192, 1)
-	cfg.Workers = 2
-	cfg.FileBacked = true
-	res := RunWeb(workerCluster(cluster.TransportSubstrate, 4, 4), cfg)
-	if res.Err != nil {
-		t.Fatalf("worker-pool file-backed web: %v", res.Err)
-	}
-	if res.Requests != 72 {
-		t.Fatalf("completed %d of 72 requests", res.Requests)
-	}
-}
-
 func TestKVWorkerPoolCompletes(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportTCP, cluster.TransportSubstrate} {
 		for _, workers := range []int{1, 4} {

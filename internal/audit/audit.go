@@ -20,8 +20,8 @@ import (
 	"repro/internal/cluster"
 )
 
-// Finding is one invariant violation on one node.
-type Finding struct {
+// finding is one invariant violation on one node.
+type finding struct {
 	// Node is the index of the offending node in the cluster.
 	Node int
 	// Kind is a short machine-matchable class, e.g. "orphan-descriptor",
@@ -31,13 +31,13 @@ type Finding struct {
 	Detail string
 }
 
-func (f Finding) String() string {
+func (f finding) String() string {
 	return fmt.Sprintf("node %d: %s: %s", f.Node, f.Kind, f.Detail)
 }
 
 // Report is the result of one audit pass.
 type Report struct {
-	Findings []Finding
+	Findings []finding
 }
 
 // Clean reports whether the audit found nothing.
@@ -64,7 +64,7 @@ func Cluster(c *cluster.Cluster) *Report {
 	r := &Report{}
 	for i, n := range c.Nodes {
 		add := func(kind, detail string) {
-			r.Findings = append(r.Findings, Finding{Node: i, Kind: kind, Detail: detail})
+			r.Findings = append(r.Findings, finding{Node: i, Kind: kind, Detail: detail})
 		}
 		if n.Sub != nil {
 			n.Sub.AuditResources(add)

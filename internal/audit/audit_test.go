@@ -74,7 +74,7 @@ func TestSurvivesKilledNode(t *testing.T) {
 	c := cluster.NewSubstrate(3, nil)
 	c.Eng.Spawn("killer", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
-		c.Kill(1)
+		c.Nodes[1].Sub.Kill()
 	})
 	c.Run(sim.Second)
 	for _, n := range c.Nodes {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tcpip"
 )
 
-// AblationCommThread quantifies the rejected separate-communication-
+// ablationCommThread quantifies the rejected separate-communication-
 // thread alternative of Section 5.2: the paper measured ~20 us of
 // thread-synchronization cost per message, which is why the design was
 // dropped.
-func AblationCommThread() Figure {
+func ablationCommThread() Figure {
 	withThread := core.DefaultOptions()
 	withThread.CommThread = true
 	return sweep(Figure{
@@ -26,11 +26,11 @@ func AblationCommThread() Figure {
 		on("comm thread", substrate(2, &withThread), latency))
 }
 
-// AblationRendezvous compares the Section 5.2 rendezvous alternative
+// ablationRendezvous compares the Section 5.2 rendezvous alternative
 // against eager delivery for small messages: the extra synchronization
 // round trip roughly triples small-message latency, which is why
 // rendezvous is reserved for large Datagram transfers.
-func AblationRendezvous() Figure {
+func ablationRendezvous() Figure {
 	forced := core.DatagramOptions()
 	forced.ForceRendezvous = true
 	return sweep(Figure{
@@ -44,11 +44,11 @@ func AblationRendezvous() Figure {
 		on("rendezvous", substrate(2, &forced), latency))
 }
 
-// AblationPiggyback isolates the piggybacked-acknowledgment
+// ablationPiggyback isolates the piggybacked-acknowledgment
 // optimization of Section 6.1 under a bidirectional request/response
 // load, where returning credits on data messages eliminates explicit
 // ack traffic entirely.
-func AblationPiggyback() Figure {
+func ablationPiggyback() Figure {
 	// With delayed acks the receiver accumulates credit returns below
 	// the explicit-ack threshold; piggybacking lets the next outgoing
 	// data message carry them, so explicit acks all but disappear in a
@@ -71,11 +71,11 @@ func AblationPiggyback() Figure {
 		on("piggyback off", substrate(2, &noPiggy), explicitAcks))
 }
 
-// AblationTCPBuffers sweeps the kernel socket buffer size, reproducing
+// ablationTCPBuffers sweeps the kernel socket buffer size, reproducing
 // the paper's observation that enlarging the default 16 KB buffers
 // lifts TCP from ~340 to ~550 Mbps, after which more space does not
 // help (the CPU becomes the bottleneck).
-func AblationTCPBuffers() Figure {
+func ablationTCPBuffers() Figure {
 	return sweep(Figure{
 		ID:        "ablation-tcpbuf",
 		Title:     "TCP bandwidth vs socket buffer size",
@@ -91,12 +91,12 @@ func AblationTCPBuffers() Figure {
 		}})
 }
 
-// AblationJumboFrames measures the EMP-lineage extensions: 9000-byte
+// ablationJumboFrames measures the EMP-lineage extensions: 9000-byte
 // jumbo frames (the EMP paper reports ~964 Mbps with them) and
 // splitting receive processing across both Tigon2 CPUs (the companion
 // IPDPS'02 study). Both attack the per-frame receive-processing cost
 // that caps standard-frame EMP in the mid-800s.
-func AblationJumboFrames() Figure {
+func ablationJumboFrames() Figure {
 	jumbo := func(name string, mtu, cpus int) curve {
 		nicCfg := nic.DefaultConfig()
 		nicCfg.MTU = mtu
@@ -118,11 +118,11 @@ func AblationJumboFrames() Figure {
 		jumbo("9000B, 2 rx cpus", ethernet.JumboMTU, 2))
 }
 
-// AblationCreditVsConnSetup sweeps the credit size under the web
+// ablationCreditVsConnSetup sweeps the credit size under the web
 // workload, reproducing the Section 7.4 trade-off: big credit windows
 // waste connection setup and teardown time on descriptors a
 // one-request connection never uses.
-func AblationCreditVsConnSetup() Figure {
+func ablationCreditVsConnSetup() Figure {
 	return sweep(Figure{
 		ID:        "ablation-credits-web",
 		Title:     "Web response time vs credit size (HTTP/1.0)",

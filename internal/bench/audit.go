@@ -21,8 +21,8 @@ import (
 // descriptor is either used or unposted, extended across connection
 // churn, overload, and teardown.
 
-// AuditRun is one workload execution followed by a full resource audit.
-type AuditRun struct {
+// auditRun is one workload execution followed by a full resource audit.
+type auditRun struct {
 	Workload  string
 	Transport cluster.Transport
 	OK        bool
@@ -53,7 +53,7 @@ func postRunAudit(c *cluster.Cluster) (*audit.Report, []telemetry.Dump) {
 }
 
 // auditAfter runs the post-run audit and fails r on any finding.
-func auditAfter(c *cluster.Cluster, r *AuditRun) {
+func auditAfter(c *cluster.Cluster, r *auditRun) {
 	r.Report, r.FlightDumps = postRunAudit(c)
 	if !r.Report.Clean() {
 		r.OK = false
@@ -63,17 +63,17 @@ func auditAfter(c *cluster.Cluster, r *AuditRun) {
 
 // AuditSweep runs the workload matrix and the overload flood, auditing
 // each cluster at quiescence.
-func AuditSweep(quick bool) []AuditRun {
+func AuditSweep(quick bool) []auditRun {
 	ftpBytes := 4 << 20
 	matN := 128
 	if quick {
 		ftpBytes = 1 << 20
 		matN = 64
 	}
-	var runs []AuditRun
+	var runs []auditRun
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		{
-			r := AuditRun{Workload: "ftp", Transport: tr, OK: true}
+			r := auditRun{Workload: "ftp", Transport: tr, OK: true}
 			c := cluster.New(cluster.Config{Nodes: 2, Transport: tr, Seed: 1})
 			if res := apps.RunFTP(c, ftpBytes); res.Err != nil {
 				r.OK, r.Detail = false, res.Err.Error()
@@ -84,7 +84,7 @@ func AuditSweep(quick bool) []AuditRun {
 			runs = append(runs, r)
 		}
 		{
-			r := AuditRun{Workload: "web", Transport: tr, OK: true}
+			r := auditRun{Workload: "web", Transport: tr, OK: true}
 			c := cluster.New(cluster.Config{Nodes: 4, Transport: tr, Seed: 2})
 			if res := apps.RunWeb(c, apps.DefaultWebConfig(1024, 8)); res.Err != nil {
 				r.OK, r.Detail = false, res.Err.Error()
@@ -95,7 +95,7 @@ func AuditSweep(quick bool) []AuditRun {
 			runs = append(runs, r)
 		}
 		{
-			r := AuditRun{Workload: "matmul", Transport: tr, OK: true}
+			r := auditRun{Workload: "matmul", Transport: tr, OK: true}
 			c := cluster.New(cluster.Config{Nodes: 4, Transport: tr, Seed: 3})
 			if res := apps.RunMatmul(c, matN); res.Err != nil {
 				r.OK, r.Detail = false, res.Err.Error()
@@ -118,8 +118,8 @@ func AuditSweep(quick bool) []AuditRun {
 // is drained while late dialers keep arriving. The drain must terminate
 // within its deadline, every late dial must resolve with a typed
 // refusal, and the post-drain audit must come back clean.
-func auditDrain(tr cluster.Transport, quick bool) AuditRun {
-	r := AuditRun{Workload: "drain", Transport: tr, OK: true}
+func auditDrain(tr cluster.Transport, quick bool) auditRun {
+	r := auditRun{Workload: "drain", Transport: tr, OK: true}
 	conns := 32
 	if quick {
 		conns = 16
@@ -218,8 +218,8 @@ func auditDrain(tr cluster.Transport, quick bool) AuditRun {
 // auditFlood is the overload scenario: 128 synchronous dialers against a
 // backlog-8 listener that never accepts. Every dialer must resolve with
 // a typed error and the flood must leave no trace in any pool.
-func auditFlood() AuditRun {
-	r := AuditRun{Workload: "flood", Transport: cluster.TransportSubstrate, OK: true}
+func auditFlood() auditRun {
+	r := auditRun{Workload: "flood", Transport: cluster.TransportSubstrate, OK: true}
 	opts := core.DefaultOptions()
 	opts.SyncConnect = true
 	opts.DialRetries = 0
@@ -274,7 +274,7 @@ func auditFlood() AuditRun {
 }
 
 // FprintAudit renders the audit-sweep report.
-func FprintAudit(w io.Writer, runs []AuditRun) {
+func FprintAudit(w io.Writer, runs []auditRun) {
 	fmt.Fprintln(w, "=== audit: descriptor-leak sweep across workloads ===")
 	fmt.Fprintf(w, "%-8s  %-10s  %-6s  %s\n", "workload", "transport", "audit", "detail")
 	ok := 0

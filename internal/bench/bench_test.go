@@ -7,11 +7,11 @@ import (
 
 func TestFig11ShapeMatchesPaper(t *testing.T) {
 	fig := Fig11LatencyAlternatives([]int{4, 1024})
-	ds := fig.Value("DS", 4)
-	da := fig.Value("DS_DA", 4)
-	uq := fig.Value("DS_DA_UQ", 4)
-	dg := fig.Value("DG", 4)
-	emp := fig.Value("EMP", 4)
+	ds := fig.value("DS", 4)
+	da := fig.value("DS_DA", 4)
+	uq := fig.value("DS_DA_UQ", 4)
+	dg := fig.value("DG", 4)
+	emp := fig.value("EMP", 4)
 	if !(ds > da && da > uq && uq > dg && dg > emp) {
 		t.Fatalf("figure 11 ordering violated: DS=%.1f DS_DA=%.1f DS_DA_UQ=%.1f DG=%.1f EMP=%.1f",
 			ds, da, uq, dg, emp)
@@ -33,9 +33,9 @@ func TestFig11ShapeMatchesPaper(t *testing.T) {
 
 func TestFig12Monotone(t *testing.T) {
 	fig := Fig12CreditSweep([]int{1, 4, 32})
-	l1 := fig.Value("DS_DA", 1)
-	l4 := fig.Value("DS_DA", 4)
-	l32 := fig.Value("DS_DA", 32)
+	l1 := fig.value("DS_DA", 1)
+	l4 := fig.value("DS_DA", 4)
+	l32 := fig.value("DS_DA", 32)
 	if !(l1 > l4 && l4 >= l32) {
 		t.Fatalf("figure 12 should fall with credits: 1=%.1f 4=%.1f 32=%.1f", l1, l4, l32)
 	}
@@ -43,9 +43,9 @@ func TestFig12Monotone(t *testing.T) {
 
 func TestFig13RatiosMatchPaper(t *testing.T) {
 	lat := Fig13Latency([]int{4})
-	tcp := lat.Value("TCP", 4)
-	dg := lat.Value("Datagram", 4)
-	ds := lat.Value("DataStreaming", 4)
+	tcp := lat.value("TCP", 4)
+	dg := lat.value("Datagram", 4)
+	ds := lat.value("DataStreaming", 4)
 	if r := tcp / dg; r < 3.0 || r > 5.5 {
 		t.Fatalf("TCP/DG latency ratio %.1f, paper 4.2", r)
 	}
@@ -54,9 +54,9 @@ func TestFig13RatiosMatchPaper(t *testing.T) {
 	}
 
 	bw := Fig13Bandwidth([]int{64 << 10})
-	dsBW := bw.Value("DataStreaming", 64<<10)
-	tcp16 := bw.Value("TCP-16KB", 64<<10)
-	tcp256 := bw.Value("TCP-256KB", 64<<10)
+	dsBW := bw.value("DataStreaming", 64<<10)
+	tcp16 := bw.value("TCP-16KB", 64<<10)
+	tcp256 := bw.value("TCP-256KB", 64<<10)
 	if dsBW < 780 {
 		t.Fatalf("substrate peak %.0f Mbps, paper >840", dsBW)
 	}
@@ -73,9 +73,9 @@ func TestFig13RatiosMatchPaper(t *testing.T) {
 
 func TestFig14FTPShape(t *testing.T) {
 	fig := Fig14FTP([]int{16 << 20})
-	ds := fig.Value("DataStreaming", 16<<20)
-	dgv := fig.Value("Datagram", 16<<20)
-	tcp := fig.Value("TCP", 16<<20)
+	ds := fig.value("DataStreaming", 16<<20)
+	dgv := fig.value("Datagram", 16<<20)
+	tcp := fig.value("TCP", 16<<20)
 	if ds == 0 || dgv == 0 || tcp == 0 {
 		t.Fatalf("missing data: ds=%.0f dg=%.0f tcp=%.0f", ds, dgv, tcp)
 	}
@@ -94,8 +94,8 @@ func TestFig14FTPShape(t *testing.T) {
 
 func TestFig15And16Shape(t *testing.T) {
 	f15 := Fig15WebHTTP10([]int{1024})
-	tcp := f15.Value("TCP", 1024)
-	ds := f15.Value("DataStreaming", 1024)
+	tcp := f15.value("TCP", 1024)
+	ds := f15.value("DataStreaming", 1024)
 	if tcp == 0 || ds == 0 {
 		t.Fatal("missing web data")
 	}
@@ -103,8 +103,8 @@ func TestFig15And16Shape(t *testing.T) {
 		t.Fatalf("HTTP/1.0 ratio %.2f, want substrate clearly ahead", tcp/ds)
 	}
 	f16 := Fig16WebHTTP11([]int{1024})
-	tcp11 := f16.Value("TCP", 1024)
-	ds11 := f16.Value("DataStreaming", 1024)
+	tcp11 := f16.value("TCP", 1024)
+	ds11 := f16.value("DataStreaming", 1024)
 	if tcp11 >= tcp {
 		t.Fatalf("HTTP/1.1 should improve TCP: 1.0=%.0f 1.1=%.0f", tcp, tcp11)
 	}
@@ -119,8 +119,8 @@ func TestFig15And16Shape(t *testing.T) {
 func TestFig17Shape(t *testing.T) {
 	fig := Fig17Matmul([]int{128, 256})
 	for _, n := range []float64{128, 256} {
-		ds := fig.Value("DataStreaming", n)
-		tcp := fig.Value("TCP", n)
+		ds := fig.value("DataStreaming", n)
+		tcp := fig.value("TCP", n)
 		if ds == 0 || tcp == 0 {
 			t.Fatalf("missing matmul data at N=%v", n)
 		}
@@ -129,32 +129,32 @@ func TestFig17Shape(t *testing.T) {
 		}
 	}
 	// Relative advantage shrinks as compute dominates.
-	adv128 := fig.Value("TCP", 128) / fig.Value("DataStreaming", 128)
-	adv256 := fig.Value("TCP", 256) / fig.Value("DataStreaming", 256)
+	adv128 := fig.value("TCP", 128) / fig.value("DataStreaming", 128)
+	adv256 := fig.value("TCP", 256) / fig.value("DataStreaming", 256)
 	if adv256 > adv128 {
 		t.Fatalf("matmul advantage should shrink with N: 128=%.2f 256=%.2f", adv128, adv256)
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	ct := AblationCommThread()
-	base := ct.Value("eager (adopted)", 4)
-	threaded := ct.Value("comm thread", 4)
+	ct := ablationCommThread()
+	base := ct.value("eager (adopted)", 4)
+	threaded := ct.value("comm thread", 4)
 	if threaded < base+15 {
 		t.Fatalf("comm thread should add ~20us: base=%.1f threaded=%.1f", base, threaded)
 	}
-	rend := AblationRendezvous()
-	if rend.Value("rendezvous", 4) < 2*rend.Value("eager", 4) {
+	rend := ablationRendezvous()
+	if rend.value("rendezvous", 4) < 2*rend.value("eager", 4) {
 		t.Fatalf("rendezvous should far exceed eager at 4B")
 	}
-	pb := AblationPiggyback()
-	if on, off := pb.Value("piggyback on", 256), pb.Value("piggyback off", 256); on >= off {
+	pb := ablationPiggyback()
+	if on, off := pb.value("piggyback on", 256), pb.value("piggyback off", 256); on >= off {
 		t.Fatalf("piggybacking should cut explicit acks: on=%.0f off=%.0f", on, off)
 	}
-	jf := AblationJumboFrames()
-	jbase := jf.Value("1500B, 1 rx cpu", float64(64<<10))
-	jumbo := jf.Value("9000B, 1 rx cpu", float64(64<<10))
-	twoCPU := jf.Value("1500B, 2 rx cpus", float64(64<<10))
+	jf := ablationJumboFrames()
+	jbase := jf.value("1500B, 1 rx cpu", float64(64<<10))
+	jumbo := jf.value("9000B, 1 rx cpu", float64(64<<10))
+	twoCPU := jf.value("1500B, 2 rx cpus", float64(64<<10))
 	if jumbo < jbase+80 {
 		t.Fatalf("jumbo frames should add ~150 Mbps: base=%.0f jumbo=%.0f", jbase, jumbo)
 	}
@@ -164,23 +164,23 @@ func TestAblationsRun(t *testing.T) {
 	if twoCPU <= jbase {
 		t.Fatalf("a second receive CPU should help: base=%.0f two=%.0f", jbase, twoCPU)
 	}
-	udp := ExtUDPComparison()
-	udpLat := udp.Value("UDP (kernel)", 4)
-	dgLat := udp.Value("Datagram (substrate)", 4)
+	udp := extUDPComparison()
+	udpLat := udp.value("UDP (kernel)", 4)
+	dgLat := udp.value("Datagram (substrate)", 4)
 	if udpLat/dgLat < 2.5 {
 		t.Fatalf("kernel UDP (%.0f us) should trail the substrate datagram (%.0f us) by the kernel-path gap", udpLat, dgLat)
 	}
-	kv := ExtDataCenter()
-	if kv.Value("TCP", 1024) <= kv.Value("DataStreaming", 1024) {
+	kv := extDataCenter()
+	if kv.value("TCP", 1024) <= kv.value("DataStreaming", 1024) {
 		t.Fatal("the substrate should win the data-center workload")
 	}
-	tb := AblationTCPBuffers()
+	tb := ablationTCPBuffers()
 	if len(tb.Series[0].Points) < 5 {
 		t.Fatal("tcp buffer sweep incomplete")
 	}
-	small := tb.Value("TCP", float64(8<<10))
-	big := tb.Value("TCP", float64(256<<10))
-	huge := tb.Value("TCP", float64(512<<10))
+	small := tb.value("TCP", float64(8<<10))
+	big := tb.value("TCP", float64(256<<10))
+	huge := tb.value("TCP", float64(512<<10))
 	if big <= small {
 		t.Fatalf("bigger buffers should help: 8K=%.0f 256K=%.0f", small, big)
 	}
@@ -193,9 +193,9 @@ func TestFigurePrinting(t *testing.T) {
 	fig := Figure{
 		ID: "t", Title: "test", XLabel: "x", YLabel: "y",
 		PaperNote: "note",
-		Series: []Series{
-			{Name: "a", Points: []Point{{1, 2}, {float64(4 << 10), 3}}},
-			{Name: "b", Points: []Point{{1, 9}}},
+		Series: []series{
+			{Name: "a", Points: []point{{1, 2}, {float64(4 << 10), 3}}},
+			{Name: "b", Points: []point{{1, 9}}},
 		},
 	}
 	var sb strings.Builder
@@ -211,9 +211,9 @@ func TestFigurePrinting(t *testing.T) {
 func TestFigureCSV(t *testing.T) {
 	fig := Figure{
 		ID: "c", XLabel: "x",
-		Series: []Series{
-			{Name: "a", Points: []Point{{1, 2.5}, {2, 3}}},
-			{Name: "b", Points: []Point{{1, 9}}},
+		Series: []series{
+			{Name: "a", Points: []point{{1, 2.5}, {2, 3}}},
+			{Name: "b", Points: []point{{1, 9}}},
 		},
 	}
 	var sb strings.Builder
@@ -227,9 +227,9 @@ func TestFigureCSV(t *testing.T) {
 func TestFigurePlot(t *testing.T) {
 	fig := Figure{
 		Title: "t", XLabel: "x", YLabel: "us",
-		Series: []Series{
-			{Name: "a", Points: []Point{{4, 10}, {4096, 40}}},
-			{Name: "b", Points: []Point{{4, 30}, {4096, 90}}},
+		Series: []series{
+			{Name: "a", Points: []point{{4, 10}, {4096, 40}}},
+			{Name: "b", Points: []point{{4, 30}, {4096, 90}}},
 		},
 	}
 	var sb strings.Builder
@@ -248,10 +248,10 @@ func TestFigurePlot(t *testing.T) {
 }
 
 func TestConnectionTimeFigure(t *testing.T) {
-	fig := ExtConnectionTime()
-	async := fig.Value("substrate-async", 0)
-	syncT := fig.Value("substrate-sync", 1)
-	tcp := fig.Value("tcp", 2)
+	fig := extConnectionTime()
+	async := fig.value("substrate-async", 0)
+	syncT := fig.value("substrate-sync", 1)
+	tcp := fig.value("tcp", 2)
 	if async <= 0 || syncT <= 0 || tcp <= 0 {
 		t.Fatalf("missing data: async=%.1f sync=%.1f tcp=%.1f", async, syncT, tcp)
 	}

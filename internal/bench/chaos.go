@@ -23,8 +23,8 @@ import (
 // ChaosDomains lists the fault domains in report order.
 var ChaosDomains = []string{"link", "nic", "fabric", "restart"}
 
-// ChaosRun is one workload execution under one fault plan.
-type ChaosRun struct {
+// chaosRun is one workload execution under one fault plan.
+type chaosRun struct {
 	Workload string // "ftp", "kvstore", "web", "crash", or "control"
 	Point    string // transport, NIC fault kind, fabric failure or rebooted host
 	Seed     uint64
@@ -38,9 +38,9 @@ type ChaosRun struct {
 	snap *telemetry.Snapshot // the run's counters, before the audit
 }
 
-// ChaosReport is one domain's matrix.
-type ChaosReport struct {
-	Runs   []ChaosRun
+// chaosReport is one domain's matrix.
+type chaosReport struct {
+	Runs   []chaosRun
 	domain *chaosDomain
 }
 
@@ -106,16 +106,16 @@ var (
 
 // Chaos runs one domain's matrix: every point × every seed × the
 // point's workloads, then the domain's control once per seed.
-func Chaos(domain string, seeds int, quick bool) (ChaosReport, error) {
+func Chaos(domain string, seeds int, quick bool) (chaosReport, error) {
 	d := chaosTable[domain]
 	if d == nil {
-		return ChaosReport{}, fmt.Errorf("unknown chaos domain %q (want %s)", domain, strings.Join(ChaosDomains, ", "))
+		return chaosReport{}, fmt.Errorf("unknown chaos domain %q (want %s)", domain, strings.Join(ChaosDomains, ", "))
 	}
 	sc := d.full
 	if quick {
 		sc = d.quick
 	}
-	rep := ChaosReport{domain: d}
+	rep := chaosReport{domain: d}
 	for _, pt := range sc.points {
 		for seed := uint64(1); seed <= uint64(max(seeds, 1)); seed++ {
 			for _, app := range pt.apps {
@@ -131,8 +131,8 @@ func Chaos(domain string, seeds int, quick bool) (ChaosReport, error) {
 
 // run executes one workload at one point on a fresh cluster; a non-nil
 // ctl makes it the control.
-func (d *chaosDomain) run(pt chaosPoint, app string, seed uint64, sc chaosScale, ctl *chaosControl) ChaosRun {
-	r := ChaosRun{Workload: app, Point: pt.name, Seed: seed}
+func (d *chaosDomain) run(pt chaosPoint, app string, seed uint64, sc chaosScale, ctl *chaosControl) chaosRun {
+	r := chaosRun{Workload: app, Point: pt.name, Seed: seed}
 	nodes := chaosNodes[app]
 	if app == "kvstore" && d.replicate {
 		nodes++
@@ -272,7 +272,7 @@ func (ctl *chaosControl) judge(err error, got, want int) (bool, string) {
 // before the audit's purge of stale unexpected-queue entries, whose
 // doorbell a NIC fault plan may drop: the columns count what the
 // workload did, not what the audit did.
-func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
+func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *chaosRun) {
 	snap := c.TelemetrySnapshot()
 	r.snap = snap
 	for _, col := range d.cols {
@@ -300,7 +300,7 @@ func (d *chaosDomain) fold(c *cluster.Cluster, pt chaosPoint, r *ChaosRun) {
 
 // FprintChaos renders one domain's report, with the flight recordings of
 // failed runs and of the crash scenario, whose reset is expected.
-func FprintChaos(w io.Writer, rep ChaosReport) {
+func FprintChaos(w io.Writer, rep chaosReport) {
 	d := rep.domain
 	fmt.Fprintf(w, "=== %s ===\n%-8s  %-*s  %4s  %-4s", d.title, "workload", d.width, d.point, "seed", "ok")
 	for _, col := range d.cols {

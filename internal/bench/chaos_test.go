@@ -178,7 +178,7 @@ func TestChaosInjectedCountsTheWorkload(t *testing.T) {
 	cfg.Nodes, cfg.Seed = nodes, seed
 	cfg.Faults = d.plan(pt, "web", seed, nodes)
 	c := cluster.New(cfg)
-	r := ChaosRun{Workload: "web", Point: pt.name, Seed: seed}
+	r := chaosRun{Workload: "web", Point: pt.name, Seed: seed}
 	r.OK, r.Detail = d.web(c, d.full, nil)
 	var want int64
 	for _, n := range c.Nodes {

@@ -46,12 +46,12 @@ func connectTime(c *cluster.Cluster, iters int) sim.Duration {
 	return total / sim.Duration(completed)
 }
 
-// ExtConnectionTime isolates the connection-establishment cost the
+// extConnectionTime isolates the connection-establishment cost the
 // Section 7.4 discussion hinges on: TCP pays the kernel three-way
 // handshake (~200-250 us in the paper); the substrate's asynchronous
 // connect returns after posting descriptors and sending one message,
 // and even the synchronous variant needs only a user-level round trip.
-func ExtConnectionTime() Figure {
+func extConnectionTime() Figure {
 	syncOpts := core.DefaultOptions()
 	syncOpts.SyncConnect = true
 	// Variant i is the one point at x = i, so each runs once.

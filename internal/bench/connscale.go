@@ -107,14 +107,14 @@ type connScaleState struct {
 	need int
 }
 
-// ConnScale runs one data point: conns connections to a single-process
+// connScale runs one data point: conns connections to a single-process
 // evented echo server and reports the server poller's counters. Idle
 // points (active false) have connScalePacers of the connections send
 // requests while the rest sit registered, measuring the idle-population
 // scan cost; active points have every connection pace requests,
 // measuring dispatch throughput. Hashed points run the substrate NIC
 // under the hashed demux cost model (nic.HashedConfig).
-func ConnScale(transport cluster.Transport, conns int, active, hashed bool) ConnScalePoint {
+func connScale(transport cluster.Transport, conns int, active, hashed bool) ConnScalePoint {
 	pacers, reqs := connScalePacers, connScaleReqs
 	if active {
 		pacers, reqs = conns, connScaleActiveReqs
@@ -287,12 +287,12 @@ func ConnScale(transport cluster.Transport, conns int, active, hashed bool) Conn
 	return pt
 }
 
-// ConnScaleSweep runs ConnScale at every count on both stacks.
+// ConnScaleSweep runs connScale at every count on both stacks.
 func ConnScaleSweep(counts []int, active, hashed bool) []ConnScalePoint {
 	var out []ConnScalePoint
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		for _, n := range counts {
-			out = append(out, ConnScale(tr, n, active, hashed))
+			out = append(out, connScale(tr, n, active, hashed))
 		}
 	}
 	return out
@@ -318,12 +318,12 @@ type DescScalePoint struct {
 // so conn counts stop at 16k; raw descriptors have no such budget).
 func DefaultDescScaleCounts() []int { return []int{1024, 16384, 262144} }
 
-// DescScale measures worst-case tag matching against a cold preposted
+// descScale measures worst-case tag matching against a cold preposted
 // population: the receiver preposts n-1 descriptors on one tag, then
 // serves iters messages on a different tag whose descriptor is always
 // the last posted — the paper's linear walk examines all n descriptors
 // per arrival, the hashed table probes exactly one bucket entry.
-func DescScale(n int, hashed bool, iters int) DescScalePoint {
+func descScale(n int, hashed bool, iters int) DescScalePoint {
 	pt := DescScalePoint{Descriptors: n, Hashed: hashed}
 	e := sim.NewEngine()
 	sw := ethernet.NewSwitch(e)
@@ -384,7 +384,7 @@ func DescScaleSweep(counts []int) []DescScalePoint {
 				// the point.
 				iters = 4
 			}
-			out = append(out, DescScale(n, hashed, iters))
+			out = append(out, descScale(n, hashed, iters))
 		}
 	}
 	return out

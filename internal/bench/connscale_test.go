@@ -20,8 +20,8 @@ func TestConnScalePollerWorkStaysFlat(t *testing.T) {
 	}
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScale(tr, 8, false, false)
-			big := ConnScale(tr, hi, false, false)
+			base := connScale(tr, 8, false, false)
+			big := connScale(tr, hi, false, false)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -57,8 +57,8 @@ func TestConnScaleDispatchFlat(t *testing.T) {
 	}
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScale(tr, 8, false, true)
-			big := ConnScale(tr, hi, false, true)
+			base := connScale(tr, 8, false, true)
+			big := connScale(tr, hi, false, true)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -88,8 +88,8 @@ func TestConnScaleDispatchFlat(t *testing.T) {
 func TestConnScaleDispatchGate(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		t.Run(tr.String(), func(t *testing.T) {
-			base := ConnScale(tr, 8, true, true)
-			big := ConnScale(tr, 1024, true, true)
+			base := connScale(tr, 8, true, true)
+			big := connScale(tr, 1024, true, true)
 			for _, pt := range []ConnScalePoint{base, big} {
 				if pt.Err != "" {
 					t.Fatalf("%d conns: %s", pt.Conns, pt.Err)
@@ -118,8 +118,8 @@ func TestDescScaleSeparation(t *testing.T) {
 	if testing.Short() {
 		n = 4096
 	}
-	lin := DescScale(n, false, 4)
-	hash := DescScale(n, true, 4)
+	lin := descScale(n, false, 4)
+	hash := descScale(n, true, 4)
 	if lin.Lookups == 0 || hash.Lookups == 0 {
 		t.Fatalf("no lookups counted: linear=%+v hashed=%+v", lin, hash)
 	}
@@ -142,7 +142,7 @@ func BenchmarkConnScale(b *testing.B) {
 		for _, n := range counts {
 			b.Run(tr.String()+"/"+strconv.Itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pt := ConnScale(tr, n, false, false)
+					pt := connScale(tr, n, false, false)
 					if pt.Err != "" {
 						b.Fatal(pt.Err)
 					}

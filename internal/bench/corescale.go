@@ -31,8 +31,8 @@ const coreScaleClients = 8
 // time to reach steady state.
 const coreScaleOpsPerClient = 24
 
-// CoreScalePoint is one measurement of the sweep.
-type CoreScalePoint struct {
+// coreScalePoint is one measurement of the sweep.
+type coreScalePoint struct {
 	App       string       `json:"app"`
 	Transport string       `json:"transport"`
 	Cores     int          `json:"cores"`
@@ -58,18 +58,18 @@ func coreScaleCluster(tr cluster.Transport, cores int) *cluster.Cluster {
 	})
 }
 
-// CoreScaleWeb runs one web data point: every request charges
+// coreScaleWeb runs one web data point: every request charges
 // coreScaleServiceTime of server compute before the response. Each
 // client keeps a single connection for all its requests so connection
 // setup does not dilute the compute being measured.
-func CoreScaleWeb(tr cluster.Transport, cores, workers int) CoreScalePoint {
+func coreScaleWeb(tr cluster.Transport, cores, workers int) coreScalePoint {
 	cfg := apps.DefaultWebConfig(1024, coreScaleOpsPerClient)
 	cfg.Clients = coreScaleClients
 	cfg.RequestsPerClient = coreScaleOpsPerClient
 	cfg.Workers = workers
 	cfg.ServiceTime = coreScaleServiceTime
 	res := apps.RunWeb(coreScaleCluster(tr, cores), cfg)
-	pt := CoreScalePoint{
+	pt := coreScalePoint{
 		App:       "web",
 		Transport: tr.String(),
 		Cores:     cores,
@@ -84,15 +84,15 @@ func CoreScaleWeb(tr cluster.Transport, cores, workers int) CoreScalePoint {
 	return pt
 }
 
-// CoreScaleKV runs one kvstore data point.
-func CoreScaleKV(tr cluster.Transport, cores, workers int) CoreScalePoint {
+// coreScaleKV runs one kvstore data point.
+func coreScaleKV(tr cluster.Transport, cores, workers int) coreScalePoint {
 	cfg := apps.DefaultKVConfig(1024)
 	cfg.Clients = coreScaleClients
 	cfg.OpsPerClient = coreScaleOpsPerClient
 	cfg.Workers = workers
 	cfg.ServiceTime = coreScaleServiceTime
 	res := apps.RunKVStore(coreScaleCluster(tr, cores), cfg)
-	pt := CoreScalePoint{
+	pt := coreScalePoint{
 		App:       "kv",
 		Transport: tr.String(),
 		Cores:     cores,
@@ -109,13 +109,13 @@ func CoreScaleKV(tr cluster.Transport, cores, workers int) CoreScalePoint {
 
 // CoreScaleSweep runs the full grid: both apps, both transports, every
 // (cores, workers) pair.
-func CoreScaleSweep(cores, workers []int) []CoreScalePoint {
-	var pts []CoreScalePoint
+func CoreScaleSweep(cores, workers []int) []coreScalePoint {
+	var pts []coreScalePoint
 	for _, tr := range []cluster.Transport{cluster.TransportSubstrate, cluster.TransportTCP} {
 		for _, nc := range cores {
 			for _, w := range workers {
-				pts = append(pts, CoreScaleWeb(tr, nc, w))
-				pts = append(pts, CoreScaleKV(tr, nc, w))
+				pts = append(pts, coreScaleWeb(tr, nc, w))
+				pts = append(pts, coreScaleKV(tr, nc, w))
 			}
 		}
 	}
@@ -130,7 +130,7 @@ func CoreScaleSweep(cores, workers []int) []CoreScalePoint {
 //  2. On a 4-core host, 4 workers beat 1 worker by at least 2x for the
 //     web workload — the acceptance gate for the core scheduler
 //     actually overlapping compute.
-func VerifyCoreScale(pts []CoreScalePoint) error {
+func VerifyCoreScale(pts []coreScalePoint) error {
 	byKey := make(map[string]float64, len(pts))
 	for _, pt := range pts {
 		if pt.Err != "" {

@@ -25,8 +25,8 @@ func TestCoreScaleGate(t *testing.T) {
 // thin air. Pinned compute serializes on the single run queue, so the
 // 4-worker point stays within a small band of the 1-worker point.
 func TestCoreScaleSingleCoreFlat(t *testing.T) {
-	one := CoreScaleWeb(cluster.TransportSubstrate, 1, 1)
-	four := CoreScaleWeb(cluster.TransportSubstrate, 1, 4)
+	one := coreScaleWeb(cluster.TransportSubstrate, 1, 1)
+	four := coreScaleWeb(cluster.TransportSubstrate, 1, 4)
 	if one.Err != "" || four.Err != "" {
 		t.Fatalf("errs: %q %q", one.Err, four.Err)
 	}
@@ -39,8 +39,8 @@ func TestCoreScaleSingleCoreFlat(t *testing.T) {
 // TestCoreScaleDeterministic: the sweep is a simulation measurement,
 // so a point rerun with identical parameters reproduces exactly.
 func TestCoreScaleDeterministic(t *testing.T) {
-	a := CoreScaleKV(cluster.TransportSubstrate, 4, 4)
-	b := CoreScaleKV(cluster.TransportSubstrate, 4, 4)
+	a := coreScaleKV(cluster.TransportSubstrate, 4, 4)
+	b := coreScaleKV(cluster.TransportSubstrate, 4, 4)
 	if a != b {
 		t.Fatalf("corescale point not deterministic:\n%+v\n%+v", a, b)
 	}

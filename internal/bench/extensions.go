@@ -1,10 +1,10 @@
 package bench
 
-// ExtDataCenter evaluates the paper's stated future work — commercial
+// extDataCenter evaluates the paper's stated future work — commercial
 // data-center applications on the substrate — with a memcached-style
 // key-value workload: persistent connections, read-heavy GET/SET mix,
 // latency and throughput against kernel TCP.
-func ExtDataCenter() Figure {
+func extDataCenter() Figure {
 	return sweep(Figure{
 		ID:        "ext-datacenter",
 		Title:     "Data-center key-value store (paper's future work)",

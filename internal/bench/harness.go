@@ -24,15 +24,15 @@ func RecordJSON(v any) ([]byte, error) {
 	return append(blob, '\n'), err
 }
 
-// Point is one (x, y) measurement.
-type Point struct {
+// point is one (x, y) measurement.
+type point struct {
 	X, Y float64
 }
 
-// Series is one labeled curve of a figure.
-type Series struct {
+// series is one labeled curve of a figure.
+type series struct {
 	Name   string
-	Points []Point
+	Points []point
 }
 
 // Figure is one reproduced table/figure.
@@ -42,7 +42,7 @@ type Figure struct {
 	XLabel    string
 	YLabel    string
 	PaperNote string // what the paper reports, for side-by-side reading
-	Series    []Series
+	Series    []series
 }
 
 // Fprint renders the figure as an aligned table, one row per x value,
@@ -107,7 +107,7 @@ func formatX(x float64) string {
 	return fmt.Sprintf("%.2f", x)
 }
 
-func lookup(s Series, x float64) (float64, bool) {
+func lookup(s series, x float64) (float64, bool) {
 	for _, p := range s.Points {
 		if p.X == x {
 			return p.Y, true
@@ -137,10 +137,10 @@ func (f Figure) CSV(w io.Writer) {
 	}
 }
 
-// Value returns the y value of the series' point at x, or 0.
-func (f Figure) Value(series string, x float64) float64 {
+// value returns the y value of the series' point at x, or 0.
+func (f Figure) value(name string, x float64) float64 {
 	for _, s := range f.Series {
-		if s.Name == series {
+		if s.Name == name {
 			y, _ := lookup(s, x)
 			return y
 		}
@@ -161,10 +161,10 @@ type curve struct {
 // cluster, so the order the points run in moves no value.
 func sweep(fig Figure, xs []int, curves ...curve) Figure {
 	for _, c := range curves {
-		s := Series{Name: c.name}
+		s := series{Name: c.name}
 		for _, x := range xs {
 			if y, ok := c.y(x); ok {
-				s.Points = append(s.Points, Point{X: float64(x), Y: y})
+				s.Points = append(s.Points, point{X: float64(x), Y: y})
 			}
 		}
 		fig.Series = append(fig.Series, s)
@@ -223,15 +223,15 @@ func kv(c *cluster.Cluster, size int) (float64, bool) {
 // Ablations runs the design-choice studies DESIGN.md section 5 lists.
 func Ablations() []Figure {
 	return []Figure{
-		AblationCommThread(),
-		AblationRendezvous(),
-		AblationPiggyback(),
-		AblationTCPBuffers(),
-		AblationCreditVsConnSetup(),
-		AblationJumboFrames(),
-		ExtDataCenter(),
-		ExtUDPComparison(),
-		ExtConnectionTime(),
+		ablationCommThread(),
+		ablationRendezvous(),
+		ablationPiggyback(),
+		ablationTCPBuffers(),
+		ablationCreditVsConnSetup(),
+		ablationJumboFrames(),
+		extDataCenter(),
+		extUDPComparison(),
+		extConnectionTime(),
 	}
 }
 

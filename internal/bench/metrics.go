@@ -20,9 +20,9 @@ import (
 // decomposition argument the paper uses to attribute its 37us DS_DA_UQ
 // latency to individual substrate costs.
 
-// StageStat summarizes one pipeline stage (or the end-to-end span) of a
+// stageStat summarizes one pipeline stage (or the end-to-end span) of a
 // path's latency decomposition. Times are microseconds of virtual time.
-type StageStat struct {
+type stageStat struct {
 	Stage  string  `json:"stage"`
 	Count  int64   `json:"count"`
 	MeanUs float64 `json:"mean_us"`
@@ -31,24 +31,24 @@ type StageStat struct {
 	SumNs  float64 `json:"sum_ns"`
 }
 
-// PathDecomposition is the full stage breakdown for one protocol path
+// pathDecomposition is the full stage breakdown for one protocol path
 // and message size class within one scenario.
-type PathDecomposition struct {
+type pathDecomposition struct {
 	Scenario  string      `json:"scenario"`
 	Path      string      `json:"path"`
 	SizeClass string      `json:"size_class"`
-	Stages    []StageStat `json:"stages"`
-	E2E       StageStat   `json:"e2e"`
+	Stages    []stageStat `json:"stages"`
+	E2E       stageStat   `json:"e2e"`
 	// StageSumNs is the sum of the per-stage totals. The marks
 	// telescope, so it must equal E2E.SumNs exactly (same int64
 	// nanosecond values, added in a different order).
 	StageSumNs float64 `json:"stage_sum_ns"`
 }
 
-// MetricsReport is the -metrics deliverable: the decomposition table
+// metricsReport is the -metrics deliverable: the decomposition table
 // plus the merged cluster-wide telemetry snapshot of every scenario run.
-type MetricsReport struct {
-	Decomp   []PathDecomposition `json:"decomposition"`
+type metricsReport struct {
+	Decomp   []pathDecomposition `json:"decomposition"`
 	Snapshot *telemetry.Snapshot `json:"snapshot"`
 }
 
@@ -93,11 +93,11 @@ func stageKey(stage string) int {
 
 // decompose extracts the latency-layer histograms of one scenario's
 // snapshot into ordered per-path decompositions.
-func decompose(scenario string, snap *telemetry.Snapshot) []PathDecomposition {
+func decompose(scenario string, snap *telemetry.Snapshot) []pathDecomposition {
 	type group struct {
 		path, size string
-		stages     []StageStat
-		e2e        StageStat
+		stages     []stageStat
+		e2e        stageStat
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -117,7 +117,7 @@ func decompose(scenario string, snap *telemetry.Snapshot) []PathDecomposition {
 			groups[gk] = g
 			order = append(order, gk)
 		}
-		st := StageStat{
+		st := stageStat{
 			Stage:  parts[2],
 			Count:  h.Count,
 			MeanUs: h.Sum / float64(h.Count) / 1e3,
@@ -132,11 +132,11 @@ func decompose(scenario string, snap *telemetry.Snapshot) []PathDecomposition {
 		}
 	}
 	sort.Strings(order)
-	var out []PathDecomposition
+	var out []pathDecomposition
 	for _, gk := range order {
 		g := groups[gk]
 		sort.Slice(g.stages, func(i, j int) bool { return stageLess(g.stages[i].Stage, g.stages[j].Stage) })
-		d := PathDecomposition{
+		d := pathDecomposition{
 			Scenario:  scenario,
 			Path:      g.path,
 			SizeClass: g.size,
@@ -162,7 +162,7 @@ func metricsSizes(quick bool) []int {
 // RunMetrics runs the decomposition scenarios — eager data streaming,
 // forced rendezvous, and kernel TCP — and returns the report. Every
 // cluster is seeded, so the report is deterministic byte for byte.
-func RunMetrics(quick bool) MetricsReport {
+func RunMetrics(quick bool) metricsReport {
 	rendOpts := func() *core.Options {
 		o := core.DatagramOptions()
 		o.ForceRendezvous = true
@@ -182,7 +182,7 @@ func RunMetrics(quick bool) MetricsReport {
 			return cluster.New(cluster.Config{Nodes: 2, Transport: cluster.TransportTCP, Seed: 1})
 		}},
 	}
-	rep := MetricsReport{}
+	rep := metricsReport{}
 	global := telemetry.New()
 	for _, sc := range scenarios {
 		for _, n := range metricsSizes(quick) {
@@ -200,7 +200,7 @@ func RunMetrics(quick bool) MetricsReport {
 // VerifyDecomposition checks the telescoping invariant: within each
 // (scenario, path, size class), the per-stage sums must reconstruct the
 // end-to-end latency within floating-point rounding.
-func VerifyDecomposition(rep MetricsReport) error {
+func VerifyDecomposition(rep metricsReport) error {
 	for _, d := range rep.Decomp {
 		if d.E2E.Count == 0 {
 			return fmt.Errorf("metrics: %s %s/%s has no end-to-end spans", d.Scenario, d.Path, d.SizeClass)
@@ -223,7 +223,7 @@ func VerifyDecomposition(rep MetricsReport) error {
 }
 
 // FprintMetrics renders the decomposition as a paper-style table.
-func FprintMetrics(w io.Writer, rep MetricsReport) {
+func FprintMetrics(w io.Writer, rep metricsReport) {
 	fmt.Fprintln(w, "=== metrics: hot-path latency decomposition (one-way, us) ===")
 	fmt.Fprintf(w, "%-14s  %-6s  %-5s  %-16s  %6s  %8s  %8s  %8s\n",
 		"scenario", "path", "size", "stage", "count", "mean", "p50", "p99")
@@ -233,7 +233,7 @@ func FprintMetrics(w io.Writer, rep MetricsReport) {
 				d.Scenario, d.Path, d.SizeClass, st.Stage, st.Count, st.MeanUs, st.P50Us, st.P99Us)
 		}
 		check := "ok"
-		if err := VerifyDecomposition(MetricsReport{Decomp: []PathDecomposition{d}}); err != nil {
+		if err := VerifyDecomposition(metricsReport{Decomp: []pathDecomposition{d}}); err != nil {
 			check = "MISMATCH"
 		}
 		fmt.Fprintf(w, "%-14s  %-6s  %-5s  %-16s  %6d  %8.2f  %8.2f  %8.2f  (stage sum %s)\n",

@@ -29,7 +29,7 @@ func pingPongRegistry(tr cluster.Transport) *telemetry.Registry {
 // incarnation's layers.
 func failoverRegistry(t *testing.T) *telemetry.Registry {
 	pl := &faults.Plan{Restarts: []faults.Restart{
-		faults.RestartAt(0, 12*sim.Millisecond, 30*sim.Millisecond)}}
+		{Node: 0, At: 12 * sim.Millisecond, Downtime: 30 * sim.Millisecond}}}
 	c := cluster.New(cluster.Config{Nodes: 2, Failover: true, Seed: 1, Faults: pl})
 	cfg := apps.DefaultKVConfig(64)
 	cfg.Clients, cfg.OpsPerClient = 1, 8
@@ -51,8 +51,8 @@ func failoverRegistry(t *testing.T) *telemetry.Registry {
 // instrumentation was accidentally made workload-visible.
 func TestGoldenCounters(t *testing.T) {
 	var sb strings.Builder
-	emit := func(name string, ms []telemetry.MetricSnap) {
-		for _, c := range ms {
+	emit := func(name string, snap *telemetry.Snapshot) {
+		for _, c := range snap.Counters {
 			fmt.Fprintf(&sb, "%s %s/%s %d\n", name, c.Layer, c.Metric, c.Value)
 		}
 	}
@@ -63,9 +63,9 @@ func TestGoldenCounters(t *testing.T) {
 		{"substrate", cluster.TransportSubstrate},
 		{"tcp", cluster.TransportTCP},
 	} {
-		emit(tc.name, pingPongRegistry(tc.tr).Snapshot().Counters)
+		emit(tc.name, pingPongRegistry(tc.tr).Snapshot())
 	}
-	emit("failover", failoverRegistry(t).Snapshot().Counters)
+	emit("failover", failoverRegistry(t).Snapshot())
 	checkGolden(t, "counters.golden", sb.String())
 }
 

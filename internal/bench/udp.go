@@ -46,12 +46,12 @@ func udpLatency(c *cluster.Cluster, n int) (float64, bool) {
 	return (total / sim.Duration(2*completed)).Micros(), true
 }
 
-// ExtUDPComparison pits the substrate's Datagram sockets against kernel
+// extUDPComparison pits the substrate's Datagram sockets against kernel
 // UDP — the datagram-semantics baseline the paper's Datagram mode
 // replaces. UDP skips TCP's connection and reliability machinery but
 // still pays the full kernel path (syscalls, copies, interrupt
 // coalescing), so the substrate's OS-bypass advantage persists.
-func ExtUDPComparison() Figure {
+func extUDPComparison() Figure {
 	return sweep(Figure{
 		ID:        "ext-udp",
 		Title:     "Datagram sockets vs kernel UDP latency",

@@ -103,7 +103,7 @@ type Topology struct {
 	Spines int
 	Leaves int
 	// DetectDelay overrides how long failures blackhole before the
-	// fabric reroutes (zero: ethernet.DefaultDetectDelay).
+	// fabric reroutes (zero: the fabric's default).
 	DetectDelay sim.Duration
 	// NoReroute freezes the initial forwarding tables — the chaos
 	// control proving reroute is what makes failures survivable.
@@ -250,14 +250,14 @@ func New(cfg Config) *Cluster {
 		fb.ApplyFaults(cfg.Faults)
 		for _, cr := range cfg.Faults.Crashes {
 			cr := cr
-			eng.At(sim.Time(cr.At), func() { c.Kill(cr.Node) })
+			eng.At(sim.Time(cr.At), func() { c.kill(cr.Node) })
 		}
 		for _, rs := range cfg.Faults.Restarts {
 			rs := rs
 			var refs []flightRef
 			eng.At(sim.Time(rs.At), func() {
 				refs = c.hostDown(rs.Node)
-				c.Kill(rs.Node)
+				c.kill(rs.Node)
 			})
 			eng.At(sim.Time(rs.At+rs.Downtime), func() {
 				c.restartNode(rs.Node, refs)
@@ -402,7 +402,7 @@ func (c *Cluster) SetBoot(i int, fn func(p *sim.Proc)) {
 }
 
 // buildNode builds node i's current incarnation on the given fabric
-// ports — fresh ones at New, the dead incarnation's at Rebirth, so a
+// ports — fresh ones at New, the dead incarnation's at rebirth, so a
 // reborn node keeps its addresses: a NIC, EMP endpoint and substrate on
 // nicPort, a kernel TCP stack on tcpPort (either may be nil), then the
 // descriptor space over the primary transport. Every layer registers its
@@ -445,12 +445,12 @@ func (c *Cluster) buildNode(i int, nicPort, tcpPort *ethernet.Port) {
 	}
 }
 
-// Rebirth rebuilds crashed node i from scratch at the same fabric
+// rebirth rebuilds crashed node i from scratch at the same fabric
 // addresses under a bumped incarnation number: fresh transports are
 // built on the dead incarnation's switch ports (buildNode) and the
 // registered app bootstrap is re-spawned. The host's RAM disk and
 // telemetry history survive, as disk and a monitoring plane would.
-func (c *Cluster) Rebirth(i int) {
+func (c *Cluster) rebirth(i int) {
 	if i < 0 || i >= len(c.Nodes) {
 		return
 	}
@@ -546,7 +546,7 @@ func (c *Cluster) hostDown(i int) []flightRef {
 // restartNode completes a crash–restart cycle: rebuild the node and
 // record "host-restart" into every ring the crash touched.
 func (c *Cluster) restartNode(i int, refs []flightRef) {
-	c.Rebirth(i)
+	c.rebirth(i)
 	now := c.Eng.Now()
 	n := c.Nodes[i]
 	for _, ref := range refs {
@@ -689,10 +689,10 @@ func (n *Node) Drain(p *sim.Proc, deadline sim.Time) error {
 	return err
 }
 
-// Kill crashes node i: its protocol state dies instantly (no farewell
+// kill crashes node i: its protocol state dies instantly (no farewell
 // messages) and its NIC stops accepting frames, as with a power loss.
 // Out of range is a no-op; killing twice is harmless.
-func (c *Cluster) Kill(i int) {
+func (c *Cluster) kill(i int) {
 	if i < 0 || i >= len(c.Nodes) {
 		return
 	}

@@ -19,7 +19,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 // on every link, plus one partition window between the two nodes.
 func faultGoldenPlan() *faults.Plan {
 	pl := &faults.Plan{Clauses: []faults.Clause{faults.Uniform(0.02, 0.02, 0.02, 0.02)}}
-	pl.Clauses = append(pl.Clauses, faults.LinkPartition(0, 1, 2*sim.Millisecond, 4*sim.Millisecond)...)
+	pl.Clauses = append(pl.Clauses,
+		faults.Clause{From: 2 * sim.Millisecond, Until: 4 * sim.Millisecond, Src: 0, Dst: 1, Partition: true},
+		faults.Clause{From: 2 * sim.Millisecond, Until: 4 * sim.Millisecond, Src: 1, Dst: 0, Partition: true})
 	return pl
 }
 

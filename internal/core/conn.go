@@ -412,7 +412,7 @@ func (c *Conn) peerCloseLanded() bool {
 // postInitialDescriptors posts the connection's standing descriptors;
 // must run in process context right after newConn.
 func (c *Conn) postInitialDescriptors(p *sim.Proc) {
-	if c.opts.Mode != DataStreaming {
+	if c.opts.Mode != dataStreaming {
 		// Datagram mode posts receives at read() time (zero-copy) and
 		// consumes all control traffic via the unexpected queue.
 		return
@@ -454,15 +454,6 @@ func (c *Conn) LocalAddr() sock.Addr { return c.sub.addr }
 // RemoteAddr implements sock.Conn.
 func (c *Conn) RemoteAddr() sock.Addr { return c.peer }
 
-// LocalPort reports this side's port (the server's listen port or the
-// client's ephemeral port carried in the connection request — the
-// "address of the requesting client" information the paper's explicit
-// connect message preserves).
-func (c *Conn) LocalPort() int { return c.localPort }
-
-// RemotePort reports the peer's port.
-func (c *Conn) RemotePort() int { return c.remotePort }
-
 // readable reports whether Read would return without blocking: a
 // user-level check of buffered data and completion flags.
 func (c *Conn) readable() bool {
@@ -472,7 +463,7 @@ func (c *Conn) readable() bool {
 	if (c.eof || c.rdShut) && !c.eofSeen {
 		return true
 	}
-	if c.opts.Mode == DataStreaming {
+	if c.opts.Mode == dataStreaming {
 		if c.rcv != nil && c.rcv.Len() > 0 {
 			return true
 		}
@@ -493,7 +484,7 @@ func (c *Conn) writable() bool {
 	if c.err != nil || c.cleaned || c.closeSent || c.peerClosed || c.shutSent {
 		return true
 	}
-	if c.opts.Mode == Datagram {
+	if c.opts.Mode == datagram {
 		return true
 	}
 	return c.credits > 0
@@ -585,7 +576,7 @@ func (c *Conn) handleControl(p *sim.Proc, hdr *header) {
 // descriptors (which are recycled). Acknowledgments are commutative
 // (credit sums and flags), so completion order does not matter.
 func (c *Conn) pollAcks(p *sim.Proc) {
-	if c.opts.UQAcks || c.opts.Mode == Datagram {
+	if c.opts.UQAcks || c.opts.Mode == datagram {
 		// Cheap user-space peek first; the claim (with its bookkeeping
 		// cost) runs only when something is actually waiting.
 		for c.sub.EP.PeekUnexpected(c.peer, c.ackInTag) {
@@ -637,7 +628,7 @@ func (c *Conn) waitControlEvent(p *sim.Proc, deadline sim.Time, extra func() boo
 		if extra != nil && extra() {
 			return true
 		}
-		if c.opts.UQAcks || c.opts.Mode == Datagram {
+		if c.opts.UQAcks || c.opts.Mode == datagram {
 			return c.sub.EP.PeekUnexpected(c.peer, c.ackInTag)
 		}
 		return c.anyAckCompleted()
@@ -696,7 +687,7 @@ func (c *Conn) returnCredits(p *sim.Proc) {
 // blocked on the data channel — and probe the peer once the writer has
 // been stalled past the threshold with no grant arriving.
 func (c *Conn) creditSweepTick(p *sim.Proc) {
-	if c.cleaned || c.err != nil || c.opts.Mode != DataStreaming {
+	if c.cleaned || c.err != nil || c.opts.Mode != dataStreaming {
 		return
 	}
 	// Harvest first: the missing grant (or a peer's probe) may already
@@ -748,7 +739,7 @@ func (c *Conn) takeCreditDeadline(p *sim.Proc, dl sim.Time) error {
 		// descriptors; a blocked writer posts one on demand (it is
 		// satisfied host-side from the unexpected queue if the ack
 		// already arrived).
-		if c.opts.UQAcks || c.opts.Mode == Datagram {
+		if c.opts.UQAcks || c.opts.Mode == datagram {
 			h := c.sub.EP.PostRecv(p, c.peer, c.ackInTag, headerBytes, emp.KeyNone)
 			if h.Status() == emp.StatusNoDescriptors {
 				// Descriptor budget exhausted: fall back to watching the
@@ -957,7 +948,7 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 		return 0, nil, nil // shutdown(SHUT_RD): reads see EOF
 	}
 	c.lastIO = p.Now()
-	if c.opts.Mode == Datagram {
+	if c.opts.Mode == datagram {
 		n, objs, err := c.readDG(p, max)
 		if n == 0 && err == nil {
 			c.eofSeen = true
@@ -1014,7 +1005,7 @@ func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 		return 0, sock.ErrClosed
 	}
 	c.lastIO = p.Now()
-	if c.opts.Mode == Datagram {
+	if c.opts.Mode == datagram {
 		return c.writeDG(p, n, obj)
 	}
 	c.pollAcks(p)
@@ -1082,14 +1073,14 @@ var _ sock.Closer = (*Conn)(nil)
 // credit like any data-channel message; in Datagram mode sends are
 // synchronous and no credit exists to take.
 func (c *Conn) shutdownWrite(p *sim.Proc, deadline sim.Time) error {
-	if c.opts.Mode == DataStreaming {
+	if c.opts.Mode == dataStreaming {
 		if err := c.takeCreditDeadline(p, deadline); err != nil {
 			return err
 		}
 	}
 	c.shutSent = true
 	seq := uint64(0)
-	if c.opts.Mode == DataStreaming {
+	if c.opts.Mode == dataStreaming {
 		seq = c.txSeq
 		c.txSeq++
 	}
@@ -1159,7 +1150,7 @@ func (c *Conn) CloseRead(p *sim.Proc) error {
 // synchronous (direct send or completed rendezvous), so a datagram
 // connection is drained by construction.
 func (c *Conn) waitDrained(p *sim.Proc, deadline sim.Time) bool {
-	if c.opts.Mode == Datagram {
+	if c.opts.Mode == datagram {
 		return true
 	}
 	for {
@@ -1239,7 +1230,7 @@ func (c *Conn) closeNow(p *sim.Proc) error {
 	// Drain anything already delivered so an in-flight peer close is
 	// observed (avoids sending a close to a peer that already cleaned
 	// up).
-	if c.opts.Mode == DataStreaming {
+	if c.opts.Mode == dataStreaming {
 		c.collectDS(p)
 	} else {
 		c.drainDGControl(p)
@@ -1248,7 +1239,7 @@ func (c *Conn) closeNow(p *sim.Proc) error {
 		// A failed connection skips the close message — the peer is
 		// unreachable and the send would only burn a retry budget.
 		sendClose := true
-		if c.opts.Mode == DataStreaming {
+		if c.opts.Mode == dataStreaming {
 			if err := c.takeCredit(p); err != nil {
 				sendClose = false
 			}

@@ -373,11 +373,11 @@ func TestConnectionIdentityPreserved(t *testing.T) {
 	if srv.RemoteAddr() != b.subs[1].Addr() || cli.RemoteAddr() != b.subs[0].Addr() {
 		t.Fatal("peer addresses wrong")
 	}
-	if srv.LocalPort() != 80 || cli.RemotePort() != 80 {
-		t.Fatalf("ports: server local %d, client remote %d, want 80", srv.LocalPort(), cli.RemotePort())
+	if srv.localPort != 80 || cli.remotePort != 80 {
+		t.Fatalf("ports: server local %d, client remote %d, want 80", srv.localPort, cli.remotePort)
 	}
-	if srv.RemotePort() != cli.LocalPort() {
-		t.Fatalf("client identity lost: server sees port %d, client has %d", srv.RemotePort(), cli.LocalPort())
+	if srv.remotePort != cli.localPort {
+		t.Fatalf("client identity lost: server sees port %d, client has %d", srv.remotePort, cli.localPort)
 	}
 }
 
@@ -424,7 +424,7 @@ func TestAccessorsAndShutdown(t *testing.T) {
 		if c.LocalAddr() != b.subs[1].Addr() {
 			t.Errorf("LocalAddr = %v", c.LocalAddr())
 		}
-		if DataStreaming.String() != "DS" || Datagram.String() != "DG" {
+		if dataStreaming.String() != "DS" || datagram.String() != "DG" {
 			t.Error("mode strings wrong")
 		}
 		if kindConnReq.String() != "conn-req" || kindRendAck.String() != "rend-ack" {
@@ -432,6 +432,4 @@ func TestAccessorsAndShutdown(t *testing.T) {
 		}
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
-	b.subs[0].Shutdown()
-	b.subs[1].Shutdown()
 }

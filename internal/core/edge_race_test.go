@@ -87,7 +87,7 @@ func TestCloseWithUnreadEagerData(t *testing.T) {
 		if n, _, err := server.Read(p, 1); err != nil || n != 1 {
 			t.Errorf("priming read: %d, %v", n, err)
 		}
-		if now, _ := b.subs[0].EagerBytes(); now == 0 {
+		if now := b.subs[0].eagerBytes; now == 0 {
 			t.Error("eager gauge shows no staged bytes before close")
 		}
 		// Server abandons the socket without reading a byte.
@@ -96,7 +96,7 @@ func TestCloseWithUnreadEagerData(t *testing.T) {
 		}
 		client.Close(p)
 		p.Sleep(sim.Millisecond)
-		if now, _ := b.subs[0].EagerBytes(); now != 0 {
+		if now := b.subs[0].eagerBytes; now != 0 {
 			t.Errorf("eager pool holds %d bytes after close, want 0", now)
 		}
 		done = true

@@ -82,7 +82,7 @@ func connTeardownWakeups(t *testing.T, m int) int64 {
 }
 
 // TestListenerCloseWakeupsIndependentOfHerd is the thundering-herd
-// regression: Listener.Close used to broadcast on the substrate-wide
+// regression: listener.Close used to broadcast on the substrate-wide
 // activity cond, waking every blocked socket proc on the host, so its
 // wakeup count grew linearly with unrelated sockets. Targeted
 // notification must keep it constant.

@@ -26,24 +26,24 @@ package core
 
 import "repro/internal/sim"
 
-// Mode selects the socket semantics of a substrate connection.
-type Mode int
+// mode selects the socket semantics of a substrate connection.
+type mode int
 
 const (
-	// DataStreaming preserves TCP's streaming semantics: arriving
+	// dataStreaming preserves TCP's streaming semantics: arriving
 	// messages land in substrate temp buffers and read() may consume
 	// any number of bytes, at the price of one extra memory copy.
-	DataStreaming Mode = iota
-	// Datagram disables data streaming (Section 6.2): one write is one
+	dataStreaming mode = iota
+	// datagram disables data streaming (Section 6.2): one write is one
 	// message consumed by one read, enabling zero-copy receives when
 	// the read is posted before the message arrives, and rendezvous
 	// transfers for large messages. Deadlock avoidance is the
 	// application's responsibility.
-	Datagram
+	datagram
 )
 
-func (m Mode) String() string {
-	if m == Datagram {
+func (m mode) String() string {
+	if m == datagram {
 		return "DG"
 	}
 	return "DS"
@@ -111,7 +111,7 @@ const (
 //	DS_DA_UQ  = ... DelayedAcks: true,  UQAcks: true
 //	DG        = Mode: Datagram
 type Options struct {
-	Mode Mode
+	Mode mode
 	// Credits is N, the paper's credit count: the sender may have up to
 	// N unacknowledged messages outstanding; the receiver pre-posts N
 	// data descriptors (Data Streaming mode).
@@ -154,7 +154,7 @@ type Options struct {
 	// dialBackoff and each later one twice as long as the last.
 	DialRetries int
 	// BootEpoch is forwarded to the EMP endpoint's message-ID salt
-	// (emp.Config.BootEpoch): a substrate rebuilt after a host crash
+	// (emp.config.BootEpoch): a substrate rebuilt after a host crash
 	// must run under a bumped epoch so peers' duplicate-suppression
 	// state from the dead incarnation cannot swallow its messages.
 	// Zero — the first boot — matches the historical ID sequence.
@@ -188,7 +188,7 @@ type Options struct {
 // configuration with all enhancements on (DS_DA_UQ, credit size 32).
 func DefaultOptions() Options {
 	return Options{
-		Mode:        DataStreaming,
+		Mode:        dataStreaming,
 		Credits:     32,
 		DelayedAcks: true,
 		UQAcks:      true,
@@ -200,7 +200,7 @@ func DefaultOptions() Options {
 // DatagramOptions returns the paper's Datagram configuration.
 func DatagramOptions() Options {
 	o := DefaultOptions()
-	o.Mode = Datagram
+	o.Mode = datagram
 	return o
 }
 

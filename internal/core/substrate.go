@@ -36,7 +36,7 @@ type Substrate struct {
 	Opts Options
 
 	addr      ethernet.Addr
-	listeners map[int]*Listener
+	listeners map[int]*listener
 	// active is the paper's static table of active sockets (Section
 	// 5.3): sockets engaged in communication, excluding listeners.
 	// Sharded, with (peer, outbound-tag) and by-peer indexes — see
@@ -66,8 +66,8 @@ type Substrate struct {
 	// early data arrivals for those channels must survive staleness
 	// purges until Accept posts the connection's descriptors. Keyed the
 	// same way as chans; filled by the backlog descriptors' owners
-	// (backlogPost), consumed by Accept, cleared by Listener.Close.
-	awaiting map[chanKey]*Listener
+	// (backlogPost), consumed by Accept, cleared by listener.Close.
+	awaiting map[chanKey]*listener
 	dead     bool
 	// draining is set by Drain: new connects are refused, new listens
 	// rejected, and arriving connection requests answered with the
@@ -134,14 +134,14 @@ func New(e *sim.Engine, host *kernel.Host, n *nic.NIC, tel *telemetry.Registry, 
 		EP:        emp.NewEndpoint(e, host, n, epCfg),
 		Opts:      opts,
 		addr:      n.Addr(),
-		listeners: make(map[int]*Listener),
+		listeners: make(map[int]*listener),
 		active:    newConnTable(),
 		tagNext:   0x0100,
 		tagInUse:  make(map[emp.Tag]bool),
 		keyNext:   1000,
 		portNext:  32768,
 		chans:     make(map[chanKey]*Conn),
-		awaiting:  make(map[chanKey]*Listener),
+		awaiting:  make(map[chanKey]*listener),
 		Tel:       tel,
 	}
 	tel.ReplaceSource("core", func() []telemetry.Stat {
@@ -347,7 +347,7 @@ func (s *Substrate) refuseReq(p *sim.Proc, req *connRequest) {
 
 // noteAwaiting registers the receive channels announced by the
 // connection request that completed backlog descriptor h, if any.
-func (s *Substrate) noteAwaiting(l *Listener, h *emp.RecvHandle) {
+func (s *Substrate) noteAwaiting(l *listener, h *emp.RecvHandle) {
 	if h.Status() != emp.StatusOK {
 		return
 	}
@@ -366,7 +366,7 @@ func (s *Substrate) doneAwaiting(req *connRequest) {
 
 // dropAwaiting removes every registry entry belonging to a closing
 // listener.
-func (s *Substrate) dropAwaiting(l *Listener) {
+func (s *Substrate) dropAwaiting(l *listener) {
 	for k, owner := range s.awaiting {
 		if owner == l {
 			delete(s.awaiting, k)
@@ -414,10 +414,6 @@ func (s *Substrate) eagerRelease(p *sim.Proc, n int) {
 	}
 }
 
-// EagerBytes reports the staged-byte pool gauge (and its high-water
-// mark) for stats plumbing and the leak auditor.
-func (s *Substrate) EagerBytes() (now, highWater int) { return s.eagerBytes, s.eagerHW }
-
 // peerUnreachable fails every active connection to dst with
 // sock.ErrReset, in (peer, localPort, remotePort) order, waking blocked
 // Read/Write callers. Runs in event context.
@@ -443,7 +439,7 @@ func (s *Substrate) Kill() {
 		c.fail(sock.ErrReset)
 	}
 	dying := s.listeners
-	s.listeners = make(map[int]*Listener)
+	s.listeners = make(map[int]*listener)
 	for _, l := range dying {
 		l.closed = true
 	}
@@ -584,7 +580,7 @@ func (s *Substrate) Listen(p *sim.Proc, port, backlog int) (sock.Listener, error
 	if backlog < 1 {
 		backlog = 1
 	}
-	l := &Listener{sub: s, port: port, backlog: backlog}
+	l := &listener{sub: s, port: port, backlog: backlog}
 	for i := 0; i < backlog; i++ {
 		l.post(p)
 	}
@@ -733,7 +729,7 @@ func (s *Substrate) Drain(p *sim.Proc, deadline sim.Time) error {
 		return nil
 	}
 	s.draining = true
-	ls := make([]*Listener, 0, len(s.listeners))
+	ls := make([]*listener, 0, len(s.listeners))
 	for _, l := range s.listeners {
 		ls = append(ls, l)
 	}
@@ -756,12 +752,6 @@ func (s *Substrate) Drain(p *sim.Proc, deadline sim.Time) error {
 	}
 	return nil
 }
-
-// Draining reports whether Drain has been called.
-func (s *Substrate) Draining() bool { return s.draining }
-
-// Shutdown stops the underlying endpoint's firmware (end of simulation).
-func (s *Substrate) Shutdown() { s.EP.Shutdown() }
 
 // PurgeStale discards unexpected-queue messages addressed to channels
 // that no longer exist (exported for fault-injection tests asserting
@@ -820,7 +810,7 @@ func (s *Substrate) AuditResources(add func(kind, detail string)) {
 			add("half-closed", fmt.Sprintf("conn %d:%d -> %d:%d sent its closed message but never cleaned up",
 				s.addr, c.localPort, c.peer, c.remotePort))
 		}
-		if c.opts.Mode != DataStreaming {
+		if c.opts.Mode != dataStreaming {
 			return
 		}
 		if c.credits < 0 || c.credits > c.opts.Credits {
@@ -862,9 +852,9 @@ func (s *Substrate) AuditResources(add func(kind, detail string)) {
 	})
 }
 
-// Listener is a substrate passive socket: backlog pre-posted connection
+// listener is a substrate passive socket: backlog pre-posted connection
 // request descriptors, FIFO accepted.
-type Listener struct {
+type listener struct {
 	sub     *Substrate
 	port    int
 	backlog int
@@ -874,20 +864,20 @@ type Listener struct {
 	src sock.NoteSource // registered pollers
 }
 
-var _ sock.Listener = (*Listener)(nil)
-var _ sock.Pollable = (*Listener)(nil)
+var _ sock.Listener = (*listener)(nil)
+var _ sock.Pollable = (*listener)(nil)
 
 // Notify wakes this listener's registered pollers; EMP completions on
 // backlog descriptors and routed unexpected-queue arrivals land here
 // instead of broadcasting host-wide.
-func (l *Listener) Notify() {
+func (l *listener) Notify() {
 	l.src.Fire(sock.PollIn | sock.PollErr)
 }
 
 // backlogPost owns one backlog descriptor. Backlog descriptors can
 // complete out of post order, so each carries its own handle.
 type backlogPost struct {
-	l *Listener
+	l *listener
 	h *emp.RecvHandle
 }
 
@@ -903,7 +893,7 @@ func (b backlogPost) Notify() {
 // post adds one backlog descriptor. A request PostRecv already claimed
 // from the unexpected queue is registered here, since its completion
 // notified nobody.
-func (l *Listener) post(p *sim.Proc) {
+func (l *listener) post(p *sim.Proc) {
 	h := l.sub.EP.PostRecv(p, emp.AnySource, listenTag(l.port), connReqBytes, emp.KeyNone)
 	l.sub.noteAwaiting(l, h)
 	h.SetNotify(backlogPost{l, h})
@@ -911,18 +901,18 @@ func (l *Listener) post(p *sim.Proc) {
 }
 
 // Addr implements sock.Listener.
-func (l *Listener) Addr() sock.Addr { return l.sub.addr }
+func (l *listener) Addr() sock.Addr { return l.sub.addr }
 
 // Port implements sock.Listener.
-func (l *Listener) Port() int { return l.port }
+func (l *listener) Port() int { return l.port }
 
 // acceptable reports whether Accept would return without blocking.
-func (l *Listener) acceptable() bool {
+func (l *listener) acceptable() bool {
 	return !l.closed && len(l.handles) > 0 && l.handles[0].Status() != emp.StatusPending
 }
 
 // PollState implements sock.Pollable.
-func (l *Listener) PollState() sock.PollEvents {
+func (l *listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
 	if l.acceptable() {
 		ev |= sock.PollIn
@@ -934,12 +924,12 @@ func (l *Listener) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (l *Listener) PollSource() *sock.NoteSource { return &l.src }
+func (l *listener) PollSource() *sock.NoteSource { return &l.src }
 
 // Accept implements sock.Listener: block on the head-of-backlog
 // descriptor (the paper's Section 5.1 design), build the connection from
 // the request's tag assignments, and replenish the backlog.
-func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
+func (l *listener) Accept(p *sim.Proc) (sock.Conn, error) {
 	p.Sleep(libCall)
 	if l.closed {
 		return nil, sock.ErrClosed
@@ -978,7 +968,7 @@ func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
 // waiting out a timeout. Only procs registered on this listener wake:
 // each unpost cancels its descriptor, whose completion notifies the
 // listener — unrelated blocked sockets on the host see nothing.
-func (l *Listener) Close(p *sim.Proc) error {
+func (l *listener) Close(p *sim.Proc) error {
 	p.Sleep(libCall)
 	if l.closed {
 		return nil

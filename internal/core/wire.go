@@ -142,7 +142,7 @@ type connRequest struct {
 	ClientDataTag emp.Tag
 	ClientAckTag  emp.Tag
 
-	Mode        Mode
+	Mode        mode
 	Credits     int
 	DelayedAcks bool
 	UQAcks      bool

@@ -47,11 +47,11 @@ type activity struct {
 	dmaHold    sim.Duration // how long the DMA transfer holds the engine
 	dmaDone    stage        // run once the DMA transfer is over
 
-	wf     *WireFrame  // the frame the receive CPU is processing
+	wf     *wireFrame  // the frame the receive CPU is processing
 	r      *reassembly // its message's reassembly
 	desc   *recvDesc   // the descriptor its first fragment matched
 	walked int         // entries that match examined
-	ctl    *WireFrame  // the ack or nack being generated
+	ctl    *wireFrame  // the ack or nack being generated
 	ctlDst ethernet.Addr
 }
 

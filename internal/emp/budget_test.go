@@ -49,7 +49,7 @@ func TestPostRecvBeyondBudgetFailsFast(t *testing.T) {
 		if st := h4.Status(); st != StatusPending {
 			t.Errorf("post after unpost completed early: %v", st)
 		}
-		if got := ep.DescriptorHighWater(); got != 2 {
+		if got := ep.descHW; got != 2 {
 			t.Errorf("descriptor high water = %d, want 2", got)
 		}
 	})
@@ -68,7 +68,7 @@ func TestPostSendBeyondBudgetFailsFast(t *testing.T) {
 		if p.Now() != before {
 			t.Error("over-budget PostSend burned simulated time")
 		}
-		if st := ep.WaitSend(p, h); st != StatusNoDescriptors {
+		if st := ep.waitSend(p, h); st != StatusNoDescriptors {
 			t.Errorf("send status %v, want StatusNoDescriptors", st)
 		}
 		if got := ep.DescDenied.Value; got != 1 {
@@ -111,7 +111,7 @@ func TestDescriptorBudgetReleasedOnCompletion(t *testing.T) {
 	if n := b.eps[1].DescriptorsInUse(); n != 0 {
 		t.Fatalf("descriptors still in use at quiescence: %d", n)
 	}
-	if hw := b.eps[1].DescriptorHighWater(); hw != 1 {
+	if hw := b.eps[1].descHW; hw != 1 {
 		t.Fatalf("high water %d, want 1", hw)
 	}
 }
@@ -134,7 +134,7 @@ func TestUQByteCapEvictsOldestNonSetup(t *testing.T) {
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
 	ep := b.eps[1]
-	if got := ep.UnexpectedBytes(); got > 2500 {
+	if got := ep.uqBytes; got > 2500 {
 		t.Fatalf("unexpected-queue bytes %d exceed the 2500 cap", got)
 	}
 	if !ep.PeekUnexpected(AnySource, setupTag) {

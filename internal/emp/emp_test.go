@@ -18,7 +18,7 @@ type testbed struct {
 	nics   [2]*nic.NIC
 	eps    [2]*Endpoint
 	plan   *faults.Plan
-	epCfg  Config
+	epCfg  config
 	nicCfg nic.Config
 }
 
@@ -113,7 +113,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	if st != StatusOK || got.Len != size {
 		t.Fatalf("status %v len %d", st, got.Len)
 	}
-	want := FragCount(size)
+	want := fragCountFor(size, maxFragPayload)
 	if int(b.nics[0].TxFrames.Value) < want {
 		t.Fatalf("sender transmitted %d frames, want >= %d", b.nics[0].TxFrames.Value, want)
 	}
@@ -121,18 +121,18 @@ func TestFragmentationRoundTrip(t *testing.T) {
 
 func TestFragCount(t *testing.T) {
 	cases := []struct{ n, want int }{
-		{0, 1}, {1, 1}, {MaxFragPayload, 1}, {MaxFragPayload + 1, 2},
-		{10 * MaxFragPayload, 10}, {10*MaxFragPayload + 1, 11},
+		{0, 1}, {1, 1}, {maxFragPayload, 1}, {maxFragPayload + 1, 2},
+		{10 * maxFragPayload, 10}, {10*maxFragPayload + 1, 11},
 	}
 	for _, c := range cases {
-		if got := FragCount(c.n); got != c.want {
-			t.Errorf("FragCount(%d) = %d, want %d", c.n, got, c.want)
+		if got := fragCountFor(c.n, maxFragPayload); got != c.want {
+			t.Errorf("fragCountFor(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
-	if fragLen(100, 0, MaxFragPayload) != 100 || fragLen(MaxFragPayload+5, 1, MaxFragPayload) != 5 {
+	if fragLen(100, 0, maxFragPayload) != 100 || fragLen(maxFragPayload+5, 1, maxFragPayload) != 5 {
 		t.Error("fragLen wrong")
 	}
-	if fragLen(0, 0, MaxFragPayload) != 0 || fragLen(100, 5, MaxFragPayload) != 0 {
+	if fragLen(0, 0, maxFragPayload) != 0 || fragLen(100, 5, maxFragPayload) != 0 {
 		t.Error("fragLen edge cases wrong")
 	}
 	// Jumbo framing carries proportionally more per fragment.
@@ -517,7 +517,7 @@ func TestAckWindowEveryFourFrames(t *testing.T) {
 	// A message of 12 fragments should generate about 3 acks (one per 4
 	// frames, the last batch coinciding with completion).
 	b := newBed()
-	size := 12 * MaxFragPayload
+	size := 12 * maxFragPayload
 	b.eng.Spawn("recv", func(p *sim.Proc) {
 		h := b.eps[1].PostRecv(p, AnySource, 2, size, 20)
 		b.eps[1].WaitRecv(p, h)

@@ -33,8 +33,8 @@ const (
 	tcacheCap = 1024
 )
 
-// Config tunes the endpoint.
-type Config struct {
+// config tunes the endpoint.
+type config struct {
 	// UnexpectedSlots is the size of the NIC unexpected-message queue;
 	// zero disables it (unmatched messages are dropped and later
 	// retransmitted by the sender).
@@ -63,8 +63,8 @@ type Config struct {
 }
 
 // DefaultEndpointConfig returns the standard calibration.
-func DefaultEndpointConfig() Config {
-	return Config{
+func DefaultEndpointConfig() config {
+	return config{
 		UnexpectedSlots: 0,
 		MaxDescriptors:  8192,
 	}
@@ -90,7 +90,7 @@ type Counters struct {
 	// drain paths' "used or unposted" accounting (Section 5.3).
 	Unposts sim.Counter `metric:"unposts"`
 
-	// Descriptor-budget accounting (Config.MaxDescriptors): posted
+	// Descriptor-budget accounting (config.MaxDescriptors): posted
 	// receive descriptors plus live send transmission records, the most
 	// ever in use, and acquisitions refused at the budget.
 	descInUse  int         `metric:"desc_in_use"`
@@ -98,7 +98,7 @@ type Counters struct {
 	DescDenied sim.Counter `metric:"desc_denied"`
 
 	// Unexpected-queue occupancy for the byte cap
-	// (Config.UnexpectedBytes): bytes parked, the most entries ever
+	// (config.UnexpectedBytes): bytes parked, the most entries ever
 	// parked, and entries the cap evicted.
 	uqBytes       int         `metric:"uq_bytes"`
 	uqPeakEntries int         `metric:"uq_peak_entries"`
@@ -110,7 +110,7 @@ type Endpoint struct {
 	Eng  *sim.Engine
 	Host *kernel.Host
 	NIC  *nic.NIC
-	Cfg  Config
+	Cfg  config
 
 	fw        *firmware
 	addr      ethernet.Addr
@@ -161,13 +161,10 @@ func (ep *Endpoint) descRelease() {
 // send transmission records not yet retired by the reliability layer.
 func (ep *Endpoint) DescriptorsInUse() int { return ep.descInUse }
 
-// DescriptorHighWater reports the maximum the gauge ever reached.
-func (ep *Endpoint) DescriptorHighWater() int { return ep.descHW }
-
 // NewEndpoint creates an endpoint and installs the EMP firmware on the
 // NIC, its send and receive processors idle until work arrives. The NIC
 // must already be attached to a switch.
-func NewEndpoint(e *sim.Engine, host *kernel.Host, n *nic.NIC, cfg Config) *Endpoint {
+func NewEndpoint(e *sim.Engine, host *kernel.Host, n *nic.NIC, cfg config) *Endpoint {
 	ep := &Endpoint{
 		Eng:       e,
 		Host:      host,
@@ -215,11 +212,6 @@ func (ep *Endpoint) unpostDoorbell(a any) {
 // Addr reports the endpoint's station address.
 func (ep *Endpoint) Addr() ethernet.Addr { return ep.addr }
 
-// Shutdown stops the firmware processors taking new work: a later post
-// fails, and frames arriving at the NIC are ignored. Work already queued
-// still runs.
-func (ep *Endpoint) Shutdown() { ep.fw.shutdown() }
-
 // ProtoEvent is one EMP reliability event surfaced to the layer above:
 // a retransmission round, a received NACK, or a send abandoned after
 // exhausting its retry budget. Dst and Tag identify the send channel,
@@ -254,7 +246,7 @@ func (ep *Endpoint) ResendStreak(dst ethernet.Addr) int { return ep.fw.resendStr
 // Kill models this endpoint's host dying mid-run: the NIC stops moving
 // frames, every in-flight send fails, every posted descriptor is
 // cancelled, and the firmware processors take no new work. Blocked
-// WaitSend/WaitRecv callers wake with failure statuses; peers discover
+// waitSend/WaitRecv callers wake with failure statuses; peers discover
 // the death through their own retry budgets.
 func (ep *Endpoint) Kill() {
 	if ep.dead {
@@ -264,9 +256,6 @@ func (ep *Endpoint) Kill() {
 	ep.NIC.Kill()
 	ep.fw.kill()
 }
-
-// Dead reports whether Kill has been called.
-func (ep *Endpoint) Dead() bool { return ep.dead }
 
 // translate charges p for the address translation of a post: free on a
 // translation-cache hit, a pin system call on a miss.
@@ -289,22 +278,22 @@ func (ep *Endpoint) translate(p *sim.Proc, key BufKey) {
 	ep.tcacheFIFO = append(ep.tcacheFIFO, key)
 }
 
-// Notifiable is a handle's owner: the socket whose callers park on its
+// notifiable is a handle's owner: the socket whose callers park on its
 // own events rather than on the handle. A completing handle notifies it
 // once.
-type Notifiable interface {
+type notifiable interface {
 	Notify()
 }
 
-// SendHandle tracks one posted send. The send completes locally when the
+// sendHandle tracks one posted send. The send completes locally when the
 // last fragment has been handed to the MAC; reliability continues in the
 // background (acknowledgments are NIC-to-NIC and invisible to the host).
-// It finishes one way: complete wakes the proc parked in WaitSend, then
+// It finishes one way: complete wakes the proc parked in waitSend, then
 // notifies the owner.
-type SendHandle struct {
+type sendHandle struct {
 	status Status
 	cond   sim.Cond
-	notify Notifiable
+	notify notifiable
 	msgID  uint64
 	dst    ethernet.Addr
 	tag    Tag
@@ -313,14 +302,14 @@ type SendHandle struct {
 }
 
 // Status reports the handle's current state.
-func (h *SendHandle) Status() Status { return h.status }
+func (h *sendHandle) Status() Status { return h.status }
 
 // SetNotify sets the owner notified on completion: the sockets
 // substrate points it at the owning connection, so a waiter parked on
 // that connection's events still wakes when the send lands.
-func (h *SendHandle) SetNotify(n Notifiable) { h.notify = n }
+func (h *sendHandle) SetNotify(n notifiable) { h.notify = n }
 
-func (h *SendHandle) complete(s Status) {
+func (h *sendHandle) complete(s Status) {
 	if h.status != StatusPending {
 		return
 	}
@@ -335,13 +324,13 @@ func (h *SendHandle) complete(s Status) {
 // the given tag. data is the opaque payload object delivered to the
 // matching receive (nil is fine when only timing matters). key selects
 // the translation-cache entry for the source buffer.
-func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int, data any, key BufKey) *SendHandle {
+func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int, data any, key BufKey) *sendHandle {
 	if length < 0 {
 		panic("emp: negative send length")
 	}
 	ep.SendsPosted.Inc()
 	ep.nextMsgID++
-	h := &SendHandle{
+	h := &sendHandle{
 		status: StatusPending,
 		cond:   sim.MakeCond(ep.Eng, "emp.send"),
 		msgID:  ep.nextMsgID,
@@ -366,26 +355,26 @@ func (ep *Endpoint) PostSend(p *sim.Proc, dst ethernet.Addr, tag Tag, length int
 	return h
 }
 
-// WaitSend blocks until the send completes locally and returns its
+// waitSend blocks until the send completes locally and returns its
 // status.
-func (ep *Endpoint) WaitSend(p *sim.Proc, h *SendHandle) Status {
+func (ep *Endpoint) waitSend(p *sim.Proc, h *sendHandle) Status {
 	h.cond.WaitFor(p, func() bool { return h.status != StatusPending })
 	return h.status
 }
 
 // Send posts a send and waits for local completion.
 func (ep *Endpoint) Send(p *sim.Proc, dst ethernet.Addr, tag Tag, length int, data any, key BufKey) Status {
-	return ep.WaitSend(p, ep.PostSend(p, dst, tag, length, data, key))
+	return ep.waitSend(p, ep.PostSend(p, dst, tag, length, data, key))
 }
 
-// RecvHandle tracks one posted receive descriptor. Like SendHandle it
+// RecvHandle tracks one posted receive descriptor. Like sendHandle it
 // finishes one way: complete wakes the proc parked in WaitRecv, then
 // notifies the owner.
 type RecvHandle struct {
 	status Status
 	cond   sim.Cond
 	msg    Message
-	notify Notifiable
+	notify notifiable
 
 	ep      *Endpoint
 	counted bool
@@ -401,7 +390,7 @@ type RecvHandle struct {
 // registered on that object wake. The notification runs in event
 // context and must not block. A handle PostRecv already completed (from
 // the unexpected queue) notifies nobody: its poster reads Status.
-func (h *RecvHandle) SetNotify(n Notifiable) { h.notify = n }
+func (h *RecvHandle) SetNotify(n notifiable) { h.notify = n }
 
 // Match reports the (source, tag) pair the descriptor was posted for;
 // the leak auditor uses it to describe orphaned descriptors.
@@ -559,7 +548,7 @@ func (ep *Endpoint) CountUnexpected(src ethernet.Addr, tag Tag) int {
 
 // SetUnexpectedSetupClass registers a classifier marking tags whose
 // unexpected-queue entries must never be dropped by the byte-cap
-// eviction (Config.UnexpectedBytes) — the sockets substrate protects
+// eviction (config.UnexpectedBytes) — the sockets substrate protects
 // connection-setup requests, which carry state that cannot be
 // retransmitted once the NIC has acknowledged them.
 func (ep *Endpoint) SetUnexpectedSetupClass(fn func(tag Tag) bool) { ep.fw.uqSetup = fn }
@@ -627,11 +616,3 @@ func (ep *Endpoint) PrepostedDescriptors() int { return ep.fw.posted.len() }
 // UnexpectedQueued reports completed messages waiting in the unexpected
 // queue.
 func (ep *Endpoint) UnexpectedQueued() int { return ep.fw.uq.len() }
-
-// UnexpectedBytes reports the payload bytes currently parked in the
-// unexpected queue.
-func (ep *Endpoint) UnexpectedBytes() int { return ep.uqBytes }
-
-// UnexpectedPeakEntries reports the most entries the unexpected queue
-// ever held — the occupancy high-water mark overload tests assert on.
-func (ep *Endpoint) UnexpectedPeakEntries() int { return ep.uqPeakEntries }

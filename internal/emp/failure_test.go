@@ -39,7 +39,7 @@ func TestSendFailureObservableAfterPeerDeath(t *testing.T) {
 		// and the handle must complete StatusFailed (a small send
 		// completes StatusOK locally at MAC handoff by design; its
 		// failure surfaces via the event instead).
-		size := (sendWindow + 4) * MaxFragPayload
+		size := (sendWindow + 4) * maxFragPayload
 		st := b.eps[0].Send(p, b.eps[1].Addr(), 9, size, "doomed", 100)
 		sendStatus, sendDoneAt = st, p.Now()
 	})

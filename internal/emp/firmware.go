@@ -8,7 +8,7 @@ import (
 )
 
 type txPost struct {
-	h    *SendHandle
+	h    *sendHandle
 	data any
 }
 
@@ -146,9 +146,9 @@ type firmware struct {
 func (fw *firmware) maxFrag() int {
 	mtu := fw.n.Cfg.MTU
 	if mtu <= 0 {
-		mtu = MaxFragPayload + FrameHeaderBytes
+		mtu = maxFragPayload + frameHeaderBytes
 	}
-	return mtu - FrameHeaderBytes
+	return mtu - frameHeaderBytes
 }
 
 func newFirmware(ep *Endpoint) *firmware {
@@ -313,8 +313,8 @@ func fragOut(a *activity) {
 	fw, rec, seq := a.fw, a.rec, a.frag
 	a.next = a.fragDone
 	fl := fragLen(rec.length, seq, fw.maxFrag())
-	wf := &WireFrame{
-		Kind:    DataFrame,
+	wf := &wireFrame{
+		Kind:    dataFrame,
 		Src:     fw.ep.addr,
 		Tag:     rec.tag,
 		MsgID:   rec.msgID,
@@ -436,7 +436,7 @@ func (fw *firmware) after(d sim.Duration, fn func(any), arg any) sim.Event {
 // sendDone, truncDone and recvDone are the fns of the completion
 // events, each passed the handle it completes. recvDone delivers the
 // message that deliver stored in the handle.
-func sendDone(a any)  { a.(*SendHandle).complete(StatusOK) }
+func sendDone(a any)  { a.(*sendHandle).complete(StatusOK) }
 func truncDone(a any) { a.(*RecvHandle).complete(StatusTruncated, Message{}) }
 func recvDone(a any) {
 	h := a.(*RecvHandle)
@@ -490,18 +490,18 @@ func recvItem(a *activity) {
 
 // recvFrame classifies an arriving frame and charges its processing.
 func (a *activity) recvFrame(f *ethernet.Frame) {
-	wf, ok := f.Payload.(*WireFrame)
+	wf, ok := f.Payload.(*wireFrame)
 	if !ok {
 		a.fw.FramesDropped.Inc()
 		return
 	}
 	a.wf = wf
 	switch wf.Kind {
-	case AckFrame:
+	case ackFrame:
 		a.charge(ackRxCost, ackArrived)
-	case NackFrame:
+	case nackFrame:
 		a.charge(ackRxCost, nackArrived)
-	case DataFrame:
+	case dataFrame:
 		a.charge(a.fw.n.Cfg.EffectiveRxPerFrame(), dataArrived)
 	}
 }
@@ -564,7 +564,7 @@ func dataArrived(a *activity) {
 	if fw.completed[key] {
 		// Late duplicate of a fully received message (its final ack was
 		// lost): re-ack the whole message to silence the sender.
-		a.sendCtl(AckFrame, wf.Src, wf.MsgID, wf.NFrag)
+		a.sendCtl(ackFrame, wf.Src, wf.MsgID, wf.NFrag)
 		return
 	}
 	if r := fw.reasm[key]; r != nil {
@@ -632,13 +632,13 @@ func fragArrived(a *activity) {
 	switch {
 	case wf.Seq < r.expected:
 		// Duplicate fragment: re-ack cumulative state to resync sender.
-		a.sendCtl(AckFrame, wf.Src, wf.MsgID, r.expected)
+		a.sendCtl(ackFrame, wf.Src, wf.MsgID, r.expected)
 		return
 	case wf.Seq > r.expected:
 		// Gap: a fragment was lost; request retransmission once per gap.
 		if r.lastNack != r.expected {
 			r.lastNack = r.expected
-			a.sendCtl(NackFrame, wf.Src, wf.MsgID, r.expected)
+			a.sendCtl(nackFrame, wf.Src, wf.MsgID, r.expected)
 		}
 		return
 	}
@@ -666,16 +666,16 @@ func fragLanded(a *activity) {
 		// NIC-to-NIC housekeeping and stays off the data critical path.
 		fw.finish(r)
 	}
-	if done || r.sinceAck >= AckWindow {
+	if done || r.sinceAck >= ackWindow {
 		r.sinceAck = 0
-		a.sendCtl(AckFrame, wf.Src, wf.MsgID, r.expected)
+		a.sendCtl(ackFrame, wf.Src, wf.MsgID, r.expected)
 	}
 }
 
 // sendCtl charges the receive CPU for generating an ack or nack of
 // msgID up to seq, then sends it to dst and ends the work item.
-func (a *activity) sendCtl(kind FrameKind, dst ethernet.Addr, msgID uint64, seq int) {
-	a.ctl = &WireFrame{Kind: kind, Src: a.fw.ep.addr, MsgID: msgID, AckSeq: seq}
+func (a *activity) sendCtl(kind frameKind, dst ethernet.Addr, msgID uint64, seq int) {
+	a.ctl = &wireFrame{Kind: kind, Src: a.fw.ep.addr, MsgID: msgID, AckSeq: seq}
 	a.ctlDst = dst
 	a.charge(ackTxCost, ctlOut)
 }
@@ -684,12 +684,12 @@ func ctlOut(a *activity) {
 	fw, wf := a.fw, a.ctl
 	a.ctl = nil
 	a.next = serveRecv
-	if wf.Kind == AckFrame {
+	if wf.Kind == ackFrame {
 		fw.AcksSent.Inc()
 	} else {
 		fw.NacksSent.Inc()
 	}
-	fw.n.Transmit(wf.carry(a.ctlDst, AckFrameBytes, 0))
+	fw.n.Transmit(wf.carry(a.ctlDst, ackFrameBytes, 0))
 }
 
 // matchPreposted is the single descriptor-match routine shared by the

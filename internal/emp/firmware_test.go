@@ -40,8 +40,10 @@ func streamOnce(b *testbed, msgs, msgSize int) float64 {
 }
 
 func TestJumboFramesRaiseBandwidth(t *testing.T) {
+	cfg := nic.DefaultConfig()
+	cfg.MTU = ethernet.JumboMTU
 	std := streamOnce(newBed(), 64, 64<<10)
-	jumbo := streamOnce(newBed(withNIC(nic.JumboConfig())), 64, 64<<10)
+	jumbo := streamOnce(newBed(withNIC(cfg)), 64, 64<<10)
 	if jumbo < std+80 {
 		t.Fatalf("jumbo %0.f Mbps should clearly beat standard %.0f", jumbo, std)
 	}
@@ -53,7 +55,9 @@ func TestJumboFramesRaiseBandwidth(t *testing.T) {
 func TestJumboLatencyRoundTrip(t *testing.T) {
 	// Correctness at jumbo MTU: a multi-fragment message arrives intact
 	// and uses fewer frames.
-	b := newBed(withNIC(nic.JumboConfig()))
+	cfg := nic.DefaultConfig()
+	cfg.MTU = ethernet.JumboMTU
+	b := newBed(withNIC(cfg))
 	const size = 100 << 10
 	var st Status
 	b.eng.Spawn("recv", func(p *sim.Proc) {
@@ -204,8 +208,8 @@ func TestDuplicateCompletedMessageReAcked(t *testing.T) {
 	dup := &ethernet.Frame{
 		Src: b.eps[0].Addr(), Dst: b.eps[1].Addr(),
 		PayloadLen: wireBytes(8),
-		Payload: &WireFrame{
-			Kind: DataFrame, Src: b.eps[0].Addr(), Tag: 7,
+		Payload: &wireFrame{
+			Kind: dataFrame, Src: b.eps[0].Addr(), Tag: 7,
 			MsgID: 1, Seq: 0, NFrag: 1, MsgLen: 8, FragLen: 8, Data: "dup",
 		},
 	}
@@ -284,7 +288,7 @@ func TestUnexpectedNotifyFires(t *testing.T) {
 	if len(routed) != 1 || routed[0] != 5 {
 		t.Fatalf("routed tags %v, want one arrival on tag 5", routed)
 	}
-	if us := wokenAt.Micros(); us > 300 {
+	if us := sim.Duration(wokenAt).Micros(); us > 300 {
 		t.Fatalf("waiter woke at %v, long after the arrival", wokenAt)
 	}
 }
@@ -296,7 +300,7 @@ func TestSendFailureAfterRetriesExhausted(t *testing.T) {
 	var st Status
 	b.eng.Spawn("send", func(p *sim.Proc) {
 		h := b.eps[0].PostSend(p, b.eps[1].Addr(), 3, 1024, nil, 10)
-		st = b.eps[0].WaitSend(p, h) // local completion still succeeds
+		st = b.eps[0].waitSend(p, h) // local completion still succeeds
 	})
 	b.eng.RunUntil(sim.Time(sim.Second))
 	if st != StatusOK {
@@ -347,7 +351,7 @@ func TestShutdownFailsNewWork(t *testing.T) {
 	b := newBed()
 	var sent, recvd Status
 	b.eng.Spawn("driver", func(p *sim.Proc) {
-		b.eps[1].Shutdown()
+		b.eps[1].fw.shutdown()
 		if st := b.eps[0].Send(p, b.eps[1].Addr(), 1, 4096, nil, KeyNone); st != StatusOK {
 			t.Errorf("live sender's local completion: %v", st)
 		}
@@ -373,13 +377,13 @@ func TestShutdownFailsNewWork(t *testing.T) {
 	}
 }
 
-// Closing an idle firmware, by Shutdown or by Kill, queues nothing: its
+// Closing an idle firmware, by shutdown or by Kill, queues nothing: its
 // CPUs have no work left to run, so they stay parked.
 func TestCloseOfIdleFirmwareQueuesNothing(t *testing.T) {
 	b := newBed()
 	b.eng.Run()
 	before := b.eng.Events()
-	b.eps[0].Shutdown()
+	b.eps[0].fw.shutdown()
 	b.eps[1].Kill()
 	b.eng.Run()
 	if n := b.eng.Events() - before; n != 0 {
@@ -394,7 +398,7 @@ func (n *notifyCount) Notify() { *n++ }
 
 func TestHandleAccessorsAndStrings(t *testing.T) {
 	b := newBed(withUQ(4))
-	var sh *SendHandle
+	var sh *sendHandle
 	var rh *RecvHandle
 	var notified notifyCount
 	b.eng.Spawn("p", func(p *sim.Proc) {
@@ -412,7 +416,7 @@ func TestHandleAccessorsAndStrings(t *testing.T) {
 	if notified != 1 {
 		t.Fatalf("owner notified %d times, want 1", notified)
 	}
-	for _, k := range []FrameKind{DataFrame, AckFrame, NackFrame, FrameKind(9)} {
+	for _, k := range []frameKind{dataFrame, ackFrame, nackFrame, frameKind(9)} {
 		if k.String() == "" {
 			t.Fatal("empty kind string")
 		}

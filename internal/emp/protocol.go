@@ -22,52 +22,52 @@ const AnySource ethernet.Addr = -2
 
 // Wire-format constants.
 const (
-	// FrameHeaderBytes is the EMP header inside the Ethernet payload:
+	// frameHeaderBytes is the EMP header inside the Ethernet payload:
 	// kind, source endpoint, tag, message id, fragment seq/count,
 	// message length, checksum.
-	FrameHeaderBytes = 24
-	// MaxFragPayload is the message data carried per standard Ethernet
+	frameHeaderBytes = 24
+	// maxFragPayload is the message data carried per standard Ethernet
 	// frame; endpoints on jumbo-framed NICs carry proportionally more
 	// (see Endpoint fragmentation).
-	MaxFragPayload = ethernet.MTU - FrameHeaderBytes
-	// AckFrameBytes is the on-wire payload of an ack/nack frame.
-	AckFrameBytes = 32
-	// AckWindow is how many data frames the receiver NIC accumulates
+	maxFragPayload = ethernet.MTU - frameHeaderBytes
+	// ackFrameBytes is the on-wire payload of an ack/nack frame.
+	ackFrameBytes = 32
+	// ackWindow is how many data frames the receiver NIC accumulates
 	// before sending a reliability acknowledgment (the paper's
 	// implementation chose four).
-	AckWindow = 4
+	ackWindow = 4
 )
 
-// FrameKind classifies an EMP frame, mirroring the paper's
+// frameKind classifies an EMP frame, mirroring the paper's
 // data/header/ack/nack classification step on the receive CPU.
-type FrameKind uint8
+type frameKind uint8
 
 const (
-	// DataFrame carries a fragment of a message (the first fragment
+	// dataFrame carries a fragment of a message (the first fragment
 	// doubles as the paper's "header" frame).
-	DataFrame FrameKind = iota
-	// AckFrame is a NIC-generated reliability acknowledgment; it is
+	dataFrame frameKind = iota
+	// ackFrame is a NIC-generated reliability acknowledgment; it is
 	// produced and consumed by the NICs and never seen by the host.
-	AckFrame
-	// NackFrame requests retransmission from a given fragment.
-	NackFrame
+	ackFrame
+	// nackFrame requests retransmission from a given fragment.
+	nackFrame
 )
 
-func (k FrameKind) String() string {
+func (k frameKind) String() string {
 	switch k {
-	case DataFrame:
+	case dataFrame:
 		return "data"
-	case AckFrame:
+	case ackFrame:
 		return "ack"
-	case NackFrame:
+	case nackFrame:
 		return "nack"
 	}
 	return "?"
 }
 
-// WireFrame is the EMP-level payload of one Ethernet frame.
-type WireFrame struct {
-	Kind    FrameKind
+// wireFrame is the EMP-level payload of one Ethernet frame.
+type wireFrame struct {
+	Kind    frameKind
 	Src     ethernet.Addr
 	Tag     Tag
 	MsgID   uint64 // sender-scoped message identifier
@@ -80,8 +80,8 @@ type WireFrame struct {
 	// fragment so reassembly can complete regardless of which
 	// retransmission arrives last. It is opaque to the protocol.
 	Data any
-	// AckSeq: for AckFrame, fragments [0, AckSeq) are acknowledged;
-	// for NackFrame, retransmission is requested starting at AckSeq.
+	// AckSeq: for ackFrame, fragments [0, AckSeq) are acknowledged;
+	// for nackFrame, retransmission is requested starting at AckSeq.
 	AckSeq int
 
 	// frame is the Ethernet frame that carries this one; the two share
@@ -91,7 +91,7 @@ type WireFrame struct {
 
 // carry builds the Ethernet frame that carries wf from wf.Src to dst,
 // in place, and returns it.
-func (wf *WireFrame) carry(dst ethernet.Addr, payloadLen int, flow uint32) *ethernet.Frame {
+func (wf *wireFrame) carry(dst ethernet.Addr, payloadLen int, flow uint32) *ethernet.Frame {
 	wf.frame = ethernet.Frame{
 		Src:        wf.Src,
 		Dst:        dst,
@@ -102,14 +102,9 @@ func (wf *WireFrame) carry(dst ethernet.Addr, payloadLen int, flow uint32) *ethe
 	return &wf.frame
 }
 
-// FragCount reports how many frames a message of n bytes needs at the
-// given per-fragment payload capacity. A zero-length message still takes
-// one (header-only) frame.
-func FragCount(n int) int { return fragCountFor(n, MaxFragPayload) }
-
 func fragCountFor(n, maxFrag int) int {
 	if maxFrag <= 0 {
-		maxFrag = MaxFragPayload
+		maxFrag = maxFragPayload
 	}
 	if n <= 0 {
 		return 1
@@ -121,7 +116,7 @@ func fragCountFor(n, maxFrag int) int {
 // fragmented at maxFrag bytes per frame.
 func fragLen(n, seq, maxFrag int) int {
 	if maxFrag <= 0 {
-		maxFrag = MaxFragPayload
+		maxFrag = maxFragPayload
 	}
 	if n <= 0 {
 		return 0
@@ -137,7 +132,7 @@ func fragLen(n, seq, maxFrag int) int {
 }
 
 // wireBytes reports the Ethernet payload size of a data fragment.
-func wireBytes(fragLen int) int { return FrameHeaderBytes + fragLen }
+func wireBytes(fragLen int) int { return frameHeaderBytes + fragLen }
 
 // Message is a completed incoming message as seen by the host.
 type Message struct {
@@ -164,7 +159,7 @@ const (
 	// buffer and was dropped by the receive firmware.
 	StatusTruncated
 	// StatusNoDescriptors means the post was refused because the
-	// endpoint's descriptor budget (Config.MaxDescriptors) is exhausted.
+	// endpoint's descriptor budget (config.MaxDescriptors) is exhausted.
 	// Nothing was posted; the caller may retry after completing or
 	// unposting outstanding work.
 	StatusNoDescriptors

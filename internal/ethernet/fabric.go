@@ -33,7 +33,7 @@ type Fabric struct {
 	cfg FabricConfig
 
 	switches []*Switch
-	trunks   []*Trunk
+	trunks   []*trunk
 	// stations maps a global station address to its port (and so to
 	// the switch it is attached to); addresses are allocated densely in
 	// attach order.
@@ -73,7 +73,7 @@ type FabricConfig struct {
 	// DetectDelay is how long a link or switch failure goes unnoticed
 	// before the forwarding tables are recomputed around it (and, on
 	// recovery, how long a restored link waits before rejoining the
-	// ECMP sets). Zero selects DefaultDetectDelay.
+	// ECMP sets). Zero selects defaultDetectDelay.
 	DetectDelay sim.Duration
 	// NoReroute freezes the forwarding tables as computed at build
 	// time: failures still blackhole traffic but nothing routes around
@@ -82,15 +82,15 @@ type FabricConfig struct {
 	NoReroute bool
 }
 
-// DefaultDetectDelay models loss-of-light detection plus control-plane
+// defaultDetectDelay models loss-of-light detection plus control-plane
 // convergence: long enough to blackhole in-flight traffic, far shorter
 // than the transports' retry budgets.
-const DefaultDetectDelay = 1 * sim.Millisecond
+const defaultDetectDelay = 1 * sim.Millisecond
 
 // NewFabric returns an empty fabric; add switches, trunks, stations.
 func NewFabric(e *sim.Engine, cfg FabricConfig) *Fabric {
 	if cfg.DetectDelay <= 0 {
-		cfg.DetectDelay = DefaultDetectDelay
+		cfg.DetectDelay = defaultDetectDelay
 	}
 	return &Fabric{eng: e, cfg: cfg}
 }
@@ -112,12 +112,12 @@ func (fb *Fabric) AddSwitch(name string) *Switch {
 func (fb *Fabric) Switches() []*Switch { return fb.switches }
 
 // Trunks reports the fabric's trunk links in id order.
-func (fb *Fabric) Trunks() []*Trunk { return fb.trunks }
+func (fb *Fabric) Trunks() []*trunk { return fb.trunks }
 
-// Trunk is one full-duplex switch-to-switch interconnect. Each
+// trunk is one full-duplex switch-to-switch interconnect. Each
 // direction serializes on its own resource at line rate, like a station
 // link; down state blackholes frames until the failure detector reacts.
-type Trunk struct {
+type trunk struct {
 	fb   *Fabric
 	id   int
 	a, b *Switch
@@ -133,14 +133,14 @@ type Trunk struct {
 }
 
 // Connect joins two fabric switches with a new trunk and returns it.
-func (fb *Fabric) Connect(a, b *Switch) *Trunk {
+func (fb *Fabric) Connect(a, b *Switch) *trunk {
 	if a.fab != fb || b.fab != fb {
 		panic("ethernet: Connect across fabrics")
 	}
 	if a == b {
 		panic("ethernet: trunk from a switch to itself")
 	}
-	t := &Trunk{fb: fb, id: len(fb.trunks), a: a, b: b}
+	t := &trunk{fb: fb, id: len(fb.trunks), a: a, b: b}
 	t.res[0] = sim.NewResource(fb.eng)
 	t.res[1] = sim.NewResource(fb.eng)
 	t.land[0] = func(f any) { t.arrive(0, b, f.(*Frame)) }
@@ -154,27 +154,27 @@ func (fb *Fabric) Connect(a, b *Switch) *Trunk {
 
 // ID reports the trunk's fabric-wide id (creation order) — the handle
 // faults.LinkClause aims at.
-func (t *Trunk) ID() int { return t.id }
+func (t *trunk) ID() int { return t.id }
 
 // Ends reports the trunk's two switches.
-func (t *Trunk) Ends() (a, b *Switch) { return t.a, t.b }
+func (t *trunk) Ends() (a, b *Switch) { return t.a, t.b }
 
 // String names the trunk for traces and reports.
-func (t *Trunk) String() string {
+func (t *trunk) String() string {
 	return fmt.Sprintf("trunk%d %s<->%s", t.id, t.a.name, t.b.name)
 }
 
 // down reports whether the trunk cannot carry frames right now.
-func (t *Trunk) down() bool {
+func (t *trunk) down() bool {
 	return t.fb.downRef[t.id] > 0 || t.a.dead || t.b.dead
 }
 
 // Forwards reports frames carried per direction (a->b, b->a).
-func (t *Trunk) Forwards() (ab, ba int64) { return t.forwards[0], t.forwards[1] }
+func (t *trunk) Forwards() (ab, ba int64) { return t.forwards[0], t.forwards[1] }
 
 // Drops reports frames blackholed per direction while the trunk (or an
 // endpoint switch) was down.
-func (t *Trunk) Drops() (ab, ba int64) { return t.drops[0], t.drops[1] }
+func (t *trunk) Drops() (ab, ba int64) { return t.drops[0], t.drops[1] }
 
 // forward carries a frame from one end of the trunk to the other:
 // store-and-forward latency at the sending switch, serialization on the
@@ -182,7 +182,7 @@ func (t *Trunk) Drops() (ab, ba int64) { return t.drops[0], t.drops[1] }
 // switch. A down trunk blackholes immediately; one that goes down (or
 // whose far switch dies) while the frame is in flight blackholes at
 // arrival.
-func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
+func (t *trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 	dir := 0
 	if from == t.b {
 		dir = 1
@@ -211,7 +211,7 @@ func (t *Trunk) forward(from *Switch, f *Frame, extraDelay sim.Duration) {
 
 // arrive runs when a frame sent in direction dir reaches switch to at
 // the trunk's far end.
-func (t *Trunk) arrive(dir int, to *Switch, f *Frame) {
+func (t *trunk) arrive(dir int, to *Switch, f *Frame) {
 	if t.down() {
 		t.drops[dir]++
 		t.fb.eng.Tracef(to.name, "TRUNK-DROP-INFLIGHT %s %d->%d len=%d", t, f.Src, f.Dst, f.PayloadLen)
@@ -233,7 +233,7 @@ func (fb *Fabric) compute() [][][]int {
 		routes[i] = make([][]int, n)
 	}
 	// adj[s] = live trunks incident to s, in id order.
-	adj := make([][]*Trunk, n)
+	adj := make([][]*trunk, n)
 	for _, t := range fb.trunks {
 		if t.down() {
 			continue
@@ -288,7 +288,7 @@ func (fb *Fabric) compute() [][][]int {
 
 // nextHop picks the trunk a frame leaves switch s on toward the
 // destination's switch ds, or nil when no live route exists.
-func (fb *Fabric) nextHop(s, ds *Switch, f *Frame) *Trunk {
+func (fb *Fabric) nextHop(s, ds *Switch, f *Frame) *trunk {
 	nh := fb.routes[s.id][ds.id]
 	if len(nh) == 0 {
 		return nil
@@ -442,7 +442,7 @@ func (fb *Fabric) ApplyFaults(pl *faults.Plan) {
 
 // linkTransition applies one edge of a down window (+1 down, -1 up) and
 // schedules its detection.
-func (fb *Fabric) linkTransition(t *Trunk, delta int) {
+func (fb *Fabric) linkTransition(t *trunk, delta int) {
 	was := t.down()
 	fb.downRef[t.id] += delta
 	if fb.downRef[t.id] < 0 {

@@ -96,7 +96,7 @@ func TestFabricBroadcastPanics(t *testing.T) {
 		}
 	}()
 	e.After(0, func() {
-		ports[0].Transmit(&Frame{Src: 0, Dst: Broadcast, PayloadLen: 64})
+		ports[0].Transmit(&Frame{Src: 0, Dst: broadcast, PayloadLen: 64})
 	})
 	e.Run()
 }
@@ -214,7 +214,10 @@ func TestLinkRecoveryRestoresPaths(t *testing.T) {
 	e, fb, _, _ := buildFabric(t, 2, 2, 1, FabricConfig{Seed: 1})
 	var events []RouteEvent
 	fb.Subscribe(func(ev RouteEvent) { events = append(events, ev) })
-	pl := &faults.Plan{Links: faults.LinkFlap(0, 1*sim.Millisecond, 4*sim.Millisecond, 1*sim.Millisecond, 2)}
+	pl := &faults.Plan{Links: []faults.LinkClause{
+		faults.LinkDown(0, 1*sim.Millisecond, 2*sim.Millisecond),
+		faults.LinkDown(0, 5*sim.Millisecond, 6*sim.Millisecond),
+	}}
 	fb.ApplyFaults(pl)
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
 	// Two flaps: down/up, down/up — four transitions, four reroutes.
@@ -282,7 +285,7 @@ func TestLinkDegradeDropsWithoutReroute(t *testing.T) {
 	e, fb, ports, sinks := buildFabric(t, 2, 2, 1, FabricConfig{Seed: 1})
 	flow := flowVia(t, fb, 0)
 	pl := &faults.Plan{Links: []faults.LinkClause{
-		faults.LinkDegrade(0, 0, 0, 1.0, 0), // 100% loss, link nominally up
+		{Link: 0, Loss: 1.0}, // 100% loss, link nominally up
 	}}
 	fb.ApplyFaults(pl)
 	e.After(0, func() {

@@ -14,10 +14,10 @@ import (
 
 // Wire-format constants for Ethernet (bytes).
 const (
-	PreambleBytes = 8  // preamble + start-of-frame delimiter
-	HeaderBytes   = 14 // dst MAC + src MAC + ethertype
-	FCSBytes      = 4  // frame check sequence
-	IFGBytes      = 12 // inter-frame gap (96 bit times)
+	preambleBytes = 8  // preamble + start-of-frame delimiter
+	headerBytes   = 14 // dst MAC + src MAC + ethertype
+	fcsBytes      = 4  // frame check sequence
+	ifgBytes      = 12 // inter-frame gap (96 bit times)
 
 	// MTU is the standard maximum Ethernet payload.
 	MTU = 1500
@@ -26,11 +26,11 @@ const (
 	// supports (the EMP papers report ~964 Mbps with jumbo frames).
 	JumboMTU = 9000
 
-	// MinPayload is the minimum Ethernet payload (frames are padded).
-	MinPayload = 46
+	// minPayload is the minimum Ethernet payload (frames are padded).
+	minPayload = 46
 
 	// PerFrameOverhead is the non-payload on-wire cost of one frame.
-	PerFrameOverhead = PreambleBytes + HeaderBytes + FCSBytes + IFGBytes
+	PerFrameOverhead = preambleBytes + headerBytes + fcsBytes + ifgBytes
 
 	// GigabitBps is the line rate of every link in the fabric.
 	GigabitBps = 1_000_000_000
@@ -40,8 +40,8 @@ const (
 // densely by the switch as stations attach.
 type Addr int
 
-// Broadcast is the all-stations address.
-const Broadcast Addr = -1
+// broadcast is the all-stations address.
+const broadcast Addr = -1
 
 // Frame is one Ethernet frame in flight. Payload is an opaque
 // protocol-specific object (an EMP frame, a TCP segment, ...); PayloadLen
@@ -71,12 +71,12 @@ type Frame struct {
 // false means the frame was damaged on the wire and must be discarded.
 func (f *Frame) FCSOK() bool { return !f.Corrupt }
 
-// WireBytes is the total on-wire size of the frame including preamble,
+// wireBytes is the total on-wire size of the frame including preamble,
 // header, FCS, inter-frame gap, and minimum-size padding.
-func (f *Frame) WireBytes() int {
+func (f *Frame) wireBytes() int {
 	p := f.PayloadLen
-	if p < MinPayload {
-		p = MinPayload
+	if p < minPayload {
+		p = minPayload
 	}
 	if p > JumboMTU {
 		panic(fmt.Sprintf("ethernet: payload %d exceeds the jumbo MTU", p))
@@ -86,19 +86,12 @@ func (f *Frame) WireBytes() int {
 
 // WireTime is the serialization delay of the frame at line rate.
 func (f *Frame) WireTime() sim.Duration {
-	return sim.BytesToDuration(f.WireBytes(), GigabitBps)
+	return sim.BytesToDuration(f.wireBytes(), GigabitBps)
 }
 
-// MaxFrameWireTime is the serialization delay of a full-MTU frame; useful
-// for back-of-envelope assertions in tests.
-func MaxFrameWireTime() sim.Duration {
-	f := Frame{PayloadLen: MTU}
-	return f.WireTime()
-}
-
-// Station is anything that can accept delivered frames: a NIC model
+// station is anything that can accept delivered frames: a NIC model
 // attaches to a switch port and receives frames via Deliver.
-type Station interface {
+type station interface {
 	// Deliver hands a fully received frame to the station. It is called
 	// from event context and must not block.
 	Deliver(f *Frame)

@@ -68,7 +68,7 @@ func (s *Switch) SetFaults(pl *faults.Plan) { s.plan = pl.Normalized() }
 type Port struct {
 	sw      *Switch
 	addr    Addr
-	station Station
+	station station
 	// tx serializes the station's transmitter (station → switch).
 	tx *sim.Resource
 	// out serializes the switch's transmitter on this port
@@ -87,7 +87,7 @@ type Port struct {
 // Addresses come from the fabric-wide space, so stations on different
 // switches never collide. st may be nil when the station is built after
 // its port; it must then be bound with Rebind before any frame arrives.
-func (s *Switch) Attach(st Station) *Port {
+func (s *Switch) Attach(st station) *Port {
 	addr := Addr(len(s.fab.stations))
 	p := &Port{
 		sw:      s,
@@ -110,7 +110,7 @@ func (p *Port) Addr() Addr { return p.addr }
 // port, so the node comes back at the same fabric address. Frames
 // arriving during the downtime window were delivered to the dead
 // station (which drops them) — the blackhole a power cycle leaves.
-func (p *Port) Rebind(st Station) { p.station = st }
+func (p *Port) Rebind(st station) { p.station = st }
 
 // Forwards reports frames successfully forwarded.
 func (s *Switch) Forwards() int64 { return s.forwards.Value }
@@ -121,10 +121,6 @@ func (s *Switch) ID() int { return s.id }
 // Name reports the switch's fabric name ("switch" for NewSwitch;
 // "leaf0", "spine1", ... on a spine-leaf fabric).
 func (s *Switch) Name() string { return s.name }
-
-// Dead reports whether a fault plan's SwitchCrash has killed this
-// switch.
-func (s *Switch) Dead() bool { return s.dead }
 
 // Transmit sends a frame from this port's station into the fabric. The
 // frame is serialized on the station's transmitter, propagates to the
@@ -190,7 +186,7 @@ func (s *Switch) forward(f *Frame) {
 		s.reorders.Inc()
 		s.eng.Tracef("switch", "REORDER %d->%d len=%d delay=%v", f.Src, f.Dst, f.PayloadLen, act.Delay)
 	}
-	if f.Dst == Broadcast {
+	if f.Dst == broadcast {
 		panic("ethernet: broadcast frames are not supported")
 	}
 	if act.Dup {
@@ -223,7 +219,7 @@ func (s *Switch) egress(f *Frame, extraDelay sim.Duration, dup bool) {
 		}
 		return
 	}
-	var t *Trunk
+	var t *trunk
 	if p != nil {
 		t = s.fab.nextHop(s, p.sw, f)
 	}
@@ -254,15 +250,15 @@ func (s *Switch) deliverVia(p *Port, f *Frame, extraDelay sim.Duration) {
 }
 
 // Stats summarizes a port's traffic for tests and reports.
-type PortStats struct {
+type portStats struct {
 	TxFrames, RxFrames int64
 	TxBytes, RxBytes   int64
 	OutUtilization     float64
 }
 
 // Stats reports the port's counters.
-func (p *Port) Stats() PortStats {
-	return PortStats{
+func (p *Port) Stats() portStats {
+	return portStats{
 		TxFrames:       p.txFrames,
 		RxFrames:       p.rxFrames,
 		TxBytes:        p.txBytes,

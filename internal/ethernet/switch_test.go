@@ -53,7 +53,7 @@ func TestFrameWireBytes(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := &Frame{PayloadLen: c.payload}
-		if got := f.WireBytes(); got != c.want {
+		if got := f.wireBytes(); got != c.want {
 			t.Errorf("WireBytes(%d) = %d, want %d", c.payload, got, c.want)
 		}
 	}
@@ -66,12 +66,12 @@ func TestFrameOverJumboMTUPanics(t *testing.T) {
 		}
 	}()
 	f := &Frame{PayloadLen: JumboMTU + 1}
-	f.WireBytes()
+	f.wireBytes()
 }
 
 func TestJumboFrameAccepted(t *testing.T) {
 	f := &Frame{PayloadLen: JumboMTU}
-	if got := f.WireBytes(); got != JumboMTU+PerFrameOverhead {
+	if got := f.wireBytes(); got != JumboMTU+PerFrameOverhead {
 		t.Fatalf("jumbo WireBytes = %d", got)
 	}
 }
@@ -253,8 +253,8 @@ func TestDeliveryConservationProperty(t *testing.T) {
 
 func TestSwitchAccessors(t *testing.T) {
 	e, sw, ports, _ := build(t, 3)
-	if sw.ID() != 0 || sw.Name() != "switch" || sw.Dead() {
-		t.Fatalf("id=%d name=%q dead=%v", sw.ID(), sw.Name(), sw.Dead())
+	if sw.ID() != 0 || sw.Name() != "switch" || sw.dead {
+		t.Fatalf("id=%d name=%q dead=%v", sw.ID(), sw.Name(), sw.dead)
 	}
 	e.After(0, func() {
 		ports[0].Transmit(&Frame{Src: 0, Dst: 1, PayloadLen: 1500})
@@ -262,9 +262,6 @@ func TestSwitchAccessors(t *testing.T) {
 	e.Run()
 	if sw.Forwards() != 1 || sw.dups.Value != 0 {
 		t.Fatalf("forwards=%d dups=%d", sw.Forwards(), sw.dups.Value)
-	}
-	if MaxFrameWireTime() != (&Frame{PayloadLen: MTU}).WireTime() {
-		t.Fatal("MaxFrameWireTime mismatch")
 	}
 }
 

@@ -44,13 +44,13 @@ type Clause struct {
 	ReorderDelay sim.Duration
 }
 
-// Crash kills a node (NIC and protocol state) at the given sim time.
-type Crash struct {
+// crash kills a node (NIC and protocol state) at the given sim time.
+type crash struct {
 	Node int
 	At   sim.Duration
 }
 
-// Restart crashes a node at At exactly as Crash does — descriptors,
+// Restart crashes a node at At exactly as CrashAt does — descriptors,
 // credits, firmware procs and demux tables destroyed, in-flight frames
 // blackholed — then after Downtime rebuilds the node from scratch at
 // the same fabric address under a bumped incarnation number: fresh NIC
@@ -160,7 +160,7 @@ func (c *NICClause) matches(node int) bool {
 type Plan struct {
 	Clauses []Clause
 	NIC     []NICClause
-	Crashes []Crash
+	Crashes []crash
 	// Links and SwitchCrashes wound the fabric itself (trunk links and
 	// switches): the ethernet.Fabric schedules the Down windows and
 	// crashes and evaluates the degrade rates per trunk crossing. Link
@@ -169,7 +169,7 @@ type Plan struct {
 	Links         []LinkClause
 	SwitchCrashes []SwitchCrash
 	// Restarts schedules whole-host crash–restart cycles: each entry
-	// kills its node like a Crash and rebuilds it after the downtime
+	// kills its node as CrashAt does and rebuilds it after the downtime
 	// window. Purely schedule-driven — no randomness — so a plan with
 	// no Restarts leaves every run byte-identical.
 	Restarts []Restart
@@ -179,8 +179,8 @@ type Plan struct {
 // cycles (used by drivers to pick the rebooting server harness).
 func (pl *Plan) HasRestarts() bool { return pl != nil && len(pl.Restarts) > 0 }
 
-// Action is the outcome of evaluating a plan against one frame.
-type Action struct {
+// action is the outcome of evaluating a plan against one frame.
+type action struct {
 	Drop      bool
 	Partition bool // Drop was caused by a partition clause
 	Dup       bool
@@ -204,8 +204,8 @@ func (c *Clause) matches(src, dst int) bool {
 // Eval combines all clauses matching a frame on link src->dst at time
 // now. It draws from r only for positive rates of matching, active
 // clauses, so an all-zero plan never perturbs the random sequence.
-func (pl *Plan) Eval(r *sim.Rand, now sim.Duration, src, dst int) Action {
-	var act Action
+func (pl *Plan) Eval(r *sim.Rand, now sim.Duration, src, dst int) action {
+	var act action
 	if pl == nil {
 		return act
 	}
@@ -341,9 +341,9 @@ func (pl *Plan) HasNIC() bool { return pl != nil && len(pl.NIC) > 0 }
 
 // --- Fabric-domain evaluation ----------------------------------------------
 
-// LinkAction is the degrade outcome of evaluating the plan's link
+// linkAction is the degrade outcome of evaluating the plan's link
 // clauses against one frame crossing a trunk.
-type LinkAction struct {
+type linkAction struct {
 	Drop  bool
 	Delay sim.Duration
 }
@@ -353,8 +353,8 @@ type LinkAction struct {
 // here — the fabric schedules those as hard link-state transitions. As
 // with Eval, randomness is drawn only for positive rates of matching,
 // active clauses.
-func (pl *Plan) EvalLink(r *sim.Rand, now sim.Duration, link int) LinkAction {
-	var act LinkAction
+func (pl *Plan) EvalLink(r *sim.Rand, now sim.Duration, link int) linkAction {
+	var act linkAction
 	if pl == nil {
 		return act
 	}
@@ -477,7 +477,7 @@ func (pl *Plan) Normalized() *Plan {
 	out := &Plan{
 		Clauses:       append([]Clause(nil), pl.Clauses...),
 		NIC:           append([]NICClause(nil), pl.NIC...),
-		Crashes:       append([]Crash(nil), pl.Crashes...),
+		Crashes:       append([]crash(nil), pl.Crashes...),
 		Links:         append([]LinkClause(nil), pl.Links...),
 		SwitchCrashes: append([]SwitchCrash(nil), pl.SwitchCrashes...),
 		Restarts:      append([]Restart(nil), pl.Restarts...),
@@ -531,59 +531,44 @@ func Uniform(loss, dup, corrupt, reorder float64) Clause {
 	return Clause{Src: Any, Dst: Any, Loss: loss, Dup: dup, Corrupt: corrupt, Reorder: reorder}
 }
 
-// LinkPartition cuts both directions between nodes a and b during
-// [from, until).
-func LinkPartition(a, b int, from, until sim.Duration) []Clause {
-	return []Clause{
-		{From: from, Until: until, Src: a, Dst: b, Partition: true},
-		{From: from, Until: until, Src: b, Dst: a, Partition: true},
-	}
-}
-
-// NodeDown isolates a node (all traffic to and from it dropped) during
+// nodeDown isolates a node (all traffic to and from it dropped) during
 // [from, until) — a link down or a dead switch port.
-func NodeDown(node int, from, until sim.Duration) []Clause {
+func nodeDown(node int, from, until sim.Duration) []Clause {
 	return []Clause{
 		{From: from, Until: until, Src: node, Dst: Any, Partition: true},
 		{From: from, Until: until, Src: Any, Dst: node, Partition: true},
 	}
 }
 
-// Flap makes a node's link go down for downFor once per period, count
+// flap makes a node's link go down for downFor once per period, count
 // times, starting at from — the classic flapping-port schedule.
-func Flap(node int, from, period, downFor sim.Duration, count int) []Clause {
+func flap(node int, from, period, downFor sim.Duration, count int) []Clause {
 	var cs []Clause
 	for i := 0; i < count; i++ {
 		start := from + sim.Duration(i)*period
-		cs = append(cs, NodeDown(node, start, start+downFor)...)
+		cs = append(cs, nodeDown(node, start, start+downFor)...)
 	}
 	return cs
 }
 
-// FlapPhased is Flap with a seed-stable phase: the first outage starts
+// FlapPhased is flap with a seed-stable phase: the first outage starts
 // at from plus a deterministic offset in [0, period) derived from the
 // seed, so chaos runs with different seeds exercise different alignments
 // of the outage windows against the workload without losing
 // reproducibility.
 func FlapPhased(seed uint64, node int, from, period, downFor sim.Duration, count int) []Clause {
 	phase := sim.NewRand(seed^0x9e3779b97f4a7c15^uint64(node)).Duration(0, period)
-	return Flap(node, from+phase, period, downFor, count)
+	return flap(node, from+phase, period, downFor, count)
 }
 
 // CrashAt schedules a node crash.
-func CrashAt(node int, at sim.Duration) Crash { return Crash{Node: node, At: at} }
+func CrashAt(node int, at sim.Duration) crash { return crash{Node: node, At: at} }
 
-// RestartAt schedules a whole-host crash–restart: the node dies at at
-// and is rebuilt (same address, bumped incarnation) downtime later.
-func RestartAt(node int, at, downtime sim.Duration) Restart {
-	return Restart{Node: node, At: at, Downtime: downtime}
-}
-
-// RestartPhased is RestartAt with a seed-stable kill phase: the crash
-// lands at from plus a deterministic offset in [0, span) derived from
-// the seed, so chaos runs with different seeds exercise different
-// alignments of the reboot against the workload without losing
-// reproducibility.
+// RestartPhased schedules a whole-host crash–restart with a seed-stable
+// kill phase: the crash lands at from plus a deterministic offset in
+// [0, span) derived from the seed, so chaos runs with different seeds
+// exercise different alignments of the reboot against the workload
+// without losing reproducibility.
 func RestartPhased(seed uint64, node int, from, span, downtime sim.Duration) Restart {
 	phase := sim.NewRand(seed^0xb007b007b007^uint64(node)).Duration(0, span)
 	return Restart{Node: node, At: from + phase, Downtime: downtime}
@@ -595,23 +580,6 @@ func RestartPhased(seed uint64, node int, from, span, downtime sim.Duration) Res
 // the link never comes back.
 func LinkDown(link int, from, until sim.Duration) LinkClause {
 	return LinkClause{From: from, Until: until, Link: link, Down: true}
-}
-
-// LinkFlap takes a trunk down for downFor once per period, count times,
-// starting at from.
-func LinkFlap(link int, from, period, downFor sim.Duration, count int) []LinkClause {
-	var cs []LinkClause
-	for i := 0; i < count; i++ {
-		start := from + sim.Duration(i)*period
-		cs = append(cs, LinkDown(link, start, start+downFor))
-	}
-	return cs
-}
-
-// LinkDegrade makes a trunk lossy and slow during [from, until) without
-// tripping the fabric's failure detector.
-func LinkDegrade(link int, from, until sim.Duration, loss float64, delay sim.Duration) LinkClause {
-	return LinkClause{From: from, Until: until, Link: link, Loss: loss, Delay: delay}
 }
 
 // SwitchDown schedules a fabric switch crash.

@@ -27,7 +27,7 @@ func TestClauseWindowAndLinkMatching(t *testing.T) {
 }
 
 func TestUntilZeroMeansForever(t *testing.T) {
-	pl := &Plan{Clauses: NodeDown(3, 0, 0)}
+	pl := &Plan{Clauses: nodeDown(3, 0, 0)}
 	r := sim.NewRand(1)
 	if act := pl.Eval(r, sim.Duration(1e15), 3, 0); !act.Drop {
 		t.Fatal("open-ended NodeDown clause expired")
@@ -53,9 +53,9 @@ func TestZeroPlanDrawsNoRandomness(t *testing.T) {
 
 func TestEvalDeterministicPerSeed(t *testing.T) {
 	pl := &Plan{Clauses: []Clause{Uniform(0.3, 0.2, 0.2, 0.3)}}
-	run := func(seed uint64) []Action {
+	run := func(seed uint64) []action {
 		r := sim.NewRand(seed)
-		var out []Action
+		var out []action
 		for i := 0; i < 200; i++ {
 			out = append(out, pl.Eval(r, sim.Duration(i), 0, 1))
 		}
@@ -75,14 +75,14 @@ func TestValidateRejectsBadRates(t *testing.T) {
 		{Clauses: []Clause{{Src: Any, Dst: Any, Dup: 1.5}}},
 		{Clauses: []Clause{{Src: Any, Dst: Any, Corrupt: math.NaN()}}},
 		{Clauses: []Clause{{From: 20, Until: 10, Src: Any, Dst: Any}}},
-		{Crashes: []Crash{{Node: -1}}},
+		{Crashes: []crash{{Node: -1}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("plan %d validated despite malformed content", i)
 		}
 	}
-	good := &Plan{Clauses: []Clause{Uniform(0.1, 0, 1, 0)}, Crashes: []Crash{CrashAt(1, 5)}}
+	good := &Plan{Clauses: []Clause{Uniform(0.1, 0, 1, 0)}, Crashes: []crash{CrashAt(1, 5)}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestNormalizedClamps(t *testing.T) {
 }
 
 func TestFlapSchedule(t *testing.T) {
-	cs := Flap(1, 10*sim.Millisecond, 50*sim.Millisecond, 5*sim.Millisecond, 3)
+	cs := flap(1, 10*sim.Millisecond, 50*sim.Millisecond, 5*sim.Millisecond, 3)
 	if len(cs) != 6 {
 		t.Fatalf("flap clause count = %d, want 6", len(cs))
 	}

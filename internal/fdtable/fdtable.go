@@ -18,32 +18,32 @@ import (
 	"repro/internal/sock"
 )
 
-// Kind is a descriptor's tracked type.
-type Kind int
+// kind is a descriptor's tracked type.
+type kind int
 
 const (
-	// KindFile descriptors route to the file system.
-	KindFile Kind = iota
-	// KindConn descriptors route to the socket layer (a connection).
-	KindConn
-	// KindListener descriptors route to the socket layer (passive).
-	KindListener
+	// kindFile descriptors route to the file system.
+	kindFile kind = iota
+	// kindConn descriptors route to the socket layer (a connection).
+	kindConn
+	// kindListener descriptors route to the socket layer (passive).
+	kindListener
 )
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindFile:
+	case kindFile:
 		return "file"
-	case KindConn:
+	case kindConn:
 		return "socket"
-	case KindListener:
+	case kindListener:
 		return "listener"
 	}
 	return "?"
 }
 
 type entry struct {
-	kind Kind
+	kind kind
 	file *ramfs.Handle
 	conn sock.Conn
 	lst  sock.Listener
@@ -62,13 +62,6 @@ type Space struct {
 func New(net sock.Network, fs *ramfs.FS) *Space {
 	return &Space{net: net, fs: fs, ents: make(map[int]*entry), next: 3}
 }
-
-// Network exposes the underlying socket layer (for select on raw
-// waitables).
-func (s *Space) Network() sock.Network { return s.net }
-
-// FS exposes the underlying file system.
-func (s *Space) FS() *ramfs.FS { return s.fs }
 
 func (s *Space) install(e *entry) int {
 	fd := s.next
@@ -91,12 +84,12 @@ func (s *Space) Open(p *sim.Proc, name string) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return s.install(&entry{kind: KindFile, file: h}), nil
+	return s.install(&entry{kind: kindFile, file: h}), nil
 }
 
 // Create opens (creating if needed) a file for writing.
 func (s *Space) Create(p *sim.Proc, name string) int {
-	return s.install(&entry{kind: KindFile, file: s.fs.OpenCreate(p, name)})
+	return s.install(&entry{kind: kindFile, file: s.fs.OpenCreate(p, name)})
 }
 
 // Listen opens a passive socket on port.
@@ -105,7 +98,7 @@ func (s *Space) Listen(p *sim.Proc, port, backlog int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return s.install(&entry{kind: KindListener, lst: l}), nil
+	return s.install(&entry{kind: kindListener, lst: l}), nil
 }
 
 // Accept blocks on a listener descriptor and returns the new
@@ -115,14 +108,14 @@ func (s *Space) Accept(p *sim.Proc, lfd int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if e.kind != KindListener {
+	if e.kind != kindListener {
 		return -1, fmt.Errorf("fdtable: accept on non-listener %d (%s)", lfd, e.kind)
 	}
 	c, err := e.lst.Accept(p)
 	if err != nil {
 		return -1, err
 	}
-	return s.install(&entry{kind: KindConn, conn: c}), nil
+	return s.install(&entry{kind: kindConn, conn: c}), nil
 }
 
 // Connect opens an active socket to addr:port.
@@ -131,7 +124,7 @@ func (s *Space) Connect(p *sim.Proc, addr sock.Addr, port int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return s.install(&entry{kind: KindConn, conn: c}), nil
+	return s.install(&entry{kind: kindConn, conn: c}), nil
 }
 
 // Read is the overloaded generic call: it dispatches to the file system
@@ -143,13 +136,13 @@ func (s *Space) Read(p *sim.Proc, fd, max int) (int, []any, error) {
 		return 0, nil, err
 	}
 	switch e.kind {
-	case KindFile:
+	case kindFile:
 		n, obj, err := e.file.Read(p, max)
 		if obj != nil {
 			return n, []any{obj}, err
 		}
 		return n, nil, err
-	case KindConn:
+	case kindConn:
 		return e.conn.Read(p, max)
 	}
 	return 0, nil, fmt.Errorf("fdtable: read on %s descriptor %d", e.kind, fd)
@@ -162,9 +155,9 @@ func (s *Space) Write(p *sim.Proc, fd, n int, obj any) (int, error) {
 		return 0, err
 	}
 	switch e.kind {
-	case KindFile:
+	case kindFile:
 		return e.file.Write(p, n, obj)
-	case KindConn:
+	case kindConn:
 		return e.conn.Write(p, n, obj)
 	}
 	return 0, fmt.Errorf("fdtable: write on %s descriptor %d", e.kind, fd)
@@ -178,37 +171,13 @@ func (s *Space) Close(p *sim.Proc, fd int) error {
 	}
 	delete(s.ents, fd)
 	switch e.kind {
-	case KindFile:
+	case kindFile:
 		e.file.Close(p)
 		return nil
-	case KindConn:
+	case kindConn:
 		return e.conn.Close(p)
-	case KindListener:
+	case kindListener:
 		return e.lst.Close(p)
 	}
 	return nil
 }
-
-// KindOf reports a descriptor's tracked kind.
-func (s *Space) KindOf(fd int) (Kind, error) {
-	e, err := s.lookup(fd)
-	if err != nil {
-		return 0, err
-	}
-	return e.kind, nil
-}
-
-// Conn returns the socket behind a connection descriptor.
-func (s *Space) Conn(fd int) (sock.Conn, error) {
-	e, err := s.lookup(fd)
-	if err != nil {
-		return nil, err
-	}
-	if e.kind != KindConn {
-		return nil, fmt.Errorf("fdtable: descriptor %d is a %s", fd, e.kind)
-	}
-	return e.conn, nil
-}
-
-// OpenCount reports live descriptors (leak checks in tests).
-func (s *Space) OpenCount() int { return len(s.ents) }

@@ -36,9 +36,9 @@ func TestGenericReadDispatchesFileAndSocket(t *testing.T) {
 	// descriptor and a socket descriptor, distinguished only by the
 	// table's tracked state.
 	b := newBed(2)
-	b.spaces[0].FS().Create("file.txt", 1000, "file-data")
+	b.spaces[0].fs.Create("file.txt", 1000, "file-data")
 	var fileN, sockN int
-	var fileKind, sockKind Kind
+	var fileKind, sockKind kind
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		s := b.spaces[0]
 		ffd, err := s.Open(p, "file.txt")
@@ -52,8 +52,8 @@ func TestGenericReadDispatchesFileAndSocket(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		fileKind, _ = s.KindOf(ffd)
-		sockKind, _ = s.KindOf(cfd)
+		fileKind = s.ents[ffd].kind
+		sockKind = s.ents[cfd].kind
 		fileN, _, _ = s.Read(p, ffd, 4096)
 		sockN, _, _ = s.Read(p, cfd, 4096)
 		s.Close(p, cfd)
@@ -63,7 +63,7 @@ func TestGenericReadDispatchesFileAndSocket(t *testing.T) {
 	b.eng.Spawn("client", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
 		s := b.spaces[1]
-		fd, err := s.Connect(p, b.spaces[0].Network().Addr(), 80)
+		fd, err := s.Connect(p, b.spaces[0].net.Addr(), 80)
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return
@@ -72,7 +72,7 @@ func TestGenericReadDispatchesFileAndSocket(t *testing.T) {
 		s.Close(p, fd)
 	})
 	b.eng.RunUntil(sim.Time(10 * sim.Second))
-	if fileKind != KindFile || sockKind != KindConn {
+	if fileKind != kindFile || sockKind != kindConn {
 		t.Fatalf("kinds: file=%v sock=%v", fileKind, sockKind)
 	}
 	if fileN != 1000 || sockN != 500 {
@@ -97,7 +97,7 @@ func TestBadDescriptorErrors(t *testing.T) {
 
 func TestKindMismatchErrors(t *testing.T) {
 	b := newBed(1)
-	b.spaces[0].FS().Create("f", 10, nil)
+	b.spaces[0].fs.Create("f", 10, nil)
 	var acceptErr, readErr error
 	b.eng.Spawn("p", func(p *sim.Proc) {
 		s := b.spaces[0]
@@ -116,16 +116,16 @@ func TestKindMismatchErrors(t *testing.T) {
 
 func TestCloseRemovesDescriptor(t *testing.T) {
 	b := newBed(1)
-	b.spaces[0].FS().Create("f", 10, nil)
+	b.spaces[0].fs.Create("f", 10, nil)
 	b.eng.Spawn("p", func(p *sim.Proc) {
 		s := b.spaces[0]
 		fd, _ := s.Open(p, "f")
-		if s.OpenCount() != 1 {
-			t.Errorf("open count = %d", s.OpenCount())
+		if len(s.ents) != 1 {
+			t.Errorf("open count = %d", len(s.ents))
 		}
 		s.Close(p, fd)
-		if s.OpenCount() != 0 {
-			t.Errorf("descriptor leaked: %d", s.OpenCount())
+		if len(s.ents) != 0 {
+			t.Errorf("descriptor leaked: %d", len(s.ents))
 		}
 		if err := s.Close(p, fd); err == nil {
 			t.Error("double close should error")
@@ -142,7 +142,7 @@ func TestCreateAndConnAccessors(t *testing.T) {
 		fd := s.Create(p, "new.dat")
 		s.Write(p, fd, 1234, "data")
 		s.Close(p, fd)
-		if size, ok := s.FS().Stat("new.dat"); !ok || size != 1234 {
+		if size, ok := s.fs.Stat("new.dat"); !ok || size != 1234 {
 			t.Errorf("created file = %d, %v", size, ok)
 		}
 		lfd, _ := s.Listen(p, 80, 2)
@@ -150,15 +150,7 @@ func TestCreateAndConnAccessors(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Conn exposes the raw socket behind a descriptor.
-		conn, err := s.Conn(cfd)
-		if err != nil || conn == nil {
-			t.Errorf("Conn(%d) = %v, %v", cfd, conn, err)
-		}
-		if _, err := s.Conn(lfd); err == nil {
-			t.Error("Conn on a listener descriptor should error")
-		}
-		if k, _ := s.KindOf(lfd); k.String() != "listener" {
+		if k := s.ents[lfd].kind; k.String() != "listener" {
 			t.Errorf("kind = %v", k)
 		}
 		s.Read(p, cfd, 16)
@@ -168,7 +160,7 @@ func TestCreateAndConnAccessors(t *testing.T) {
 	b.eng.Spawn("client", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		s := b.spaces[1]
-		fd, err := s.Connect(p, b.spaces[0].Network().Addr(), 80)
+		fd, err := s.Connect(p, b.spaces[0].net.Addr(), 80)
 		if err != nil {
 			return
 		}

@@ -21,6 +21,15 @@ const chaosSeeds = 5
 // retry budget (40 timeouts at up to the 5 ms RTO cap each) plus slack.
 const chaosFailureBound = 500 * sim.Millisecond
 
+// isolate drops all traffic to and from node during [from, until), as a
+// link down or a dead switch port does.
+func isolate(node int, from, until sim.Duration) []faults.Clause {
+	return []faults.Clause{
+		{From: from, Until: until, Src: node, Dst: faults.Any, Partition: true},
+		{From: from, Until: until, Src: faults.Any, Dst: node, Partition: true},
+	}
+}
+
 // checkSubstrateLeaks asserts that every surviving substrate node has
 // drained its socket table, unposted every descriptor (§5.3), and —
 // after purging stale unexpected-queue entries — holds no orphaned
@@ -137,8 +146,10 @@ func TestChaosWebSurvivesLinkFlaps(t *testing.T) {
 		// Node 2 (a client) loses its link for 300 us once per 1.5 ms,
 		// six times, starting while requests are in flight — each outage
 		// is well inside the ~200 ms EMP retry budget.
-		pl.Clauses = append(pl.Clauses,
-			faults.Flap(2, 500*sim.Microsecond, 1500*sim.Microsecond, 300*sim.Microsecond, 6)...)
+		for i := 0; i < 6; i++ {
+			start := 500*sim.Microsecond + sim.Duration(i)*1500*sim.Microsecond
+			pl.Clauses = append(pl.Clauses, isolate(2, start, start+300*sim.Microsecond)...)
+		}
 		c := cluster.New(cluster.Config{
 			Nodes:     4,
 			Transport: cluster.TransportSubstrate,
@@ -295,8 +306,8 @@ func TestChaosPeerCrashMidStream(t *testing.T) {
 	const killAt = 20 * sim.Millisecond
 	pl := &faults.Plan{
 		Clauses: []faults.Clause{faults.Uniform(0.002, 0.002, 0.005, 0.01)},
-		Crashes: []faults.Crash{faults.CrashAt(0, killAt)},
 	}
+	pl.Crashes = append(pl.Crashes, faults.CrashAt(0, killAt))
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,
@@ -354,7 +365,7 @@ func TestChaosPeerCrashMidStream(t *testing.T) {
 // must fail with sock.ErrReset while the partition holds.
 func TestChaosPartitionExhaustsRetryBudget(t *testing.T) {
 	const cutAt = 10 * sim.Millisecond
-	pl := &faults.Plan{Clauses: faults.NodeDown(0, cutAt, 800*sim.Millisecond)}
+	pl := &faults.Plan{Clauses: isolate(0, cutAt, 800*sim.Millisecond)}
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,

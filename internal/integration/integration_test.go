@@ -218,7 +218,8 @@ func TestFdTableDrivesWholePipelineOverTCP(t *testing.T) {
 }
 
 func TestJumboClusterEndToEnd(t *testing.T) {
-	nicCfg := nic.JumboConfig()
+	nicCfg := nic.DefaultConfig()
+	nicCfg.MTU = ethernet.JumboMTU
 	c := cluster.New(cluster.Config{
 		Nodes:     2,
 		Transport: cluster.TransportSubstrate,

@@ -105,7 +105,7 @@ func TestOverloadFloodRefusesBeyondBacklog(t *testing.T) {
 	}
 	// The queue must be bounded by backlog-slack refusal, far below the
 	// 256 requests offered.
-	if peak := srv.EP.UnexpectedPeakEntries(); peak > 64 {
+	if peak := c.Nodes[0].Tel.Snapshot().Sum("emp/uq_peak_entries"); peak > 64 {
 		t.Errorf("unexpected-queue peak %d: flood occupancy is not bounded", peak)
 	}
 	for _, n := range c.Nodes {
@@ -135,7 +135,7 @@ func TestOverloadFloodUnderFaultPlan(t *testing.T) {
 				t.Errorf("seed %d: %d dialers failed with %v", seed, n, err)
 			}
 		}
-		if peak := c.Nodes[0].Sub.EP.UnexpectedPeakEntries(); peak > 64 {
+		if peak := c.Nodes[0].Tel.Snapshot().Sum("emp/uq_peak_entries"); peak > 64 {
 			t.Errorf("seed %d: unexpected-queue peak %d under faults", seed, peak)
 		}
 		for _, n := range c.Nodes {
@@ -215,7 +215,7 @@ func TestOverloadStarvedReadersBoundEagerPool(t *testing.T) {
 	if accepted != conns {
 		t.Fatalf("accepted %d/%d", accepted, conns)
 	}
-	now, hw := c.Nodes[0].Sub.EagerBytes()
+	hw := int(c.Nodes[0].Tel.Snapshot().Sum("core/eager_high_water"))
 	if hw == 0 {
 		t.Fatal("eager gauge never moved; senders did not reach staging")
 	}
@@ -230,5 +230,4 @@ func TestOverloadStarvedReadersBoundEagerPool(t *testing.T) {
 	if deferrals := c.Nodes[0].Sub.EagerDeferrals.Value; deferrals == 0 {
 		t.Fatal("budget never deferred a repost; backpressure path untested")
 	}
-	_ = now
 }

@@ -217,9 +217,8 @@ func TestPollerZeroTimeoutPolls(t *testing.T) {
 		w := po.Waiter("server")
 		_, before = w.Wait(p, 0) // nothing has happened yet
 		p.Sleep(5 * sim.Millisecond)
-		var ev sock.PollEvent
-		ev, after = w.Wait(p, 0) // the client's connect request landed
-		afterEv = ev.Events
+		ev, ok := w.Wait(p, 0) // the client's connect request landed
+		after, afterEv = ok, ev.Events
 		c, err := l.Accept(p)
 		if err != nil {
 			t.Errorf("accept: %v", err)

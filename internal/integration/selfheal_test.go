@@ -450,16 +450,14 @@ func TestNICFaultSmoke(t *testing.T) {
 // after that would park in the server's unexpected queue addressed to
 // no live connection, which the audit reports as uq-stale.
 func TestKeepaliveStopsAtPeerClose(t *testing.T) {
-	for _, mode := range []core.Mode{core.DataStreaming, core.Datagram} {
-		t.Run(mode.String(), func(t *testing.T) {
-			testKeepaliveStopsAtPeerClose(t, mode)
+	for _, opts := range []core.Options{core.DefaultOptions(), core.DatagramOptions()} {
+		t.Run(opts.Mode.String(), func(t *testing.T) {
+			testKeepaliveStopsAtPeerClose(t, opts)
 		})
 	}
 }
 
-func testKeepaliveStopsAtPeerClose(t *testing.T, mode core.Mode) {
-	opts := core.DefaultOptions()
-	opts.Mode = mode
+func testKeepaliveStopsAtPeerClose(t *testing.T, opts core.Options) {
 	opts.Recovery = true
 	c := cluster.New(cluster.Config{
 		Nodes:     2,

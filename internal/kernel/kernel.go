@@ -48,14 +48,14 @@ const (
 )
 
 // Host models one machine: a CPU cost-charging facility plus interrupt
-// delivery. The paper's hosts are quad-processor machines; Cores sets how
-// many independent CPU contexts exist, backed by a sim.CPU whose per-core
-// run queues serialize compute charged through ChargeComputeOn/CPU(). The
-// fixed-cost charge methods (Syscall, Copy, MMIO, ...) model kernel-path
-// latencies and deliberately bypass the run queues — they stay
-// schedule-identical regardless of core count, so workloads that never
-// opt into core-scheduled compute reproduce single-threaded-era runs
-// byte for byte.
+// delivery. The paper's hosts are quad-processor machines; NewHost's
+// cores sets how many independent CPU contexts exist, backed by a
+// sim.CPU whose per-core run queues serialize compute charged through
+// ChargeComputeOn/CPU(). The fixed-cost charge methods (Syscall, Copy,
+// MMIO, ...) model kernel-path latencies and deliberately bypass the run
+// queues — they stay schedule-identical regardless of core count, so
+// workloads that never opt into core-scheduled compute reproduce
+// single-threaded-era runs byte for byte.
 type Host struct {
 	Eng  *sim.Engine
 	Name string
@@ -83,15 +83,12 @@ func NewHost(e *sim.Engine, name string, cores int) *Host {
 	return h
 }
 
-// Cores reports the number of CPU contexts.
-func (h *Host) Cores() int { return h.cpu.N() }
-
 // CPU returns the host's core scheduler, for callers that pin work or
 // charge core-scheduled compute directly.
 func (h *Host) CPU() *sim.CPU { return h.cpu }
 
 // ChargeComputeOn charges p with d of core-scheduled compute pinned to
-// a core (modulo Cores()): concurrent charges on one core serialize.
+// a core (modulo the core count): concurrent charges on one core serialize.
 func (h *Host) ChargeComputeOn(p *sim.Proc, core int, d sim.Duration) {
 	h.cpu.ComputeOn(p, core, d)
 }

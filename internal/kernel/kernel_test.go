@@ -78,8 +78,8 @@ func TestInterruptSerializes(t *testing.T) {
 func TestHostMinimumOneCore(t *testing.T) {
 	e := sim.NewEngine()
 	h := NewHost(e, "h", 0)
-	if h.Cores() != 1 {
-		t.Fatalf("cores = %d, want clamped to 1", h.Cores())
+	if h.cpu.N() != 1 {
+		t.Fatalf("cores = %d, want clamped to 1", h.cpu.N())
 	}
 }
 

@@ -90,14 +90,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// JumboConfig returns the default table reframed for 9000-byte jumbo
-// frames.
-func JumboConfig() Config {
-	c := DefaultConfig()
-	c.MTU = ethernet.JumboMTU
-	return c
-}
-
 // HashedConfig returns the default table with the hashed
 // descriptor-lookup cost model enabled.
 func HashedConfig() Config {
@@ -189,7 +181,7 @@ func (n *NIC) Port() *ethernet.Port { return n.port }
 // Addr reports the NIC's station address. It panics before Attach.
 func (n *NIC) Addr() ethernet.Addr { return n.port.Addr() }
 
-// Deliver implements ethernet.Station: frames from the wire go to the
+// Deliver implements ethernet.station: frames from the wire go to the
 // sink for the receive firmware to consume.
 func (n *NIC) Deliver(f *ethernet.Frame) {
 	if n.dead {
@@ -268,9 +260,6 @@ func (n *NIC) TagMatch(walked int) sim.Duration {
 // transmitting (frames silently vanish, as on a powered-off station).
 // Peers discover the death through their own reliability timeouts.
 func (n *NIC) Kill() { n.dead = true }
-
-// Dead reports whether Kill has been called.
-func (n *NIC) Dead() bool { return n.dead }
 
 // --- Fault injection -------------------------------------------------------
 

@@ -113,21 +113,11 @@ func TestWaitTxRoomStallsOnBacklog(t *testing.T) {
 		t.Fatalf("TxRoomWait did not stall (stalled %v resumed %v)", stalledAt, resumedAt)
 	}
 	// After resuming, the backlog must be exactly at the FIFO bound.
-	backlog := (20 * ethernet.MaxFrameWireTime()) - sim.Duration(resumedAt)
-	limit := sim.Duration(macQueueFrames) * ethernet.MaxFrameWireTime()
+	wire := (&ethernet.Frame{PayloadLen: ethernet.MTU}).WireTime()
+	backlog := 20*wire - sim.Duration(resumedAt)
+	limit := sim.Duration(macQueueFrames) * wire
 	if backlog != limit {
 		t.Fatalf("backlog %v at resume, want the limit %v", backlog, limit)
-	}
-}
-
-func TestJumboConfig(t *testing.T) {
-	cfg := JumboConfig()
-	if cfg.MTU != ethernet.JumboMTU {
-		t.Fatalf("jumbo MTU = %d", cfg.MTU)
-	}
-	// Only the framing changes.
-	if cfg.HashedMatch || cfg.RxCPUs != DefaultConfig().RxCPUs {
-		t.Fatal("jumbo config altered more than the frame size")
 	}
 }
 

@@ -39,9 +39,6 @@ func New(host *kernel.Host) *FS {
 	return &FS{host: host, files: make(map[string]*file), Bandwidth: 200 << 20}
 }
 
-// Host reports the host this file system lives on.
-func (fs *FS) Host() *kernel.Host { return fs.host }
-
 // copyTime is the duration of moving n file bytes.
 func (fs *FS) copyTime(n int) sim.Duration {
 	if n <= 0 {

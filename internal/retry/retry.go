@@ -76,10 +76,10 @@ func (p Policy) Backoff(attempt int, rnd *sim.Rand) sim.Duration {
 	return d
 }
 
-// Loop tracks one retry sequence bounded by an optional absolute
+// loop tracks one retry sequence bounded by an optional absolute
 // deadline (zero means no deadline). The caller runs its attempt, and on
 // a retryable failure asks Next how long to wait before the next one.
-type Loop struct {
+type loop struct {
 	pol      Policy
 	rnd      *sim.Rand
 	deadline sim.Time
@@ -88,26 +88,26 @@ type Loop struct {
 
 // New starts a retry loop. rnd supplies jitter and may be nil when the
 // policy has none; deadline zero means unbounded in time.
-func New(pol Policy, rnd *sim.Rand, deadline sim.Time) *Loop {
-	return &Loop{pol: pol.normalized(), rnd: rnd, deadline: deadline}
+func New(pol Policy, rnd *sim.Rand, deadline sim.Time) *loop {
+	return &loop{pol: pol.normalized(), rnd: rnd, deadline: deadline}
 }
 
 // Attempt reports how many retries have been granted so far.
-func (l *Loop) Attempt() int { return l.attempt }
+func (l *loop) Attempt() int { return l.attempt }
 
-// Expired reports whether the deadline has passed at time now.
-func (l *Loop) Expired(now sim.Time) bool {
+// expired reports whether the deadline has passed at time now.
+func (l *loop) expired(now sim.Time) bool {
 	return l.deadline != 0 && now >= l.deadline
 }
 
 // Next grants the next retry: it returns the delay to wait before
 // reattempting (clamped so the wait never crosses the deadline) and true,
 // or (0, false) when the retry budget or the deadline is exhausted.
-func (l *Loop) Next(now sim.Time) (sim.Duration, bool) {
+func (l *loop) Next(now sim.Time) (sim.Duration, bool) {
 	if l.attempt >= l.pol.Max {
 		return 0, false
 	}
-	if l.Expired(now) {
+	if l.expired(now) {
 		return 0, false
 	}
 	l.attempt++

@@ -78,7 +78,7 @@ func TestFIFOAllocatesNothing(t *testing.T) {
 	got := 0
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; ; i++ {
-			q.Put(p, i)
+			q.put(p, i)
 			p.Sleep(1)
 		}
 	})

@@ -94,7 +94,7 @@ func BenchmarkFIFOHandoff(b *testing.B) {
 	q := NewFIFO[int](e, "q", 4)
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Put(p, i)
+			q.put(p, i)
 		}
 		q.Close()
 	})

@@ -108,7 +108,7 @@ func TestCPUUncontendedIdenticalToSleep(t *testing.T) {
 		e.Spawn("prod", func(p *Proc) {
 			for i := 0; i < 5; i++ {
 				charge(p, 13)
-				fifo.Put(p, i)
+				fifo.put(p, i)
 				out += fmt.Sprintf("put %d @%d\n", i, p.Now())
 				p.Sleep(7)
 			}

@@ -107,7 +107,7 @@ type Engine struct {
 	liveProc int   // spawned but not yet finished processes
 	procs    []*Proc
 
-	trace    *Tracer
+	trace    *tracer
 	rand     *Rand
 	deadline Time
 	limit    Time // the running RunUntil's limit

@@ -15,7 +15,7 @@ import (
 // Proc is a simulated process: an iter.Pull coroutine that runs under the
 // engine's run-to-yield discipline. Exactly one Proc executes at a time; a
 // Proc gives up control only by calling a blocking primitive (Sleep, Wait
-// on a queue, Get/Put on a FIFO, ...). Model code inside a Proc therefore
+// on a queue, Get on a FIFO, ...). Model code inside a Proc therefore
 // never races with other model code. A blocked Proc first fires the
 // plain events queued ahead of its wakeup on its own stack, and parks
 // only when the event loop must go on without it (see yield).

@@ -48,9 +48,6 @@ func (r *Resource) ReserveAt(earliest Time, d Duration) (done Time) {
 // FreeAt reports when the resource next becomes free.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
-// BusyTime reports the accumulated service time.
-func (r *Resource) BusyTime() Duration { return r.busyTime }
-
 // Utilization reports busy time as a fraction of elapsed time.
 func (r *Resource) Utilization() float64 {
 	if r.eng.Now() == 0 {

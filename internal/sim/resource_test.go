@@ -16,8 +16,8 @@ func TestResourceReserveSerializes(t *testing.T) {
 	if d2 != 150 {
 		t.Fatalf("second reservation done at %v, want 150 (queued behind first)", d2)
 	}
-	if r.BusyTime() != 150 {
-		t.Fatalf("busy=%v, want 150", r.BusyTime())
+	if r.busyTime != 150 {
+		t.Fatalf("busy=%v, want 150", r.busyTime)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestResourceIdleGapNotCharged(t *testing.T) {
 		}
 	})
 	e.Run()
-	if r.BusyTime() != 20 {
-		t.Fatalf("busy time %v, want 20 (gap not charged)", r.BusyTime())
+	if r.busyTime != 20 {
+		t.Fatalf("busy time %v, want 20 (gap not charged)", r.busyTime)
 	}
 }
 

@@ -148,7 +148,7 @@ func (q *Queue[T]) removeAt(i int) {
 }
 
 // FIFO is a blocking queue of values with optional capacity. Capacity 0
-// means unbounded (Put never blocks).
+// means unbounded (put never blocks).
 type FIFO[T any] struct {
 	items   Queue[T]
 	cap     int
@@ -171,9 +171,9 @@ func NewFIFO[T any](e *Engine, label string, capacity int) *FIFO[T] {
 // Len reports the number of queued items.
 func (f *FIFO[T]) Len() int { return f.items.Len() }
 
-// Put appends v, blocking while the queue is at capacity. Putting into a
+// put appends v, blocking while the queue is at capacity. Putting into a
 // closed queue panics: it indicates a protocol bug in the model.
-func (f *FIFO[T]) Put(p *Proc, v T) {
+func (f *FIFO[T]) put(p *Proc, v T) {
 	for f.cap > 0 && f.Len() >= f.cap && !f.closed {
 		f.putters.Wait(p)
 	}
@@ -235,9 +235,6 @@ type Semaphore struct {
 func NewSemaphore(e *Engine, label string, initial int) *Semaphore {
 	return &Semaphore{count: initial, waiters: WaitQueue{eng: e, label: label}}
 }
-
-// Count reports the current count (may be observed between operations).
-func (s *Semaphore) Count() int { return s.count }
 
 // Acquire decrements the count, blocking while it is zero.
 func (s *Semaphore) Acquire(p *Proc) {

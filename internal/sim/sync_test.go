@@ -11,7 +11,7 @@ func TestFIFOPreservesOrder(t *testing.T) {
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 10; i++ {
-			f.Put(p, i)
+			f.put(p, i)
 			p.Sleep(3)
 		}
 		f.Close()
@@ -42,7 +42,7 @@ func TestFIFOCapacityBlocksProducer(t *testing.T) {
 	var lastPut Time
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 4; i++ {
-			f.Put(p, i)
+			f.put(p, i)
 		}
 		lastPut = p.Now()
 	})
@@ -258,7 +258,7 @@ func TestFIFOConservationProperty(t *testing.T) {
 		e.Spawn("p", func(p *Proc) {
 			for i, d := range prodDelays {
 				p.Sleep(Duration(d))
-				q.Put(p, i)
+				q.put(p, i)
 			}
 			q.Close()
 		})
@@ -303,7 +303,7 @@ func TestSemaphoreInvariantProperty(t *testing.T) {
 			acquired, released := 0, 0
 			for _, acq := range ops {
 				if acq {
-					if s.Count() == 0 {
+					if s.count == 0 {
 						continue // Acquire would block
 					}
 					s.Acquire(p)
@@ -312,7 +312,7 @@ func TestSemaphoreInvariantProperty(t *testing.T) {
 					s.Release()
 					released++
 				}
-				if s.Count() < 0 || s.Count() != 2-acquired+released {
+				if s.count < 0 || s.count != 2-acquired+released {
 					ok = false
 				}
 			}

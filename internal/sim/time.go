@@ -35,9 +35,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Micros reports t as a floating-point count of microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 // String formats the instant with microsecond precision.
 func (t Time) String() string {
 	return fmt.Sprintf("%.3fus", float64(t)/1e3)

@@ -5,10 +5,10 @@ import (
 	"io"
 )
 
-// Tracer records timestamped model events for debugging and for the
+// tracer records timestamped model events for debugging and for the
 // deterministic-replay tests. Tracing is off unless a sink is attached,
 // so models can trace liberally at no cost in benchmark runs.
-type Tracer struct {
+type tracer struct {
 	eng  *Engine
 	sink io.Writer
 	n    int
@@ -20,7 +20,7 @@ func (e *Engine) SetTrace(w io.Writer) {
 		e.trace = nil
 		return
 	}
-	e.trace = &Tracer{eng: e, sink: w}
+	e.trace = &tracer{eng: e, sink: w}
 }
 
 // Tracing reports whether a trace sink is attached. A hot path guards

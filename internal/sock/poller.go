@@ -120,8 +120,8 @@ type Pollable interface {
 	PollSource() *NoteSource
 }
 
-// PollEvent is one ready object delivered by PollWaiter.Wait.
-type PollEvent struct {
+// pollEvent is one ready object delivered by PollWaiter.Wait.
+type pollEvent struct {
 	Item   Pollable
 	Events PollEvents // current readiness, masked by the registered interest
 	Data   any        // user datum passed at Register
@@ -283,7 +283,7 @@ func (po *Poller) Waiter(name string) *PollWaiter {
 // elapses (negative waits forever; zero polls). ok is false on timeout
 // or when the poller is closed while parked. The claimed object is
 // masked from other waiters until Done releases it.
-func (w *PollWaiter) Wait(p *sim.Proc, timeout sim.Duration) (PollEvent, bool) {
+func (w *PollWaiter) Wait(p *sim.Proc, timeout sim.Duration) (pollEvent, bool) {
 	po := w.po
 	gen := po.closeGen
 	deadline := sim.Time(0)
@@ -295,7 +295,7 @@ func (w *PollWaiter) Wait(p *sim.Proc, timeout sim.Duration) (PollEvent, bool) {
 			return ev, true
 		}
 		if po.closeGen != gen || timeout == 0 {
-			return PollEvent{}, false
+			return pollEvent{}, false
 		}
 		if timeout < 0 {
 			po.wq.Wait(p)
@@ -303,7 +303,7 @@ func (w *PollWaiter) Wait(p *sim.Proc, timeout sim.Duration) (PollEvent, bool) {
 		}
 		remain := deadline.Sub(p.Now())
 		if remain <= 0 {
-			return PollEvent{}, false
+			return pollEvent{}, false
 		}
 		if !po.wq.WaitTimeout(p, remain) {
 			// Timed out; an event may still have landed exactly now.
@@ -337,7 +337,7 @@ func (po *Poller) Done(item Pollable) {
 // claim takes the first live, unclaimed event past the cursor for w,
 // wrapping to the lowest token. Stale tokens are discarded; tokens for
 // busy objects are deferred via the repost flag.
-func (po *Poller) claim(w *PollWaiter) (PollEvent, bool) {
+func (po *Poller) claim(w *PollWaiter) (pollEvent, bool) {
 	for len(po.ready) > 0 {
 		i, _ := slices.BinarySearch(po.ready, po.cursor+1)
 		if i == len(po.ready) {
@@ -362,9 +362,9 @@ func (po *Poller) claim(w *PollWaiter) (PollEvent, bool) {
 		w.Delivered++
 		po.Waits++
 		po.Delivered++
-		return PollEvent{Item: reg.item, Events: ev, Data: reg.data}, true
+		return pollEvent{Item: reg.item, Events: ev, Data: reg.data}, true
 	}
-	return PollEvent{}, false
+	return pollEvent{}, false
 }
 
 // TelemetryStats reports the poller's scalability counters as a

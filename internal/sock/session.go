@@ -38,11 +38,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrSessionResume reports a reconnect that found the peer unable to
+// errSessionResume reports a reconnect that found the peer unable to
 // resume the stream: the session is unknown to it, or the bytes needed
 // to fill the gap have been dropped from a replay buffer. The session
 // fails rather than deliver a corrupted stream.
-var ErrSessionResume = errors.New("sock: session resume refused")
+var errSessionResume = errors.New("sock: session resume refused")
 
 // Wire sizes of the resume handshake messages. They ride the normal
 // byte stream ahead of any application data, framed by fixed length.
@@ -231,12 +231,12 @@ type transport interface {
 
 // Session is a self-healing Conn. See the package comment for the
 // resume protocol; Sessions are built by DialSession (client) and
-// SessionListener.Accept (server).
+// sessionListener.Accept (server).
 type Session struct {
 	cfg    SessionConfig
 	eng    *sim.Engine
 	cond   *sim.Cond
-	lis    *SessionListener // server side only
+	lis    *sessionListener // server side only
 	client bool
 
 	id       uint64
@@ -274,7 +274,7 @@ type Session struct {
 
 var _ Conn = (*Session)(nil)
 
-func newSession(cfg SessionConfig, client bool, lis *SessionListener) *Session {
+func newSession(cfg SessionConfig, client bool, lis *sessionListener) *Session {
 	s := &Session{
 		cfg:    cfg,
 		eng:    cfg.Eng,
@@ -379,7 +379,7 @@ func (s *Session) connect(p *sim.Proc) error {
 						return nil
 					}
 					abortClose(p, tc)
-					if err == ErrSessionResume {
+					if err == errSessionResume {
 						return err
 					}
 				}
@@ -418,7 +418,7 @@ func (s *Session) shake(p *sim.Proc, c transport, idx int) error {
 		s.cfg.Tel.Counter("session", "resumes_stale").Inc()
 		s.flight().Recordf(p.Now(), "resume-rejected-stale",
 			"peer refused resume at recvoff=%d", s.recvOff)
-		return ErrSessionResume
+		return errSessionResume
 	}
 	if s.id == 0 {
 		s.setID(w.ID)
@@ -426,7 +426,7 @@ func (s *Session) shake(p *sim.Proc, c transport, idx int) error {
 		return ErrReset
 	}
 	if w.RecvOff > s.logicalEnd || w.RecvOff < s.replay.low {
-		return ErrSessionResume
+		return errSessionResume
 	}
 	c.SetDeadline(0)
 	if w.Inc != 0 && s.peerInc != 0 && w.Inc != s.peerInc {
@@ -560,7 +560,7 @@ func (s *Session) setDetached() {
 // reborn listener has already adopted for the resumed stream.
 func (s *Session) dropRecord() {
 	if s.lis != nil {
-		s.cfg.Store.Delete(s.id, s.lis)
+		s.cfg.Store.delete(s.id, s.lis)
 	}
 }
 
@@ -674,7 +674,7 @@ func (s *Session) commitRecord() {
 	if s.lis == nil {
 		return
 	}
-	s.cfg.Store.Put(&SessionRecord{
+	s.cfg.Store.put(&sessionRecord{
 		ID:      s.id,
 		RecvOff: s.recvOff,
 		SendLow: s.replay.low,
@@ -707,7 +707,7 @@ func (s *Session) flush(p *sim.Proc) error {
 			// The bytes owed to the transport were dropped from the
 			// replay buffer: the stream can no longer be delivered
 			// exactly once.
-			s.fail(ErrSessionResume)
+			s.fail(errSessionResume)
 			return s.err
 		}
 		m, err := c.Write(p, n, obj)
@@ -788,12 +788,12 @@ func findWelcome(objs []any) *sessionWelcome {
 	return nil
 }
 
-// SessionListener accepts sessions over one or more transport
+// sessionListener accepts sessions over one or more transport
 // listeners (typically the substrate listener plus a TCP listener on
 // the same port, so failover dials land on the same service). New
 // sessions surface via Accept; reattaches are routed to the existing
 // Session transparently.
-type SessionListener struct {
+type sessionListener struct {
 	eng      *sim.Engine
 	cfg      SessionConfig
 	inner    []Listener
@@ -803,16 +803,16 @@ type SessionListener struct {
 	closed   bool
 }
 
-var _ Listener = (*SessionListener)(nil)
+var _ Listener = (*sessionListener)(nil)
 
 // NewSessionListener wraps the given transport listeners. The config's
 // Targets field is ignored on the server side; its Store is required.
-func NewSessionListener(cfg SessionConfig, inner ...Listener) *SessionListener {
+func NewSessionListener(cfg SessionConfig, inner ...Listener) *sessionListener {
 	cfg = cfg.normalize()
 	if cfg.Store == nil {
 		panic("sock: SessionConfig.Store is required by a listener")
 	}
-	l := &SessionListener{
+	l := &sessionListener{
 		eng:      cfg.Eng,
 		cfg:      cfg,
 		inner:    inner,
@@ -828,7 +828,7 @@ func NewSessionListener(cfg SessionConfig, inner ...Listener) *SessionListener {
 	return l
 }
 
-func (l *SessionListener) acceptLoop(p *sim.Proc, in Listener) {
+func (l *sessionListener) acceptLoop(p *sim.Proc, in Listener) {
 	for {
 		conn, err := in.Accept(p)
 		if err != nil {
@@ -845,7 +845,7 @@ func (l *SessionListener) acceptLoop(p *sim.Proc, in Listener) {
 // accepted transport: route to a new Session (hello.ID == 0) or
 // reattach an existing one. Anything malformed or unresumable gets a
 // refusing welcome (best effort) and the transport closed.
-func (l *SessionListener) greet(p *sim.Proc, c transport) {
+func (l *sessionListener) greet(p *sim.Proc, c transport) {
 	c.SetDeadline(p.Now().Add(helloTimeout))
 	_, objs, err := ReadFull(p, c, helloBytes)
 	if err != nil {
@@ -902,7 +902,7 @@ func (l *SessionListener) greet(p *sim.Proc, c transport) {
 // owned. The fresh session surfaces via Accept so the (re-run) app
 // bootstrap serves its remaining requests; the caller completes the
 // reattach handshake as for any known session.
-func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
+func (l *sessionListener) resurrect(p *sim.Proc, rec *sessionRecord) *Session {
 	s := newSession(l.cfg, false, l)
 	s.setID(rec.ID)
 	s.recvOff = rec.RecvOff
@@ -913,7 +913,7 @@ func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
 	// Copied: the record's array still backs the dead incarnation's
 	// buffer past the record's end, where the reborn session appends.
 	s.replay.spans = append([]replaySpan(nil), rec.Spans...)
-	l.cfg.Store.Put(rec, l) // adopt: the dead incarnation can no longer erase it
+	l.cfg.Store.put(rec, l) // adopt: the dead incarnation can no longer erase it
 	l.sessions[s.id] = s
 	l.backlog = append(l.backlog, s)
 	l.ready.Broadcast()
@@ -925,7 +925,7 @@ func (l *SessionListener) resurrect(p *sim.Proc, rec *SessionRecord) *Session {
 	return s
 }
 
-func (l *SessionListener) greetNew(p *sim.Proc, c transport) {
+func (l *sessionListener) greetNew(p *sim.Proc, c transport) {
 	if l.closed {
 		abortClose(p, c)
 		return
@@ -934,7 +934,7 @@ func (l *SessionListener) greetNew(p *sim.Proc, c transport) {
 	// Durable allocation: ids never repeat across the node's
 	// incarnations, and the empty committed record marks the stream
 	// resumable from offset zero should the host reboot at once.
-	s.setID(l.cfg.Store.AllocID())
+	s.setID(l.cfg.Store.allocID())
 	s.commitRecord()
 	if err := WriteFull(p, c, welcomeBytes, &sessionWelcome{
 		ID: s.id, OK: true, Inc: l.cfg.Incarnation}); err != nil {
@@ -950,7 +950,7 @@ func (l *SessionListener) greetNew(p *sim.Proc, c transport) {
 }
 
 // Accept returns the next new session (reattaches never surface here).
-func (l *SessionListener) Accept(p *sim.Proc) (Conn, error) {
+func (l *sessionListener) Accept(p *sim.Proc) (Conn, error) {
 	l.ready.WaitFor(p, func() bool { return len(l.backlog) > 0 || l.closed })
 	if len(l.backlog) > 0 {
 		s := l.backlog[0]
@@ -962,7 +962,7 @@ func (l *SessionListener) Accept(p *sim.Proc) (Conn, error) {
 
 // Close stops accepting new sessions and closes the transport
 // listeners. Established sessions live on until closed individually.
-func (l *SessionListener) Close(p *sim.Proc) error {
+func (l *sessionListener) Close(p *sim.Proc) error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -974,14 +974,14 @@ func (l *SessionListener) Close(p *sim.Proc) error {
 	return nil
 }
 
-func (l *SessionListener) Addr() Addr {
+func (l *sessionListener) Addr() Addr {
 	if len(l.inner) > 0 {
 		return l.inner[0].Addr()
 	}
 	return 0
 }
 
-func (l *SessionListener) Port() int {
+func (l *sessionListener) Port() int {
 	if len(l.inner) > 0 {
 		return l.inner[0].Port()
 	}

@@ -38,7 +38,7 @@ func TestReplayBufCommittedPrefixFrozen(t *testing.T) {
 // an Uncork only commits.
 func newCommitSession(e *sim.Engine, spans int) *Session {
 	cfg := SessionConfig{Eng: e, Tel: telemetry.New(), Store: NewSessionStore()}.normalize()
-	s := newSession(cfg, false, &SessionListener{})
+	s := newSession(cfg, false, &sessionListener{})
 	for i := 0; i < spans; i++ {
 		s.replay.push(32, nil)
 	}

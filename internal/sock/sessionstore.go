@@ -14,11 +14,11 @@
 // the committed end).
 package sock
 
-// SessionRecord is the committed resume state of one server-side
+// sessionRecord is the committed resume state of one server-side
 // session: the receive watermark (request bytes consumed by committed
 // responses) and the retained response window [SendLow, SendEnd) with
 // its replay spans.
-type SessionRecord struct {
+type sessionRecord struct {
 	ID      uint64
 	RecvOff int64
 	SendLow int64
@@ -36,39 +36,39 @@ type SessionRecord struct {
 // an unused store never perturbs a run.
 type SessionStore struct {
 	nextID uint64
-	recs   map[uint64]*SessionRecord
+	recs   map[uint64]*sessionRecord
 }
 
 // NewSessionStore returns an empty store; ids start at 1.
 func NewSessionStore() *SessionStore {
-	return &SessionStore{nextID: 1, recs: make(map[uint64]*SessionRecord)}
+	return &SessionStore{nextID: 1, recs: make(map[uint64]*sessionRecord)}
 }
 
-// AllocID hands out the next session id. Allocation is durable: ids
+// allocID hands out the next session id. Allocation is durable: ids
 // never repeat across the owning node's incarnations, so a reborn
 // listener cannot collide with sessions the dead incarnation created.
-func (st *SessionStore) AllocID() uint64 {
+func (st *SessionStore) allocID() uint64 {
 	id := st.nextID
 	st.nextID++
 	return id
 }
 
-// Put commits a record under the given owner, replacing any previous
+// put commits a record under the given owner, replacing any previous
 // version.
-func (st *SessionStore) Put(rec *SessionRecord, owner any) {
+func (st *SessionStore) put(rec *sessionRecord, owner any) {
 	rec.owner = owner
 	st.recs[rec.ID] = rec
 }
 
 // Get returns the committed record for id, or nil.
-func (st *SessionStore) Get(id uint64) *SessionRecord {
+func (st *SessionStore) Get(id uint64) *sessionRecord {
 	return st.recs[id]
 }
 
-// Delete removes id's record if owner still owns it: a session closing
+// delete removes id's record if owner still owns it: a session closing
 // under a dead listener incarnation must not erase state the reborn
 // incarnation has adopted.
-func (st *SessionStore) Delete(id uint64, owner any) {
+func (st *SessionStore) delete(id uint64, owner any) {
 	if rec := st.recs[id]; rec != nil && rec.owner == owner {
 		delete(st.recs, id)
 	}

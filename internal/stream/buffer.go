@@ -11,11 +11,6 @@ package stream
 
 import "fmt"
 
-type objAt struct {
-	end int64 // absolute stream offset just past the object's last byte
-	obj any
-}
-
 // Buffer is a FIFO of stream bytes with attached objects. Offsets are
 // absolute from the start of the stream, so a Buffer can also account a
 // TCP send queue where the base advances as acknowledgments arrive.
@@ -47,7 +42,7 @@ func (b *Buffer) Append(n int, obj any) {
 	}
 	b.end += int64(n)
 	if obj != nil {
-		b.objs = append(b.objs, objAt{end: b.end, obj: obj})
+		b.objs = append(b.objs, objAt{End: b.end, Obj: obj})
 	}
 }
 
@@ -63,16 +58,16 @@ func (b *Buffer) Read(max int) (int, []any) {
 	}
 	b.base += int64(n)
 	var out []any
-	for len(b.objs) > 0 && b.objs[0].end <= b.base {
-		out = append(out, b.objs[0].obj)
+	for len(b.objs) > 0 && b.objs[0].End <= b.base {
+		out = append(out, b.objs[0].Obj)
 		b.objs = b.objs[1:]
 	}
 	return n, out
 }
 
-// ObjAt pairs an object with the absolute stream offset just past its
+// objAt pairs an object with the absolute stream offset just past its
 // last byte.
-type ObjAt struct {
+type objAt struct {
 	End int64
 	Obj any
 }
@@ -82,11 +77,11 @@ type ObjAt struct {
 // segment that carries each object's final byte, and to preserve their
 // placement when a retransmission re-segments the stream. The objects
 // remain in the buffer (they also need to survive retransmission).
-func (b *Buffer) ObjectsAt(from, to int64) []ObjAt {
-	var out []ObjAt
+func (b *Buffer) ObjectsAt(from, to int64) []objAt {
+	var out []objAt
 	for _, o := range b.objs {
-		if o.end > from && o.end <= to {
-			out = append(out, ObjAt{End: o.end, Obj: o.obj})
+		if o.End > from && o.End <= to {
+			out = append(out, o)
 		}
 	}
 	return out
@@ -100,10 +95,7 @@ func (b *Buffer) TrimTo(newBase int64) {
 		panic(fmt.Sprintf("stream: TrimTo(%d) outside [%d,%d]", newBase, b.base, b.end))
 	}
 	b.base = newBase
-	for len(b.objs) > 0 && b.objs[0].end <= b.base {
+	for len(b.objs) > 0 && b.objs[0].End <= b.base {
 		b.objs = b.objs[1:]
 	}
 }
-
-// ObjectCount reports how many objects are still attached.
-func (b *Buffer) ObjectCount() int { return len(b.objs) }

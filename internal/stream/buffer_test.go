@@ -61,7 +61,7 @@ func TestAppendNegativePanics(t *testing.T) {
 func TestNilObjectsNotTracked(t *testing.T) {
 	b := NewBuffer(0)
 	b.Append(100, nil)
-	if b.ObjectCount() != 0 {
+	if len(b.objs) != 0 {
 		t.Fatal("nil object was tracked")
 	}
 	_, objs := b.Read(100)
@@ -75,7 +75,7 @@ func TestObjectsInRange(t *testing.T) {
 	b.Append(10, "a") // ends at 1010
 	b.Append(10, "b") // ends at 1020
 	b.Append(10, "c") // ends at 1030
-	if got := b.ObjectsAt(1000, 1010); len(got) != 1 || got[0] != (ObjAt{End: 1010, Obj: "a"}) {
+	if got := b.ObjectsAt(1000, 1010); len(got) != 1 || got[0] != (objAt{End: 1010, Obj: "a"}) {
 		t.Fatalf("ObjectsAt(1000,1010) = %v", got)
 	}
 	if got := b.ObjectsAt(1010, 1030); len(got) != 2 {
@@ -84,7 +84,7 @@ func TestObjectsInRange(t *testing.T) {
 	if got := b.ObjectsAt(1010, 1019); len(got) != 0 {
 		t.Fatalf("ObjectsAt excluding ends = %v", got)
 	}
-	if b.ObjectCount() != 3 {
+	if len(b.objs) != 3 {
 		t.Fatal("ObjectsAt must not remove objects")
 	}
 }
@@ -97,8 +97,8 @@ func TestTrimTo(t *testing.T) {
 	if b.Len() != 10 || b.Base() != 10 {
 		t.Fatalf("after trim: len=%d base=%d", b.Len(), b.Base())
 	}
-	if b.ObjectCount() != 1 {
-		t.Fatalf("trim did not release object a: %d left", b.ObjectCount())
+	if len(b.objs) != 1 {
+		t.Fatalf("trim did not release object a: %d left", len(b.objs))
 	}
 	defer func() {
 		if recover() == nil {

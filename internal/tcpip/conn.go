@@ -34,8 +34,8 @@ const (
 	stateLastAck
 )
 
-// Conn is one TCP connection endpoint.
-type Conn struct {
+// conn is one TCP connection endpoint.
+type conn struct {
 	st    *Stack
 	lport int
 	raddr ethernet.Addr
@@ -123,14 +123,14 @@ type Conn struct {
 }
 
 // flight returns the connection's flight recorder.
-func (c *Conn) flight() *telemetry.Recorder {
+func (c *conn) flight() *telemetry.Recorder {
 	return c.st.Tel.Flight(c.id)
 }
 
 // popReadSpans retires latency spans whose payload the reader has fully
 // consumed, marking the read wake instant and folding the decomposition
 // into the host's histograms.
-func (c *Conn) popReadSpans(now sim.Time) {
+func (c *conn) popReadSpans(now sim.Time) {
 	for len(c.rcvSpanQ) > 0 && c.rcvSpanQ[0].end <= c.rcvbuf.Base() {
 		sp := c.rcvSpanQ[0].span
 		c.rcvSpanQ = c.rcvSpanQ[1:]
@@ -140,21 +140,21 @@ func (c *Conn) popReadSpans(now sim.Time) {
 }
 
 // SetNoDelay toggles TCP_NODELAY on the connection.
-func (c *Conn) SetNoDelay(v bool) { c.noDelay = v }
+func (c *conn) SetNoDelay(v bool) { c.noDelay = v }
 
 // SetDeadline implements sock.Deadliner.
-func (c *Conn) SetDeadline(t sim.Time) { c.rdl, c.wdl = t, t }
+func (c *conn) SetDeadline(t sim.Time) { c.rdl, c.wdl = t, t }
 
 // SetReadDeadline implements sock.Deadliner.
-func (c *Conn) SetReadDeadline(t sim.Time) { c.rdl = t }
+func (c *conn) SetReadDeadline(t sim.Time) { c.rdl = t }
 
 // SetWriteDeadline implements sock.Deadliner.
-func (c *Conn) SetWriteDeadline(t sim.Time) { c.wdl = t }
+func (c *conn) SetWriteDeadline(t sim.Time) { c.wdl = t }
 
-func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
+func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *conn {
 	st.nextISS += 1 << 16
 	iss := st.nextISS
-	c := &Conn{
+	c := &conn{
 		st:          st,
 		lport:       lport,
 		raddr:       raddr,
@@ -162,9 +162,9 @@ func newConn(st *Stack, lport int, raddr ethernet.Addr, rport int) *Conn {
 		id:          connID(st.addr, lport, raddr, rport),
 		sndbuf:      stream.NewBuffer(iss + 1), // +1: SYN consumes iss
 		sndNxt:      iss + 1,
-		cwnd:        initialCwnd * MSS,
+		cwnd:        initialCwnd * mss,
 		ssthresh:    64 << 10,
-		rwnd:        MSS, // until the peer advertises
+		rwnd:        mss, // until the peer advertises
 		finSeq:      -1,
 		peerFinSeq:  -1,
 		rcvBufCap:   st.Cfg.RcvBuf,
@@ -188,25 +188,25 @@ func connID(laddr ethernet.Addr, lport int, raddr ethernet.Addr, rport int) stri
 	return string(b)
 }
 
-func (c *Conn) key() connKey {
+func (c *conn) key() connKey {
 	return connKey{lport: c.lport, raddr: c.raddr, rport: c.rport}
 }
 
 // LocalAddr implements sock.Conn.
-func (c *Conn) LocalAddr() sock.Addr { return c.st.addr }
+func (c *conn) LocalAddr() sock.Addr { return c.st.addr }
 
 // RemoteAddr implements sock.Conn.
-func (c *Conn) RemoteAddr() sock.Addr { return c.raddr }
+func (c *conn) RemoteAddr() sock.Addr { return c.raddr }
 
 // readable reports whether Read would return without blocking: data
 // buffered, EOF, or error.
-func (c *Conn) readable() bool {
+func (c *conn) readable() bool {
 	return c.rcvbuf != nil && (c.rcvbuf.Len() > 0 || c.err != nil || (c.eof && !c.eofSeen))
 }
 
 // writable reports whether Write would queue bytes without blocking on
 // socket-buffer space (or return immediately with an error).
-func (c *Conn) writable() bool {
+func (c *conn) writable() bool {
 	if c.err != nil || c.state == stateClosed {
 		return true
 	}
@@ -217,7 +217,7 @@ func (c *Conn) writable() bool {
 }
 
 // PollState implements sock.Pollable.
-func (c *Conn) PollState() sock.PollEvents {
+func (c *conn) PollState() sock.PollEvents {
 	var ev sock.PollEvents
 	if c.readable() {
 		ev |= sock.PollIn
@@ -232,10 +232,10 @@ func (c *Conn) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (c *Conn) PollSource() *sock.NoteSource { return &c.src }
+func (c *conn) PollSource() *sock.NoteSource { return &c.src }
 
 // advWindow is the receive window to advertise.
-func (c *Conn) advWindow() int {
+func (c *conn) advWindow() int {
 	w := c.rcvBufCap - c.rcvbufLen()
 	if w < 0 {
 		w = 0
@@ -245,7 +245,7 @@ func (c *Conn) advWindow() int {
 
 // advertise returns the window for an outgoing segment and records the
 // promise edge: data up to RCV.NXT+window must be accepted later.
-func (c *Conn) advertise() int {
+func (c *conn) advertise() int {
 	w := c.advWindow()
 	if c.rcvbuf != nil {
 		if edge := c.rcvbuf.End() + int64(w); edge > c.advEdge {
@@ -255,7 +255,7 @@ func (c *Conn) advertise() int {
 	return w
 }
 
-func (c *Conn) rcvbufLen() int {
+func (c *conn) rcvbufLen() int {
 	if c.rcvbuf == nil {
 		return 0
 	}
@@ -263,10 +263,10 @@ func (c *Conn) rcvbufLen() int {
 }
 
 // inflight is the unacknowledged byte count.
-func (c *Conn) inflight() int { return int(c.sndNxt - c.sndbuf.Base()) }
+func (c *conn) inflight() int { return int(c.sndNxt - c.sndbuf.Base()) }
 
 // sendSYN transmits the initial SYN, charged to the caller.
-func (c *Conn) sendSYN(p *sim.Proc, synAck bool) {
+func (c *conn) sendSYN(p *sim.Proc, synAck bool) {
 	flags := flagSYN
 	ack := int64(0)
 	if synAck {
@@ -276,7 +276,7 @@ func (c *Conn) sendSYN(p *sim.Proc, synAck bool) {
 	} else {
 		c.flight().Record(c.st.Eng.Now(), "syn", "")
 	}
-	seg := &Segment{
+	seg := &segment{
 		Src: c.st.addr, Dst: c.raddr,
 		SrcPort: c.lport, DstPort: c.rport,
 		Flags: flags, Seq: c.sndbuf.Base() - 1, Ack: ack, Wnd: c.st.Cfg.RcvBuf,
@@ -292,7 +292,7 @@ func (c *Conn) sendSYN(p *sim.Proc, synAck bool) {
 
 // input processes one received segment. Runs in event context at softirq
 // completion time.
-func (c *Conn) input(seg *Segment) {
+func (c *conn) input(seg *segment) {
 	if seg.Flags&flagRST != 0 {
 		// A reset answering our SYN is a refusal (nobody home on that
 		// port), not a reset of an established conversation.
@@ -363,7 +363,7 @@ func (c *Conn) input(seg *Segment) {
 			if c.cwnd < c.ssthresh {
 				c.cwnd += int(ackBytes) // slow start
 			} else {
-				c.cwnd += MSS * MSS / c.cwnd // congestion avoidance
+				c.cwnd += mss * mss / c.cwnd // congestion avoidance
 			}
 			c.sndReady.Broadcast()
 			c.src.Fire(sock.PollOut)
@@ -462,7 +462,7 @@ func (c *Conn) input(seg *Segment) {
 }
 
 // scheduleAck implements delayed acknowledgments.
-func (c *Conn) scheduleAck(push bool) {
+func (c *conn) scheduleAck(push bool) {
 	c.pendingAcks++
 	if c.pendingAcks >= delAckSegs {
 		c.ackNow()
@@ -474,9 +474,9 @@ func (c *Conn) scheduleAck(push bool) {
 }
 
 // delAckFired is the fn of a connection's delayed-ack timer; its arg is
-// the *Conn.
+// the *conn.
 func delAckFired(a any) {
-	c := a.(*Conn)
+	c := a.(*conn)
 	if c.pendingAcks > 0 {
 		c.st.DelayedAcks.Inc()
 		c.ackNow()
@@ -484,7 +484,7 @@ func delAckFired(a any) {
 }
 
 // ackNow emits an immediate ack from kernel context.
-func (c *Conn) ackNow() {
+func (c *conn) ackNow() {
 	c.pendingAcks = 0
 	c.delAck.Cancel()
 	done := c.st.Host.ChargeIRQ(txSegCost + driverTx)
@@ -495,7 +495,7 @@ func (c *Conn) ackNow() {
 			ack++ // acknowledge the FIN's virtual byte
 		}
 	}
-	c.st.transmitAt(done, &Segment{
+	c.st.transmitAt(done, &segment{
 		Src: c.st.addr, Dst: c.raddr,
 		SrcPort: c.lport, DstPort: c.rport,
 		Flags: flagACK, Seq: c.sndNxt, Ack: ack, Wnd: c.advertise(),
@@ -506,7 +506,7 @@ func (c *Conn) ackNow() {
 // per-segment cost is charged to the calling process (tcp_sendmsg path);
 // otherwise it is charged to the kernel's interrupt context (ack-clocked
 // output).
-func (c *Conn) output(p *sim.Proc) {
+func (c *conn) output(p *sim.Proc) {
 	if c.state != stateEstablished && c.state != stateCloseWait &&
 		c.state != stateFinWait1 && c.state != stateLastAck {
 		return
@@ -518,7 +518,7 @@ func (c *Conn) output(p *sim.Proc) {
 		}
 		avail := int(c.sndbuf.End() - c.sndNxt)
 		room := window - c.inflight()
-		segLen := MSS
+		segLen := mss
 		if avail < segLen {
 			segLen = avail
 		}
@@ -528,7 +528,7 @@ func (c *Conn) output(p *sim.Proc) {
 		if segLen <= 0 || avail <= 0 {
 			break
 		}
-		if !c.noDelay && segLen < MSS && c.inflight() > 0 {
+		if !c.noDelay && segLen < mss && c.inflight() > 0 {
 			break // Nagle: don't send a partial segment while data is unacked
 		}
 		// Reserve the sequence range before emit's cost charge can yield
@@ -549,7 +549,7 @@ func (c *Conn) output(p *sim.Proc) {
 		c.finSent = true
 		c.flight().Record(c.st.Eng.Now(), "fin-sent", "")
 		done := c.reserveEmit(p)
-		c.st.transmitAt(done, &Segment{
+		c.st.transmitAt(done, &segment{
 			Src: c.st.addr, Dst: c.raddr,
 			SrcPort: c.lport, DstPort: c.rport,
 			Flags: flagFIN | flagACK, Seq: c.sndNxt, Ack: c.peerAck(), Wnd: c.advertise(),
@@ -558,7 +558,7 @@ func (c *Conn) output(p *sim.Proc) {
 	}
 }
 
-func (c *Conn) peerAck() int64 {
+func (c *conn) peerAck() int64 {
 	if c.rcvbuf == nil {
 		return 0
 	}
@@ -574,7 +574,7 @@ func (c *Conn) peerAck() int64 {
 // process-context sleep: segments are charged in two contexts (sendmsg
 // and softirq) whose completion times can interleave, and the receiver
 // is in-order-only, so emission must stay monotonic per connection.
-func (c *Conn) reserveEmit(p *sim.Proc) sim.Time {
+func (c *conn) reserveEmit(p *sim.Proc) sim.Time {
 	cost := txSegCost + driverTx
 	var done sim.Time
 	if p != nil {
@@ -595,19 +595,19 @@ func (c *Conn) reserveEmit(p *sim.Proc) sim.Time {
 }
 
 // emit transmits one data segment [seq, seq+n).
-func (c *Conn) emit(p *sim.Proc, seq int64, n int, push bool) {
+func (c *conn) emit(p *sim.Proc, seq int64, n int, push bool) {
 	flags := flagACK
 	if push {
 		flags |= flagPSH
 	}
-	var objs []SegObj
+	var objs []segObj
 	for _, o := range c.sndbuf.ObjectsAt(seq, seq+int64(n)) {
-		objs = append(objs, SegObj{End: int(o.End - seq), Obj: o.Obj})
+		objs = append(objs, segObj{End: int(o.End - seq), Obj: o.Obj})
 	}
-	var spans []SegSpan
+	var spans []segSpan
 	for _, cs := range c.spanQ {
 		if cs.end > seq && cs.end <= seq+int64(n) {
-			spans = append(spans, SegSpan{End: int(cs.end - seq), Span: cs.span})
+			spans = append(spans, segSpan{End: int(cs.end - seq), Span: cs.span})
 		}
 	}
 	done := c.reserveEmit(p)
@@ -618,7 +618,7 @@ func (c *Conn) emit(p *sim.Proc, seq int64, n int, push bool) {
 	}
 	c.pendingAcks = 0 // data segments piggyback the ack
 	c.delAck.Cancel()
-	c.st.transmitAt(done, &Segment{
+	c.st.transmitAt(done, &segment{
 		Src: c.st.addr, Dst: c.raddr,
 		SrcPort: c.lport, DstPort: c.rport,
 		Flags: flags, Seq: seq, Ack: c.peerAck(), Wnd: c.advertise(),
@@ -628,7 +628,7 @@ func (c *Conn) emit(p *sim.Proc, seq int64, n int, push bool) {
 
 // rttSample folds one round-trip measurement into the smoothed
 // estimator: srtt += (s-srtt)/8, rttvar += (|s-srtt|-rttvar)/4.
-func (c *Conn) rttSample(s sim.Duration) {
+func (c *conn) rttSample(s sim.Duration) {
 	if s < 0 {
 		return
 	}
@@ -647,7 +647,7 @@ func (c *Conn) rttSample(s sim.Duration) {
 
 // rto is the adaptive retransmission timeout: srtt + 4*rttvar, clamped
 // to the floor and ceiling.
-func (c *Conn) rto() sim.Duration {
+func (c *conn) rto() sim.Duration {
 	v := c.srtt + 4*c.rttvar
 	if v < minRTO {
 		v = minRTO
@@ -658,18 +658,18 @@ func (c *Conn) rto() sim.Duration {
 	return v
 }
 
-func (c *Conn) armRTO() {
+func (c *conn) armRTO() {
 	c.rtoTimer.Cancel()
 	c.rtoTimer = c.st.Eng.AtArg(c.st.Eng.Now().Add(c.rto()), rtoFired, c)
 }
 
 // rtoFired is the fn of a connection's retransmission timer; its arg is
-// the *Conn.
-func rtoFired(a any) { a.(*Conn).onRTO() }
+// the *conn.
+func rtoFired(a any) { a.(*conn).onRTO() }
 
 // onRTO retransmits go-back-N from SND.UNA with multiplicative backoff
 // of the congestion window.
-func (c *Conn) onRTO() {
+func (c *conn) onRTO() {
 	if c.inflight() == 0 && !(c.finSent && !c.finAcked) {
 		return
 	}
@@ -686,10 +686,10 @@ func (c *Conn) onRTO() {
 	c.flight().Recordf(c.st.Eng.Now(), "rto", "rexmits=%d", c.rexmits)
 	c.rttValid = false // Karn's rule: never time retransmitted data
 	c.ssthresh = c.inflight() / 2
-	if c.ssthresh < 2*MSS {
-		c.ssthresh = 2 * MSS
+	if c.ssthresh < 2*mss {
+		c.ssthresh = 2 * mss
 	}
-	c.cwnd = MSS
+	c.cwnd = mss
 	c.sndNxt = c.sndbuf.Base()
 	c.finSent = false
 	c.output(nil)
@@ -697,24 +697,24 @@ func (c *Conn) onRTO() {
 }
 
 // fastRetransmit resends the first unacked segment on triple-dup-ack.
-func (c *Conn) fastRetransmit() {
+func (c *conn) fastRetransmit() {
 	c.st.FastRetransmits.Inc()
 	c.flight().Record(c.st.Eng.Now(), "fast-rexmit", "")
 	c.ssthresh = c.inflight() / 2
-	if c.ssthresh < 2*MSS {
-		c.ssthresh = 2 * MSS
+	if c.ssthresh < 2*mss {
+		c.ssthresh = 2 * mss
 	}
 	c.cwnd = c.ssthresh
 	n := int(c.sndbuf.End() - c.sndbuf.Base())
-	if n > MSS {
-		n = MSS
+	if n > mss {
+		n = mss
 	}
 	if n > 0 {
 		c.emit(nil, c.sndbuf.Base(), n, false)
 	}
 }
 
-func (c *Conn) fail(err error) {
+func (c *conn) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
@@ -741,7 +741,7 @@ func (c *Conn) fail(err error) {
 
 // teardown removes a cleanly closed connection (TIME_WAIT is skipped in
 // the model).
-func (c *Conn) teardown() {
+func (c *conn) teardown() {
 	c.rtoTimer.Cancel()
 	c.delAck.Cancel()
 	if c.state != stateClosed {
@@ -752,7 +752,7 @@ func (c *Conn) teardown() {
 
 // Read implements sock.Conn: blocking receive with the kernel-to-user
 // copy charged at copy-and-checksum bandwidth.
-func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
+func (c *conn) Read(p *sim.Proc, max int) (int, []any, error) {
 	c.st.Host.Syscall(p)
 	if c.rcvbuf == nil {
 		return 0, nil, sock.ErrClosed
@@ -782,17 +782,17 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 	if n > max {
 		n = max
 	}
-	wasFull := c.advWindow() < MSS
+	wasFull := c.advWindow() < mss
 	p.Sleep(c.st.copyTime(n))
 	n, objs := c.rcvbuf.Read(n)
 	c.popReadSpans(p.Now())
 	// Window update: if the window was effectively shut and has now
 	// opened, tell the sender (avoids stalls with small buffers).
-	if wasFull && c.advWindow() >= MSS && c.state != stateClosed {
+	if wasFull && c.advWindow() >= mss && c.state != stateClosed {
 		p.Sleep(txSegCost + driverTx)
 		c.pendingAcks = 0
 		c.delAck.Cancel()
-		c.st.transmitAt(p.Now(), &Segment{
+		c.st.transmitAt(p.Now(), &segment{
 			Src: c.st.addr, Dst: c.raddr,
 			SrcPort: c.lport, DstPort: c.rport,
 			Flags: flagACK, Seq: c.sndNxt, Ack: c.peerAck(), Wnd: c.advertise(),
@@ -803,7 +803,7 @@ func (c *Conn) Read(p *sim.Proc, max int) (int, []any, error) {
 
 // Write implements sock.Conn: blocking send; returns once all n bytes
 // are queued in the socket buffer (copied from user space).
-func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
+func (c *conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 	c.st.Host.Syscall(p)
 	if c.err != nil {
 		return 0, c.err
@@ -852,13 +852,13 @@ func (c *Conn) Write(p *sim.Proc, n int, obj any) (int, error) {
 	return written, nil
 }
 
-// Conn implements the optional half-close face.
-var _ sock.Closer = (*Conn)(nil)
+// conn implements the optional half-close face.
+var _ sock.Closer = (*conn)(nil)
 
 // CloseWrite implements sock.Closer: shutdown(SHUT_WR) — queue the FIN
 // behind everything already written; the peer drains and then sees EOF
 // while our reads keep flowing.
-func (c *Conn) CloseWrite(p *sim.Proc) error {
+func (c *conn) CloseWrite(p *sim.Proc) error {
 	c.st.Host.Syscall(p)
 	if c.closeUser {
 		return sock.ErrClosed
@@ -882,7 +882,7 @@ func (c *Conn) CloseWrite(p *sim.Proc) error {
 // CloseRead implements sock.Closer: shutdown(SHUT_RD) — local only.
 // Buffered bytes are discarded and later arrivals acked-and-dropped, so
 // the peer is never wedged against a reader that has left.
-func (c *Conn) CloseRead(p *sim.Proc) error {
+func (c *conn) CloseRead(p *sim.Proc) error {
 	c.st.Host.Syscall(p)
 	if c.closeUser {
 		return sock.ErrClosed
@@ -912,24 +912,24 @@ const tcpWedgeRexmits = 6
 // tracks. A closed or failed connection is wedged — it will never make
 // progress again — so recovery layers treat terminal and stuck states
 // uniformly. Charges no simulated time.
-func (c *Conn) Wedged() bool {
+func (c *conn) Wedged() bool {
 	return c.err != nil || c.state == stateClosed || c.rexmits >= tcpWedgeRexmits
 }
 
 // Abort resets the connection immediately. The RST is charged to
 // kernel context, so the call is safe from event context and never
 // blocks; local blocked callers wake with sock.ErrReset.
-func (c *Conn) Abort() { c.abort(nil) }
+func (c *conn) Abort() { c.abort(nil) }
 
 // abort resets the connection: emit a RST so the peer's blocked callers
 // wake, then fail locally. The model's SO_LINGER expiry path.
-func (c *Conn) abort(p *sim.Proc) {
+func (c *conn) abort(p *sim.Proc) {
 	if c.state == stateClosed {
 		return
 	}
 	c.flight().Record(c.st.Eng.Now(), "rst-sent", "")
 	done := c.reserveEmit(p)
-	c.st.transmitAt(done, &Segment{
+	c.st.transmitAt(done, &segment{
 		Src: c.st.addr, Dst: c.raddr,
 		SrcPort: c.lport, DstPort: c.rport,
 		Flags: flagRST | flagACK, Seq: c.sndNxt, Ack: c.peerAck(),
@@ -941,7 +941,7 @@ func (c *Conn) abort(p *sim.Proc) {
 // before it) is acknowledged, the connection fails, or the deadline
 // passes — in which case the close degrades to a reset and reports
 // sock.ErrTimeout, telling the caller tail delivery is unconfirmed.
-func (c *Conn) lingerWait(p *sim.Proc, deadline sim.Time) error {
+func (c *conn) lingerWait(p *sim.Proc, deadline sim.Time) error {
 	c.sndReady.WaitUntil(p, deadline, func() bool {
 		return c.finAcked || c.err != nil || c.state == stateClosed
 	})
@@ -959,7 +959,7 @@ func (c *Conn) lingerWait(p *sim.Proc, deadline sim.Time) error {
 // close in the background; with it, Close blocks until the FIN is
 // acknowledged (drain proven) or the linger deadline expires (reset,
 // sock.ErrTimeout) — SO_LINGER-with-timeout semantics.
-func (c *Conn) Close(p *sim.Proc) error {
+func (c *conn) Close(p *sim.Proc) error {
 	c.st.Host.Syscall(p)
 	if c.closeUser {
 		return nil

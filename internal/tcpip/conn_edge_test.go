@@ -58,7 +58,7 @@ func TestAdvertisedWindowPromiseHonored(t *testing.T) {
 func TestNoDelayAvoidsTailStall(t *testing.T) {
 	run := func(noDelay bool) sim.Duration {
 		b := defaultBed(2)
-		const total = 5*MSS + 100 // odd tail after an odd segment count
+		const total = 5*mss + 100 // odd tail after an odd segment count
 		var done sim.Time
 		b.eng.Spawn("server", func(p *sim.Proc) {
 			l, _ := b.stacks[0].Listen(p, 80, 4)
@@ -74,11 +74,11 @@ func TestNoDelayAvoidsTailStall(t *testing.T) {
 				return
 			}
 			if noDelay {
-				c.(*Conn).SetNoDelay(true)
+				c.(*conn).SetNoDelay(true)
 			}
 			// Two writes so the tail segment has unacked data ahead of it.
-			c.Write(p, 3*MSS, nil)
-			c.Write(p, 2*MSS+100, nil)
+			c.Write(p, 3*mss, nil)
+			c.Write(p, 2*mss+100, nil)
 		})
 		b.eng.RunUntil(sim.Time(10 * sim.Second))
 		return sim.Duration(done)
@@ -106,7 +106,7 @@ func TestEmissionOrderMonotonic(t *testing.T) {
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.stacks[0].Listen(p, 80, 4)
 		c, _ := l.Accept(p)
-		c.(*Conn).SetNoDelay(true)
+		c.(*conn).SetNoDelay(true)
 		for got < total {
 			n, _, err := c.Read(p, 64<<10)
 			if err != nil || n == 0 {
@@ -121,7 +121,7 @@ func TestEmissionOrderMonotonic(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c.(*Conn).SetNoDelay(true)
+		c.(*conn).SetNoDelay(true)
 		sent := 0
 		// Small writes maximize proc/kernel context interleaving.
 		for sent < total {
@@ -394,14 +394,14 @@ func TestConnectionTableDrainsAfterChurn(t *testing.T) {
 func TestWedgedBounds(t *testing.T) {
 	cases := []struct {
 		name string
-		conn *Conn
+		conn *conn
 		want bool
 	}{
-		{"no streak", &Conn{state: stateEstablished}, false},
-		{"rexmits 5", &Conn{state: stateEstablished, rexmits: 5}, false},
-		{"rexmits 6", &Conn{state: stateEstablished, rexmits: 6}, true},
-		{"closed", &Conn{state: stateClosed}, true},
-		{"failed", &Conn{state: stateEstablished, err: sock.ErrReset}, true},
+		{"no streak", &conn{state: stateEstablished}, false},
+		{"rexmits 5", &conn{state: stateEstablished, rexmits: 5}, false},
+		{"rexmits 6", &conn{state: stateEstablished, rexmits: 6}, true},
+		{"closed", &conn{state: stateClosed}, true},
+		{"failed", &conn{state: stateEstablished, err: sock.ErrReset}, true},
 	}
 	for _, tc := range cases {
 		if got := tc.conn.Wedged(); got != tc.want {

@@ -17,7 +17,7 @@ import "sort"
 // gate asserts stays flat. Existence checks off the demux path
 // (handshake bookkeeping, drains) use get, which counts nothing.
 type connTable struct {
-	buckets [][]*Conn
+	buckets [][]*conn
 	n       int
 
 	// Lookups / Probes cover demux-path lookups only.
@@ -28,7 +28,7 @@ type connTable struct {
 const connTableMinBuckets = 16
 
 func newConnTable() *connTable {
-	return &connTable{buckets: make([][]*Conn, connTableMinBuckets)}
+	return &connTable{buckets: make([][]*conn, connTableMinBuckets)}
 }
 
 // hash is FNV-1a over the 4-tuple fields with a final avalanche step:
@@ -59,7 +59,7 @@ func (t *connTable) bucket(k connKey) int {
 
 // lookup resolves a segment's 4-tuple on the demux path, counting the
 // chain entries examined.
-func (t *connTable) lookup(k connKey) *Conn {
+func (t *connTable) lookup(k connKey) *conn {
 	t.Lookups++
 	for _, c := range t.buckets[t.bucket(k)] {
 		t.Probes++
@@ -72,7 +72,7 @@ func (t *connTable) lookup(k connKey) *Conn {
 
 // get resolves a 4-tuple without touching the demux counters
 // (handshake bookkeeping, drain walks).
-func (t *connTable) get(k connKey) *Conn {
+func (t *connTable) get(k connKey) *conn {
 	for _, c := range t.buckets[t.bucket(k)] {
 		if c.key() == k {
 			return c
@@ -86,7 +86,7 @@ func (t *connTable) get(k connKey) *Conn {
 // at load factor 1/2, keeping the mean successful-lookup chain walk
 // near 1.2 probes at any population — flat enough for the connscale
 // gate's 1.5x bound against the 8-connection baseline.
-func (t *connTable) insert(c *Conn) {
+func (t *connTable) insert(c *conn) {
 	if 2*(t.n+1) > len(t.buckets) {
 		t.grow()
 	}
@@ -115,7 +115,7 @@ func (t *connTable) remove(k connKey) {
 // deterministic.
 func (t *connTable) grow() {
 	old := t.buckets
-	t.buckets = make([][]*Conn, 2*len(old))
+	t.buckets = make([][]*conn, 2*len(old))
 	for _, chain := range old {
 		for _, c := range chain {
 			b := t.bucket(c.key())
@@ -128,7 +128,7 @@ func (t *connTable) len() int { return t.n }
 
 // forEach visits every connection in bucket-then-insertion order. The
 // visitor must not insert or remove.
-func (t *connTable) forEach(f func(*Conn)) {
+func (t *connTable) forEach(f func(*conn)) {
 	for _, chain := range t.buckets {
 		for _, c := range chain {
 			f(c)
@@ -139,7 +139,7 @@ func (t *connTable) forEach(f func(*Conn)) {
 // keys snapshots every registered 4-tuple (for sorted drain walks).
 func (t *connTable) keys() []connKey {
 	out := make([]connKey, 0, t.n)
-	t.forEach(func(c *Conn) { out = append(out, c.key()) })
+	t.forEach(func(c *conn) { out = append(out, c.key()) })
 	return out
 }
 

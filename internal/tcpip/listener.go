@@ -6,38 +6,38 @@ import (
 	"repro/internal/stream"
 )
 
-// Listener is a passive TCP socket. SYNs create embryonic connections
+// listener is a passive TCP socket. SYNs create embryonic connections
 // (SYN_RCVD); completed handshakes queue on the accept backlog.
-type Listener struct {
+type listener struct {
 	st      *Stack
 	port    int
 	backlog int
-	queue   *sim.FIFO[*Conn]
+	queue   *sim.FIFO[*conn]
 	closed  bool
 	// src feeds registered pollers on backlog growth and close.
 	src sock.NoteSource
 }
 
-func newListener(st *Stack, port, backlog int) *Listener {
-	return &Listener{
+func newListener(st *Stack, port, backlog int) *listener {
+	return &listener{
 		st:      st,
 		port:    port,
 		backlog: backlog,
-		queue:   sim.NewFIFO[*Conn](st.Eng, "tcp.accept", backlog),
+		queue:   sim.NewFIFO[*conn](st.Eng, "tcp.accept", backlog),
 	}
 }
 
 // Addr implements sock.Listener.
-func (l *Listener) Addr() sock.Addr { return l.st.addr }
+func (l *listener) Addr() sock.Addr { return l.st.addr }
 
 // Port implements sock.Listener.
-func (l *Listener) Port() int { return l.port }
+func (l *listener) Port() int { return l.port }
 
 // acceptable reports whether Accept would return without blocking.
-func (l *Listener) acceptable() bool { return l.queue.Len() > 0 }
+func (l *listener) acceptable() bool { return l.queue.Len() > 0 }
 
 // PollState implements sock.Pollable.
-func (l *Listener) PollState() sock.PollEvents {
+func (l *listener) PollState() sock.PollEvents {
 	var ev sock.PollEvents
 	if l.acceptable() {
 		ev |= sock.PollIn
@@ -49,11 +49,11 @@ func (l *Listener) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (l *Listener) PollSource() *sock.NoteSource { return &l.src }
+func (l *listener) PollSource() *sock.NoteSource { return &l.src }
 
 // inputSYN handles a connection request: create the embryonic connection
 // and reply SYN-ACK from kernel context.
-func (l *Listener) inputSYN(seg *Segment) {
+func (l *listener) inputSYN(seg *segment) {
 	if l.closed {
 		return
 	}
@@ -74,13 +74,13 @@ func (l *Listener) inputSYN(seg *Segment) {
 }
 
 // connEstablished queues a completed handshake on the accept backlog.
-func (l *Listener) connEstablished(c *Conn) {
+func (l *listener) connEstablished(c *conn) {
 	if l.closed || !l.queue.TryPut(c) {
 		// Backlog overflow (or racing close): reset the peer — it
 		// already believes the connection is established, so its next
 		// operation must observe the refusal.
 		done := l.st.Host.ChargeIRQ(txSegCost)
-		l.st.transmitAt(done, &Segment{
+		l.st.transmitAt(done, &segment{
 			Src: l.st.addr, Dst: c.raddr,
 			SrcPort: c.lport, DstPort: c.rport,
 			Flags: flagRST | flagACK, Seq: c.sndNxt, Ack: c.peerAck(),
@@ -93,7 +93,7 @@ func (l *Listener) connEstablished(c *Conn) {
 
 // Accept implements sock.Listener: block for the next established
 // connection.
-func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
+func (l *listener) Accept(p *sim.Proc) (sock.Conn, error) {
 	l.st.Host.Syscall(p)
 	blocked := l.queue.Len() == 0
 	c, ok := l.queue.Get(p)
@@ -107,7 +107,7 @@ func (l *Listener) Accept(p *sim.Proc) (sock.Conn, error) {
 }
 
 // Close implements sock.Listener.
-func (l *Listener) Close(p *sim.Proc) error {
+func (l *listener) Close(p *sim.Proc) error {
 	l.st.Host.Syscall(p)
 	if l.closed {
 		return nil

@@ -9,7 +9,7 @@ import (
 
 func TestRTTEstimatorConverges(t *testing.T) {
 	b := defaultBed(2)
-	var client *Conn
+	var client *conn
 	b.eng.Spawn("server", func(p *sim.Proc) {
 		l, _ := b.stacks[0].Listen(p, 80, 4)
 		c, _ := l.Accept(p)
@@ -22,14 +22,14 @@ func TestRTTEstimatorConverges(t *testing.T) {
 	})
 	b.eng.Spawn("client", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
-		conn, err := b.stacks[1].Dial(p, b.stacks[0].Addr(), 80)
+		sc, err := b.stacks[1].Dial(p, b.stacks[0].Addr(), 80)
 		if err != nil {
 			return
 		}
-		client = conn.(*Conn)
+		client = sc.(*conn)
 		for i := 0; i < 20; i++ {
-			conn.Write(p, 1000, nil)
-			sock.ReadFull(p, conn, 4)
+			sc.Write(p, 1000, nil)
+			sock.ReadFull(p, sc, 4)
 		}
 	})
 	b.eng.RunUntil(sim.Time(30 * sim.Second))

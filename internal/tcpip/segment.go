@@ -31,16 +31,16 @@ const (
 const (
 	tcpIPHeaderBytes = 40
 	udpIPHeaderBytes = 28
-	// MSS is the TCP maximum segment size on Ethernet.
-	MSS = ethernet.MTU - tcpIPHeaderBytes
-	// MaxUDPFragPayload is the UDP payload per IP fragment.
-	MaxUDPFragPayload = ethernet.MTU - udpIPHeaderBytes
+	// mss is the TCP maximum segment size on Ethernet.
+	mss = ethernet.MTU - tcpIPHeaderBytes
+	// maxUDPFragPayload is the UDP payload per IP fragment.
+	maxUDPFragPayload = ethernet.MTU - udpIPHeaderBytes
 )
 
-// Segment is one TCP segment (the payload of an Ethernet frame).
+// segment is one TCP segment (the payload of an Ethernet frame).
 // Sequence numbers are absolute int64 offsets — a modeling
 // simplification of TCP's 32-bit wrapping space.
-type Segment struct {
+type segment struct {
 	Src, Dst         ethernet.Addr
 	SrcPort, DstPort int
 	Flags            int
@@ -52,35 +52,35 @@ type Segment struct {
 	// end within this segment, each at its end offset relative to Seq —
 	// a retransmission that merges adjacent writes must still deliver
 	// every object at its original stream position (see package stream).
-	Objs []SegObj
+	Objs []segObj
 	// Spans carries latency-decomposition spans whose write ranges end
 	// within this segment, mirroring Objs: End is relative to Seq, and a
 	// retransmission re-carries the span (its marks dedupe via MarkOnce).
-	Spans []SegSpan
+	Spans []segSpan
 
 	// frame is the Ethernet frame that carries the segment. Every
-	// transmission, a retransmission included, builds a new Segment, so
+	// transmission, a retransmission included, builds a new segment, so
 	// the segment and its frame share one allocation.
 	frame ethernet.Frame
 }
 
-// SegSpan is one latency span riding a segment; End is the offset just
+// segSpan is one latency span riding a segment; End is the offset just
 // past the span's last byte, relative to the segment's Seq.
-type SegSpan struct {
+type segSpan struct {
 	End  int
 	Span *telemetry.Span
 }
 
-// SegObj is one application object riding a segment; End is the offset
+// segObj is one application object riding a segment; End is the offset
 // just past the object's last byte, relative to the segment's Seq.
-type SegObj struct {
+type segObj struct {
 	End int
 	Obj any
 }
 
-func (s *Segment) wireLen() int { return tcpIPHeaderBytes + s.Len }
+func (s *segment) wireLen() int { return tcpIPHeaderBytes + s.Len }
 
-func (s *Segment) String() string {
+func (s *segment) String() string {
 	fl := ""
 	for _, f := range []struct {
 		bit  int
@@ -94,8 +94,8 @@ func (s *Segment) String() string {
 		s.Src, s.SrcPort, s.Dst, s.DstPort, fl, s.Seq, s.Ack, s.Len, s.Wnd)
 }
 
-// Datagram is one UDP datagram fragment.
-type Datagram struct {
+// datagram is one UDP datagram fragment.
+type datagram struct {
 	Src, Dst         ethernet.Addr
 	SrcPort, DstPort int
 	ID               uint64 // datagram id for fragment reassembly
@@ -106,7 +106,7 @@ type Datagram struct {
 	Obj              any
 }
 
-func (d *Datagram) wireLen() int { return udpIPHeaderBytes + d.FragLen }
+func (d *datagram) wireLen() int { return udpIPHeaderBytes + d.FragLen }
 
 // The Linux 2.4.18 / Acenic calibration of the kernel stack.
 const (

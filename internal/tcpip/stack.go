@@ -38,8 +38,8 @@ type Stack struct {
 	// index (the inet_hashtables lhash analogue): SYNs that miss the
 	// 4-tuple table resolve here by destination port alone.
 	conns     *connTable
-	listeners map[int]*Listener
-	udps      map[int]*UDPSocket
+	listeners map[int]*listener
+	udps      map[int]*udpSocket
 	nextPort  int
 	nextISS   int64
 	nextDgram uint64
@@ -93,8 +93,8 @@ func NewStackOnPort(e *sim.Engine, host *kernel.Host, port *ethernet.Port, tel *
 		Host:      host,
 		Cfg:       cfg,
 		conns:     newConnTable(),
-		listeners: make(map[int]*Listener),
-		udps:      make(map[int]*UDPSocket),
+		listeners: make(map[int]*listener),
+		udps:      make(map[int]*udpSocket),
 		nextPort:  32768,
 		nextISS:   1 << 20,
 		Tel:       tel,
@@ -142,7 +142,7 @@ func (st *Stack) ephemeralPort() int {
 	}
 }
 
-// Deliver implements ethernet.Station: queue the frame and manage the
+// Deliver implements ethernet.station: queue the frame and manage the
 // coalesced receive interrupt.
 func (st *Stack) Deliver(f *ethernet.Frame) {
 	if st.dead {
@@ -194,17 +194,17 @@ func (st *Stack) dispatch(f *ethernet.Frame) {
 		return
 	}
 	switch pl := f.Payload.(type) {
-	case *Segment:
+	case *segment:
 		st.SegsIn.Inc()
 		st.dispatchTCP(pl)
-	case *Datagram:
+	case *datagram:
 		st.dispatchUDP(pl)
 	default:
 		// Not for this stack (e.g. EMP traffic on a shared fabric).
 	}
 }
 
-func (st *Stack) dispatchTCP(seg *Segment) {
+func (st *Stack) dispatchTCP(seg *segment) {
 	st.Eng.Tracef("tcp", "rx %v", seg)
 	key := connKey{lport: seg.DstPort, raddr: seg.Src, rport: seg.SrcPort}
 	if c := st.conns.lookup(key); c != nil {
@@ -218,7 +218,7 @@ func (st *Stack) dispatchTCP(seg *Segment) {
 	st.DroppedNoListener.Inc()
 	if seg.Flags&flagRST == 0 {
 		// Refuse with RST.
-		st.transmitAt(st.Eng.Now(), &Segment{
+		st.transmitAt(st.Eng.Now(), &segment{
 			Src: st.addr, Dst: seg.Src,
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Flags: flagRST | flagACK, Seq: seg.Ack, Ack: seg.Seq + int64(seg.Len),
@@ -237,8 +237,8 @@ func (st *Stack) Kill() {
 	st.dead = true
 	st.rxIntr.Cancel()
 	st.rxRing = nil
-	var failing []*Conn
-	st.conns.forEach(func(c *Conn) { failing = append(failing, c) })
+	var failing []*conn
+	st.conns.forEach(func(c *conn) { failing = append(failing, c) })
 	for _, c := range failing {
 		c.fail(sock.ErrReset)
 	}
@@ -255,7 +255,7 @@ func (st *Stack) Dead() bool { return st.dead }
 
 // transmitAt hands a segment to the NIC at time t (>= now). The segment
 // must be a fresh one: its frame is built in place.
-func (st *Stack) transmitAt(t sim.Time, seg *Segment) {
+func (st *Stack) transmitAt(t sim.Time, seg *segment) {
 	if st.dead {
 		return
 	}
@@ -424,16 +424,13 @@ func (st *Stack) Drain(p *sim.Proc, deadline sim.Time) error {
 	return nil
 }
 
-// Draining reports whether Drain has been called.
-func (st *Stack) Draining() bool { return st.draining }
-
 // AuditResources reports kernel-stack resource leaks through add — the
 // tcpip side of the descriptor-leak auditor (package audit). Meant to
 // run at quiescence: closed-state sockets still occupying the
 // demultiplexing tables are the kernel analogue of the substrate's
 // unposted-descriptor leaks.
 func (st *Stack) AuditResources(add func(kind, detail string)) {
-	st.conns.forEach(func(c *Conn) {
+	st.conns.forEach(func(c *conn) {
 		if c.state == stateClosed {
 			key := c.key()
 			add("closed-conn", fmt.Sprintf("closed connection %d:%d -> %d:%d still in the demux table",

@@ -6,10 +6,10 @@ import (
 	"repro/internal/sock"
 )
 
-// UDPSocket is a kernel UDP datagram socket. Datagrams larger than one
+// udpSocket is a kernel UDP datagram socket. Datagrams larger than one
 // MTU are IP-fragmented and reassembled all-or-nothing; there is no
 // reliability.
-type UDPSocket struct {
+type udpSocket struct {
 	st     *Stack
 	port   int
 	queue  *sim.FIFO[recvDgram]
@@ -48,7 +48,7 @@ type dgramReasm struct {
 const udpSocketBufDatagrams = 64
 
 // UDPOpen binds a UDP socket on port (0 picks an ephemeral port).
-func (st *Stack) UDPOpen(p *sim.Proc, port int) (*UDPSocket, error) {
+func (st *Stack) UDPOpen(p *sim.Proc, port int) (*udpSocket, error) {
 	st.Host.Syscall(p)
 	if port == 0 {
 		port = st.ephemeralPort()
@@ -56,7 +56,7 @@ func (st *Stack) UDPOpen(p *sim.Proc, port int) (*UDPSocket, error) {
 	if _, ok := st.udps[port]; ok {
 		return nil, sock.ErrInUse
 	}
-	u := &UDPSocket{
+	u := &udpSocket{
 		st:    st,
 		port:  port,
 		queue: sim.NewFIFO[recvDgram](st.Eng, "udp.rq", udpSocketBufDatagrams),
@@ -67,11 +67,11 @@ func (st *Stack) UDPOpen(p *sim.Proc, port int) (*UDPSocket, error) {
 }
 
 // Port reports the bound port.
-func (u *UDPSocket) Port() int { return u.port }
+func (u *udpSocket) Port() int { return u.port }
 
 // PollState implements sock.Pollable. UDP sends never block, so a live
 // socket is always writable.
-func (u *UDPSocket) PollState() sock.PollEvents {
+func (u *udpSocket) PollState() sock.PollEvents {
 	ev := sock.PollOut
 	if u.queue.Len() > 0 {
 		ev |= sock.PollIn
@@ -83,12 +83,12 @@ func (u *UDPSocket) PollState() sock.PollEvents {
 }
 
 // PollSource implements sock.Pollable.
-func (u *UDPSocket) PollSource() *sock.NoteSource { return &u.src }
+func (u *udpSocket) PollSource() *sock.NoteSource { return &u.src }
 
 // SendTo transmits one datagram of n bytes to dst:port, fragmenting at
 // the IP layer if needed. It is unreliable: frames lost on the fabric
 // are gone.
-func (u *UDPSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any) error {
+func (u *udpSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any) error {
 	u.st.Host.Syscall(p)
 	if u.closed {
 		return sock.ErrClosed
@@ -96,15 +96,15 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any)
 	p.Sleep(u.st.copyTime(n))
 	u.st.nextDgram++
 	id := u.st.nextDgram
-	nfrags := (n + MaxUDPFragPayload - 1) / MaxUDPFragPayload
+	nfrags := (n + maxUDPFragPayload - 1) / maxUDPFragPayload
 	if nfrags < 1 {
 		nfrags = 1
 	}
 	remaining := n
 	for i := 0; i < nfrags; i++ {
 		fl := remaining
-		if fl > MaxUDPFragPayload {
-			fl = MaxUDPFragPayload
+		if fl > maxUDPFragPayload {
+			fl = maxUDPFragPayload
 		}
 		remaining -= fl
 		p.Sleep(txSegCost + driverTx)
@@ -112,7 +112,7 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any)
 		if i == nfrags-1 {
 			o = obj
 		}
-		d := &Datagram{
+		d := &datagram{
 			Src: u.st.addr, Dst: dst,
 			SrcPort: u.port, DstPort: port,
 			ID: id, FragIdx: i, NFrags: nfrags,
@@ -129,7 +129,7 @@ func (u *UDPSocket) SendTo(p *sim.Proc, dst ethernet.Addr, port, n int, obj any)
 // RecvFrom blocks for the next datagram, returning its size (possibly
 // larger than max — the surplus is discarded, UDP-style), its payload
 // object, and the sender.
-func (u *UDPSocket) RecvFrom(p *sim.Proc, max int) (int, any, ethernet.Addr, int, error) {
+func (u *udpSocket) RecvFrom(p *sim.Proc, max int) (int, any, ethernet.Addr, int, error) {
 	u.st.Host.Syscall(p)
 	blocked := u.queue.Len() == 0
 	d, ok := u.queue.Get(p)
@@ -151,7 +151,7 @@ func (u *UDPSocket) RecvFrom(p *sim.Proc, max int) (int, any, ethernet.Addr, int
 }
 
 // Close releases the socket.
-func (u *UDPSocket) Close(p *sim.Proc) error {
+func (u *udpSocket) Close(p *sim.Proc) error {
 	u.st.Host.Syscall(p)
 	if u.closed {
 		return nil
@@ -164,7 +164,7 @@ func (u *UDPSocket) Close(p *sim.Proc) error {
 }
 
 // dispatchUDP routes a received fragment; runs at softirq completion.
-func (st *Stack) dispatchUDP(d *Datagram) {
+func (st *Stack) dispatchUDP(d *datagram) {
 	u, ok := st.udps[d.DstPort]
 	if !ok {
 		st.DroppedNoListener.Inc()
@@ -200,7 +200,7 @@ func (st *Stack) dispatchUDP(d *Datagram) {
 	}
 }
 
-func (u *UDPSocket) deliver(d recvDgram) {
+func (u *udpSocket) deliver(d recvDgram) {
 	if !u.queue.TryPut(d) {
 		u.Drops.Inc() // socket buffer full: drop, as real UDP does
 		return

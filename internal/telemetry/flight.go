@@ -17,11 +17,11 @@ const (
 	maxDumps   = 16
 )
 
-// FlightEvent is one protocol event in a connection's flight-recorder
+// flightEvent is one protocol event in a connection's flight-recorder
 // ring: connection setup and refusal, credit grants and stalls,
 // unexpected-queue evictions, retransmission timeouts, shutdown/FIN
 // progress, deadline and linger expiry.
-type FlightEvent struct {
+type flightEvent struct {
 	At     sim.Time `json:"at"`
 	Kind   string   `json:"kind"`
 	Detail string   `json:"detail,omitempty"`
@@ -32,7 +32,7 @@ type FlightEvent struct {
 // fills.
 type Recorder struct {
 	id    string
-	ring  []FlightEvent
+	ring  []flightEvent
 	next  int
 	total int64
 
@@ -43,11 +43,11 @@ type Recorder struct {
 // Record appends an event, overwriting the oldest once the ring is
 // full.
 func (r *Recorder) Record(at sim.Time, kind, detail string) {
-	ev := FlightEvent{At: at, Kind: kind, Detail: detail}
+	ev := flightEvent{At: at, Kind: kind, Detail: detail}
 	if r.ring == nil {
 		// A connection's setup and teardown record a few events, so
 		// the first holds room for them in one allocation.
-		r.ring = make([]FlightEvent, 0, 4)
+		r.ring = make([]flightEvent, 0, 4)
 	}
 	if len(r.ring) < flightCap {
 		r.ring = append(r.ring, ev)
@@ -64,13 +64,13 @@ func (r *Recorder) Recordf(at sim.Time, kind, format string, args ...any) {
 }
 
 // Events returns the ring's events oldest first.
-func (r *Recorder) Events() []FlightEvent {
+func (r *Recorder) Events() []flightEvent {
 	if len(r.ring) < flightCap {
-		out := make([]FlightEvent, len(r.ring))
+		out := make([]flightEvent, len(r.ring))
 		copy(out, r.ring)
 		return out
 	}
-	out := make([]FlightEvent, 0, flightCap)
+	out := make([]flightEvent, 0, flightCap)
 	start := r.next % flightCap
 	out = append(out, r.ring[start:]...)
 	out = append(out, r.ring[:start]...)
@@ -89,7 +89,7 @@ type Dump struct {
 	Conn   string        `json:"conn"`
 	Reason string        `json:"reason"`
 	Total  int64         `json:"total_events"`
-	Events []FlightEvent `json:"events"`
+	Events []flightEvent `json:"events"`
 }
 
 // Flight returns the flight recorder for the given connection id,

@@ -6,7 +6,7 @@ import "repro/internal/sim"
 // one int64 per bucket regardless of how many values it absorbs, so it
 // is safe on long-running paths. Buckets are defined by ascending upper
 // bounds; one implicit overflow bucket catches values above the last
-// bound. Exact Sum/Min/Max are tracked alongside so means are exact and
+// bound. An exact sum, Min and Max are tracked alongside so means are exact and
 // interpolated percentiles can be clamped to the observed range.
 type Histogram struct {
 	bounds []float64
@@ -38,16 +38,16 @@ func LatencyBounds() []float64 {
 	return bounds
 }
 
-// linearBounds is the longest run of bounds Observe scans one by one:
+// linearBounds is the longest run of bounds observe scans one by one:
 // a longer table is first bisected down to a run that short. A scan's
 // branches predict well, and a bisection step's miss about half the
 // time, so the 17 latency bounds are cheaper scanned than bisected.
 const linearBounds = 32
 
-// Observe adds one value to the first bucket whose bound is >= v (the
+// observe adds one value to the first bucket whose bound is >= v (the
 // overflow bucket if none is); a NaN lands in bucket 0. Both the
 // bisection and the scan test v > bound, which is false for a NaN.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) observe(v float64) {
 	b := h.bounds
 	i, hi := 0, len(b)
 	for hi-i > linearBounds {
@@ -73,16 +73,11 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveDuration adds one virtual-time duration, in nanoseconds.
-func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(float64(d)) }
+func (h *Histogram) ObserveDuration(d sim.Duration) { h.observe(float64(d)) }
 
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 {
 	return h.count
-}
-
-// Sum reports the exact sum of all observations.
-func (h *Histogram) Sum() float64 {
-	return h.sum
 }
 
 // Mean reports the exact mean, or 0 when empty.

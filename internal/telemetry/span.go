@@ -16,12 +16,12 @@ import "repro/internal/sim"
 type Span struct {
 	Path  string // "eager", "rend", or "tcp"
 	Size  int    // operation payload bytes, for size classing
-	Marks []SpanMark
-	marks [spanMarks]SpanMark
+	Marks []spanMark
+	marks [spanMarks]spanMark
 }
 
-// SpanMark is one named instant inside a span.
-type SpanMark struct {
+// spanMark is one named instant inside a span.
+type spanMark struct {
 	Name string
 	At   sim.Time
 }
@@ -49,7 +49,7 @@ func (r *Registry) NewSpan(path string, size int, mark string, at sim.Time) *Spa
 
 // Mark appends a named instant.
 func (s *Span) Mark(name string, at sim.Time) {
-	s.Marks = append(s.Marks, SpanMark{Name: name, At: at})
+	s.Marks = append(s.Marks, spanMark{Name: name, At: at})
 }
 
 // MarkOnce appends the mark only if no mark with that name exists yet;
@@ -65,12 +65,12 @@ func (s *Span) MarkOnce(name string, at sim.Time) {
 			return
 		}
 	}
-	s.Marks = append(s.Marks, SpanMark{Name: name, At: at})
+	s.Marks = append(s.Marks, spanMark{Name: name, At: at})
 }
 
-// SizeClass buckets a payload size the way the paper's figures do:
+// sizeClass buckets a payload size the way the paper's figures do:
 // small control-sized ops, a page-ish midrange, and bulk.
-func SizeClass(n int) string {
+func sizeClass(n int) string {
 	switch {
 	case n <= 64:
 		return "64B"
@@ -95,7 +95,7 @@ func (r *Registry) RecordSpan(s *Span) {
 	if n < 2 {
 		return
 	}
-	rt := r.spanRoute(s.Path, SizeClass(s.Size))
+	rt := r.spanRoute(s.Path, sizeClass(s.Size))
 	if !rt.follows(s.Marks) {
 		r.reroute(rt, s.Marks)
 	}
@@ -130,7 +130,7 @@ func (r *Registry) spanRoute(path, class string) *spanRoute {
 }
 
 // follows reports whether marks carry the names rt was filled from.
-func (rt *spanRoute) follows(marks []SpanMark) bool {
+func (rt *spanRoute) follows(marks []spanMark) bool {
 	if len(marks) != len(rt.names) {
 		return false
 	}
@@ -144,7 +144,7 @@ func (rt *spanRoute) follows(marks []SpanMark) bool {
 
 // reroute refills rt from marks through spanHist, which registers any
 // histogram not yet seen, stage by stage and then the end-to-end one.
-func (r *Registry) reroute(rt *spanRoute, marks []SpanMark) {
+func (r *Registry) reroute(rt *spanRoute, marks []spanMark) {
 	rt.names, rt.hists = rt.names[:0], rt.hists[:0]
 	k := spanKey{path: rt.path, class: rt.class}
 	for i, m := range marks {

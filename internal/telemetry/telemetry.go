@@ -22,16 +22,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Key identifies one metric within a registry. Conn is empty for
+// key identifies one metric within a registry. Conn is empty for
 // host-wide metrics and carries the connection id for per-connection
 // ones.
-type Key struct {
+type key struct {
 	Layer  string
 	Metric string
 	Conn   string
 }
 
-func keyLess(a, b Key) bool {
+func keyLess(a, b key) bool {
 	if a.Layer != b.Layer {
 		return a.Layer < b.Layer
 	}
@@ -96,8 +96,8 @@ type source struct {
 // Registry is the per-host metric store. The zero value is not usable;
 // call New.
 type Registry struct {
-	counters map[Key]*sim.Counter
-	hists    map[Key]*Histogram
+	counters map[key]*sim.Counter
+	hists    map[key]*Histogram
 	sources  []source
 
 	spanHists  map[spanKey]*Histogram // RecordSpan's view of hists; made on first use
@@ -113,8 +113,8 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: make(map[Key]*sim.Counter),
-		hists:    make(map[Key]*Histogram),
+		counters: make(map[key]*sim.Counter),
+		hists:    make(map[key]*Histogram),
 		flights:  make(map[string]*Recorder),
 	}
 }
@@ -122,7 +122,7 @@ func New() *Registry {
 // Counter returns the counter for (layer, metric), creating it on first
 // use.
 func (r *Registry) Counter(layer, metric string) *sim.Counter {
-	k := Key{Layer: layer, Metric: metric}
+	k := key{Layer: layer, Metric: metric}
 	c := r.counters[k]
 	if c == nil {
 		c = &sim.Counter{}
@@ -135,7 +135,7 @@ func (r *Registry) Counter(layer, metric string) *sim.Counter {
 // the given bucket bounds on first use (later calls reuse the existing
 // bounds). The histogram shares bounds, which must not change after.
 func (r *Registry) Histogram(layer, metric string, bounds []float64) *Histogram {
-	k := Key{Layer: layer, Metric: metric}
+	k := key{Layer: layer, Metric: metric}
 	h := r.hists[k]
 	if h == nil {
 		h = NewHistogram(bounds)
@@ -162,18 +162,18 @@ func (r *Registry) ReplaceSource(layer string, fn func() []Stat) {
 	r.sources = append(kept, source{layer: layer, fn: fn})
 }
 
-// MetricSnap is one counter in a snapshot.
-type MetricSnap struct {
+// metricSnap is one counter in a snapshot.
+type metricSnap struct {
 	Layer  string `json:"layer"`
 	Metric string `json:"metric"`
 	Conn   string `json:"conn,omitempty"`
 	Value  int64  `json:"value"`
 }
 
-// HistSnap is one histogram in a snapshot. Quantiles are interpolated;
+// histSnap is one histogram in a snapshot. Quantiles are interpolated;
 // Counts has one extra trailing bucket for observations above the last
 // bound.
-type HistSnap struct {
+type histSnap struct {
 	Layer  string    `json:"layer"`
 	Metric string    `json:"metric"`
 	Conn   string    `json:"conn,omitempty"`
@@ -190,43 +190,43 @@ type HistSnap struct {
 // Snapshot is the full, deterministic state of a registry: every series
 // sorted by (layer, metric, conn), source stats folded in as counters.
 type Snapshot struct {
-	Counters []MetricSnap `json:"counters"`
-	Hists    []HistSnap   `json:"histograms,omitempty"`
+	Counters []metricSnap `json:"counters"`
+	Hists    []histSnap   `json:"histograms,omitempty"`
 }
 
 // Snapshot captures the registry. Same seed, same workload — same
 // snapshot, byte for byte, because every series is emitted in sorted
 // key order and sources run in registration order.
 func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{Counters: []MetricSnap{}}
-	merged := make(map[Key]int64, len(r.counters))
+	s := &Snapshot{Counters: []metricSnap{}}
+	merged := make(map[key]int64, len(r.counters))
 	for k, c := range r.counters {
 		merged[k] = c.Value
 	}
 	for _, src := range r.sources {
 		for _, st := range src.fn() {
-			merged[Key{Layer: src.layer, Metric: st.Name}] += st.Value
+			merged[key{Layer: src.layer, Metric: st.Name}] += st.Value
 		}
 	}
-	keys := make([]Key, 0, len(merged))
+	keys := make([]key, 0, len(merged))
 	for k := range merged {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	for _, k := range keys {
-		s.Counters = append(s.Counters, MetricSnap{Layer: k.Layer, Metric: k.Metric, Conn: k.Conn, Value: merged[k]})
+		s.Counters = append(s.Counters, metricSnap{Layer: k.Layer, Metric: k.Metric, Conn: k.Conn, Value: merged[k]})
 	}
 
-	hkeys := make([]Key, 0, len(r.hists))
+	hkeys := make([]key, 0, len(r.hists))
 	for k := range r.hists {
 		hkeys = append(hkeys, k)
 	}
 	sort.Slice(hkeys, func(i, j int) bool { return keyLess(hkeys[i], hkeys[j]) })
 	for _, k := range hkeys {
 		h := r.hists[k]
-		s.Hists = append(s.Hists, HistSnap{
+		s.Hists = append(s.Hists, histSnap{
 			Layer: k.Layer, Metric: k.Metric, Conn: k.Conn,
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
+			Count: h.Count(), Sum: h.sum, Min: h.Min(), Max: h.Max(),
 			P50: h.Percentile(50), P99: h.Percentile(99),
 			Bounds: h.Bounds(), Counts: h.Counts(),
 		})

@@ -13,8 +13,8 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(LatencyBounds())
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram not zeroed: count=%d sum=%v mean=%v", h.Count(), h.Sum(), h.Mean())
+	if h.Count() != 0 || h.sum != 0 || h.Mean() != 0 {
+		t.Fatalf("empty histogram not zeroed: count=%d sum=%v mean=%v", h.Count(), h.sum, h.Mean())
 	}
 	if p := h.Percentile(50); p != 0 {
 		t.Fatalf("empty percentile = %v, want 0", p)
@@ -26,8 +26,8 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestHistogramSingleValue(t *testing.T) {
 	h := NewHistogram([]float64{10, 100, 1000})
-	h.Observe(42)
-	if h.Count() != 1 || h.Sum() != 42 || h.Min() != 42 || h.Max() != 42 {
+	h.observe(42)
+	if h.Count() != 1 || h.sum != 42 || h.Min() != 42 || h.Max() != 42 {
 		t.Fatalf("single value stats wrong: %+v", h)
 	}
 	// Percentiles clamp to the observed range, so one value reports
@@ -44,10 +44,10 @@ func TestHistogramSingleBucket(t *testing.T) {
 	// the histogram still works as a bounded accumulator.
 	h := NewHistogram(nil)
 	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
+		h.observe(float64(i))
 	}
-	if h.Count() != 10 || h.Sum() != 55 {
-		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
+	if h.Count() != 10 || h.sum != 55 {
+		t.Fatalf("count=%d sum=%v", h.Count(), h.sum)
 	}
 	if c := h.Counts(); len(c) != 1 || c[0] != 10 {
 		t.Fatalf("counts = %v, want [10]", c)
@@ -62,9 +62,9 @@ func TestHistogramSingleBucket(t *testing.T) {
 
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram([]float64{10, 20})
-	h.Observe(5)
-	h.Observe(15)
-	h.Observe(1e9) // far beyond the last bound
+	h.observe(5)
+	h.observe(15)
+	h.observe(1e9) // far beyond the last bound
 	c := h.Counts()
 	if len(c) != 3 || c[0] != 1 || c[1] != 1 || c[2] != 1 {
 		t.Fatalf("counts = %v, want [1 1 1]", c)
@@ -84,7 +84,7 @@ func TestHistogramPercentileInterpolation(t *testing.T) {
 	// linear interpolation should land p50 near the bucket midpoint.
 	h := NewHistogram([]float64{100, 200})
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+		h.observe(float64(i))
 	}
 	p50 := h.Percentile(50)
 	if math.Abs(p50-50) > 2 {
@@ -99,7 +99,7 @@ func TestHistogramPercentileInterpolation(t *testing.T) {
 	}
 	// Bucket boundaries: exactly at a bound stays in the lower bucket.
 	h2 := NewHistogram([]float64{10})
-	h2.Observe(10)
+	h2.observe(10)
 	if c := h2.Counts(); c[0] != 1 || c[1] != 0 {
 		t.Fatalf("bound-inclusive bucketing broken: %v", c)
 	}
@@ -119,7 +119,7 @@ func fineBounds() []float64 {
 	return b
 }
 
-// TestHistogramObserveMatchesLinearScan checks Observe's bucket against
+// TestHistogramObserveMatchesLinearScan checks observe's bucket against
 // a linear scan for the first bound >= v (the overflow bucket if there
 // is none): at every bound and one ulp either side of it, below the
 // first bound, above the last, and for NaN, which the scan leaves in
@@ -151,13 +151,13 @@ func TestHistogramObserveMatchesLinearScan(t *testing.T) {
 				want++
 			}
 			before := h.counts[want]
-			h.Observe(v)
+			h.observe(v)
 			if h.counts[want] != before+1 {
 				t.Fatalf("%s: Observe(%v) missed bucket %d of %d bounds", tc.name, v, want, len(tc.bounds))
 			}
 		}
 		before := h.counts[0]
-		h.Observe(math.NaN())
+		h.observe(math.NaN())
 		if h.counts[0] != before+1 {
 			t.Fatalf("%s: Observe(NaN) missed bucket 0", tc.name)
 		}
@@ -170,14 +170,14 @@ func TestHistogramObserveMatchesLinearScan(t *testing.T) {
 func TestHistogramMerge(t *testing.T) {
 	a := NewHistogram([]float64{10, 100})
 	b := NewHistogram([]float64{10, 100})
-	a.Observe(5)
-	a.Observe(50)
-	b.Observe(500)
+	a.observe(5)
+	a.observe(50)
+	b.observe(500)
 	if !a.Merge(b) {
 		t.Fatal("merge of identical bounds failed")
 	}
-	if a.Count() != 3 || a.Sum() != 555 || a.Min() != 5 || a.Max() != 500 {
-		t.Fatalf("merged stats wrong: count=%d sum=%v min=%v max=%v", a.Count(), a.Sum(), a.Min(), a.Max())
+	if a.Count() != 3 || a.sum != 555 || a.Min() != 5 || a.Max() != 500 {
+		t.Fatalf("merged stats wrong: count=%d sum=%v min=%v max=%v", a.Count(), a.sum, a.Min(), a.Max())
 	}
 	if c := a.Counts(); c[0] != 1 || c[1] != 1 || c[2] != 1 {
 		t.Fatalf("merged counts = %v", c)
@@ -357,11 +357,11 @@ func TestRecordSpanRouteMatchesByNameLookup(t *testing.T) {
 		}
 		before := map[*Histogram]state{}
 		for _, h := range r.hists {
-			before[h] = state{h.Count(), h.Sum()}
+			before[h] = state{h.Count(), h.sum}
 		}
 		r.RecordSpan(s)
 		want := map[*Histogram]state{}
-		k := spanKey{path: "eager", class: SizeClass(size)}
+		k := spanKey{path: "eager", class: sizeClass(size)}
 		for j := 1; j < len(names); j++ {
 			k.from, k.to = names[j-1], names[j]
 			want[r.spanHist(k)] = state{1, float64(s.Marks[j].At - s.Marks[j-1].At)}
@@ -370,9 +370,9 @@ func TestRecordSpanRouteMatchesByNameLookup(t *testing.T) {
 		want[r.spanHist(k)] = state{1, float64(s.Marks[len(names)-1].At)}
 		for key, h := range r.hists {
 			b, d := before[h], want[h]
-			if h.Count() != b.count+d.count || h.Sum() != b.sum+d.sum {
+			if h.Count() != b.count+d.count || h.sum != b.sum+d.sum {
 				t.Fatalf("span %d (%d marks): %s holds %d observations summing to %v, want %d and %v",
-					i, len(names), key.Metric, h.Count(), h.Sum(), b.count+d.count, b.sum+d.sum)
+					i, len(names), key.Metric, h.Count(), h.sum, b.count+d.count, b.sum+d.sum)
 			}
 		}
 	}
@@ -421,7 +421,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 		r.Counter("core", "msgs_sent").Add(5)
 		r.Counter("emp", "retransmits").Add(2)
 		r.Counter("core", "credit_stalls").Inc()
-		r.Histogram("latency", "eager/64B/e2e", LatencyBounds()).Observe(12e3)
+		r.Histogram("latency", "eager/64B/e2e", LatencyBounds()).observe(12e3)
 		r.ReplaceSource("sim", func() []Stat { return []Stat{{Name: "wakeups", Value: 17}} })
 		return r
 	}
@@ -455,8 +455,8 @@ func TestRegistryMerge(t *testing.T) {
 	a.Counter("core", "msgs_sent").Add(3)
 	b.Counter("core", "msgs_sent").Add(4)
 	b.Counter("tcp", "segs_in").Add(9)
-	a.Histogram("latency", "tcp/1KB/e2e", LatencyBounds()).Observe(1000)
-	b.Histogram("latency", "tcp/1KB/e2e", LatencyBounds()).Observe(3000)
+	a.Histogram("latency", "tcp/1KB/e2e", LatencyBounds()).observe(1000)
+	b.Histogram("latency", "tcp/1KB/e2e", LatencyBounds()).observe(3000)
 	b.Flight("n1:5000-n0:80").Record(5, "reset", "peer gone")
 	b.DumpFlight("n1:5000-n0:80", "reset")
 	a.Merge(b)
@@ -541,7 +541,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 			h := NewHistogram(tc.bounds)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.Observe(vals[i%len(vals)])
+				h.observe(vals[i%len(vals)])
 			}
 		})
 	}
